@@ -21,9 +21,13 @@ distance helper used everywhere to keep evaluation points away from zeros
 of ``s`` that would otherwise poison quotients.
 
 Evaluators accept scalars or numpy arrays and are vectorised over the
-argument.  Passing a :class:`TruncationPolicy` with ``precision_dps`` set
-routes scalar evaluation through ``mpmath`` at the requested number of
-decimal digits; this is the slow path used for oracle-grade checks.
+argument.  :func:`s_eval` and :func:`theta_eval` evaluate a Python or
+numpy scalar with ``cmath`` (nearly every call the identities make) and an
+array with numpy; the two paths do the same arithmetic in the same order
+and pick the theta term count with the same helper.  Passing a
+:class:`TruncationPolicy` with ``precision_dps`` set routes scalar
+evaluation through ``mpmath`` at the requested number of decimal digits;
+this is the slow path used for oracle-grade checks.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import mpmath
@@ -55,6 +60,9 @@ __all__ = [
 ]
 
 _THETA_TERM_CAP = 400
+
+# Arguments s_eval and theta_eval evaluate with cmath instead of numpy.
+_SCALAR_TYPES = (complex, float, int, np.number)
 
 
 class DomainError(ValueError):
@@ -209,12 +217,17 @@ class CaseParams:
         """Sum of the half-periods ``omega_0 + ... + omega_rho``."""
         return sum(self.omega, start=0j)
 
-    @property
+    @cached_property
     def q(self) -> float:
         """Elliptic nome ``exp(-r a)``; zero outside the elliptic case."""
         if self.kind is CaseKind.ELLIPTIC:
             return math.exp(-self.r * self.a)
         return 0.0
+
+    @cached_property
+    def _s_scale(self) -> float:
+        """Elliptic prefactor ``exp(r a / 4) / r`` turning theta into ``s``."""
+        return math.exp(self.r * self.a / 4) / self.r
 
     @property
     def zero_lattice_basis(self) -> tuple[complex, ...]:
@@ -296,29 +309,17 @@ def theta_eval(z, tau=None, q=None, policy: TruncationPolicy = DEFAULT_POLICY):
     if policy.precision_dps is not None:
         return _theta_eval_mp(z, qq, policy)
 
-    zz, scalar = _as_complex_array(z)
     log_q = cmath.log(qq)  # principal branch fixes q**(1/4)
-    decay = log_q.real  # = ln|q| < 0
-    im_max = float(np.max(np.abs(zz.imag)))
+    if isinstance(z, _SCALAR_TYPES):
+        zc = complex(z)
+        n_stop = _theta_terms(log_q, abs(zc.imag), policy.target_rel_err, abs(qq))
+        try:
+            return _theta_sum(zc, log_q, n_stop)
+        except (OverflowError, ValueError):
+            pass  # cmath raises where numpy returns inf or nan
 
-    n_stop = None
-    for n in range(1, _THETA_TERM_CAP + 1):
-        if n * (n + 1) * decay + 2 * n * im_max < math.log(policy.target_rel_err):
-            n_stop = n
-            break
-    if n_stop is None:
-        raise ConvergenceError(
-            "theta series tail still above target after "
-            f"{_THETA_TERM_CAP} terms (|q|={abs(qq):.6g}, max|Im z|={im_max:.3g})"
-        )
-
-    peak = abs(log_q) / 4 + (2 * n_stop + 1) * im_max
-    if peak > 650.0:
-        raise DomainError(
-            f"theta argument too deep in the strip: |Im z|={im_max:.3g} "
-            "would overflow float64"
-        )
-
+    zz, scalar = _as_complex_array(z)
+    n_stop = _theta_terms(log_q, float(np.max(np.abs(zz.imag))), policy.target_rel_err, abs(qq))
     total = np.zeros_like(zz)
     for n in range(n_stop + 1):
         exponent = (n + 0.5) ** 2 * log_q
@@ -332,6 +333,58 @@ def theta_eval(z, tau=None, q=None, policy: TruncationPolicy = DEFAULT_POLICY):
         else:
             total += term
     return _restore(2.0 * total, scalar)
+
+
+def _theta_terms(log_q: complex, im_max: float, tol: float, abs_q: float) -> int:
+    """Last index ``n_stop`` of the theta sine series for ``max|Im z| = im_max``.
+
+    ``n_stop`` is the least ``n`` in ``1 .. _THETA_TERM_CAP`` whose tail
+    bound ``n(n+1) ln|q| + 2 n im_max`` lies below ``ln tol``.  The larger
+    root of that quadratic gives it in closed form; the unit steps after it
+    make the result agree with a scan over ``n = 1, 2, ...`` in floating
+    point.  ``abs_q`` is only quoted in error messages.
+    """
+    decay = log_q.real  # = ln|q| < 0
+    log_tol = math.log(tol)
+
+    def below(n: int) -> bool:
+        return n * (n + 1) * decay + 2 * n * im_max < log_tol
+
+    b = decay + 2 * im_max
+    root = (b + math.sqrt(b * b + 4 * decay * log_tol)) / (-2 * decay)
+    # a NaN or infinite im_max gives a NaN or infinite root: start at the cap
+    n = max(1, math.floor(root) + 1) if root < _THETA_TERM_CAP else _THETA_TERM_CAP
+    while n > 1 and below(n - 1):
+        n -= 1
+    while not below(n):
+        if n == _THETA_TERM_CAP:
+            raise ConvergenceError(
+                "theta series tail still above target after "
+                f"{_THETA_TERM_CAP} terms (|q|={abs_q:.6g}, max|Im z|={im_max:.3g})"
+            )
+        n += 1
+
+    peak = abs(log_q) / 4 + (2 * n + 1) * im_max
+    if peak > 650.0:
+        raise DomainError(
+            f"theta argument too deep in the strip: |Im z|={im_max:.3g} "
+            "would overflow float64"
+        )
+    return n
+
+
+def _theta_sum(z: complex, log_q: complex, n_stop: int) -> complex:
+    """Scalar twin of the numpy series in :func:`theta_eval`, term for term."""
+    total = 0j
+    for n in range(n_stop + 1):
+        exponent = (n + 0.5) ** 2 * log_q
+        k = 1j * (2 * n + 1)
+        term = (cmath.exp(exponent + k * z) - cmath.exp(exponent - k * z)) / 2j
+        if n % 2:
+            total -= term
+        else:
+            total += term
+    return 2.0 * total
 
 
 def theta_product(z, tau=None, q=None, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -425,8 +478,21 @@ def s_eval(case: CaseParams, x, policy: TruncationPolicy = DEFAULT_POLICY):
         ).reshape(xx.shape)
         return _restore(vals, scalar)
 
-    xx, scalar = _as_complex_array(x)
     kind = case.kind
+    if isinstance(x, _SCALAR_TYPES):
+        z = complex(x)
+        if kind is CaseKind.ELLIPTIC:
+            return case._s_scale * theta_eval(case.r * z, q=case.q, policy=policy)
+        try:
+            if kind is CaseKind.RATIONAL:
+                return z
+            if kind is CaseKind.TRIGONOMETRIC:
+                return _div_real(cmath.sin(case.r * z), case.r)
+            return (case.a / math.pi) * cmath.sinh(_div_real(math.pi * z, case.a))
+        except (OverflowError, ValueError):
+            pass  # cmath raises where numpy returns inf or nan
+
+    xx, scalar = _as_complex_array(x)
     if kind is CaseKind.RATIONAL:
         vals = xx.copy()
     elif kind is CaseKind.TRIGONOMETRIC:
@@ -434,9 +500,16 @@ def s_eval(case: CaseParams, x, policy: TruncationPolicy = DEFAULT_POLICY):
     elif kind is CaseKind.HYPERBOLIC:
         vals = (case.a / math.pi) * np.sinh(math.pi * xx / case.a)
     else:
-        scale = math.exp(case.r * case.a / 4) / case.r
-        vals = scale * theta_eval(case.r * xx, q=case.q, policy=policy)
+        vals = case._s_scale * theta_eval(case.r * xx, q=case.q, policy=policy)
     return _restore(vals, scalar)
+
+
+def _div_real(w: complex, d: float) -> complex:
+    """``w / d`` for ``d > 0`` as numpy divides a complex128 by a real: a
+    product with the reciprocal, with numpy's signs of zero.  Python's own
+    ``w / d`` rounds differently in the last bit."""
+    inv = 1.0 / d
+    return complex((w.real + w.imag * 0.0) * inv, (w.imag - w.real * 0.0) * inv)
 
 
 def s_eval_mp(case: CaseParams, x: complex, dps: int):

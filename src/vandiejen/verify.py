@@ -52,7 +52,9 @@ from .operators import (
     CouplingSet,
     SummationParams,
     MassTag,
+    _sv,
     balance_solve,
+    c0_constant,
     coeff_V0,
     coeff_V_shift,
     def_V0,
@@ -78,7 +80,6 @@ from .sfun import (
     TruncationPolicy,
     duplication_residual,
     quasi_factor,
-    s_eval,
     theta_eval,
     theta_product,
 )
@@ -269,7 +270,12 @@ def _row(
 
 
 def _rng_for(seed: int, identity: str | None = None, case_label: str | None = None) -> np.random.Generator:
-    entropy: list[int] = [int(seed) & 0xFFFFFFFF]
+    # The whole seed is entropy, so no two seeds share rows.  A seed below
+    # 2**32 is a single entropy word, which keeps its rows stable.
+    seed = int(seed)
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
+    entropy: list[int] = [seed]
     if identity is not None:
         entropy.append(IDENTITIES.index(identity))
     if case_label is not None:
@@ -444,10 +450,6 @@ class _RunCtx:
             f"no admissible point for {config.case.describe()} with "
             f"{config.size} coordinates after {max_tries} tries"
         )
-
-
-def _sv(case: CaseParams, z: complex, policy: TruncationPolicy) -> complex:
-    return complex(s_eval(case, complex(z), policy))
 
 
 def _max_abs(values: Iterable[complex]) -> float:
@@ -1156,8 +1158,6 @@ def _rows_eigen_plain(ctx: _RunCtx) -> list[SampleResult]:
                         dev, sc = d, s
             rows.append(_row(ctx, f"{lab}/chain-shift", i, dev, sc))
 
-            from .operators import c0_constant
-
             lhs0 = coeff_V0(case, g, lam, beta, values, X, policy)
             rhs0 = vd_V0(case, g, lam, beta, X, policy) - c0_constant(case, g, lam, beta, policy)
             d, s = _rel_dev(lhs0, rhs0)
@@ -1422,7 +1422,6 @@ def _deformed_sample(ctx: _RunCtx, variant: str, i: int):
 def _rows_deformed_groundstate(ctx: _RunCtx) -> list[SampleResult]:
     rows = []
     case, policy = ctx.case, ctx.policy
-    from .operators import c0_constant
 
     for i in range(ctx.samples):
         got = _deformed_sample(ctx, "deformed-groundstate", i)
@@ -1975,11 +1974,9 @@ def run_identity(
     for row in rows:
         if row.control:
             min_ctrl = min(min_ctrl, row.residual)
-        elif row.residual > max_res or not math.isfinite(row.residual):
+        elif _worse_residual(row.residual, max_res):
             max_res = row.residual
             scale_at_max = row.scale
-            if not math.isfinite(row.residual):
-                break
     verdict = "pass" if rows and all(row.passed for row in rows) else "fail"
     return ResidualReport(
         identity=identity,
@@ -1993,6 +1990,12 @@ def run_identity(
         verdict=verdict,
         results=tuple(rows),
     )
+
+
+def _worse_residual(residual: float, worst: float) -> bool:
+    """Whether ``residual`` replaces ``worst`` as the maximum residual: a
+    larger one does, and the first non-finite one does and then stays."""
+    return math.isfinite(worst) and (residual > worst or not math.isfinite(residual))
 
 
 def run_suite(
@@ -2199,7 +2202,7 @@ def merge_parsed_reports(parsed: Sequence[dict]) -> dict:
         agg["sample_count"] += 1
         if row.get("control"):
             agg["min_control_residual"] = min(agg["min_control_residual"], row["residual"])
-        elif row["residual"] > agg["max_rel_residual"]:
+        elif _worse_residual(row["residual"], agg["max_rel_residual"]):
             agg["max_rel_residual"] = row["residual"]
             agg["normalization_scale"] = row.get("scale", 0.0)
         if not row["passed"]:

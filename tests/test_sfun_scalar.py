@@ -1,0 +1,162 @@
+"""The scalar (cmath) path of s_eval/theta_eval against the array (numpy)
+path, the mpmath evaluator, and the term-count scan it replaced."""
+
+import cmath
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from vandiejen.sfun import (
+    DEFAULT_POLICY,
+    CaseKind,
+    CaseParams,
+    ConvergenceError,
+    DomainError,
+    TruncationPolicy,
+    _theta_terms,
+    s_eval,
+    s_eval_mp,
+    theta_eval,
+)
+
+CASES = {label: CaseParams(CaseKind.from_label(label), r=1.1, a=1.8)
+         for label in ("I", "II", "III", "IV")}
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+re_part = st.floats(-4.0, 4.0)
+im_part = st.floats(0.0, 2.5)
+half_plane = st.sampled_from((1.0, -1.0))
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (ConvergenceError, DomainError) as err:
+        return (type(err).__name__, str(err))
+
+
+@PROPERTY
+@given(label=st.sampled_from(sorted(CASES)), x=re_part, y=im_part, sign=half_plane)
+def test_scalar_s_eval_equals_array_path(label, x, y, sign):
+    case = CASES[label]
+    z = complex(x, sign * y)
+    scalar = _outcome(s_eval, case, z)
+    array = _outcome(lambda: complex(s_eval(case, np.array([z]))[0]))
+    assert scalar == array
+    if not isinstance(scalar, tuple):
+        assert type(scalar) is complex
+
+
+@PROPERTY
+@given(mod=st.floats(0.05, 0.8), arg=st.floats(-math.pi, math.pi), x=re_part,
+       y=st.floats(0.0, 4.0), sign=half_plane)
+def test_scalar_theta_eval_equals_array_path(mod, arg, x, y, sign):
+    q = cmath.rect(mod, arg)
+    z = complex(x, sign * y)
+    scalar = _outcome(theta_eval, z, q=q)
+    array = _outcome(lambda: complex(theta_eval(np.array([z]), q=q)[0]))
+    assert scalar == array
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_scalar_path_agrees_with_batch_in_both_half_planes(label):
+    case = CASES[label]
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-2, 2, 64) + 1j * rng.uniform(-1, 1, 64)
+    assert (pts.imag > 0).any() and (pts.imag < 0).any()
+    batch = s_eval(case, pts)
+    for z, b in zip(pts, batch):
+        # a batch sums the theta series to the term count of its largest
+        # |Im z|, so it can carry a few more terms than the single point
+        assert s_eval(case, complex(z)) == pytest.approx(b, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_scalar_path_matches_mpmath(label):
+    case = CASES[label]
+    rng = np.random.default_rng(11)
+    for z in rng.uniform(-2, 2, 4) + 1j * rng.uniform(-1, 1, 4):
+        ref = complex(s_eval_mp(case, complex(z), 30))
+        assert s_eval(case, complex(z)) == pytest.approx(ref, rel=1e-12)
+
+
+def test_scalar_argument_types():
+    case = CASES["IV"]
+    ref = s_eval(case, 0.5 + 0j)
+    for x in (0.5, np.float64(0.5), np.float32(0.5), np.complex128(0.5)):
+        assert s_eval(case, x) == ref
+    assert s_eval(case, 2) == s_eval(case, np.int64(2)) == s_eval(case, 2.0)
+
+
+def test_precision_policy_still_routes_scalars_to_mpmath():
+    case = CASES["IV"]
+    z = 0.37 + 0.11j
+    policy = TruncationPolicy(precision_dps=30)
+    assert s_eval(case, z, policy) == complex(s_eval_mp(case, z, 30))
+
+
+def _reference_terms(log_q, im_max, tol, abs_q):
+    """The term-count scan the closed form replaced."""
+    decay = log_q.real
+    n_stop = None
+    for n in range(1, 401):
+        if n * (n + 1) * decay + 2 * n * im_max < math.log(tol):
+            n_stop = n
+            break
+    if n_stop is None:
+        raise ConvergenceError(
+            "theta series tail still above target after "
+            f"400 terms (|q|={abs_q:.6g}, max|Im z|={im_max:.3g})"
+        )
+    if abs(log_q) / 4 + (2 * n_stop + 1) * im_max > 650.0:
+        raise DomainError(
+            f"theta argument too deep in the strip: |Im z|={im_max:.3g} "
+            "would overflow float64"
+        )
+    return n_stop
+
+
+GRID_Q = (1e-300, 1e-8, 0.05, 0.3, 0.6, 0.9, 0.99, 0.999, 0.99999)
+GRID_IM = (0.0, 1e-9, 0.3, 1.0, 2.7, 8.0, 40.0, 200.0, 1e5, math.inf, math.nan)
+GRID_TOL = (1e-300, 1e-16, DEFAULT_POLICY.target_rel_err, 1e-6, 0.5, 0.999999)
+
+
+def _boundary_points():
+    """(|q|, |Im z|, tol) on and next to the tail-bound boundary of each n,
+    where the closed-form root sits on an integer and rounding decides."""
+    for mod, tol in itertools.product((0.05, 0.3, 0.6, 0.9, 0.99), (1e-16, 1e-13, 1e-6)):
+        for n in range(1, 40):
+            im0 = (math.log(tol) - n * (n + 1) * math.log(mod)) / (2 * n)
+            if im0 >= 0:
+                for im_max in (math.nextafter(im0, 0.0), im0, math.nextafter(im0, math.inf)):
+                    yield mod, im_max, tol
+
+
+def test_closed_form_term_count_matches_scan():
+    seen = set()
+    grid = itertools.chain(itertools.product(GRID_Q, GRID_IM, GRID_TOL), _boundary_points())
+    for mod, im_max, tol in grid:
+        for q in (complex(mod), cmath.rect(mod, 2.0)):
+            log_q = cmath.log(q)
+            got = _outcome(_theta_terms, log_q, im_max, tol, abs(q))
+            assert got == _outcome(_reference_terms, log_q, im_max, tol, abs(q)), (q, im_max, tol)
+            seen.add(got[0] if isinstance(got, tuple) else "n")
+    # the grid reaches the term cap and the overflow guard
+    assert seen == {"n", "ConvergenceError", "DomainError"}
+
+
+def test_term_count_errors_reach_both_paths():
+    case = CASES["IV"]
+    deep = 0.3 + 60j
+    with pytest.raises(DomainError, match="too deep in the strip"):
+        s_eval(case, deep)
+    with pytest.raises(DomainError, match="too deep in the strip"):
+        s_eval(case, np.array([deep]))
+    with pytest.raises(ConvergenceError, match="after 400 terms"):
+        theta_eval(0.3, q=0.99999)
+    with pytest.raises(ConvergenceError, match="after 400 terms"):
+        theta_eval(np.array([0.3]), q=0.99999)

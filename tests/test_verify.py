@@ -1,9 +1,12 @@
 """Verification harness: runners, sampling, reports, serialisation."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
+from vandiejen import verify
 from vandiejen.operators import Configuration, CouplingSet, MassTag
 from vandiejen.sfun import ConvergenceError, DomainError
 from vandiejen.verify import (
@@ -18,6 +21,7 @@ from vandiejen.verify import (
     payload_lines,
     render_csv,
     render_json_lines,
+    SampleResult,
     residual_source,
     run_identity,
     run_suite,
@@ -167,6 +171,43 @@ def test_run_identity_is_deterministic():
     assert [r.residual for r in a.results] != [r.residual for r in c.results]
 
 
+def test_seeds_past_32_bits_do_not_alias():
+    a = run_identity("s-oddness", "II", samples=3, seed=0)
+    b = run_identity("s-oddness", "II", samples=3, seed=2**32)
+    assert [r.scale for r in a.results] != [r.scale for r in b.results]
+
+
+def test_seeds_below_32_bits_keep_their_entropy():
+    # rows of every seed in [0, 2**32) stay what they were
+    for seed in (0, 7, 2**32 - 1):
+        expect = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
+        assert verify._rng_for(seed).random(3).tolist() == expect.random(3).tolist()
+
+
+def test_negative_seed_is_rejected():
+    with pytest.raises(DomainError, match="non-negative"):
+        run_identity("s-oddness", "II", samples=1, seed=-1)
+
+
+def _fake_rows(residuals):
+    """Runner returning fixed rows from (residual, control) pairs; row i
+    has scale i + 1."""
+    def runner(ctx):
+        return [SampleResult("s-oddness", ctx.label, "fake", i, res, i + 1.0, 1e-10, ctl, False)
+                for i, (res, ctl) in enumerate(residuals)]
+    return runner
+
+
+def test_summary_scans_controls_past_a_non_finite_row(monkeypatch):
+    monkeypatch.setitem(verify._RUNNERS, "s-oddness", _fake_rows(
+        [(1e-14, False), (math.nan, False), (5.0, False), (math.inf, False),
+         (0.5, True), (0.02, True)]))
+    rep = run_identity("s-oddness", "II", samples=1, seed=0)
+    assert math.isnan(rep.max_rel_residual)  # the first non-finite row stays
+    assert rep.normalization_scale == 2.0
+    assert rep.min_control_residual == 0.02
+
+
 def test_payload_lines_byte_determinism():
     reports_a = run_suite(["s-oddness", "gamma-fe"], ["I", "II"], samples=3, seed=7)
     reports_b = run_suite(["s-oddness", "gamma-fe"], ["I", "II"], samples=3, seed=7)
@@ -309,6 +350,17 @@ def test_merge_adds_sample_counts():
     singles = [parse_report_lines(text_a), parse_report_lines(text_b)]
     expect = max(s["max_rel_residual"] for p in singles for s in p["summaries"])
     assert worst == expect
+
+
+def test_merge_takes_a_nan_residual_as_the_maximum():
+    def row(res):
+        return {"identity": "s-oddness", "case": "I", "residual": res, "scale": 1.0,
+                "passed": math.isfinite(res)}
+    parsed = {"samples": [row(1e-14), row(math.nan), row(3e-13)], "summaries": []}
+    merged = merge_parsed_reports([parsed])
+    (summ,) = merged["summaries"]
+    assert math.isnan(summ["max_rel_residual"])
+    assert merged["footer"]["verdict"] == "fail"
 
 
 def test_merge_empty_is_a_failure():
