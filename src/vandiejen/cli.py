@@ -97,7 +97,6 @@ class RunConfig:
     tol: float | None = None
     trunc_terms: int | None = None
     no_balance: bool = False
-    jobs: int = 1
     max_n: int = 3
     out: str | None = None
     fmt: str = "text"
@@ -110,7 +109,6 @@ class RunConfig:
             "samples": self.samples,
             "seed": self.seed,
             "no_balance": self.no_balance,
-            "jobs": self.jobs,
             "max_n": self.max_n,
             "format": self.fmt,
         }
@@ -156,7 +154,6 @@ class RunConfig:
             trunc_terms=(int(m["trunc_terms"])
                          if m.get("trunc_terms") is not None else None),
             no_balance=bool(m.get("no_balance", False)),
-            jobs=int(m.get("jobs", 1)),
             max_n=int(m.get("max_n", 3)),
             out=str(m["out"]) if m.get("out") is not None else None,
             fmt=str(m.get("format", "text")),
@@ -184,8 +181,6 @@ class RunConfig:
             raise DomainError("field samples: must be at least 1")
         if self.seed < 0:
             raise DomainError("field seed: must be non-negative")
-        if self.jobs < 1:
-            raise DomainError("field jobs: must be at least 1")
         if self.max_n < 1:
             raise DomainError("field max_n: must be at least 1")
         if self.tol is not None and self.tol <= 0:
@@ -325,7 +320,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                            else None)),
         no_balance=bool(pick("no_balance",
                              getattr(args, "no_balance", None), False)),
-        jobs=int(pick("jobs", getattr(args, "jobs", None), 1)),
         max_n=int(pick("max_n", getattr(args, "max_n", None), 3)),
         out=pick("out", getattr(args, "out", None), None),
         fmt=str(pick("format", getattr(args, "fmt", None), "text")),
@@ -375,11 +369,6 @@ def format_complex(z: complex) -> str:
         return body + "i"
     sign = "+" if im >= 0 else "-"
     return f"{_fmt_real(re_)}{sign}{_fmt_real(abs(im))}i"
-
-
-def _json_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      allow_nan=True)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -508,7 +497,7 @@ def _render_eval(rows: list[tuple[str, complex, str]], quantity: str,
     if fmt == "json-lines":
         out = []
         for name, value, flag in rows:
-            out.append(_json_line({
+            out.append(verify.json_line({
                 "record": "eval",
                 "quantity": quantity,
                 "case": label,
@@ -549,7 +538,6 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         cfg.cases,
         samples=cfg.samples,
         seed=cfg.seed,
-        jobs=cfg.jobs,
         policy=cfg.policy(),
         tol=cfg.tol,
         masses=cfg.masses,
@@ -566,7 +554,8 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         text = verify.render_json_lines(reports, created=created,
                                         run_args=cfg.to_mapping())
     elif cfg.fmt == "csv":
-        text = verify.render_csv(reports)
+        text = verify.render_csv(verify.sample_record(row)
+                                 for rep in reports for row in rep.results)
     else:
         text = _render_verify_text(reports, elapsed)
     _write_output(text, cfg.out)
@@ -618,29 +607,12 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     if cfg.fmt == "json-lines":
         created = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        lines = [_json_line({
-            "record": "header",
-            "format": verify.FORMAT_VERSION,
-            "tool": "vandiejen",
-            "created": created,
-            "merged_from": len(parsed),
-        })]
-        lines.extend(_json_line(row) for row in merged["samples"])
-        lines.extend(_json_line(row) for row in merged["summaries"])
-        lines.append(_json_line(merged["footer"]))
+        lines = [verify.header_line(created, merged_from=len(parsed))]
+        lines.extend(verify.json_line(row) for row in
+                     [*merged["samples"], *merged["summaries"], merged["footer"]])
         text = "\n".join(lines)
     elif cfg.fmt == "csv":
-        out = [",".join(verify._CSV_COLUMNS)]
-        for row in merged["samples"]:
-            detail = str(row.get("detail", "")).replace('"', "'")
-            if "," in detail:
-                detail = f'"{detail}"'
-            out.append(
-                f"{row['identity']},{row['case']},{row['label']},"
-                f"{row['index']},{row['residual']!r},{row['scale']!r},"
-                f"{row['tolerance']!r},{int(row['control'])},"
-                f"{int(row['passed'])},{detail}")
-        text = "\n".join(out)
+        text = verify.render_csv(merged["samples"])
     else:
         footer = merged["footer"]
         lines = [verify.summary_matrix(merged["summaries"]), ""]
@@ -715,8 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "balancing condition and expect failure")
     p_verify.add_argument("--max-n", dest="max_n", type=int,
                           help="largest particle total in sweeps")
-    p_verify.add_argument("--jobs", type=int,
-                          help="concurrent identity-case runs")
     _add_common(p_verify)
 
     p_report = subs.add_parser(

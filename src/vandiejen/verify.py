@@ -22,8 +22,9 @@ import cmath
 import json
 import math
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -736,6 +737,20 @@ def _detuned(coupling: CouplingSet, delta: float) -> CouplingSet:
     return CouplingSet(tuple(g), coupling.lam, coupling.beta)
 
 
+def _detuned_controls(ctx: _RunCtx, coupling: CouplingSet, tags: tuple[MassTag, ...],
+                      X: tuple[complex, ...], index: int, prefix: str) -> list[SampleResult]:
+    """Elliptic negative controls: the source-identity defect with the last
+    coupling detuned both ways, at ``X`` where the detuned configuration
+    is admissible there and at a fresh admissible point otherwise."""
+    rows = []
+    for delta in (CONTROL_DETUNE, -CONTROL_DETUNE):
+        bad = Configuration(ctx.case, _detuned(coupling, delta), tags)
+        X2 = X if _screen_config(bad, X, ctx.policy) else ctx.admissible_X(bad)
+        res, scale = residual_source(bad, X2, ctx.policy)
+        rows.append(_row(ctx, f"{prefix}/defect={delta:+g}", index, res, scale, control=True))
+    return rows
+
+
 def _rows_source(ctx: _RunCtx) -> list[SampleResult]:
     rows = []
     for i in range(ctx.samples):
@@ -750,16 +765,7 @@ def _rows_source(ctx: _RunCtx) -> list[SampleResult]:
             res, scale = residual_source(config, X, ctx.policy)
             rows.append(_row(ctx, f"m=({name})", i, res, scale))
         if ctx.label == "IV":
-            for delta in (CONTROL_DETUNE, -CONTROL_DETUNE):
-                bad = Configuration(ctx.case, _detuned(coupling, delta), tags)
-                if not _screen_config(bad, X, ctx.policy):
-                    X2 = ctx.admissible_X(bad)
-                else:
-                    X2 = X
-                res, scale = residual_source(bad, X2, ctx.policy)
-                rows.append(
-                    _row(ctx, f"m=({name})/defect={delta:+g}", i, res, scale, control=True)
-                )
+            rows.extend(_detuned_controls(ctx, coupling, tags, X, i, f"m=({name})"))
     return rows
 
 
@@ -986,12 +992,20 @@ def _rel_dev(lhs: complex, rhs: complex) -> tuple[float, float]:
     return abs(lhs - rhs) / scale, scale
 
 
+def _worst_dev(pairs: Iterable[tuple[complex, complex]]) -> tuple[float, float]:
+    """Largest relative deviation over ``(lhs, rhs)`` pairs and its scale,
+    by the rule of :func:`_worse_residual`: the first of equal maxima
+    counts, and the first non-finite deviation stays."""
+    worst = None
+    for lhs, rhs in pairs:
+        dev = _rel_dev(lhs, rhs)
+        if worst is None or _worse_residual(dev[0], worst[0]):
+            worst = dev
+    return worst
+
+
 def _reflected(g: Sequence[float], lam: float) -> tuple[float, ...]:
     return tuple((lam + 1) / 2 - v for v in g)
-
-
-def _scaled_dual(g: Sequence[float], lam: float) -> tuple[float, ...]:
-    return tuple(v / lam for v in g)
 
 
 # ---------------------------------------------------------------------------
@@ -1004,7 +1018,7 @@ def _direct_kernel_rows(
     grid_label: str,
     index: int,
     Z0: tuple[complex, ...],
-    blocks: list[tuple],
+    blocks: Sequence["_Block"],
     kernel_fn: Callable,
     v0_fn: Callable,
     const: complex,
@@ -1013,86 +1027,72 @@ def _direct_kernel_rows(
     """Pointwise action of the difference of square-root-form operators on
     the kernel, with every square root continued from ``Z0``.
 
-    ``blocks`` entries are ``(prefix, var_idx, step, pref, coeff_fn,
-    orient)`` where ``coeff_fn(P, j, sign)`` is the plain shift
-    coefficient of that block and a coordinate shift is ``P[slot] + sign
-    * step``.  Each term pairs the two continued square roots with the
-    kernel value at the shifted point; the product of roots can land on
-    either sheet, so its sign is pinned once at the base point against
-    ``ref_fn(Z0, slot, orient * sign) * F(Z0)``, the conjugated
+    ``blocks`` are the identity's table entries (:class:`_Block`).  The
+    term of block ``b``, coordinate ``j`` and sign ``sign`` moves
+    ``P[b.slots[j]]`` by ``sign * b.step``, pairs the continued square
+    roots of ``b.coeff`` at both ends with the kernel value at the shifted
+    point, and carries the prefactor ``b.pref``.  The product of roots can
+    land on either sheet, so its sign is pinned once at the base point
+    against ``ref_fn(Z0, slot, b.orient * sign) * F(Z0)``, the conjugated
     coefficient of the combined configuration (which the term provably
-    equals up to sign; ``orient`` aligns the block's shift convention
-    with the combined form's).
+    equals up to sign).
     """
+    s_at = cache(lambda arg: _sv(ctx.case, arg, ctx.policy))
+    prefs = [s_at(arg) if sign > 0 else -s_at(arg) for sign, arg in (b.pref for b in blocks)]
+    terms = [(b, pref, jj, sign) for b, pref in zip(blocks, prefs)
+             for jj in range(len(b.slots)) for sign in (1, -1)]
     rows: list[SampleResult] = []
     try:
         tracker = BranchTracker(Z0)
         F0 = kernel_fn(tracker, Z0)
 
-        def raw_term(P, prefix, var_idx, step, jj, sign, coeff_fn):
-            slot = var_idx[jj]
+        def raw_term(P, b, jj, sign):
+            slot = b.slots[jj]
             shifted = list(P)
-            shifted[slot] = P[slot] + sign * step
+            shifted[slot] = P[slot] + sign * b.step
             shifted = tuple(shifted)
-            here = tracker.sqrt_at(
-                (prefix, jj, sign),
-                lambda Q, jj=jj, sign=sign: coeff_fn(Q, jj, sign),
-                P,
-            )
-            there = tracker.sqrt_at(
-                (prefix, jj, -sign),
-                lambda Q, jj=jj, sign=sign: coeff_fn(Q, jj, -sign),
-                shifted,
-            )
+            here = tracker.sqrt_at((b.label, jj, sign), lambda Q: b.coeff(Q, jj, sign), P)
+            there = tracker.sqrt_at((b.label, jj, -sign), lambda Q: b.coeff(Q, jj, -sign),
+                                    shifted)
             return here * there * kernel_fn(tracker, shifted)
 
         sigma: dict[tuple, int] = {}
-        for prefix, var_idx, step, pref, coeff_fn, orient in blocks:
-            for jj in range(len(var_idx)):
-                slot = var_idx[jj]
-                for sign in (1, -1):
-                    t0 = raw_term(Z0, prefix, var_idx, step, jj, sign, coeff_fn)
-                    ref = ref_fn(Z0, slot, orient * sign) * F0
-                    if abs(ref) < 1e-100:
-                        raise BranchError("reference coefficient vanished at base")
-                    ratio = t0 / ref
-                    if abs(ratio - 1) < 0.2:
-                        sigma[(prefix, jj, sign)] = 1
-                    elif abs(ratio + 1) < 0.2:
-                        sigma[(prefix, jj, sign)] = -1
-                    else:
-                        raise BranchError(
-                            f"continued root product is off-sheet (ratio {ratio:.4f})"
-                        )
+        for b, _, jj, sign in terms:
+            t0 = raw_term(Z0, b, jj, sign)
+            ref = ref_fn(Z0, b.slots[jj], b.orient * sign) * F0
+            if abs(ref) < 1e-100:
+                raise BranchError("reference coefficient vanished at base")
+            ratio = t0 / ref
+            if abs(ratio - 1) < 0.2:
+                sigma[(b.label, jj, sign)] = 1
+            elif abs(ratio + 1) < 0.2:
+                sigma[(b.label, jj, sign)] = -1
+            else:
+                raise BranchError(
+                    f"continued root product is off-sheet (ratio {ratio:.4f})"
+                )
 
         def residual_at(P):
-            terms = []
-            for prefix, var_idx, step, pref, coeff_fn, orient in blocks:
-                for jj in range(len(var_idx)):
-                    for sign in (1, -1):
-                        t = raw_term(P, prefix, var_idx, step, jj, sign, coeff_fn)
-                        terms.append(pref * sigma[(prefix, jj, sign)] * t)
+            parts = [pref * sigma[(b.label, jj, sign)] * raw_term(P, b, jj, sign)
+                     for b, pref, jj, sign in terms]
             FP = kernel_fn(tracker, P)
-            terms.append(v0_fn(P) * FP)
-            terms.append(-const * FP)
-            scale = _max_abs(terms)
-            return abs(sum(terms)) / scale, scale
+            parts.append(v0_fn(P) * FP)
+            parts.append(-const * FP)
+            scale = _max_abs(parts)
+            return abs(sum(parts)) / scale, scale
 
         def coherent_at(P):
             # straight-line continuation can cross a cut between the base
             # path and an offset path; such an offset is rejected rather
             # than mis-summed
             FP = kernel_fn(tracker, P)
-            for prefix, var_idx, step, pref, coeff_fn, orient in blocks:
-                for jj in range(len(var_idx)):
-                    slot = var_idx[jj]
-                    for sign in (1, -1):
-                        t = raw_term(P, prefix, var_idx, step, jj, sign, coeff_fn)
-                        ref = ref_fn(P, slot, orient * sign) * FP
-                        if abs(ref) < 1e-100:
-                            return False
-                        if abs(t / ref - sigma[(prefix, jj, sign)]) > 0.2:
-                            return False
+            for b, _, jj, sign in terms:
+                t = raw_term(P, b, jj, sign)
+                ref = ref_fn(P, b.slots[jj], b.orient * sign) * FP
+                if abs(ref) < 1e-100:
+                    return False
+                if abs(t / ref - sigma[(b.label, jj, sign)]) > 0.2:
+                    return False
             return True
 
         res, scale = residual_at(Z0)
@@ -1147,15 +1147,10 @@ def _rows_eigen_plain(ctx: _RunCtx) -> list[SampleResult]:
 
         if not (ctx.label == "IV" and ctx.no_balance):
             # specialised coefficients == generic multiset coefficients
-            dev = 0.0
-            sc = _TINY
-            for j in range(N):
-                for sign in (1, -1):
-                    lhs = coeff_V_shift(case, g, lam, beta, values, tags, X, j, sign, policy)
-                    rhs = vd_V_pm(case, g, lam, beta, X, j, sign, policy)
-                    d, s = _rel_dev(lhs, rhs)
-                    if d > dev:
-                        dev, sc = d, s
+            dev, sc = _worst_dev(
+                (coeff_V_shift(case, g, lam, beta, values, tags, X, j, sign, policy),
+                 vd_V_pm(case, g, lam, beta, X, j, sign, policy))
+                for j in range(N) for sign in (1, -1))
             rows.append(_row(ctx, f"{lab}/chain-shift", i, dev, sc))
 
             lhs0 = coeff_V0(case, g, lam, beta, values, X, policy)
@@ -1166,19 +1161,16 @@ def _rows_eigen_plain(ctx: _RunCtx) -> list[SampleResult]:
             # square-root closure: coefficient ratio under one step equals
             # the squared ground-state ratio
             gs_sq = groundstate_sq_factors(case, g, lam, beta, tuple(range(N)))
-            dev = 0.0
-            sc = _TINY
-            for j in range(N):
-                for sign in (1, -1):
-                    delta = -sign * 1j * beta
-                    shifted = list(X)
-                    shifted[j] = X[j] + delta
-                    va = vd_V_pm(case, g, lam, beta, X, j, sign, policy)
-                    vb = vd_V_pm(case, g, lam, beta, tuple(shifted), j, -sign, policy)
-                    ratio = factor_ratio(case, gs_sq, X, j, delta, policy)
-                    d, s = _rel_dev(va / vb, ratio)
-                    if d > dev:
-                        dev, sc = d, s
+
+            def closure(j, sign):
+                delta = -sign * 1j * beta
+                shifted = list(X)
+                shifted[j] = X[j] + delta
+                va = vd_V_pm(case, g, lam, beta, X, j, sign, policy)
+                vb = vd_V_pm(case, g, lam, beta, tuple(shifted), j, -sign, policy)
+                return va / vb, factor_ratio(case, gs_sq, X, j, delta, policy)
+
+            dev, sc = _worst_dev(closure(j, sign) for j in range(N) for sign in (1, -1))
             rows.append(_row(ctx, f"{lab}/closure", i, dev, sc))
 
             # eigenvalue: plain action on the constant function
@@ -1192,231 +1184,45 @@ def _rows_eigen_plain(ctx: _RunCtx) -> list[SampleResult]:
             # additive constant that cancels in the defect, so the detuned
             # controls measure the same defect through the conjugated form
             # (whose term scale is free of that offset)
-            for delta in (CONTROL_DETUNE, -CONTROL_DETUNE):
-                bad = Configuration(case, _detuned(coupling, delta), tags)
-                X2 = X if _screen_config(bad, X, policy) else ctx.admissible_X(bad)
-                res, scale = residual_source(bad, X2, policy)
-                rows.append(_row(ctx, f"{lab}/eigen/defect={delta:+g}", i, res, scale,
-                                 control=True))
+            rows.extend(_detuned_controls(ctx, coupling, tags, X, i, f"{lab}/eigen"))
     return rows
 
 
-def _rows_kernel_cauchy(ctx: _RunCtx) -> list[SampleResult]:
-    rows = []
-    case, policy = ctx.case, ctx.policy
-    grid = [c for c in _grid(2, ctx.max_n)]
-    direct_budget = 2
-    for i in range(ctx.samples):
-        if ctx.particles:
-            N, M = ctx.particles[0], ctx.particles[2]
-        else:
-            N, M = grid[i % len(grid)]
-        tags = (MassTag.PLUS_ONE,) * N + (MassTag.MINUS_ONE,) * M
-        if not tags:
-            continue
-        coupling = _draw_coupling(ctx.rng, case)
-        if ctx.label == "IV":
-            coupling = _balanced_coupling(ctx, coupling, "kernel-cauchy", N=N, M=M)
-        g, lam, beta = coupling.g, coupling.lam, coupling.beta
-        config = Configuration(case, coupling, tags)
-        Z = ctx.admissible_X(config)
-        values = config.mass_values
-        gref = _reflected(g, lam)
-        x_vars = tuple(range(N))
-        y_vars = tuple(range(N, N + M))
-        xs = tuple(Z[v] for v in x_vars)
-        ys = tuple(Z[v] for v in y_vars)
-        K = cauchy_kernel_factors(lam, beta, x_vars, y_vars)
-        lab = f"N{N}M{M}"
+@dataclass(frozen=True)
+class _Species:
+    """One particle species of a block-structured identity: the name of
+    its count (also the :func:`balance_solve` keyword), its mass, and its
+    index in the pinned ``(N, Nt, M, Mt)``."""
 
-        if not (ctx.label == "IV" and ctx.no_balance):
-            if N:
-                dev, sc = 0.0, _TINY
-                for j in range(N):
-                    for sign in (1, -1):
-                        lhs = coeff_V_shift(case, g, lam, beta, values, tags, Z, j, sign, policy)
-                        rhs = vd_V_pm(case, g, lam, beta, xs, j, sign, policy)
-                        rhs *= factor_ratio(case, K, Z, j, -sign * 1j * beta, policy)
-                        d, s = _rel_dev(lhs, rhs)
-                        if d > dev:
-                            dev, sc = d, s
-                rows.append(_row(ctx, f"{lab}/map-x", i, dev, sc))
-            if M:
-                dev, sc = 0.0, _TINY
-                for k in range(M):
-                    slot = N + k
-                    for sign in (1, -1):
-                        lhs = coeff_V_shift(case, g, lam, beta, values, tags, Z, slot, sign, policy)
-                        rhs = vd_V_pm(case, gref, lam, beta, ys, k, -sign, policy)
-                        rhs *= factor_ratio(case, K, Z, slot, sign * 1j * beta, policy)
-                        d, s = _rel_dev(lhs, rhs)
-                        if d > dev:
-                            dev, sc = d, s
-                rows.append(_row(ctx, f"{lab}/map-y", i, dev, sc))
-
-            lhs0 = coeff_V0(case, g, lam, beta, values, Z, policy)
-            rhs0 = vd_V0(case, g, lam, beta, xs, policy) - vd_V0(case, gref, lam, beta, ys, policy)
-            d, s = _rel_dev(lhs0, rhs0)
-            rows.append(_row(ctx, f"{lab}/chain-zero", i, d, s))
-
-            res, scale = residual_source(config, Z, policy)
-            rows.append(_row(ctx, f"{lab}/const", i, res, scale))
-
-            if ctx.label in ("I", "II") and direct_budget > 0 and N and M:
-                direct_budget -= 1
-                const = source_constant(case, g, lam, beta, values, policy)
-                pref = _sv(case, 1j * lam * beta, policy)
-
-                def kfn(tr, P):
-                    return kernel_cauchy_value(case, g, lam, beta, P, x_vars, y_vars, tr, policy)
-
-                def cx(P, j, sign):
-                    return vd_V_pm(case, g, lam, beta, tuple(P[v] for v in x_vars), j, sign, policy)
-
-                def cy(P, j, sign):
-                    return vd_V_pm(case, gref, lam, beta, tuple(P[v] for v in y_vars), j, sign, policy)
-
-                def v0(P):
-                    a = vd_V0(case, g, lam, beta, tuple(P[v] for v in x_vars), policy)
-                    b = vd_V0(case, gref, lam, beta, tuple(P[v] for v in y_vars), policy)
-                    return a - b
-
-                def ref(P, slot, s):
-                    return coeff_V_shift(case, g, lam, beta, values, tags, P, slot, s, policy)
-
-                blocks = [
-                    ("hx", x_vars, -1j * beta, pref, cx, 1),
-                    ("hy", y_vars, -1j * beta, -pref, cy, -1),
-                ]
-                rows.extend(_direct_kernel_rows(ctx, lab, i, Z, blocks, kfn, v0, const, ref))
-
-        if ctx.label == "IV":
-            for delta in (CONTROL_DETUNE, -CONTROL_DETUNE):
-                bad = Configuration(case, _detuned(coupling, delta), tags)
-                res, scale = residual_source(bad, Z, policy)
-                rows.append(_row(ctx, f"{lab}/const/defect={delta:+g}", i, res, scale,
-                                 control=True))
-    return rows
+    name: str
+    tag: MassTag
+    particles: int
 
 
-def _rows_kernel_dual(ctx: _RunCtx) -> list[SampleResult]:
-    rows = []
-    case, policy = ctx.case, ctx.policy
-    grid = [c for c in _grid(2, ctx.max_n)]
-    direct_budget = 2
-    for i in range(ctx.samples):
-        if ctx.particles:
-            N, Mt = ctx.particles[0], ctx.particles[3]
-        else:
-            N, Mt = grid[i % len(grid)]
-        tags = (MassTag.PLUS_ONE,) * N + (MassTag.PLUS_INV,) * Mt
-        if not tags:
-            continue
-        coupling = _draw_coupling(ctx.rng, case)
-        if ctx.label == "IV":
-            coupling = _balanced_coupling(ctx, coupling, "kernel-dual", N=N, Mt=Mt)
-        g, lam, beta = coupling.g, coupling.lam, coupling.beta
-        config = Configuration(case, coupling, tags)
-        Z = ctx.admissible_X(config)
-        values = config.mass_values
-        gsc = _scaled_dual(g, lam)
-        x_vars = tuple(range(N))
-        t_vars = tuple(range(N, N + Mt))
-        xs = tuple(Z[v] for v in x_vars)
-        ts = tuple(Z[v] for v in t_vars)
-        K = dual_cauchy_kernel_factors(x_vars, t_vars)
-        lab = f"N{N}Mt{Mt}"
-
-        if not (ctx.label == "IV" and ctx.no_balance):
-            if N:
-                dev, sc = 0.0, _TINY
-                for j in range(N):
-                    for sign in (1, -1):
-                        lhs = coeff_V_shift(case, g, lam, beta, values, tags, Z, j, sign, policy)
-                        rhs = vd_V_pm(case, g, lam, beta, xs, j, sign, policy)
-                        rhs *= factor_ratio(case, K, Z, j, -sign * 1j * beta, policy)
-                        d, s = _rel_dev(lhs, rhs)
-                        if d > dev:
-                            dev, sc = d, s
-                rows.append(_row(ctx, f"{lab}/map-x", i, dev, sc))
-            if Mt:
-                dev, sc = 0.0, _TINY
-                for k in range(Mt):
-                    slot = N + k
-                    for sign in (1, -1):
-                        lhs = coeff_V_shift(case, g, lam, beta, values, tags, Z, slot, sign, policy)
-                        rhs = vd_V_pm(case, gsc, 1.0 / lam, lam * beta, ts, k, sign, policy)
-                        rhs *= factor_ratio(case, K, Z, slot, -sign * 1j * lam * beta, policy)
-                        d, s = _rel_dev(lhs, rhs)
-                        if d > dev:
-                            dev, sc = d, s
-                rows.append(_row(ctx, f"{lab}/map-t", i, dev, sc))
-
-            lhs0 = coeff_V0(case, g, lam, beta, values, Z, policy)
-            rhs0 = vd_V0(case, g, lam, beta, xs, policy)
-            rhs0 += vd_V0(case, gsc, 1.0 / lam, lam * beta, ts, policy)
-            d, s = _rel_dev(lhs0, rhs0)
-            rows.append(_row(ctx, f"{lab}/chain-zero", i, d, s))
-
-            res, scale = residual_source(config, Z, policy)
-            rows.append(_row(ctx, f"{lab}/const", i, res, scale))
-
-            if ctx.label in ("I", "II") and direct_budget > 0 and N and Mt:
-                direct_budget -= 1
-                const = source_constant(case, g, lam, beta, values, policy)
-                pref_x = _sv(case, 1j * lam * beta, policy)
-                pref_t = _sv(case, 1j * beta, policy)
-
-                def kfn(tr, P):
-                    return kernel_dual_cauchy_value(case, g, lam, beta, P, x_vars, t_vars, tr, policy)
-
-                def cx(P, j, sign):
-                    return vd_V_pm(case, g, lam, beta, tuple(P[v] for v in x_vars), j, sign, policy)
-
-                def ct(P, j, sign):
-                    return vd_V_pm(case, gsc, 1.0 / lam, lam * beta,
-                                   tuple(P[v] for v in t_vars), j, sign, policy)
-
-                def v0(P):
-                    a = vd_V0(case, g, lam, beta, tuple(P[v] for v in x_vars), policy)
-                    b = vd_V0(case, gsc, 1.0 / lam, lam * beta, tuple(P[v] for v in t_vars), policy)
-                    return a + b
-
-                def ref(P, slot, s):
-                    return coeff_V_shift(case, g, lam, beta, values, tags, P, slot, s, policy)
-
-                blocks = [
-                    ("hx", x_vars, -1j * beta, pref_x, cx, 1),
-                    ("ht", t_vars, -1j * lam * beta, pref_t, ct, 1),
-                ]
-                rows.extend(_direct_kernel_rows(ctx, lab, i, Z, blocks, kfn, v0, const, ref))
-
-        if ctx.label == "IV":
-            for delta in (CONTROL_DETUNE, -CONTROL_DETUNE):
-                bad = Configuration(case, _detuned(coupling, delta), tags)
-                res, scale = residual_source(bad, Z, policy)
-                rows.append(_row(ctx, f"{lab}/const/defect={delta:+g}", i, res, scale,
-                                 control=True))
-    return rows
+_TWO_SPECIES = (_Species("N", MassTag.PLUS_ONE, 0), _Species("Nt", MassTag.MINUS_INV, 1))
 
 
-def _deformed_sample(ctx: _RunCtx, variant: str, i: int):
-    """Common setup for the two-species runners: particle numbers, a
-    (possibly balanced) coupling, and an admissible point."""
-    grid = [c for c in _grid(2, ctx.max_n)]
+def _block_sample(ctx: _RunCtx, species: Sequence[_Species], i: int):
+    """Common setup for the block-structured runners: the coordinate
+    slots of each species, their label, a (possibly balanced) coupling
+    and an admissible point; None when every block is empty."""
     if ctx.particles:
-        N, Nt = ctx.particles[0], ctx.particles[1]
+        sizes = tuple(ctx.particles[sp.particles] for sp in species)
     else:
-        N, Nt = grid[i % len(grid)]
-    tags = (MassTag.PLUS_ONE,) * N + (MassTag.MINUS_INV,) * Nt
+        grid = _grid(len(species), ctx.max_n)
+        sizes = grid[i % len(grid)]
+    tags = tuple(sp.tag for sp, n in zip(species, sizes) for _ in range(n))
     if not tags:
         return None
     coupling = _draw_coupling(ctx.rng, ctx.case)
     if ctx.label == "IV":
-        coupling = _balanced_coupling(ctx, coupling, variant, N=N, Nt=Nt)
+        counts = {sp.name: n for sp, n in zip(species, sizes)}
+        coupling = _balanced_coupling(ctx, coupling, ctx.identity, **counts)
     config = Configuration(ctx.case, coupling, tags)
     Z = ctx.admissible_X(config)
-    return N, Nt, config, Z
+    lab = "".join(f"{sp.name}{n}" for sp, n in zip(species, sizes))
+    ends = list(accumulate(sizes, initial=0))
+    return [tuple(range(a, b)) for a, b in zip(ends, ends[1:])], lab, config, Z
 
 
 def _rows_deformed_groundstate(ctx: _RunCtx) -> list[SampleResult]:
@@ -1424,101 +1230,59 @@ def _rows_deformed_groundstate(ctx: _RunCtx) -> list[SampleResult]:
     case, policy = ctx.case, ctx.policy
 
     for i in range(ctx.samples):
-        got = _deformed_sample(ctx, "deformed-groundstate", i)
+        got = _block_sample(ctx, _TWO_SPECIES, i)
         if got is None:
             continue
-        N, Nt, config, Z = got
+        (x_vars, t_vars), lab, config, Z = got
         g, lam, beta = config.coupling.g, config.coupling.lam, config.coupling.beta
         values = config.mass_values
         tags = config.masses
-        x_vars = tuple(range(N))
-        t_vars = tuple(range(N, N + Nt))
         xs = tuple(Z[v] for v in x_vars)
         ts = tuple(Z[v] for v in t_vars)
-        lab = f"N{N}Nt{Nt}"
+        # the two species: coefficient display, coordinate slots and step
+        species = (("x", def_V_pm, x_vars, -1j * beta), ("t", def_Vt_pm, t_vars, 1j * lam * beta))
 
-        if ctx.label == "IV" and ctx.no_balance:
-            for delta in (CONTROL_DETUNE, -CONTROL_DETUNE):
-                bad = Configuration(case, _detuned(config.coupling, delta), tags)
-                Z2 = Z if _screen_config(bad, Z, policy) else ctx.admissible_X(bad)
-                res, scale = residual_source(bad, Z2, policy)
-                rows.append(_row(ctx, f"{lab}/eigen/defect={delta:+g}", i, res, scale,
-                                 control=True))
-            continue
+        if not (ctx.label == "IV" and ctx.no_balance):
+            # generic multiset coefficients == two-species displays
+            dev, sc = _worst_dev(
+                (coeff_V_shift(case, g, lam, beta, values, tags, Z, slot, sign, policy),
+                 fn(case, g, lam, beta, xs, ts, j, sign, policy))
+                for _, fn, slots, _ in species for j, slot in enumerate(slots)
+                for sign in (1, -1))
+            rows.append(_row(ctx, f"{lab}/chain-shift", i, dev, sc))
 
-        # generic multiset coefficients == two-species displays
-        dev, sc = 0.0, _TINY
-        for j in range(N):
-            for sign in (1, -1):
-                lhs = coeff_V_shift(case, g, lam, beta, values, tags, Z, j, sign, policy)
-                rhs = def_V_pm(case, g, lam, beta, xs, ts, j, sign, policy)
-                d, s = _rel_dev(lhs, rhs)
-                if d > dev:
-                    dev, sc = d, s
-        for k in range(Nt):
-            slot = N + k
-            for sign in (1, -1):
-                lhs = coeff_V_shift(case, g, lam, beta, values, tags, Z, slot, sign, policy)
-                rhs = def_Vt_pm(case, g, lam, beta, xs, ts, k, sign, policy)
-                d, s = _rel_dev(lhs, rhs)
-                if d > dev:
-                    dev, sc = d, s
-        rows.append(_row(ctx, f"{lab}/chain-shift", i, dev, sc))
+            lhs0 = coeff_V0(case, g, lam, beta, values, Z, policy)
+            rhs0 = def_V0(case, g, lam, beta, xs, ts, policy)
+            rhs0 -= c0_constant(case, g, lam, beta, policy)
+            d, s = _rel_dev(lhs0, rhs0)
+            rows.append(_row(ctx, f"{lab}/chain-zero", i, d, s))
 
-        lhs0 = coeff_V0(case, g, lam, beta, values, Z, policy)
-        rhs0 = def_V0(case, g, lam, beta, xs, ts, policy)
-        rhs0 -= c0_constant(case, g, lam, beta, policy)
-        d, s = _rel_dev(lhs0, rhs0)
-        rows.append(_row(ctx, f"{lab}/chain-zero", i, d, s))
+            # square-root closure against the squared two-species ground state
+            dgs = deformed_groundstate_sq_factors(case, g, lam, beta, x_vars, t_vars)
 
-        # square-root closure against the squared two-species ground state
-        dgs = deformed_groundstate_sq_factors(case, g, lam, beta, x_vars, t_vars)
-        dev, sc = 0.0, _TINY
-        for j in range(N):
-            for sign in (1, -1):
-                delta = -sign * 1j * beta
-                shifted = list(Z)
-                shifted[j] = Z[j] + delta
-                xs2 = tuple(shifted[v] for v in x_vars)
-                va = def_V_pm(case, g, lam, beta, xs, ts, j, sign, policy)
-                vb = def_V_pm(case, g, lam, beta, xs2, ts, j, -sign, policy)
-                ratio = factor_ratio(case, dgs, Z, j, delta, policy)
-                d, s = _rel_dev(va / vb, ratio)
-                if d > dev:
-                    dev, sc = d, s
-        if N:
-            rows.append(_row(ctx, f"{lab}/closure-x", i, dev, sc))
-        dev, sc = 0.0, _TINY
-        for k in range(Nt):
-            slot = N + k
-            for sign in (1, -1):
-                delta = sign * 1j * lam * beta
+            def closure(fn, slot, j, delta, sign):
                 shifted = list(Z)
                 shifted[slot] = Z[slot] + delta
-                ts2 = tuple(shifted[v] for v in t_vars)
-                va = def_Vt_pm(case, g, lam, beta, xs, ts, k, sign, policy)
-                vb = def_Vt_pm(case, g, lam, beta, xs, ts2, k, -sign, policy)
-                ratio = factor_ratio(case, dgs, Z, slot, delta, policy)
-                d, s = _rel_dev(va / vb, ratio)
-                if d > dev:
-                    dev, sc = d, s
-        if Nt:
-            rows.append(_row(ctx, f"{lab}/closure-t", i, dev, sc))
+                va = fn(case, g, lam, beta, xs, ts, j, sign, policy)
+                vb = fn(case, g, lam, beta, _pick(shifted, x_vars), _pick(shifted, t_vars),
+                        j, -sign, policy)
+                return va / vb, factor_ratio(case, dgs, Z, slot, delta, policy)
 
-        terms = _def_terms(case, g, lam, beta, xs, ts, lambda *_: 1.0, policy)
-        const = eigen_constant(case, g, lam, beta, values, policy)
-        scale = max(_max_abs(terms), abs(const), _TINY)
-        rows.append(_row(ctx, f"{lab}/eigen", i, abs(sum(terms) - const) / scale, scale))
+            for name, fn, slots, step in species:
+                if slots:
+                    dev, sc = _worst_dev(closure(fn, slot, j, sign * step, sign)
+                                         for j, slot in enumerate(slots) for sign in (1, -1))
+                    rows.append(_row(ctx, f"{lab}/closure-{name}", i, dev, sc))
+
+            terms = _def_terms(case, g, lam, beta, xs, ts, lambda *_: 1.0, policy)
+            const = eigen_constant(case, g, lam, beta, values, policy)
+            scale = max(_max_abs(terms), abs(const), _TINY)
+            rows.append(_row(ctx, f"{lab}/eigen", i, abs(sum(terms) - const) / scale, scale))
 
         if ctx.label == "IV":
             # see the eigen-plain runner for why controls go through the
             # conjugated form
-            for delta in (CONTROL_DETUNE, -CONTROL_DETUNE):
-                bad = Configuration(case, _detuned(config.coupling, delta), tags)
-                Z2 = Z if _screen_config(bad, Z, policy) else ctx.admissible_X(bad)
-                res, scale = residual_source(bad, Z2, policy)
-                rows.append(_row(ctx, f"{lab}/eigen/defect={delta:+g}", i, res, scale,
-                                 control=True))
+            rows.extend(_detuned_controls(ctx, config.coupling, tags, Z, i, f"{lab}/eigen"))
     return rows
 
 
@@ -1526,151 +1290,188 @@ def _rows_deformed_constant(ctx: _RunCtx) -> list[SampleResult]:
     rows = []
     case, policy = ctx.case, ctx.policy
     for i in range(ctx.samples):
-        got = _deformed_sample(ctx, "deformed-constant", i)
+        got = _block_sample(ctx, _TWO_SPECIES, i)
         if got is None:
             continue
-        N, Nt, config, Z = got
+        (x_vars, t_vars), lab, config, Z = got
         g, lam, beta = config.coupling.g, config.coupling.lam, config.coupling.beta
         values = config.mass_values
-        xs = tuple(Z[v] for v in range(N))
-        ts = tuple(Z[v] for v in range(N, N + Nt))
-        lab = f"N{N}Nt{Nt}"
+        xs = tuple(Z[v] for v in x_vars)
+        ts = tuple(Z[v] for v in t_vars)
 
         if not (ctx.label == "IV" and ctx.no_balance):
-            terms = _def_terms(case, config.coupling.g, lam, beta, xs, ts,
-                               lambda *_: 1.0, policy)
-            const = eigen_constant(case, config.coupling.g, lam, beta, values, policy)
+            terms = _def_terms(case, g, lam, beta, xs, ts, lambda *_: 1.0, policy)
+            const = eigen_constant(case, g, lam, beta, values, policy)
             scale = max(_max_abs(terms), abs(const), _TINY)
-            rows.append(_row(ctx, f"{lab}/eigen", i,
-                             abs(sum(terms) - const) / scale, scale))
+            rows.append(_row(ctx, f"{lab}/eigen", i, abs(sum(terms) - const) / scale, scale))
         if ctx.label == "IV":
-            for delta in (CONTROL_DETUNE, -CONTROL_DETUNE):
-                bad = Configuration(case, _detuned(config.coupling, delta), config.masses)
-                Z2 = Z if _screen_config(bad, Z, policy) else ctx.admissible_X(bad)
-                res, scale = residual_source(bad, Z2, policy)
-                rows.append(_row(ctx, f"{lab}/eigen/defect={delta:+g}", i, res, scale,
-                                 control=True))
+            rows.extend(_detuned_controls(ctx, config.coupling, config.masses, Z, i,
+                                          f"{lab}/eigen"))
     return rows
 
 
-def _rows_kernel_deformed(ctx: _RunCtx) -> list[SampleResult]:
+# ---------------------------------------------------------------------------
+# kernel identities: one runner over a table of block specs
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Block:
+    """The shift terms of one species in the combined operator.
+
+    ``coeff(P, j, s)`` is the plain shift coefficient of the block's own
+    operator (coupling transform built in) for the coordinate
+    ``P[slots[j]]`` moving by ``s * step``.  A shift of sign ``sign`` in the
+    combined operator is the block's shift of sign ``orient * sign``.  The
+    block's terms carry the prefactor ``sign * s(arg)`` for
+    ``pref = (sign, arg)``.
+    """
+
+    label: str
+    slots: tuple[int, ...]
+    coeff: Callable[[Sequence[complex], int, int], complex]
+    step: complex
+    pref: tuple[int, complex]
+    orient: int
+
+
+@dataclass(frozen=True)
+class _KernelSpec:
+    """One kernel identity: its species in coordinate order, the kernel
+    value ``value(case, g, lam, beta, P, *slices, tracker, policy)``, and
+    ``blocks(case, g, lam, beta, slices, policy)``, which returns the
+    kernel factors ``K``, the zeroth coefficient ``v0(P)`` of the combined
+    operator and the :class:`_Block` of each species."""
+
+    species: tuple[_Species, ...]
+    value: Callable
+    blocks: Callable
+
+
+def _pick(P: Sequence[complex], slots: Sequence[int]) -> tuple[complex, ...]:
+    return tuple(P[v] for v in slots)
+
+
+def _shift_coeff(case, fn, g, lam, beta, slices, policy):
+    """A block's ``coeff(P, j, s)``: the shift coefficient ``fn`` of the
+    operator at ``(g, lam, beta)`` acting on the coordinates ``P[slices]``."""
+    return lambda P, j, s: fn(case, g, lam, beta, *(_pick(P, v) for v in slices), j, s, policy)
+
+
+def _cauchy_blocks(case, g, lam, beta, slices, policy):
+    x, y = slices
+    gref = _reflected(g, lam)
+
+    def v0(P):
+        return (vd_V0(case, g, lam, beta, _pick(P, x), policy)
+                - vd_V0(case, gref, lam, beta, _pick(P, y), policy))
+
+    return cauchy_kernel_factors(lam, beta, x, y), v0, (
+        _Block("map-x", x, _shift_coeff(case, vd_V_pm, g, lam, beta, [x], policy),
+               -1j * beta, (1, 1j * lam * beta), 1),
+        _Block("map-y", y, _shift_coeff(case, vd_V_pm, gref, lam, beta, [y], policy),
+               -1j * beta, (-1, 1j * lam * beta), -1),
+    )
+
+
+def _dual_blocks(case, g, lam, beta, slices, policy):
+    x, t = slices
+    gsc = tuple(v / lam for v in g)
+
+    def v0(P):
+        return (vd_V0(case, g, lam, beta, _pick(P, x), policy)
+                + vd_V0(case, gsc, 1.0 / lam, lam * beta, _pick(P, t), policy))
+
+    return dual_cauchy_kernel_factors(x, t), v0, (
+        _Block("map-x", x, _shift_coeff(case, vd_V_pm, g, lam, beta, [x], policy),
+               -1j * beta, (1, 1j * lam * beta), 1),
+        _Block("map-t", t, _shift_coeff(case, vd_V_pm, gsc, 1.0 / lam, lam * beta, [t], policy),
+               -1j * lam * beta, (1, 1j * beta), 1),
+    )
+
+
+def _deformed_blocks(case, g, lam, beta, slices, policy):
+    x, xt, y, yt = slices
+    gref = _reflected(g, lam)
+    K = cauchy_kernel_factors(lam, beta, x, y)
+    K += cauchy_kernel_factors(lam, beta, xt, yt, alpha=lam * beta, offset=-0.5j * beta)
+    K += dual_cauchy_kernel_factors(x, yt)
+    K += dual_cauchy_kernel_factors(xt, y)
+
+    def v0(P):
+        return (def_V0(case, g, lam, beta, _pick(P, x), _pick(P, xt), policy)
+                - def_V0(case, gref, lam, beta, _pick(P, y), _pick(P, yt), policy))
+
+    return K, v0, (
+        _Block("map-x", x, _shift_coeff(case, def_V_pm, g, lam, beta, [x, xt], policy),
+               -1j * beta, (1, 1j * lam * beta), 1),
+        _Block("map-t", xt, _shift_coeff(case, def_Vt_pm, g, lam, beta, [x, xt], policy),
+               1j * lam * beta, (-1, 1j * beta), 1),
+        _Block("map-y", y, _shift_coeff(case, def_V_pm, gref, lam, beta, [y, yt], policy),
+               -1j * beta, (-1, 1j * lam * beta), -1),
+        _Block("map-yt", yt, _shift_coeff(case, def_Vt_pm, gref, lam, beta, [y, yt], policy),
+               1j * lam * beta, (1, 1j * beta), -1),
+    )
+
+
+_KERNELS = {
+    "kernel-cauchy": _KernelSpec(
+        (_Species("N", MassTag.PLUS_ONE, 0), _Species("M", MassTag.MINUS_ONE, 2)),
+        kernel_cauchy_value, _cauchy_blocks),
+    "kernel-dual": _KernelSpec(
+        (_Species("N", MassTag.PLUS_ONE, 0), _Species("Mt", MassTag.PLUS_INV, 3)),
+        kernel_dual_cauchy_value, _dual_blocks),
+    "kernel-deformed": _KernelSpec(
+        (_Species("N", MassTag.PLUS_ONE, 0), _Species("Nt", MassTag.MINUS_INV, 1),
+         _Species("M", MassTag.MINUS_ONE, 2), _Species("Mt", MassTag.PLUS_INV, 3)),
+        kernel_deformed_value, _deformed_blocks),
+}
+
+
+def _rows_kernel(ctx: _RunCtx) -> list[SampleResult]:
+    spec = _KERNELS[ctx.identity]
     rows = []
     case, policy = ctx.case, ctx.policy
-    grid = [c for c in _grid(4, ctx.max_n)]
     direct_budget = 2
     for i in range(ctx.samples):
-        if ctx.particles:
-            N, Nt, M, Mt = ctx.particles
-        else:
-            N, Nt, M, Mt = grid[i % len(grid)]
-        tags = (
-            (MassTag.PLUS_ONE,) * N
-            + (MassTag.MINUS_INV,) * Nt
-            + (MassTag.MINUS_ONE,) * M
-            + (MassTag.PLUS_INV,) * Mt
-        )
-        if not tags:
+        got = _block_sample(ctx, spec.species, i)
+        if got is None:
             continue
-        coupling = _draw_coupling(ctx.rng, case)
-        if ctx.label == "IV":
-            coupling = _balanced_coupling(ctx, coupling, "kernel-deformed",
-                                          N=N, Nt=Nt, M=M, Mt=Mt)
+        slices, lab, config, Z = got
+        coupling, tags, values = config.coupling, config.masses, config.mass_values
         g, lam, beta = coupling.g, coupling.lam, coupling.beta
-        config = Configuration(case, coupling, tags)
-        Z = ctx.admissible_X(config)
-        values = config.mass_values
-        gref = _reflected(g, lam)
-        x_vars = tuple(range(N))
-        xt_vars = tuple(range(N, N + Nt))
-        y_vars = tuple(range(N + Nt, N + Nt + M))
-        yt_vars = tuple(range(N + Nt + M, N + Nt + M + Mt))
-        xs = tuple(Z[v] for v in x_vars)
-        xts = tuple(Z[v] for v in xt_vars)
-        ys = tuple(Z[v] for v in y_vars)
-        yts = tuple(Z[v] for v in yt_vars)
-        K = cauchy_kernel_factors(lam, beta, x_vars, y_vars)
-        K += cauchy_kernel_factors(lam, beta, xt_vars, yt_vars,
-                                   alpha=lam * beta, offset=-0.5j * beta)
-        K += dual_cauchy_kernel_factors(x_vars, yt_vars)
-        K += dual_cauchy_kernel_factors(xt_vars, y_vars)
-        lab = f"N{N}Nt{Nt}M{M}Mt{Mt}"
+        K, v0, blocks = spec.blocks(case, g, lam, beta, slices, policy)
+
+        def ref(P, slot, s):
+            return coeff_V_shift(case, g, lam, beta, values, tags, P, slot, s, policy)
 
         if not (ctx.label == "IV" and ctx.no_balance):
-            checks = []
-            for j in range(N):
-                checks.append((j, "map-x",
-                               lambda sign, j=j: def_V_pm(case, g, lam, beta, xs, xts, j, sign, policy),
-                               lambda sign: -sign * 1j * beta, 1))
-            for k in range(Nt):
-                checks.append((N + k, "map-t",
-                               lambda sign, k=k: def_Vt_pm(case, g, lam, beta, xs, xts, k, sign, policy),
-                               lambda sign: sign * 1j * lam * beta, 1))
-            for j in range(M):
-                checks.append((N + Nt + j, "map-y",
-                               lambda sign, j=j: def_V_pm(case, gref, lam, beta, ys, yts, j, -sign, policy),
-                               lambda sign: sign * 1j * beta, -1))
-            for k in range(Mt):
-                checks.append((N + Nt + M + k, "map-yt",
-                               lambda sign, k=k: def_Vt_pm(case, gref, lam, beta, ys, yts, k, -sign, policy),
-                               lambda sign: -sign * 1j * lam * beta, -1))
-            worst: dict[str, tuple[float, float]] = {}
-            for slot, kind, coeff_fn, delta_fn, _orient in checks:
-                for sign in (1, -1):
-                    lhs = coeff_V_shift(case, g, lam, beta, values, tags, Z, slot, sign, policy)
-                    rhs = coeff_fn(sign) * factor_ratio(case, K, Z, slot, delta_fn(sign), policy)
-                    d, s = _rel_dev(lhs, rhs)
-                    if kind not in worst or d > worst[kind][0]:
-                        worst[kind] = (d, s)
-            for kind, (d, s) in sorted(worst.items()):
-                rows.append(_row(ctx, f"{lab}/{kind}", i, d, s))
+            for b in blocks:
+                if b.slots:
+                    dev, sc = _worst_dev(
+                        (ref(Z, slot, sign),
+                         b.coeff(Z, j, b.orient * sign)
+                         * factor_ratio(case, K, Z, slot, b.orient * sign * b.step, policy))
+                        for j, slot in enumerate(b.slots) for sign in (1, -1))
+                    rows.append(_row(ctx, f"{lab}/{b.label}", i, dev, sc))
 
-            lhs0 = coeff_V0(case, g, lam, beta, values, Z, policy)
-            rhs0 = def_V0(case, g, lam, beta, xs, xts, policy)
-            rhs0 -= def_V0(case, gref, lam, beta, ys, yts, policy)
-            d, s = _rel_dev(lhs0, rhs0)
+            d, s = _rel_dev(coeff_V0(case, g, lam, beta, values, Z, policy), v0(Z))
             rows.append(_row(ctx, f"{lab}/chain-zero", i, d, s))
 
             res, scale = residual_source(config, Z, policy)
             rows.append(_row(ctx, f"{lab}/const", i, res, scale))
 
-            if ctx.label in ("I", "II") and direct_budget > 0 and (N + Nt) and (M + Mt):
+            # N and Nt belong to the first operator, M and Mt to the second;
+            # the direct check needs a kernel that joins the two
+            first = sum(len(sl) for sp, sl in zip(spec.species, slices) if sp.particles < 2)
+            if ctx.label in ("I", "II") and direct_budget > 0 and 0 < first < len(tags):
                 direct_budget -= 1
                 const = source_constant(case, g, lam, beta, values, policy)
-                pref_x = _sv(case, 1j * lam * beta, policy)
-                pref_t = _sv(case, 1j * beta, policy)
 
-                def kfn(tr, P):
-                    return kernel_deformed_value(case, g, lam, beta, P, x_vars, xt_vars,
-                                                 y_vars, yt_vars, tr, policy)
+                def kernel(tr, P):
+                    return spec.value(case, g, lam, beta, P, *slices, tr, policy)
 
-                def pick(P, vs):
-                    return tuple(P[v] for v in vs)
-
-                blocks = [
-                    ("ax", x_vars, -1j * beta, pref_x,
-                     lambda P, j, sign: def_V_pm(case, g, lam, beta, pick(P, x_vars),
-                                                 pick(P, xt_vars), j, sign, policy), 1),
-                    ("at", xt_vars, 1j * lam * beta, -pref_t,
-                     lambda P, k, sign: def_Vt_pm(case, g, lam, beta, pick(P, x_vars),
-                                                  pick(P, xt_vars), k, sign, policy), 1),
-                    ("by", y_vars, -1j * beta, -pref_x,
-                     lambda P, j, sign: def_V_pm(case, gref, lam, beta, pick(P, y_vars),
-                                                 pick(P, yt_vars), j, sign, policy), -1),
-                    ("bt", yt_vars, 1j * lam * beta, pref_t,
-                     lambda P, k, sign: def_Vt_pm(case, gref, lam, beta, pick(P, y_vars),
-                                                  pick(P, yt_vars), k, sign, policy), -1),
-                ]
-
-                def v0(P):
-                    a = def_V0(case, g, lam, beta, pick(P, x_vars), pick(P, xt_vars), policy)
-                    b = def_V0(case, gref, lam, beta, pick(P, y_vars), pick(P, yt_vars), policy)
-                    return a - b
-
-                def ref(P, slot, s):
-                    return coeff_V_shift(case, g, lam, beta, values, tags, P, slot, s, policy)
-
-                blocks = [b for b in blocks if len(b[1])]
-                rows.extend(_direct_kernel_rows(ctx, lab, i, Z, blocks, kfn, v0, const, ref))
+                rows.extend(_direct_kernel_rows(ctx, lab, i, Z, blocks, kernel, v0, const, ref))
 
         if ctx.label == "IV":
             for delta in (CONTROL_DETUNE, -CONTROL_DETUNE):
@@ -1899,11 +1700,11 @@ _RUNNERS: dict[str, Callable[[_RunCtx], list[SampleResult]]] = {
     "source": _rows_source,
     "conjugation": _rows_conjugation,
     "eigen-plain": _rows_eigen_plain,
-    "kernel-cauchy": _rows_kernel_cauchy,
-    "kernel-dual": _rows_kernel_dual,
+    "kernel-cauchy": _rows_kernel,
+    "kernel-dual": _rows_kernel,
     "deformed-groundstate": _rows_deformed_groundstate,
     "deformed-constant": _rows_deformed_constant,
-    "kernel-deformed": _rows_kernel_deformed,
+    "kernel-deformed": _rows_kernel,
     "anti-symmetry": _rows_anti_symmetry,
     "parameter-swap": _rows_parameter_swap,
     "quasi-invariance": _rows_quasi_invariance,
@@ -1970,10 +1771,11 @@ def run_identity(
 
     max_res = 0.0
     scale_at_max = 0.0
-    min_ctrl = math.inf
+    min_ctrl = None
     for row in rows:
         if row.control:
-            min_ctrl = min(min_ctrl, row.residual)
+            if _worse_control(row.residual, min_ctrl):
+                min_ctrl = row.residual
         elif _worse_residual(row.residual, max_res):
             max_res = row.residual
             scale_at_max = row.scale
@@ -1985,7 +1787,7 @@ def run_identity(
         sample_count=len(rows),
         max_rel_residual=max_res,
         normalization_scale=scale_at_max,
-        min_control_residual=min_ctrl if math.isfinite(min_ctrl) else 0.0,
+        min_control_residual=0.0 if min_ctrl is None else min_ctrl,
         rejection_rate=ctx.rejected / max(1, ctx.attempts),
         verdict=verdict,
         results=tuple(rows),
@@ -1998,20 +1800,23 @@ def _worse_residual(residual: float, worst: float) -> bool:
     return math.isfinite(worst) and (residual > worst or not math.isfinite(residual))
 
 
+def _worse_control(residual: float, lowest: float | None) -> bool:
+    """Whether a control ``residual`` replaces ``lowest`` as the minimum
+    control residual: the first control does, a smaller one does, and the
+    first non-finite one does and then stays."""
+    return lowest is None or (
+        math.isfinite(lowest) and (residual < lowest or not math.isfinite(residual)))
+
+
 def run_suite(
     identities: Sequence[str],
     case_labels: Sequence[str],
     samples: int = 20,
     seed: int = 0,
-    jobs: int = 1,
     **kwargs,
 ) -> list[ResidualReport]:
-    """Run several (identity, case) pairs; unsupported pairs are skipped.
-
-    With ``jobs > 1`` the pairs run on a thread pool; results are always
-    returned in the deterministic product order regardless of completion
-    order.
-    """
+    """Run several (identity, case) pairs in product order; unsupported
+    pairs are skipped."""
     tasks = [
         (ident, label)
         for ident in identities
@@ -2020,15 +1825,8 @@ def run_suite(
     ]
     if not tasks:
         raise DomainError("no supported (identity, case) combinations selected")
-
-    def one(task):
-        ident, label = task
-        return run_identity(ident, label, samples=samples, seed=seed, **kwargs)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=int(jobs)) as pool:
-            return list(pool.map(one, tasks))
-    return [one(t) for t in tasks]
+    return [run_identity(ident, label, samples=samples, seed=seed, **kwargs)
+            for ident, label in tasks]
 
 
 # ---------------------------------------------------------------------------
@@ -2043,8 +1841,16 @@ _CSV_COLUMNS = (
 )
 
 
-def _json_line(record: dict) -> str:
+def json_line(record: dict) -> str:
+    """One record as a line of the line-delimited report format."""
     return json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=True)
+
+
+def header_line(created: str, **fields) -> str:
+    """The header line of a line-delimited report; it is the only line
+    carrying a timestamp, so byte comparisons skip it."""
+    return json_line({"record": "header", "format": FORMAT_VERSION, "tool": "vandiejen",
+                      "created": created, **fields})
 
 
 def sample_record(row: SampleResult) -> dict:
@@ -2084,28 +1890,19 @@ def render_json_lines(
     created: str = "",
     run_args: dict | None = None,
 ) -> str:
-    """Line-delimited report: one header line (the only line carrying a
-    timestamp, so byte comparisons should skip it), sample rows, one
-    summary per report, and a footer with the totals."""
-    lines = [
-        _json_line({
-            "record": "header",
-            "format": FORMAT_VERSION,
-            "tool": "vandiejen",
-            "created": created,
-            "args": run_args or {},
-        })
-    ]
+    """Line-delimited report: one header line (see :func:`header_line`),
+    sample rows, one summary per report, and a footer with the totals."""
+    lines = [header_line(created, args=run_args or {})]
     failures = 0
     samples = 0
     for report in reports:
         for row in report.results:
-            lines.append(_json_line(sample_record(row)))
+            lines.append(json_line(sample_record(row)))
             samples += 1
             if not row.passed:
                 failures += 1
-        lines.append(_json_line(summary_record(report)))
-    lines.append(_json_line({
+        lines.append(json_line(summary_record(report)))
+    lines.append(json_line({
         "record": "footer",
         "reports": len(reports),
         "samples": samples,
@@ -2115,19 +1912,18 @@ def render_json_lines(
     return "\n".join(lines) + "\n"
 
 
-def render_csv(reports: Sequence[ResidualReport]) -> str:
-    """Residual distribution as comma-separated rows."""
+def render_csv(samples: Iterable[dict]) -> str:
+    """Sample records (see :func:`sample_record`) as comma-separated rows."""
     out = [",".join(_CSV_COLUMNS)]
-    for report in reports:
-        for row in report.results:
-            detail = row.detail.replace('"', "'")
-            if "," in detail:
-                detail = f'"{detail}"'
-            out.append(
-                f"{row.identity},{row.case},{row.label},{row.index},"
-                f"{row.residual!r},{row.scale!r},{row.tolerance!r},"
-                f"{int(row.control)},{int(row.passed)},{detail}"
-            )
+    for row in samples:
+        detail = str(row.get("detail", "")).replace('"', "'")
+        if "," in detail:
+            detail = f'"{detail}"'
+        out.append(
+            f"{row['identity']},{row['case']},{row['label']},{row['index']},"
+            f"{row['residual']!r},{row['scale']!r},{row['tolerance']!r},"
+            f"{int(row['control'])},{int(row['passed'])},{detail}"
+        )
     return "\n".join(out) + "\n"
 
 
@@ -2196,19 +1992,20 @@ def merge_parsed_reports(parsed: Sequence[dict]) -> dict:
             "sample_count": 0,
             "max_rel_residual": 0.0,
             "normalization_scale": 0.0,
-            "min_control_residual": math.inf,
+            "min_control_residual": None,
             "verdict": "pass",
         })
         agg["sample_count"] += 1
         if row.get("control"):
-            agg["min_control_residual"] = min(agg["min_control_residual"], row["residual"])
+            if _worse_control(row["residual"], agg["min_control_residual"]):
+                agg["min_control_residual"] = row["residual"]
         elif _worse_residual(row["residual"], agg["max_rel_residual"]):
             agg["max_rel_residual"] = row["residual"]
             agg["normalization_scale"] = row.get("scale", 0.0)
         if not row["passed"]:
             agg["verdict"] = "fail"
     for key, agg in grouped.items():
-        if not math.isfinite(agg["min_control_residual"]):
+        if agg["min_control_residual"] is None:
             agg["min_control_residual"] = 0.0
         agg["seeds"] = sorted(
             s for s in seeds.get(key, set()) if s is not None
@@ -2257,6 +2054,8 @@ __all__ = [
     "SamplePoint",
     "SampleResult",
     "default_tolerance",
+    "header_line",
+    "json_line",
     "make_case",
     "merge_parsed_reports",
     "parse_report_lines",

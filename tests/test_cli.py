@@ -68,7 +68,7 @@ def test_runconfig_mapping_round_trip():
                     lam=1.4, beta=0.3, particles=(1, 1, 0, 0),
                     masses=("1", "-1"), identities=("source", "gamma-fe"),
                     samples=7, seed=3, tol=1e-9, trunc_terms=50,
-                    no_balance=False, jobs=2, max_n=2, out="x.txt",
+                    no_balance=False, max_n=2, out="x.txt",
                     fmt="csv")
     blob = json.dumps(cfg.to_mapping())
     back = RunConfig.from_mapping(json.loads(blob))
@@ -259,18 +259,6 @@ def test_verify_csv_output(tmp_path, capsys):
     assert rows[0]["passed"] == "1"
 
 
-def test_verify_jobs_deterministic(tmp_path, capsys):
-    argv = ["verify", "--identity", "s-oddness,gamma-reflection",
-            "--cases", "I,II,III", "--samples", "3", "--seed", "2",
-            "--format", "json-lines"]
-    one = tmp_path / "one.jsonl"
-    many = tmp_path / "many.jsonl"
-    assert main(argv + ["--jobs", "1", "--out", str(one)]) == EXIT_PASS
-    assert main(argv + ["--jobs", "4", "--out", str(many)]) == EXIT_PASS
-    capsys.readouterr()
-    assert payload_lines(one.read_text()) == payload_lines(many.read_text())
-
-
 def test_config_file_precedence(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps(
@@ -335,6 +323,16 @@ def test_report_csv_export(tmp_path, capsys):
     rows = list(csv.DictReader(io.StringIO(merged.read_text())))
     assert len(rows) == 16
     assert {r["case"] for r in rows} == {"I", "II"}
+
+    # one file re-exports byte for byte as the run that wrote it
+    single = tmp_path / "single.csv"
+    direct = tmp_path / "direct.csv"
+    assert main(["report", str(a), "--format", "csv", "--out", str(single)]) == EXIT_PASS
+    assert main(["verify", "--identity", "s-oddness", "--cases", "I,II",
+                 "--samples", "4", "--seed", "1", "--format", "csv",
+                 "--out", str(direct)]) == EXIT_PASS
+    capsys.readouterr()
+    assert single.read_bytes() == direct.read_bytes()
 
 
 def test_report_json_lines_round_trip(tmp_path, capsys):
