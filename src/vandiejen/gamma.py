@@ -43,6 +43,7 @@ from .sfun import (
     ConvergenceError,
     DomainError,
     TruncationPolicy,
+    _SCALAR_TYPES,
     _as_complex_array,
     _restore,
     s_eval,
@@ -121,13 +122,29 @@ def _g1_trigonometric(case: CaseParams, alpha: complex, x: np.ndarray, policy: T
                 out.append(complex(pref / prod))
         return np.array(out).reshape(x.shape)
 
-    n = np.arange(1, count + 1)
-    # factors 1 - exp(-r alpha (2n-1)) * exp(2 i r x), broadcast (terms, points)
-    expo = -r * alpha * (2 * n - 1)[:, None] + 2j * r * x.ravel()[None, :]
-    factors = 1.0 - np.exp(expo)
-    prod = np.prod(factors, axis=0)
+    # factors 1 - u_n exp(2 i r x), broadcast (terms, points)
+    u = np.array(_trig_table(r, alpha, count))
+    e = np.exp(2j * r * x.ravel())
+    prod = np.prod(1.0 - u[:, None] * e[None, :], axis=0)
     pref = np.exp(-r * x.ravel() ** 2 / (2 * alpha))
     return (pref / prod).reshape(x.shape)
+
+
+@lru_cache(maxsize=64)
+def _trig_table(r: float, alpha: complex, count: int) -> tuple[complex, ...]:
+    """``u_n = exp(-r alpha (2n-1))`` for ``n = 1..count``, the nome powers
+    of the trigonometric product, shared by the scalar and array paths."""
+    return tuple(cmath.exp(-r * alpha * (2 * n - 1)) for n in range(1, count + 1))
+
+
+def _g1_trigonometric_scalar(r: float, alpha: complex, x: complex, count: int) -> complex:
+    """The trigonometric primitive at one point in ``cmath``: the array
+    path's arithmetic without numpy's per-call cost."""
+    e = cmath.exp(2j * r * x)
+    prod = 1.0 + 0j
+    for u in _trig_table(r, alpha, count):
+        prod *= 1.0 - u * e
+    return cmath.exp(-r * x * x / (2 * alpha)) / prod
 
 
 @lru_cache(maxsize=8)
@@ -337,13 +354,27 @@ def gamma_G(case: CaseParams, alpha, x, policy: TruncationPolicy = DEFAULT_POLIC
 
     For ``Re(alpha) < 0`` this is ``gamma_G1(case, -alpha, -x)``, so the
     reflection rule ``G(x; -alpha) == G(-x; alpha)`` holds identically.
+    A rational or trigonometric scalar is evaluated with ``cmath`` (unless
+    ``policy.precision_dps`` is set); everything else, and a scalar where
+    ``cmath`` overflows, goes through the array path of :func:`gamma_G1`.
     """
     alpha = _require_alpha(alpha, positive=False)
-    if alpha.real > 0:
-        return gamma_G1(case, alpha, x, policy)
-    xx, scalar = _as_complex_array(x)
-    vals = gamma_G1(case, -alpha, -xx, policy)
-    return _restore(np.atleast_1d(np.asarray(vals, dtype=np.complex128)), scalar)
+    scalar = isinstance(x, _SCALAR_TYPES)
+    if alpha.real < 0:
+        alpha = -alpha
+        x = -complex(x) if scalar else -np.asarray(x, dtype=np.complex128)
+    if scalar and policy.precision_dps is None:
+        z = complex(x)
+        if case.kind is CaseKind.RATIONAL:
+            return complex(scipy.special.gamma(0.5 + z / (1j * alpha)))
+        if case.kind is CaseKind.TRIGONOMETRIC:
+            r = case.r
+            count = _geometric_terms(r * alpha.real, 0.0, 2 * r * abs(z.imag), policy.target_rel_err)
+            try:
+                return _g1_trigonometric_scalar(r, alpha, z, count)
+            except (ArithmeticError, ValueError):
+                pass  # cmath raises where numpy returns inf or nan
+    return gamma_G1(case, alpha, x, policy)
 
 
 def functional_eq_constant(case: CaseParams, alpha, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:

@@ -156,18 +156,17 @@ _TOL_DEFAULT = {
 }
 
 #: Identities whose elliptic validity hinges on a balancing constraint
-#: (these get detuned negative controls and honour ``no_balance``),
-#: mapped to the constraint variant solved by :func:`balance_solve`.
-_BALANCED = {
-    "summation": None,  # handled inline on the free parameters
-    "source": "source",
-    "eigen-plain": "eigen-plain",
-    "kernel-cauchy": "kernel-cauchy",
-    "kernel-dual": "kernel-dual",
-    "deformed-groundstate": "deformed-groundstate",
-    "deformed-constant": "deformed-constant",
-    "kernel-deformed": "kernel-deformed",
-}
+#: (these get detuned negative controls and honour ``no_balance``).
+_BALANCED = frozenset({
+    "summation",
+    "source",
+    "eigen-plain",
+    "kernel-cauchy",
+    "kernel-dual",
+    "deformed-groundstate",
+    "deformed-constant",
+    "kernel-deformed",
+})
 
 #: Detuning applied to one coupling (or one free parameter) in negative
 #: controls, and the floor such a control must exceed to count as passed.
@@ -1205,7 +1204,8 @@ _TWO_SPECIES = (_Species("N", MassTag.PLUS_ONE, 0), _Species("Nt", MassTag.MINUS
 def _block_sample(ctx: _RunCtx, species: Sequence[_Species], i: int):
     """Common setup for the block-structured runners: the coordinate
     slots of each species, their label, a (possibly balanced) coupling
-    and an admissible point; None when every block is empty."""
+    and an admissible point.  Pinned particles that leave every block
+    empty are a configuration error."""
     if ctx.particles:
         sizes = tuple(ctx.particles[sp.particles] for sp in species)
     else:
@@ -1213,7 +1213,7 @@ def _block_sample(ctx: _RunCtx, species: Sequence[_Species], i: int):
         sizes = grid[i % len(grid)]
     tags = tuple(sp.tag for sp, n in zip(species, sizes) for _ in range(n))
     if not tags:
-        return None
+        raise DomainError("at least one coordinate is required")
     coupling = _draw_coupling(ctx.rng, ctx.case)
     if ctx.label == "IV":
         counts = {sp.name: n for sp, n in zip(species, sizes)}
@@ -1230,10 +1230,7 @@ def _rows_deformed_groundstate(ctx: _RunCtx) -> list[SampleResult]:
     case, policy = ctx.case, ctx.policy
 
     for i in range(ctx.samples):
-        got = _block_sample(ctx, _TWO_SPECIES, i)
-        if got is None:
-            continue
-        (x_vars, t_vars), lab, config, Z = got
+        (x_vars, t_vars), lab, config, Z = _block_sample(ctx, _TWO_SPECIES, i)
         g, lam, beta = config.coupling.g, config.coupling.lam, config.coupling.beta
         values = config.mass_values
         tags = config.masses
@@ -1290,10 +1287,7 @@ def _rows_deformed_constant(ctx: _RunCtx) -> list[SampleResult]:
     rows = []
     case, policy = ctx.case, ctx.policy
     for i in range(ctx.samples):
-        got = _block_sample(ctx, _TWO_SPECIES, i)
-        if got is None:
-            continue
-        (x_vars, t_vars), lab, config, Z = got
+        (x_vars, t_vars), lab, config, Z = _block_sample(ctx, _TWO_SPECIES, i)
         g, lam, beta = config.coupling.g, config.coupling.lam, config.coupling.beta
         values = config.mass_values
         xs = tuple(Z[v] for v in x_vars)
@@ -1434,10 +1428,7 @@ def _rows_kernel(ctx: _RunCtx) -> list[SampleResult]:
     case, policy = ctx.case, ctx.policy
     direct_budget = 2
     for i in range(ctx.samples):
-        got = _block_sample(ctx, spec.species, i)
-        if got is None:
-            continue
-        slices, lab, config, Z = got
+        slices, lab, config, Z = _block_sample(ctx, spec.species, i)
         coupling, tags, values = config.coupling, config.masses, config.mass_values
         g, lam, beta = coupling.g, coupling.lam, coupling.beta
         K, v0, blocks = spec.blocks(case, g, lam, beta, slices, policy)
@@ -1554,12 +1545,9 @@ def _rows_parameter_swap(ctx: _RunCtx) -> list[SampleResult]:
         N, Nt = grid[i % len(grid)]
         if ctx.particles:
             N, Nt = ctx.particles[0], ctx.particles[1]
-        tags = (MassTag.PLUS_ONE,) * max(N, 1)  # screening proxy only
         coupling = _draw_coupling(ctx.rng, case)
         g, lam, beta = coupling.g, coupling.lam, coupling.beta
         tags_def = (MassTag.PLUS_ONE,) * N + (MassTag.MINUS_INV,) * Nt
-        if not tags_def:
-            continue
         config = Configuration(case, coupling, tags_def)
         Z = ctx.admissible_X(config)
         xs = tuple(Z[v] for v in range(N))

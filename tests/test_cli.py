@@ -18,7 +18,7 @@ from vandiejen.cli import (
     parse_complex,
 )
 from vandiejen.sfun import DomainError
-from vandiejen.verify import payload_lines
+from vandiejen.verify import _KERNELS, payload_lines
 
 
 # --------------------------------------------------------------------------
@@ -208,6 +208,22 @@ def test_verify_unknown_identity(capsys):
         capsys, ["verify", "--identity", "mystery", "--case", "I"])
     assert code == EXIT_CONFIG
     assert "configuration error" in err
+
+
+PINNED_EMPTY = [(ident, "0,0,0,0") for ident in (
+    *_KERNELS, "deformed-groundstate", "deformed-constant", "parameter-swap")]
+
+
+@pytest.mark.parametrize("identity,particles",
+                         [*PINNED_EMPTY, ("kernel-cauchy", "0,0,0,1")])
+def test_verify_pinned_particles_without_coordinates(capsys, identity, particles):
+    # pinned sizes that leave every species empty are a configuration
+    # error, not a report with no samples
+    code, out, err = run_main(capsys, [
+        "verify", "--identity", identity, "--case", "I", "--particles", particles])
+    assert code == EXIT_CONFIG
+    assert "at least one coordinate is required" in err
+    assert "verdict" not in out
 
 
 def test_verify_impossible_tolerance_fails(capsys):

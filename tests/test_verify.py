@@ -2,9 +2,11 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vandiejen import verify
 from vandiejen.operators import Configuration, CouplingSet, MassTag
@@ -379,6 +381,51 @@ def test_merge_takes_a_nan_residual_as_the_maximum():
     (summ,) = merged["summaries"]
     assert math.isnan(summ["max_rel_residual"])
     assert merged["footer"]["verdict"] == "fail"
+
+
+def _same(a, b):
+    """Equality that counts NaN equal to NaN, for values and records."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, float) and isinstance(b, float):
+        return a == b or (math.isnan(a) and math.isnan(b))
+    return a == b
+
+
+residual_value = st.one_of(st.floats(0.0, 1e-6), st.floats(0.0, 10.0),
+                           st.sampled_from((math.nan, math.inf)))
+fake_report = st.lists(st.tuples(residual_value, st.booleans()), min_size=1, max_size=6)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(parts=st.lists(fake_report, min_size=1, max_size=4), seed=st.integers(0, 2**40))
+def test_json_lines_parse_merge_round_trip(parts, seed):
+    # each part is one (identity, case) report of fixed rows, NaN residuals
+    # and NaN controls included; merging the parsed file of all of them
+    # reproduces every summary and the footer
+    pairs = [("s-oddness", "I"), ("s-oddness", "II"), ("gamma-fe", "I"), ("gamma-fe", "III")]
+
+    def runner(ctx):
+        rows = parts[pairs.index((ctx.identity, ctx.label))]
+        return [verify._row(ctx, "fake", i, res, i + 1.0, control=ctl)
+                for i, (res, ctl) in enumerate(rows)]
+
+    with mock.patch.dict(verify._RUNNERS, {"s-oddness": runner, "gamma-fe": runner}):
+        reports = [run_identity(ident, case, samples=1, seed=seed)
+                   for ident, case in pairs[:len(parts)]]
+    parsed = parse_report_lines(render_json_lines(reports, created="t0"))
+    assert len(parsed["samples"]) == sum(map(len, parts))
+    assert all(_same(got, sample_record(row)) for got, row in
+               zip(parsed["samples"], (row for rep in reports for row in rep.results)))
+    merged = merge_parsed_reports([parsed])
+    assert _same(merged["footer"], parsed["footer"])
+    assert len(merged["summaries"]) == len(parsed["summaries"])
+    by_key = {(m["identity"], m["case"]): m for m in merged["summaries"]}
+    for summ in parsed["summaries"]:
+        got = by_key[summ["identity"], summ["case"]]
+        assert got["seeds"] == [seed]
+        assert _same({k: got[k] for k in summ if k not in ("seed", "rejection_rate")},
+                     {k: summ[k] for k in summ if k not in ("seed", "rejection_rate")})
 
 
 def test_merge_empty_is_a_failure():
