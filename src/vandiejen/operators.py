@@ -24,6 +24,11 @@ duplicate code paths are deliberate: agreement between the generic route
 and the specialised route is one of the verification targets, so they
 must never be collapsed into one implementation.
 
+Each coefficient is written as a formula in a function ``s`` and gets all
+of its ``s`` values from one array :func:`~vandiejen.sfun.s_eval` call
+(see :func:`_batched`); the values are the same, bit for bit, as with one
+scalar call per argument.
+
 The exact summation identity (:func:`summation_lhs` versus
 :func:`summation_rhs`) is implemented for free complex parameters; the
 parameter choice that turns it into the operator identity is produced by
@@ -43,6 +48,8 @@ import enum
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .sfun import (
     DEFAULT_POLICY,
@@ -239,6 +246,43 @@ def _sv(case: CaseParams, z: complex, policy: TruncationPolicy) -> complex:
     return complex(s_eval(case, complex(z), policy))
 
 
+def _batched(
+    case: CaseParams,
+    policy: TruncationPolicy,
+    formula: Callable[[Callable[[complex], complex]], complex],
+) -> complex:
+    """``formula(s)`` with every ``s`` value taken from one array call.
+
+    ``formula`` runs twice.  The first run hands it an ``s`` that records
+    its argument and returns 1; all recorded arguments then go through a
+    single :func:`s_eval` call; the second run hands the values back in
+    call order.  Products and quotients therefore run in exactly the order
+    of scalar ``s`` calls, with the same bits, and an exact zero in a
+    denominator still raises :class:`ZeroDivisionError`.  This needs the
+    sequence of ``s`` arguments not to depend on ``s`` values; the replay
+    checks that it consumes exactly the recorded values.
+    """
+    args: list[complex] = []
+
+    def record(z: complex) -> complex:
+        args.append(complex(z))
+        return 1.0
+
+    formula(record)
+    values = iter(s_eval(case, np.array(args), policy).tolist() if args else ())
+
+    def replay(z: complex) -> complex:
+        value = next(values, None)
+        if value is None:
+            raise RuntimeError("formula asked for more s values than it recorded")
+        return value
+
+    out = formula(replay)
+    if next(values, None) is not None:
+        raise RuntimeError("formula asked for fewer s values than it recorded")
+    return out
+
+
 def d_param(g: float, mass: float, lam: float, tag: MassTag | None = None) -> complex:
     """Coupling shift ``d(g, m)``: ``g`` for the species ``{1, +1/lam}``
     and ``g - (lam + 1)/2`` for ``{-1, -1/lam}``.
@@ -272,17 +316,25 @@ def f_pm(
         f_sign(x) = s(x - sign*i*(t + lam*m_k*beta)) / s(x - sign*i*t),
         t = (m_j - m_k)(lam*m_j*m_k - 1) * beta / (4*m_j*m_k)
     """
+    return _batched(case, policy, lambda s: _f_pm(s, sign, x, m_j, m_k, lam, beta))
+
+
+def _f_pm(s, sign, x, m_j, m_k, lam, beta) -> complex:
     t = (m_j - m_k) * (lam * m_j * m_k - 1) * beta / (4 * m_j * m_k)
-    num = _sv(case, x - sign * 1j * t - sign * 1j * lam * m_k * beta, policy)
-    den = _sv(case, x - sign * 1j * t, policy)
+    num = s(x - sign * 1j * t - sign * 1j * lam * m_k * beta)
+    den = s(x - sign * 1j * t)
     return num / den
 
 
 def half_period_product(case: CaseParams, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """The constant ``prod_{nu=1}^{rho} s(omega_nu / 2)`` (empty => 1)."""
+    return _batched(case, policy, lambda s: _half_period_product(s, case))
+
+
+def _half_period_product(s, case: CaseParams) -> complex:
     out = 1.0 + 0j
     for w in case.omega[1:]:
-        out *= _sv(case, w / 2, policy)
+        out *= s(w / 2)
     return out
 
 
@@ -317,18 +369,23 @@ def coeff_V_shift(
     """
     m_j = masses[j]
     x_j = X[j]
-    out = 1.0 + 0j
-    for nu, g_nu in enumerate(g):
-        tag = tags[j] if tags is not None else None
-        out *= _sv(case, sign * x_j - 1j * d_param(g_nu, m_j.real if isinstance(m_j, complex) else m_j, lam, tag) * beta, policy)
-    out /= _sv(case, 2 * sign * x_j, policy)
-    out /= _sv(case, 2 * sign * x_j - 1j * beta / m_j, policy)
-    for k, x_k in enumerate(X):
-        if k == j:
-            continue
-        for delta in (1, -1):
-            out *= f_pm(case, sign, x_j + delta * x_k, m_j, masses[k], lam, beta, policy)
-    return out
+    tag = tags[j] if tags is not None else None
+    d = [d_param(g_nu, m_j.real if isinstance(m_j, complex) else m_j, lam, tag) for g_nu in g]
+
+    def formula(s):
+        out = 1.0 + 0j
+        for d_nu in d:
+            out *= s(sign * x_j - 1j * d_nu * beta)
+        out /= s(2 * sign * x_j)
+        out /= s(2 * sign * x_j - 1j * beta / m_j)
+        for k, x_k in enumerate(X):
+            if k == j:
+                continue
+            for delta in (1, -1):
+                out *= _f_pm(s, sign, x_j + delta * x_k, m_j, masses[k], lam, beta)
+        return out
+
+    return _batched(case, policy, formula)
 
 
 def coeff_V0(
@@ -356,44 +413,47 @@ def coeff_V0(
 
     e_weight = 2 * lam * sum(masses) + sum(g) - (rho + 1) * (lam + 1) / 2
 
-    total = 0j
-    for nu in range(rho + 1):
-        expo = cmath.exp(-r * xi[nu] * e_weight * beta) if xi[nu] else 1.0
-        denom_nu = 1.0 + 0j
-        for mu in range(rho + 1):
-            if mu != nu:
-                denom_nu *= _sv(case, (omega[nu] - omega[mu]) / 2, policy)
+    def formula(s):
+        total = 0j
+        for nu in range(rho + 1):
+            expo = cmath.exp(-r * xi[nu] * e_weight * beta) if xi[nu] else 1.0
+            denom_nu = 1.0 + 0j
+            for mu in range(rho + 1):
+                if mu != nu:
+                    denom_nu *= s((omega[nu] - omega[mu]) / 2)
 
-        # first group: coupling block at i beta / 2
-        g_block1 = 1.0 + 0j
-        for g_mu in g:
-            g_block1 *= _sv(case, omega[nu] / 2 + 0.5j * beta - 1j * g_mu * beta, policy)
-        for mu in range(rho + 1):
-            g_block1 /= _sv(case, (omega[nu] - omega[mu] + 1j * (1 - lam) * beta) / 2, policy)
-        x_block1 = 1.0 + 0j
-        for m_j, x_j in zip(masses, X):
-            shift = 0.25j * (lam * (m_j - 1) + 1 / m_j + 1) * beta
-            for delta in (1, -1):
-                base = delta * x_j + omega[nu] / 2 + shift
-                x_block1 *= _sv(case, base - 1j * lam * m_j * beta, policy) / _sv(case, base, policy)
+            # first group: coupling block at i beta / 2
+            g_block1 = 1.0 + 0j
+            for g_mu in g:
+                g_block1 *= s(omega[nu] / 2 + 0.5j * beta - 1j * g_mu * beta)
+            for mu in range(rho + 1):
+                g_block1 /= s((omega[nu] - omega[mu] + 1j * (1 - lam) * beta) / 2)
+            x_block1 = 1.0 + 0j
+            for m_j, x_j in zip(masses, X):
+                shift = 0.25j * (lam * (m_j - 1) + 1 / m_j + 1) * beta
+                for delta in (1, -1):
+                    base = delta * x_j + omega[nu] / 2 + shift
+                    x_block1 *= s(base - 1j * lam * m_j * beta) / s(base)
 
-        # second group: coupling block at i lam beta / 2
-        g_block2 = 1.0 + 0j
-        for g_mu in g:
-            g_block2 *= _sv(case, omega[nu] / 2 + 0.5j * lam * beta - 1j * g_mu * beta, policy)
-        for mu in range(rho + 1):
-            g_block2 /= _sv(case, (omega[nu] - omega[mu] + 1j * (lam - 1) * beta) / 2, policy)
-        x_block2 = 1.0 + 0j
-        for m_k, x_k in zip(masses, X):
-            shift = 0.25j * (lam * (m_k + 1) + 1 / m_k - 1) * beta
-            for delta in (1, -1):
-                base = delta * x_k + omega[nu] / 2 + shift
-                x_block2 *= _sv(case, base - 1j * lam * m_k * beta, policy) / _sv(case, base, policy)
+            # second group: coupling block at i lam beta / 2
+            g_block2 = 1.0 + 0j
+            for g_mu in g:
+                g_block2 *= s(omega[nu] / 2 + 0.5j * lam * beta - 1j * g_mu * beta)
+            for mu in range(rho + 1):
+                g_block2 /= s((omega[nu] - omega[mu] + 1j * (lam - 1) * beta) / 2)
+            x_block2 = 1.0 + 0j
+            for m_k, x_k in zip(masses, X):
+                shift = 0.25j * (lam * (m_k + 1) + 1 / m_k - 1) * beta
+                for delta in (1, -1):
+                    base = delta * x_k + omega[nu] / 2 + shift
+                    x_block2 *= s(base - 1j * lam * m_k * beta) / s(base)
 
-        total += expo / denom_nu * (g_block1 * x_block1 + g_block2 * x_block2)
+            total += expo / denom_nu * (g_block1 * x_block1 + g_block2 * x_block2)
 
-    pref = half_period_product(case, policy)
-    return -0.25 * pref * pref * total
+        pref = _half_period_product(s, case)
+        return -0.25 * pref * pref * total
+
+    return _batched(case, policy, formula)
 
 
 def operator_terms(
@@ -465,8 +525,12 @@ def source_constant(
     arg = 1j * beta * (
         2 * lam * sum(mass_values) + sum(g) - (rho + 1) * (lam + 1) / 2
     ) - case.period_sum
-    pref = half_period_product(case, policy)
-    return 0.25 * pref * pref * _sv(case, arg, policy)
+
+    def formula(s):
+        pref = _half_period_product(s, case)
+        return 0.25 * pref * pref * s(arg)
+
+    return _batched(case, policy, formula)
 
 
 def c0_constant(
@@ -484,22 +548,25 @@ def c0_constant(
     r = case.r if case.kind in (CaseKind.TRIGONOMETRIC, CaseKind.ELLIPTIC) else 0.0
     e_weight = sum(g) - (rho + 1) * (lam + 1) / 2
 
-    total = 0j
-    for nu in range(rho + 1):
-        expo = cmath.exp(-r * xi[nu] * e_weight * beta) if xi[nu] else 1.0
-        denom = 1.0 + 0j
-        for mu in range(rho + 1):
-            if mu != nu:
-                denom *= _sv(case, (omega[nu] - omega[mu]) / 2, policy)
-        block = 1.0 + 0j
-        for g_mu in g:
-            block *= _sv(case, omega[nu] / 2 + 0.5j * lam * beta - 1j * g_mu * beta, policy)
-        for mu in range(rho + 1):
-            block /= _sv(case, (omega[nu] - omega[mu] + 1j * (lam - 1) * beta) / 2, policy)
-        total += expo * block / denom
+    def formula(s):
+        total = 0j
+        for nu in range(rho + 1):
+            expo = cmath.exp(-r * xi[nu] * e_weight * beta) if xi[nu] else 1.0
+            denom = 1.0 + 0j
+            for mu in range(rho + 1):
+                if mu != nu:
+                    denom *= s((omega[nu] - omega[mu]) / 2)
+            block = 1.0 + 0j
+            for g_mu in g:
+                block *= s(omega[nu] / 2 + 0.5j * lam * beta - 1j * g_mu * beta)
+            for mu in range(rho + 1):
+                block /= s((omega[nu] - omega[mu] + 1j * (lam - 1) * beta) / 2)
+            total += expo * block / denom
 
-    pref = half_period_product(case, policy)
-    return 0.25 * pref * pref * total
+        pref = _half_period_product(s, case)
+        return 0.25 * pref * pref * total
+
+    return _batched(case, policy, formula)
 
 
 def eigen_constant(
@@ -576,18 +643,22 @@ def vd_V_pm(
 ) -> complex:
     """Shift coefficient of the all-unit-mass operator, from its own
     closed form (independent of :func:`coeff_V_shift`)."""
+    return _batched(case, policy, lambda s: _vd_V_pm(s, g, lam, beta, x, j, sign))
+
+
+def _vd_V_pm(s, g, lam, beta, x, j, sign) -> complex:
     x_j = complex(x[j])
     out = 1.0 + 0j
     for g_nu in g:
-        out *= _sv(case, sign * x_j - 1j * g_nu * beta, policy)
-    out /= _sv(case, 2 * sign * x_j, policy)
-    out /= _sv(case, 2 * sign * x_j - 1j * beta, policy)
+        out *= s(sign * x_j - 1j * g_nu * beta)
+    out /= s(2 * sign * x_j)
+    out /= s(2 * sign * x_j - 1j * beta)
     for k, x_k in enumerate(x):
         if k == j:
             continue
         for delta in (1, -1):
             base = x_j + delta * complex(x_k)
-            out *= _sv(case, base - sign * 1j * lam * beta, policy) / _sv(case, base, policy)
+            out *= s(base - sign * 1j * lam * beta) / s(base)
     return out
 
 
@@ -607,27 +678,30 @@ def vd_V0(
     n_p = len(x)
     e_weight = 2 * lam * n_p + sum(g) - (rho + 1) * (lam + 1) / 2
 
-    total = 0j
-    for nu in range(rho + 1):
-        expo = cmath.exp(-r * xi[nu] * e_weight * beta) if xi[nu] else 1.0
-        denom = 1.0 + 0j
-        for mu in range(rho + 1):
-            if mu != nu:
-                denom *= _sv(case, (omega[nu] - omega[mu]) / 2, policy)
-        block = 1.0 + 0j
-        for g_mu in g:
-            block *= _sv(case, omega[nu] / 2 + 0.5j * beta - 1j * g_mu * beta, policy)
-        for mu in range(rho + 1):
-            block /= _sv(case, (omega[nu] - omega[mu] + 1j * (1 - lam) * beta) / 2, policy)
-        xblock = 1.0 + 0j
-        for x_j in x:
-            for delta in (1, -1):
-                base = delta * complex(x_j) + omega[nu] / 2 + 0.5j * beta
-                xblock *= _sv(case, base - 1j * lam * beta, policy) / _sv(case, base, policy)
-        total += expo * block * xblock / denom
+    def formula(s):
+        total = 0j
+        for nu in range(rho + 1):
+            expo = cmath.exp(-r * xi[nu] * e_weight * beta) if xi[nu] else 1.0
+            denom = 1.0 + 0j
+            for mu in range(rho + 1):
+                if mu != nu:
+                    denom *= s((omega[nu] - omega[mu]) / 2)
+            block = 1.0 + 0j
+            for g_mu in g:
+                block *= s(omega[nu] / 2 + 0.5j * beta - 1j * g_mu * beta)
+            for mu in range(rho + 1):
+                block /= s((omega[nu] - omega[mu] + 1j * (1 - lam) * beta) / 2)
+            xblock = 1.0 + 0j
+            for x_j in x:
+                for delta in (1, -1):
+                    base = delta * complex(x_j) + omega[nu] / 2 + 0.5j * beta
+                    xblock *= s(base - 1j * lam * beta) / s(base)
+            total += expo * block * xblock / denom
 
-    pref = half_period_product(case, policy)
-    return -0.25 * pref * pref * total
+        pref = _half_period_product(s, case)
+        return -0.25 * pref * pref * total
+
+    return _batched(case, policy, formula)
 
 
 def vd_apply(
@@ -671,15 +745,19 @@ def def_V_pm(
 ) -> complex:
     """Shift coefficient on an undeformed coordinate of the two-species
     operator: the all-unit-mass block times the cross factors."""
-    out = vd_V_pm(case, g, lam, beta, x, j, sign, policy)
     x_j = complex(x[j])
-    for xt_k in xt:
-        for delta in (1, -1):
-            base = x_j + delta * complex(xt_k)
-            num = _sv(case, base - sign * 0.5j * (lam - 1) * beta, policy)
-            den = _sv(case, base - sign * 0.5j * (lam + 1) * beta, policy)
-            out *= num / den
-    return out
+
+    def formula(s):
+        out = _vd_V_pm(s, g, lam, beta, x, j, sign)
+        for xt_k in xt:
+            for delta in (1, -1):
+                base = x_j + delta * complex(xt_k)
+                num = s(base - sign * 0.5j * (lam - 1) * beta)
+                den = s(base - sign * 0.5j * (lam + 1) * beta)
+                out *= num / den
+        return out
+
+    return _batched(case, policy, formula)
 
 
 def def_Vt_pm(
@@ -696,25 +774,29 @@ def def_Vt_pm(
     """Shift coefficient on a deformed coordinate of the two-species
     operator, written directly from its closed form."""
     xt_k = complex(xt[k])
-    out = 1.0 + 0j
-    for g_nu in g:
-        g_dual = (lam + 1) / 2 - g_nu
-        out *= _sv(case, sign * xt_k + 1j * g_dual * beta, policy)
-    out /= _sv(case, 2 * sign * xt_k, policy)
-    out /= _sv(case, 2 * sign * xt_k + 1j * lam * beta, policy)
-    for k2, xt_k2 in enumerate(xt):
-        if k2 == k:
-            continue
-        for delta in (1, -1):
-            base = xt_k + delta * complex(xt_k2)
-            out *= _sv(case, base + sign * 1j * beta, policy) / _sv(case, base, policy)
-    for x_j in x:
-        for delta in (1, -1):
-            base = xt_k + delta * complex(x_j)
-            num = _sv(case, base - sign * 0.5j * (lam - 1) * beta, policy)
-            den = _sv(case, base + sign * 0.5j * (lam + 1) * beta, policy)
-            out *= num / den
-    return out
+
+    def formula(s):
+        out = 1.0 + 0j
+        for g_nu in g:
+            g_dual = (lam + 1) / 2 - g_nu
+            out *= s(sign * xt_k + 1j * g_dual * beta)
+        out /= s(2 * sign * xt_k)
+        out /= s(2 * sign * xt_k + 1j * lam * beta)
+        for k2, xt_k2 in enumerate(xt):
+            if k2 == k:
+                continue
+            for delta in (1, -1):
+                base = xt_k + delta * complex(xt_k2)
+                out *= s(base + sign * 1j * beta) / s(base)
+        for x_j in x:
+            for delta in (1, -1):
+                base = xt_k + delta * complex(x_j)
+                num = s(base - sign * 0.5j * (lam - 1) * beta)
+                den = s(base + sign * 0.5j * (lam + 1) * beta)
+                out *= num / den
+        return out
+
+    return _batched(case, policy, formula)
 
 
 def def_V0(
@@ -733,32 +815,35 @@ def def_V0(
     r = case.r if case.kind in (CaseKind.TRIGONOMETRIC, CaseKind.ELLIPTIC) else 0.0
     e_weight = 2 * lam * len(x) - 2 * len(xt) + sum(g) - (rho + 1) * (lam + 1) / 2
 
-    total = 0j
-    for nu in range(rho + 1):
-        expo = cmath.exp(-r * xi[nu] * e_weight * beta) if xi[nu] else 1.0
-        denom = 1.0 + 0j
-        for mu in range(rho + 1):
-            if mu != nu:
-                denom *= _sv(case, (omega[nu] - omega[mu]) / 2, policy)
-        block = 1.0 + 0j
-        for g_mu in g:
-            block *= _sv(case, omega[nu] / 2 + 0.5j * beta - 1j * g_mu * beta, policy)
-        for mu in range(rho + 1):
-            block /= _sv(case, (omega[nu] - omega[mu] + 1j * (1 - lam) * beta) / 2, policy)
-        xblock = 1.0 + 0j
-        for x_j in x:
-            for delta in (1, -1):
-                base = delta * complex(x_j) + omega[nu] / 2 + 0.5j * beta
-                xblock *= _sv(case, base - 1j * lam * beta, policy) / _sv(case, base, policy)
-        tblock = 1.0 + 0j
-        for xt_k in xt:
-            for delta in (1, -1):
-                base = delta * complex(xt_k) + omega[nu] / 2 - 0.5j * lam * beta
-                tblock *= _sv(case, base + 1j * beta, policy) / _sv(case, base, policy)
-        total += expo * block * xblock * tblock / denom
+    def formula(s):
+        total = 0j
+        for nu in range(rho + 1):
+            expo = cmath.exp(-r * xi[nu] * e_weight * beta) if xi[nu] else 1.0
+            denom = 1.0 + 0j
+            for mu in range(rho + 1):
+                if mu != nu:
+                    denom *= s((omega[nu] - omega[mu]) / 2)
+            block = 1.0 + 0j
+            for g_mu in g:
+                block *= s(omega[nu] / 2 + 0.5j * beta - 1j * g_mu * beta)
+            for mu in range(rho + 1):
+                block /= s((omega[nu] - omega[mu] + 1j * (1 - lam) * beta) / 2)
+            xblock = 1.0 + 0j
+            for x_j in x:
+                for delta in (1, -1):
+                    base = delta * complex(x_j) + omega[nu] / 2 + 0.5j * beta
+                    xblock *= s(base - 1j * lam * beta) / s(base)
+            tblock = 1.0 + 0j
+            for xt_k in xt:
+                for delta in (1, -1):
+                    base = delta * complex(xt_k) + omega[nu] / 2 - 0.5j * lam * beta
+                    tblock *= s(base + 1j * beta) / s(base)
+            total += expo * block * xblock * tblock / denom
 
-    pref = half_period_product(case, policy)
-    return -0.25 * pref * pref * total
+        pref = _half_period_product(s, case)
+        return -0.25 * pref * pref * total
+
+    return _batched(case, policy, formula)
 
 
 def deformed_apply(
@@ -842,23 +927,27 @@ def summation_shift_term(
     rho = case.rho
     omega = case.omega
     x_j, m_j, a_j = p.X[j], p.m[j], p.a[j]
-    term = _sv(case, p.gamma * m_j, policy)
-    for kk, (x_k, m_k, a_k) in enumerate(zip(p.X, p.m, p.a)):
-        if kk == j:
-            continue
-        for delta in (1, -1):
-            base = x_j + delta * x_k
-            term *= _sv(case, base + sign * (a_j - a_k - p.gamma * m_k), policy)
-            term /= _sv(case, base + sign * (a_j - a_k), policy)
-    for nu in range(rho + 1):
-        half = omega[nu] / 2
-        term *= _sv(case, sign * x_j - p.gamma * m_j / 2 - half, policy)
-        term /= _sv(case, sign * x_j - half, policy)
-        term *= _sv(case, sign * x_j + a_j - p.c[nu] - half - p.n[nu], policy)
-        term /= _sv(case, sign * x_j + a_j - p.c[nu] - half, policy)
-        term *= _sv(case, sign * x_j + a_j - p.d[nu] - half - p.n[nu + rho + 1], policy)
-        term /= _sv(case, sign * x_j + a_j - p.d[nu] - half, policy)
-    return term
+
+    def formula(s):
+        term = s(p.gamma * m_j)
+        for kk, (x_k, m_k, a_k) in enumerate(zip(p.X, p.m, p.a)):
+            if kk == j:
+                continue
+            for delta in (1, -1):
+                base = x_j + delta * x_k
+                term *= s(base + sign * (a_j - a_k - p.gamma * m_k))
+                term /= s(base + sign * (a_j - a_k))
+        for nu in range(rho + 1):
+            half = omega[nu] / 2
+            term *= s(sign * x_j - p.gamma * m_j / 2 - half)
+            term /= s(sign * x_j - half)
+            term *= s(sign * x_j + a_j - p.c[nu] - half - p.n[nu])
+            term /= s(sign * x_j + a_j - p.c[nu] - half)
+            term *= s(sign * x_j + a_j - p.d[nu] - half - p.n[nu + rho + 1])
+            term /= s(sign * x_j + a_j - p.d[nu] - half)
+        return term
+
+    return _batched(case, policy, formula)
 
 
 def summation_lhs(
@@ -894,28 +983,31 @@ def summation_boundary_term(
     omega = case.omega
     anchor = p.c[nu] if use_c else p.d[nu]
 
-    term = 1.0 + 0j
-    for x_j, m_j, a_j in zip(p.X, p.m, p.a):
-        for delta in (1, -1):
-            base = delta * x_j + omega[nu] / 2 + anchor - a_j
-            term *= _sv(case, base - p.gamma * m_j, policy) / _sv(case, base, policy)
-    for mu in range(rho + 1):
-        gap = (omega[nu] - omega[mu]) / 2
-        # block against the c-family
-        term *= _sv(case, gap + anchor - p.c[mu] - p.n[mu], policy)
-        if use_c:
-            if mu != nu:
-                term /= _sv(case, gap + anchor - p.c[mu], policy)
-        else:
-            term /= _sv(case, gap + anchor - p.c[mu], policy)
-        # block against the d-family
-        term *= _sv(case, gap + anchor - p.d[mu] - p.n[mu + rho + 1], policy)
-        if use_c:
-            term /= _sv(case, gap + anchor - p.d[mu], policy)
-        else:
-            if mu != nu:
-                term /= _sv(case, gap + anchor - p.d[mu], policy)
-    return term
+    def formula(s):
+        term = 1.0 + 0j
+        for x_j, m_j, a_j in zip(p.X, p.m, p.a):
+            for delta in (1, -1):
+                base = delta * x_j + omega[nu] / 2 + anchor - a_j
+                term *= s(base - p.gamma * m_j) / s(base)
+        for mu in range(rho + 1):
+            gap = (omega[nu] - omega[mu]) / 2
+            # block against the c-family
+            term *= s(gap + anchor - p.c[mu] - p.n[mu])
+            if use_c:
+                if mu != nu:
+                    term /= s(gap + anchor - p.c[mu])
+            else:
+                term /= s(gap + anchor - p.c[mu])
+            # block against the d-family
+            term *= s(gap + anchor - p.d[mu] - p.n[mu + rho + 1])
+            if use_c:
+                term /= s(gap + anchor - p.d[mu])
+            else:
+                if mu != nu:
+                    term /= s(gap + anchor - p.d[mu])
+        return term
+
+    return _batched(case, policy, formula)
 
 
 def summation_rhs(

@@ -123,8 +123,11 @@ class TruncationPolicy:
         Minimum allowed distance from the zero lattice of ``s``; points
         closer than this raise :class:`PoleProximityError` when checked.
     precision_dps:
-        When set, scalar evaluations are carried out with ``mpmath`` at
-        this many decimal digits instead of float64.
+        When set, ``s``, theta and ``gamma`` evaluations are carried out
+        with ``mpmath`` at this many decimal digits instead of float64.
+        Only those evaluations gain precision: their values return as
+        complex128, and the products and quotients built from them (the
+        operator coefficients, the residuals) stay in float64.
     """
 
     product_terms: int = 40

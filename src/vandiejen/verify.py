@@ -1879,7 +1879,8 @@ def render_json_lines(
     run_args: dict | None = None,
 ) -> str:
     """Line-delimited report: one header line (see :func:`header_line`),
-    sample rows, one summary per report, and a footer with the totals."""
+    sample rows, one summary per report, and a footer with the totals.
+    The footer verdict fails when a row or a summary verdict fails."""
     lines = [header_line(created, args=run_args or {})]
     failures = 0
     samples = 0
@@ -1895,9 +1896,15 @@ def render_json_lines(
         "reports": len(reports),
         "samples": samples,
         "failures": failures,
-        "verdict": "pass" if failures == 0 and reports else "fail",
+        "verdict": _footer_verdict(failures, [r.verdict for r in reports]),
     }))
     return "\n".join(lines) + "\n"
+
+
+def _footer_verdict(failures: int, verdicts: Sequence[str]) -> str:
+    """``pass`` when there is at least one report, no failing row and no
+    failing summary (a report without rows fails by its summary alone)."""
+    return "pass" if failures == 0 and verdicts and all(v == "pass" for v in verdicts) else "fail"
 
 
 def render_csv(samples: Iterable[dict]) -> str:
@@ -1962,18 +1969,12 @@ def parse_report_lines(text: str) -> dict:
 
 def merge_parsed_reports(parsed: Sequence[dict]) -> dict:
     """Merge several parsed reports: sample rows concatenate, summaries
-    regroup by (identity, case) with counts added and extrema recomputed."""
-    samples: list[dict] = []
-    seeds: dict[tuple[str, str], set] = {}
-    for part in parsed:
-        samples.extend(part["samples"])
-        for summ in part["summaries"]:
-            seeds.setdefault((summ["identity"], summ["case"]), set()).add(summ.get("seed"))
-
+    regroup by (identity, case) with counts added and extrema recomputed.
+    A summary without rows is kept, and a failing summary verdict stays."""
     grouped: dict[tuple[str, str], dict] = {}
-    for row in samples:
-        key = (row["identity"], row["case"])
-        agg = grouped.setdefault(key, {
+
+    def group(key: tuple[str, str]) -> dict:
+        return grouped.setdefault(key, {
             "record": "summary",
             "identity": key[0],
             "case": key[1],
@@ -1982,7 +1983,20 @@ def merge_parsed_reports(parsed: Sequence[dict]) -> dict:
             "normalization_scale": 0.0,
             "min_control_residual": None,
             "verdict": "pass",
+            "seeds": set(),
         })
+
+    samples: list[dict] = []
+    for part in parsed:
+        samples.extend(part["samples"])
+        for summ in part["summaries"]:
+            agg = group((summ["identity"], summ["case"]))
+            agg["seeds"].add(summ.get("seed"))
+            if summ.get("verdict") == "fail":
+                agg["verdict"] = "fail"
+
+    for row in samples:
+        agg = group((row["identity"], row["case"]))
         agg["sample_count"] += 1
         if row.get("control"):
             if _worse_control(row["residual"], agg["min_control_residual"]):
@@ -1992,12 +2006,10 @@ def merge_parsed_reports(parsed: Sequence[dict]) -> dict:
             agg["normalization_scale"] = row.get("scale", 0.0)
         if not row["passed"]:
             agg["verdict"] = "fail"
-    for key, agg in grouped.items():
+    for agg in grouped.values():
         if agg["min_control_residual"] is None:
             agg["min_control_residual"] = 0.0
-        agg["seeds"] = sorted(
-            s for s in seeds.get(key, set()) if s is not None
-        )
+        agg["seeds"] = sorted(s for s in agg["seeds"] if s is not None)
     summaries = [grouped[k] for k in sorted(grouped)]
     failures = sum(1 for row in samples if not row["passed"])
     footer = {
@@ -2005,7 +2017,7 @@ def merge_parsed_reports(parsed: Sequence[dict]) -> dict:
         "reports": len(summaries),
         "samples": len(samples),
         "failures": failures,
-        "verdict": "pass" if failures == 0 and samples else "fail",
+        "verdict": _footer_verdict(failures, [s["verdict"] for s in summaries]),
     }
     return {"header": None, "samples": samples, "summaries": summaries, "footer": footer}
 

@@ -394,7 +394,7 @@ def _same(a, b):
 
 residual_value = st.one_of(st.floats(0.0, 1e-6), st.floats(0.0, 10.0),
                            st.sampled_from((math.nan, math.inf)))
-fake_report = st.lists(st.tuples(residual_value, st.booleans()), min_size=1, max_size=6)
+fake_report = st.lists(st.tuples(residual_value, st.booleans()), min_size=0, max_size=6)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -432,6 +432,30 @@ def test_merge_empty_is_a_failure():
     merged = merge_parsed_reports([])
     assert merged["footer"]["verdict"] == "fail"
     assert merged["footer"]["samples"] == 0
+
+
+def test_a_report_without_rows_fails_in_footer_and_merge():
+    empty = verify.ResidualReport("s-oddness", "I", 0, 0, 0.0, 0.0, 0.0, 0.0, "fail", ())
+    parsed = parse_report_lines(render_json_lines([empty], created="t0"))
+    assert parsed["footer"]["verdict"] == "fail"
+    merged = merge_parsed_reports([parsed])
+    assert merged["footer"] == {"record": "footer", "reports": 1, "samples": 0,
+                                "failures": 0, "verdict": "fail"}
+    (summ,) = merged["summaries"]
+    assert (summ["identity"], summ["case"], summ["sample_count"], summ["verdict"],
+            summ["seeds"]) == ("s-oddness", "I", 0, "fail", [0])
+
+
+def test_a_failing_empty_report_fails_a_merge_with_passing_rows():
+    empty = verify.ResidualReport("s-oddness", "I", 1, 0, 0.0, 0.0, 0.0, 0.0, "fail", ())
+    passing = run_identity("s-oddness", "I", samples=2, seed=0)
+    assert passing.verdict == "pass"
+    merged = merge_parsed_reports([parse_report_lines(render_json_lines([passing])),
+                                   parse_report_lines(render_json_lines([empty]))])
+    (summ,) = merged["summaries"]
+    assert summ["verdict"] == "fail" and summ["seeds"] == [0, 1]
+    assert summ["sample_count"] == passing.sample_count
+    assert merged["footer"]["verdict"] == "fail"
 
 
 def test_csv_rendering():
