@@ -34,8 +34,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .gamma import gamma_G, gamma_ratio_shift
-from .operators import MassTag, d_param
+from .operators import MassTag, batched_map, coeff_V0, coeff_V_shift, d_param
 from .sfun import (
     DEFAULT_POLICY,
     CaseParams,
@@ -58,6 +60,8 @@ __all__ = [
     "pair_kind",
     "phi_factor_specs",
     "eigenfunction_value",
+    "pathwise",
+    "shift_coeff_factor",
     "apply_sqrt_operator",
     "calibrate_conjugation_gauge",
     "psi_single",
@@ -329,6 +333,10 @@ class BranchTracker:
         return tuple(b + t * (z - b) for b, z in zip(self.base, target))
 
     def sqrt_at(self, key, fn: Callable[[Sequence[complex]], complex], target) -> complex:
+        """Continued root of ``fn`` at ``target``.  ``fn`` takes one point
+        (a tuple of complex coordinates) or a whole path (a tuple of
+        equal-length coordinate arrays) and returns a value or an array to
+        match."""
         target = tuple(complex(v) for v in target)
         cache_key = (key, target)
         value = self._cache.get(cache_key)
@@ -347,32 +355,80 @@ class BranchTracker:
         prev = cmath.sqrt(w0)
         if target == self.base:
             return prev
-        t_prev = 0.0
-        for k in range(1, self.path_steps + 1):
-            t_next = k / self.path_steps
-            prev = self._step(fn, target, t_prev, prev, t_next, 0)
-            t_prev = t_next
+        ts = [k / self.path_steps for k in range(1, self.path_steps + 1)]
+        values = self._path_values(fn, target, ts)
+        if values is None:
+            values = self._point_values(fn, target, ts)
+        return self._walk(fn, target, 0.0, prev, ts, values, 0)
+
+    def _path_values(self, fn, target: tuple, ts: list) -> list | None:
+        """``fn`` on all points ``ts`` in one call, each coordinate one
+        array built element by element (the same floats as
+        :meth:`_point`).  None when the walk must go point by point: the
+        call raised (a numpy division by zero, overflow or invalid
+        operation included), or gave a value that is not finite, or not
+        one value per point."""
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                path = tuple(np.array([b + t * (z - b) for t in ts])
+                             for b, z in zip(self.base, target))
+                values = np.asarray(fn(path), dtype=np.complex128)
+        except Exception:
+            # nothing is swallowed: the point-by-point walk calls fn again
+            # and meets any real failure at the step where it occurs
+            return None
+        if values.shape != (len(ts),) or not np.isfinite(values).all():
+            return None
+        return values.tolist()
+
+    def _point_values(self, fn, target: tuple, ts: list):
+        """``fn`` at each point of ``ts``, called only when the walk reaches
+        that point."""
+        return (complex(fn(self._point(target, t))) for t in ts)
+
+    def _walk(self, fn, target, t_prev: float, prev: complex, ts: list, values,
+              depth: int) -> complex:
+        """Continue the root ``prev`` at ``t_prev`` through the squares
+        ``values`` at ``ts``, taking at each step the root nearest the
+        previous one.  An ambiguous step is bisected with scalar calls of
+        ``fn``, at most ``max_depth`` times."""
+        for t, w_sq in zip(ts, values):
+            scale = abs(prev) ** 2 + abs(w_sq)
+            if abs(w_sq) < self.rel_floor * scale:
+                raise BranchError("square-root argument passes too close to zero along the path")
+            root = cmath.sqrt(w_sq)
+            d_plus = abs(root - prev)
+            d_minus = abs(root + prev)
+            # ambiguous step: the two sheets are not clearly separated
+            if min(d_plus, d_minus) > 0.5 * max(abs(root), abs(prev)):
+                if depth >= self.max_depth:
+                    raise BranchError(f"cannot separate square-root sheets near t={t:.6f}")
+                halves = [0.5 * (t_prev + t), t]
+                prev = self._walk(fn, target, t_prev, prev, halves,
+                                  self._point_values(fn, target, halves), depth + 1)
+            else:
+                prev = root if d_plus <= d_minus else -root
+            t_prev = t
         return prev
 
-    def _step(self, fn, target, t0: float, w_prev: complex, t1: float, depth: int) -> complex:
-        w_sq = complex(fn(self._point(target, t1)))
-        scale = abs(w_prev) ** 2 + abs(w_sq)
-        if abs(w_sq) < self.rel_floor * scale:
-            raise BranchError("square-root argument passes too close to zero along the path")
-        root = cmath.sqrt(w_sq)
-        d_plus = abs(root - w_prev)
-        d_minus = abs(root + w_prev)
-        chosen = root if d_plus <= d_minus else -root
-        # ambiguous step: the two sheets are not clearly separated
-        if min(d_plus, d_minus) > 0.5 * max(abs(root), abs(w_prev)):
-            if depth >= self.max_depth:
-                raise BranchError(
-                    f"cannot separate square-root sheets near t={t1:.6f}"
-                )
-            t_mid = 0.5 * (t0 + t1)
-            w_mid = self._step(fn, target, t0, w_prev, t_mid, depth + 1)
-            return self._step(fn, target, t_mid, w_mid, t1, depth + 1)
-        return chosen
+
+def pathwise(
+    case: CaseParams,
+    policy: TruncationPolicy,
+    coeff: Callable[[Sequence[complex]], complex],
+) -> Callable:
+    """``coeff`` of one point as a :meth:`BranchTracker.sqrt_at` factor:
+    on a path it evaluates every point, with all the ``s`` values of the
+    path from one array call (:func:`~vandiejen.operators.batched_map`),
+    so the values are the same, bit for bit, as point by point."""
+
+    def fn(P):
+        if not isinstance(P[0], np.ndarray):
+            return coeff(P)
+        points = list(zip(*(c.tolist() for c in P)))
+        return np.array(batched_map(case, policy, coeff, points))
+
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -425,20 +481,9 @@ def phi_factor_specs(
     specs: list[tuple] = []
 
     for j in range(n):
-        m = masses[j]
-        alpha = beta / m
-        half = 0.5j * beta / m
 
-        def w_single(Z, j=j, m=m, alpha=alpha, half=half):
-            x = Z[j]
-            num = complex(gamma_G(case, alpha, 2 * x + half, policy))
-            num *= complex(gamma_G(case, alpha, -2 * x + half, policy))
-            den = 1.0 + 0j
-            for g_nu in g:
-                off = half - 1j * d_param(g_nu, m, lam, tags[j]) * beta
-                den *= complex(gamma_G(case, alpha, x + off, policy))
-                den *= complex(gamma_G(case, alpha, -x + off, policy))
-            return num / den
+        def w_single(Z, j=j):
+            return psi_single_sq(case, g, lam, beta, Z[j], tags[j], policy)
 
         specs.append((("single", j), "sqrt", w_single))
 
@@ -454,10 +499,8 @@ def phi_factor_specs(
 
                         def w_same(Z, j=j, k=k, e1=e1, e2=e2, m=m, alpha=alpha):
                             arg = e1 * Z[j] + e2 * Z[k] + 0.5j * beta / m
-                            num = complex(gamma_G(case, alpha, arg, policy))
-                            den = complex(
-                                gamma_G(case, alpha, arg - 1j * lam * m * beta, policy)
-                            )
+                            num = gamma_G(case, alpha, arg, policy)
+                            den = gamma_G(case, alpha, arg - 1j * lam * m * beta, policy)
                             return num / den
 
                         specs.append((key, "sqrt", w_same))
@@ -465,13 +508,13 @@ def phi_factor_specs(
 
                         def v_opp(Z, j=j, k=k, e1=e1, e2=e2, m=m, alpha=alpha):
                             arg = e1 * Z[j] + e2 * Z[k] - 0.5j * lam * m * beta
-                            return complex(gamma_G(case, alpha, arg, policy))
+                            return gamma_G(case, alpha, arg, policy)
 
                         specs.append((key, "direct", v_opp))
                     elif kind == "dual":
 
                         def w_dual(Z, j=j, k=k, e1=e1, e2=e2):
-                            return complex(s_eval(case, e1 * Z[j] + e2 * Z[k], policy))
+                            return s_eval(case, e1 * Z[j] + e2 * Z[k], policy)
 
                         specs.append((key, "sqrt", w_dual))
                     else:
@@ -483,7 +526,7 @@ def phi_factor_specs(
                                 - 0.5j * lam * m * beta
                                 + 0.5j * beta / m
                             )
-                            return complex(s_eval(case, arg, policy))
+                            return s_eval(case, arg, policy)
 
                         specs.append((key, "invsqrt", w_anti))
     return specs
@@ -507,6 +550,25 @@ def eigenfunction_value(
     return out
 
 
+def shift_coeff_factor(
+    case: CaseParams,
+    g: Sequence[float],
+    lam: float,
+    beta: float,
+    masses: Sequence[complex],
+    tags: Sequence[MassTag],
+    j: int,
+    sign: int,
+    policy: TruncationPolicy = DEFAULT_POLICY,
+) -> Callable:
+    """The shift coefficient of coordinate ``j`` and direction ``sign`` as
+    a :meth:`BranchTracker.sqrt_at` factor (see :func:`pathwise`)."""
+    return pathwise(
+        case, policy,
+        lambda P: coeff_V_shift(case, g, lam, beta, masses, tags, P, j, sign, policy),
+    )
+
+
 def apply_sqrt_operator(
     case: CaseParams,
     g: Sequence[float],
@@ -524,27 +586,20 @@ def apply_sqrt_operator(
     the evaluation point and the square root of the opposite coefficient
     at the shifted point, both continued from the tracker's base.
     """
-    from .operators import coeff_V0, coeff_V_shift
-
     Z = tuple(complex(v) for v in Z)
     masses = tuple(t.value_for(lam) for t in tags)
     total = 0j
     for j, m_j in enumerate(masses):
         step = 1j * beta / m_j
+        pref = complex(s_eval(case, 1j * lam * m_j * beta, policy))
         for sign in (1, -1):
             shifted = list(Z)
             shifted[j] = Z[j] - sign * step
             shifted = tuple(shifted)
-
-            def w_here(P, j=j, sign=sign):
-                return coeff_V_shift(case, g, lam, beta, masses, tags, P, j, sign, policy)
-
-            def w_there(P, j=j, sign=sign):
-                return coeff_V_shift(case, g, lam, beta, masses, tags, P, j, -sign, policy)
-
+            w_here = shift_coeff_factor(case, g, lam, beta, masses, tags, j, sign, policy)
+            w_there = shift_coeff_factor(case, g, lam, beta, masses, tags, j, -sign, policy)
             root_here = tracker.sqrt_at(("coeff", j, sign), w_here, Z)
             root_there = tracker.sqrt_at(("coeff", j, -sign), w_there, shifted)
-            pref = complex(s_eval(case, 1j * lam * m_j * beta, policy))
             total += pref * root_here * root_there * h_fn(shifted)
     total += coeff_V0(case, g, lam, beta, masses, Z, policy) * h_fn(Z)
     return total
@@ -569,8 +624,6 @@ def calibrate_conjugation_gauge(
     the ratio is not close to a sign, or when one flip per coordinate
     cannot make both shift directions consistent.
     """
-    from .operators import coeff_V_shift
-
     base = tracker.base
     masses = tuple(t.value_for(lam) for t in tags)
 
@@ -579,13 +632,8 @@ def calibrate_conjugation_gauge(
         shifted = list(base)
         shifted[j] = base[j] - sign * step
         shifted = tuple(shifted)
-
-        def w_here(P, j=j, sign=sign):
-            return coeff_V_shift(case, g, lam, beta, masses, tags, P, j, sign, policy)
-
-        def w_there(P, j=j, sign=sign):
-            return coeff_V_shift(case, g, lam, beta, masses, tags, P, j, -sign, policy)
-
+        w_here = shift_coeff_factor(case, g, lam, beta, masses, tags, j, sign, policy)
+        w_there = shift_coeff_factor(case, g, lam, beta, masses, tags, j, -sign, policy)
         root_here = tracker.sqrt_at(("coeff", j, sign), w_here, base)
         root_there = tracker.sqrt_at(("coeff", j, -sign), w_there, shifted)
         plain = coeff_V_shift(case, g, lam, beta, masses, tags, base, j, sign, policy)
@@ -630,20 +678,9 @@ def psi_single(
     pair over the coupling gamma products, with the coupling offsets
     depending on the mass species.  The tracker's base must be a 1-tuple.
     """
-    m = tag.value_for(lam)
-    alpha = beta / m
-    half = 0.5j * beta / m
 
     def w(Z):
-        v = Z[0]
-        num = complex(gamma_G(case, alpha, 2 * v + half, policy))
-        num *= complex(gamma_G(case, alpha, -2 * v + half, policy))
-        den = 1.0 + 0j
-        for g_nu in g:
-            off = half - 1j * d_param(g_nu, m, lam, tag) * beta
-            den *= complex(gamma_G(case, alpha, v + off, policy))
-            den *= complex(gamma_G(case, alpha, -v + off, policy))
-        return num / den
+        return psi_single_sq(case, g, lam, beta, Z[0], tag, policy)
 
     return tracker.sqrt_at(("psi", tag.value), w, (x,))
 
@@ -657,17 +694,18 @@ def psi_single_sq(
     tag: MassTag,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
-    """The defining product under the square root of :func:`psi_single`."""
+    """The defining product under the square root of :func:`psi_single`,
+    at one point ``x`` or at an array of points."""
     m = tag.value_for(lam)
     alpha = beta / m
     half = 0.5j * beta / m
-    num = complex(gamma_G(case, alpha, 2 * x + half, policy))
-    num *= complex(gamma_G(case, alpha, -2 * x + half, policy))
+    num = gamma_G(case, alpha, 2 * x + half, policy)
+    num *= gamma_G(case, alpha, -2 * x + half, policy)
     den = 1.0 + 0j
     for g_nu in g:
         off = half - 1j * d_param(g_nu, m, lam, tag) * beta
-        den *= complex(gamma_G(case, alpha, x + off, policy))
-        den *= complex(gamma_G(case, alpha, -x + off, policy))
+        den *= gamma_G(case, alpha, x + off, policy)
+        den *= gamma_G(case, alpha, -x + off, policy)
     return num / den
 
 
@@ -695,8 +733,8 @@ def phi_pair(
 
         def w_same(Z):
             arg = Z[0] + 0.5j * beta / m
-            num = complex(gamma_G(case, alpha, arg, policy))
-            den = complex(gamma_G(case, alpha, arg - 1j * lam * m * beta, policy))
+            num = gamma_G(case, alpha, arg, policy)
+            den = gamma_G(case, alpha, arg - 1j * lam * m * beta, policy)
             return num / den
 
         return tracker.sqrt_at(("phi", tag_j.value, tag_k.value), w_same, (x,))
@@ -705,13 +743,13 @@ def phi_pair(
     if kind == "dual":
 
         def w_dual(Z):
-            return complex(s_eval(case, Z[0], policy))
+            return s_eval(case, Z[0], policy)
 
         return tracker.sqrt_at(("phi", tag_j.value, tag_k.value), w_dual, (x,))
 
     def w_anti(Z):
         arg = Z[0] - 0.5j * lam * m * beta + 0.5j * beta / m
-        return complex(s_eval(case, arg, policy))
+        return s_eval(case, arg, policy)
 
     return 1.0 / tracker.sqrt_at(("phi", tag_j.value, tag_k.value), w_anti, (x,))
 
@@ -754,12 +792,12 @@ def groundstate_psi(
 
         def w_single(P, i=i):
             v = P[i]
-            num = complex(gamma_G(case, beta, 2 * v + b2, policy))
-            num *= complex(gamma_G(case, beta, -2 * v + b2, policy))
+            num = gamma_G(case, beta, 2 * v + b2, policy)
+            num *= gamma_G(case, beta, -2 * v + b2, policy)
             den = 1.0 + 0j
             for g_nu in g:
-                den *= complex(gamma_G(case, beta, v + b2 - 1j * g_nu * beta, policy))
-                den *= complex(gamma_G(case, beta, -v + b2 - 1j * g_nu * beta, policy))
+                den *= gamma_G(case, beta, v + b2 - 1j * g_nu * beta, policy)
+                den *= gamma_G(case, beta, -v + b2 - 1j * g_nu * beta, policy)
             return num / den
 
         out *= tracker.sqrt_at((key_prefix, "single", i), w_single, Z)
@@ -771,8 +809,8 @@ def groundstate_psi(
 
                     def w_pair(P, j=idx[a], k=idx[b], e1=e1, e2=e2):
                         arg = e1 * P[j] + e2 * P[k] + b2
-                        num = complex(gamma_G(case, beta, arg, policy))
-                        den = complex(gamma_G(case, beta, arg - 1j * lam * beta, policy))
+                        num = gamma_G(case, beta, arg, policy)
+                        den = gamma_G(case, beta, arg - 1j * lam * beta, policy)
                         return num / den
 
                     out *= tracker.sqrt_at(
@@ -807,9 +845,7 @@ def deformed_groundstate_value(
 
                 def w_cross(P, i=i, k=k, delta=delta):
                     arg = P[i] + delta * P[k]
-                    return complex(s_eval(case, arg + u, policy)) * complex(
-                        s_eval(case, arg - u, policy)
-                    )
+                    return s_eval(case, arg + u, policy) * s_eval(case, arg - u, policy)
 
                 out /= tracker.sqrt_at(
                     (key_prefix, "cross", i, k, delta), w_cross, Z

@@ -46,6 +46,7 @@ from __future__ import annotations
 import cmath
 import enum
 import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -91,6 +92,7 @@ __all__ = [
     "summation_rhs",
     "proof_params",
     "shift_lattice_advisory",
+    "batched_map",
 ]
 
 
@@ -246,11 +248,15 @@ def _sv(case: CaseParams, z: complex, policy: TruncationPolicy) -> complex:
     return complex(s_eval(case, complex(z), policy))
 
 
+# (case, policy, s) of the innermost running ``_batched`` formula
+_ENCLOSING: ContextVar[tuple | None] = ContextVar("_ENCLOSING", default=None)
+
+
 def _batched(
     case: CaseParams,
     policy: TruncationPolicy,
     formula: Callable[[Callable[[complex], complex]], complex],
-) -> complex:
+):
     """``formula(s)`` with every ``s`` value taken from one array call.
 
     ``formula`` runs twice.  The first run hands it an ``s`` that records
@@ -261,15 +267,24 @@ def _batched(
     denominator still raises :class:`ZeroDivisionError`.  This needs the
     sequence of ``s`` arguments not to depend on ``s`` values; the replay
     checks that it consumes exactly the recorded values.
+
+    Calls are re-entrant: while ``formula`` runs, an inner ``_batched``
+    call on the same case and policy (a coefficient evaluated inside it)
+    hands its own formula the enclosing ``s``, so the values of the whole
+    run come from one array call.
     """
+    enclosing = _ENCLOSING.get()
+    if enclosing is not None and enclosing[:2] == (case, policy):
+        return formula(enclosing[2])
     args: list[complex] = []
 
     def record(z: complex) -> complex:
-        args.append(complex(z))
+        args.append(z)
         return 1.0
 
-    formula(record)
-    values = iter(s_eval(case, np.array(args), policy).tolist() if args else ())
+    _run_with(case, policy, record, formula)
+    values = iter(s_eval(case, np.array(args, dtype=np.complex128), policy).tolist()
+                  if args else ())
 
     def replay(z: complex) -> complex:
         value = next(values, None)
@@ -277,10 +292,31 @@ def _batched(
             raise RuntimeError("formula asked for more s values than it recorded")
         return value
 
-    out = formula(replay)
+    out = _run_with(case, policy, replay, formula)
     if next(values, None) is not None:
         raise RuntimeError("formula asked for fewer s values than it recorded")
     return out
+
+
+def _run_with(case, policy, s, formula):
+    """``formula(s)`` with ``s`` as the enclosing ``s`` of inner calls."""
+    token = _ENCLOSING.set((case, policy, s))
+    try:
+        return formula(s)
+    finally:
+        _ENCLOSING.reset(token)
+
+
+def batched_map(
+    case: CaseParams,
+    policy: TruncationPolicy,
+    fn: Callable,
+    items: Sequence,
+) -> list:
+    """``[fn(item) for item in items]`` where the coefficients that ``fn``
+    evaluates take all their ``s`` values from one array call; the values
+    are the same, bit for bit, as item by item (see :func:`_batched`)."""
+    return _batched(case, policy, lambda s: [fn(item) for item in items])
 
 
 def d_param(g: float, mass: float, lam: float, tag: MassTag | None = None) -> complex:
@@ -477,11 +513,11 @@ def operator_terms(
     terms: list[complex] = []
     for j, m_j in enumerate(masses):
         step = 1j * beta / m_j
+        pref = _sv(case, 1j * lam * m_j * beta, policy)
         for sign in (1, -1):
             coeff = coeff_V_shift(case, g, lam, beta, masses, tags, X, j, sign, policy)
             shifted = list(X)
             shifted[j] = X[j] - sign * step
-            pref = _sv(case, 1j * lam * m_j * beta, policy)
             terms.append(pref * coeff * fn(tuple(shifted)))
     terms.append(coeff_V0(case, g, lam, beta, masses, X, policy) * fn(X))
     return terms

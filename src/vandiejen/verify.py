@@ -42,10 +42,12 @@ from .eigenfunctions import (
     kernel_cauchy_value,
     kernel_deformed_value,
     kernel_dual_cauchy_value,
+    pathwise,
     phi_factor_specs,
     power_sum_weight,
     apply_sqrt_operator,
     quasi_invariance_defect,
+    shift_coeff_factor,
 )
 from .gamma import functional_eq_constant, gamma_G
 from .operators import (
@@ -844,15 +846,10 @@ def _rows_conjugation(ctx: _RunCtx, phi_gauge_flip: bool = False) -> list[Sample
                         shifted = list(P)
                         shifted[j] = P[j] - sign * step
                         shifted = tuple(shifted)
-
-                        def w_here(Q, j=j, sign=sign):
-                            return coeff_V_shift(case, g, lam, beta, values, tags,
-                                                 Q, j, sign, policy)
-
-                        def w_there(Q, j=j, sign=sign):
-                            return coeff_V_shift(case, g, lam, beta, values, tags,
-                                                 Q, j, -sign, policy)
-
+                        w_here = shift_coeff_factor(case, g, lam, beta, values, tags,
+                                                    j, sign, policy)
+                        w_there = shift_coeff_factor(case, g, lam, beta, values, tags,
+                                                     j, -sign, policy)
                         root_here = tracker.sqrt_at(("coeff", j, sign), w_here, P)
                         root_there = tracker.sqrt_at(("coeff", j, -sign), w_there, shifted)
                         phi_sh = eigenfunction_value(specs, tracker, shifted)
@@ -1050,9 +1047,10 @@ def _direct_kernel_rows(
             shifted = list(P)
             shifted[slot] = P[slot] + sign * b.step
             shifted = tuple(shifted)
-            here = tracker.sqrt_at((b.label, jj, sign), lambda Q: b.coeff(Q, jj, sign), P)
-            there = tracker.sqrt_at((b.label, jj, -sign), lambda Q: b.coeff(Q, jj, -sign),
-                                    shifted)
+            here = tracker.sqrt_at((b.label, jj, sign), pathwise(
+                ctx.case, ctx.policy, lambda Q: b.coeff(Q, jj, sign)), P)
+            there = tracker.sqrt_at((b.label, jj, -sign), pathwise(
+                ctx.case, ctx.policy, lambda Q: b.coeff(Q, jj, -sign)), shifted)
             return here * there * kernel_fn(tracker, shifted)
 
         sigma: dict[tuple, int] = {}
