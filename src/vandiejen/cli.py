@@ -236,11 +236,28 @@ def _load_config_file(path_text: str) -> dict:
             f"config file {path}: invalid JSON at line {exc.lineno}") from exc
     if not isinstance(mapping, dict):
         raise DomainError(f"config file {path}: top level must be a mapping")
+    for key, kind in (("cases", list), ("identities", list), ("g", list),
+                      ("particles", list), ("masses", list), ("out", str)):
+        if mapping.get(key) is not None and not isinstance(mapping[key], kind):
+            raise DomainError(f"config file {path}: field {key} must be a "
+                              f"{'list' if kind is list else 'string'}")
     return mapping
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge flags over an optional config file over defaults."""
+    """Merge flags over an optional config file over defaults.  A value
+    that does not convert to its field's type is a :class:`DomainError`."""
+    try:
+        cfg = _merge_config(args)
+    except DomainError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"malformed value: {exc}") from exc
+    cfg.validate()
+    return cfg
+
+
+def _merge_config(args: argparse.Namespace) -> RunConfig:
     file_map = {}
     if getattr(args, "config", None):
         file_map = _load_config_file(args.config)
@@ -294,7 +311,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     elif file_map.get("masses") is not None:
         masses = tuple(MassTag.parse(t).value for t in file_map["masses"])
 
-    cfg = RunConfig(
+    return RunConfig(
         cases=cases,
         r=float(pick("r", getattr(args, "r", None), 1.0)),
         a=float(pick("a", getattr(args, "a", None), 2.0)),
@@ -324,8 +341,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         out=pick("out", getattr(args, "out", None), None),
         fmt=str(pick("format", getattr(args, "fmt", None), "text")),
     )
-    cfg.validate()
-    return cfg
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,12 @@ square-root form of the operator and its plain form, square roots are
 continued analytically along straight-line paths from a fixed base point
 (:class:`BranchTracker`).  This pins a concrete sheet for every factor
 and makes sign bookkeeping falsifiable: deliberately flipping one sheet
-(`set_fault`) must blow up the residual.
+(`set_fault`) must blow up the residual.  :class:`ConjugatedTerms` holds
+the shift terms of a square-root-form operator conjugated by a function F,
+for the conjugation identity (F the eigenfunction, see
+:func:`conjugation_terms`) and the direct kernel checks (F the kernel)
+alike: their continued roots, the gauge calibration at the base point and
+the coherence check at other points.
 
 The module also provides the explicit factor builders for the ground
 states and the three kernel types (gamma cross kernel, building-block
@@ -32,6 +37,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,6 +48,7 @@ from .sfun import (
     DEFAULT_POLICY,
     CaseParams,
     DomainError,
+    PoleProximityError,
     TruncationPolicy,
     s_eval,
 )
@@ -61,9 +68,10 @@ __all__ = [
     "phi_factor_specs",
     "eigenfunction_value",
     "pathwise",
-    "shift_coeff_factor",
+    "ShiftBlock",
+    "ConjugatedTerms",
+    "conjugation_terms",
     "apply_sqrt_operator",
-    "calibrate_conjugation_gauge",
     "psi_single",
     "psi_single_sq",
     "phi_pair",
@@ -550,23 +558,143 @@ def eigenfunction_value(
     return out
 
 
-def shift_coeff_factor(
+@dataclass(frozen=True)
+class ShiftBlock:
+    """The shift terms of one species in a square-root-form operator.
+
+    ``coeff(P, j, s)`` is the plain shift coefficient of the block's own
+    operator for the coordinate ``P[slots[j]]`` moving by ``s * step``.  A
+    shift of sign ``sign`` in the combined operator is the block's shift of
+    sign ``orient * sign``.  The block's terms carry the prefactor
+    ``sign * s(arg)`` for ``pref = (sign, arg)``.
+    """
+
+    label: str
+    slots: tuple[int, ...]
+    coeff: Callable[[Sequence[complex], int, int], complex]
+    step: complex
+    pref: tuple[int, complex]
+    orient: int = 1
+
+
+class ConjugatedTerms:
+    """The shift terms of a square-root-form operator conjugated by ``F``.
+
+    The term of block ``b``, index ``j`` and sign ``sign`` pairs the
+    continued root of ``b.coeff(., j, sign)`` at ``P`` with that of
+    ``b.coeff(., j, -sign)`` at ``P`` moved by ``sign * b.step`` in slot
+    ``b.slots[j]``.  The roots are tracked as ``(b.label, slot, +-1)``.
+    Times ``F(shifted) / F(P)`` the term equals ``ref(P, b, j, sign)`` up to
+    a sign that is constant in space: one tracker gauge per factor, so one
+    per slot, since the factor ``(b.label, slot, 1)`` enters the terms of
+    both directions.  :meth:`calibrate` pins that gauge at the tracker's
+    base and :meth:`coherent` checks the terms at another point.
+    """
+
+    def __init__(
+        self,
+        case: CaseParams,
+        policy: TruncationPolicy,
+        tracker: BranchTracker,
+        blocks: Sequence[ShiftBlock],
+        F: Callable[[Sequence[complex]], complex],
+        ref: Callable[[Sequence[complex], ShiftBlock, int, int], complex],
+    ) -> None:
+        self.case = case
+        self.policy = policy
+        self.tracker = tracker
+        self.blocks = tuple(blocks)
+        self.F = F
+        self.ref = ref
+        self.terms = tuple((b, j, sign) for b in self.blocks
+                           for j in range(len(b.slots)) for sign in (1, -1))
+        self._s = cache(lambda arg: complex(s_eval(case, arg, policy)))
+
+    def prefactor(self, b: ShiftBlock) -> complex:
+        sign, arg = b.pref
+        return self._s(arg) if sign > 0 else -self._s(arg)
+
+    def roots(self, P: tuple, b: ShiftBlock, j: int, sign: int) -> tuple:
+        """The term's two continued roots and its shifted point."""
+        slot = b.slots[j]
+        shifted = list(P)
+        shifted[slot] = P[slot] + sign * b.step
+        shifted = tuple(shifted)
+        here = self.tracker.sqrt_at((b.label, slot, sign), pathwise(
+            self.case, self.policy, lambda Q: b.coeff(Q, j, sign)), P)
+        there = self.tracker.sqrt_at((b.label, slot, -sign), pathwise(
+            self.case, self.policy, lambda Q: b.coeff(Q, j, -sign)), shifted)
+        return here, there, shifted
+
+    def _ratio(self, P: tuple, FP: complex, b: ShiftBlock, j: int, sign: int) -> complex:
+        here, there, shifted = self.roots(P, b, j, sign)
+        ref = self.ref(P, b, j, sign) * FP
+        if abs(ref) < 1e-100:
+            raise BranchError("reference coefficient vanishes")
+        return here * there * self.F(shifted) / ref
+
+    def calibrate(self) -> None:
+        """Fix the gauges at the tracker's base: the up term's ratio must be
+        within 0.1 of a sign, which the gauge of its root at the base makes
+        +1, and then the down term's ratio must be within 0.1 of +1.
+        Raises :class:`BranchError` otherwise."""
+        base = self.tracker.base
+        F0 = self.F(base)
+
+        def to_sign(ratio: complex, where: str) -> int:
+            if abs(ratio - 1) < 0.1:
+                return 1
+            if abs(ratio + 1) < 0.1:
+                return -1
+            raise BranchError(f"gauge ratio {ratio:.6f} at {where} is not a sign")
+
+        for b in self.blocks:
+            for j, slot in enumerate(b.slots):
+                if to_sign(self._ratio(base, F0, b, j, 1), f"coordinate {slot}, up shift") < 0:
+                    self.tracker.set_gauge((b.label, slot, 1), -1)
+                if to_sign(self._ratio(base, F0, b, j, -1), f"coordinate {slot}, down shift") < 0:
+                    raise BranchError(
+                        f"shift directions of coordinate {slot} need opposite gauges"
+                    )
+
+    def coherent(self, P: tuple) -> bool:
+        """Whether every term at ``P`` is within 0.2 of its reference.  A
+        point whose continuation path crossed a cut fails here, so it can
+        be rejected rather than mis-summed."""
+        try:
+            FP = self.F(P)
+            for b, j, sign in self.terms:
+                if abs(self._ratio(P, FP, b, j, sign) - 1) > 0.2:
+                    return False
+        except (BranchError, PoleProximityError):
+            return False
+        return True
+
+
+def conjugation_terms(
     case: CaseParams,
     g: Sequence[float],
     lam: float,
     beta: float,
-    masses: Sequence[complex],
     tags: Sequence[MassTag],
-    j: int,
-    sign: int,
+    specs: Sequence[tuple],
+    tracker: BranchTracker,
     policy: TruncationPolicy = DEFAULT_POLICY,
-) -> Callable:
-    """The shift coefficient of coordinate ``j`` and direction ``sign`` as
-    a :meth:`BranchTracker.sqrt_at` factor (see :func:`pathwise`)."""
-    return pathwise(
-        case, policy,
-        lambda P: coeff_V_shift(case, g, lam, beta, masses, tags, P, j, sign, policy),
-    )
+) -> ConjugatedTerms:
+    """The square-root form of the operator of mass assignment ``tags``,
+    conjugated by its eigenfunction (``specs``): one block per coordinate,
+    with its own plain shift coefficient as the reference."""
+    masses = tuple(t.value_for(lam) for t in tags)
+    blocks = [
+        ShiftBlock("coeff", (j,),
+                   lambda P, _, s, j=j: coeff_V_shift(case, g, lam, beta, masses, tags, P, j, s,
+                                                      policy),
+                   -1j * beta / m_j, (1, 1j * lam * m_j * beta))
+        for j, m_j in enumerate(masses)
+    ]
+    return ConjugatedTerms(case, policy, tracker, blocks,
+                           lambda P: eigenfunction_value(specs, tracker, P),
+                           lambda P, b, j, s: b.coeff(P, j, s))
 
 
 def apply_sqrt_operator(
@@ -577,86 +705,19 @@ def apply_sqrt_operator(
     tags: Sequence[MassTag],
     Z: Sequence[complex],
     h_fn: Callable[[Sequence[complex]], complex],
-    tracker: BranchTracker,
+    terms: ConjugatedTerms,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
-    """Action of the square-root form of the operator on ``h_fn``.
-
-    Each shift term carries the square root of the shift coefficient at
-    the evaluation point and the square root of the opposite coefficient
-    at the shifted point, both continued from the tracker's base.
-    """
+    """Action of the square-root form of the operator on ``h_fn``, its
+    shift terms taken from ``terms`` (:func:`conjugation_terms`)."""
     Z = tuple(complex(v) for v in Z)
     masses = tuple(t.value_for(lam) for t in tags)
     total = 0j
-    for j, m_j in enumerate(masses):
-        step = 1j * beta / m_j
-        pref = complex(s_eval(case, 1j * lam * m_j * beta, policy))
-        for sign in (1, -1):
-            shifted = list(Z)
-            shifted[j] = Z[j] - sign * step
-            shifted = tuple(shifted)
-            w_here = shift_coeff_factor(case, g, lam, beta, masses, tags, j, sign, policy)
-            w_there = shift_coeff_factor(case, g, lam, beta, masses, tags, j, -sign, policy)
-            root_here = tracker.sqrt_at(("coeff", j, sign), w_here, Z)
-            root_there = tracker.sqrt_at(("coeff", j, -sign), w_there, shifted)
-            total += pref * root_here * root_there * h_fn(shifted)
+    for b, j, sign in terms.terms:
+        root_here, root_there, shifted = terms.roots(Z, b, j, sign)
+        total += terms.prefactor(b) * root_here * root_there * h_fn(shifted)
     total += coeff_V0(case, g, lam, beta, masses, Z, policy) * h_fn(Z)
     return total
-
-
-def calibrate_conjugation_gauge(
-    case: CaseParams,
-    g: Sequence[float],
-    lam: float,
-    beta: float,
-    tags: Sequence[MassTag],
-    specs: Sequence[tuple],
-    tracker: BranchTracker,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> None:
-    """Fix the square-root gauges at the tracker's base point.
-
-    For each coordinate the continued product of the two coefficient
-    roots times the ground-state ratio must reproduce the plain shift
-    coefficient up to a sign that is constant in space.  This pins that
-    sign using only the base point; it raises :class:`BranchError` when
-    the ratio is not close to a sign, or when one flip per coordinate
-    cannot make both shift directions consistent.
-    """
-    base = tracker.base
-    masses = tuple(t.value_for(lam) for t in tags)
-
-    def term_ratio(j: int, sign: int) -> complex:
-        step = 1j * beta / masses[j]
-        shifted = list(base)
-        shifted[j] = base[j] - sign * step
-        shifted = tuple(shifted)
-        w_here = shift_coeff_factor(case, g, lam, beta, masses, tags, j, sign, policy)
-        w_there = shift_coeff_factor(case, g, lam, beta, masses, tags, j, -sign, policy)
-        root_here = tracker.sqrt_at(("coeff", j, sign), w_here, base)
-        root_there = tracker.sqrt_at(("coeff", j, -sign), w_there, shifted)
-        plain = coeff_V_shift(case, g, lam, beta, masses, tags, base, j, sign, policy)
-        phi_here = eigenfunction_value(specs, tracker, base)
-        phi_there = eigenfunction_value(specs, tracker, shifted)
-        return root_here * root_there * phi_there / (phi_here * plain)
-
-    def to_sign(ratio: complex, where: str) -> int:
-        if abs(ratio - 1) < 0.1:
-            return 1
-        if abs(ratio + 1) < 0.1:
-            return -1
-        raise BranchError(f"gauge ratio {ratio:.6f} at {where} is not a sign")
-
-    for j in range(len(tags)):
-        sigma = to_sign(term_ratio(j, 1), f"coordinate {j}, up shift")
-        if sigma < 0:
-            tracker.set_gauge(("coeff", j, 1), -1)
-        check = to_sign(term_ratio(j, -1), f"coordinate {j}, down shift")
-        if check < 0:
-            raise BranchError(
-                f"shift directions of coordinate {j} need opposite gauges"
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ import json
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
-from functools import cache
 from itertools import accumulate
 
 import numpy as np
@@ -31,23 +30,22 @@ import numpy as np
 from .eigenfunctions import (
     BranchError,
     BranchTracker,
-    calibrate_conjugation_gauge,
+    ConjugatedTerms,
+    ShiftBlock,
     cauchy_kernel_factors,
+    conjugation_terms,
     deformed_groundstate_sq_factors,
     deformed_power_sum,
     dual_cauchy_kernel_factors,
-    eigenfunction_value,
     factor_ratio,
     groundstate_sq_factors,
     kernel_cauchy_value,
     kernel_deformed_value,
     kernel_dual_cauchy_value,
-    pathwise,
     phi_factor_specs,
     power_sum_weight,
     apply_sqrt_operator,
     quasi_invariance_defect,
-    shift_coeff_factor,
 )
 from .gamma import functional_eq_constant, gamma_G
 from .operators import (
@@ -788,7 +786,7 @@ _CONJ_TAG_CYCLE = (
 )
 
 
-def _rows_conjugation(ctx: _RunCtx, phi_gauge_flip: bool = False) -> list[SampleResult]:
+def _rows_conjugation(ctx: _RunCtx) -> list[SampleResult]:
     rows = []
     case = ctx.case
     policy = ctx.policy
@@ -805,14 +803,11 @@ def _rows_conjugation(ctx: _RunCtx, phi_gauge_flip: bool = False) -> list[Sample
             if not _screen_config(config, base, policy):
                 ctx.rejected += 1
                 continue
-            tracker = BranchTracker(base)
-            if phi_gauge_flip:
-                tracker.set_gauge(("single", 0), -1)
             specs = phi_factor_specs(case, coupling.g, coupling.lam, coupling.beta, tags, policy)
+            terms = conjugation_terms(case, coupling.g, coupling.lam, coupling.beta, tags,
+                                      specs, BranchTracker(base), policy)
             try:
-                calibrate_conjugation_gauge(
-                    case, coupling.g, coupling.lam, coupling.beta, tags, specs, tracker, policy
-                )
+                terms.calibrate()
             except BranchError as exc:
                 ctx.rejected += 1
                 failure = f"branch-failure: {exc}"
@@ -821,64 +816,18 @@ def _rows_conjugation(ctx: _RunCtx, phi_gauge_flip: bool = False) -> list[Sample
                 ctx.rejected += 1
                 failure = f"pole-failure: {exc}"
                 continue
-            prepared = (config, base, tracker, specs)
+            prepared = (config, base, terms)
             break
         if prepared is None:
             rows.append(_row(ctx, "calibration", i, math.inf, 0.0, detail=failure))
             continue
 
-        config, base, tracker, specs = prepared
+        config, base, terms = prepared
         g, lam, beta = config.coupling.g, config.coupling.lam, config.coupling.beta
-        values = config.mass_values
-
-        def coherent_at(P):
-            # validates, term by term, that the continued root products and
-            # the eigenfunction ratio still reproduce the closed-form
-            # coefficients at P; an offset whose continuation path crossed
-            # a cut is rejected rather than mis-summed
-            try:
-                phi_P = eigenfunction_value(specs, tracker, P)
-                if abs(phi_P) < 1e-100:
-                    return False
-                for j, m_j in enumerate(values):
-                    step = 1j * beta / m_j
-                    for sign in (1, -1):
-                        shifted = list(P)
-                        shifted[j] = P[j] - sign * step
-                        shifted = tuple(shifted)
-                        w_here = shift_coeff_factor(case, g, lam, beta, values, tags,
-                                                    j, sign, policy)
-                        w_there = shift_coeff_factor(case, g, lam, beta, values, tags,
-                                                     j, -sign, policy)
-                        root_here = tracker.sqrt_at(("coeff", j, sign), w_here, P)
-                        root_there = tracker.sqrt_at(("coeff", j, -sign), w_there, shifted)
-                        phi_sh = eigenfunction_value(specs, tracker, shifted)
-                        ref = w_here(P)
-                        if abs(ref) < 1e-100:
-                            return False
-                        ratio = root_here * root_there * phi_sh / (phi_P * ref)
-                        if abs(ratio - 1) > 0.2:
-                            return False
-            except (BranchError, PoleProximityError):
-                return False
-            return True
-
-        point = None
-        for _ in range(8):
-            ctx.attempts += 1
-            off = tuple(
-                complex(ctx.rng.uniform(-0.08, 0.08), ctx.rng.uniform(-0.04, 0.04))
-                for _ in range(n)
-            )
-            cand = tuple(b + o for b, o in zip(base, off))
-            if not _screen_config(config, cand, policy) or not coherent_at(cand):
-                ctx.rejected += 1
-                continue
-            point = cand
-            break
+        point = _offset_point(
+            ctx, rows, "offset-continuation", i, base, 8, 0.08, 0.04,
+            lambda P: _screen_config(config, P, policy) and terms.coherent(P))
         if point is None:
-            rows.append(_row(ctx, "offset-continuation", i, math.inf, 0.0,
-                             detail="branch-failure: no offset continues coherently"))
             continue
         fns = [("const", lambda Z: 1.0 + 0j)]
         for fi in range(5):
@@ -889,11 +838,9 @@ def _rows_conjugation(ctx: _RunCtx, phi_gauge_flip: bool = False) -> list[Sample
             a_terms = operator_terms(
                 case, g, lam, beta, config.mass_values, tags, P, fn, policy
             )
-            phi_P = eigenfunction_value(specs, tracker, P)
+            phi_P = terms.F(P)
             h_total = apply_sqrt_operator(
-                case, g, lam, beta, tags, P,
-                lambda Q: eigenfunction_value(specs, tracker, Q) * fn(Q),
-                tracker, policy,
+                case, g, lam, beta, tags, P, lambda Q: terms.F(Q) * fn(Q), terms, policy,
             )
             lhs = h_total / phi_P
             scale = max(_max_abs(a_terms), abs(lhs), _TINY)
@@ -914,7 +861,7 @@ def _rows_conjugation(ctx: _RunCtx, phi_gauge_flip: bool = False) -> list[Sample
         # sheet-fault control: flipping one coefficient root away from the
         # base must blow the residual up
         base0 = base[0]
-        tracker.set_fault(("coeff", 0, 1), lambda target: abs(target[0] - base0) > 1e-9)
+        terms.tracker.set_fault(("coeff", 0, 1), lambda target: abs(target[0] - base0) > 1e-9)
         try:
             res, scale = one_residual(point, fns[1][1])
             rows.append(_row(ctx, "sheet-fault", i, res, scale, control=True))
@@ -922,7 +869,7 @@ def _rows_conjugation(ctx: _RunCtx, phi_gauge_flip: bool = False) -> list[Sample
             rows.append(_row(ctx, "sheet-fault", i, math.inf, 0.0, control=True,
                              detail=f"branch-failure: {exc}"))
         finally:
-            tracker.clear_fault()
+            terms.tracker.clear_fault()
     return rows
 
 
@@ -1009,109 +956,69 @@ def _reflected(g: Sequence[float], lam: float) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _offset_point(ctx: _RunCtx, rows: list[SampleResult], label: str, index: int,
+                  base: tuple[complex, ...], tries: int, half_re: float, half_im: float,
+                  accept: Callable[[tuple], bool]) -> tuple[complex, ...] | None:
+    """The first of up to ``tries`` points near ``base``, each coordinate
+    offset uniformly within ``+-half_re`` and ``+-half_im``, that ``accept``
+    takes; every other counts as rejected.  None, with a failure row under
+    ``label``, when none is taken."""
+    for _ in range(tries):
+        ctx.attempts += 1
+        off = tuple(
+            complex(ctx.rng.uniform(-half_re, half_re), ctx.rng.uniform(-half_im, half_im))
+            for _ in range(len(base))
+        )
+        point = tuple(b + o for b, o in zip(base, off))
+        if accept(point):
+            return point
+        ctx.rejected += 1
+    rows.append(_row(ctx, label, index, math.inf, 0.0,
+                     detail="branch-failure: no offset continues coherently"))
+    return None
+
+
 def _direct_kernel_rows(
     ctx: _RunCtx,
     grid_label: str,
     index: int,
     Z0: tuple[complex, ...],
-    blocks: Sequence["_Block"],
+    blocks: Sequence[ShiftBlock],
     kernel_fn: Callable,
     v0_fn: Callable,
     const: complex,
     ref_fn: Callable,
 ) -> list[SampleResult]:
     """Pointwise action of the difference of square-root-form operators on
-    the kernel, with every square root continued from ``Z0``.
-
-    ``blocks`` are the identity's table entries (:class:`_Block`).  The
-    term of block ``b``, coordinate ``j`` and sign ``sign`` moves
-    ``P[b.slots[j]]`` by ``sign * b.step``, pairs the continued square
-    roots of ``b.coeff`` at both ends with the kernel value at the shifted
-    point, and carries the prefactor ``b.pref``.  The product of roots can
-    land on either sheet, so its sign is pinned once at the base point
-    against ``ref_fn(Z0, slot, b.orient * sign) * F(Z0)``, the conjugated
-    coefficient of the combined configuration (which the term provably
-    equals up to sign).
-    """
-    s_at = cache(lambda arg: _sv(ctx.case, arg, ctx.policy))
-    prefs = [s_at(arg) if sign > 0 else -s_at(arg) for sign, arg in (b.pref for b in blocks)]
-    terms = [(b, pref, jj, sign) for b, pref in zip(blocks, prefs)
-             for jj in range(len(b.slots)) for sign in (1, -1)]
+    the kernel, at ``Z0`` and at one offset point: the
+    :class:`ConjugatedTerms` of ``blocks`` with the kernel as ``F``, every
+    square root continued from ``Z0``, against ``ref_fn``, the shift
+    coefficients of the combined configuration."""
     rows: list[SampleResult] = []
     try:
         tracker = BranchTracker(Z0)
-        F0 = kernel_fn(tracker, Z0)
-
-        def raw_term(P, b, jj, sign):
-            slot = b.slots[jj]
-            shifted = list(P)
-            shifted[slot] = P[slot] + sign * b.step
-            shifted = tuple(shifted)
-            here = tracker.sqrt_at((b.label, jj, sign), pathwise(
-                ctx.case, ctx.policy, lambda Q: b.coeff(Q, jj, sign)), P)
-            there = tracker.sqrt_at((b.label, jj, -sign), pathwise(
-                ctx.case, ctx.policy, lambda Q: b.coeff(Q, jj, -sign)), shifted)
-            return here * there * kernel_fn(tracker, shifted)
-
-        sigma: dict[tuple, int] = {}
-        for b, _, jj, sign in terms:
-            t0 = raw_term(Z0, b, jj, sign)
-            ref = ref_fn(Z0, b.slots[jj], b.orient * sign) * F0
-            if abs(ref) < 1e-100:
-                raise BranchError("reference coefficient vanished at base")
-            ratio = t0 / ref
-            if abs(ratio - 1) < 0.2:
-                sigma[(b.label, jj, sign)] = 1
-            elif abs(ratio + 1) < 0.2:
-                sigma[(b.label, jj, sign)] = -1
-            else:
-                raise BranchError(
-                    f"continued root product is off-sheet (ratio {ratio:.4f})"
-                )
+        terms = ConjugatedTerms(ctx.case, ctx.policy, tracker, blocks,
+                                lambda P: kernel_fn(tracker, P), ref_fn)
+        terms.calibrate()
 
         def residual_at(P):
-            parts = [pref * sigma[(b.label, jj, sign)] * raw_term(P, b, jj, sign)
-                     for b, pref, jj, sign in terms]
-            FP = kernel_fn(tracker, P)
+            parts = []
+            for b, j, sign in terms.terms:
+                here, there, shifted = terms.roots(P, b, j, sign)
+                parts.append(terms.prefactor(b) * (here * there * terms.F(shifted)))
+            FP = terms.F(P)
             parts.append(v0_fn(P) * FP)
             parts.append(-const * FP)
             scale = _max_abs(parts)
             return abs(sum(parts)) / scale, scale
 
-        def coherent_at(P):
-            # straight-line continuation can cross a cut between the base
-            # path and an offset path; such an offset is rejected rather
-            # than mis-summed
-            FP = kernel_fn(tracker, P)
-            for b, _, jj, sign in terms:
-                t = raw_term(P, b, jj, sign)
-                ref = ref_fn(P, b.slots[jj], b.orient * sign) * FP
-                if abs(ref) < 1e-100:
-                    return False
-                if abs(t / ref - sigma[(b.label, jj, sign)]) > 0.2:
-                    return False
-            return True
-
         res, scale = residual_at(Z0)
         rows.append(_row(ctx, f"{grid_label}/direct@p0", index, res, scale))
-        placed = False
-        for _ in range(6):
-            ctx.attempts += 1
-            off = tuple(
-                complex(ctx.rng.uniform(-0.05, 0.05), ctx.rng.uniform(-0.02, 0.02))
-                for _ in range(len(Z0))
-            )
-            P1 = tuple(z + o for z, o in zip(Z0, off))
-            if not coherent_at(P1):
-                ctx.rejected += 1
-                continue
+        label = f"{grid_label}/direct@p1"
+        P1 = _offset_point(ctx, rows, label, index, Z0, 6, 0.05, 0.02, terms.coherent)
+        if P1 is not None:
             res, scale = residual_at(P1)
-            rows.append(_row(ctx, f"{grid_label}/direct@p1", index, res, scale))
-            placed = True
-            break
-        if not placed:
-            rows.append(_row(ctx, f"{grid_label}/direct@p1", index, math.inf, 0.0,
-                             detail="branch-failure: no offset continues coherently"))
+            rows.append(_row(ctx, label, index, res, scale))
     except BranchError as exc:
         rows.append(_row(ctx, f"{grid_label}/direct", index, math.inf, 0.0,
                          detail=f"branch-failure: {exc}"))
@@ -1308,32 +1215,12 @@ def _rows_deformed_constant(ctx: _RunCtx) -> list[SampleResult]:
 
 
 @dataclass(frozen=True)
-class _Block:
-    """The shift terms of one species in the combined operator.
-
-    ``coeff(P, j, s)`` is the plain shift coefficient of the block's own
-    operator (coupling transform built in) for the coordinate
-    ``P[slots[j]]`` moving by ``s * step``.  A shift of sign ``sign`` in the
-    combined operator is the block's shift of sign ``orient * sign``.  The
-    block's terms carry the prefactor ``sign * s(arg)`` for
-    ``pref = (sign, arg)``.
-    """
-
-    label: str
-    slots: tuple[int, ...]
-    coeff: Callable[[Sequence[complex], int, int], complex]
-    step: complex
-    pref: tuple[int, complex]
-    orient: int
-
-
-@dataclass(frozen=True)
 class _KernelSpec:
     """One kernel identity: its species in coordinate order, the kernel
     value ``value(case, g, lam, beta, P, *slices, tracker, policy)``, and
     ``blocks(case, g, lam, beta, slices, policy)``, which returns the
     kernel factors ``K``, the zeroth coefficient ``v0(P)`` of the combined
-    operator and the :class:`_Block` of each species."""
+    operator and the :class:`ShiftBlock` of each species."""
 
     species: tuple[_Species, ...]
     value: Callable
@@ -1359,9 +1246,9 @@ def _cauchy_blocks(case, g, lam, beta, slices, policy):
                 - vd_V0(case, gref, lam, beta, _pick(P, y), policy))
 
     return cauchy_kernel_factors(lam, beta, x, y), v0, (
-        _Block("map-x", x, _shift_coeff(case, vd_V_pm, g, lam, beta, [x], policy),
+        ShiftBlock("map-x", x, _shift_coeff(case, vd_V_pm, g, lam, beta, [x], policy),
                -1j * beta, (1, 1j * lam * beta), 1),
-        _Block("map-y", y, _shift_coeff(case, vd_V_pm, gref, lam, beta, [y], policy),
+        ShiftBlock("map-y", y, _shift_coeff(case, vd_V_pm, gref, lam, beta, [y], policy),
                -1j * beta, (-1, 1j * lam * beta), -1),
     )
 
@@ -1375,9 +1262,9 @@ def _dual_blocks(case, g, lam, beta, slices, policy):
                 + vd_V0(case, gsc, 1.0 / lam, lam * beta, _pick(P, t), policy))
 
     return dual_cauchy_kernel_factors(x, t), v0, (
-        _Block("map-x", x, _shift_coeff(case, vd_V_pm, g, lam, beta, [x], policy),
+        ShiftBlock("map-x", x, _shift_coeff(case, vd_V_pm, g, lam, beta, [x], policy),
                -1j * beta, (1, 1j * lam * beta), 1),
-        _Block("map-t", t, _shift_coeff(case, vd_V_pm, gsc, 1.0 / lam, lam * beta, [t], policy),
+        ShiftBlock("map-t", t, _shift_coeff(case, vd_V_pm, gsc, 1.0 / lam, lam * beta, [t], policy),
                -1j * lam * beta, (1, 1j * beta), 1),
     )
 
@@ -1395,13 +1282,13 @@ def _deformed_blocks(case, g, lam, beta, slices, policy):
                 - def_V0(case, gref, lam, beta, _pick(P, y), _pick(P, yt), policy))
 
     return K, v0, (
-        _Block("map-x", x, _shift_coeff(case, def_V_pm, g, lam, beta, [x, xt], policy),
+        ShiftBlock("map-x", x, _shift_coeff(case, def_V_pm, g, lam, beta, [x, xt], policy),
                -1j * beta, (1, 1j * lam * beta), 1),
-        _Block("map-t", xt, _shift_coeff(case, def_Vt_pm, g, lam, beta, [x, xt], policy),
+        ShiftBlock("map-t", xt, _shift_coeff(case, def_Vt_pm, g, lam, beta, [x, xt], policy),
                1j * lam * beta, (-1, 1j * beta), 1),
-        _Block("map-y", y, _shift_coeff(case, def_V_pm, gref, lam, beta, [y, yt], policy),
+        ShiftBlock("map-y", y, _shift_coeff(case, def_V_pm, gref, lam, beta, [y, yt], policy),
                -1j * beta, (-1, 1j * lam * beta), -1),
-        _Block("map-yt", yt, _shift_coeff(case, def_Vt_pm, gref, lam, beta, [y, yt], policy),
+        ShiftBlock("map-yt", yt, _shift_coeff(case, def_Vt_pm, gref, lam, beta, [y, yt], policy),
                1j * lam * beta, (1, 1j * beta), -1),
     )
 
@@ -1431,17 +1318,19 @@ def _rows_kernel(ctx: _RunCtx) -> list[SampleResult]:
         g, lam, beta = coupling.g, coupling.lam, coupling.beta
         K, v0, blocks = spec.blocks(case, g, lam, beta, slices, policy)
 
-        def ref(P, slot, s):
-            return coeff_V_shift(case, g, lam, beta, values, tags, P, slot, s, policy)
+        def ref(P, b, j, sign):
+            return coeff_V_shift(case, g, lam, beta, values, tags, P, b.slots[j],
+                                 b.orient * sign, policy)
 
         if not (ctx.label == "IV" and ctx.no_balance):
             for b in blocks:
                 if b.slots:
                     dev, sc = _worst_dev(
-                        (ref(Z, slot, sign),
-                         b.coeff(Z, j, b.orient * sign)
-                         * factor_ratio(case, K, Z, slot, b.orient * sign * b.step, policy))
-                        for j, slot in enumerate(b.slots) for sign in (1, -1))
+                        (ref(Z, b, j, sign),
+                         b.coeff(Z, j, sign)
+                         * factor_ratio(case, K, Z, slot, sign * b.step, policy))
+                        # combined shift +1 first: of equal deviations the first counts
+                        for j, slot in enumerate(b.slots) for sign in (b.orient, -b.orient))
                     rows.append(_row(ctx, f"{lab}/{b.label}", i, dev, sc))
 
             d, s = _rel_dev(coeff_V0(case, g, lam, beta, values, Z, policy), v0(Z))
@@ -1711,7 +1600,6 @@ def run_identity(
     max_n: int = 3,
     r: float | None = None,
     a: float | None = None,
-    phi_gauge_flip: bool = False,
 ) -> ResidualReport:
     """Verify one identity on one case and return the report.
 
@@ -1750,10 +1638,7 @@ def run_identity(
         no_balance=bool(no_balance),
         max_n=int(max_n),
     )
-    if identity == "conjugation":
-        rows = _rows_conjugation(ctx, phi_gauge_flip=phi_gauge_flip)
-    else:
-        rows = _RUNNERS[identity](ctx)
+    rows = _RUNNERS[identity](ctx)
 
     max_res = 0.0
     scale_at_max = 0.0

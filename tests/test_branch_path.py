@@ -11,6 +11,7 @@ from vandiejen.eigenfunctions import (
     BranchError,
     BranchTracker,
     apply_sqrt_operator,
+    conjugation_terms,
     deformed_groundstate_value,
     groundstate_psi,
     phi_pair,
@@ -159,8 +160,9 @@ def test_coefficient_roots_equal_the_reference_walk_bit_for_bit(label, x0, y0, d
     tags = (tag_j, tag_k)
 
     def evaluate(tracker):
+        terms = conjugation_terms(case, g, LAM, BETA, tags, (), tracker)
         for Z in (base, (base[0] + dx, base[1] + dy)):
-            apply_sqrt_operator(case, g, LAM, BETA, tags, Z, lambda P: 1.0, tracker)
+            apply_sqrt_operator(case, g, LAM, BETA, tags, Z, lambda P: 1.0, terms)
 
     _compare(evaluate, base, exact=True)
 

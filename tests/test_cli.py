@@ -295,6 +295,26 @@ def test_config_file_precedence(tmp_path, capsys):
         via_flags.read_text())
 
 
+@pytest.mark.parametrize("flags,file_map", [
+    (["--particles", "1,2,x,4"], None),
+    ([], {"lambda": "x"}),
+    ([], {"g": "0.1"}),
+    ([], {"out": 5}),
+])
+def test_malformed_values_are_configuration_errors(tmp_path, capsys, flags, file_map):
+    # a malformed value exits with the configuration code, not the one of
+    # a failed verdict
+    if file_map is not None:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(file_map))
+        flags = ["--config", str(config)]
+    code, out, err = run_main(capsys, [
+        "verify", "--identity", "s-oddness", "--samples", "1", *flags])
+    assert code == EXIT_CONFIG
+    assert "configuration error" in err
+    assert "verdict" not in out
+
+
 def test_config_file_bad_json(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text("{\n  broken\n}")

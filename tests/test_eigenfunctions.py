@@ -8,9 +8,10 @@ import oracles
 from vandiejen.eigenfunctions import (
     BranchError,
     BranchTracker,
+    ConjugatedTerms,
     apply_sqrt_operator,
-    calibrate_conjugation_gauge,
     cauchy_kernel_factors,
+    conjugation_terms,
     deformed_groundstate_sq_factors,
     deformed_groundstate_value,
     deformed_power_sum,
@@ -31,8 +32,9 @@ from vandiejen.eigenfunctions import (
     psi_single_sq,
     quasi_invariance_defect,
 )
-from vandiejen.operators import MassTag, operator_terms
-from vandiejen.sfun import CaseKind, CaseParams, DomainError
+from vandiejen.operators import MassTag, coeff_V_shift, operator_terms, source_constant
+from vandiejen.sfun import DEFAULT_POLICY, CaseKind, CaseParams, DomainError
+from vandiejen.verify import _KERNELS
 
 R, A = 1.1, 1.8
 LAM, BETA = 1.45, 0.31
@@ -279,7 +281,8 @@ def test_sqrt_operator_conjugates_to_plain_form():
     base = (0.43 + 0.04j, 0.86 - 0.05j)
     tracker = BranchTracker(base)
     specs = phi_factor_specs(case, g, LAM, BETA, tags)
-    calibrate_conjugation_gauge(case, g, LAM, BETA, tags, specs, tracker)
+    conj = conjugation_terms(case, g, LAM, BETA, tags, specs, tracker)
+    conj.calibrate()
     masses = tuple(t.value_for(LAM) for t in tags)
 
     def fn(Z):
@@ -290,7 +293,7 @@ def test_sqrt_operator_conjugates_to_plain_form():
         lhs = apply_sqrt_operator(
             case, g, LAM, BETA, tags, P,
             lambda Q: eigenfunction_value(specs, tracker, Q) * fn(Q),
-            tracker,
+            conj,
         ) / phi_P
         terms = operator_terms(case, g, LAM, BETA, masses, tags, P, fn)
         scale = max(max(abs(t) for t in terms), abs(lhs))
@@ -304,7 +307,8 @@ def test_sheet_fault_breaks_conjugation():
     base = (0.43 + 0.04j,)
     tracker = BranchTracker(base)
     specs = phi_factor_specs(case, g, LAM, BETA, tags)
-    calibrate_conjugation_gauge(case, g, LAM, BETA, tags, specs, tracker)
+    conj = conjugation_terms(case, g, LAM, BETA, tags, specs, tracker)
+    conj.calibrate()
     masses = (1.0,)
     fn = lambda Z: cmath.exp(0.3j * Z[0])
     P = (0.47 + 0.02j,)
@@ -313,11 +317,74 @@ def test_sheet_fault_breaks_conjugation():
     lhs = apply_sqrt_operator(
         case, g, LAM, BETA, tags, P,
         lambda Q: eigenfunction_value(specs, tracker, Q) * fn(Q),
-        tracker,
+        conj,
     ) / phi_P
     terms = operator_terms(case, g, LAM, BETA, masses, tags, P, fn)
     scale = max(max(abs(t) for t in terms), abs(lhs))
     assert abs(lhs - sum(terms)) / scale > 1e-3
+
+
+def _one_coordinate_conjugation():
+    case = make("II")
+    g = couplings_for("II")
+    tags = (MassTag.PLUS_ONE,)
+    tracker = BranchTracker((0.43 + 0.04j,))
+    specs = phi_factor_specs(case, g, LAM, BETA, tags)
+    return conjugation_terms(case, g, LAM, BETA, tags, specs, tracker)
+
+
+def test_gauge_calibration_needs_one_sign_per_factor():
+    # the gauge of the factor ("coeff", 0, 1) enters the terms of both
+    # directions, so a reference whose sign follows the direction cannot
+    # be matched
+    conj = _one_coordinate_conjugation()
+    flipped = ConjugatedTerms(conj.case, conj.policy, conj.tracker, conj.blocks, conj.F,
+                              lambda P, b, j, s: s * b.coeff(P, j, s))
+    with pytest.raises(BranchError, match="need opposite gauges"):
+        flipped.calibrate()
+
+
+def test_coherence_fails_at_a_faulted_point():
+    conj = _one_coordinate_conjugation()
+    conj.calibrate()
+    base = conj.tracker.base
+    P = (0.47 + 0.02j,)
+    assert conj.coherent(P)
+    conj.tracker.set_fault(("coeff", 0, 1), lambda target: abs(target[0] - base[0]) > 1e-9)
+    assert not conj.coherent(P)
+
+
+def test_sheet_fault_breaks_a_kernel_identity():
+    # kernel counterpart of the conjugation's sheet-fault control: one
+    # plain and one reflected coordinate joined by the gamma cross kernel
+    case = make("II")
+    g = couplings_for("II")
+    tags = (MassTag.PLUS_ONE, MassTag.MINUS_ONE)
+    masses = tuple(t.value_for(LAM) for t in tags)
+    _, v0, blocks = _KERNELS["kernel-cauchy"].blocks(case, g, LAM, BETA, ((0,), (1,)),
+                                                     DEFAULT_POLICY)
+    base = (0.43 + 0.04j, 0.86 - 0.05j)
+    tracker = BranchTracker(base)
+    terms = ConjugatedTerms(
+        case, DEFAULT_POLICY, tracker, blocks,
+        lambda P: kernel_cauchy_value(case, g, LAM, BETA, P, (0,), (1,), tracker),
+        lambda P, b, j, s: coeff_V_shift(case, g, LAM, BETA, masses, tags, P, b.slots[j],
+                                         b.orient * s))
+    terms.calibrate()
+    const = source_constant(case, g, LAM, BETA, masses)
+
+    def residual(P):
+        parts = []
+        for b, j, sign in terms.terms:
+            here, there, shifted = terms.roots(P, b, j, sign)
+            parts.append(terms.prefactor(b) * here * there * terms.F(shifted))
+        parts.append((v0(P) - const) * terms.F(P))
+        return abs(sum(parts)) / max(abs(p) for p in parts)
+
+    P = (0.47 + 0.02j, 0.83 - 0.03j)
+    assert residual(P) < 1e-9
+    tracker.set_fault(("map-x", 0, 1), lambda target: abs(target[0] - base[0]) > 1e-9)
+    assert residual(P) > 1e-3
 
 
 # --------------------------------------------------------------------------

@@ -266,15 +266,32 @@ def test_payload_lines_byte_determinism():
     assert payload_lines(text_a) == payload_lines(text_b)
 
 
-def test_conjugation_gauge_flip_invariance():
+def test_conjugation_gauge_flip_invariance(monkeypatch):
     # flipping the global sign of one eigenfunction square root must not
     # change any residual: the identity is gauge independent
     a = run_identity("conjugation", "II", samples=2, seed=9)
-    b = run_identity("conjugation", "II", samples=2, seed=9, phi_gauge_flip=True)
+
+    class FlippedTracker(verify.BranchTracker):
+        def __init__(self, base):
+            super().__init__(base)
+            self.set_gauge(("single", 0), -1)
+
+    monkeypatch.setattr(verify, "BranchTracker", FlippedTracker)
+    b = run_identity("conjugation", "II", samples=2, seed=9)
     assert a.passed and b.passed
     for ra, rb in zip(a.results, b.results):
         assert ra.label == rb.label
         assert abs(ra.residual - rb.residual) < 1e-12
+
+
+@pytest.mark.parametrize("case", ["I", "II"])
+def test_four_block_direct_rows_pass(case):
+    # one coordinate per species joins both operators at every sample, so
+    # two samples reach the direct rows of the deformed kernel
+    rep = run_identity("kernel-deformed", case, samples=2, seed=0, particles=(1, 1, 1, 1))
+    direct = [row for row in rep.results if "/direct" in row.label]
+    assert [row.label.split("/")[1] for row in direct] == ["direct@p0", "direct@p1"] * 2
+    assert all(row.passed for row in direct)
 
 
 def test_source_residual_symmetries():
