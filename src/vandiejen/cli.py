@@ -223,6 +223,18 @@ class RunConfig:
         return coupling
 
 
+# the JSON type each of these config-file fields must have
+_FILE_TYPES = {"cases": list, "identities": list, "g": list, "particles": list,
+               "masses": list, "out": str, "no_balance": bool, "samples": int,
+               "seed": int, "max_n": int, "trunc_terms": int}
+_TYPE_NAMES = {list: "list", str: "string", bool: "JSON boolean", int: "integer"}
+
+
+def _has_type(value, kind: type) -> bool:
+    # a JSON boolean is a Python int, but not an integer field's value
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
 def _load_config_file(path_text: str) -> dict:
     path = Path(path_text)
     try:
@@ -236,11 +248,12 @@ def _load_config_file(path_text: str) -> dict:
             f"config file {path}: invalid JSON at line {exc.lineno}") from exc
     if not isinstance(mapping, dict):
         raise DomainError(f"config file {path}: top level must be a mapping")
-    for key, kind in (("cases", list), ("identities", list), ("g", list),
-                      ("particles", list), ("masses", list), ("out", str)):
-        if mapping.get(key) is not None and not isinstance(mapping[key], kind):
-            raise DomainError(f"config file {path}: field {key} must be a "
-                              f"{'list' if kind is list else 'string'}")
+    for key, kind in _FILE_TYPES.items():
+        if mapping.get(key) is not None and not _has_type(mapping[key], kind):
+            raise DomainError(f"field {key}: must be a {_TYPE_NAMES[kind]} "
+                              f"(config file {path})")
+    if not all(_has_type(v, int) for v in mapping.get("particles") or ()):
+        raise DomainError(f"field particles: entries must be integers (config file {path})")
     return mapping
 
 

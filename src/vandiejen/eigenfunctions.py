@@ -42,8 +42,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gamma import gamma_G, gamma_ratio_shift
-from .operators import MassTag, batched_map, coeff_V0, coeff_V_shift, d_param
+from .gamma import _step_ratio, functional_eq_constant, gamma_G
+from .operators import MassTag, _batched, batched_map, coeff_V0, coeff_V_shift, d_param
 from .sfun import (
     DEFAULT_POLICY,
     CaseParams,
@@ -157,12 +157,15 @@ def factor_ratio(
 ) -> complex:
     """Exact ratio ``product(Z + delta e_var) / product(Z)``.
 
-    Gamma factors are reduced through the difference equation, which
-    requires ``coeff * delta`` to be an integer multiple of ``i alpha``;
+    Gamma factors are reduced through the difference equation (the rule
+    of :func:`~vandiejen.gamma.gamma_ratio_shift`), which requires
+    ``coeff * delta`` to be an integer multiple of ``i alpha``;
     building-block factors are evaluated directly.  The result involves
-    no gamma evaluations and no square roots.
+    no gamma evaluations and no square roots, and takes all of its ``s``
+    values from one array call, or from the enclosing
+    :func:`~vandiejen.operators.batched` scope.
     """
-    out = 1.0 + 0j
+    plan = []
     for f in factors:
         c = dict(f.coeffs).get(var, 0)
         if c == 0:
@@ -176,13 +179,22 @@ def factor_ratio(
                     f"shift {delta} times coefficient {c} is not an integer "
                     f"multiple of i*alpha = {1j * f.alpha}"
                 )
-            ratio = complex(gamma_ratio_shift(case, f.alpha, arg, steps, policy))
+            alpha = complex(f.alpha)
+            plan.append((f.power, arg, steps, alpha, functional_eq_constant(case, alpha, policy)))
         else:
-            ratio = complex(s_eval(case, arg + c * delta, policy)) / complex(
-                s_eval(case, arg, policy)
-            )
-        out *= ratio**f.power
-    return out
+            plan.append((f.power, arg, c * delta, None, None))
+
+    def formula(s):
+        out = 1.0 + 0j
+        for power, arg, step, alpha, const in plan:
+            if alpha is None:
+                ratio = s(arg + step) / s(arg)
+            else:
+                ratio = _step_ratio(s, const, alpha, arg, step, 1.0 + 0j)
+            out *= ratio**power
+        return out
+
+    return _batched(case, policy, formula)
 
 
 def groundstate_sq_factors(

@@ -435,11 +435,20 @@ def gamma_ratio_shift(case: CaseParams, alpha, z, steps: int, policy: Truncation
     alpha = _require_alpha(alpha, positive=False)
     zz, scalar = _as_complex_array(z)
     c = functional_eq_constant(case, alpha, policy)
-    out = np.ones_like(zz)
+    out = _step_ratio(lambda w: np.atleast_1d(s_eval(case, w, policy)), c, alpha, zz, steps,
+                      np.ones_like(zz))
+    return _restore(out, scalar)
+
+
+def _step_ratio(s, c: complex, alpha: complex, z, steps: int, out):
+    """``out`` times ``G(z + steps * i alpha) / G(z)``, with ``s`` the
+    building block and ``c`` the signed constant of the difference
+    equation: each unit step up multiplies by ``c * s(z + i alpha/2 + j i alpha)``,
+    each step down divides by the matching factor."""
     if steps > 0:
         for j in range(steps):
-            out = out * (c * np.atleast_1d(s_eval(case, zz + 0.5j * alpha + 1j * j * alpha, policy)))
+            out = out * (c * s(z + 0.5j * alpha + 1j * j * alpha))
     elif steps < 0:
         for j in range(1, -steps + 1):
-            out = out / (c * np.atleast_1d(s_eval(case, zz - 0.5j * alpha - 1j * (j - 1) * alpha, policy)))
-    return _restore(out, scalar)
+            out = out / (c * s(z - 0.5j * alpha - 1j * (j - 1) * alpha))
+    return out

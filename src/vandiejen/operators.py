@@ -27,7 +27,9 @@ must never be collapsed into one implementation.
 Each coefficient is written as a formula in a function ``s`` and gets all
 of its ``s`` values from one array :func:`~vandiejen.sfun.s_eval` call
 (see :func:`_batched`); the values are the same, bit for bit, as with one
-scalar call per argument.
+scalar call per argument.  :func:`batched` opens a residual scope: every
+coefficient, constant and ``s`` prefactor evaluated inside it records into
+one recorder, so a whole residual takes one array call.
 
 The exact summation identity (:func:`summation_lhs` versus
 :func:`summation_rhs`) is implemented for free complex parameters; the
@@ -92,6 +94,7 @@ __all__ = [
     "summation_rhs",
     "proof_params",
     "shift_lattice_advisory",
+    "batched",
     "batched_map",
 ]
 
@@ -244,12 +247,17 @@ def balance_defect(coupling: CouplingSet, mass_values: Sequence[float]) -> float
 # ---------------------------------------------------------------------------
 
 
-def _sv(case: CaseParams, z: complex, policy: TruncationPolicy) -> complex:
-    return complex(s_eval(case, complex(z), policy))
-
-
 # (case, policy, s) of the innermost running ``_batched`` formula
 _ENCLOSING: ContextVar[tuple | None] = ContextVar("_ENCLOSING", default=None)
+
+
+def _sv(case: CaseParams, z: complex, policy: TruncationPolicy) -> complex:
+    """``s(z)``: from the enclosing recorder of the same case and policy
+    when one is active (see :func:`batched`), else one scalar call."""
+    enclosing = _ENCLOSING.get()
+    if enclosing is not None and enclosing[:2] == (case, policy):
+        return enclosing[2](z)
+    return complex(s_eval(case, complex(z), policy))
 
 
 def _batched(
@@ -307,16 +315,25 @@ def _run_with(case, policy, s, formula):
         _ENCLOSING.reset(token)
 
 
+def batched(case: CaseParams, policy: TruncationPolicy, thunk: Callable[[], object]):
+    """``thunk()`` with every ``s`` value that its coefficients, constants
+    and prefactors ask for taken from one array call (see :func:`_batched`).
+
+    ``thunk`` runs twice, so it must not draw random numbers or have other
+    side effects, and it must not branch on a value built from ``s``:
+    reductions such as a maximum over terms belong outside.  Each value
+    is the same, bit for bit, as with one call per coefficient."""
+    return _batched(case, policy, lambda s: thunk())
+
+
 def batched_map(
     case: CaseParams,
     policy: TruncationPolicy,
     fn: Callable,
     items: Sequence,
 ) -> list:
-    """``[fn(item) for item in items]`` where the coefficients that ``fn``
-    evaluates take all their ``s`` values from one array call; the values
-    are the same, bit for bit, as item by item (see :func:`_batched`)."""
-    return _batched(case, policy, lambda s: [fn(item) for item in items])
+    """``[fn(item) for item in items]`` under one :func:`batched` scope."""
+    return batched(case, policy, lambda: [fn(item) for item in items])
 
 
 def d_param(g: float, mass: float, lam: float, tag: MassTag | None = None) -> complex:

@@ -24,7 +24,8 @@ Evaluators accept scalars or numpy arrays and are vectorised over the
 argument.  :func:`s_eval` and :func:`theta_eval` evaluate a Python or
 numpy scalar with ``cmath`` (nearly every call the identities make) and an
 array with numpy; the two paths do the same arithmetic in the same order
-and pick the theta term count with the same helper.  Passing a
+and give each point the theta term count of the same rule, so a point's
+value does not depend on the call it comes in.  Passing a
 :class:`TruncationPolicy` with ``precision_dps`` set routes scalar
 evaluation through ``mpmath`` at the requested number of decimal digits;
 this is the slow path used for oracle-grade checks.
@@ -322,7 +323,14 @@ def theta_eval(z, tau=None, q=None, policy: TruncationPolicy = DEFAULT_POLICY):
             pass  # cmath raises where numpy returns inf or nan
 
     zz, scalar = _as_complex_array(z)
-    n_stop = _theta_terms(log_q, float(np.max(np.abs(zz.imag))), policy.target_rel_err, abs(qq))
+    im = np.abs(zz.imag)
+    tol = policy.target_rel_err
+    # the count grows with |Im z|: the point of largest |Im z| is the one
+    # the cap and the overflow guard can reject, and when the smallest gets
+    # the same count, every point does
+    n_stop = _theta_terms(log_q, float(np.max(im)), tol, abs(qq))
+    n_min = _theta_terms(log_q, float(np.min(im)), tol, abs(qq))
+    counts = _theta_terms_array(log_q, im, tol) if n_min < n_stop else None
     total = np.zeros_like(zz)
     for n in range(n_stop + 1):
         exponent = (n + 0.5) ** 2 * log_q
@@ -331,10 +339,13 @@ def theta_eval(z, tau=None, q=None, policy: TruncationPolicy = DEFAULT_POLICY):
             np.exp(exponent + 1j * (2 * n + 1) * zz)
             - np.exp(exponent - 1j * (2 * n + 1) * zz)
         ) / 2j
+        # each point stops at its own term count, so its value does not
+        # depend on the other points of the call
+        where = True if n <= n_min else counts >= n
         if n % 2:
-            total -= term
+            np.subtract(total, term, out=total, where=where)
         else:
-            total += term
+            np.add(total, term, out=total, where=where)
     return _restore(2.0 * total, scalar)
 
 
@@ -373,6 +384,28 @@ def _theta_terms(log_q: complex, im_max: float, tol: float, abs_q: float) -> int
             f"theta argument too deep in the strip: |Im z|={im_max:.3g} "
             "would overflow float64"
         )
+    return n
+
+
+def _theta_terms_array(log_q: complex, im: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`_theta_terms` of every entry of ``im``, with the same float
+    operations in the same order, so each count is the one the point gets
+    alone.  Every entry must lie at or below a ``|Im z|`` that
+    :func:`_theta_terms` accepts."""
+    decay = log_q.real
+    log_tol = math.log(tol)
+
+    def below(n: np.ndarray) -> np.ndarray:
+        return n * (n + 1) * decay + 2 * n * im < log_tol
+
+    b = decay + 2 * im
+    root = (b + np.sqrt(b * b + 4 * decay * log_tol)) / (-2 * decay)
+    n = np.where(root < _THETA_TERM_CAP, np.maximum(1, np.floor(root) + 1),
+                 _THETA_TERM_CAP).astype(np.int64)
+    while (step := (n > 1) & below(n - 1)).any():
+        n -= step
+    while (step := ~below(n)).any():
+        n += step
     return n
 
 

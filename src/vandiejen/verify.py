@@ -55,6 +55,7 @@ from .operators import (
     MassTag,
     _sv,
     balance_solve,
+    batched,
     c0_constant,
     coeff_V0,
     coeff_V_shift,
@@ -345,18 +346,12 @@ def _screen_config(config: Configuration, X: Sequence[complex],
                    policy: TruncationPolicy, coeff_cap: float = 1e8) -> bool:
     """True when every operator coefficient at ``X`` is finite and not
     absurdly amplified by a nearby pole."""
+    case, cs = config.case, config.coupling
     try:
-        terms = operator_terms(
-            config.case,
-            config.coupling.g,
-            config.coupling.lam,
-            config.coupling.beta,
-            config.mass_values,
-            config.masses,
-            X,
-            lambda _: 1.0,
-            policy,
-        )
+        terms = batched(case, policy, lambda: operator_terms(
+            case, cs.g, cs.lam, cs.beta, config.mass_values, config.masses,
+            X, lambda _: 1.0, policy,
+        ))
     except (DomainError, ZeroDivisionError, OverflowError, ConvergenceError):
         return False
     arr = np.asarray(terms, dtype=complex)
@@ -598,16 +593,18 @@ def summation_terms(
     case: CaseParams, p: SummationParams, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> tuple[list[complex], complex]:
     """All left-side terms (shift family, then negated boundary family)
-    plus the right-side value."""
-    rho = case.rho
-    terms: list[complex] = []
-    for sign in (1, -1):
-        for j in range(len(p.X)):
-            terms.append(summation_shift_term(case, p, j, sign, policy))
-    for nu in range(rho + 1):
-        terms.append(-summation_boundary_term(case, p, nu, use_c=True, policy=policy))
-        terms.append(-summation_boundary_term(case, p, nu, use_c=False, policy=policy))
-    return terms, summation_rhs(case, p, policy)
+    plus the right-side value, with all of their ``s`` values from one
+    array call."""
+
+    def both_sides():
+        terms = [summation_shift_term(case, p, j, sign, policy)
+                 for sign in (1, -1) for j in range(len(p.X))]
+        for nu in range(case.rho + 1):
+            terms.append(-summation_boundary_term(case, p, nu, use_c=True, policy=policy))
+            terms.append(-summation_boundary_term(case, p, nu, use_c=False, policy=policy))
+        return terms, summation_rhs(case, p, policy)
+
+    return batched(case, policy, both_sides)
 
 
 def residual_summation(
@@ -682,11 +679,11 @@ def residual_source(
     closed-form constant, normalised by the largest single term."""
     case = config.case
     cs = config.coupling
-    terms = operator_terms(
-        case, cs.g, cs.lam, cs.beta, config.mass_values, config.masses,
-        X, lambda _: 1.0, policy,
-    )
-    const = source_constant(case, cs.g, cs.lam, cs.beta, config.mass_values, policy)
+    terms, const = batched(case, policy, lambda: (
+        operator_terms(case, cs.g, cs.lam, cs.beta, config.mass_values, config.masses,
+                       X, lambda _: 1.0, policy),
+        source_constant(case, cs.g, cs.lam, cs.beta, config.mass_values, policy),
+    ))
     scale = max(_max_abs(terms), abs(const), _TINY)
     return abs(sum(terms) - const) / scale, scale
 
@@ -1051,15 +1048,15 @@ def _rows_eigen_plain(ctx: _RunCtx) -> list[SampleResult]:
 
         if not (ctx.label == "IV" and ctx.no_balance):
             # specialised coefficients == generic multiset coefficients
-            dev, sc = _worst_dev(
+            dev, sc = _worst_dev(batched(case, policy, lambda: [
                 (coeff_V_shift(case, g, lam, beta, values, tags, X, j, sign, policy),
                  vd_V_pm(case, g, lam, beta, X, j, sign, policy))
-                for j in range(N) for sign in (1, -1))
+                for j in range(N) for sign in (1, -1)]))
             rows.append(_row(ctx, f"{lab}/chain-shift", i, dev, sc))
 
-            lhs0 = coeff_V0(case, g, lam, beta, values, X, policy)
-            rhs0 = vd_V0(case, g, lam, beta, X, policy) - c0_constant(case, g, lam, beta, policy)
-            d, s = _rel_dev(lhs0, rhs0)
+            d, s = _rel_dev(*batched(case, policy, lambda: (
+                coeff_V0(case, g, lam, beta, values, X, policy),
+                vd_V0(case, g, lam, beta, X, policy) - c0_constant(case, g, lam, beta, policy))))
             rows.append(_row(ctx, f"{lab}/chain-zero", i, d, s))
 
             # square-root closure: coefficient ratio under one step equals
@@ -1074,12 +1071,14 @@ def _rows_eigen_plain(ctx: _RunCtx) -> list[SampleResult]:
                 vb = vd_V_pm(case, g, lam, beta, tuple(shifted), j, -sign, policy)
                 return va / vb, factor_ratio(case, gs_sq, X, j, delta, policy)
 
-            dev, sc = _worst_dev(closure(j, sign) for j in range(N) for sign in (1, -1))
+            dev, sc = _worst_dev(batched(case, policy, lambda: [
+                closure(j, sign) for j in range(N) for sign in (1, -1)]))
             rows.append(_row(ctx, f"{lab}/closure", i, dev, sc))
 
             # eigenvalue: plain action on the constant function
-            terms = _vd_terms(case, g, lam, beta, X, lambda _: 1.0, policy)
-            const = eigen_constant(case, g, lam, beta, values, policy)
+            terms, const = batched(case, policy, lambda: (
+                _vd_terms(case, g, lam, beta, X, lambda _: 1.0, policy),
+                eigen_constant(case, g, lam, beta, values, policy)))
             scale = max(_max_abs(terms), abs(const), _TINY)
             rows.append(_row(ctx, f"{lab}/eigen", i, abs(sum(terms) - const) / scale, scale))
 
@@ -1146,17 +1145,16 @@ def _rows_deformed_groundstate(ctx: _RunCtx) -> list[SampleResult]:
 
         if not (ctx.label == "IV" and ctx.no_balance):
             # generic multiset coefficients == two-species displays
-            dev, sc = _worst_dev(
+            dev, sc = _worst_dev(batched(case, policy, lambda: [
                 (coeff_V_shift(case, g, lam, beta, values, tags, Z, slot, sign, policy),
                  fn(case, g, lam, beta, xs, ts, j, sign, policy))
                 for _, fn, slots, _ in species for j, slot in enumerate(slots)
-                for sign in (1, -1))
+                for sign in (1, -1)]))
             rows.append(_row(ctx, f"{lab}/chain-shift", i, dev, sc))
 
-            lhs0 = coeff_V0(case, g, lam, beta, values, Z, policy)
-            rhs0 = def_V0(case, g, lam, beta, xs, ts, policy)
-            rhs0 -= c0_constant(case, g, lam, beta, policy)
-            d, s = _rel_dev(lhs0, rhs0)
+            d, s = _rel_dev(*batched(case, policy, lambda: (
+                coeff_V0(case, g, lam, beta, values, Z, policy),
+                def_V0(case, g, lam, beta, xs, ts, policy) - c0_constant(case, g, lam, beta, policy))))
             rows.append(_row(ctx, f"{lab}/chain-zero", i, d, s))
 
             # square-root closure against the squared two-species ground state
@@ -1172,12 +1170,14 @@ def _rows_deformed_groundstate(ctx: _RunCtx) -> list[SampleResult]:
 
             for name, fn, slots, step in species:
                 if slots:
-                    dev, sc = _worst_dev(closure(fn, slot, j, sign * step, sign)
-                                         for j, slot in enumerate(slots) for sign in (1, -1))
+                    dev, sc = _worst_dev(batched(case, policy, lambda: [
+                        closure(fn, slot, j, sign * step, sign)
+                        for j, slot in enumerate(slots) for sign in (1, -1)]))
                     rows.append(_row(ctx, f"{lab}/closure-{name}", i, dev, sc))
 
-            terms = _def_terms(case, g, lam, beta, xs, ts, lambda *_: 1.0, policy)
-            const = eigen_constant(case, g, lam, beta, values, policy)
+            terms, const = batched(case, policy, lambda: (
+                _def_terms(case, g, lam, beta, xs, ts, lambda *_: 1.0, policy),
+                eigen_constant(case, g, lam, beta, values, policy)))
             scale = max(_max_abs(terms), abs(const), _TINY)
             rows.append(_row(ctx, f"{lab}/eigen", i, abs(sum(terms) - const) / scale, scale))
 
@@ -1199,8 +1199,9 @@ def _rows_deformed_constant(ctx: _RunCtx) -> list[SampleResult]:
         ts = tuple(Z[v] for v in t_vars)
 
         if not (ctx.label == "IV" and ctx.no_balance):
-            terms = _def_terms(case, g, lam, beta, xs, ts, lambda *_: 1.0, policy)
-            const = eigen_constant(case, g, lam, beta, values, policy)
+            terms, const = batched(case, policy, lambda: (
+                _def_terms(case, g, lam, beta, xs, ts, lambda *_: 1.0, policy),
+                eigen_constant(case, g, lam, beta, values, policy)))
             scale = max(_max_abs(terms), abs(const), _TINY)
             rows.append(_row(ctx, f"{lab}/eigen", i, abs(sum(terms) - const) / scale, scale))
         if ctx.label == "IV":
@@ -1325,15 +1326,16 @@ def _rows_kernel(ctx: _RunCtx) -> list[SampleResult]:
         if not (ctx.label == "IV" and ctx.no_balance):
             for b in blocks:
                 if b.slots:
-                    dev, sc = _worst_dev(
+                    dev, sc = _worst_dev(batched(case, policy, lambda: [
                         (ref(Z, b, j, sign),
                          b.coeff(Z, j, sign)
                          * factor_ratio(case, K, Z, slot, sign * b.step, policy))
                         # combined shift +1 first: of equal deviations the first counts
-                        for j, slot in enumerate(b.slots) for sign in (b.orient, -b.orient))
+                        for j, slot in enumerate(b.slots) for sign in (b.orient, -b.orient)]))
                     rows.append(_row(ctx, f"{lab}/{b.label}", i, dev, sc))
 
-            d, s = _rel_dev(coeff_V0(case, g, lam, beta, values, Z, policy), v0(Z))
+            d, s = _rel_dev(*batched(case, policy, lambda: (
+                coeff_V0(case, g, lam, beta, values, Z, policy), v0(Z))))
             rows.append(_row(ctx, f"{lab}/chain-zero", i, d, s))
 
             res, scale = residual_source(config, Z, policy)
@@ -1387,8 +1389,9 @@ def _rows_anti_symmetry(ctx: _RunCtx) -> list[SampleResult]:
         for fi in range(5):
             k = ctx.rng.uniform(-0.9, 0.9, size=n)
             fn = _exp_fn(k)
-            t_pos = _vd_terms(case, g, lam, beta, X, fn, policy)
-            t_neg = _vd_terms(case, g, lam, -beta, X, fn, policy)
+            t_pos, t_neg = batched(case, policy, lambda: (
+                _vd_terms(case, g, lam, beta, X, fn, policy),
+                _vd_terms(case, g, lam, -beta, X, fn, policy)))
             scale = max(_max_abs(t_pos), _max_abs(t_neg))
             rows.append(_row(ctx, f"plain/exp{fi}", i,
                              abs(sum(t_pos) + sum(t_neg)) / scale, scale))
@@ -1396,8 +1399,9 @@ def _rows_anti_symmetry(ctx: _RunCtx) -> list[SampleResult]:
             kx = ctx.rng.uniform(-0.9, 0.9, size=N)
             kt = ctx.rng.uniform(-0.9, 0.9, size=Nt)
             fn2 = _exp_fn2(kx, kt)
-            d_pos = _def_terms(case, g, lam, beta, xs, ts, fn2, policy)
-            d_neg = _def_terms(case, g, lam, -beta, xs, ts, fn2, policy)
+            d_pos, d_neg = batched(case, policy, lambda: (
+                _def_terms(case, g, lam, beta, xs, ts, fn2, policy),
+                _def_terms(case, g, lam, -beta, xs, ts, fn2, policy)))
             scale = max(_max_abs(d_pos), _max_abs(d_neg))
             rows.append(_row(ctx, f"two-species/exp{fi}", i,
                              abs(sum(d_pos) + sum(d_neg)) / scale, scale))
@@ -1416,8 +1420,9 @@ def _rows_anti_symmetry(ctx: _RunCtx) -> list[SampleResult]:
             else:
                 g_wit = g
             g_neg = tuple(-v for v in g_wit)
-            t_pos = _vd_terms(case, g_wit, lam, beta, X, fn, policy)
-            t_bad = _vd_terms(case, g_neg, lam, -beta, X, fn, policy)
+            t_pos, t_bad = batched(case, policy, lambda: (
+                _vd_terms(case, g_wit, lam, beta, X, fn, policy),
+                _vd_terms(case, g_neg, lam, -beta, X, fn, policy)))
             scale = max(_max_abs(t_pos), _max_abs(t_bad))
             rows.append(_row(ctx, "plain/joint-flip", i,
                              abs(sum(t_pos) + sum(t_bad)) / scale, scale, control=True))
@@ -1450,14 +1455,16 @@ def _rows_parameter_swap(ctx: _RunCtx) -> list[SampleResult]:
         def swapped(fn):
             return lambda a, b: fn(b, a)
 
-        t_orig = _def_terms(case, g, lam, beta, xs, ts, fn, policy)
-        t_swap = _def_terms(case, g_swap, 1.0 / lam, -lam * beta, ts, xs, swapped(fn), policy)
+        t_orig, t_swap = batched(case, policy, lambda: (
+            _def_terms(case, g, lam, beta, xs, ts, fn, policy),
+            _def_terms(case, g_swap, 1.0 / lam, -lam * beta, ts, xs, swapped(fn), policy)))
         scale = max(_max_abs(t_orig), _max_abs(t_swap))
         rows.append(_row(ctx, f"{lab}/swap", i,
                          abs(sum(t_orig) - sum(t_swap)) / scale, scale))
 
         if ctx.label != "IV":
-            t_bad = _def_terms(case, g_bad, 1.0 / lam, -lam * beta, ts, xs, swapped(fn), policy)
+            t_bad = batched(case, policy, lambda: _def_terms(
+                case, g_bad, 1.0 / lam, -lam * beta, ts, xs, swapped(fn), policy))
             scale = max(_max_abs(t_orig), _max_abs(t_bad))
             rows.append(_row(ctx, f"{lab}/swap-bad-coupling", i,
                              abs(sum(t_orig) - sum(t_bad)) / scale, scale, control=True))

@@ -315,6 +315,28 @@ def test_malformed_values_are_configuration_errors(tmp_path, capsys, flags, file
     assert "verdict" not in out
 
 
+@pytest.mark.parametrize("file_map", [
+    {"no_balance": "false"},
+    {"no_balance": 1},
+    {"samples": 2.7},
+    {"samples": True},
+    {"seed": "3"},
+    {"max_n": 2.0},
+    {"trunc_terms": 40.5},
+    {"particles": [1, 1.5, 0, 0]},
+])
+def test_config_file_booleans_and_integers_are_typed(tmp_path, capsys, file_map):
+    # a string "false" must not switch the elliptic controls-only mode on,
+    # and a fractional count must not be truncated
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"cases": ["IV"], **file_map}))
+    code, out, err = run_main(capsys, [
+        "verify", "--identity", "source", "--samples", "1", "--config", str(config)])
+    assert code == EXIT_CONFIG
+    assert f"configuration error: field {next(iter(file_map))}:" in err
+    assert "verdict" not in out
+
+
 def test_config_file_bad_json(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text("{\n  broken\n}")

@@ -1,13 +1,18 @@
-"""Operator coefficients evaluate ``s`` in one array call each; the values
-equal, bit for bit, those of one scalar ``s_eval`` call per argument."""
+"""Operator coefficients evaluate ``s`` in one array call each, and a
+residual scope serves all of a residual's coefficients from one call; the
+values equal, bit for bit, those of one scalar ``s_eval`` call per
+argument."""
 
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vandiejen import operators
+from vandiejen import gamma, operators, verify
+from vandiejen.eigenfunctions import factor_ratio, groundstate_sq_factors
 from vandiejen.operators import (
+    Configuration,
+    CouplingSet,
     MassTag,
     c0_constant,
     coeff_V0,
@@ -153,3 +158,79 @@ def test_replay_rejects_a_formula_that_branches_on_s_values():
         operators._batched(case, DEFAULT_POLICY, more)
     with pytest.raises(RuntimeError, match="fewer"):
         operators._batched(case, DEFAULT_POLICY, fewer)
+
+
+# ---------------------------------------------------------------------------
+# residual scopes
+# ---------------------------------------------------------------------------
+
+SCOPED = ("summation", "source", "eigen-plain", "kernel-cauchy", "kernel-dual",
+          "deformed-groundstate", "deformed-constant", "kernel-deformed",
+          "anti-symmetry", "parameter-swap")
+
+
+def _unscoped(case, policy, thunk):
+    """No residual scope: each coefficient takes its own array call and
+    each prefactor its own scalar call."""
+    return thunk()
+
+
+def _row_bytes(identity, label, seed):
+    report = verify.run_identity(identity, label, samples=3, seed=seed)
+    return [verify.json_line(verify.sample_record(row)) for row in report.results]
+
+
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@pytest.mark.parametrize("label", sorted(CASES))
+@pytest.mark.parametrize("identity", SCOPED)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_scoped_residual_equals_one_call_per_coefficient(identity, label, seed):
+    scoped = _row_bytes(identity, label, seed)
+    with mock.patch.object(verify, "batched", _unscoped):
+        assert _row_bytes(identity, label, seed) == scoped
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_a_residual_takes_one_s_eval_call(label):
+    case = CASES[label]
+    g = tuple(0.37 + 0.05 * k for k in range(2 * (case.rho + 1)))
+    config = Configuration(case, CouplingSet(g, 1.45, 0.31),
+                           (MassTag.PLUS_ONE, MassTag.MINUS_INV))
+    X = (0.41 + 0.07j, 0.83 - 0.11j)
+    with mock.patch.object(operators, "s_eval", wraps=s_eval) as spy:
+        verify.residual_source(config, X)
+        verify.summation_terms(case, proof_params(case, g, 1.45, 0.31, config.mass_values, X))
+    assert spy.call_count == 2
+
+
+def test_factor_ratio_takes_its_gamma_steps_from_one_call():
+    case = CASES["IV"]
+    g = tuple(0.37 + 0.05 * k for k in range(8))
+    factors = groundstate_sq_factors(case, g, 1.45, 0.31, (0, 1))
+    X = (0.41 + 0.07j, 0.83 - 0.11j)
+    with mock.patch.object(operators, "s_eval", wraps=s_eval) as spy, \
+            mock.patch.object(gamma, "s_eval", wraps=s_eval) as gamma_spy:
+        factor_ratio(case, factors, X, 0, -0.31j)
+        assert spy.call_count == 1
+        operators.batched(case, DEFAULT_POLICY, lambda: [
+            factor_ratio(case, factors, X, j, sign * 0.31j) for j in (0, 1) for sign in (1, -1)])
+        assert spy.call_count == 2
+    assert gamma_spy.call_count == 0
+
+
+@pytest.mark.parametrize("label", ("II", "IV"))
+def test_a_scope_rejects_a_thunk_that_branches_on_s_values(label):
+    case = CASES[label]
+    g = tuple(0.37 + 0.05 * k for k in range(2 * (case.rho + 1)))
+    X = (0.41 + 0.07j,)
+
+    def more():  # on replay the product is not 1 and asks for more values
+        return 0j if half_period_product(case) == 1 else vd_V0(case, g, 1.45, 0.31, X)
+
+    def fewer():  # on replay the product is not 1 and asks for fewer values
+        return vd_V0(case, g, 1.45, 0.31, X) if half_period_product(case) == 1 else 0j
+
+    with pytest.raises(RuntimeError, match="more"):
+        operators.batched(case, DEFAULT_POLICY, more)
+    with pytest.raises(RuntimeError, match="fewer"):
+        operators.batched(case, DEFAULT_POLICY, fewer)

@@ -17,6 +17,7 @@ from vandiejen.sfun import (
     DomainError,
     TruncationPolicy,
     _theta_terms,
+    _theta_terms_array,
     s_eval,
     s_eval_mp,
     theta_eval,
@@ -70,9 +71,8 @@ def test_scalar_path_agrees_with_batch_in_both_half_planes(label):
     assert (pts.imag > 0).any() and (pts.imag < 0).any()
     batch = s_eval(case, pts)
     for z, b in zip(pts, batch):
-        # a batch sums the theta series to the term count of its largest
-        # |Im z|, so it can carry a few more terms than the single point
-        assert s_eval(case, complex(z)) == pytest.approx(b, rel=1e-12, abs=1e-14)
+        # each point of a batch sums the theta series to its own term count
+        assert s_eval(case, complex(z)) == b
 
 
 @pytest.mark.parametrize("label", sorted(CASES))
@@ -147,6 +147,68 @@ def test_closed_form_term_count_matches_scan():
             seen.add(got[0] if isinstance(got, tuple) else "n")
     # the grid reaches the term cap and the overflow guard
     assert seen == {"n", "ConvergenceError", "DomainError"}
+
+
+def test_vectorised_term_count_matches_the_scalar_count():
+    grid = itertools.chain(itertools.product(GRID_Q, GRID_IM, GRID_TOL), _boundary_points())
+    accepted = {}
+    for mod, im, tol in grid:
+        for q in (complex(mod), cmath.rect(mod, 2.0)):
+            log_q = cmath.log(q)
+            one = _outcome(_theta_terms, log_q, im, tol, abs(q))
+            if not isinstance(one, tuple):
+                assert _theta_terms_array(log_q, np.array([im]), tol).tolist() == [one]
+                accepted.setdefault((q, tol), []).append((im, one))
+    # the accepted points of one nome and tolerance, together in one call
+    for (q, tol), pairs in accepted.items():
+        ims, want = zip(*pairs)
+        got = _theta_terms_array(cmath.log(q), np.array(ims[::-1] + ims), tol)
+        assert got.tolist() == list(want[::-1] + want), (q, tol)
+
+
+def test_the_largest_imaginary_part_raises_its_error():
+    case = CASES["IV"]
+    with pytest.raises(DomainError, match=r"\|Im z\|=220 "):
+        s_eval(case, np.array([0.1, 0.3 + 200j, 0.2 - 150j]))
+    with pytest.raises(ConvergenceError, match=r"max\|Im z\|=inf"):
+        theta_eval(np.array([0.1, complex(0.3, math.inf), 0.3 + 200j]), q=case.q)
+    # an overflowing |Im z| raises the scalar error, not a numpy warning
+    with pytest.raises(ConvergenceError, match=r"max\|Im z\|=1.1e\+200"):
+        s_eval(case, np.array([0.1, 0.3 + 1e200j]))
+
+
+def _step_of_the_term_count(case):
+    """The count at Im z = 0, and the |Im z| where it steps up by one."""
+    tol = DEFAULT_POLICY.target_rel_err
+    log_q = cmath.log(case.q)
+    n = _theta_terms(log_q, 0.0, tol, case.q)
+    step = (math.log(tol) - n * (n + 1) * log_q.real) / (2 * n)
+    assert _theta_terms(log_q, 0.99 * step, tol, case.q) == n
+    assert _theta_terms(log_q, 1.01 * step, tol, case.q) == n + 1
+    return step
+
+
+def _points(case, below):
+    step = _step_of_the_term_count(case)
+    im = st.floats(0.0, 0.99 * step) if below else st.floats(1.01 * step, step + 1.5)
+    point = st.builds(lambda x, y, sign: complex(x, sign * y), re_part, im, half_plane)
+    return st.lists(point, min_size=1, max_size=6)
+
+
+# r = 1, a = 2 (the CLI default; the count steps from 4 to 5 at |Im z| = 1.258)
+# and a = 0.5, where a point summed to a partner's count changes its bits
+STEPPED = [CaseParams(CaseKind.ELLIPTIC, r=1.0, a=a) for a in (2.0, 0.5)]
+
+
+@pytest.mark.parametrize("case", STEPPED, ids=lambda c: f"a={c.a:g}")
+@PROPERTY
+@given(data=st.data())
+def test_a_point_gets_the_same_s_value_in_any_call(case, data):
+    low = data.draw(_points(case, below=True))
+    high = data.draw(_points(case, below=False))
+    together = s_eval(case, np.array(low + high))
+    apart = np.concatenate([s_eval(case, np.array(low)), s_eval(case, np.array(high))])
+    assert together.tobytes() == apart.tobytes()
 
 
 def test_term_count_errors_reach_both_paths():
