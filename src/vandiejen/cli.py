@@ -102,62 +102,25 @@ class RunConfig:
     fmt: str = "text"
 
     def to_mapping(self) -> dict:
-        m: dict = {
-            "cases": list(self.cases),
-            "r": self.r,
-            "a": self.a,
-            "samples": self.samples,
-            "seed": self.seed,
-            "no_balance": self.no_balance,
-            "max_n": self.max_n,
-            "format": self.fmt,
-        }
-        if self.g is not None:
-            m["g"] = list(self.g)
-        if self.lam is not None:
-            m["lambda"] = self.lam
-        if self.beta is not None:
-            m["beta"] = self.beta
-        if self.particles is not None:
-            m["particles"] = list(self.particles)
-        if self.masses is not None:
-            m["masses"] = list(self.masses)
-        if self.identities:
-            m["identities"] = list(self.identities)
-        if self.tol is not None:
-            m["tol"] = self.tol
-        if self.trunc_terms is not None:
-            m["trunc_terms"] = self.trunc_terms
-        if self.out is not None:
-            m["out"] = self.out
+        """The fields that are set, under their keys in :data:`_FIELDS`."""
+        m = {}
+        for attr, (key, _, kind) in _FIELDS.items():
+            value = getattr(self, attr)
+            if value is not None and value != ():
+                m[key] = list(value) if kind is list else value
         return m
 
     @classmethod
     def from_mapping(cls, m: dict) -> "RunConfig":
-        def tup(key, conv):
-            v = m.get(key)
-            return tuple(conv(e) for e in v) if v is not None else None
-
-        return cls(
-            cases=tuple(str(c) for c in m.get("cases", ("I",))),
-            r=float(m.get("r", 1.0)),
-            a=float(m.get("a", 2.0)),
-            g=tup("g", float),
-            lam=float(m["lambda"]) if m.get("lambda") is not None else None,
-            beta=float(m["beta"]) if m.get("beta") is not None else None,
-            particles=tup("particles", int),
-            masses=tup("masses", str),
-            identities=tuple(str(i) for i in m.get("identities", ())),
-            samples=int(m.get("samples", 20)),
-            seed=int(m.get("seed", 0)),
-            tol=float(m["tol"]) if m.get("tol") is not None else None,
-            trunc_terms=(int(m["trunc_terms"])
-                         if m.get("trunc_terms") is not None else None),
-            no_balance=bool(m.get("no_balance", False)),
-            max_n=int(m.get("max_n", 3)),
-            out=str(m["out"]) if m.get("out") is not None else None,
-            fmt=str(m.get("format", "text")),
-        )
+        """The inverse of :meth:`to_mapping`.  A value without the JSON type
+        of its field is a :class:`DomainError`."""
+        _check_field_types(m)
+        fields = {}
+        for attr, (key, conv, kind) in _FIELDS.items():
+            # null leaves a field unset only where unset is its default
+            if key in m and (m[key] is not None or getattr(cls, attr) is not None):
+                fields[attr] = tuple(map(conv, m[key])) if kind is list else conv(m[key])
+        return cls(**fields)
 
     def validate(self) -> None:
         """Field-level validation; raises DomainError naming the field."""
@@ -223,10 +186,28 @@ class RunConfig:
         return coupling
 
 
-# the JSON type each of these config-file fields must have
-_FILE_TYPES = {"cases": list, "identities": list, "g": list, "particles": list,
-               "masses": list, "out": str, "no_balance": bool, "samples": int,
-               "seed": int, "max_n": int, "trunc_terms": int}
+# per RunConfig field: its key in a mapping or config file, the conversion
+# of its value (of each element, for a list), and the JSON type a mapping
+# must give it (None: any value that the conversion takes)
+_FIELDS = {
+    "cases": ("cases", str, list),
+    "r": ("r", float, None),
+    "a": ("a", float, None),
+    "g": ("g", float, list),
+    "lam": ("lambda", float, None),
+    "beta": ("beta", float, None),
+    "particles": ("particles", int, list),
+    "masses": ("masses", str, list),
+    "identities": ("identities", str, list),
+    "samples": ("samples", int, int),
+    "seed": ("seed", int, int),
+    "tol": ("tol", float, None),
+    "trunc_terms": ("trunc_terms", int, int),
+    "no_balance": ("no_balance", bool, bool),
+    "max_n": ("max_n", int, int),
+    "out": ("out", str, str),
+    "fmt": ("format", str, None),
+}
 _TYPE_NAMES = {list: "list", str: "string", bool: "JSON boolean", int: "integer"}
 
 
@@ -248,13 +229,16 @@ def _load_config_file(path_text: str) -> dict:
             f"config file {path}: invalid JSON at line {exc.lineno}") from exc
     if not isinstance(mapping, dict):
         raise DomainError(f"config file {path}: top level must be a mapping")
-    for key, kind in _FILE_TYPES.items():
-        if mapping.get(key) is not None and not _has_type(mapping[key], kind):
-            raise DomainError(f"field {key}: must be a {_TYPE_NAMES[kind]} "
-                              f"(config file {path})")
-    if not all(_has_type(v, int) for v in mapping.get("particles") or ()):
-        raise DomainError(f"field particles: entries must be integers (config file {path})")
+    _check_field_types(mapping, f" (config file {path})")
     return mapping
+
+
+def _check_field_types(mapping: dict, where: str = "") -> None:
+    for key, _, kind in _FIELDS.values():
+        if kind and mapping.get(key) is not None and not _has_type(mapping[key], kind):
+            raise DomainError(f"field {key}: must be a {_TYPE_NAMES[kind]}{where}")
+    if not all(_has_type(v, int) for v in mapping.get("particles") or ()):
+        raise DomainError(f"field particles: entries must be integers{where}")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:

@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gamma import _step_ratio, functional_eq_constant, gamma_G
-from .operators import MassTag, _batched, batched_map, coeff_V0, coeff_V_shift, d_param
+from .operators import MassTag, _batched, _moved, batched, coeff_V0, coeff_V_shift, d_param
 from .sfun import (
     DEFAULT_POLICY,
     CaseParams,
@@ -71,6 +71,7 @@ __all__ = [
     "ShiftBlock",
     "ConjugatedTerms",
     "conjugation_terms",
+    "sqrt_operator_weights",
     "apply_sqrt_operator",
     "psi_single",
     "psi_single_sq",
@@ -437,16 +438,18 @@ def pathwise(
     policy: TruncationPolicy,
     coeff: Callable[[Sequence[complex]], complex],
 ) -> Callable:
-    """``coeff`` of one point as a :meth:`BranchTracker.sqrt_at` factor:
-    on a path it evaluates every point, with all the ``s`` values of the
-    path from one array call (:func:`~vandiejen.operators.batched_map`),
-    so the values are the same, bit for bit, as point by point."""
+    """``coeff`` of one point as a :meth:`BranchTracker.sqrt_at` factor.
+
+    On a path, ``coeff`` runs once on the coordinate arrays of all points
+    but the last, all ``s`` values from one array call.  These values agree
+    with point by point to rounding and only choose the sheets; the target
+    is evaluated alone, so its root is the same, bit for bit."""
 
     def fn(P):
         if not isinstance(P[0], np.ndarray):
             return coeff(P)
-        points = list(zip(*(c.tolist() for c in P)))
-        return np.array(batched_map(case, policy, coeff, points))
+        inner = batched(case, policy, lambda: coeff(tuple(c[:-1] for c in P)))
+        return np.append(inner, coeff(tuple(complex(c[-1]) for c in P)))
 
     return fn
 
@@ -629,9 +632,7 @@ class ConjugatedTerms:
     def roots(self, P: tuple, b: ShiftBlock, j: int, sign: int) -> tuple:
         """The term's two continued roots and its shifted point."""
         slot = b.slots[j]
-        shifted = list(P)
-        shifted[slot] = P[slot] + sign * b.step
-        shifted = tuple(shifted)
+        shifted = _moved(P, slot, P[slot] + sign * b.step)
         here = self.tracker.sqrt_at((b.label, slot, sign), pathwise(
             self.case, self.policy, lambda Q: b.coeff(Q, j, sign)), P)
         there = self.tracker.sqrt_at((b.label, slot, -sign), pathwise(
@@ -709,6 +710,24 @@ def conjugation_terms(
                            lambda P, b, j, s: b.coeff(P, j, s))
 
 
+def sqrt_operator_weights(
+    case: CaseParams, g: Sequence[float], lam: float, beta: float, tags: Sequence[MassTag],
+    Z: Sequence[complex], terms: ConjugatedTerms, policy: TruncationPolicy = DEFAULT_POLICY,
+) -> list[tuple[complex, tuple]]:
+    """The square-root form of the operator at ``Z`` as ``(weight, point)``
+    pairs: per shift term of ``terms`` (:func:`conjugation_terms`) its
+    prefactor times both continued roots, at the shifted point, then
+    ``(V_0, Z)``."""
+    Z = tuple(complex(v) for v in Z)
+    masses = tuple(t.value_for(lam) for t in tags)
+    weights = []
+    for b, j, sign in terms.terms:
+        here, there, shifted = terms.roots(Z, b, j, sign)
+        weights.append((terms.prefactor(b) * here * there, shifted))
+    weights.append((coeff_V0(case, g, lam, beta, masses, Z, policy), Z))
+    return weights
+
+
 def apply_sqrt_operator(
     case: CaseParams,
     g: Sequence[float],
@@ -720,16 +739,9 @@ def apply_sqrt_operator(
     terms: ConjugatedTerms,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
-    """Action of the square-root form of the operator on ``h_fn``, its
-    shift terms taken from ``terms`` (:func:`conjugation_terms`)."""
-    Z = tuple(complex(v) for v in Z)
-    masses = tuple(t.value_for(lam) for t in tags)
-    total = 0j
-    for b, j, sign in terms.terms:
-        root_here, root_there, shifted = terms.roots(Z, b, j, sign)
-        total += terms.prefactor(b) * root_here * root_there * h_fn(shifted)
-    total += coeff_V0(case, g, lam, beta, masses, Z, policy) * h_fn(Z)
-    return total
+    """Action of the square-root form of the operator on ``h_fn``."""
+    weights = sqrt_operator_weights(case, g, lam, beta, tags, Z, terms, policy)
+    return sum((w * h_fn(Q) for w, Q in weights), start=0j)
 
 
 # ---------------------------------------------------------------------------

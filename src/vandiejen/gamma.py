@@ -394,15 +394,19 @@ def functional_eq_constant(case: CaseParams, alpha, policy: TruncationPolicy = D
     if kind is CaseKind.HYPERBOLIC:
         return -2j * math.pi / case.a
     # elliptic: -i r / prod_{n>=1} (1 - exp(-2 r n a))
-    r, a = case.r, case.a
-    tol = policy.target_rel_err
+    return -1j * case.r / _elliptic_constant_product(case.r, case.a, policy.target_rel_err)
+
+
+@lru_cache(maxsize=64)
+def _elliptic_constant_product(r: float, a: float, tol: float) -> float:
+    """``prod_{n>=1} (1 - exp(-2 r n a))`` to relative error ``tol``."""
     count = max(2, int(math.ceil(-math.log(tol) / (2 * r * a))) + 2)
     if count > _PRODUCT_HARD_CAP:
         raise ConvergenceError("elliptic constant product does not converge")
     prod = 1.0
     for n in range(1, count + 1):
         prod *= 1.0 - math.exp(-2 * r * n * a)
-    return -1j * case.r / prod
+    return prod
 
 
 def functional_residual(case: CaseParams, alpha, x, policy: TruncationPolicy = DEFAULT_POLICY):

@@ -10,6 +10,8 @@ function ``s``:
 * :func:`coeff_V_shift` - the shift-term coefficient attached to
   coordinate ``J`` and sign ``eps``;
 * :func:`coeff_V0` - the zeroth (non-shifting) coefficient;
+* :func:`operator_weights` - the operator at one point as ``(weight,
+  shifted point)`` pairs, which do not depend on the function acted on;
 * :func:`apply_conjugated_operator` - the full action on a callable.
 
 Together these realise the operator in its *plain* (conjugated) form, the
@@ -29,7 +31,8 @@ of its ``s`` values from one array :func:`~vandiejen.sfun.s_eval` call
 (see :func:`_batched`); the values are the same, bit for bit, as with one
 scalar call per argument.  :func:`batched` opens a residual scope: every
 coefficient, constant and ``s`` prefactor evaluated inside it records into
-one recorder, so a whole residual takes one array call.
+one recorder, so a whole residual takes one array call.  Handed arrays of
+coordinates (a branch-tracker path), a coefficient runs once for all points.
 
 The exact summation identity (:func:`summation_lhs` versus
 :func:`summation_rhs`) is implemented for free complex parameters; the
@@ -74,6 +77,7 @@ __all__ = [
     "half_period_product",
     "coeff_V_shift",
     "coeff_V0",
+    "operator_weights",
     "operator_terms",
     "apply_conjugated_operator",
     "source_constant",
@@ -83,10 +87,12 @@ __all__ = [
     "balance_solve",
     "vd_V_pm",
     "vd_V0",
+    "vd_weights",
     "vd_apply",
     "def_V_pm",
     "def_Vt_pm",
     "def_V0",
+    "def_weights",
     "deformed_apply",
     "summation_shift_term",
     "summation_boundary_term",
@@ -95,7 +101,6 @@ __all__ = [
     "proof_params",
     "shift_lattice_advisory",
     "batched",
-    "batched_map",
 ]
 
 
@@ -280,6 +285,9 @@ def _batched(
     call on the same case and policy (a coefficient evaluated inside it)
     hands its own formula the enclosing ``s``, so the values of the whole
     run come from one array call.
+
+    An argument may also be an array (a path): each array argument, and
+    each scalar one broadcast to its shape, then gets one row of the call.
     """
     enclosing = _ENCLOSING.get()
     if enclosing is not None and enclosing[:2] == (case, policy):
@@ -291,8 +299,12 @@ def _batched(
         return 1.0
 
     _run_with(case, policy, record, formula)
-    values = iter(s_eval(case, np.array(args, dtype=np.complex128), policy).tolist()
-                  if args else ())
+    try:
+        flat = np.array(args, dtype=np.complex128)
+    except ValueError:  # arrays among scalars
+        flat = np.array(np.broadcast_arrays(*args))
+    values = s_eval(case, flat.reshape(-1), policy) if args else flat
+    values = iter(values.tolist() if flat.ndim == 1 else values.reshape(flat.shape))
 
     def replay(z: complex) -> complex:
         value = next(values, None)
@@ -326,14 +338,9 @@ def batched(case: CaseParams, policy: TruncationPolicy, thunk: Callable[[], obje
     return _batched(case, policy, lambda s: thunk())
 
 
-def batched_map(
-    case: CaseParams,
-    policy: TruncationPolicy,
-    fn: Callable,
-    items: Sequence,
-) -> list:
-    """``[fn(item) for item in items]`` under one :func:`batched` scope."""
-    return batched(case, policy, lambda: [fn(item) for item in items])
+def _moved(P: Sequence[complex], j: int, z: complex) -> tuple[complex, ...]:
+    """The point ``P`` with its coordinate ``j`` replaced by ``z``."""
+    return (*P[:j], z, *P[j + 1:])
 
 
 def d_param(g: float, mass: float, lam: float, tag: MassTag | None = None) -> complex:
@@ -509,6 +516,27 @@ def coeff_V0(
     return _batched(case, policy, formula)
 
 
+def operator_weights(
+    case: CaseParams, g: Sequence[float], lam: float, beta: float, masses: Sequence[complex],
+    tags: Sequence[MassTag] | None, X: Sequence[complex],
+    policy: TruncationPolicy = DEFAULT_POLICY,
+) -> list[tuple[complex, tuple]]:
+    """The conjugated operator at ``X`` as ``(weight, point)`` pairs: a
+    prefactor times a shift coefficient with its shifted point, ``2 * n_p``
+    of them, then ``(V_0, X)``.  Its action on ``fn`` is the sum of
+    ``weight * fn(point)``, so the weights serve every function."""
+    X = tuple(complex(v) for v in X)
+    weights = []
+    for j, m_j in enumerate(masses):
+        step = 1j * beta / m_j
+        pref = _sv(case, 1j * lam * m_j * beta, policy)
+        for sign in (1, -1):
+            coeff = coeff_V_shift(case, g, lam, beta, masses, tags, X, j, sign, policy)
+            weights.append((pref * coeff, _moved(X, j, X[j] - sign * step)))
+    weights.append((coeff_V0(case, g, lam, beta, masses, X, policy), X))
+    return weights
+
+
 def operator_terms(
     case: CaseParams,
     g: Sequence[float],
@@ -526,18 +554,7 @@ def operator_terms(
     the list is the operator action.  Exposing the list (rather than only
     the sum) lets callers normalise residuals by the largest term.
     """
-    X = tuple(complex(v) for v in X)
-    terms: list[complex] = []
-    for j, m_j in enumerate(masses):
-        step = 1j * beta / m_j
-        pref = _sv(case, 1j * lam * m_j * beta, policy)
-        for sign in (1, -1):
-            coeff = coeff_V_shift(case, g, lam, beta, masses, tags, X, j, sign, policy)
-            shifted = list(X)
-            shifted[j] = X[j] - sign * step
-            terms.append(pref * coeff * fn(tuple(shifted)))
-    terms.append(coeff_V0(case, g, lam, beta, masses, X, policy) * fn(X))
-    return terms
+    return [w * fn(Q) for w, Q in operator_weights(case, g, lam, beta, masses, tags, X, policy)]
 
 
 def apply_conjugated_operator(
@@ -700,7 +717,7 @@ def vd_V_pm(
 
 
 def _vd_V_pm(s, g, lam, beta, x, j, sign) -> complex:
-    x_j = complex(x[j])
+    x_j = x[j]
     out = 1.0 + 0j
     for g_nu in g:
         out *= s(sign * x_j - 1j * g_nu * beta)
@@ -710,7 +727,7 @@ def _vd_V_pm(s, g, lam, beta, x, j, sign) -> complex:
         if k == j:
             continue
         for delta in (1, -1):
-            base = x_j + delta * complex(x_k)
+            base = x_j + delta * x_k
             out *= s(base - sign * 1j * lam * beta) / s(base)
     return out
 
@@ -729,6 +746,7 @@ def vd_V0(
     xi = case.xi
     r = case.r if case.kind in (CaseKind.TRIGONOMETRIC, CaseKind.ELLIPTIC) else 0.0
     n_p = len(x)
+    x = tuple(complex(v) for v in x)
     e_weight = 2 * lam * n_p + sum(g) - (rho + 1) * (lam + 1) / 2
 
     def formula(s):
@@ -747,7 +765,7 @@ def vd_V0(
             xblock = 1.0 + 0j
             for x_j in x:
                 for delta in (1, -1):
-                    base = delta * complex(x_j) + omega[nu] / 2 + 0.5j * beta
+                    base = delta * x_j + omega[nu] / 2 + 0.5j * beta
                     xblock *= s(base - 1j * lam * beta) / s(base)
             total += expo * block * xblock / denom
 
@@ -755,6 +773,23 @@ def vd_V0(
         return -0.25 * pref * pref * total
 
     return _batched(case, policy, formula)
+
+
+def vd_weights(
+    case: CaseParams, g: Sequence[float], lam: float, beta: float, x: Sequence[complex],
+    policy: TruncationPolicy = DEFAULT_POLICY,
+) -> list[tuple[complex, tuple]]:
+    """The all-unit-mass operator at ``x`` as ``(weight, point)`` pairs, as
+    :func:`operator_weights` gives the conjugated one."""
+    x = tuple(complex(v) for v in x)
+    pref = _sv(case, 1j * lam * beta, policy)
+    weights = []
+    for j in range(len(x)):
+        for sign in (1, -1):
+            coeff = vd_V_pm(case, g, lam, beta, x, j, sign, policy)
+            weights.append((pref * coeff, _moved(x, j, x[j] - sign * 1j * beta)))
+    weights.append((vd_V0(case, g, lam, beta, x, policy), x))
+    return weights
 
 
 def vd_apply(
@@ -767,17 +802,7 @@ def vd_apply(
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Plain action of the all-unit-mass operator on ``fn`` at ``x``."""
-    x = tuple(complex(v) for v in x)
-    pref = _sv(case, 1j * lam * beta, policy)
-    total = 0j
-    for j in range(len(x)):
-        for sign in (1, -1):
-            coeff = vd_V_pm(case, g, lam, beta, x, j, sign, policy)
-            shifted = list(x)
-            shifted[j] = x[j] - sign * 1j * beta
-            total += pref * coeff * fn(tuple(shifted))
-    total += vd_V0(case, g, lam, beta, x, policy) * fn(x)
-    return total
+    return sum((w * fn(Q) for w, Q in vd_weights(case, g, lam, beta, x, policy)), start=0j)
 
 
 # ---------------------------------------------------------------------------
@@ -798,13 +823,13 @@ def def_V_pm(
 ) -> complex:
     """Shift coefficient on an undeformed coordinate of the two-species
     operator: the all-unit-mass block times the cross factors."""
-    x_j = complex(x[j])
+    x_j = x[j]
 
     def formula(s):
         out = _vd_V_pm(s, g, lam, beta, x, j, sign)
         for xt_k in xt:
             for delta in (1, -1):
-                base = x_j + delta * complex(xt_k)
+                base = x_j + delta * xt_k
                 num = s(base - sign * 0.5j * (lam - 1) * beta)
                 den = s(base - sign * 0.5j * (lam + 1) * beta)
                 out *= num / den
@@ -826,7 +851,7 @@ def def_Vt_pm(
 ) -> complex:
     """Shift coefficient on a deformed coordinate of the two-species
     operator, written directly from its closed form."""
-    xt_k = complex(xt[k])
+    xt_k = xt[k]
 
     def formula(s):
         out = 1.0 + 0j
@@ -839,11 +864,11 @@ def def_Vt_pm(
             if k2 == k:
                 continue
             for delta in (1, -1):
-                base = xt_k + delta * complex(xt_k2)
+                base = xt_k + delta * xt_k2
                 out *= s(base + sign * 1j * beta) / s(base)
         for x_j in x:
             for delta in (1, -1):
-                base = xt_k + delta * complex(x_j)
+                base = xt_k + delta * x_j
                 num = s(base - sign * 0.5j * (lam - 1) * beta)
                 den = s(base + sign * 0.5j * (lam + 1) * beta)
                 out *= num / den
@@ -867,6 +892,7 @@ def def_V0(
     xi = case.xi
     r = case.r if case.kind in (CaseKind.TRIGONOMETRIC, CaseKind.ELLIPTIC) else 0.0
     e_weight = 2 * lam * len(x) - 2 * len(xt) + sum(g) - (rho + 1) * (lam + 1) / 2
+    x, xt = tuple(complex(v) for v in x), tuple(complex(v) for v in xt)
 
     def formula(s):
         total = 0j
@@ -884,12 +910,12 @@ def def_V0(
             xblock = 1.0 + 0j
             for x_j in x:
                 for delta in (1, -1):
-                    base = delta * complex(x_j) + omega[nu] / 2 + 0.5j * beta
+                    base = delta * x_j + omega[nu] / 2 + 0.5j * beta
                     xblock *= s(base - 1j * lam * beta) / s(base)
             tblock = 1.0 + 0j
             for xt_k in xt:
                 for delta in (1, -1):
-                    base = delta * complex(xt_k) + omega[nu] / 2 - 0.5j * lam * beta
+                    base = delta * xt_k + omega[nu] / 2 - 0.5j * lam * beta
                     tblock *= s(base + 1j * beta) / s(base)
             total += expo * block * xblock * tblock / denom
 
@@ -897,6 +923,34 @@ def def_V0(
         return -0.25 * pref * pref * total
 
     return _batched(case, policy, formula)
+
+
+def def_weights(
+    case: CaseParams, g: Sequence[float], lam: float, beta: float, x: Sequence[complex],
+    xt: Sequence[complex], policy: TruncationPolicy = DEFAULT_POLICY,
+) -> list[tuple[complex, tuple]]:
+    """The two-species operator at ``(x, xt)`` as ``(weight, (x', xt'))``
+    pairs (see :func:`operator_weights`).
+
+    Undeformed coordinates step by ``i beta`` with weight ``s(i lam beta)``;
+    deformed coordinates step by ``i lam beta`` the opposite way with
+    weight ``-s(i beta)``.
+    """
+    x = tuple(complex(v) for v in x)
+    xt = tuple(complex(v) for v in xt)
+    pref_x = _sv(case, 1j * lam * beta, policy)
+    pref_t = _sv(case, 1j * beta, policy)
+    weights = []
+    for j in range(len(x)):
+        for sign in (1, -1):
+            coeff = def_V_pm(case, g, lam, beta, x, xt, j, sign, policy)
+            weights.append((pref_x * coeff, (_moved(x, j, x[j] - sign * 1j * beta), xt)))
+    for k in range(len(xt)):
+        for sign in (1, -1):
+            coeff = def_Vt_pm(case, g, lam, beta, x, xt, k, sign, policy)
+            weights.append((-pref_t * coeff, (x, _moved(xt, k, xt[k] + sign * 1j * lam * beta))))
+    weights.append((def_V0(case, g, lam, beta, x, xt, policy), (x, xt)))
+    return weights
 
 
 def deformed_apply(
@@ -909,31 +963,9 @@ def deformed_apply(
     fn: Callable[[Sequence[complex], Sequence[complex]], complex],
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
-    """Plain action of the two-species operator on ``fn(x, xt)``.
-
-    Undeformed coordinates step by ``i beta`` with weight ``s(i lam beta)``;
-    deformed coordinates step by ``i lam beta`` the opposite way with
-    weight ``-s(i beta)``.
-    """
-    x = tuple(complex(v) for v in x)
-    xt = tuple(complex(v) for v in xt)
-    pref_x = _sv(case, 1j * lam * beta, policy)
-    pref_t = _sv(case, 1j * beta, policy)
-    total = 0j
-    for j in range(len(x)):
-        for sign in (1, -1):
-            coeff = def_V_pm(case, g, lam, beta, x, xt, j, sign, policy)
-            shifted = list(x)
-            shifted[j] = x[j] - sign * 1j * beta
-            total += pref_x * coeff * fn(tuple(shifted), xt)
-    for k in range(len(xt)):
-        for sign in (1, -1):
-            coeff = def_Vt_pm(case, g, lam, beta, x, xt, k, sign, policy)
-            shifted = list(xt)
-            shifted[k] = xt[k] + sign * 1j * lam * beta
-            total -= pref_t * coeff * fn(x, tuple(shifted))
-    total += def_V0(case, g, lam, beta, x, xt, policy) * fn(x, xt)
-    return total
+    """Plain action of the two-species operator on ``fn(x, xt)``."""
+    weights = def_weights(case, g, lam, beta, x, xt, policy)
+    return sum((w * fn(*Q) for w, Q in weights), start=0j)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import json
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
+from functools import cache
 from itertools import accumulate
 
 import numpy as np
@@ -44,8 +45,8 @@ from .eigenfunctions import (
     kernel_dual_cauchy_value,
     phi_factor_specs,
     power_sum_weight,
-    apply_sqrt_operator,
     quasi_invariance_defect,
+    sqrt_operator_weights,
 )
 from .gamma import functional_eq_constant, gamma_G
 from .operators import (
@@ -53,6 +54,7 @@ from .operators import (
     CouplingSet,
     SummationParams,
     MassTag,
+    _moved,
     _sv,
     balance_solve,
     batched,
@@ -62,15 +64,18 @@ from .operators import (
     def_V0,
     def_V_pm,
     def_Vt_pm,
+    def_weights,
     deformed_apply,
     eigen_constant,
     summation_boundary_term,
     summation_rhs,
     summation_shift_term,
     operator_terms,
+    operator_weights,
     source_constant,
     vd_V0,
     vd_V_pm,
+    vd_weights,
 )
 from .sfun import (
     DEFAULT_POLICY,
@@ -469,12 +474,23 @@ def _exp_fn2(kx: Sequence[float], kt: Sequence[float]):
     kx = tuple(float(v) for v in kx)
     kt = tuple(float(v) for v in kt)
 
-    def fn(x: Sequence[complex], xt: Sequence[complex]) -> complex:
+    def fn(point: tuple[Sequence[complex], Sequence[complex]]) -> complex:
+        x, xt = point
         tot = sum(kv * complex(zv) for kv, zv in zip(kx, x))
         tot += sum(kv * complex(zv) for kv, zv in zip(kt, xt))
         return cmath.exp(1j * tot)
 
     return fn
+
+
+def _applied(weights: Sequence[tuple[complex, tuple]], fn: Callable) -> list[complex]:
+    """The terms ``weight * fn(point)`` of an operator given by its weights."""
+    return [w * fn(Q) for w, Q in weights]
+
+
+def _failure(exc: Exception) -> str:
+    """The detail of a row that a tracker or pole failure stopped."""
+    return f"{'branch' if isinstance(exc, BranchError) else 'pole'}-failure: {exc}"
 
 
 # ---------------------------------------------------------------------------
@@ -805,13 +821,9 @@ def _rows_conjugation(ctx: _RunCtx) -> list[SampleResult]:
                                       specs, BranchTracker(base), policy)
             try:
                 terms.calibrate()
-            except BranchError as exc:
+            except (BranchError, PoleProximityError) as exc:
                 ctx.rejected += 1
-                failure = f"branch-failure: {exc}"
-                continue
-            except PoleProximityError as exc:
-                ctx.rejected += 1
-                failure = f"pole-failure: {exc}"
+                failure = _failure(exc)
                 continue
             prepared = (config, base, terms)
             break
@@ -827,44 +839,46 @@ def _rows_conjugation(ctx: _RunCtx) -> list[SampleResult]:
         if point is None:
             continue
         fns = [("const", lambda Z: 1.0 + 0j)]
-        for fi in range(5):
-            k = ctx.rng.uniform(-0.9, 0.9, size=n)
-            fns.append((f"exp{fi}", _exp_fn(k)))
+        fns += [(f"exp{fi}", _exp_fn(ctx.rng.uniform(-0.9, 0.9, size=n))) for fi in range(5)]
+        F = cache(terms.F)  # the eigenfunction's sheets carry no fault
 
-        def one_residual(P, fn):
-            a_terms = operator_terms(
-                case, g, lam, beta, config.mass_values, tags, P, fn, policy
-            )
-            phi_P = terms.F(P)
-            h_total = apply_sqrt_operator(
-                case, g, lam, beta, tags, P, lambda Q: terms.F(Q) * fn(Q), terms, policy,
-            )
-            lhs = h_total / phi_P
+        def forms(P):
+            # both forms at P for every test function: the plain weights,
+            # F(P), and the square-root weights with F at their points
+            rooted = sqrt_operator_weights(case, g, lam, beta, tags, P, terms, policy)
+            return (operator_weights(case, g, lam, beta, config.mass_values, tags, P, policy),
+                    F(P), [(w, Q, F(Q)) for w, Q in rooted])
+
+        def residual(form, fn):
+            plain, FP, rooted = form
+            a_terms = _applied(plain, fn)
+            lhs = sum((w * (FQ * fn(Q)) for w, Q, FQ in rooted), start=0j) / FP
             scale = max(_max_abs(a_terms), abs(lhs), _TINY)
             return abs(lhs - sum(a_terms)) / scale, scale
 
+        at = []
+        for P in (base, point):
+            try:
+                at.append(forms(P))
+            except (BranchError, PoleProximityError) as exc:
+                at.append(_failure(exc))
         for name, fn in fns:
-            for pi, P in ((0, base), (1, point)):
-                try:
-                    res, scale = one_residual(P, fn)
-                    rows.append(_row(ctx, f"{name}@p{pi}", i, res, scale))
-                except BranchError as exc:
-                    rows.append(_row(ctx, f"{name}@p{pi}", i, math.inf, 0.0,
-                                     detail=f"branch-failure: {exc}"))
-                except PoleProximityError as exc:
-                    rows.append(_row(ctx, f"{name}@p{pi}", i, math.inf, 0.0,
-                                     detail=f"pole-failure: {exc}"))
+            for pi, form in enumerate(at):
+                if isinstance(form, str):
+                    rows.append(_row(ctx, f"{name}@p{pi}", i, math.inf, 0.0, detail=form))
+                else:
+                    rows.append(_row(ctx, f"{name}@p{pi}", i, *residual(form, fn)))
 
         # sheet-fault control: flipping one coefficient root away from the
         # base must blow the residual up
         base0 = base[0]
         terms.tracker.set_fault(("coeff", 0, 1), lambda target: abs(target[0] - base0) > 1e-9)
         try:
-            res, scale = one_residual(point, fns[1][1])
-            rows.append(_row(ctx, "sheet-fault", i, res, scale, control=True))
+            rows.append(_row(ctx, "sheet-fault", i, *residual(forms(point), fns[1][1]),
+                             control=True))
         except BranchError as exc:
             rows.append(_row(ctx, "sheet-fault", i, math.inf, 0.0, control=True,
-                             detail=f"branch-failure: {exc}"))
+                             detail=_failure(exc)))
         finally:
             terms.tracker.clear_fault()
     return rows
@@ -889,42 +903,6 @@ def _grid(parts: int, max_n: int) -> list[tuple[int, ...]]:
     for tot in range(1, max_n + 1):
         out.extend(_compositions(tot, parts))
     return out
-
-
-def _vd_terms(case, g, lam, beta, x, fn, policy) -> list[complex]:
-    x = tuple(complex(v) for v in x)
-    pref = _sv(case, 1j * lam * beta, policy)
-    terms = []
-    for j in range(len(x)):
-        for sign in (1, -1):
-            coeff = vd_V_pm(case, g, lam, beta, x, j, sign, policy)
-            shifted = list(x)
-            shifted[j] = x[j] - sign * 1j * beta
-            terms.append(pref * coeff * fn(tuple(shifted)))
-    terms.append(vd_V0(case, g, lam, beta, x, policy) * fn(x))
-    return terms
-
-
-def _def_terms(case, g, lam, beta, x, xt, fn, policy) -> list[complex]:
-    x = tuple(complex(v) for v in x)
-    xt = tuple(complex(v) for v in xt)
-    pref_x = _sv(case, 1j * lam * beta, policy)
-    pref_t = _sv(case, 1j * beta, policy)
-    terms = []
-    for j in range(len(x)):
-        for sign in (1, -1):
-            coeff = def_V_pm(case, g, lam, beta, x, xt, j, sign, policy)
-            shifted = list(x)
-            shifted[j] = x[j] - sign * 1j * beta
-            terms.append(pref_x * coeff * fn(tuple(shifted), xt))
-    for k in range(len(xt)):
-        for sign in (1, -1):
-            coeff = def_Vt_pm(case, g, lam, beta, x, xt, k, sign, policy)
-            shifted = list(xt)
-            shifted[k] = xt[k] + sign * 1j * lam * beta
-            terms.append(-pref_t * coeff * fn(x, tuple(shifted)))
-    terms.append(def_V0(case, g, lam, beta, x, xt, policy) * fn(x, xt))
-    return terms
 
 
 def _rel_dev(lhs: complex, rhs: complex) -> tuple[float, float]:
@@ -1016,12 +994,9 @@ def _direct_kernel_rows(
         if P1 is not None:
             res, scale = residual_at(P1)
             rows.append(_row(ctx, label, index, res, scale))
-    except BranchError as exc:
+    except (BranchError, PoleProximityError) as exc:
         rows.append(_row(ctx, f"{grid_label}/direct", index, math.inf, 0.0,
-                         detail=f"branch-failure: {exc}"))
-    except PoleProximityError as exc:
-        rows.append(_row(ctx, f"{grid_label}/direct", index, math.inf, 0.0,
-                         detail=f"pole-failure: {exc}"))
+                         detail=_failure(exc)))
     return rows
 
 
@@ -1065,10 +1040,8 @@ def _rows_eigen_plain(ctx: _RunCtx) -> list[SampleResult]:
 
             def closure(j, sign):
                 delta = -sign * 1j * beta
-                shifted = list(X)
-                shifted[j] = X[j] + delta
                 va = vd_V_pm(case, g, lam, beta, X, j, sign, policy)
-                vb = vd_V_pm(case, g, lam, beta, tuple(shifted), j, -sign, policy)
+                vb = vd_V_pm(case, g, lam, beta, _moved(X, j, X[j] + delta), j, -sign, policy)
                 return va / vb, factor_ratio(case, gs_sq, X, j, delta, policy)
 
             dev, sc = _worst_dev(batched(case, policy, lambda: [
@@ -1077,7 +1050,7 @@ def _rows_eigen_plain(ctx: _RunCtx) -> list[SampleResult]:
 
             # eigenvalue: plain action on the constant function
             terms, const = batched(case, policy, lambda: (
-                _vd_terms(case, g, lam, beta, X, lambda _: 1.0, policy),
+                _applied(vd_weights(case, g, lam, beta, X, policy), lambda _: 1.0),
                 eigen_constant(case, g, lam, beta, values, policy)))
             scale = max(_max_abs(terms), abs(const), _TINY)
             rows.append(_row(ctx, f"{lab}/eigen", i, abs(sum(terms) - const) / scale, scale))
@@ -1161,8 +1134,7 @@ def _rows_deformed_groundstate(ctx: _RunCtx) -> list[SampleResult]:
             dgs = deformed_groundstate_sq_factors(case, g, lam, beta, x_vars, t_vars)
 
             def closure(fn, slot, j, delta, sign):
-                shifted = list(Z)
-                shifted[slot] = Z[slot] + delta
+                shifted = _moved(Z, slot, Z[slot] + delta)
                 va = fn(case, g, lam, beta, xs, ts, j, sign, policy)
                 vb = fn(case, g, lam, beta, _pick(shifted, x_vars), _pick(shifted, t_vars),
                         j, -sign, policy)
@@ -1176,7 +1148,7 @@ def _rows_deformed_groundstate(ctx: _RunCtx) -> list[SampleResult]:
                     rows.append(_row(ctx, f"{lab}/closure-{name}", i, dev, sc))
 
             terms, const = batched(case, policy, lambda: (
-                _def_terms(case, g, lam, beta, xs, ts, lambda *_: 1.0, policy),
+                _applied(def_weights(case, g, lam, beta, xs, ts, policy), lambda _: 1.0),
                 eigen_constant(case, g, lam, beta, values, policy)))
             scale = max(_max_abs(terms), abs(const), _TINY)
             rows.append(_row(ctx, f"{lab}/eigen", i, abs(sum(terms) - const) / scale, scale))
@@ -1200,7 +1172,7 @@ def _rows_deformed_constant(ctx: _RunCtx) -> list[SampleResult]:
 
         if not (ctx.label == "IV" and ctx.no_balance):
             terms, const = batched(case, policy, lambda: (
-                _def_terms(case, g, lam, beta, xs, ts, lambda *_: 1.0, policy),
+                _applied(def_weights(case, g, lam, beta, xs, ts, policy), lambda _: 1.0),
                 eigen_constant(case, g, lam, beta, values, policy)))
             scale = max(_max_abs(terms), abs(const), _TINY)
             rows.append(_row(ctx, f"{lab}/eigen", i, abs(sum(terms) - const) / scale, scale))
@@ -1385,34 +1357,29 @@ def _rows_anti_symmetry(ctx: _RunCtx) -> list[SampleResult]:
         Z = ctx.admissible_X(config2)
         xs = tuple(Z[v] for v in range(N))
         ts = tuple(Z[v] for v in range(N, N + Nt))
+        # the operators at +beta and -beta, plain and two-species, for every
+        # test function
+        plain, two = batched(case, policy, lambda: (
+            (vd_weights(case, g, lam, beta, X, policy),
+             vd_weights(case, g, lam, -beta, X, policy)),
+            (def_weights(case, g, lam, beta, xs, ts, policy),
+             def_weights(case, g, lam, -beta, xs, ts, policy))))
 
         for fi in range(5):
-            k = ctx.rng.uniform(-0.9, 0.9, size=n)
-            fn = _exp_fn(k)
-            t_pos, t_neg = batched(case, policy, lambda: (
-                _vd_terms(case, g, lam, beta, X, fn, policy),
-                _vd_terms(case, g, lam, -beta, X, fn, policy)))
-            scale = max(_max_abs(t_pos), _max_abs(t_neg))
-            rows.append(_row(ctx, f"plain/exp{fi}", i,
-                             abs(sum(t_pos) + sum(t_neg)) / scale, scale))
-
-            kx = ctx.rng.uniform(-0.9, 0.9, size=N)
-            kt = ctx.rng.uniform(-0.9, 0.9, size=Nt)
-            fn2 = _exp_fn2(kx, kt)
-            d_pos, d_neg = batched(case, policy, lambda: (
-                _def_terms(case, g, lam, beta, xs, ts, fn2, policy),
-                _def_terms(case, g, lam, -beta, xs, ts, fn2, policy)))
-            scale = max(_max_abs(d_pos), _max_abs(d_neg))
-            rows.append(_row(ctx, f"two-species/exp{fi}", i,
-                             abs(sum(d_pos) + sum(d_neg)) / scale, scale))
+            fn = _exp_fn(ctx.rng.uniform(-0.9, 0.9, size=n))
+            fn2 = _exp_fn2(ctx.rng.uniform(-0.9, 0.9, size=N), ctx.rng.uniform(-0.9, 0.9, size=Nt))
+            for name, (pos, neg), f in (("plain", plain, fn), ("two-species", two, fn2)):
+                t_pos, t_neg = _applied(pos, f), _applied(neg, f)
+                scale = max(_max_abs(t_pos), _max_abs(t_neg))
+                rows.append(_row(ctx, f"{name}/exp{fi}", i,
+                                 abs(sum(t_pos) + sum(t_neg)) / scale, scale))
 
         if ctx.label != "IV":
             # refuted variant: flipping the couplings along with the step
             # length is NOT a symmetry.  The two variants coincide on the
             # subvariety where the couplings sum to zero, so the witness
             # keeps the sum well away from it.
-            k = ctx.rng.uniform(-0.9, 0.9, size=n)
-            fn = _exp_fn(k)
+            fn = _exp_fn(ctx.rng.uniform(-0.9, 0.9, size=n))
             g_sum = sum(g)
             if abs(g_sum) < 0.4:
                 bump = (math.copysign(0.4, g_sum if g_sum else 1.0) - g_sum) / len(g)
@@ -1421,8 +1388,8 @@ def _rows_anti_symmetry(ctx: _RunCtx) -> list[SampleResult]:
                 g_wit = g
             g_neg = tuple(-v for v in g_wit)
             t_pos, t_bad = batched(case, policy, lambda: (
-                _vd_terms(case, g_wit, lam, beta, X, fn, policy),
-                _vd_terms(case, g_neg, lam, -beta, X, fn, policy)))
+                _applied(vd_weights(case, g_wit, lam, beta, X, policy), fn),
+                _applied(vd_weights(case, g_neg, lam, -beta, X, policy), fn)))
             scale = max(_max_abs(t_pos), _max_abs(t_bad))
             rows.append(_row(ctx, "plain/joint-flip", i,
                              abs(sum(t_pos) + sum(t_bad)) / scale, scale, control=True))
@@ -1452,19 +1419,19 @@ def _rows_parameter_swap(ctx: _RunCtx) -> list[SampleResult]:
         kt = ctx.rng.uniform(-0.9, 0.9, size=Nt)
         fn = _exp_fn2(kx, kt)
 
-        def swapped(fn):
-            return lambda a, b: fn(b, a)
+        def swapped(point):
+            return fn(point[::-1])
 
         t_orig, t_swap = batched(case, policy, lambda: (
-            _def_terms(case, g, lam, beta, xs, ts, fn, policy),
-            _def_terms(case, g_swap, 1.0 / lam, -lam * beta, ts, xs, swapped(fn), policy)))
+            _applied(def_weights(case, g, lam, beta, xs, ts, policy), fn),
+            _applied(def_weights(case, g_swap, 1.0 / lam, -lam * beta, ts, xs, policy), swapped)))
         scale = max(_max_abs(t_orig), _max_abs(t_swap))
         rows.append(_row(ctx, f"{lab}/swap", i,
                          abs(sum(t_orig) - sum(t_swap)) / scale, scale))
 
         if ctx.label != "IV":
-            t_bad = batched(case, policy, lambda: _def_terms(
-                case, g_bad, 1.0 / lam, -lam * beta, ts, xs, swapped(fn), policy))
+            t_bad = batched(case, policy, lambda: _applied(
+                def_weights(case, g_bad, 1.0 / lam, -lam * beta, ts, xs, policy), swapped))
             scale = max(_max_abs(t_orig), _max_abs(t_bad))
             rows.append(_row(ctx, f"{lab}/swap-bad-coupling", i,
                              abs(sum(t_orig) - sum(t_bad)) / scale, scale, control=True))
@@ -1520,8 +1487,12 @@ def _rows_quasi_invariance(ctx: _RunCtx) -> list[SampleResult]:
             scale = max(abs(up), abs(dn), _TINY)
             return abs(d) / scale, scale
 
+        # the probe points, shared by p_fn and p_bad
+        weights_at = cache(lambda zeta: def_weights(case, g, lam, beta, (x_pole + zeta,),
+                                                    (xt0,), policy))
+
         def f_at(p, zeta):
-            return deformed_apply(case, g, lam, beta, (x_pole + zeta,), (xt0,), p, policy)
+            return sum((w * p(*Q) for w, Q in weights_at(zeta)), start=0j)
 
         def two_sided_residual(p):
             # R extrapolates h * (f(h) - f(-h)) / 2 to h -> 0, which is the
@@ -1548,22 +1519,14 @@ def _rows_quasi_invariance(ctx: _RunCtx) -> list[SampleResult]:
             R = acc * radius / K
             return abs(R) / (radius * top), top
 
-        res, scale = display_residual(p_fn)
-        rows.append(_row(ctx, f"{lab}/display", i, res, scale))
-        # the probe points sit within h of an operator pole, so roundoff in
-        # the extrapolated residue is amplified by the pole factor; the
-        # tolerance reflects that while staying five decades under the floor
-        res, scale = two_sided_residual(p_fn)
-        rows.append(_row(ctx, f"{lab}/two-sided", i, res, scale, tol_override=1e-6))
-        res, scale = contour_residual(p_fn)
-        rows.append(_row(ctx, f"{lab}/contour", i, res, scale))
-
-        res, scale = display_residual(p_bad)
-        rows.append(_row(ctx, f"{lab}/display-bad-weight", i, res, scale, control=True))
-        res, scale = two_sided_residual(p_bad)
-        rows.append(_row(ctx, f"{lab}/two-sided-bad-weight", i, res, scale, control=True))
-        res, scale = contour_residual(p_bad)
-        rows.append(_row(ctx, f"{lab}/contour-bad-weight", i, res, scale, control=True))
+        for p, bad in ((p_fn, ""), (p_bad, "-bad-weight")):
+            rows.append(_row(ctx, f"{lab}/display{bad}", i, *display_residual(p), control=bool(bad)))
+            # the probe points sit within h of an operator pole, so roundoff in
+            # the extrapolated residue is amplified by the pole factor; the
+            # tolerance reflects that while staying five decades under the floor
+            rows.append(_row(ctx, f"{lab}/two-sided{bad}", i, *two_sided_residual(p),
+                             control=bool(bad), tol_override=1e-6))
+            rows.append(_row(ctx, f"{lab}/contour{bad}", i, *contour_residual(p), control=bool(bad)))
     return rows
 
 

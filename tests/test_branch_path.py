@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from vandiejen.eigenfunctions import (
     BranchError,
     BranchTracker,
+    ConjugatedTerms,
+    ShiftBlock,
     apply_sqrt_operator,
     conjugation_terms,
     deformed_groundstate_value,
@@ -17,8 +19,8 @@ from vandiejen.eigenfunctions import (
     phi_pair,
     psi_single,
 )
-from vandiejen.operators import MassTag
-from vandiejen.sfun import CaseKind, CaseParams, PoleProximityError
+from vandiejen.operators import MassTag, def_V_pm, def_Vt_pm
+from vandiejen.sfun import DEFAULT_POLICY, CaseKind, CaseParams, PoleProximityError
 
 R, A = 1.1, 1.8
 LAM, BETA = 1.45, 0.31
@@ -163,6 +165,31 @@ def test_coefficient_roots_equal_the_reference_walk_bit_for_bit(label, x0, y0, d
         terms = conjugation_terms(case, g, LAM, BETA, tags, (), tracker)
         for Z in (base, (base[0] + dx, base[1] + dy)):
             apply_sqrt_operator(case, g, LAM, BETA, tags, Z, lambda P: 1.0, terms)
+
+    _compare(evaluate, base, exact=True)
+
+
+@PROPERTY
+@given(label=label, x0=coordinate, y0=coordinate, dx=offset, dy=offset)
+def test_two_species_coefficient_roots_equal_the_reference_walk_bit_for_bit(label, x0, y0,
+                                                                            dx, dy):
+    case, g = CASES[label], G[label]
+    # one plain and one deformed coordinate, as in the four-block kernel;
+    # the deformed one stays mostly below 1.43, where the trigonometric
+    # s(2 xt) vanishes and the walk bisects
+    base = (x0, y0 + 0.45)
+    blocks = (
+        ShiftBlock("x", (0,), lambda P, j, s: def_V_pm(case, g, LAM, BETA, P[:1], P[1:], j, s),
+                   -1j * BETA, (1, 1j * LAM * BETA)),
+        ShiftBlock("t", (1,), lambda P, j, s: def_Vt_pm(case, g, LAM, BETA, P[:1], P[1:], j, s),
+                   1j * LAM * BETA, (-1, 1j * BETA)),
+    )
+
+    def evaluate(tracker):
+        terms = ConjugatedTerms(case, DEFAULT_POLICY, tracker, blocks, lambda P: 1.0, None)
+        for Z in (base, (base[0] + dx, base[1] + dy)):
+            for b, j, sign in terms.terms:
+                terms.roots(Z, b, j, sign)
 
     _compare(evaluate, base, exact=True)
 

@@ -80,6 +80,23 @@ def test_runconfig_defaults_round_trip():
     assert RunConfig.from_mapping(cfg.to_mapping()) == cfg
 
 
+@pytest.mark.parametrize("mapping", [
+    {"no_balance": "false"},
+    {"no_balance": 1},
+    {"samples": 2.7},
+    {"samples": True},
+    {"seed": "3"},
+    {"cases": "II"},
+    {"particles": [1, 1.5, 0, 0]},
+    {"out": 5},
+])
+def test_runconfig_from_mapping_checks_types(mapping):
+    # the same rule as for a config file: no truthy string for a boolean,
+    # no truncated float for a count
+    with pytest.raises(DomainError, match=f"field {next(iter(mapping))}:"):
+        RunConfig.from_mapping(mapping)
+
+
 def test_runconfig_validation_messages():
     with pytest.raises(DomainError, match="field cases"):
         RunConfig(cases=("V",)).validate()
