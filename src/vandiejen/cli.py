@@ -117,8 +117,7 @@ class RunConfig:
         _check_field_types(m)
         fields = {}
         for attr, (key, conv, kind) in _FIELDS.items():
-            # null leaves a field unset only where unset is its default
-            if key in m and (m[key] is not None or getattr(cls, attr) is not None):
+            if m.get(key) is not None:
                 fields[attr] = tuple(map(conv, m[key])) if kind is list else conv(m[key])
         return cls(**fields)
 
@@ -188,7 +187,8 @@ class RunConfig:
 
 # per RunConfig field: its key in a mapping or config file, the conversion
 # of its value (of each element, for a list), and the JSON type a mapping
-# must give it (None: any value that the conversion takes)
+# must give it (None: any value that the conversion takes).  A JSON null
+# leaves a field unset, which only a field whose default is None may be.
 _FIELDS = {
     "cases": ("cases", str, list),
     "r": ("r", float, None),
@@ -208,7 +208,8 @@ _FIELDS = {
     "out": ("out", str, str),
     "fmt": ("format", str, None),
 }
-_TYPE_NAMES = {list: "list", str: "string", bool: "JSON boolean", int: "integer"}
+_TYPE_NAMES = {list: "a list", str: "a string", bool: "a JSON boolean", int: "an integer",
+               float: "a number"}
 
 
 def _has_type(value, kind: type) -> bool:
@@ -234,9 +235,11 @@ def _load_config_file(path_text: str) -> dict:
 
 
 def _check_field_types(mapping: dict, where: str = "") -> None:
-    for key, _, kind in _FIELDS.values():
-        if kind and mapping.get(key) is not None and not _has_type(mapping[key], kind):
-            raise DomainError(f"field {key}: must be a {_TYPE_NAMES[kind]}{where}")
+    for attr, (key, conv, kind) in _FIELDS.items():
+        value = mapping.get(key)
+        null = value is None and key in mapping and getattr(RunConfig, attr) is not None
+        if null or (kind and value is not None and not _has_type(value, kind)):
+            raise DomainError(f"field {key}: must be {_TYPE_NAMES[kind or conv]}{where}")
     if not all(_has_type(v, int) for v in mapping.get("particles") or ()):
         raise DomainError(f"field particles: entries must be integers{where}")
 

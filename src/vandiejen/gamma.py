@@ -32,9 +32,7 @@ import cmath
 import math
 from functools import lru_cache
 
-import mpmath
 import numpy as np
-import scipy.special
 
 from .sfun import (
     DEFAULT_POLICY,
@@ -43,11 +41,15 @@ from .sfun import (
     ConvergenceError,
     DomainError,
     TruncationPolicy,
+    _DeferredModule,
     _SCALAR_TYPES,
     _as_complex_array,
     _restore,
     s_eval,
 )
+
+mpmath = _DeferredModule("mpmath")
+scipy_special = _DeferredModule("scipy.special")
 
 __all__ = [
     "gamma_G1",
@@ -101,7 +103,7 @@ def _g1_rational(alpha: complex, x: np.ndarray, policy: TruncationPolicy) -> np.
                 for v in x.ravel()
             ]
         return np.array(vals).reshape(x.shape)
-    return scipy.special.gamma(0.5 + x / (1j * alpha))
+    return scipy_special.gamma(0.5 + x / (1j * alpha))
 
 
 def _g1_trigonometric(case: CaseParams, alpha: complex, x: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
@@ -366,7 +368,7 @@ def gamma_G(case: CaseParams, alpha, x, policy: TruncationPolicy = DEFAULT_POLIC
     if scalar and policy.precision_dps is None:
         z = complex(x)
         if case.kind is CaseKind.RATIONAL:
-            return complex(scipy.special.gamma(0.5 + z / (1j * alpha)))
+            return complex(scipy_special.gamma(0.5 + z / (1j * alpha)))
         if case.kind is CaseKind.TRIGONOMETRIC:
             r = case.r
             count = _geometric_terms(r * alpha.real, 0.0, 2 * r * abs(z.imag), policy.target_rel_err)

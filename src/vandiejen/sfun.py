@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import cmath
 import enum
+import importlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-import mpmath
 import numpy as np
 
 __all__ = [
@@ -59,6 +59,29 @@ __all__ = [
     "require_regular",
     "duplication_residual",
 ]
+
+
+class _DeferredModule:
+    """Stands for the module ``name`` and imports it at the first access to
+    one of its attributes, which it then keeps, so that later accesses cost
+    what a module attribute costs.  mpmath (the ``precision_dps`` paths and
+    the ``*_mp`` evaluators) and scipy.special (the rational gamma function)
+    were about half of the package's import time, and most runs need
+    neither."""
+
+    def __init__(self, name: str) -> None:
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        # introspection (``__wrapped__`` and the like) must not import
+        if attr.startswith("__"):
+            raise AttributeError(attr)
+        value = getattr(importlib.import_module(self._name), attr)
+        setattr(self, attr, value)
+        return value
+
+
+mpmath = _DeferredModule("mpmath")
 
 _THETA_TERM_CAP = 400
 

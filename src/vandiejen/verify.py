@@ -842,12 +842,14 @@ def _rows_conjugation(ctx: _RunCtx) -> list[SampleResult]:
         fns += [(f"exp{fi}", _exp_fn(ctx.rng.uniform(-0.9, 0.9, size=n))) for fi in range(5)]
         F = cache(terms.F)  # the eigenfunction's sheets carry no fault
 
-        def forms(P):
+        def forms(P, plain=None):
             # both forms at P for every test function: the plain weights,
-            # F(P), and the square-root weights with F at their points
+            # F(P), and the square-root weights with F at their points;
+            # ``plain`` gives the first two from an earlier call at P
             rooted = sqrt_operator_weights(case, g, lam, beta, tags, P, terms, policy)
-            return (operator_weights(case, g, lam, beta, config.mass_values, tags, P, policy),
-                    F(P), [(w, Q, F(Q)) for w, Q in rooted])
+            if plain is None:
+                plain = operator_weights(case, g, lam, beta, config.mass_values, tags, P, policy), F(P)
+            return (*plain, [(w, Q, F(Q)) for w, Q in rooted])
 
         def residual(form, fn):
             plain, FP, rooted = form
@@ -870,11 +872,13 @@ def _rows_conjugation(ctx: _RunCtx) -> list[SampleResult]:
                     rows.append(_row(ctx, f"{name}@p{pi}", i, *residual(form, fn)))
 
         # sheet-fault control: flipping one coefficient root away from the
-        # base must blow the residual up
+        # base must blow the residual up; the fault leaves the plain form
+        # and F alone, so only the square-root weights are built again
         base0 = base[0]
+        plain = None if isinstance(at[1], str) else at[1][:2]
         terms.tracker.set_fault(("coeff", 0, 1), lambda target: abs(target[0] - base0) > 1e-9)
         try:
-            rows.append(_row(ctx, "sheet-fault", i, *residual(forms(point), fns[1][1]),
+            rows.append(_row(ctx, "sheet-fault", i, *residual(forms(point, plain), fns[1][1]),
                              control=True))
         except BranchError as exc:
             rows.append(_row(ctx, "sheet-fault", i, math.inf, 0.0, control=True,

@@ -69,11 +69,13 @@ class ReferenceTracker(BranchTracker):
 
 class CountingTracker(BranchTracker):
     """Records, per ``sqrt_at`` call, whether it missed the cache, whether
-    its target was the base, and how often it called the factor."""
+    its target was the base, how often it called the factor, and how many
+    points its bisections of ambiguous steps took."""
 
     def __init__(self, base):
         super().__init__(base)
         self.calls = []
+        self._bisected = 0
 
     def sqrt_at(self, key, fn, target):
         evals = 0
@@ -85,10 +87,22 @@ class CountingTracker(BranchTracker):
 
         target = tuple(complex(v) for v in target)
         miss = (key, target) not in self._cache
+        self._bisected = 0
         try:
             return super().sqrt_at(key, counted, target)
         finally:
-            self.calls.append((miss, target == self.base, evals))
+            self.calls.append((miss, target == self.base, evals, self._bisected))
+
+    def _walk(self, fn, target, t_prev, prev, ts, values, depth):
+        # below the top level the walk runs over a bisected step's points
+        if depth:
+            values = self._count_bisected(values)
+        return super()._walk(fn, target, t_prev, prev, ts, values, depth)
+
+    def _count_bisected(self, values):
+        for value in values:
+            self._bisected += 1
+            yield value
 
 
 def _outcome(evaluate, tracker):
@@ -115,8 +129,11 @@ def _compare(evaluate, base, exact):
             assert value == ref, cache_key
         else:
             assert abs(value - ref) <= 1e-12 * abs(ref), cache_key
-    for miss, at_base, evals in tracker.calls:
-        assert evals == ((1 if at_base else 2) if miss else 0)
+    # a miss calls the factor at the base, once on the whole path, and once
+    # per bisected point; a hit does not call it
+    for miss, at_base, evals, bisected in tracker.calls:
+        assert evals == ((1 if at_base else 2 + bisected) if miss else 0)
+    return tracker
 
 
 coordinate = st.builds(complex, st.floats(0.3, 0.9), st.floats(-0.1, 0.1))
@@ -169,15 +186,11 @@ def test_coefficient_roots_equal_the_reference_walk_bit_for_bit(label, x0, y0, d
     _compare(evaluate, base, exact=True)
 
 
-@PROPERTY
-@given(label=label, x0=coordinate, y0=coordinate, dx=offset, dy=offset)
-def test_two_species_coefficient_roots_equal_the_reference_walk_bit_for_bit(label, x0, y0,
-                                                                            dx, dy):
+def _compare_two_species(label, base, dx, dy):
+    """The roots of the shift terms of one plain and one deformed
+    coordinate, as in the four-block kernel, at ``base`` and at ``base``
+    moved by ``(dx, dy)``, against the reference walk bit for bit."""
     case, g = CASES[label], G[label]
-    # one plain and one deformed coordinate, as in the four-block kernel;
-    # the deformed one stays mostly below 1.43, where the trigonometric
-    # s(2 xt) vanishes and the walk bisects
-    base = (x0, y0 + 0.45)
     blocks = (
         ShiftBlock("x", (0,), lambda P, j, s: def_V_pm(case, g, LAM, BETA, P[:1], P[1:], j, s),
                    -1j * BETA, (1, 1j * LAM * BETA)),
@@ -191,7 +204,24 @@ def test_two_species_coefficient_roots_equal_the_reference_walk_bit_for_bit(labe
             for b, j, sign in terms.terms:
                 terms.roots(Z, b, j, sign)
 
-    _compare(evaluate, base, exact=True)
+    return _compare(evaluate, base, exact=True)
+
+
+@PROPERTY
+@given(label=label, x0=coordinate, y0=coordinate, dx=offset, dy=offset)
+def test_two_species_coefficient_roots_equal_the_reference_walk_bit_for_bit(label, x0, y0,
+                                                                            dx, dy):
+    # the deformed coordinate stays mostly below 1.43, where the
+    # trigonometric s(2 xt) vanishes and the walk bisects
+    _compare_two_species(label, (x0, y0 + 0.45), dx, dy)
+
+
+def test_a_bisecting_two_species_walk_equals_the_reference_walk_bit_for_bit():
+    # the deformed coordinate moves from 1.35 to 1.475, across the zero of
+    # the trigonometric s(2 xt) near 1.43
+    tracker = _compare_two_species("II", (0.5, 0.75 + 0.0625j + 0.6), 0j, 0.125)
+    assert tracker is not None
+    assert sum(bisected for *_, bisected in tracker.calls) > 0
 
 
 def test_zero_crossing_is_reported_before_a_later_pole():
@@ -226,4 +256,4 @@ def test_a_factor_of_points_only_is_walked_point_by_point():
     tracker = CountingTracker((0.2 + 0.1j,))
     value = tracker.sqrt_at("k", lambda Z: cmath.exp(Z[0]), (1.7 - 0.3j,))
     assert abs(value - cmath.exp(0.5 * (1.7 - 0.3j))) < 1e-13
-    assert tracker.calls == [(True, False, 2 + tracker.path_steps)]
+    assert tracker.calls == [(True, False, 2 + tracker.path_steps, 0)]

@@ -97,6 +97,20 @@ def test_runconfig_from_mapping_checks_types(mapping):
         RunConfig.from_mapping(mapping)
 
 
+@pytest.mark.parametrize("key,message", [
+    ("r", "field r: must be a number"),
+    ("samples", "field samples: must be an integer"),
+    ("format", "field format: must be a string"),
+])
+def test_runconfig_from_mapping_rejects_null_for_a_field_with_a_default(key, message):
+    with pytest.raises(DomainError, match=message):
+        RunConfig.from_mapping({key: None})
+
+
+def test_runconfig_from_mapping_reads_null_as_unset_for_a_field_without_default():
+    assert RunConfig.from_mapping({"lambda": None}) == RunConfig()
+
+
 def test_runconfig_validation_messages():
     with pytest.raises(DomainError, match="field cases"):
         RunConfig(cases=("V",)).validate()
@@ -352,6 +366,23 @@ def test_config_file_booleans_and_integers_are_typed(tmp_path, capsys, file_map)
     assert code == EXIT_CONFIG
     assert f"configuration error: field {next(iter(file_map))}:" in err
     assert "verdict" not in out
+
+
+@pytest.mark.parametrize("key", ["r", "samples", "format", "lambda"])
+def test_config_file_null_follows_the_field_default(tmp_path, capsys, key):
+    # a null unsets a field whose default is unset (lambda) and is a
+    # configuration error for a field with a default
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: None}))
+    code, out, err = run_main(capsys, [
+        "verify", "--identity", "s-oddness", "--samples", "1", "--config", str(config)])
+    if key == "lambda":
+        assert code == EXIT_PASS
+        assert "verdict" in out
+    else:
+        assert code == EXIT_CONFIG
+        assert f"configuration error: field {key}: must be " in err
+        assert "verdict" not in out
 
 
 def test_config_file_bad_json(tmp_path, capsys):

@@ -1,0 +1,71 @@
+"""Cold start: importing the package loads neither scipy nor mpmath, and the
+first call that needs one of them gives the bits of a direct call."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mpmath
+import numpy as np
+import scipy.special
+
+import vandiejen
+
+SRC = Path(vandiejen.__file__).resolve().parents[1]
+ALPHA = 0.8
+Z = 0.37 + 0.11j
+XS = [0.37 + 0.11j, -1.2 + 0.4j, 2.5 - 0.3j]
+R = 1.1
+DPS = 30
+
+# Runs in a fresh interpreter: the modules loaded by the import, then the
+# first calls that need scipy (a scalar, then an array rational gamma) and
+# mpmath (an extended-precision s, then s_eval_mp).  Complex values are
+# sent as float.hex pairs, mpmath values as their exact mantissa-exponent
+# tuples.
+SCRIPT = """
+import json, sys
+import vandiejen, vandiejen.cli
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] in ("scipy", "mpmath"))
+import numpy as np
+from vandiejen.gamma import gamma_G
+from vandiejen.sfun import CaseKind, CaseParams, TruncationPolicy, s_eval, s_eval_mp
+alpha, z, xs, r, dps = {args}
+rational = CaseParams(CaseKind.RATIONAL, r=1.0, a=2.0)
+trig = CaseParams(CaseKind.TRIGONOMETRIC, r=r, a=2.0)
+def bits(w):
+    return [complex(w).real.hex(), complex(w).imag.hex()]
+out = {{"loaded": loaded}}
+out["gamma-scalar"] = bits(gamma_G(rational, alpha, z))
+out["gamma-array"] = [bits(w) for w in gamma_G(rational, alpha, np.array(xs))]
+out["precision_dps"] = bits(s_eval(trig, z, TruncationPolicy(precision_dps=dps)))
+out["s_eval_mp"] = str(s_eval_mp(trig, z, dps)._mpc_)
+print(json.dumps(out))
+"""
+
+
+def _bits(w):
+    return [complex(w).real.hex(), complex(w).imag.hex()]
+
+
+def test_import_loads_neither_dependency_and_first_calls_give_the_direct_bits():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    script = SCRIPT.format(args=repr((ALPHA, Z, XS, R, DPS)))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    got = json.loads(done.stdout)
+    assert got.pop("loaded") == []
+
+    # the same values from scipy and mpmath called directly
+    alpha = complex(ALPHA)
+    with mpmath.workdps(DPS):
+        s_mp = mpmath.sin(R * mpmath.mpmathify(Z)) / R
+    assert got == {
+        "gamma-scalar": _bits(scipy.special.gamma(0.5 + Z / (1j * alpha))),
+        "gamma-array": [_bits(w) for w in scipy.special.gamma(0.5 + np.array(XS) / (1j * alpha))],
+        "precision_dps": _bits(s_mp),
+        "s_eval_mp": str(s_mp._mpc_),
+    }

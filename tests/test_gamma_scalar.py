@@ -96,7 +96,7 @@ def test_precision_policy_still_routes_scalars_to_mpmath(label, monkeypatch):
         raise AssertionError("float path used under precision_dps")
 
     monkeypatch.setattr(gamma_mod, "_g1_trigonometric_scalar", float_path)
-    monkeypatch.setattr(gamma_mod.scipy.special, "gamma", float_path)
+    monkeypatch.setattr(gamma_mod.scipy_special, "gamma", float_path)
     assert gamma_G(case, 0.8, z, policy) == mp_value
     assert gamma_G(case, -0.8, -z, policy) == mp_value
 

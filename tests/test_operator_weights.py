@@ -299,7 +299,8 @@ def test_an_anti_symmetry_sample_builds_each_operator_once(seed):
 @pytest.mark.parametrize("label", ("I", "II"))
 def test_a_conjugation_sample_builds_each_form_once_per_point(label):
     # coeff_V0 ends both forms; the screen of a candidate point is not
-    # counted, and the sheet-fault row builds both forms again under the fault
+    # counted, and the sheet-fault row builds only the square-root form
+    # again under the fault: twice per point, once more at the offset point
     counts = []
     screening = []
     screen = verify._screen_config
@@ -321,4 +322,4 @@ def test_a_conjugation_sample_builds_each_form_once_per_point(label):
     assert len(report.results) == 13
     per_point = [key for _, key in counts if key is not None]
     assert len(set(per_point)) == 2
-    assert len(per_point) <= 6
+    assert len(per_point) == 5
