@@ -111,10 +111,11 @@ class RunConfig:
         return m
 
     @classmethod
-    def from_mapping(cls, m: dict) -> "RunConfig":
-        """The inverse of :meth:`to_mapping`.  A value without the JSON type
-        of its field is a :class:`DomainError`."""
-        _check_field_types(m)
+    def from_mapping(cls, m: dict, where: str = "") -> "RunConfig":
+        """The inverse of :meth:`to_mapping`, and the reader of a config
+        file.  A value without the JSON type of its field is a
+        :class:`DomainError`, whose message ends with ``where``."""
+        _check_field_types(m, where)
         fields = {}
         for attr, (key, conv, kind) in _FIELDS.items():
             if m.get(key) is not None:
@@ -197,7 +198,7 @@ _FIELDS = {
     "lam": ("lambda", float, None),
     "beta": ("beta", float, None),
     "particles": ("particles", int, list),
-    "masses": ("masses", str, list),
+    "masses": ("masses", lambda t: MassTag.parse(t).value, list),
     "identities": ("identities", str, list),
     "samples": ("samples", int, int),
     "seed": ("seed", int, int),
@@ -208,6 +209,8 @@ _FIELDS = {
     "out": ("out", str, str),
     "fmt": ("format", str, None),
 }
+# the flags whose destination is not their field's name
+_FLAG_DESTS = {"identities": "identity"}
 _TYPE_NAMES = {list: "a list", str: "a string", bool: "a JSON boolean", int: "an integer",
                float: "a number"}
 
@@ -217,7 +220,7 @@ def _has_type(value, kind: type) -> bool:
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
-def _load_config_file(path_text: str) -> dict:
+def _load_config_file(path_text: str) -> RunConfig:
     path = Path(path_text)
     try:
         raw = path.read_text()
@@ -230,8 +233,7 @@ def _load_config_file(path_text: str) -> dict:
             f"config file {path}: invalid JSON at line {exc.lineno}") from exc
     if not isinstance(mapping, dict):
         raise DomainError(f"config file {path}: top level must be a mapping")
-    _check_field_types(mapping, f" (config file {path})")
-    return mapping
+    return RunConfig.from_mapping(mapping, f" (config file {path})")
 
 
 def _check_field_types(mapping: dict, where: str = "") -> None:
@@ -258,89 +260,25 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    file_map = {}
-    if getattr(args, "config", None):
-        file_map = _load_config_file(args.config)
-
-    def pick(key: str, flag_value, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_map:
-            return file_map[key]
-        return default
-
-    cases = None
+    """The config file (or the defaults), with each flag that is set
+    replacing its field.  ``--case`` wins over ``--cases``, and ``--cases``
+    and ``--identity`` win over ``--all``."""
+    cfg = _load_config_file(args.config) if getattr(args, "config", None) else RunConfig()
+    flags = {}
+    if getattr(args, "all", None):
+        flags.update(cases=verify.CASES, identities=verify.IDENTITIES)
+    for attr, (_, conv, kind) in _FIELDS.items():
+        value = getattr(args, _FLAG_DESTS.get(attr, attr), None)
+        if kind is list and value:
+            # a comma-separated flag: an empty name is skipped, an empty
+            # number is malformed
+            flags[attr] = tuple(conv(t.strip()) for t in value.split(",")
+                                if t.strip() or conv in (int, float))
+        elif kind is not list and value is not None:
+            flags[attr] = conv(value)
     if getattr(args, "case", None):
-        cases = (args.case,)
-    elif getattr(args, "cases", None):
-        cases = tuple(t.strip() for t in args.cases.split(",") if t.strip())
-    elif getattr(args, "all", None):
-        cases = tuple(verify.CASES)
-    if cases is None:
-        raw = file_map.get("cases")
-        cases = tuple(str(c) for c in raw) if raw else ("I",)
-
-    identities: tuple[str, ...] = ()
-    if getattr(args, "identity", None):
-        identities = tuple(t.strip() for t in args.identity.split(",")
-                           if t.strip())
-    elif getattr(args, "all", None):
-        identities = tuple(verify.IDENTITIES)
-    elif file_map.get("identities"):
-        identities = tuple(str(i) for i in file_map["identities"])
-
-    g = None
-    if getattr(args, "g", None):
-        g = tuple(float(t) for t in args.g.split(","))
-    elif file_map.get("g") is not None:
-        g = tuple(float(v) for v in file_map["g"])
-
-    particles = None
-    if getattr(args, "particles", None):
-        parts = [t.strip() for t in args.particles.split(",")]
-        if len(parts) != 4:
-            raise DomainError("field particles: expected N,Ntilde,M,Mtilde")
-        particles = tuple(int(t) for t in parts)
-    elif file_map.get("particles") is not None:
-        particles = tuple(int(v) for v in file_map["particles"])
-
-    masses = None
-    if getattr(args, "masses", None):
-        masses = tuple(MassTag.parse(t).value
-                       for t in args.masses.split(",") if t.strip())
-    elif file_map.get("masses") is not None:
-        masses = tuple(MassTag.parse(t).value for t in file_map["masses"])
-
-    return RunConfig(
-        cases=cases,
-        r=float(pick("r", getattr(args, "r", None), 1.0)),
-        a=float(pick("a", getattr(args, "a", None), 2.0)),
-        g=g,
-        lam=(float(args.lam) if getattr(args, "lam", None) is not None
-             else (float(file_map["lambda"])
-                   if file_map.get("lambda") is not None else None)),
-        beta=(float(args.beta) if getattr(args, "beta", None) is not None
-              else (float(file_map["beta"])
-                    if file_map.get("beta") is not None else None)),
-        particles=particles,
-        masses=masses,
-        identities=identities,
-        samples=int(pick("samples", getattr(args, "samples", None), 20)),
-        seed=int(pick("seed", getattr(args, "seed", None), 0)),
-        tol=(float(args.tol) if getattr(args, "tol", None) is not None
-             else (float(file_map["tol"])
-                   if file_map.get("tol") is not None else None)),
-        trunc_terms=(int(args.trunc_terms)
-                     if getattr(args, "trunc_terms", None) is not None
-                     else (int(file_map["trunc_terms"])
-                           if file_map.get("trunc_terms") is not None
-                           else None)),
-        no_balance=bool(pick("no_balance",
-                             getattr(args, "no_balance", None), False)),
-        max_n=int(pick("max_n", getattr(args, "max_n", None), 3)),
-        out=pick("out", getattr(args, "out", None), None),
-        fmt=str(pick("format", getattr(args, "fmt", None), "text")),
-    )
+        flags["cases"] = (args.case,)
+    return dataclasses.replace(cfg, **flags)
 
 
 # ---------------------------------------------------------------------------
@@ -622,10 +560,9 @@ def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     if cfg.fmt == "json-lines":
         created = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        lines = [verify.header_line(created, merged_from=len(parsed))]
-        lines.extend(verify.json_line(row) for row in
-                     [*merged["samples"], *merged["summaries"], merged["footer"]])
-        text = "\n".join(lines)
+        header = verify.header_line(created, merged_from=len(parsed))
+        text = verify.json_lines_text(
+            header, [*merged["samples"], *merged["summaries"], merged["footer"]])
     elif cfg.fmt == "csv":
         text = verify.render_csv(merged["samples"])
     else:
@@ -651,7 +588,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--r", type=float, help="trigonometric/elliptic scale")
     sub.add_argument("--a", type=float, help="hyperbolic/elliptic scale")
     sub.add_argument("--trunc-terms", dest="trunc_terms", type=int,
-                     help="series/product truncation order")
+                     help="factors of the theta product (read only by "
+                          "the theta-product identity)")
     sub.add_argument("--out", help="write output to this path")
     sub.add_argument("--format", dest="fmt", choices=list(FORMATS),
                      help="output format (default text)")

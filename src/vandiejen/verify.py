@@ -504,8 +504,7 @@ def _rows_s_oddness(ctx: _RunCtx) -> list[SampleResult]:
         z = _draw_scalar(ctx.rng)
         a = _sv(ctx.case, z, ctx.policy)
         b = _sv(ctx.case, -z, ctx.policy)
-        scale = max(abs(a), abs(b), _TINY)
-        rows.append(_row(ctx, "odd", i, abs(a + b) / scale, scale))
+        rows.append(_row(ctx, "odd", i, *_rel_dev(a, -b)))
     return rows
 
 
@@ -518,8 +517,7 @@ def _rows_s_quasi_period(ctx: _RunCtx) -> list[SampleResult]:
         fac = quasi_factor(case, z, nu, ctx.policy)
         lhs = _sv(case, z + case.omega[nu], ctx.policy)
         rhs = complex(fac) * _sv(case, z, ctx.policy)
-        scale = max(abs(lhs), abs(rhs), _TINY)
-        rows.append(_row(ctx, f"nu={nu}", i, abs(lhs - rhs) / scale, scale))
+        rows.append(_row(ctx, f"nu={nu}", i, *_rel_dev(lhs, rhs)))
     return rows
 
 
@@ -551,8 +549,7 @@ def _rows_theta_product(ctx: _RunCtx) -> list[SampleResult]:
         z = _draw_scalar(ctx.rng)
         sv = complex(theta_eval(z, q=q, policy=ctx.policy))
         pv = complex(theta_product(z, q=q, policy=ctx.policy))
-        scale = max(abs(sv), abs(pv), _TINY)
-        rows.append(_row(ctx, "sum-vs-product", i, abs(sv - pv) / scale, scale))
+        rows.append(_row(ctx, "sum-vs-product", i, *_rel_dev(sv, pv)))
     return rows
 
 
@@ -594,9 +591,8 @@ def _rows_gamma_reflection(ctx: _RunCtx) -> list[SampleResult]:
         z = _draw_scalar(ctx.rng, re=(0.1, 1.1), im=(-0.2, 0.2))
         a = complex(gamma_G(ctx.case, -alpha, z, ctx.policy))
         b = complex(gamma_G(ctx.case, alpha, -z, ctx.policy))
-        scale = max(abs(a), abs(b), _TINY)
-        residual = 0.0 if a == b else abs(a - b) / scale
-        rows.append(_row(ctx, "reflection", i, residual, scale))
+        residual, scale = _rel_dev(a, b)
+        rows.append(_row(ctx, "reflection", i, 0.0 if a == b else residual, scale))
     return rows
 
 
@@ -1005,67 +1001,8 @@ def _direct_kernel_rows(
 
 
 # ---------------------------------------------------------------------------
-# specialised identity runners
+# block-structured identities; the display identities run over one table
 # ---------------------------------------------------------------------------
-
-
-def _rows_eigen_plain(ctx: _RunCtx) -> list[SampleResult]:
-    rows = []
-    case, policy = ctx.case, ctx.policy
-    grid = [(n,) for n in range(1, ctx.max_n + 1)]
-    for i in range(ctx.samples):
-        N = ctx.particles[0] if ctx.particles else grid[i % len(grid)][0]
-        tags = (MassTag.PLUS_ONE,) * N
-        coupling = _draw_coupling(ctx.rng, case)
-        if ctx.label == "IV":
-            coupling = _balanced_coupling(ctx, coupling, "eigen-plain", N=N)
-        g, lam, beta = coupling.g, coupling.lam, coupling.beta
-        config = Configuration(case, coupling, tags)
-        X = ctx.admissible_X(config)
-        lab = f"N{N}"
-        values = config.mass_values
-
-        if not (ctx.label == "IV" and ctx.no_balance):
-            # specialised coefficients == generic multiset coefficients
-            dev, sc = _worst_dev(batched(case, policy, lambda: [
-                (coeff_V_shift(case, g, lam, beta, values, tags, X, j, sign, policy),
-                 vd_V_pm(case, g, lam, beta, X, j, sign, policy))
-                for j in range(N) for sign in (1, -1)]))
-            rows.append(_row(ctx, f"{lab}/chain-shift", i, dev, sc))
-
-            d, s = _rel_dev(*batched(case, policy, lambda: (
-                coeff_V0(case, g, lam, beta, values, X, policy),
-                vd_V0(case, g, lam, beta, X, policy) - c0_constant(case, g, lam, beta, policy))))
-            rows.append(_row(ctx, f"{lab}/chain-zero", i, d, s))
-
-            # square-root closure: coefficient ratio under one step equals
-            # the squared ground-state ratio
-            gs_sq = groundstate_sq_factors(case, g, lam, beta, tuple(range(N)))
-
-            def closure(j, sign):
-                delta = -sign * 1j * beta
-                va = vd_V_pm(case, g, lam, beta, X, j, sign, policy)
-                vb = vd_V_pm(case, g, lam, beta, _moved(X, j, X[j] + delta), j, -sign, policy)
-                return va / vb, factor_ratio(case, gs_sq, X, j, delta, policy)
-
-            dev, sc = _worst_dev(batched(case, policy, lambda: [
-                closure(j, sign) for j in range(N) for sign in (1, -1)]))
-            rows.append(_row(ctx, f"{lab}/closure", i, dev, sc))
-
-            # eigenvalue: plain action on the constant function
-            terms, const = batched(case, policy, lambda: (
-                _applied(vd_weights(case, g, lam, beta, X, policy), lambda _: 1.0),
-                eigen_constant(case, g, lam, beta, values, policy)))
-            scale = max(_max_abs(terms), abs(const), _TINY)
-            rows.append(_row(ctx, f"{lab}/eigen", i, abs(sum(terms) - const) / scale, scale))
-
-        if ctx.label == "IV":
-            # the zeroth coefficient of the specialised form carries a large
-            # additive constant that cancels in the defect, so the detuned
-            # controls measure the same defect through the conjugated form
-            # (whose term scale is free of that offset)
-            rows.extend(_detuned_controls(ctx, coupling, tags, X, i, f"{lab}/eigen"))
-    return rows
 
 
 @dataclass(frozen=True)
@@ -1079,7 +1016,9 @@ class _Species:
     particles: int
 
 
-_TWO_SPECIES = (_Species("N", MassTag.PLUS_ONE, 0), _Species("Nt", MassTag.MINUS_INV, 1))
+# the four species, in the order of a pinned (N, Nt, M, Mt)
+_N, _NT, _M, _MT = (_Species("N", MassTag.PLUS_ONE, 0), _Species("Nt", MassTag.MINUS_INV, 1),
+                    _Species("M", MassTag.MINUS_ONE, 2), _Species("Mt", MassTag.PLUS_INV, 3))
 
 
 def _block_sample(ctx: _RunCtx, species: Sequence[_Species], i: int):
@@ -1106,83 +1045,108 @@ def _block_sample(ctx: _RunCtx, species: Sequence[_Species], i: int):
     return [tuple(range(a, b)) for a, b in zip(ends, ends[1:])], lab, config, Z
 
 
-def _rows_deformed_groundstate(ctx: _RunCtx) -> list[SampleResult]:
+def _pick(P: Sequence[complex], slots: Sequence[int]) -> tuple[complex, ...]:
+    return tuple(P[v] for v in slots)
+
+
+def _on_slots(case, fn, g, lam, beta, slices, policy):
+    """``fn`` of the operator at ``(g, lam, beta)`` acting on the
+    coordinates ``P[slices]``, as a function of ``P`` and the remaining
+    arguments of ``fn`` (``j, sign`` for a shift coefficient)."""
+    return lambda P, *args: fn(case, g, lam, beta, *(_pick(P, v) for v in slices), *args, policy)
+
+
+@dataclass(frozen=True)
+class _DisplaySpec:
+    """One specialised display of the operator: its species in coordinate
+    order; ``build(case, g, lam, beta, slices, policy)``, which returns the
+    zeroth coefficient ``v0(P)`` less its constant, the weights ``weights(P)``,
+    the squared ground-state factors and one ``(label, slots, coeff(P, j,
+    sign), step)`` closure block per species; and whether the chain and
+    closure rows run before the eigen row."""
+
+    species: tuple[_Species, ...]
+    build: Callable
+    display: bool = True
+
+
+def _plain_display(case, g, lam, beta, slices, policy):
+    def on(fn):
+        return _on_slots(case, fn, g, lam, beta, slices, policy)
+
+    return (on(vd_V0), on(vd_weights), groundstate_sq_factors(case, g, lam, beta, *slices),
+            [("closure", slices[0], on(vd_V_pm), -1j * beta)])
+
+
+def _deformed_display(case, g, lam, beta, slices, policy):
+    def on(fn):
+        return _on_slots(case, fn, g, lam, beta, slices, policy)
+
+    return (on(def_V0), on(def_weights),
+            deformed_groundstate_sq_factors(case, g, lam, beta, *slices),
+            [("closure-x", slices[0], on(def_V_pm), -1j * beta),
+             ("closure-t", slices[1], on(def_Vt_pm), 1j * lam * beta)])
+
+
+_DISPLAYS = {
+    "eigen-plain": _DisplaySpec((_N,), _plain_display),
+    "deformed-groundstate": _DisplaySpec((_N, _NT), _deformed_display),
+    "deformed-constant": _DisplaySpec((_N, _NT), _deformed_display, display=False),
+}
+
+
+def _rows_display(ctx: _RunCtx) -> list[SampleResult]:
+    spec = _DISPLAYS[ctx.identity]
     rows = []
     case, policy = ctx.case, ctx.policy
-
     for i in range(ctx.samples):
-        (x_vars, t_vars), lab, config, Z = _block_sample(ctx, _TWO_SPECIES, i)
-        g, lam, beta = config.coupling.g, config.coupling.lam, config.coupling.beta
-        values = config.mass_values
-        tags = config.masses
-        xs = tuple(Z[v] for v in x_vars)
-        ts = tuple(Z[v] for v in t_vars)
-        # the two species: coefficient display, coordinate slots and step
-        species = (("x", def_V_pm, x_vars, -1j * beta), ("t", def_Vt_pm, t_vars, 1j * lam * beta))
+        slices, lab, config, Z = _block_sample(ctx, spec.species, i)
+        coupling, tags, values = config.coupling, config.masses, config.mass_values
+        g, lam, beta = coupling.g, coupling.lam, coupling.beta
+        v0, weights, gs_sq, blocks = spec.build(case, g, lam, beta, slices, policy)
 
         if not (ctx.label == "IV" and ctx.no_balance):
-            # generic multiset coefficients == two-species displays
-            dev, sc = _worst_dev(batched(case, policy, lambda: [
-                (coeff_V_shift(case, g, lam, beta, values, tags, Z, slot, sign, policy),
-                 fn(case, g, lam, beta, xs, ts, j, sign, policy))
-                for _, fn, slots, _ in species for j, slot in enumerate(slots)
-                for sign in (1, -1)]))
-            rows.append(_row(ctx, f"{lab}/chain-shift", i, dev, sc))
+            if spec.display:
+                # specialised coefficients == generic multiset coefficients
+                dev, sc = _worst_dev(batched(case, policy, lambda: [
+                    (coeff_V_shift(case, g, lam, beta, values, tags, Z, slot, sign, policy),
+                     coeff(Z, j, sign))
+                    for _, slots, coeff, _ in blocks for j, slot in enumerate(slots)
+                    for sign in (1, -1)]))
+                rows.append(_row(ctx, f"{lab}/chain-shift", i, dev, sc))
 
-            d, s = _rel_dev(*batched(case, policy, lambda: (
-                coeff_V0(case, g, lam, beta, values, Z, policy),
-                def_V0(case, g, lam, beta, xs, ts, policy) - c0_constant(case, g, lam, beta, policy))))
-            rows.append(_row(ctx, f"{lab}/chain-zero", i, d, s))
+                d, s = _rel_dev(*batched(case, policy, lambda: (
+                    coeff_V0(case, g, lam, beta, values, Z, policy),
+                    v0(Z) - c0_constant(case, g, lam, beta, policy))))
+                rows.append(_row(ctx, f"{lab}/chain-zero", i, d, s))
 
-            # square-root closure against the squared two-species ground state
-            dgs = deformed_groundstate_sq_factors(case, g, lam, beta, x_vars, t_vars)
+                # square-root closure: coefficient ratio under one step
+                # equals the squared ground-state ratio
+                def closure(coeff, slot, j, sign, delta):
+                    shifted = _moved(Z, slot, Z[slot] + delta)
+                    return (coeff(Z, j, sign) / coeff(shifted, j, -sign),
+                            factor_ratio(case, gs_sq, Z, slot, delta, policy))
 
-            def closure(fn, slot, j, delta, sign):
-                shifted = _moved(Z, slot, Z[slot] + delta)
-                va = fn(case, g, lam, beta, xs, ts, j, sign, policy)
-                vb = fn(case, g, lam, beta, _pick(shifted, x_vars), _pick(shifted, t_vars),
-                        j, -sign, policy)
-                return va / vb, factor_ratio(case, dgs, Z, slot, delta, policy)
+                for name, slots, coeff, step in blocks:
+                    if slots:
+                        dev, sc = _worst_dev(batched(case, policy, lambda: [
+                            closure(coeff, slot, j, sign, sign * step)
+                            for j, slot in enumerate(slots) for sign in (1, -1)]))
+                        rows.append(_row(ctx, f"{lab}/{name}", i, dev, sc))
 
-            for name, fn, slots, step in species:
-                if slots:
-                    dev, sc = _worst_dev(batched(case, policy, lambda: [
-                        closure(fn, slot, j, sign * step, sign)
-                        for j, slot in enumerate(slots) for sign in (1, -1)]))
-                    rows.append(_row(ctx, f"{lab}/closure-{name}", i, dev, sc))
-
+            # eigenvalue: the action on the constant function
             terms, const = batched(case, policy, lambda: (
-                _applied(def_weights(case, g, lam, beta, xs, ts, policy), lambda _: 1.0),
+                _applied(weights(Z), lambda _: 1.0),
                 eigen_constant(case, g, lam, beta, values, policy)))
             scale = max(_max_abs(terms), abs(const), _TINY)
             rows.append(_row(ctx, f"{lab}/eigen", i, abs(sum(terms) - const) / scale, scale))
 
         if ctx.label == "IV":
-            # see the eigen-plain runner for why controls go through the
-            # conjugated form
-            rows.extend(_detuned_controls(ctx, config.coupling, tags, Z, i, f"{lab}/eigen"))
-    return rows
-
-
-def _rows_deformed_constant(ctx: _RunCtx) -> list[SampleResult]:
-    rows = []
-    case, policy = ctx.case, ctx.policy
-    for i in range(ctx.samples):
-        (x_vars, t_vars), lab, config, Z = _block_sample(ctx, _TWO_SPECIES, i)
-        g, lam, beta = config.coupling.g, config.coupling.lam, config.coupling.beta
-        values = config.mass_values
-        xs = tuple(Z[v] for v in x_vars)
-        ts = tuple(Z[v] for v in t_vars)
-
-        if not (ctx.label == "IV" and ctx.no_balance):
-            terms, const = batched(case, policy, lambda: (
-                _applied(def_weights(case, g, lam, beta, xs, ts, policy), lambda _: 1.0),
-                eigen_constant(case, g, lam, beta, values, policy)))
-            scale = max(_max_abs(terms), abs(const), _TINY)
-            rows.append(_row(ctx, f"{lab}/eigen", i, abs(sum(terms) - const) / scale, scale))
-        if ctx.label == "IV":
-            rows.extend(_detuned_controls(ctx, config.coupling, config.masses, Z, i,
-                                          f"{lab}/eigen"))
+            # the zeroth coefficient of the specialised form carries a large
+            # additive constant that cancels in the defect, so the detuned
+            # controls measure the same defect through the conjugated form
+            # (whose term scale is free of that offset)
+            rows.extend(_detuned_controls(ctx, coupling, tags, Z, i, f"{lab}/eigen"))
     return rows
 
 
@@ -1204,16 +1168,6 @@ class _KernelSpec:
     blocks: Callable
 
 
-def _pick(P: Sequence[complex], slots: Sequence[int]) -> tuple[complex, ...]:
-    return tuple(P[v] for v in slots)
-
-
-def _shift_coeff(case, fn, g, lam, beta, slices, policy):
-    """A block's ``coeff(P, j, s)``: the shift coefficient ``fn`` of the
-    operator at ``(g, lam, beta)`` acting on the coordinates ``P[slices]``."""
-    return lambda P, j, s: fn(case, g, lam, beta, *(_pick(P, v) for v in slices), j, s, policy)
-
-
 def _cauchy_blocks(case, g, lam, beta, slices, policy):
     x, y = slices
     gref = _reflected(g, lam)
@@ -1223,9 +1177,9 @@ def _cauchy_blocks(case, g, lam, beta, slices, policy):
                 - vd_V0(case, gref, lam, beta, _pick(P, y), policy))
 
     return cauchy_kernel_factors(lam, beta, x, y), v0, (
-        ShiftBlock("map-x", x, _shift_coeff(case, vd_V_pm, g, lam, beta, [x], policy),
+        ShiftBlock("map-x", x, _on_slots(case, vd_V_pm, g, lam, beta, [x], policy),
                -1j * beta, (1, 1j * lam * beta), 1),
-        ShiftBlock("map-y", y, _shift_coeff(case, vd_V_pm, gref, lam, beta, [y], policy),
+        ShiftBlock("map-y", y, _on_slots(case, vd_V_pm, gref, lam, beta, [y], policy),
                -1j * beta, (-1, 1j * lam * beta), -1),
     )
 
@@ -1239,9 +1193,9 @@ def _dual_blocks(case, g, lam, beta, slices, policy):
                 + vd_V0(case, gsc, 1.0 / lam, lam * beta, _pick(P, t), policy))
 
     return dual_cauchy_kernel_factors(x, t), v0, (
-        ShiftBlock("map-x", x, _shift_coeff(case, vd_V_pm, g, lam, beta, [x], policy),
+        ShiftBlock("map-x", x, _on_slots(case, vd_V_pm, g, lam, beta, [x], policy),
                -1j * beta, (1, 1j * lam * beta), 1),
-        ShiftBlock("map-t", t, _shift_coeff(case, vd_V_pm, gsc, 1.0 / lam, lam * beta, [t], policy),
+        ShiftBlock("map-t", t, _on_slots(case, vd_V_pm, gsc, 1.0 / lam, lam * beta, [t], policy),
                -1j * lam * beta, (1, 1j * beta), 1),
     )
 
@@ -1259,28 +1213,21 @@ def _deformed_blocks(case, g, lam, beta, slices, policy):
                 - def_V0(case, gref, lam, beta, _pick(P, y), _pick(P, yt), policy))
 
     return K, v0, (
-        ShiftBlock("map-x", x, _shift_coeff(case, def_V_pm, g, lam, beta, [x, xt], policy),
+        ShiftBlock("map-x", x, _on_slots(case, def_V_pm, g, lam, beta, [x, xt], policy),
                -1j * beta, (1, 1j * lam * beta), 1),
-        ShiftBlock("map-t", xt, _shift_coeff(case, def_Vt_pm, g, lam, beta, [x, xt], policy),
+        ShiftBlock("map-t", xt, _on_slots(case, def_Vt_pm, g, lam, beta, [x, xt], policy),
                1j * lam * beta, (-1, 1j * beta), 1),
-        ShiftBlock("map-y", y, _shift_coeff(case, def_V_pm, gref, lam, beta, [y, yt], policy),
+        ShiftBlock("map-y", y, _on_slots(case, def_V_pm, gref, lam, beta, [y, yt], policy),
                -1j * beta, (-1, 1j * lam * beta), -1),
-        ShiftBlock("map-yt", yt, _shift_coeff(case, def_Vt_pm, gref, lam, beta, [y, yt], policy),
+        ShiftBlock("map-yt", yt, _on_slots(case, def_Vt_pm, gref, lam, beta, [y, yt], policy),
                1j * lam * beta, (1, 1j * beta), -1),
     )
 
 
 _KERNELS = {
-    "kernel-cauchy": _KernelSpec(
-        (_Species("N", MassTag.PLUS_ONE, 0), _Species("M", MassTag.MINUS_ONE, 2)),
-        kernel_cauchy_value, _cauchy_blocks),
-    "kernel-dual": _KernelSpec(
-        (_Species("N", MassTag.PLUS_ONE, 0), _Species("Mt", MassTag.PLUS_INV, 3)),
-        kernel_dual_cauchy_value, _dual_blocks),
-    "kernel-deformed": _KernelSpec(
-        (_Species("N", MassTag.PLUS_ONE, 0), _Species("Nt", MassTag.MINUS_INV, 1),
-         _Species("M", MassTag.MINUS_ONE, 2), _Species("Mt", MassTag.PLUS_INV, 3)),
-        kernel_deformed_value, _deformed_blocks),
+    "kernel-cauchy": _KernelSpec((_N, _M), kernel_cauchy_value, _cauchy_blocks),
+    "kernel-dual": _KernelSpec((_N, _MT), kernel_dual_cauchy_value, _dual_blocks),
+    "kernel-deformed": _KernelSpec((_N, _NT, _M, _MT), kernel_deformed_value, _deformed_blocks),
 }
 
 
@@ -1548,11 +1495,11 @@ _RUNNERS: dict[str, Callable[[_RunCtx], list[SampleResult]]] = {
     "summation": _rows_summation,
     "source": _rows_source,
     "conjugation": _rows_conjugation,
-    "eigen-plain": _rows_eigen_plain,
+    "eigen-plain": _rows_display,
     "kernel-cauchy": _rows_kernel,
     "kernel-dual": _rows_kernel,
-    "deformed-groundstate": _rows_deformed_groundstate,
-    "deformed-constant": _rows_deformed_constant,
+    "deformed-groundstate": _rows_display,
+    "deformed-constant": _rows_display,
     "kernel-deformed": _rows_kernel,
     "anti-symmetry": _rows_anti_symmetry,
     "parameter-swap": _rows_parameter_swap,
@@ -1736,32 +1683,36 @@ def render_json_lines(
     run_args: dict | None = None,
 ) -> str:
     """Line-delimited report: one header line (see :func:`header_line`),
-    sample rows, one summary per report, and a footer with the totals.
-    The footer verdict fails when a row or a summary verdict fails."""
-    lines = [header_line(created, args=run_args or {})]
-    failures = 0
-    samples = 0
+    the sample rows and the summary of each report, and a footer (see
+    :func:`footer_record`)."""
+    records, samples, summaries = [], [], []
     for report in reports:
-        for row in report.results:
-            lines.append(json_line(sample_record(row)))
-            samples += 1
-            if not row.passed:
-                failures += 1
-        lines.append(json_line(summary_record(report)))
-    lines.append(json_line({
+        rows = [sample_record(row) for row in report.results]
+        summaries.append(summary_record(report))
+        records += [*rows, summaries[-1]]
+        samples += rows
+    return json_lines_text(header_line(created, args=run_args or {}),
+                           [*records, footer_record(samples, summaries)])
+
+
+def json_lines_text(header: str, records: Iterable[dict]) -> str:
+    """A header line followed by one line per record."""
+    return "\n".join([header, *map(json_line, records)]) + "\n"
+
+
+def footer_record(samples: Sequence[dict], summaries: Sequence[dict]) -> dict:
+    """The totals of a report.  Its verdict passes when there is at least
+    one summary, no failing row and no failing summary (a report without
+    rows fails by its summary alone)."""
+    failures = sum(1 for row in samples if not row["passed"])
+    passed = failures == 0 and summaries and all(s["verdict"] == "pass" for s in summaries)
+    return {
         "record": "footer",
-        "reports": len(reports),
-        "samples": samples,
+        "reports": len(summaries),
+        "samples": len(samples),
         "failures": failures,
-        "verdict": _footer_verdict(failures, [r.verdict for r in reports]),
-    }))
-    return "\n".join(lines) + "\n"
-
-
-def _footer_verdict(failures: int, verdicts: Sequence[str]) -> str:
-    """``pass`` when there is at least one report, no failing row and no
-    failing summary (a report without rows fails by its summary alone)."""
-    return "pass" if failures == 0 and verdicts and all(v == "pass" for v in verdicts) else "fail"
+        "verdict": "pass" if passed else "fail",
+    }
 
 
 def render_csv(samples: Iterable[dict]) -> str:
@@ -1788,40 +1739,47 @@ def payload_lines(text: str) -> list[str]:
     return lines
 
 
+# per record kind, the fields that merging reads and their JSON types
+_MERGED_FIELDS = {
+    "sample": {"identity": str, "case": str, "residual": (int, float), "passed": bool},
+    "summary": {"identity": str, "case": str},
+}
+
+
 def parse_report_lines(text: str) -> dict:
     """Parse a line-delimited report into header/samples/summaries/footer.
 
-    Malformed lines raise :class:`DomainError` naming the offending record
-    index instead of being silently dropped.
+    Malformed lines, and records whose fields merging cannot read, raise
+    :class:`DomainError` naming the offending line instead of being
+    silently dropped.
     """
-    header = None
-    footer = None
-    samples: list[dict] = []
-    summaries: list[dict] = []
+    out = {"header": None, "samples": [], "summaries": [], "footer": None}
     for idx, raw in enumerate(text.splitlines()):
         if not raw.strip():
             continue
         try:
             rec = json.loads(raw)
             kind = rec["record"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise DomainError(f"corrupt record at line {idx + 1}: {exc}") from exc
-        if kind == "header":
-            header = rec
-        elif kind == "sample":
-            missing = [k for k in ("identity", "case", "residual", "passed") if k not in rec]
+            if kind not in ("header", "sample", "summary", "footer"):
+                raise ValueError(f"unknown kind {kind!r}")
+            fields = _MERGED_FIELDS.get(kind, {})
+            missing = [k for k in fields if k not in rec]
             if missing:
-                raise DomainError(
-                    f"corrupt record at line {idx + 1}: missing fields {missing}"
-                )
-            samples.append(rec)
+                raise ValueError(f"missing fields {missing}")
+            for key, types in fields.items():
+                value = rec[key]
+                # a JSON boolean is a Python int, but not a number here
+                if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+                    raise ValueError(f"field {key} is {value!r}")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DomainError(f"corrupt record at line {idx + 1}: {exc}") from exc
+        if kind == "sample":
+            out["samples"].append(rec)
         elif kind == "summary":
-            summaries.append(rec)
-        elif kind == "footer":
-            footer = rec
+            out["summaries"].append(rec)
         else:
-            raise DomainError(f"corrupt record at line {idx + 1}: unknown kind {kind!r}")
-    return {"header": header, "samples": samples, "summaries": summaries, "footer": footer}
+            out[kind] = rec
+    return out
 
 
 def merge_parsed_reports(parsed: Sequence[dict]) -> dict:
@@ -1868,15 +1826,8 @@ def merge_parsed_reports(parsed: Sequence[dict]) -> dict:
             agg["min_control_residual"] = 0.0
         agg["seeds"] = sorted(s for s in agg["seeds"] if s is not None)
     summaries = [grouped[k] for k in sorted(grouped)]
-    failures = sum(1 for row in samples if not row["passed"])
-    footer = {
-        "record": "footer",
-        "reports": len(summaries),
-        "samples": len(samples),
-        "failures": failures,
-        "verdict": _footer_verdict(failures, [s["verdict"] for s in summaries]),
-    }
-    return {"header": None, "samples": samples, "summaries": summaries, "footer": footer}
+    return {"header": None, "samples": samples, "summaries": summaries,
+            "footer": footer_record(samples, summaries)}
 
 
 def summary_matrix(summaries: Sequence[dict]) -> str:
@@ -1911,8 +1862,10 @@ __all__ = [
     "SamplePoint",
     "SampleResult",
     "default_tolerance",
+    "footer_record",
     "header_line",
     "json_line",
+    "json_lines_text",
     "make_case",
     "merge_parsed_reports",
     "parse_report_lines",

@@ -280,6 +280,20 @@ def test_verify_no_balance_rejected_off_elliptic(capsys):
     assert "elliptic" in err
 
 
+def test_trunc_terms_reaches_only_the_theta_product(capsys):
+    # one factor cannot reach the theta product's tolerance ...
+    code, out, err = run_main(capsys, ["verify", "--identity", "theta-product", "--case", "IV",
+                                       "--samples", "2", "--trunc-terms", "1"])
+    assert code == EXIT_DOMAIN
+    assert "theta product not converged after 1 factors" in err
+    # ... while every other identity evaluates theta by its series
+    runs = [run_main(capsys, ["verify", "--identity", "source", "--case", "IV", "--samples", "3",
+                              "--format", "json-lines", *flag])
+            for flag in ([], ["--trunc-terms", "1"])]
+    assert runs[0][0] == runs[1][0] == EXIT_PASS
+    assert payload_lines(runs[0][1]) == payload_lines(runs[1][1])
+
+
 def test_verify_json_lines_deterministic(tmp_path, capsys):
     argv = ["verify", "--identity", "s-duplication", "--case", "III",
             "--samples", "4", "--seed", "5", "--format", "json-lines"]
@@ -465,6 +479,26 @@ def test_report_corrupt_record_names_line(tmp_path, capsys):
     code, _, err = run_main(capsys, ["report", str(bad)])
     assert code == EXIT_CONFIG
     assert "line 4" in err and "bad.jsonl" in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rec: {"record": "summary", "case": "I"},
+    lambda rec: {**rec, "residual": "x"},
+    lambda rec: {**rec, "residual": None},
+], ids=["summary-without-identity", "string-residual", "null-residual"])
+def test_report_malformed_record_is_a_configuration_error(tmp_path, capsys, edit):
+    # a record of the right kind whose fields merging cannot read names its
+    # line and file, as an unreadable line does
+    a = _write_report(tmp_path, "a.jsonl", 1)
+    lines = a.read_text().splitlines()
+    lines[2] = json.dumps(edit(json.loads(lines[2])))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines))
+    code, out, err = run_main(capsys, ["report", str(bad)])
+    assert code == EXIT_CONFIG
+    assert "configuration error: report file" in err
+    assert "bad.jsonl: corrupt record at line 3" in err
+    assert "verdict" not in out
 
 
 def test_report_missing_file(tmp_path, capsys):

@@ -257,6 +257,26 @@ def test_a_nan_shift_deviation_fails(monkeypatch, identity):
     assert any(math.isnan(row.residual) for row in rep.results)
 
 
+@pytest.mark.parametrize("case", ["I", "IV"])
+@pytest.mark.parametrize("identity,particles,labels", [
+    ("eigen-plain", None, "N1/chain-shift N1/chain-zero N1/closure N1/eigen"),
+    ("deformed-groundstate", None,
+     "N0Nt1/chain-shift N0Nt1/chain-zero N0Nt1/closure-t N0Nt1/eigen"),
+    ("deformed-groundstate", (1, 1, 0, 0),
+     "N1Nt1/chain-shift N1Nt1/chain-zero N1Nt1/closure-x N1Nt1/closure-t N1Nt1/eigen"),
+    ("deformed-constant", None, "N0Nt1/eigen"),
+])
+def test_display_rows_keep_their_labels(identity, particles, labels, case):
+    # every row of a display identity, in order; on the elliptic case the
+    # two detuned controls of the eigen row follow
+    labels = labels.split()
+    if case == "IV":
+        eigen = labels[-1]
+        labels += [f"{eigen}/defect=+0.1", f"{eigen}/defect=-0.1"]
+    rep = run_identity(identity, case, samples=1, seed=0, particles=particles)
+    assert [row.label for row in rep.results] == labels
+
+
 def test_payload_lines_byte_determinism():
     reports_a = run_suite(["s-oddness", "gamma-fe"], ["I", "II"], samples=3, seed=7)
     reports_b = run_suite(["s-oddness", "gamma-fe"], ["I", "II"], samples=3, seed=7)
@@ -390,6 +410,24 @@ def test_parse_rejects_corrupt_records():
 
     with pytest.raises(DomainError):
         parse_report_lines('{"record":"mystery"}')
+
+
+@pytest.mark.parametrize("residual", [math.nan, math.inf, -math.inf, 0, 1e-3])
+def test_parse_takes_any_number_as_a_residual(residual):
+    row = SampleResult("s-oddness", "I", "x", 0, residual, 1.0, 1e-9, False, False)
+    (parsed,) = parse_report_lines(json.dumps(sample_record(row)))["samples"]
+    assert parsed["residual"] == residual or math.isnan(parsed["residual"])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("residual", True), ("residual", "x"), ("residual", None), ("passed", 1),
+    ("identity", 3), ("case", None),
+])
+def test_parse_rejects_sample_fields_of_the_wrong_type(field, value):
+    row = SampleResult("s-oddness", "I", "x", 0, 0.5, 1.0, 1e-9, False, False)
+    rec = {**sample_record(row), field: value}
+    with pytest.raises(DomainError, match=f"corrupt record at line 1: field {field} "):
+        parse_report_lines(json.dumps(rec))
 
 
 def test_merge_adds_sample_counts():
