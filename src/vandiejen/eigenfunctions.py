@@ -43,7 +43,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gamma import _step_ratio, functional_eq_constant, gamma_G
-from .operators import MassTag, _batched, _moved, batched, coeff_V0, coeff_V_shift, d_param
+from .operators import (MassTag, _batched, _coefficient_memo, _moved, batched, coeff_V0,
+                        coeff_V_shift, d_param)
 from .sfun import (
     DEFAULT_POLICY,
     CaseParams,
@@ -448,7 +449,8 @@ def pathwise(
     def fn(P):
         if not isinstance(P[0], np.ndarray):
             return coeff(P)
-        inner = batched(case, policy, lambda: coeff(tuple(c[:-1] for c in P)))
+        with _coefficient_memo(on=False):
+            inner = batched(case, policy, lambda: coeff(tuple(c[:-1] for c in P)))
         return np.append(inner, coeff(tuple(complex(c[-1]) for c in P)))
 
     return fn

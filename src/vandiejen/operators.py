@@ -51,6 +51,7 @@ from __future__ import annotations
 import cmath
 import enum
 import warnings
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -98,6 +99,7 @@ __all__ = [
     "summation_boundary_term",
     "summation_lhs",
     "summation_rhs",
+    "summation_terms",
     "proof_params",
     "shift_lattice_advisory",
     "batched",
@@ -252,8 +254,21 @@ def balance_defect(coupling: CouplingSet, mass_values: Sequence[float]) -> float
 # ---------------------------------------------------------------------------
 
 
-# (case, policy, s) of the innermost running ``_batched`` formula
+# (case, policy, s, staged) of the innermost running ``_batched`` formula;
+# ``staged`` collects the keyed values of a replay pass, None while recording
 _ENCLOSING: ContextVar[tuple | None] = ContextVar("_ENCLOSING", default=None)
+# key -> value of the keyed ``_batched`` calls of one run (see _coefficient_memo)
+_MEMO: ContextVar[dict | None] = ContextVar("_MEMO", default=None)
+
+
+@contextmanager
+def _coefficient_memo(on: bool = True):
+    """A fresh memo inside the block (none with ``on=False``), dropped at its end."""
+    token = _MEMO.set({} if on else None)
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
 
 
 def _sv(case: CaseParams, z: complex, policy: TruncationPolicy) -> complex:
@@ -269,6 +284,7 @@ def _batched(
     case: CaseParams,
     policy: TruncationPolicy,
     formula: Callable[[Callable[[complex], complex]], complex],
+    key: tuple | None = None,
 ):
     """``formula(s)`` with every ``s`` value taken from one array call.
 
@@ -286,19 +302,34 @@ def _batched(
     hands its own formula the enclosing ``s``, so the values of the whole
     run come from one array call.
 
+    A ``key`` names every input of ``formula``.  Within the memo of one
+    :func:`~vandiejen.verify.run_identity` call, a key already held
+    returns its value in both runs and takes no ``s`` values; a new value
+    is committed when the scope that computed it (the call that made the
+    array call) finishes its replay without error, never during it.
+
     An argument may also be an array (a path): each array argument, and
     each scalar one broadcast to its shape, then gets one row of the call.
+    Path calls run with the memo off (see :func:`_coefficient_memo`).
     """
+    memo = _MEMO.get()
+    if memo is None:
+        key = None
+    elif key is not None and (held := memo.get(key)) is not None:
+        return held
     enclosing = _ENCLOSING.get()
     if enclosing is not None and enclosing[:2] == (case, policy):
-        return formula(enclosing[2])
+        out = formula(enclosing[2])
+        if key is not None and enclosing[3] is not None:
+            enclosing[3][key] = out
+        return out
     args: list[complex] = []
 
     def record(z: complex) -> complex:
         args.append(z)
         return 1.0
 
-    _run_with(case, policy, record, formula)
+    _run_with(case, policy, record, formula, None)
     try:
         flat = np.array(args, dtype=np.complex128)
     except ValueError:  # arrays among scalars
@@ -312,15 +343,20 @@ def _batched(
             raise RuntimeError("formula asked for more s values than it recorded")
         return value
 
-    out = _run_with(case, policy, replay, formula)
+    staged = None if memo is None else {}
+    out = _run_with(case, policy, replay, formula, staged)
     if next(values, None) is not None:
         raise RuntimeError("formula asked for fewer s values than it recorded")
+    if memo is not None:
+        memo.update(staged)
+        if key is not None:
+            memo[key] = out
     return out
 
 
-def _run_with(case, policy, s, formula):
-    """``formula(s)`` with ``s`` as the enclosing ``s`` of inner calls."""
-    token = _ENCLOSING.set((case, policy, s))
+def _run_with(case, policy, s, formula, staged):
+    """``formula(s)`` as the enclosing scope ``(case, policy, s, staged)``."""
+    token = _ENCLOSING.set((case, policy, s, staged))
     try:
         return formula(s)
     finally:
@@ -398,6 +434,43 @@ def _half_period_product(s, case: CaseParams) -> complex:
     return out
 
 
+def _nu_blocks(case: CaseParams, g: Sequence[float], lam: float, beta: float,
+               policy: TruncationPolicy) -> tuple[list[tuple[complex, complex, complex]], complex]:
+    """The coordinate-free blocks of every ``V_0``: per ``omega_nu`` the product
+    ``prod_{mu != nu} s((omega_nu - omega_mu)/2)`` and the coupling blocks at
+    ``i beta / 2`` and ``i lam beta / 2``; then the half-period product."""
+    omega = case.omega
+
+    def block(s, w_nu, half, gap):
+        out = 1.0 + 0j
+        for g_mu in g:
+            out *= s(w_nu / 2 + half - 1j * g_mu * beta)
+        for w in omega:
+            out /= s((w_nu - w + gap) / 2)
+        return out
+
+    def formula(s):
+        per_nu = []
+        for nu, w_nu in enumerate(omega):
+            denom = 1.0 + 0j
+            for mu, w in enumerate(omega):
+                if mu != nu:
+                    denom *= s((w_nu - w) / 2)
+            per_nu.append((denom, block(s, w_nu, 0.5j * beta, 1j * (1 - lam) * beta),
+                           block(s, w_nu, 0.5j * lam * beta, 1j * (lam - 1) * beta)))
+        return per_nu, _half_period_product(s, case)
+
+    return _batched(case, policy, formula, ("nu_blocks", case, policy, tuple(g), lam, beta))
+
+
+def _exp_weights(case: CaseParams, g, lam: float, beta: float, mass_part=0) -> list[complex]:
+    """Per half-period ``exp(-r xi_nu e beta)`` (1 where ``xi_nu = 0``) with
+    the weight ``e = mass_part + sum(g) - (rho + 1)(lam + 1)/2``."""
+    e_weight = mass_part + sum(g) - (case.rho + 1) * (lam + 1) / 2
+    r = case.r if case.kind in (CaseKind.TRIGONOMETRIC, CaseKind.ELLIPTIC) else 0.0
+    return [cmath.exp(-r * xi * e_weight * beta) if xi else 1.0 for xi in case.xi]
+
+
 # ---------------------------------------------------------------------------
 # generic operator coefficients
 # ---------------------------------------------------------------------------
@@ -445,7 +518,9 @@ def coeff_V_shift(
                 out *= _f_pm(s, sign, x_j + delta * x_k, m_j, masses[k], lam, beta)
         return out
 
-    return _batched(case, policy, formula)
+    key = ("V_shift", case, policy, tuple(g), lam, beta, tuple(masses),
+           None if tags is None else tuple(tags), tuple(X), j, sign)
+    return _batched(case, policy, formula, key)
 
 
 def coeff_V0(
@@ -466,54 +541,28 @@ def coeff_V0(
     the coupling block is taken at ``i beta / 2`` or ``i lam beta / 2``
     and by the per-coordinate offsets.
     """
-    rho = case.rho
-    omega = case.omega
-    xi = case.xi
-    r = case.r if case.kind in (CaseKind.TRIGONOMETRIC, CaseKind.ELLIPTIC) else 0.0
+    expos = _exp_weights(case, g, lam, beta, 2 * lam * sum(masses))
 
-    e_weight = 2 * lam * sum(masses) + sum(g) - (rho + 1) * (lam + 1) / 2
+    def x_block(s, w_nu, e):
+        # e = -1 with the coupling block at i beta / 2, +1 at i lam beta / 2
+        out = 1.0 + 0j
+        for m_j, x_j in zip(masses, X):
+            shift = 0.25j * (lam * (m_j + e) + 1 / m_j - e) * beta
+            for delta in (1, -1):
+                base = delta * x_j + w_nu / 2 + shift
+                out *= s(base - 1j * lam * m_j * beta) / s(base)
+        return out
 
     def formula(s):
+        per_nu, pref = _nu_blocks(case, g, lam, beta, policy)
         total = 0j
-        for nu in range(rho + 1):
-            expo = cmath.exp(-r * xi[nu] * e_weight * beta) if xi[nu] else 1.0
-            denom_nu = 1.0 + 0j
-            for mu in range(rho + 1):
-                if mu != nu:
-                    denom_nu *= s((omega[nu] - omega[mu]) / 2)
-
-            # first group: coupling block at i beta / 2
-            g_block1 = 1.0 + 0j
-            for g_mu in g:
-                g_block1 *= s(omega[nu] / 2 + 0.5j * beta - 1j * g_mu * beta)
-            for mu in range(rho + 1):
-                g_block1 /= s((omega[nu] - omega[mu] + 1j * (1 - lam) * beta) / 2)
-            x_block1 = 1.0 + 0j
-            for m_j, x_j in zip(masses, X):
-                shift = 0.25j * (lam * (m_j - 1) + 1 / m_j + 1) * beta
-                for delta in (1, -1):
-                    base = delta * x_j + omega[nu] / 2 + shift
-                    x_block1 *= s(base - 1j * lam * m_j * beta) / s(base)
-
-            # second group: coupling block at i lam beta / 2
-            g_block2 = 1.0 + 0j
-            for g_mu in g:
-                g_block2 *= s(omega[nu] / 2 + 0.5j * lam * beta - 1j * g_mu * beta)
-            for mu in range(rho + 1):
-                g_block2 /= s((omega[nu] - omega[mu] + 1j * (lam - 1) * beta) / 2)
-            x_block2 = 1.0 + 0j
-            for m_k, x_k in zip(masses, X):
-                shift = 0.25j * (lam * (m_k + 1) + 1 / m_k - 1) * beta
-                for delta in (1, -1):
-                    base = delta * x_k + omega[nu] / 2 + shift
-                    x_block2 *= s(base - 1j * lam * m_k * beta) / s(base)
-
-            total += expo / denom_nu * (g_block1 * x_block1 + g_block2 * x_block2)
-
-        pref = _half_period_product(s, case)
+        for w_nu, expo, (denom_nu, g_block1, g_block2) in zip(case.omega, expos, per_nu):
+            total += expo / denom_nu * (g_block1 * x_block(s, w_nu, -1)
+                                        + g_block2 * x_block(s, w_nu, 1))
         return -0.25 * pref * pref * total
 
-    return _batched(case, policy, formula)
+    key = ("V0", case, policy, tuple(g), lam, beta, tuple(masses), tuple(X))
+    return _batched(case, policy, formula, key)
 
 
 def operator_weights(
@@ -612,28 +661,13 @@ def c0_constant(
 ) -> complex:
     """Additive constant relating the unreduced operator to the conjugated
     one (mass-independent; diverges as ``lam -> 1``)."""
-    rho = case.rho
-    omega = case.omega
-    xi = case.xi
-    r = case.r if case.kind in (CaseKind.TRIGONOMETRIC, CaseKind.ELLIPTIC) else 0.0
-    e_weight = sum(g) - (rho + 1) * (lam + 1) / 2
+    expos = _exp_weights(case, g, lam, beta)
 
     def formula(s):
+        per_nu, pref = _nu_blocks(case, g, lam, beta, policy)
         total = 0j
-        for nu in range(rho + 1):
-            expo = cmath.exp(-r * xi[nu] * e_weight * beta) if xi[nu] else 1.0
-            denom = 1.0 + 0j
-            for mu in range(rho + 1):
-                if mu != nu:
-                    denom *= s((omega[nu] - omega[mu]) / 2)
-            block = 1.0 + 0j
-            for g_mu in g:
-                block *= s(omega[nu] / 2 + 0.5j * lam * beta - 1j * g_mu * beta)
-            for mu in range(rho + 1):
-                block /= s((omega[nu] - omega[mu] + 1j * (lam - 1) * beta) / 2)
+        for expo, (denom, _, block) in zip(expos, per_nu):
             total += expo * block / denom
-
-        pref = _half_period_product(s, case)
         return 0.25 * pref * pref * total
 
     return _batched(case, policy, formula)
@@ -741,38 +775,7 @@ def vd_V0(
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Zeroth coefficient of the all-unit-mass operator (closed form)."""
-    rho = case.rho
-    omega = case.omega
-    xi = case.xi
-    r = case.r if case.kind in (CaseKind.TRIGONOMETRIC, CaseKind.ELLIPTIC) else 0.0
-    n_p = len(x)
-    x = tuple(complex(v) for v in x)
-    e_weight = 2 * lam * n_p + sum(g) - (rho + 1) * (lam + 1) / 2
-
-    def formula(s):
-        total = 0j
-        for nu in range(rho + 1):
-            expo = cmath.exp(-r * xi[nu] * e_weight * beta) if xi[nu] else 1.0
-            denom = 1.0 + 0j
-            for mu in range(rho + 1):
-                if mu != nu:
-                    denom *= s((omega[nu] - omega[mu]) / 2)
-            block = 1.0 + 0j
-            for g_mu in g:
-                block *= s(omega[nu] / 2 + 0.5j * beta - 1j * g_mu * beta)
-            for mu in range(rho + 1):
-                block /= s((omega[nu] - omega[mu] + 1j * (1 - lam) * beta) / 2)
-            xblock = 1.0 + 0j
-            for x_j in x:
-                for delta in (1, -1):
-                    base = delta * x_j + omega[nu] / 2 + 0.5j * beta
-                    xblock *= s(base - 1j * lam * beta) / s(base)
-            total += expo * block * xblock / denom
-
-        pref = _half_period_product(s, case)
-        return -0.25 * pref * pref * total
-
-    return _batched(case, policy, formula)
+    return _unit_V0(case, g, lam, beta, x, None, policy)
 
 
 def vd_weights(
@@ -887,39 +890,34 @@ def def_V0(
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Zeroth coefficient of the two-species operator (closed form)."""
-    rho = case.rho
-    omega = case.omega
-    xi = case.xi
-    r = case.r if case.kind in (CaseKind.TRIGONOMETRIC, CaseKind.ELLIPTIC) else 0.0
-    e_weight = 2 * lam * len(x) - 2 * len(xt) + sum(g) - (rho + 1) * (lam + 1) / 2
-    x, xt = tuple(complex(v) for v in x), tuple(complex(v) for v in xt)
+    return _unit_V0(case, g, lam, beta, x, xt, policy)
+
+
+def _unit_V0(case, g, lam, beta, x, xt, policy) -> complex:
+    """The closed-form ``V_0`` with unit masses on ``x``, times the factor
+    of the deformed coordinates ``xt`` unless ``xt`` is None."""
+    expos = _exp_weights(case, g, lam, beta, 2 * lam * len(x) - 2 * len(xt or ()))
+    x = tuple(complex(v) for v in x)
+    xt = None if xt is None else tuple(complex(v) for v in xt)
 
     def formula(s):
+        per_nu, pref = _nu_blocks(case, g, lam, beta, policy)
         total = 0j
-        for nu in range(rho + 1):
-            expo = cmath.exp(-r * xi[nu] * e_weight * beta) if xi[nu] else 1.0
-            denom = 1.0 + 0j
-            for mu in range(rho + 1):
-                if mu != nu:
-                    denom *= s((omega[nu] - omega[mu]) / 2)
-            block = 1.0 + 0j
-            for g_mu in g:
-                block *= s(omega[nu] / 2 + 0.5j * beta - 1j * g_mu * beta)
-            for mu in range(rho + 1):
-                block /= s((omega[nu] - omega[mu] + 1j * (1 - lam) * beta) / 2)
+        for w_nu, expo, (denom, block, _) in zip(case.omega, expos, per_nu):
             xblock = 1.0 + 0j
             for x_j in x:
                 for delta in (1, -1):
-                    base = delta * x_j + omega[nu] / 2 + 0.5j * beta
+                    base = delta * x_j + w_nu / 2 + 0.5j * beta
                     xblock *= s(base - 1j * lam * beta) / s(base)
-            tblock = 1.0 + 0j
-            for xt_k in xt:
-                for delta in (1, -1):
-                    base = delta * xt_k + omega[nu] / 2 - 0.5j * lam * beta
-                    tblock *= s(base + 1j * beta) / s(base)
-            total += expo * block * xblock * tblock / denom
-
-        pref = _half_period_product(s, case)
+            term = expo * block * xblock
+            if xt is not None:
+                tblock = 1.0 + 0j
+                for xt_k in xt:
+                    for delta in (1, -1):
+                        base = delta * xt_k + w_nu / 2 - 0.5j * lam * beta
+                        tblock *= s(base + 1j * beta) / s(base)
+                term *= tblock
+            total += term / denom
         return -0.25 * pref * pref * total
 
     return _batched(case, policy, formula)
@@ -1045,15 +1043,25 @@ def summation_lhs(
             f"case {case.kind.label} needs {rho + 1} entries in c and d and "
             f"{2 * (rho + 1)} in n"
         )
+    return sum(summation_terms(case, p, policy)[0], start=0j)
 
-    total = 0j
-    for sign in (1, -1):
-        for jj in range(len(p.X)):
-            total += summation_shift_term(case, p, jj, sign, policy)
-    for nu in range(rho + 1):
-        total -= summation_boundary_term(case, p, nu, use_c=True, policy=policy)
-        total -= summation_boundary_term(case, p, nu, use_c=False, policy=policy)
-    return total
+
+def summation_terms(
+    case: CaseParams, p: SummationParams, policy: TruncationPolicy = DEFAULT_POLICY
+) -> tuple[list[complex], complex]:
+    """All left-side terms (shift family, then negated boundary family)
+    plus the right-side value, with all of their ``s`` values from one
+    array call."""
+
+    def both_sides():
+        terms = [summation_shift_term(case, p, j, sign, policy)
+                 for sign in (1, -1) for j in range(len(p.X))]
+        for nu in range(case.rho + 1):
+            terms.append(-summation_boundary_term(case, p, nu, use_c=True, policy=policy))
+            terms.append(-summation_boundary_term(case, p, nu, use_c=False, policy=policy))
+        return terms, summation_rhs(case, p, policy)
+
+    return batched(case, policy, both_sides)
 
 
 def summation_boundary_term(

@@ -22,7 +22,7 @@ import cmath
 import json
 import math
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cache
 from itertools import accumulate
 
@@ -54,6 +54,7 @@ from .operators import (
     CouplingSet,
     SummationParams,
     MassTag,
+    _coefficient_memo,
     _moved,
     _sv,
     balance_solve,
@@ -67,9 +68,7 @@ from .operators import (
     def_weights,
     deformed_apply,
     eigen_constant,
-    summation_boundary_term,
-    summation_rhs,
-    summation_shift_term,
+    summation_terms,
     operator_terms,
     operator_weights,
     source_constant,
@@ -601,33 +600,19 @@ def _rows_gamma_reflection(ctx: _RunCtx) -> list[SampleResult]:
 # ---------------------------------------------------------------------------
 
 
-def summation_terms(
-    case: CaseParams, p: SummationParams, policy: TruncationPolicy = DEFAULT_POLICY
-) -> tuple[list[complex], complex]:
-    """All left-side terms (shift family, then negated boundary family)
-    plus the right-side value, with all of their ``s`` values from one
-    array call."""
-
-    def both_sides():
-        terms = [summation_shift_term(case, p, j, sign, policy)
-                 for sign in (1, -1) for j in range(len(p.X))]
-        for nu in range(case.rho + 1):
-            terms.append(-summation_boundary_term(case, p, nu, use_c=True, policy=policy))
-            terms.append(-summation_boundary_term(case, p, nu, use_c=False, policy=policy))
-        return terms, summation_rhs(case, p, policy)
-
-    return batched(case, policy, both_sides)
-
-
 def residual_summation(
     case: CaseParams, p: SummationParams, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> tuple[float, float]:
-    terms, rhs = summation_terms(case, p, policy)
+    return _summation_residual(*summation_terms(case, p, policy))
+
+
+def _summation_residual(terms: list[complex], rhs: complex) -> tuple[float, float]:
     scale = max(_max_abs(terms), abs(rhs), _TINY)
     return abs(sum(terms) - rhs) / scale, scale
 
 
-def _draw_summation_params(ctx: _RunCtx, n: int) -> SummationParams:
+def _draw_summation_params(ctx: _RunCtx, n: int) -> tuple[SummationParams, tuple]:
+    """Admissible parameters for ``n`` coordinates and their screened sides."""
     rho = ctx.case.rho
     rng = ctx.rng
     for _ in range(80):
@@ -653,7 +638,7 @@ def _draw_summation_params(ctx: _RunCtx, n: int) -> SummationParams:
         if not np.all(np.isfinite(arr)) or float(np.max(np.abs(arr))) > 1e8:
             ctx.rejected += 1
             continue
-        return params
+        return params, (terms, rhs)
     raise ConvergenceError("summation parameter sampling kept rejecting draws")
 
 
@@ -661,10 +646,9 @@ def _rows_summation(ctx: _RunCtx) -> list[SampleResult]:
     rows = []
     for i in range(ctx.samples):
         n = 1 + i % 3
-        params = _draw_summation_params(ctx, n)
+        params, sides = _draw_summation_params(ctx, n)
         if not (ctx.label == "IV" and ctx.no_balance):
-            res, scale = residual_summation(ctx.case, params, ctx.policy)
-            rows.append(_row(ctx, f"n={n}", i, res, scale))
+            rows.append(_row(ctx, f"n={n}", i, *_summation_residual(*sides)))
         if ctx.label == "IV":
             for delta in (CONTROL_DETUNE, -CONTROL_DETUNE):
                 n_det = list(params.n)
@@ -1559,7 +1543,8 @@ def run_identity(
         no_balance=bool(no_balance),
         max_n=int(max_n),
     )
-    rows = _RUNNERS[identity](ctx)
+    with _coefficient_memo():
+        rows = _RUNNERS[identity](ctx)
 
     max_res = 0.0
     scale_at_max = 0.0
@@ -1739,10 +1724,13 @@ def payload_lines(text: str) -> list[str]:
     return lines
 
 
-# per record kind, the fields that merging reads and their JSON types
+# per record kind, the fields that merging and rendering read and their JSON
+# types; a field that may be null may also be missing (a null seed is dropped)
+_NUMBER = (int, float)
 _MERGED_FIELDS = {
-    "sample": {"identity": str, "case": str, "residual": (int, float), "passed": bool},
-    "summary": {"identity": str, "case": str},
+    "sample": {"identity": str, "case": str, "label": str, "index": int, "residual": _NUMBER,
+               "scale": _NUMBER, "tolerance": _NUMBER, "control": bool, "passed": bool},
+    "summary": {"identity": str, "case": str, "seed": (int, type(None))},
 }
 
 
@@ -1763,11 +1751,11 @@ def parse_report_lines(text: str) -> dict:
             if kind not in ("header", "sample", "summary", "footer"):
                 raise ValueError(f"unknown kind {kind!r}")
             fields = _MERGED_FIELDS.get(kind, {})
-            missing = [k for k in fields if k not in rec]
+            missing = [k for k, t in fields.items() if k not in rec and not isinstance(None, t)]
             if missing:
                 raise ValueError(f"missing fields {missing}")
             for key, types in fields.items():
-                value = rec[key]
+                value = rec.get(key)
                 # a JSON boolean is a Python int, but not a number here
                 if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
                     raise ValueError(f"field {key} is {value!r}")

@@ -308,6 +308,29 @@ def test_verify_json_lines_deterministic(tmp_path, capsys):
     assert header["args"]["identities"] == ["s-duplication"]
 
 
+def test_consecutive_main_calls_are_independent(tmp_path, capsys):
+    # the parser is built once per process; a call must not see the flags
+    # of the call before it
+    first = ["verify", "--identity", "s-oddness", "--case", "II", "--samples", "2",
+             "--seed", "7", "--tol", "1e-3", "--format", "json-lines"]
+    second = ["verify", "--identity", "s-duplication", "--case", "I", "--samples", "3",
+              "--format", "json-lines"]
+
+    def run(argv, name):
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == EXIT_PASS
+        lines = out.read_text().splitlines()
+        args = json.loads(lines[0])["args"]
+        assert args.pop("out") == str(out)
+        return args, payload_lines("\n".join(lines))
+
+    runs = [run(first, "a1"), run(second, "b1"), run(second, "b2"), run(first, "a2")]
+    capsys.readouterr()
+    assert runs[0] == runs[3] and runs[1] == runs[2]
+    assert runs[1][0]["seed"] == 0 and "tol" not in runs[1][0]
+    assert runs[0][0]["seed"] == 7 and runs[0][0]["tol"] == 1e-3
+
+
 def test_verify_csv_output(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     code = main(["verify", "--identity", "s-oddness", "--case", "I",
@@ -499,6 +522,56 @@ def test_report_malformed_record_is_a_configuration_error(tmp_path, capsys, edit
     assert "configuration error: report file" in err
     assert "bad.jsonl: corrupt record at line 3" in err
     assert "verdict" not in out
+
+
+def _edited_report(tmp_path, name, kind, edit, seed=1):
+    """A report file whose first record of ``kind`` went through ``edit``."""
+    lines = _write_report(tmp_path, "src.jsonl", seed).read_text().splitlines()
+    at = next(i for i, ln in enumerate(lines) if json.loads(ln)["record"] == kind)
+    lines[at] = json.dumps(edit(json.loads(lines[at])))
+    out = tmp_path / name
+    out.write_text("\n".join(lines))
+    return out, at + 1
+
+
+def _without(key):
+    return lambda rec: {k: v for k, v in rec.items() if k != key}
+
+
+@pytest.mark.parametrize("kind,edit,fmt", [
+    ("sample", _without("label"), "csv"),
+    ("sample", lambda rec: {**rec, "index": "0"}, "csv"),
+    ("sample", _without("control"), "csv"),
+    ("summary", lambda rec: {**rec, "seed": [1]}, "text"),
+    ("summary", lambda rec: {**rec, "seed": True}, "text"),
+], ids=["csv-without-label", "csv-string-index", "csv-without-control",
+        "list-seed", "bool-seed"])
+def test_report_field_a_renderer_reads_is_checked(tmp_path, capsys, kind, edit, fmt):
+    bad, line = _edited_report(tmp_path, "bad.jsonl", kind, edit)
+    code, out, err = run_main(capsys, ["report", str(bad), "--format", fmt])
+    assert code == EXIT_CONFIG
+    assert f"bad.jsonl: corrupt record at line {line}" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_report_of_seeds_of_two_types_is_a_configuration_error(tmp_path, capsys):
+    good = _write_report(tmp_path, "a.jsonl", 1)
+    bad, line = _edited_report(tmp_path, "b.jsonl", "summary",
+                               lambda rec: {**rec, "seed": "7"}, seed=7)
+    code, _, err = run_main(capsys, ["report", str(good), str(bad)])
+    assert code == EXIT_CONFIG
+    assert f"b.jsonl: corrupt record at line {line}: field seed" in err
+
+
+def test_report_takes_a_null_or_missing_seed(tmp_path, capsys):
+    a, _ = _edited_report(tmp_path, "a.jsonl", "summary", lambda rec: {**rec, "seed": None})
+    b, _ = _edited_report(tmp_path, "b.jsonl", "summary", _without("seed"), seed=2)
+    code, out, _ = run_main(capsys, ["report", str(a), str(b), "--format", "json-lines"])
+    assert code == EXIT_PASS
+    seeds = {tuple(r["seeds"]) for r in map(json.loads, out.splitlines())
+             if r["record"] == "summary"}
+    # the edited summary (case I) drops its seed, case II keeps both
+    assert seeds == {(), (1, 2)}
 
 
 def test_report_missing_file(tmp_path, capsys):

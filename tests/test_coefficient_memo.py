@@ -1,0 +1,155 @@
+"""The coefficient memo: inside one ``run_identity`` call each keyed
+coefficient is evaluated once, with the bits of a fresh evaluation, and
+nothing of it outlives the call."""
+
+import contextlib
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from vandiejen import operators, verify
+from vandiejen.eigenfunctions import pathwise
+from vandiejen.operators import (
+    MassTag,
+    _coefficient_memo,
+    _sv,
+    batched,
+    c0_constant,
+    coeff_V0,
+    coeff_V_shift,
+    vd_V0,
+)
+from vandiejen.sfun import DEFAULT_POLICY, CaseKind, CaseParams
+
+CASE = CaseParams(CaseKind.ELLIPTIC, r=1.1, a=1.8)
+G = tuple(0.37 + 0.05 * k for k in range(8))
+LAM, BETA = 1.45, 0.31
+TAGS = (MassTag.PLUS_ONE, MassTag.MINUS_INV)
+MASSES = tuple(t.value_for(LAM) for t in TAGS)
+X = (0.41 + 0.07j, 0.83 - 0.11j)
+
+
+def _memo() -> dict:
+    return operators._MEMO.get()
+
+
+def _payload(identity, case, seed):
+    report = verify.run_identity(identity, case, samples=8, seed=seed)
+    return verify.payload_lines(verify.render_json_lines([report]))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_pair_gives_the_same_payload_without_the_memo(seed):
+    # 8 samples: kernel-deformed's direct rows start at index 7
+    pairs = [(ident, case) for ident in verify.IDENTITIES
+             for case in ("I", "II", "III", "IV") if case in verify.CASE_SUPPORT[ident]]
+    with_memo = [_payload(ident, case, seed) for ident, case in pairs]
+    with mock.patch.object(verify, "_coefficient_memo", contextlib.nullcontext):
+        without = [_payload(ident, case, seed) for ident, case in pairs]
+    assert with_memo == without
+
+
+def test_a_run_takes_fewer_s_values_with_the_memo():
+    points = []
+    original = operators.s_eval
+
+    def counting(case, x, policy=DEFAULT_POLICY):
+        points.append(np.size(x))
+        return original(case, x, policy)
+
+    with mock.patch.object(operators, "s_eval", counting):
+        verify.run_identity("source", "IV", samples=4, seed=0)
+        with_memo = sum(points)
+        points.clear()
+        with mock.patch.object(verify, "_coefficient_memo", contextlib.nullcontext):
+            verify.run_identity("source", "IV", samples=4, seed=0)
+    assert with_memo < sum(points)
+
+
+def test_a_hit_takes_no_s_values_and_returns_the_same_bits():
+    fresh = coeff_V0(CASE, G, LAM, BETA, MASSES, X)
+    with _coefficient_memo():
+        first = coeff_V0(CASE, G, LAM, BETA, MASSES, X)
+        with mock.patch.object(operators, "s_eval", side_effect=AssertionError):
+            again = coeff_V0(CASE, G, LAM, BETA, MASSES, X)
+            # the coordinate-free blocks of V_0 serve the constant too
+            const = c0_constant(CASE, G, LAM, BETA)
+    assert first == again == fresh
+    assert const == c0_constant(CASE, G, LAM, BETA)
+
+
+def test_the_coupling_blocks_serve_every_zeroth_coefficient():
+    fresh = vd_V0(CASE, G, LAM, BETA, X)
+    with _coefficient_memo():
+        coeff_V0(CASE, G, LAM, BETA, MASSES, X)
+        assert vd_V0(CASE, G, LAM, BETA, X) == fresh
+
+
+def test_a_scope_may_ask_for_one_key_twice():
+    fresh = coeff_V0(CASE, G, LAM, BETA, MASSES, X)
+    with _coefficient_memo():
+        pair = batched(CASE, DEFAULT_POLICY, lambda: (
+            coeff_V0(CASE, G, LAM, BETA, MASSES, X), coeff_V0(CASE, G, LAM, BETA, MASSES, X)))
+        assert pair == (fresh, fresh)
+        assert coeff_V0(CASE, G, LAM, BETA, MASSES, X) == fresh
+
+
+def test_a_scope_that_raises_commits_nothing():
+    # s(0) = 0 divides by zero in the replay, after V_0 was staged
+    with _coefficient_memo():
+        with pytest.raises(ZeroDivisionError):
+            batched(CASE, DEFAULT_POLICY, lambda: (
+                coeff_V0(CASE, G, LAM, BETA, MASSES, X), 1 / _sv(CASE, 0j, DEFAULT_POLICY)))
+        assert _memo() == {}
+
+
+def _shift(masses=MASSES, tags=TAGS, j=0, sign=1):
+    return coeff_V_shift(CASE, G, LAM, BETA, masses, tags, X, j, sign)
+
+
+@pytest.mark.parametrize("calls", [
+    [dict(tags=None), dict()],
+    [dict(j=0, sign=1), dict(j=1, sign=-1), dict(j=1, sign=1), dict(j=0, sign=-1)],
+    [dict(), dict(masses=(MASSES[0], math.nextafter(MASSES[1], 0)))],
+], ids=["tags-or-none", "swapped-j-sign", "last-bit-mass"])
+def test_keys_do_not_collide(calls):
+    fresh = [_shift(**kw) for kw in calls]
+    with _coefficient_memo():
+        memoized = [_shift(**kw) for kw in calls]
+        assert len(_memo()) == len(calls)
+    assert memoized == fresh
+
+
+def test_a_path_call_is_not_memoized():
+    coeff = pathwise(CASE, DEFAULT_POLICY,
+                     lambda Q: coeff_V_shift(CASE, G, LAM, BETA, MASSES, TAGS, Q, 0, 1))
+    path = tuple(np.array([x, x + 0.01, x + 0.02]) for x in X)
+    with _coefficient_memo():
+        values = coeff(path)
+        # only the scalar target point, evaluated alone, is kept
+        assert len(_memo()) == 1
+    assert values.shape == (3,)
+
+
+def test_the_memo_ends_with_its_run():
+    seen = []
+
+    def runner(ctx):
+        seen.append(_memo())
+        return []
+
+    def failing(ctx):
+        seen.append(_memo())
+        raise RuntimeError("runner failed")
+
+    assert _memo() is None
+    with mock.patch.dict(verify._RUNNERS, {"source": runner}):
+        verify.run_identity("source", "I", samples=1)
+    assert isinstance(seen[-1], dict) and _memo() is None
+    with mock.patch.dict(verify._RUNNERS, {"source": failing}):
+        with pytest.raises(RuntimeError, match="runner failed"):
+            verify.run_identity("source", "I", samples=1)
+    assert isinstance(seen[-1], dict) and _memo() is None
+    assert seen[0] is not seen[1]

@@ -45,9 +45,9 @@ CASES = {label: CaseParams(CaseKind.from_label(label), r=1.1, a=1.8)
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
-def _scalar_batched(case, policy, formula):
+def _scalar_batched(case, policy, formula, key=None):
     """The path before batching: each ``s`` argument through its own scalar
-    ``s_eval`` call, in the order the formula asks for them."""
+    ``s_eval`` call, in the order the formula asks for them, and no memo."""
     return formula(lambda z: complex(s_eval(case, complex(z), policy)))
 
 

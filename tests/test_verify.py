@@ -421,13 +421,29 @@ def test_parse_takes_any_number_as_a_residual(residual):
 
 @pytest.mark.parametrize("field,value", [
     ("residual", True), ("residual", "x"), ("residual", None), ("passed", 1),
-    ("identity", 3), ("case", None),
+    ("identity", 3), ("case", None), ("label", None), ("index", 1.5), ("index", True),
+    ("scale", "x"), ("tolerance", None), ("control", 0),
 ])
 def test_parse_rejects_sample_fields_of_the_wrong_type(field, value):
     row = SampleResult("s-oddness", "I", "x", 0, 0.5, 1.0, 1e-9, False, False)
     rec = {**sample_record(row), field: value}
     with pytest.raises(DomainError, match=f"corrupt record at line 1: field {field} "):
         parse_report_lines(json.dumps(rec))
+
+
+@pytest.mark.parametrize("seed,ok", [
+    (3, True), (None, True), ("missing", True), (True, False), ([1], False), ("7", False),
+    (1.0, False),
+])
+def test_parse_checks_a_summary_seed(seed, ok):
+    rec = {"record": "summary", "identity": "s-oddness", "case": "I"}
+    if seed != "missing":
+        rec["seed"] = seed
+    if ok:
+        assert parse_report_lines(json.dumps(rec))["summaries"] == [rec]
+    else:
+        with pytest.raises(DomainError, match="corrupt record at line 1: field seed "):
+            parse_report_lines(json.dumps(rec))
 
 
 def test_merge_adds_sample_counts():
