@@ -23,7 +23,9 @@ correct signed constant for either half-plane.
 The hyperbolic evaluator never integrates close to the edge of its
 convergence strip.  It first walks the argument toward the real axis with
 exact ``2 cosh`` functional-equation steps, integrates where the tail
-decays at rate ``Re(a)`` or better, and multiplies the steps back in.
+decays at rate ``Re(a)`` or better, and multiplies the steps back in.  In
+float64 the points of one call share numpy node blocks, one row per point,
+so a scalar and the same point in any array give the same bits.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ __all__ = [
 
 _PRODUCT_HARD_CAP = 200_000
 _DOUBLE_PRODUCT_CAP = 400
+# rows of one hyperbolic node block: keeps its temporaries well under 1 MB
+_NODE_BLOCK_POINTS = 64
 
 
 def _require_alpha(alpha: complex, positive: bool = True) -> complex:
@@ -158,7 +162,29 @@ def _hyperbolic_integrand(w: complex, a: float, alpha: complex, y: np.ndarray) -
     return (np.sin(2 * w * y) / (2 * np.sinh(a * y) * np.sinh(alpha * y)) - w / (a * alpha * y)) / y
 
 
-def _hyperbolic_head(w, a, alpha, y0, order: int):
+def _head_table(a, alpha, order: int, one):
+    """The coordinate-free part of the head series for ``k = 0..order``:
+    the inverse odd factorials ``1/(2k+1)!`` and ``den[k]``, the series of
+    ``sinh(a y) sinh(alpha y) / (a alpha y^2)``, in the number type of ``one``."""
+    inv = [one]
+    for k in range(1, order + 1):
+        inv.append(inv[-1] / (2 * k) / (2 * k + 1))
+    aa, bb = a * a, alpha * alpha
+    den = []
+    for k in range(order + 1):
+        acc = 0 * one
+        for j in range(k + 1):
+            acc = acc + aa**j * inv[j] * bb ** (k - j) * inv[k - j]
+        den.append(acc)
+    return inv, den
+
+
+@lru_cache(maxsize=64)
+def _head_table_float(a: complex, alpha: complex, order: int):
+    return _head_table(a, alpha, order, 1 + 0j)
+
+
+def _hyperbolic_head(w, a, alpha, y0, table):
     """Integral of the regularised integrand over ``[0, y0]`` by series.
 
     Near the origin the integrand is a ratio of even power series divided
@@ -166,124 +192,128 @@ def _hyperbolic_head(w, a, alpha, y0, order: int):
     so the first stretch is integrated term by term instead.  Works with
     either complex floats or mpmath numbers, following the argument types.
     """
-    one = w / w if w != 0 else 1.0
+    inv, den = table
+    one = inv[0]
     w2 = 4 * w * w
-    aa = a * a
-    bb = alpha * alpha
-
-    def inv_odd_factorial(k):
-        out = one
-        for i in range(2, 2 * k + 2):
-            out = out / i
-        return out
-
-    num = [one] + [(-1) ** k * w2**k * inv_odd_factorial(k) for k in range(1, order + 1)]
-    den = []
-    for k in range(order + 1):
-        acc = 0 * one
-        for j in range(k + 1):
-            acc = acc + aa**j * inv_odd_factorial(j) * bb ** (k - j) * inv_odd_factorial(k - j)
-        den.append(acc)
+    num = [one] + [(-1) ** k * w2**k * inv[k] for k in range(1, len(inv))]
     quot = [one]
-    for k in range(1, order + 1):
+    for k in range(1, len(inv)):
         acc = num[k]
         for j in range(1, k + 1):
             acc = acc - den[j] * quot[k - j]
         quot.append(acc)
     total = 0 * one
-    for k in range(order, 0, -1):
+    for k in range(len(inv) - 1, 0, -1):
         total = total + quot[k] * y0 ** (2 * k - 1) / (2 * k - 1)
     return (w / (a * alpha)) * total
 
 
-def _hyperbolic_GR(case: CaseParams, alpha: complex, w: complex, policy: TruncationPolicy) -> complex:
-    """The hyperbolic integral primitive, continued by cosh steps.
+def _hyperbolic_GR(a: float, alpha: complex, ws: list[complex], policy: TruncationPolicy) -> list[complex]:
+    """The hyperbolic integral primitive at the points ``ws``, continued by cosh steps.
 
     Returns ``exp(i * integral)`` where the integral runs over the log-scaled
     integrand built from ``sin(2 w y)``; before integrating, ``w`` is moved
     by multiples of ``i alpha`` until its imaginary part is small so the
     integral tail decays at rate ``Re(a + alpha) - 2 |Im w|  >=  Re(a)``.
     """
-    a = case.a
-    # step count toward the real axis
-    k = -int(round(w.imag / alpha.real))
-    w0 = w + 1j * k * alpha
-
-    margin = a + alpha.real - 2 * abs(w0.imag)
-    tol = policy.target_rel_err
-    y_cut = (-math.log(tol) + 5.0) / margin
-    if y_cut > policy.quadrature_cutoff:
-        raise ConvergenceError(
-            f"hyperbolic integral needs cutoff {y_cut:.1f} > "
-            f"quadrature_cutoff={policy.quadrature_cutoff:g}; raise the policy cutoff"
-        )
-    y_cut = max(y_cut, 8.0)
-
+    steps = []
+    for w in ws:
+        # step count toward the real axis
+        k = -int(round(w.imag / alpha.real))
+        w0 = w + 1j * k * alpha
+        margin = a + alpha.real - 2 * abs(w0.imag)
+        y_cut = (-math.log(policy.target_rel_err) + 5.0) / margin
+        if y_cut > policy.quadrature_cutoff:
+            raise ConvergenceError(
+                f"hyperbolic integral needs cutoff {y_cut:.1f} > "
+                f"quadrature_cutoff={policy.quadrature_cutoff:g}; raise the policy cutoff"
+            )
+        steps.append((k, w0, max(y_cut, 8.0)))
     if policy.precision_dps is not None:
-        with mpmath.workdps(policy.precision_dps):
-            wm = mpmath.mpc(complex(w0))
-            am = mpmath.mpf(a)
-            alm = mpmath.mpc(complex(alpha))
-
-            def h(y):
-                return (
-                    mpmath.sin(2 * wm * y) / (2 * mpmath.sinh(am * y) * mpmath.sinh(alm * y))
-                    - wm / (am * alm * y)
-                ) / y
-
-            y0m = mpmath.mpf("1e-3")
-            order = int(math.ceil((policy.precision_dps + 8) / 6)) + 2
-            head_mp = _hyperbolic_head(wm, am, alm, y0m, order)
-            integral = head_mp + mpmath.quad(h, [y0m, 1, 5, y_cut, mpmath.inf])
-            base = complex(mpmath.e ** (1j * integral))
+        bases = [_hyperbolic_mp(a, alpha, w0, y_cut, policy.precision_dps) for _, w0, y_cut in steps]
     else:
-        y0 = 1e-3
-        head = _hyperbolic_head(complex(w0), complex(a), complex(alpha), y0, 3)
-
-        n_panels = max(
-            int(math.ceil(policy.quadrature_points / 16)),
-            int(math.ceil(y_cut * (1.0 + abs(2 * w0)) / 8.0)),
-        )
-        nodes, weights = _leggauss(16)
-        edges = np.linspace(y0, y_cut, n_panels + 1)
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        ys = (mids[:, None] + half[:, None] * nodes[None, :]).ravel()
-        ws = (half[:, None] * weights[None, :]).ravel()
-        body = np.sum(ws * _hyperbolic_integrand(w0, a, alpha, ys))
-
-        tail = -w0 / (a * alpha * y_cut)
-        base = cmath.exp(1j * (head + body + tail))
+        bases = _hyperbolic_float(a, alpha, steps, policy.quadrature_points)
 
     # multiply the functional-equation steps back in
-    if k > 0:
-        # G_R(w) = G_R(w + i k alpha) / prod_{j=0}^{k-1} 2 cosh(pi (w + i alpha/2 + i j alpha)/a)
+    out = []
+    for w, (k, _, _), base in zip(ws, steps, bases):
         corr = 1.0 + 0j
-        for j in range(k):
-            corr *= 2 * cmath.cosh(math.pi * (w + 1j * alpha / 2 + 1j * j * alpha) / a)
-        return base / corr
-    if k < 0:
-        corr = 1.0 + 0j
-        for j in range(1, -k + 1):
-            corr *= 2 * cmath.cosh(math.pi * (w - 1j * alpha / 2 - 1j * (j - 1) * alpha) / a)
-        return base * corr
-    return base
+        if k > 0:
+            # G_R(w) = G_R(w + i k alpha) / prod_{j=0}^{k-1} 2 cosh(pi (w + i alpha/2 + i j alpha)/a)
+            for j in range(k):
+                corr *= 2 * cmath.cosh(math.pi * (w + 1j * alpha / 2 + 1j * j * alpha) / a)
+            base = base / corr
+        elif k < 0:
+            for j in range(1, -k + 1):
+                corr *= 2 * cmath.cosh(math.pi * (w - 1j * alpha / 2 - 1j * (j - 1) * alpha) / a)
+            base = base * corr
+        out.append(base)
+    return out
+
+
+def _hyperbolic_mp(a: float, alpha: complex, w0: complex, y_cut: float, dps: int) -> complex:
+    with mpmath.workdps(dps):
+        wm = mpmath.mpc(complex(w0))
+        am = mpmath.mpf(a)
+        alm = mpmath.mpc(complex(alpha))
+
+        def h(y):
+            return (
+                mpmath.sin(2 * wm * y) / (2 * mpmath.sinh(am * y) * mpmath.sinh(alm * y))
+                - wm / (am * alm * y)
+            ) / y
+
+        y0m = mpmath.mpf("1e-3")
+        order = int(math.ceil((dps + 8) / 6)) + 2
+        head_mp = _hyperbolic_head(wm, am, alm, y0m, _head_table(am, alm, order, mpmath.mpc(1)))
+        integral = head_mp + mpmath.quad(h, [y0m, 1, 5, y_cut, mpmath.inf])
+        return complex(mpmath.e ** (1j * integral))
+
+
+def _hyperbolic_float(a: float, alpha: complex, steps: list[tuple], quadrature_points: int) -> list[complex]:
+    """``exp(i * integral)`` at each stepped point ``(k, w0, y_cut)`` in float64:
+    points with one panel count share node blocks, each row summed alone."""
+    y0 = 1e-3
+    blocks: dict[int, list[int]] = {}
+    for idx, (_, w0, y_cut) in enumerate(steps):
+        n_panels = max(int(math.ceil(quadrature_points / 16)),
+                       int(math.ceil(y_cut * (1.0 + abs(2 * w0)) / 8.0)))
+        blocks.setdefault(n_panels, []).append(idx)
+    nodes, weights = _leggauss(16)
+    body: dict[int, complex] = {}
+    for n_panels, idxs in blocks.items():
+        for start in range(0, len(idxs), _NODE_BLOCK_POINTS):
+            rows = idxs[start:start + _NODE_BLOCK_POINTS]
+            # np.linspace(y0, y_cut, n_panels + 1) per row in linspace's own
+            # arithmetic (the same bits) without its per-call overhead
+            y_cut = np.array([steps[i][2] for i in rows])
+            edges = np.arange(n_panels + 1) * ((y_cut - y0) / n_panels)[:, None] + y0
+            edges[:, -1] = y_cut
+            mids = 0.5 * (edges[:, 1:] + edges[:, :-1])
+            half = 0.5 * (edges[:, 1:] - edges[:, :-1])[:, :, None]
+            ys = (mids[:, :, None] + half * nodes).reshape(len(rows), -1)
+            ws = (half * weights).reshape(len(rows), -1)
+            w0 = np.array([steps[i][1] for i in rows])[:, None]
+            body.update(zip(rows, (ws * _hyperbolic_integrand(w0, a, alpha, ys)).sum(axis=-1).tolist()))
+    table = _head_table_float(complex(a), complex(alpha), 3)
+    out = []
+    for idx, (_, w0, y_cut) in enumerate(steps):
+        head = _hyperbolic_head(w0, complex(a), complex(alpha), y0, table)
+        tail = -w0 / (a * alpha * y_cut)
+        out.append(cmath.exp(1j * (head + body[idx] + tail)))
+    return out
 
 
 def _g1_hyperbolic(case: CaseParams, alpha: complex, x: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
-    out = np.empty(x.shape, dtype=np.complex128)
-    flat = x.ravel()
-    res = out.ravel()
-    for idx, v in enumerate(flat):
-        res[idx] = _hyperbolic_GR(case, alpha, complex(v) - 0.5j * case.a, policy)
-    return out
+    vals = _hyperbolic_GR(case.a, alpha, [v - 0.5j * case.a for v in x.ravel().tolist()], policy)
+    return np.array(vals, dtype=np.complex128).reshape(x.shape)
 
 
 def _g1_elliptic(case: CaseParams, alpha: complex, x: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
     r, a = case.r, case.a
     tol = policy.target_rel_err
     w = x - 0.5j * a
-    im_max = float(np.max(np.abs(w.imag)))
+    im_max = float(np.max(np.abs(w.imag), initial=0.0))
     growth = 2 * r * im_max
 
     log_p = -r * a
@@ -305,10 +335,7 @@ def _g1_elliptic(case: CaseParams, alpha: complex, x: np.ndarray, policy: Trunca
                 out.append(complex(pref * prod))
         return np.array(out).reshape(x.shape)
 
-    n = np.arange(1, n_count + 1)
-    m = np.arange(1, m_count + 1)
-    log_u = (-r * a * (2 * n - 1))[:, None] + (-r * alpha * (2 * m - 1))[None, :]
-    u = np.exp(log_u).ravel()  # (n_count * m_count,)
+    u = _elliptic_table(r, a, alpha, n_count, m_count)
     e_minus = np.exp(-2j * r * w.ravel())
     e_plus = np.exp(2j * r * w.ravel())
     num = 1.0 - u[:, None] * e_minus[None, :]
@@ -316,6 +343,17 @@ def _g1_elliptic(case: CaseParams, alpha: complex, x: np.ndarray, policy: Trunca
     prod = np.prod(num / den, axis=0)
     pref = np.exp(-r * x.ravel() ** 2 / (2 * alpha))
     return (pref * prod).reshape(x.shape)
+
+
+@lru_cache(maxsize=16)
+def _elliptic_table(r: float, a: float, alpha: complex, n_count: int, m_count: int) -> np.ndarray:
+    """The nome powers ``exp(-r a (2n-1) - r alpha (2m-1))``, n-major, read-only."""
+    n = np.arange(1, n_count + 1)
+    m = np.arange(1, m_count + 1)
+    log_u = (-r * a * (2 * n - 1))[:, None] + (-r * alpha * (2 * m - 1))[None, :]
+    u = np.exp(log_u).ravel()
+    u.flags.writeable = False
+    return u
 
 
 def _count_double(step_log: float, other_log: float, growth: float, tol: float) -> int:
@@ -356,9 +394,10 @@ def gamma_G(case: CaseParams, alpha, x, policy: TruncationPolicy = DEFAULT_POLIC
 
     For ``Re(alpha) < 0`` this is ``gamma_G1(case, -alpha, -x)``, so the
     reflection rule ``G(x; -alpha) == G(-x; alpha)`` holds identically.
-    A rational or trigonometric scalar is evaluated with ``cmath`` (unless
-    ``policy.precision_dps`` is set); everything else, and a scalar where
-    ``cmath`` overflows, goes through the array path of :func:`gamma_G1`.
+    Unless ``policy.precision_dps`` is set, a rational or trigonometric
+    scalar is evaluated with ``cmath`` and a hyperbolic one as a one-row
+    node block; everything else, and a scalar where ``cmath`` overflows,
+    goes through the array path of :func:`gamma_G1`.
     """
     alpha = _require_alpha(alpha, positive=False)
     scalar = isinstance(x, _SCALAR_TYPES)
@@ -376,6 +415,8 @@ def gamma_G(case: CaseParams, alpha, x, policy: TruncationPolicy = DEFAULT_POLIC
                 return _g1_trigonometric_scalar(r, alpha, z, count)
             except (ArithmeticError, ValueError):
                 pass  # cmath raises where numpy returns inf or nan
+        if case.kind is CaseKind.HYPERBOLIC:
+            return _hyperbolic_GR(case.a, alpha, [z - 0.5j * case.a], policy)[0]
     return gamma_G1(case, alpha, x, policy)
 
 

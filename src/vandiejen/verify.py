@@ -822,14 +822,12 @@ def _rows_conjugation(ctx: _RunCtx) -> list[SampleResult]:
         fns += [(f"exp{fi}", _exp_fn(ctx.rng.uniform(-0.9, 0.9, size=n))) for fi in range(5)]
         F = cache(terms.F)  # the eigenfunction's sheets carry no fault
 
-        def forms(P, plain=None):
+        def forms(P):
             # both forms at P for every test function: the plain weights,
-            # F(P), and the square-root weights with F at their points;
-            # ``plain`` gives the first two from an earlier call at P
+            # F(P), and the square-root weights with F at their points
             rooted = sqrt_operator_weights(case, g, lam, beta, tags, P, terms, policy)
-            if plain is None:
-                plain = operator_weights(case, g, lam, beta, config.mass_values, tags, P, policy), F(P)
-            return (*plain, [(w, Q, F(Q)) for w, Q in rooted])
+            plain = operator_weights(case, g, lam, beta, config.mass_values, tags, P, policy)
+            return plain, F(P), [(w, Q, F(Q)) for w, Q in rooted]
 
         def residual(form, fn):
             plain, FP, rooted = form
@@ -852,13 +850,12 @@ def _rows_conjugation(ctx: _RunCtx) -> list[SampleResult]:
                     rows.append(_row(ctx, f"{name}@p{pi}", i, *residual(form, fn)))
 
         # sheet-fault control: flipping one coefficient root away from the
-        # base must blow the residual up; the fault leaves the plain form
-        # and F alone, so only the square-root weights are built again
+        # base must blow the residual up; the fault leaves the plain form,
+        # F and the coefficients alone, so only the square roots move
         base0 = base[0]
-        plain = None if isinstance(at[1], str) else at[1][:2]
         terms.tracker.set_fault(("coeff", 0, 1), lambda target: abs(target[0] - base0) > 1e-9)
         try:
-            rows.append(_row(ctx, "sheet-fault", i, *residual(forms(point, plain), fns[1][1]),
+            rows.append(_row(ctx, "sheet-fault", i, *residual(forms(point), fns[1][1]),
                              control=True))
         except BranchError as exc:
             rows.append(_row(ctx, "sheet-fault", i, math.inf, 0.0, control=True,
@@ -1730,7 +1727,8 @@ _NUMBER = (int, float)
 _MERGED_FIELDS = {
     "sample": {"identity": str, "case": str, "label": str, "index": int, "residual": _NUMBER,
                "scale": _NUMBER, "tolerance": _NUMBER, "control": bool, "passed": bool},
-    "summary": {"identity": str, "case": str, "seed": (int, type(None))},
+    "summary": {"identity": str, "case": str, "seed": (int, type(None)),
+                "seeds": (list, type(None))},
 }
 
 
@@ -1756,8 +1754,9 @@ def parse_report_lines(text: str) -> dict:
                 raise ValueError(f"missing fields {missing}")
             for key, types in fields.items():
                 value = rec.get(key)
-                # a JSON boolean is a Python int, but not a number here
-                if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+                # a JSON boolean is a Python int, but not a number here; a list holds ints
+                if (not isinstance(value, types) or (isinstance(value, bool) and types is not bool)
+                        or (isinstance(value, list) and any(type(v) is not int for v in value))):
                     raise ValueError(f"field {key} is {value!r}")
         except (ValueError, KeyError, TypeError) as exc:
             raise DomainError(f"corrupt record at line {idx + 1}: {exc}") from exc
@@ -1794,7 +1793,7 @@ def merge_parsed_reports(parsed: Sequence[dict]) -> dict:
         samples.extend(part["samples"])
         for summ in part["summaries"]:
             agg = group((summ["identity"], summ["case"]))
-            agg["seeds"].add(summ.get("seed"))
+            agg["seeds"].update([summ.get("seed"), *(summ.get("seeds") or ())])
             if summ.get("verdict") == "fail":
                 agg["verdict"] = "fail"
 

@@ -544,8 +544,10 @@ def _without(key):
     ("sample", _without("control"), "csv"),
     ("summary", lambda rec: {**rec, "seed": [1]}, "text"),
     ("summary", lambda rec: {**rec, "seed": True}, "text"),
+    ("summary", lambda rec: {**rec, "seeds": [1, True]}, "json-lines"),
+    ("summary", lambda rec: {**rec, "seeds": 1}, "json-lines"),
 ], ids=["csv-without-label", "csv-string-index", "csv-without-control",
-        "list-seed", "bool-seed"])
+        "list-seed", "bool-seed", "bool-in-seeds", "int-seeds"])
 def test_report_field_a_renderer_reads_is_checked(tmp_path, capsys, kind, edit, fmt):
     bad, line = _edited_report(tmp_path, "bad.jsonl", kind, edit)
     code, out, err = run_main(capsys, ["report", str(bad), "--format", fmt])
@@ -572,6 +574,21 @@ def test_report_takes_a_null_or_missing_seed(tmp_path, capsys):
              if r["record"] == "summary"}
     # the edited summary (case I) drops its seed, case II keeps both
     assert seeds == {(), (1, 2)}
+
+
+def test_a_merged_report_merged_again_keeps_its_seeds(tmp_path, capsys):
+    a = _write_report(tmp_path, "a.jsonl", 1)
+    b = _write_report(tmp_path, "b.jsonl", 2)
+    capsys.readouterr()
+    code, merged, _ = run_main(capsys, ["report", str(a), str(b), "--format", "json-lines"])
+    assert code == EXIT_PASS
+    again = tmp_path / "m.jsonl"
+    again.write_text(merged)
+    code, out, _ = run_main(capsys, ["report", str(again), "--format", "json-lines"])
+    assert code == EXIT_PASS
+    summaries = [r for r in map(json.loads, out.splitlines()) if r["record"] == "summary"]
+    assert [r["seeds"] for r in summaries] == [[1, 2], [1, 2]]
+    assert payload_lines(out) == payload_lines(merged)
 
 
 def test_report_missing_file(tmp_path, capsys):

@@ -5,6 +5,7 @@ values point by point, and exactly at the target.  Runners that apply one
 operator at one point to several functions compute its weights once."""
 
 import cmath
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -298,28 +299,30 @@ def test_an_anti_symmetry_sample_builds_each_operator_once(seed):
 
 @pytest.mark.parametrize("label", ("I", "II"))
 def test_a_conjugation_sample_builds_each_form_once_per_point(label):
-    # coeff_V0 ends both forms; the screen of a candidate point is not
-    # counted, and the sheet-fault row builds only the square-root form
-    # again under the fault: twice per point, once more at the offset point
-    counts = []
-    screening = []
-    screen = verify._screen_config
+    # each V_0 is evaluated once per point, whether the screen, a form or
+    # the sheet-fault row asks first: the run's memo takes one V_0 value
+    # per point and never replaces one; the base and the offset point
+    committed = []
 
-    def screened(*args, **kwargs):
-        screening.append(True)
+    class CountingMemo(dict):
+        def __setitem__(self, key, value):
+            committed.append(key)
+            super().__setitem__(key, value)
+
+        def update(self, other):
+            for key, value in other.items():
+                self[key] = value
+
+    @contextlib.contextmanager
+    def counting_memo():
+        token = operators._MEMO.set(CountingMemo())
         try:
-            return screen(*args, **kwargs)
+            yield
         finally:
-            screening.pop()
+            operators._MEMO.reset(token)
 
-    def point(case, g, lam, beta, masses, X, *rest):
-        return None if screening else tuple(X)
-
-    with mock.patch.object(verify, "_screen_config", screened), \
-            _counting(operators, "coeff_V0", counts, point), \
-            _counting(eigenfunctions, "coeff_V0", counts, point):
+    with mock.patch.object(verify, "_coefficient_memo", counting_memo):
         report = verify.run_identity("conjugation", label, samples=1, seed=3)
     assert len(report.results) == 13
-    per_point = [key for _, key in counts if key is not None]
-    assert len(set(per_point)) == 2
-    assert len(per_point) == 5
+    points = [key[-1] for key in committed if key[0] == "V0"]
+    assert len(points) == len(set(points)) == 2

@@ -446,6 +446,31 @@ def test_parse_checks_a_summary_seed(seed, ok):
             parse_report_lines(json.dumps(rec))
 
 
+@pytest.mark.parametrize("seeds,ok", [
+    ([3, 4], True), ([], True), (None, True), ("missing", True), ([True], False),
+    ([1, "2"], False), ([1.0], False), (3, False), ([[1]], False),
+])
+def test_parse_checks_a_summary_seed_list(seeds, ok):
+    rec = {"record": "summary", "identity": "s-oddness", "case": "I"}
+    if seeds != "missing":
+        rec["seeds"] = seeds
+    if ok:
+        assert parse_report_lines(json.dumps(rec))["summaries"] == [rec]
+    else:
+        with pytest.raises(DomainError, match="corrupt record at line 1: field seeds "):
+            parse_report_lines(json.dumps(rec))
+
+
+def test_merge_reads_the_seeds_of_merged_summaries():
+    merged = merge_parsed_reports([parse_report_lines(render_json_lines(_two_reports(s)))
+                                   for s in (3, 4)])
+    text = verify.json_lines_text(verify.header_line("t0"),
+                                  [*merged["samples"], *merged["summaries"], merged["footer"]])
+    again = merge_parsed_reports([parse_report_lines(text),
+                                  parse_report_lines(render_json_lines(_two_reports(5)))])
+    assert [s["seeds"] for s in again["summaries"]] == [[3, 4, 5], [3, 4, 5]]
+
+
 def test_merge_adds_sample_counts():
     text_a = render_json_lines(_two_reports(3))
     text_b = render_json_lines(_two_reports(4))
