@@ -304,12 +304,14 @@ def dual_cauchy_kernel_factors(
 class BranchTracker:
     """Continues square roots along straight paths from one base point.
 
-    Every tracked factor is identified by a hashable key.  The first
-    evaluation fixes the principal square root at the base point; later
-    evaluations walk from the base to the requested target, choosing at
-    each step the root closest to the previous value and bisecting the
-    step whenever the choice is ambiguous.  Results are cached per
-    (key, target).
+    Every tracked factor is identified by a hashable key, and a key names
+    one factor: its root at the base point and its roots at every target.
+    The first evaluation of a key fixes the principal square root at the
+    base point, once per key; later evaluations walk from the base to the
+    requested target, choosing at each step the root closest to the
+    previous value and bisecting the step whenever the choice is
+    ambiguous.  Results are cached per (key, target), and the coordinate
+    arrays of each target's path are built once and shared by every key.
 
     Continuation pins each root only up to one global sign per factor.
     ``set_gauge`` flips that sign coherently (at every point at once);
@@ -334,6 +336,8 @@ class BranchTracker:
         self.max_depth = max_depth
         self.rel_floor = rel_floor
         self._cache: dict = {}
+        self._base_roots: dict = {}
+        self._paths: dict = {}
         self._gauge: dict = {}
         self._fault_key = None
         self._fault_pred: Callable[[tuple], bool] | None = None
@@ -357,43 +361,55 @@ class BranchTracker:
     def sqrt_at(self, key, fn: Callable[[Sequence[complex]], complex], target) -> complex:
         """Continued root of ``fn`` at ``target``.  ``fn`` takes one point
         (a tuple of complex coordinates) or a whole path (a tuple of
-        equal-length coordinate arrays) and returns a value or an array to
-        match."""
+        equal-length read-only coordinate arrays) and returns a value or
+        an array to match.  ``key`` names the factor: ``fn`` is called at
+        the base point only on the key's first continuation, and never for
+        a (key, target) already continued."""
         target = tuple(complex(v) for v in target)
         cache_key = (key, target)
         value = self._cache.get(cache_key)
         if value is None:
-            value = self._continue(fn, target)
+            value = self._continue(key, fn, target)
             self._cache[cache_key] = value
         value *= self._gauge.get(key, 1)
         if self._fault_key == key and self._fault_pred is not None and self._fault_pred(target):
             return -value
         return value
 
-    def _continue(self, fn, target: tuple) -> complex:
-        w0 = complex(fn(self.base))
-        if w0 == 0:
-            raise BranchError("square-root argument vanishes at the base point")
-        prev = cmath.sqrt(w0)
+    def _continue(self, key, fn, target: tuple) -> complex:
+        prev = self._base_roots.get(key)
+        if prev is None:
+            w0 = complex(fn(self.base))
+            if w0 == 0:
+                raise BranchError("square-root argument vanishes at the base point")
+            prev = self._base_roots[key] = cmath.sqrt(w0)
         if target == self.base:
             return prev
         ts = [k / self.path_steps for k in range(1, self.path_steps + 1)]
         values = self._path_values(fn, target, ts)
         if values is None:
-            values = self._point_values(fn, target, ts)
-        return self._walk(fn, target, 0.0, prev, ts, values, 0)
+            return self._walk(fn, target, 0.0, prev, ts, self._point_values(fn, target, ts), 0)
+        settled, prev = self._settle(prev, values)
+        # the scalar walk decides every step from the first the arrays leave open
+        return self._walk(fn, target, ts[settled - 1] if settled else 0.0, prev,
+                          ts[settled:], values[settled:].tolist(), 0)
 
-    def _path_values(self, fn, target: tuple, ts: list) -> list | None:
-        """``fn`` on all points ``ts`` in one call, each coordinate one
-        array built element by element (the same floats as
-        :meth:`_point`).  None when the walk must go point by point: the
-        call raised (a numpy division by zero, overflow or invalid
-        operation included), or gave a value that is not finite, or not
-        one value per point."""
+    def _path_values(self, fn, target: tuple, ts: list) -> np.ndarray | None:
+        """``fn`` on all points ``ts`` in one call.  Each coordinate is one
+        array built element by element (the same floats as :meth:`_point`),
+        once per target and read-only, so every key continued to ``target``
+        shares it.  None when the walk must go point by point: the call
+        raised (a numpy division by zero, overflow or invalid operation
+        included), or gave a value that is not finite, or not one value per
+        point."""
         try:
+            path = self._paths.get(target)
+            if path is None:
+                path = self._paths[target] = tuple(
+                    np.array([b + t * (z - b) for t in ts]) for b, z in zip(self.base, target))
+                for coordinate in path:
+                    coordinate.flags.writeable = False
             with np.errstate(divide="raise", over="raise", invalid="raise"):
-                path = tuple(np.array([b + t * (z - b) for t in ts])
-                             for b, z in zip(self.base, target))
                 values = np.asarray(fn(path), dtype=np.complex128)
         except Exception:
             # nothing is swallowed: the point-by-point walk calls fn again
@@ -401,12 +417,45 @@ class BranchTracker:
             return None
         if values.shape != (len(ts),) or not np.isfinite(values).all():
             return None
-        return values.tolist()
+        return values
 
     def _point_values(self, fn, target: tuple, ts: list):
         """``fn`` at each point of ``ts``, called only when the walk reaches
         that point."""
         return (complex(fn(self._point(target, t))) for t in ts)
+
+    def _settle(self, prev: complex, values: np.ndarray) -> tuple[int, complex]:
+        """The walk of :meth:`_walk` over the squares ``values``, on arrays,
+        up to its first step that is ambiguous, near the zero floor or not
+        finite: the number of steps settled and the root after them.
+
+        Each step chooses a ``cmath.sqrt`` root or its negative, so the
+        previous value is the root of the step before times a running sign.
+        The floor and ambiguity tests do not depend on that sign, and it
+        flips where the negated previous root is the nearer one.  A tie of
+        the two distances is ambiguous (their squares add up to twice
+        ``|root|**2 + |prev|**2``).  Distances and moduli are the scalar
+        walk's ``hypot`` values; ``|prev|**2`` may round an ulp away from
+        the scalar ``pow``, so a step counts as near the floor already at
+        twice ``rel_floor``."""
+        # q[0] is the previous root, q[k] the root of step k (from 1)
+        q = np.array([prev, *map(cmath.sqrt, values.tolist())])
+        r, p = q[1:], q[:-1]
+        with np.errstate(all="ignore"):
+            abs_q = np.hypot(q.real, q.imag)
+            abs_r, abs_p = abs_q[1:], abs_q[:-1]
+            abs_w = np.hypot(values.real, values.imag)
+            diff, total = r - p, r + p
+            d_plus = np.hypot(diff.real, diff.imag)
+            d_minus = np.hypot(total.real, total.imag)
+            scale = abs_p * abs_p + abs_w
+            undecided = ((abs_w < 2.0 * self.rel_floor * scale) | (scale == np.inf)
+                         | (np.minimum(d_plus, d_minus) > 0.5 * np.maximum(abs_r, abs_p)))
+        first = int(undecided.argmax())
+        settled = first if undecided[first] else len(values)
+        flips = int(np.count_nonzero(d_minus[:settled] < d_plus[:settled]))
+        root = complex(q[settled])
+        return settled, (-root if flips % 2 else root)
 
     def _walk(self, fn, target, t_prev: float, prev: complex, ts: list, values,
               depth: int) -> complex:

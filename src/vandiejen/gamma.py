@@ -113,7 +113,7 @@ def _g1_rational(alpha: complex, x: np.ndarray, policy: TruncationPolicy) -> np.
 def _g1_trigonometric(case: CaseParams, alpha: complex, x: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
     r = case.r
     tol = policy.target_rel_err
-    im_max = float(np.max(np.abs(x.imag)))
+    im_max = float(np.max(np.abs(x.imag), initial=0.0))
     count = _geometric_terms(r * alpha.real, 0.0, 2 * r * im_max, tol)
 
     if policy.precision_dps is not None:
@@ -128,10 +128,11 @@ def _g1_trigonometric(case: CaseParams, alpha: complex, x: np.ndarray, policy: T
                 out.append(complex(pref / prod))
         return np.array(out).reshape(x.shape)
 
-    # factors 1 - u_n exp(2 i r x), broadcast (terms, points)
-    u = np.array(_trig_table(r, alpha, count))
+    # factors 1 - u_n exp(2 i r x), broadcast (terms, points) into one
+    # temporary
     e = np.exp(2j * r * x.ravel())
-    prod = np.prod(1.0 - u[:, None] * e[None, :], axis=0)
+    factors = _trig_array(r, alpha, count)[:, None] * e[None, :]
+    prod = np.prod(np.subtract(1.0, factors, out=factors), axis=0)
     pref = np.exp(-r * x.ravel() ** 2 / (2 * alpha))
     return (pref / prod).reshape(x.shape)
 
@@ -141,6 +142,14 @@ def _trig_table(r: float, alpha: complex, count: int) -> tuple[complex, ...]:
     """``u_n = exp(-r alpha (2n-1))`` for ``n = 1..count``, the nome powers
     of the trigonometric product, shared by the scalar and array paths."""
     return tuple(cmath.exp(-r * alpha * (2 * n - 1)) for n in range(1, count + 1))
+
+
+@lru_cache(maxsize=64)
+def _trig_array(r: float, alpha: complex, count: int) -> np.ndarray:
+    """:func:`_trig_table` as a read-only array, for the array path."""
+    u = np.array(_trig_table(r, alpha, count))
+    u.flags.writeable = False
+    return u
 
 
 def _g1_trigonometric_scalar(r: float, alpha: complex, x: complex, count: int) -> complex:

@@ -345,6 +345,8 @@ def theta_eval(z, tau=None, q=None, policy: TruncationPolicy = DEFAULT_POLICY):
             pass  # cmath raises where numpy returns inf or nan
 
     zz, scalar = _as_complex_array(z)
+    if not zz.size:
+        return zz
     im = np.abs(zz.imag)
     tol = policy.target_rel_err
     # the count grows with |Im z|: the point of largest |Im z| is the one
@@ -468,10 +470,10 @@ def theta_product(z, tau=None, q=None, policy: TruncationPolicy = DEFAULT_POLICY
                     q2n = qm ** (2 * n)
                     prod *= (1 - q2n) * (1 - 2 * q2n * mpmath.cos(2 * zm) + q2n**2)
                 out.append(2 * qm ** mpmath.mpf("0.25") * mpmath.sin(zm) * prod)
-            vals = np.array([complex(v) for v in out]).reshape(zz.shape)
+            vals = np.array([complex(v) for v in out], dtype=np.complex128).reshape(zz.shape)
         return _restore(vals, scalar)
 
-    im_max = float(np.max(np.abs(zz.imag)))
+    im_max = float(np.max(np.abs(zz.imag), initial=0.0))
     cos_bound = 2.0 * math.exp(2 * im_max) + 1.0
     prod = np.ones_like(zz)
     converged = False
@@ -513,7 +515,7 @@ def _theta_eval_mp(z, qq: complex, policy: TruncationPolicy):
             else:
                 raise ConvergenceError("theta series (mpmath) did not converge")
             out.append(2 * total)
-        vals = np.array([complex(v) for v in out]).reshape(zz.shape)
+        vals = np.array([complex(v) for v in out], dtype=np.complex128).reshape(zz.shape)
     return _restore(vals, scalar)
 
 
@@ -532,7 +534,8 @@ def s_eval(case: CaseParams, x, policy: TruncationPolicy = DEFAULT_POLICY):
     if policy.precision_dps is not None:
         xx, scalar = _as_complex_array(x)
         vals = np.array(
-            [complex(s_eval_mp(case, complex(v), policy.precision_dps)) for v in xx.ravel()]
+            [complex(s_eval_mp(case, complex(v), policy.precision_dps)) for v in xx.ravel()],
+            dtype=np.complex128,
         ).reshape(xx.shape)
         return _restore(vals, scalar)
 
@@ -656,7 +659,7 @@ def require_regular(case: CaseParams, x, policy: TruncationPolicy = DEFAULT_POLI
     floor to a zero of ``s``."""
     dist = lattice_distance(case, x)
     floor = policy.pole_floor
-    dmin = float(np.min(np.atleast_1d(dist)))
+    dmin = float(np.min(np.atleast_1d(dist), initial=np.inf))
     if dmin < floor:
         raise PoleProximityError(
             f"{what} is within {dmin:.3g} of a zero of s (floor {floor:g}, "

@@ -2,6 +2,7 @@
 against a reference walk that calls it once per path point."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ class ReferenceTracker(BranchTracker):
     """The walk as it was written before paths: one scalar call of the
     factor per path point, bisecting ambiguous steps."""
 
-    def _continue(self, fn, target):
+    def _continue(self, key, fn, target):
         w0 = complex(fn(self.base))
         if w0 == 0:
             raise BranchError("square-root argument vanishes at the base point")
@@ -69,12 +70,14 @@ class ReferenceTracker(BranchTracker):
 
 class CountingTracker(BranchTracker):
     """Records, per ``sqrt_at`` call, whether it missed the cache, whether
-    its target was the base, how often it called the factor, and how many
-    points its bisections of ambiguous steps took."""
+    it was the first miss of its key, whether its target was the base, how
+    often it called the factor, and how many points its bisections of
+    ambiguous steps took."""
 
-    def __init__(self, base):
-        super().__init__(base)
+    def __init__(self, base, **kwargs):
+        super().__init__(base, **kwargs)
         self.calls = []
+        self._missed_keys = set()
         self._bisected = 0
 
     def sqrt_at(self, key, fn, target):
@@ -87,11 +90,14 @@ class CountingTracker(BranchTracker):
 
         target = tuple(complex(v) for v in target)
         miss = (key, target) not in self._cache
+        first = miss and key not in self._missed_keys
+        if miss:
+            self._missed_keys.add(key)
         self._bisected = 0
         try:
             return super().sqrt_at(key, counted, target)
         finally:
-            self.calls.append((miss, target == self.base, evals, self._bisected))
+            self.calls.append((miss, first, target == self.base, evals, self._bisected))
 
     def _walk(self, fn, target, t_prev, prev, ts, values, depth):
         # below the top level the walk runs over a bisected step's points
@@ -129,10 +135,11 @@ def _compare(evaluate, base, exact):
             assert value == ref, cache_key
         else:
             assert abs(value - ref) <= 1e-12 * abs(ref), cache_key
-    # a miss calls the factor at the base, once on the whole path, and once
-    # per bisected point; a hit does not call it
-    for miss, at_base, evals, bisected in tracker.calls:
-        assert evals == ((1 if at_base else 2 + bisected) if miss else 0)
+    # a key's first miss calls the factor at the base; a miss at another
+    # target calls it once on the whole path and once per bisected point;
+    # a hit does not call it
+    for miss, first, at_base, evals, bisected in tracker.calls:
+        assert evals == (first + (0 if at_base else 1 + bisected) if miss else 0)
     return tracker
 
 
@@ -256,4 +263,153 @@ def test_a_factor_of_points_only_is_walked_point_by_point():
     tracker = CountingTracker((0.2 + 0.1j,))
     value = tracker.sqrt_at("k", lambda Z: cmath.exp(Z[0]), (1.7 - 0.3j,))
     assert abs(value - cmath.exp(0.5 * (1.7 - 0.3j))) < 1e-13
-    assert tracker.calls == [(True, False, 2 + tracker.path_steps, 0)]
+    assert tracker.calls == [(True, True, False, 2 + tracker.path_steps, 0)]
+
+
+def _pointwise(f):
+    """A factor of one real coordinate that runs the scalar ``f`` on each
+    point of a path, so a path call and the reference walk's scalar calls
+    see the same bits."""
+    def fn(Z):
+        x = Z[0]
+        if isinstance(x, np.ndarray):
+            return np.array([f(v.real) for v in x.tolist()])
+        return f(x.real)
+    return fn
+
+
+def _winding(x):
+    # the phase passes pi near x = 0.79, so the principal root jumps there
+    # and the continued root is its negative from then on
+    return cmath.exp(4j * x)
+
+
+def _flipped_before(f, x):
+    """Whether the root of ``f`` continued from 0 to ``x`` is the negated
+    principal root there: the walk has flipped its sign before ``x``."""
+    fn = _pointwise(f)
+    return ReferenceTracker((0j,)).sqrt_at("k", fn, (x + 0j,)) == -cmath.sqrt(f(x))
+
+
+def _continued_alike(fn, target, **kwargs):
+    """Continue ``fn`` from 0 to ``target`` with the counting tracker and
+    the reference tracker; both must give the same root, bit for bit, or
+    fail alike, and bisect the same steps.  Returns the counting tracker
+    and the root or the failure."""
+    reference_evals = 0
+
+    def counted(Z):
+        nonlocal reference_evals
+        reference_evals += 1
+        return fn(Z)
+
+    def attempt(tracker, f):
+        failure = _outcome(lambda tr: tr.sqrt_at("k", f, (target,)), tracker)
+        return failure or ("root", tracker._cache["k", (target,)])
+
+    tracker = CountingTracker((0j,), **kwargs)
+    got = attempt(tracker, fn)
+    assert got == attempt(ReferenceTracker((0j,), **kwargs), counted)
+    if got[0] == "root":
+        # the reference calls the factor at the base, at each path point
+        # and at each bisected point
+        assert tracker.calls[0][-1] == reference_evals - 1 - tracker.path_steps
+    return tracker, got
+
+
+def test_an_ambiguous_step_after_sign_flips_equals_the_reference_walk():
+    # the phase jumps by 3 within one path step near x = 1.4, well after
+    # the principal root has jumped once
+    def f(x):
+        return _winding(x) * cmath.exp(1.5j * (1 + math.tanh((x - 1.4) / 0.004)))
+
+    assert _flipped_before(f, 1.2)
+    tracker, got = _continued_alike(_pointwise(f), 2.0 + 0j)
+    assert got[0] == "root"
+    (miss, first, at_base, evals, bisected), = tracker.calls
+    assert bisected > 0 and evals == 2 + bisected
+
+
+def test_a_near_zero_step_after_sign_flips_equals_the_reference_walk():
+    # the factor passes 0.002 from zero at the path point x = 1.25, after
+    # the principal root has jumped; the steps around it are bisected
+    def f(x):
+        return _winding(x) * (x - 1.25 + 0.002j)
+
+    assert _flipped_before(f, 1.2)
+    tracker, got = _continued_alike(_pointwise(f), 2.0 + 0j)
+    assert got[0] == "root"
+    assert tracker.calls[0][-1] > 0
+
+
+def test_a_zero_after_sign_flips_fails_like_the_reference_walk():
+    # the factor vanishes exactly at the path point x = 1.25 (t = 30/48)
+    def f(x):
+        return _winding(x) * (x - 1.25)
+
+    assert _flipped_before(f, 1.2)
+    _, got = _continued_alike(_pointwise(f), 2.0 + 0j)
+    assert got == ("BranchError", "square-root argument passes too close to zero along the path")
+
+
+def test_a_key_calls_its_factor_at_the_base_once():
+    tracker = CountingTracker((0.2 + 0.1j,))
+    fn = _pointwise(cmath.exp)
+    for target in (1.1 - 0.2j, 0.7 + 0.3j, 0.2 + 0.1j, 1.1 - 0.2j):
+        tracker.sqrt_at("k", fn, (target,))
+    tracker.sqrt_at("other", fn, (0.7 + 0.3j,))
+    assert [evals for *_, evals, _ in tracker.calls] == [2, 1, 0, 0, 2]
+
+
+def test_path_arrays_are_built_once_per_target_and_read_only():
+    tracker = BranchTracker((0.3 + 0.1j, 0.5 - 0.2j))
+    seen = []
+
+    def factor(scale):
+        def fn(Z):
+            if isinstance(Z[0], np.ndarray):
+                seen.append(Z)
+            return scale + Z[0] * Z[1]
+        return fn
+
+    for key, target in (("a", (0.9 + 0j, 0.4 + 0.1j)), ("b", (0.9 + 0j, 0.4 + 0.1j)),
+                        ("a", (0.6 + 0.2j, 0.8 + 0j))):
+        tracker.sqrt_at(key, factor(1.0 + len(key)), target)
+    assert len(seen) == 3
+    assert all(a is b for a, b in zip(seen[0], seen[1]))
+    assert not any(a is b for a, b in zip(seen[0], seen[2]))
+    for path in seen:
+        for coordinate in path:
+            assert not coordinate.flags.writeable
+            with pytest.raises(ValueError):
+                coordinate[0] = 0j
+
+
+def test_steps_that_are_all_ambiguous_are_bisected_like_the_reference_walk():
+    # the root turns by 0.55 per path step: each step is ambiguous, by a
+    # distance of 0.54 of the root's modulus, and bisected once
+    tracker, got = _continued_alike(_pointwise(lambda x: cmath.exp(26.4j * x)), 2.0 + 0j)
+    assert got[0] == "root"
+    assert tracker.calls[0][-1] == 2 * tracker.path_steps
+
+
+def test_a_step_below_a_wide_floor_fails_like_the_reference_walk():
+    # with a floor of 1/2 a step fails where |w| < |prev|**2, here at the
+    # first step, although the root barely moves
+    _, got = _continued_alike(_pointwise(lambda x: 1.0 - 0.1 * x), 1.0 + 0j, rel_floor=0.5)
+    assert got == ("BranchError", "square-root argument passes too close to zero along the path")
+
+
+def test_a_modulus_beyond_float64_fails_like_the_reference_walk():
+    # |w| overflows although w is finite, at every point and at the base:
+    # the scalar walk's |prev|**2 raises at the first step, and the array
+    # walk, which reads an infinite scale there, leaves that step to it
+    def f(x):
+        return complex(1.5e308, 1.5e308) * cmath.exp(0.1j * x)
+
+    messages = []
+    for tracker in (BranchTracker((0j,)), ReferenceTracker((0j,))):
+        with pytest.raises(OverflowError) as err:
+            tracker.sqrt_at("k", _pointwise(f), (1.0 + 0j,))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]

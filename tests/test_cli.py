@@ -294,6 +294,17 @@ def test_trunc_terms_reaches_only_the_theta_product(capsys):
     assert payload_lines(runs[0][1]) == payload_lines(runs[1][1])
 
 
+def test_tracker_runs_repeat_their_payload_in_one_process(capsys):
+    # the branch tracker's base roots, path arrays and the gamma tables are
+    # cached; a second run in the same process must read none of the first
+    argv = ["verify", "--identity", "conjugation,kernel-cauchy", "--cases", "I,II",
+            "--samples", "8", "--seed", "3", "--format", "json-lines"]
+    runs = [run_main(capsys, argv) for _ in range(2)]
+    assert runs[0][0] == runs[1][0] == EXIT_PASS
+    assert len(payload_lines(runs[0][1])) > 4
+    assert payload_lines(runs[0][1]) == payload_lines(runs[1][1])
+
+
 def test_verify_json_lines_deterministic(tmp_path, capsys):
     argv = ["verify", "--identity", "s-duplication", "--case", "III",
             "--samples", "4", "--seed", "5", "--format", "json-lines"]

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from vandiejen import gamma as gamma_mod
 from vandiejen.gamma import gamma_G, gamma_G1
-from vandiejen.sfun import CaseKind, CaseParams, ConvergenceError, DomainError, TruncationPolicy
+from vandiejen.sfun import (DEFAULT_POLICY, CaseKind, CaseParams, ConvergenceError, DomainError,
+                            TruncationPolicy)
 
 R = 1.1
 CASES = {label: CaseParams(CaseKind.from_label(label), r=R, a=1.8) for label in ("I", "II")}
@@ -131,3 +132,22 @@ def test_trigonometric_array_path_shares_the_factor_table():
     for z, b in zip(pts, gamma_G(case, 0.8, pts)):
         # a batch takes the term count of its largest |Im x|
         assert gamma_G(case, 0.8, complex(z)) == pytest.approx(b, rel=1e-13)
+
+
+def test_trigonometric_array_path_reads_a_cached_read_only_table():
+    # the array path takes the u_n as one cached array, and builds its
+    # factors 1 - u_n e in a single (terms, points) temporary: the same
+    # bits as the two-temporary product
+    u = gamma_mod._trig_array(R, 0.8, 7)
+    assert u is gamma_mod._trig_array(R, 0.8, 7)
+    assert not u.flags.writeable
+    assert u.tolist() == list(gamma_mod._trig_table(R, 0.8, 7))
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-2, 2, 48) + 1j * rng.uniform(-0.4, 0.4, 48)
+    count = gamma_mod._geometric_terms(R * 0.8, 0.0, 2 * R * np.max(np.abs(x.imag)),
+                                       DEFAULT_POLICY.target_rel_err)
+    table = np.array(gamma_mod._trig_table(R, 0.8, count))
+    e = np.exp(2j * R * x)
+    expected = np.exp(-R * x ** 2 / (2 * 0.8)) / np.prod(1.0 - table[:, None] * e[None, :], axis=0)
+    got = gamma_G(CASES["II"], 0.8, x)
+    assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
