@@ -340,9 +340,10 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _eval_points(args: argparse.Namespace) -> list[complex]:
-    if not getattr(args, "x", None):
+    points = [parse_complex(t) for t in (args.x or "").split(",") if t.strip()]
+    if not points:
         raise DomainError("flag --x: at least one point is required")
-    return [parse_complex(t) for t in args.x.split(",") if t.strip()]
+    return points
 
 
 def _flag_for(value: complex, distance: float | None) -> str:
@@ -368,7 +369,7 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
     case = verify.make_case(label, None, r=cfg.r, a=cfg.a)
     policy = cfg.policy()
     quantity = args.quantity
-    alpha = float(args.alpha) if getattr(args, "alpha", None) else 1.0
+    alpha = 1.0 if args.alpha is None else args.alpha
     rows: list[tuple[str, complex, str]] = []
 
     if quantity == "constant":

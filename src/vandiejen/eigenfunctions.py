@@ -44,7 +44,7 @@ import numpy as np
 
 from .gamma import _step_ratio, functional_eq_constant, gamma_G
 from .operators import (MassTag, _batched, _coefficient_memo, _moved, batched, coeff_V0,
-                        coeff_V_shift, d_param)
+                        coeff_V_shift, d_param, dual_couplings, reflected_couplings)
 from .sfun import (
     DEFAULT_POLICY,
     CaseParams,
@@ -65,6 +65,7 @@ __all__ = [
     "deformed_groundstate_sq_factors",
     "cauchy_kernel_factors",
     "dual_cauchy_kernel_factors",
+    "deformed_kernel_cross_factors",
     "pair_kind",
     "phi_factor_specs",
     "eigenfunction_value",
@@ -73,11 +74,9 @@ __all__ = [
     "ConjugatedTerms",
     "conjugation_terms",
     "sqrt_operator_weights",
-    "apply_sqrt_operator",
     "psi_single",
     "psi_single_sq",
     "phi_pair",
-    "phi_total",
     "groundstate_psi",
     "deformed_groundstate_value",
     "kernel_cauchy_value",
@@ -238,10 +237,10 @@ def deformed_groundstate_sq_factors(
     xt_vars: Sequence[int],
 ) -> list[Factor]:
     """Squared two-species ground state: an all-unit block on the plain
-    coordinates, the dual block (couplings ``(lam+1-2g)/(2 lam)``, swapped
-    parameters) on the deformed coordinates, divided by the paired cross
-    denominators."""
-    g_dual = tuple((lam + 1 - 2 * v) / (2 * lam) for v in g)
+    coordinates, the dual block (:func:`~vandiejen.operators.dual_couplings`,
+    swapped parameters) on the deformed coordinates, divided by the paired
+    cross denominators."""
+    g_dual = dual_couplings(g, lam)
     factors = groundstate_sq_factors(case, g, lam, beta, x_vars)
     factors += groundstate_sq_factors(case, g_dual, 1.0 / lam, lam * beta, xt_vars)
     u = 0.5j * (lam - 1) * beta
@@ -293,6 +292,24 @@ def dual_cauchy_kernel_factors(
         for k in y_vars:
             for delta in (1, -1):
                 out.append(SFactor(((j, 1), (k, delta)), 0j, power))
+    return out
+
+
+def deformed_kernel_cross_factors(
+    lam: float,
+    beta: float,
+    x_vars: Sequence[int],
+    xt_vars: Sequence[int],
+    y_vars: Sequence[int],
+    yt_vars: Sequence[int],
+) -> list[Factor]:
+    """Cross factors of the four-block kernel: gamma cross kernels on the
+    plain pair ``(x, y)`` and on the deformed pair ``(xt, yt)``, then
+    building-block cross kernels on ``(x, yt)`` and ``(xt, y)``."""
+    out = cauchy_kernel_factors(lam, beta, x_vars, y_vars)
+    out += cauchy_kernel_factors(lam, beta, xt_vars, yt_vars, alpha=lam * beta, offset=-0.5j * beta)
+    out += dual_cauchy_kernel_factors(x_vars, yt_vars)
+    out += dual_cauchy_kernel_factors(xt_vars, y_vars)
     return out
 
 
@@ -535,6 +552,34 @@ def pair_kind(tag_j: MassTag, tag_k: MassTag) -> str:
     return "antidual"
 
 
+def _pair_factor(case: CaseParams, lam: float, beta: float, tag_j: MassTag, tag_k: MassTag,
+                 policy: TruncationPolicy) -> tuple[str, Callable]:
+    """The pair block of masses ``tag_j`` and ``tag_k``, by their
+    :func:`pair_kind`, as its mode (see :func:`phi_factor_specs`) and its
+    factor, a function of the combined argument ``x``.
+
+    Same species take the square root of a gamma ratio, opposite species a
+    plain gamma value, the dual relation ``sqrt(s(x))`` and the antidual
+    relation a reciprocal square root."""
+    kind = pair_kind(tag_j, tag_k)
+    m = tag_j.value_for(lam)
+    alpha = beta / m
+    if kind == "same":
+
+        def w_same(x):
+            arg = x + 0.5j * beta / m
+            num = gamma_G(case, alpha, arg, policy)
+            den = gamma_G(case, alpha, arg - 1j * lam * m * beta, policy)
+            return num / den
+
+        return "sqrt", w_same
+    if kind == "opposite":
+        return "direct", lambda x: gamma_G(case, alpha, x - 0.5j * lam * m * beta, policy)
+    if kind == "dual":
+        return "sqrt", lambda x: s_eval(case, x, policy)
+    return "invsqrt", lambda x: s_eval(case, x - 0.5j * lam * m * beta + 0.5j * beta / m, policy)
+
+
 def phi_factor_specs(
     case: CaseParams,
     g: Sequence[float],
@@ -551,7 +596,6 @@ def phi_factor_specs(
     (as is), or ``invsqrt`` (reciprocal square root).
     """
     n = len(tags)
-    masses = [t.value_for(lam) for t in tags]
     specs: list[tuple] = []
 
     for j in range(n):
@@ -563,46 +607,12 @@ def phi_factor_specs(
 
     for j in range(n):
         for k in range(j + 1, n):
-            kind = pair_kind(tags[j], tags[k])
-            m = masses[j]
-            alpha = beta / m
+            mode, factor = _pair_factor(case, lam, beta, tags[j], tags[k], policy)
             for e1 in (1, -1):
                 for e2 in (1, -1):
-                    key = ("pair", j, k, e1, e2)
-                    if kind == "same":
-
-                        def w_same(Z, j=j, k=k, e1=e1, e2=e2, m=m, alpha=alpha):
-                            arg = e1 * Z[j] + e2 * Z[k] + 0.5j * beta / m
-                            num = gamma_G(case, alpha, arg, policy)
-                            den = gamma_G(case, alpha, arg - 1j * lam * m * beta, policy)
-                            return num / den
-
-                        specs.append((key, "sqrt", w_same))
-                    elif kind == "opposite":
-
-                        def v_opp(Z, j=j, k=k, e1=e1, e2=e2, m=m, alpha=alpha):
-                            arg = e1 * Z[j] + e2 * Z[k] - 0.5j * lam * m * beta
-                            return gamma_G(case, alpha, arg, policy)
-
-                        specs.append((key, "direct", v_opp))
-                    elif kind == "dual":
-
-                        def w_dual(Z, j=j, k=k, e1=e1, e2=e2):
-                            return s_eval(case, e1 * Z[j] + e2 * Z[k], policy)
-
-                        specs.append((key, "sqrt", w_dual))
-                    else:
-
-                        def w_anti(Z, j=j, k=k, e1=e1, e2=e2, m=m):
-                            arg = (
-                                e1 * Z[j]
-                                + e2 * Z[k]
-                                - 0.5j * lam * m * beta
-                                + 0.5j * beta / m
-                            )
-                            return s_eval(case, arg, policy)
-
-                        specs.append((key, "invsqrt", w_anti))
+                    specs.append((("pair", j, k, e1, e2), mode,
+                                  lambda Z, j=j, k=k, e1=e1, e2=e2, f=factor:
+                                  f(e1 * Z[j] + e2 * Z[k])))
     return specs
 
 
@@ -779,22 +789,6 @@ def sqrt_operator_weights(
     return weights
 
 
-def apply_sqrt_operator(
-    case: CaseParams,
-    g: Sequence[float],
-    lam: float,
-    beta: float,
-    tags: Sequence[MassTag],
-    Z: Sequence[complex],
-    h_fn: Callable[[Sequence[complex]], complex],
-    terms: ConjugatedTerms,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> complex:
-    """Action of the square-root form of the operator on ``h_fn``."""
-    weights = sqrt_operator_weights(case, g, lam, beta, tags, Z, terms, policy)
-    return sum((w * h_fn(Q) for w, Q in weights), start=0j)
-
-
 # ---------------------------------------------------------------------------
 # named evaluators: single blocks, pair blocks, ground states, kernels
 # ---------------------------------------------------------------------------
@@ -855,55 +849,15 @@ def phi_pair(
     tracker: BranchTracker,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
-    """Pair block at combined argument ``x``, by species relation.
-
-    Same species takes the square-rooted gamma ratio, opposite species a
-    plain gamma value, the dual relation ``sqrt(s(x))``, and the antidual
-    relation a reciprocal square root.  The tracker's base must be a
-    1-tuple for the rooted kinds.
+    """Pair block at combined argument ``x``, by species relation (see
+    :func:`_pair_factor`).  The tracker's base must be a 1-tuple for the
+    rooted kinds.
     """
-    kind = pair_kind(tag_j, tag_k)
-    m = tag_j.value_for(lam)
-    alpha = beta / m
-    if kind == "same":
-
-        def w_same(Z):
-            arg = Z[0] + 0.5j * beta / m
-            num = gamma_G(case, alpha, arg, policy)
-            den = gamma_G(case, alpha, arg - 1j * lam * m * beta, policy)
-            return num / den
-
-        return tracker.sqrt_at(("phi", tag_j.value, tag_k.value), w_same, (x,))
-    if kind == "opposite":
-        return complex(gamma_G(case, alpha, x - 0.5j * lam * m * beta, policy))
-    if kind == "dual":
-
-        def w_dual(Z):
-            return s_eval(case, Z[0], policy)
-
-        return tracker.sqrt_at(("phi", tag_j.value, tag_k.value), w_dual, (x,))
-
-    def w_anti(Z):
-        arg = Z[0] - 0.5j * lam * m * beta + 0.5j * beta / m
-        return s_eval(case, arg, policy)
-
-    return 1.0 / tracker.sqrt_at(("phi", tag_j.value, tag_k.value), w_anti, (x,))
-
-
-def phi_total(
-    case: CaseParams,
-    g: Sequence[float],
-    lam: float,
-    beta: float,
-    tags: Sequence[MassTag],
-    Z: Sequence[complex],
-    tracker: BranchTracker,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> complex:
-    """Full eigenfunction for a general mass assignment (product of all
-    single and pair blocks, square roots continued by the tracker)."""
-    specs = phi_factor_specs(case, g, lam, beta, tags, policy)
-    return eigenfunction_value(specs, tracker, Z)
+    mode, factor = _pair_factor(case, lam, beta, tag_j, tag_k, policy)
+    if mode == "direct":
+        return complex(factor(x))
+    root = tracker.sqrt_at(("phi", tag_j.value, tag_k.value), lambda Z: factor(Z[0]), (x,))
+    return root if mode == "sqrt" else 1.0 / root
 
 
 def groundstate_psi(
@@ -920,7 +874,8 @@ def groundstate_psi(
     """All-unit-mass ground state on the given coordinate slots of ``Z``.
 
     Written against the explicit unit-mass display rather than through
-    :func:`phi_total`, so the two implementations cross-check each other.
+    :func:`phi_factor_specs`, so the two implementations cross-check each
+    other.
     """
     b2 = 0.5j * beta
     out = 1.0 + 0j
@@ -969,7 +924,7 @@ def deformed_groundstate_value(
 ) -> complex:
     """Two-species ground state: plain block times dual block over the
     square-rooted cross product."""
-    g_dual = tuple((lam + 1 - 2 * v) / (2 * lam) for v in g)
+    g_dual = dual_couplings(g, lam)
     out = groundstate_psi(case, g, lam, beta, Z, x_vars, tracker, policy,
                           key_prefix=key_prefix + "-x")
     out *= groundstate_psi(case, g_dual, 1.0 / lam, lam * beta, Z, xt_vars,
@@ -1001,8 +956,8 @@ def kernel_cauchy_value(
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Gamma cross kernel joining a plain block at coupling ``g`` and one
-    at the reflected coupling ``(lam+1)/2 - g``."""
-    g_ref = tuple((lam + 1) / 2 - v for v in g)
+    at the :func:`~vandiejen.operators.reflected_couplings`."""
+    g_ref = reflected_couplings(g, lam)
     out = groundstate_psi(case, g, lam, beta, Z, x_vars, tracker, policy,
                           key_prefix="kc-x")
     out *= groundstate_psi(case, g_ref, lam, beta, Z, y_vars, tracker, policy,
@@ -1048,16 +1003,12 @@ def kernel_deformed_value(
 ) -> complex:
     """Four-block kernel: two two-species ground states joined by two
     gamma cross kernels and two building-block cross kernels."""
-    g_ref = tuple((lam + 1) / 2 - v for v in g)
+    g_ref = reflected_couplings(g, lam)
     out = deformed_groundstate_value(case, g, lam, beta, Z, x_vars, xt_vars,
                                      tracker, policy, key_prefix="kf-a")
     out *= deformed_groundstate_value(case, g_ref, lam, beta, Z, y_vars, yt_vars,
                                       tracker, policy, key_prefix="kf-b")
-    cross = cauchy_kernel_factors(lam, beta, x_vars, y_vars)
-    cross += cauchy_kernel_factors(lam, beta, xt_vars, yt_vars,
-                                   alpha=lam * beta, offset=-0.5j * beta)
-    cross += dual_cauchy_kernel_factors(x_vars, yt_vars)
-    cross += dual_cauchy_kernel_factors(xt_vars, y_vars)
+    cross = deformed_kernel_cross_factors(lam, beta, x_vars, xt_vars, y_vars, yt_vars)
     return out * factor_value(case, cross, Z, policy)
 
 

@@ -12,7 +12,8 @@ function ``s``:
 * :func:`coeff_V0` - the zeroth (non-shifting) coefficient;
 * :func:`operator_weights` - the operator at one point as ``(weight,
   shifted point)`` pairs, which do not depend on the function acted on;
-* :func:`apply_conjugated_operator` - the full action on a callable.
+* :func:`weighted_terms` - the terms of an operator given by its weights
+  acting on a callable; their sum is the action.
 
 Together these realise the operator in its *plain* (conjugated) form, the
 form in which the constant function is an eigenfunction.  The square-root
@@ -80,21 +81,21 @@ __all__ = [
     "coeff_V0",
     "operator_weights",
     "operator_terms",
-    "apply_conjugated_operator",
+    "weighted_terms",
     "source_constant",
     "c0_constant",
     "eigen_constant",
     "balance_defect",
     "balance_solve",
+    "reflected_couplings",
+    "dual_couplings",
     "vd_V_pm",
     "vd_V0",
     "vd_weights",
-    "vd_apply",
     "def_V_pm",
     "def_Vt_pm",
     "def_V0",
     "def_weights",
-    "deformed_apply",
     "summation_shift_term",
     "summation_boundary_term",
     "summation_lhs",
@@ -193,19 +194,26 @@ class CouplingSet:
         return float(sum(self.g))
 
     def reflected_dual(self) -> "CouplingSet":
-        """Couplings ``(lam + 1)/2 - g_nu`` of the opposite-species block."""
-        return CouplingSet(
-            tuple((self.lam + 1) / 2 - v for v in self.g), self.lam, self.beta
-        )
+        """The :func:`reflected_couplings` of the opposite-species block."""
+        return CouplingSet(reflected_couplings(self.g, self.lam), self.lam, self.beta)
 
     def deformed_dual(self) -> "CouplingSet":
-        """Couplings ``(lam + 1 - 2 g_nu) / (2 lam)`` with parameters
-        ``1/lam`` and ``lam * beta`` of the swapped-species description."""
-        return CouplingSet(
-            tuple((self.lam + 1 - 2 * v) / (2 * self.lam) for v in self.g),
-            1.0 / self.lam,
-            self.lam * self.beta,
-        )
+        """The :func:`dual_couplings` with parameters ``1/lam`` and
+        ``lam * beta`` of the swapped-species description."""
+        return CouplingSet(dual_couplings(self.g, self.lam), 1.0 / self.lam, self.lam * self.beta)
+
+
+def reflected_couplings(g: Sequence[float], lam: float) -> tuple[float, ...]:
+    """The reflection ``g_nu -> (lam + 1)/2 - g_nu``: the couplings of the
+    opposite-species block of a kernel function."""
+    return tuple((lam + 1) / 2 - v for v in g)
+
+
+def dual_couplings(g: Sequence[float], lam: float) -> tuple[float, ...]:
+    """The duality ``g_nu -> (lam + 1 - 2 g_nu) / (2 lam)``: the couplings
+    of the deformed coordinates, seen with parameters ``1/lam`` and
+    ``lam * beta``."""
+    return tuple((lam + 1 - 2 * v) / (2 * lam) for v in g)
 
 
 @dataclass(frozen=True)
@@ -603,23 +611,14 @@ def operator_terms(
     the list is the operator action.  Exposing the list (rather than only
     the sum) lets callers normalise residuals by the largest term.
     """
-    return [w * fn(Q) for w, Q in operator_weights(case, g, lam, beta, masses, tags, X, policy)]
+    return weighted_terms(operator_weights(case, g, lam, beta, masses, tags, X, policy), fn)
 
 
-def apply_conjugated_operator(
-    case: CaseParams,
-    g: Sequence[float],
-    lam: float,
-    beta: float,
-    masses: Sequence[complex],
-    tags: Sequence[MassTag] | None,
-    X: Sequence[complex],
-    fn: Callable[[Sequence[complex]], complex],
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> complex:
-    return sum(
-        operator_terms(case, g, lam, beta, masses, tags, X, fn, policy), start=0j
-    )
+def weighted_terms(weights: Sequence[tuple[complex, tuple]], fn: Callable) -> list[complex]:
+    """The terms ``weight * fn(point)`` of an operator given by its
+    ``(weight, point)`` pairs; their sum, ``sum(..., start=0j)``, is the
+    operator's action on ``fn``."""
+    return [w * fn(Q) for w, Q in weights]
 
 
 # ---------------------------------------------------------------------------
@@ -795,19 +794,6 @@ def vd_weights(
     return weights
 
 
-def vd_apply(
-    case: CaseParams,
-    g: Sequence[float],
-    lam: float,
-    beta: float,
-    x: Sequence[complex],
-    fn: Callable[[Sequence[complex]], complex],
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> complex:
-    """Plain action of the all-unit-mass operator on ``fn`` at ``x``."""
-    return sum((w * fn(Q) for w, Q in vd_weights(case, g, lam, beta, x, policy)), start=0j)
-
-
 # ---------------------------------------------------------------------------
 # specialised coefficients: two-species deformation
 # ---------------------------------------------------------------------------
@@ -858,8 +844,7 @@ def def_Vt_pm(
 
     def formula(s):
         out = 1.0 + 0j
-        for g_nu in g:
-            g_dual = (lam + 1) / 2 - g_nu
+        for g_dual in reflected_couplings(g, lam):
             out *= s(sign * xt_k + 1j * g_dual * beta)
         out /= s(2 * sign * xt_k)
         out /= s(2 * sign * xt_k + 1j * lam * beta)
@@ -949,21 +934,6 @@ def def_weights(
             weights.append((-pref_t * coeff, (x, _moved(xt, k, xt[k] + sign * 1j * lam * beta))))
     weights.append((def_V0(case, g, lam, beta, x, xt, policy), (x, xt)))
     return weights
-
-
-def deformed_apply(
-    case: CaseParams,
-    g: Sequence[float],
-    lam: float,
-    beta: float,
-    x: Sequence[complex],
-    xt: Sequence[complex],
-    fn: Callable[[Sequence[complex], Sequence[complex]], complex],
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> complex:
-    """Plain action of the two-species operator on ``fn(x, xt)``."""
-    weights = def_weights(case, g, lam, beta, x, xt, policy)
-    return sum((w * fn(*Q) for w, Q in weights), start=0j)
 
 
 # ---------------------------------------------------------------------------

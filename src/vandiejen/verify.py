@@ -36,6 +36,7 @@ from .eigenfunctions import (
     cauchy_kernel_factors,
     conjugation_terms,
     deformed_groundstate_sq_factors,
+    deformed_kernel_cross_factors,
     deformed_power_sum,
     dual_cauchy_kernel_factors,
     factor_ratio,
@@ -66,15 +67,17 @@ from .operators import (
     def_V_pm,
     def_Vt_pm,
     def_weights,
-    deformed_apply,
+    dual_couplings,
     eigen_constant,
     summation_terms,
     operator_terms,
     operator_weights,
+    reflected_couplings,
     source_constant,
     vd_V0,
     vd_V_pm,
     vd_weights,
+    weighted_terms,
 )
 from .sfun import (
     DEFAULT_POLICY,
@@ -94,85 +97,6 @@ _TINY = 1e-300
 
 CASES = ("I", "II", "III", "IV")
 
-#: Identities the verifier knows, in report order.
-IDENTITIES = (
-    "s-oddness",
-    "s-quasi-period",
-    "s-duplication",
-    "theta-product",
-    "gamma-fe",
-    "gamma-reflection",
-    "summation",
-    "source",
-    "conjugation",
-    "eigen-plain",
-    "kernel-cauchy",
-    "kernel-dual",
-    "deformed-groundstate",
-    "deformed-constant",
-    "kernel-deformed",
-    "anti-symmetry",
-    "parameter-swap",
-    "quasi-invariance",
-)
-
-#: Cases each identity is defined (and certifiable) on.
-CASE_SUPPORT = {
-    "s-oddness": CASES,
-    "s-quasi-period": ("II", "III", "IV"),
-    "s-duplication": CASES,
-    "theta-product": ("IV",),
-    "gamma-fe": CASES,
-    "gamma-reflection": CASES,
-    "summation": CASES,
-    "source": CASES,
-    "conjugation": ("I", "II"),
-    "eigen-plain": CASES,
-    "kernel-cauchy": CASES,
-    "kernel-dual": CASES,
-    "deformed-groundstate": CASES,
-    "deformed-constant": CASES,
-    "kernel-deformed": CASES,
-    "anti-symmetry": CASES,
-    "parameter-swap": CASES,
-    "quasi-invariance": ("II",),
-}
-
-#: (tolerance for cases I-III, tolerance for case IV).
-_TOL_DEFAULT = {
-    "s-oddness": (1e-10, 1e-10),
-    "s-quasi-period": (1e-10, 1e-10),
-    "s-duplication": (1e-10, 1e-10),
-    "theta-product": (1e-10, 1e-10),
-    "gamma-fe": (1e-9, 1e-8),
-    "gamma-reflection": (0.0, 0.0),
-    "summation": (1e-8, 1e-7),
-    "source": (1e-8, 1e-7),
-    "conjugation": (1e-8, 1e-7),
-    "eigen-plain": (1e-8, 1e-7),
-    "kernel-cauchy": (1e-8, 1e-7),
-    "kernel-dual": (1e-8, 1e-7),
-    "deformed-groundstate": (1e-8, 1e-7),
-    "deformed-constant": (1e-8, 1e-7),
-    "kernel-deformed": (1e-8, 1e-7),
-    "anti-symmetry": (1e-10, 1e-10),
-    "parameter-swap": (1e-10, 1e-10),
-    "quasi-invariance": (1e-8, 1e-8),
-}
-
-#: Identities whose elliptic validity hinges on a balancing constraint
-#: (these get detuned negative controls and honour ``no_balance``).
-_BALANCED = frozenset({
-    "summation",
-    "source",
-    "eigen-plain",
-    "kernel-cauchy",
-    "kernel-dual",
-    "deformed-groundstate",
-    "deformed-constant",
-    "kernel-deformed",
-})
-
 #: Detuning applied to one coupling (or one free parameter) in negative
 #: controls, and the floor such a control must exceed to count as passed.
 CONTROL_DETUNE = 0.1
@@ -180,11 +104,6 @@ CONTROL_FLOOR = 1e-3
 
 WINDOW_RE = (0.15, 1.2)
 WINDOW_IM = (-0.35, 0.35)
-
-
-def default_tolerance(identity: str, case_label: str) -> float:
-    lo, hi = _TOL_DEFAULT[identity]
-    return hi if case_label == "IV" else lo
 
 
 # ---------------------------------------------------------------------------
@@ -480,11 +399,6 @@ def _exp_fn2(kx: Sequence[float], kt: Sequence[float]):
         return cmath.exp(1j * tot)
 
     return fn
-
-
-def _applied(weights: Sequence[tuple[complex, tuple]], fn: Callable) -> list[complex]:
-    """The terms ``weight * fn(point)`` of an operator given by its weights."""
-    return [w * fn(Q) for w, Q in weights]
 
 
 def _failure(exc: Exception) -> str:
@@ -831,7 +745,7 @@ def _rows_conjugation(ctx: _RunCtx) -> list[SampleResult]:
 
         def residual(form, fn):
             plain, FP, rooted = form
-            a_terms = _applied(plain, fn)
+            a_terms = weighted_terms(plain, fn)
             lhs = sum((w * (FQ * fn(Q)) for w, Q, FQ in rooted), start=0j) / FP
             scale = max(_max_abs(a_terms), abs(lhs), _TINY)
             return abs(lhs - sum(a_terms)) / scale, scale
@@ -901,10 +815,6 @@ def _worst_dev(pairs: Iterable[tuple[complex, complex]]) -> tuple[float, float]:
         if worst is None or _worse_residual(dev[0], worst[0]):
             worst = dev
     return worst
-
-
-def _reflected(g: Sequence[float], lam: float) -> tuple[float, ...]:
-    return tuple((lam + 1) / 2 - v for v in g)
 
 
 # ---------------------------------------------------------------------------
@@ -1117,7 +1027,7 @@ def _rows_display(ctx: _RunCtx) -> list[SampleResult]:
 
             # eigenvalue: the action on the constant function
             terms, const = batched(case, policy, lambda: (
-                _applied(weights(Z), lambda _: 1.0),
+                weighted_terms(weights(Z), lambda _: 1.0),
                 eigen_constant(case, g, lam, beta, values, policy)))
             scale = max(_max_abs(terms), abs(const), _TINY)
             rows.append(_row(ctx, f"{lab}/eigen", i, abs(sum(terms) - const) / scale, scale))
@@ -1151,7 +1061,7 @@ class _KernelSpec:
 
 def _cauchy_blocks(case, g, lam, beta, slices, policy):
     x, y = slices
-    gref = _reflected(g, lam)
+    gref = reflected_couplings(g, lam)
 
     def v0(P):
         return (vd_V0(case, g, lam, beta, _pick(P, x), policy)
@@ -1183,11 +1093,8 @@ def _dual_blocks(case, g, lam, beta, slices, policy):
 
 def _deformed_blocks(case, g, lam, beta, slices, policy):
     x, xt, y, yt = slices
-    gref = _reflected(g, lam)
-    K = cauchy_kernel_factors(lam, beta, x, y)
-    K += cauchy_kernel_factors(lam, beta, xt, yt, alpha=lam * beta, offset=-0.5j * beta)
-    K += dual_cauchy_kernel_factors(x, yt)
-    K += dual_cauchy_kernel_factors(xt, y)
+    gref = reflected_couplings(g, lam)
+    K = deformed_kernel_cross_factors(lam, beta, x, xt, y, yt)
 
     def v0(P):
         return (def_V0(case, g, lam, beta, _pick(P, x), _pick(P, xt), policy)
@@ -1301,7 +1208,7 @@ def _rows_anti_symmetry(ctx: _RunCtx) -> list[SampleResult]:
             fn = _exp_fn(ctx.rng.uniform(-0.9, 0.9, size=n))
             fn2 = _exp_fn2(ctx.rng.uniform(-0.9, 0.9, size=N), ctx.rng.uniform(-0.9, 0.9, size=Nt))
             for name, (pos, neg), f in (("plain", plain, fn), ("two-species", two, fn2)):
-                t_pos, t_neg = _applied(pos, f), _applied(neg, f)
+                t_pos, t_neg = weighted_terms(pos, f), weighted_terms(neg, f)
                 scale = max(_max_abs(t_pos), _max_abs(t_neg))
                 rows.append(_row(ctx, f"{name}/exp{fi}", i,
                                  abs(sum(t_pos) + sum(t_neg)) / scale, scale))
@@ -1320,8 +1227,8 @@ def _rows_anti_symmetry(ctx: _RunCtx) -> list[SampleResult]:
                 g_wit = g
             g_neg = tuple(-v for v in g_wit)
             t_pos, t_bad = batched(case, policy, lambda: (
-                _applied(vd_weights(case, g_wit, lam, beta, X, policy), fn),
-                _applied(vd_weights(case, g_neg, lam, -beta, X, policy), fn)))
+                weighted_terms(vd_weights(case, g_wit, lam, beta, X, policy), fn),
+                weighted_terms(vd_weights(case, g_neg, lam, -beta, X, policy), fn)))
             scale = max(_max_abs(t_pos), _max_abs(t_bad))
             rows.append(_row(ctx, "plain/joint-flip", i,
                              abs(sum(t_pos) + sum(t_bad)) / scale, scale, control=True))
@@ -1343,7 +1250,7 @@ def _rows_parameter_swap(ctx: _RunCtx) -> list[SampleResult]:
         Z = ctx.admissible_X(config)
         xs = tuple(Z[v] for v in range(N))
         ts = tuple(Z[v] for v in range(N, N + Nt))
-        g_swap = tuple((lam + 1 - 2 * v) / (2 * lam) for v in g)
+        g_swap = dual_couplings(g, lam)
         g_bad = tuple((2 * v - lam - 1) / (2 * lam) for v in g)
         lab = f"N{N}Nt{Nt}"
 
@@ -1355,14 +1262,14 @@ def _rows_parameter_swap(ctx: _RunCtx) -> list[SampleResult]:
             return fn(point[::-1])
 
         t_orig, t_swap = batched(case, policy, lambda: (
-            _applied(def_weights(case, g, lam, beta, xs, ts, policy), fn),
-            _applied(def_weights(case, g_swap, 1.0 / lam, -lam * beta, ts, xs, policy), swapped)))
+            weighted_terms(def_weights(case, g, lam, beta, xs, ts, policy), fn),
+            weighted_terms(def_weights(case, g_swap, 1.0 / lam, -lam * beta, ts, xs, policy), swapped)))
         scale = max(_max_abs(t_orig), _max_abs(t_swap))
         rows.append(_row(ctx, f"{lab}/swap", i,
                          abs(sum(t_orig) - sum(t_swap)) / scale, scale))
 
         if ctx.label != "IV":
-            t_bad = batched(case, policy, lambda: _applied(
+            t_bad = batched(case, policy, lambda: weighted_terms(
                 def_weights(case, g_bad, 1.0 / lam, -lam * beta, ts, xs, policy), swapped))
             scale = max(_max_abs(t_orig), _max_abs(t_bad))
             rows.append(_row(ctx, f"{lab}/swap-bad-coupling", i,
@@ -1393,8 +1300,8 @@ def _rows_quasi_invariance(ctx: _RunCtx) -> list[SampleResult]:
             x_pole = xt0 + 0.5j * (lam + 1) * beta
             p_fn = lambda x, xt, lam=lam, beta=beta: deformed_power_sum(r, lam, beta, n_pow, x, xt)
             try:
-                probe = deformed_apply(case, coupling.g, lam, beta,
-                                       (x_pole + h0,), (xt0,), p_fn, policy)
+                weights = def_weights(case, coupling.g, lam, beta, (x_pole + h0,), (xt0,), policy)
+                probe = sum(weighted_terms(weights, lambda Q: p_fn(*Q)), start=0j)
             except (DomainError, ZeroDivisionError, OverflowError):
                 ctx.rejected += 1
                 continue
@@ -1424,7 +1331,7 @@ def _rows_quasi_invariance(ctx: _RunCtx) -> list[SampleResult]:
                                                     (xt0,), policy))
 
         def f_at(p, zeta):
-            return sum((w * p(*Q) for w, Q in weights_at(zeta)), start=0j)
+            return sum(weighted_terms(weights_at(zeta), lambda Q: p(*Q)), start=0j)
 
         def two_sided_residual(p):
             # R extrapolates h * (f(h) - f(-h)) / 2 to h -> 0, which is the
@@ -1466,26 +1373,51 @@ def _rows_quasi_invariance(ctx: _RunCtx) -> list[SampleResult]:
 # orchestration
 # ---------------------------------------------------------------------------
 
-_RUNNERS: dict[str, Callable[[_RunCtx], list[SampleResult]]] = {
-    "s-oddness": _rows_s_oddness,
-    "s-quasi-period": _rows_s_quasi_period,
-    "s-duplication": _rows_s_duplication,
-    "theta-product": _rows_theta_product,
-    "gamma-fe": _rows_gamma_fe,
-    "gamma-reflection": _rows_gamma_reflection,
-    "summation": _rows_summation,
-    "source": _rows_source,
-    "conjugation": _rows_conjugation,
-    "eigen-plain": _rows_display,
-    "kernel-cauchy": _rows_kernel,
-    "kernel-dual": _rows_kernel,
-    "deformed-groundstate": _rows_display,
-    "deformed-constant": _rows_display,
-    "kernel-deformed": _rows_kernel,
-    "anti-symmetry": _rows_anti_symmetry,
-    "parameter-swap": _rows_parameter_swap,
-    "quasi-invariance": _rows_quasi_invariance,
+@dataclass(frozen=True)
+class _Identity:
+    """One identity the verifier knows: its runner, the cases it is defined
+    (and certifiable) on, its default tolerance on cases I-III and on case
+    IV, and whether its elliptic validity hinges on a balancing constraint
+    (such an identity gets detuned negative controls and honours
+    ``no_balance``)."""
+
+    run: Callable[[_RunCtx], list[SampleResult]]
+    cases: tuple[str, ...]
+    tol: tuple[float, float]
+    balanced: bool = False
+
+
+#: The identity registry, in report order (which also seeds each run's rows).
+_REGISTRY = {
+    "s-oddness": _Identity(_rows_s_oddness, CASES, (1e-10, 1e-10)),
+    "s-quasi-period": _Identity(_rows_s_quasi_period, ("II", "III", "IV"), (1e-10, 1e-10)),
+    "s-duplication": _Identity(_rows_s_duplication, CASES, (1e-10, 1e-10)),
+    "theta-product": _Identity(_rows_theta_product, ("IV",), (1e-10, 1e-10)),
+    "gamma-fe": _Identity(_rows_gamma_fe, CASES, (1e-9, 1e-8)),
+    "gamma-reflection": _Identity(_rows_gamma_reflection, CASES, (0.0, 0.0)),
+    "summation": _Identity(_rows_summation, CASES, (1e-8, 1e-7), balanced=True),
+    "source": _Identity(_rows_source, CASES, (1e-8, 1e-7), balanced=True),
+    "conjugation": _Identity(_rows_conjugation, ("I", "II"), (1e-8, 1e-7)),
+    "eigen-plain": _Identity(_rows_display, CASES, (1e-8, 1e-7), balanced=True),
+    "kernel-cauchy": _Identity(_rows_kernel, CASES, (1e-8, 1e-7), balanced=True),
+    "kernel-dual": _Identity(_rows_kernel, CASES, (1e-8, 1e-7), balanced=True),
+    "deformed-groundstate": _Identity(_rows_display, CASES, (1e-8, 1e-7), balanced=True),
+    "deformed-constant": _Identity(_rows_display, CASES, (1e-8, 1e-7), balanced=True),
+    "kernel-deformed": _Identity(_rows_kernel, CASES, (1e-8, 1e-7), balanced=True),
+    "anti-symmetry": _Identity(_rows_anti_symmetry, CASES, (1e-10, 1e-10)),
+    "parameter-swap": _Identity(_rows_parameter_swap, CASES, (1e-10, 1e-10)),
+    "quasi-invariance": _Identity(_rows_quasi_invariance, ("II",), (1e-8, 1e-8)),
 }
+
+#: Identities the verifier knows, in report order.
+IDENTITIES = tuple(_REGISTRY)
+#: Cases each identity is defined (and certifiable) on.
+CASE_SUPPORT = {name: spec.cases for name, spec in _REGISTRY.items()}
+
+
+def default_tolerance(identity: str, case_label: str) -> float:
+    lo, hi = _REGISTRY[identity].tol
+    return hi if case_label == "IV" else lo
 
 
 def run_identity(
@@ -1510,18 +1442,19 @@ def run_identity(
     ``no_balance`` (elliptic only) runs just the detuned negative
     controls, whose expectation is a LARGE residual.
     """
-    if identity not in _RUNNERS:
+    spec = _REGISTRY.get(identity)
+    if spec is None:
         raise DomainError(f"unknown identity {identity!r}; choose from {', '.join(IDENTITIES)}")
     if case_label not in CASES:
         raise DomainError(f"unknown case {case_label!r}; choose from {', '.join(CASES)}")
-    if case_label not in CASE_SUPPORT[identity]:
+    if case_label not in spec.cases:
         raise DomainError(
             f"identity {identity!r} is not certifiable on case {case_label} "
-            f"(supported: {', '.join(CASE_SUPPORT[identity])})"
+            f"(supported: {', '.join(spec.cases)})"
         )
     if no_balance and case_label != "IV":
         raise DomainError("no_balance applies to the elliptic case only")
-    if no_balance and identity not in _BALANCED:
+    if no_balance and not spec.balanced:
         raise DomainError(f"identity {identity!r} has no balancing constraint to drop")
 
     rng = _rng_for(seed, identity, case_label)
@@ -1541,7 +1474,7 @@ def run_identity(
         max_n=int(max_n),
     )
     with _coefficient_memo():
-        rows = _RUNNERS[identity](ctx)
+        rows = spec.run(ctx)
 
     max_res = 0.0
     scale_at_max = 0.0

@@ -13,14 +13,14 @@ from vandiejen.eigenfunctions import (
     BranchTracker,
     ConjugatedTerms,
     ShiftBlock,
-    apply_sqrt_operator,
     conjugation_terms,
     deformed_groundstate_value,
     groundstate_psi,
     phi_pair,
     psi_single,
+    sqrt_operator_weights,
 )
-from vandiejen.operators import MassTag, def_V_pm, def_Vt_pm
+from vandiejen.operators import MassTag, def_V_pm, def_Vt_pm, weighted_terms
 from vandiejen.sfun import DEFAULT_POLICY, CaseKind, CaseParams, PoleProximityError
 
 R, A = 1.1, 1.8
@@ -188,7 +188,8 @@ def test_coefficient_roots_equal_the_reference_walk_bit_for_bit(label, x0, y0, d
     def evaluate(tracker):
         terms = conjugation_terms(case, g, LAM, BETA, tags, (), tracker)
         for Z in (base, (base[0] + dx, base[1] + dy)):
-            apply_sqrt_operator(case, g, LAM, BETA, tags, Z, lambda P: 1.0, terms)
+            sum(weighted_terms(sqrt_operator_weights(case, g, LAM, BETA, tags, Z, terms),
+                               lambda P: 1.0), start=0j)
 
     _compare(evaluate, base, exact=True)
 

@@ -151,6 +151,36 @@ def test_eval_constant_trigonometric(capsys):
     assert out.strip() == "-2i"
 
 
+@pytest.mark.parametrize("quantity", ("gamma", "constant"))
+def test_eval_alpha_zero_is_rejected(capsys, quantity):
+    # --alpha 0 is a given value, not a missing flag
+    code, out, err = run_main(
+        capsys, ["eval", quantity, "--x", "0.3", "--alpha", "0", "--case", "I"])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "alpha must have nonzero real part" in err
+
+
+def test_eval_negative_alpha(capsys):
+    code, out, _ = run_main(
+        capsys, ["eval", "constant", "--case", "II", "--r", "1", "--alpha", "-0.5"])
+    assert (code, out.strip()) == (EXIT_PASS, "2i")
+    # G(x; -alpha) is G(-x; alpha)
+    code, out, _ = run_main(
+        capsys, ["eval", "gamma", "--x", "0.3+0.1i", "--alpha", "-0.7", "--case", "II"])
+    code_ref, ref, _ = run_main(
+        capsys, ["eval", "gamma", "--x=-0.3-0.1i", "--alpha", "0.7", "--case", "II"])
+    assert code == code_ref == EXIT_PASS
+    assert out == ref
+
+
+def test_eval_needs_a_point_in_the_list(capsys):
+    code, out, err = run_main(capsys, ["eval", "s", "--x", ",", "--case", "II"])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "flag --x: at least one point is required" in err
+
+
 def test_eval_flags_lattice_zero(capsys):
     x = format_complex(complex(math.pi, 0.0))
     code, out, _ = run_main(

@@ -4,6 +4,7 @@ nothing of it outlives the call."""
 
 import contextlib
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -145,10 +146,12 @@ def test_the_memo_ends_with_its_run():
         raise RuntimeError("runner failed")
 
     assert _memo() is None
-    with mock.patch.dict(verify._RUNNERS, {"source": runner}):
+    with mock.patch.dict(verify._REGISTRY, {"source": replace(verify._REGISTRY["source"],
+                                                              run=runner)}):
         verify.run_identity("source", "I", samples=1)
     assert isinstance(seen[-1], dict) and _memo() is None
-    with mock.patch.dict(verify._RUNNERS, {"source": failing}):
+    with mock.patch.dict(verify._REGISTRY, {"source": replace(verify._REGISTRY["source"],
+                                                              run=failing)}):
         with pytest.raises(RuntimeError, match="runner failed"):
             verify.run_identity("source", "I", samples=1)
     assert isinstance(seen[-1], dict) and _memo() is None

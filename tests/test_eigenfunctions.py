@@ -1,7 +1,9 @@
 """Eigenfunctions: branch tracking, factor lists, ground states, kernels."""
 
 import cmath
+import itertools
 
+import numpy as np
 import pytest
 
 import oracles
@@ -9,7 +11,6 @@ from vandiejen.eigenfunctions import (
     BranchError,
     BranchTracker,
     ConjugatedTerms,
-    apply_sqrt_operator,
     cauchy_kernel_factors,
     conjugation_terms,
     deformed_groundstate_sq_factors,
@@ -26,13 +27,15 @@ from vandiejen.eigenfunctions import (
     kernel_dual_cauchy_value,
     pair_kind,
     phi_factor_specs,
-    phi_total,
+    phi_pair,
     power_sum_weight,
     psi_single,
     psi_single_sq,
     quasi_invariance_defect,
+    sqrt_operator_weights,
 )
-from vandiejen.operators import MassTag, coeff_V_shift, operator_terms, source_constant
+from vandiejen.operators import (MassTag, coeff_V_shift, operator_terms, source_constant,
+                                 weighted_terms)
 from vandiejen.sfun import DEFAULT_POLICY, CaseKind, CaseParams, DomainError
 from vandiejen.verify import _KERNELS
 
@@ -134,6 +137,50 @@ def test_pair_kind_table():
     assert pair_kind(MassTag.MINUS_INV, MassTag.MINUS_ONE) == "dual"
 
 
+class _Radicand:
+    """A stand-in tracker whose ``sqrt_at`` hands back the factor itself,
+    evaluated at ``at`` when given (say, the coordinate arrays of a path)."""
+
+    def __init__(self, at=None):
+        self.at = at
+
+    def sqrt_at(self, key, fn, target):
+        return fn(target if self.at is None else self.at)
+
+
+def _bits(value):
+    return np.atleast_1d(np.asarray(value, dtype=complex)).view(np.float64).tolist()
+
+
+@pytest.mark.parametrize("label", ("I", "II", "III", "IV"))
+def test_pair_block_equals_its_eigenfunction_factor_bit_for_bit(label):
+    # phi_pair at the combined argument e1 Z[j] + e2 Z[k] and the matching
+    # pair entry of phi_factor_specs give the same value, on one point and,
+    # for the rooted kinds, on the coordinate arrays of a path
+    case = make(label)
+    g = couplings_for(label)
+    Z = (0.41 + 0.05j, 0.78 - 0.06j)
+    path = tuple(np.array([z + t * (0.03 - 0.02j) for t in np.linspace(0.0, 1.0, 5)])
+                 for z in Z)
+    for tag_j, tag_k in itertools.product(MassTag, repeat=2):
+        specs = {key: (mode, fn) for key, mode, fn
+                 in phi_factor_specs(case, g, LAM, BETA, (tag_j, tag_k))}
+        for e1, e2 in itertools.product((1, -1), repeat=2):
+            mode, fn = specs[("pair", 0, 1, e1, e2)]
+            x = e1 * Z[0] + e2 * Z[1]
+            pair = phi_pair(case, LAM, BETA, x, tag_j, tag_k, BranchTracker((x,)))
+            if mode == "direct":
+                assert _bits(pair) == _bits(complex(fn(Z)))
+                continue
+            root = BranchTracker(Z).sqrt_at("k", fn, Z)
+            assert _bits(pair) == _bits(root if mode == "sqrt" else 1.0 / root)
+            # on a path, through a tracker that hands back the factor itself
+            on_path = phi_pair(case, LAM, BETA, x, tag_j, tag_k,
+                               _Radicand((e1 * path[0] + e2 * path[1],)))
+            factor = fn(path)
+            assert _bits(on_path) == _bits(factor if mode == "sqrt" else 1.0 / factor)
+
+
 # --------------------------------------------------------------------------
 # ground states: two independent routes
 # --------------------------------------------------------------------------
@@ -154,18 +201,6 @@ def test_groundstate_matches_general_eigenfunction(label):
         a = groundstate_psi(case, g, LAM, BETA, Z, (0, 1), tr1)
         b = eigenfunction_value(specs, tr2, Z)
         assert rel_err(a, b) < 1e-11
-
-
-def test_phi_total_wraps_specs():
-    case = make("II")
-    g = couplings_for("II")
-    tags = (MassTag.PLUS_ONE, MassTag.MINUS_ONE)
-    tr1 = BranchTracker(X2)
-    tr2 = BranchTracker(X2)
-    specs = phi_factor_specs(case, g, LAM, BETA, tags)
-    a = phi_total(case, g, LAM, BETA, tags, X2, tr1)
-    b = eigenfunction_value(specs, tr2, X2)
-    assert rel_err(a, b) < 1e-13
 
 
 @pytest.mark.parametrize("label", ("II", "III"))
@@ -290,11 +325,10 @@ def test_sqrt_operator_conjugates_to_plain_form():
 
     for P in (base, (0.45 + 0.02j, 0.83 - 0.03j)):
         phi_P = eigenfunction_value(specs, tracker, P)
-        lhs = apply_sqrt_operator(
-            case, g, LAM, BETA, tags, P,
+        lhs = sum(weighted_terms(
+            sqrt_operator_weights(case, g, LAM, BETA, tags, P, conj),
             lambda Q: eigenfunction_value(specs, tracker, Q) * fn(Q),
-            conj,
-        ) / phi_P
+        ), start=0j) / phi_P
         terms = operator_terms(case, g, LAM, BETA, masses, tags, P, fn)
         scale = max(max(abs(t) for t in terms), abs(lhs))
         assert abs(lhs - sum(terms)) / scale < 1e-9
@@ -314,11 +348,10 @@ def test_sheet_fault_breaks_conjugation():
     P = (0.47 + 0.02j,)
     tracker.set_fault(("coeff", 0, 1), lambda target: abs(target[0] - base[0]) > 1e-9)
     phi_P = eigenfunction_value(specs, tracker, P)
-    lhs = apply_sqrt_operator(
-        case, g, LAM, BETA, tags, P,
+    lhs = sum(weighted_terms(
+        sqrt_operator_weights(case, g, LAM, BETA, tags, P, conj),
         lambda Q: eigenfunction_value(specs, tracker, Q) * fn(Q),
-        conj,
-    ) / phi_P
+    ), start=0j) / phi_P
     terms = operator_terms(case, g, LAM, BETA, masses, tags, P, fn)
     scale = max(max(abs(t) for t in terms), abs(lhs))
     assert abs(lhs - sum(terms)) / scale > 1e-3

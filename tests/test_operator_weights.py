@@ -16,7 +16,6 @@ from vandiejen import eigenfunctions, operators, verify
 from vandiejen.eigenfunctions import (
     BranchError,
     BranchTracker,
-    apply_sqrt_operator,
     conjugation_terms,
     pathwise,
     sqrt_operator_weights,
@@ -30,13 +29,12 @@ from vandiejen.operators import (
     def_V_pm,
     def_Vt_pm,
     def_weights,
-    deformed_apply,
     operator_terms,
     operator_weights,
-    vd_apply,
     vd_V0,
     vd_V_pm,
     vd_weights,
+    weighted_terms,
 )
 from vandiejen.sfun import DEFAULT_POLICY, CaseKind, CaseParams, PoleProximityError, s_eval
 
@@ -155,7 +153,8 @@ def test_plain_weights_give_the_old_terms_bit_for_bit(label, g, lam, beta, tags,
 
     ref = _outcome(lambda: _ref_vd_terms(case, g, lam, beta, X, fn))
     assert _outcome(lambda: [w * fn(Q) for w, Q in vd_weights(case, g, lam, beta, X)]) == ref
-    assert _outcome(lambda: vd_apply(case, g, lam, beta, X, fn)) == _outcome(
+    assert _outcome(lambda: sum(weighted_terms(vd_weights(case, g, lam, beta, X), fn),
+                                start=0j)) == _outcome(
         lambda: sum(_ref_vd_terms(case, g, lam, beta, X, fn), start=0j))
 
 
@@ -176,7 +175,8 @@ def test_two_species_weights_give_the_old_terms_bit_for_bit(label, g, lam, beta,
         case, g, lam, beta, x, xt)]) == ref
     # the old action subtracted the deformed terms; adding their negation
     # is the same to the bit
-    assert _outcome(lambda: deformed_apply(case, g, lam, beta, x, xt, fn)) == _outcome(
+    assert _outcome(lambda: sum(weighted_terms(def_weights(case, g, lam, beta, x, xt),
+                                               lambda Q: fn(*Q)), start=0j)) == _outcome(
         lambda: sum(_ref_def_terms(case, g, lam, beta, x, xt, fn), start=0j))
 
 
@@ -197,8 +197,8 @@ def test_square_root_weights_give_the_old_action_bit_for_bit(label, g, lam, beta
     terms = conjugation_terms(case, g, lam, beta, tags, (), BranchTracker(base))
     for Z in (base, tuple(b + d for b, d in zip(base, dX))):
         ref = _outcome(lambda: _ref_apply_sqrt_operator(case, g, lam, beta, tags, Z, fn, terms))
-        assert _outcome(lambda: apply_sqrt_operator(
-            case, g, lam, beta, tags, Z, fn, terms)) == ref
+        assert _outcome(lambda: sum(weighted_terms(sqrt_operator_weights(
+            case, g, lam, beta, tags, Z, terms), fn), start=0j)) == ref
         assert _outcome(lambda: sum((w * fn(Q) for w, Q in sqrt_operator_weights(
             case, g, lam, beta, tags, Z, terms)), start=0j)) == ref
 

@@ -9,7 +9,6 @@ from vandiejen.operators import (
     CouplingSet,
     SummationParams,
     MassTag,
-    apply_conjugated_operator,
     balance_defect,
     balance_solve,
     c0_constant,
@@ -17,8 +16,9 @@ from vandiejen.operators import (
     coeff_V_shift,
     d_param,
     def_V0,
-    deformed_apply,
+    def_weights,
     eigen_constant,
+    operator_terms,
     summation_lhs,
     summation_rhs,
     proof_params,
@@ -26,7 +26,8 @@ from vandiejen.operators import (
     source_constant,
     vd_V0,
     vd_V_pm,
-    vd_apply,
+    vd_weights,
+    weighted_terms,
 )
 from vandiejen.sfun import CaseKind, CaseParams, DomainError, s_eval
 
@@ -262,7 +263,7 @@ def test_constant_function_is_eigenfunction(label):
     case = make(label)
     g = couplings_for(label)
     n_p = len(X2)
-    value = vd_apply(case, g, LAM, BETA, X2, lambda x: 1.0 + 0j)
+    value = sum(weighted_terms(vd_weights(case, g, LAM, BETA, X2), lambda x: 1.0 + 0j), start=0j)
     expected = eigen_constant(case, g, LAM, BETA, (1.0,) * n_p)
     assert value == pytest.approx(expected, rel=1e-11)
 
@@ -270,13 +271,14 @@ def test_constant_function_is_eigenfunction(label):
 def test_constant_function_elliptic_needs_balance():
     case = make("IV")
     g = balance_solve("eigen-plain", LAM, couplings_for("IV"), N=len(X2))
-    value = vd_apply(case, g, LAM, BETA, X2, lambda x: 1.0 + 0j)
+    value = sum(weighted_terms(vd_weights(case, g, LAM, BETA, X2), lambda x: 1.0 + 0j), start=0j)
     expected = eigen_constant(case, g, LAM, BETA, (1.0,) * len(X2))
     scale = max(abs(value), abs(expected))
     assert abs(value - expected) / scale < 1e-10
     # off the constraint the identity genuinely fails
     g_bad = (g[0] + 0.1,) + g[1:]
-    bad = vd_apply(case, g_bad, LAM, BETA, X2, lambda x: 1.0 + 0j)
+    bad = sum(weighted_terms(vd_weights(case, g_bad, LAM, BETA, X2), lambda x: 1.0 + 0j),
+              start=0j)
     bad_expected = eigen_constant(case, g_bad, LAM, BETA, (1.0,) * len(X2))
     assert abs(bad - bad_expected) / max(abs(bad), abs(bad_expected)) > 1e-3
 
@@ -289,8 +291,8 @@ def test_conjugated_operator_on_constant_matches_source():
         g = couplings_for(label)
         masses = (1.0, -1 / LAM)
         tags = (MassTag.PLUS_ONE, MassTag.MINUS_INV)
-        value = apply_conjugated_operator(
-            case, g, LAM, BETA, masses, tags, X2, lambda x: 1.0 + 0j)
+        value = sum(operator_terms(
+            case, g, LAM, BETA, masses, tags, X2, lambda x: 1.0 + 0j), start=0j)
         expected = source_constant(case, g, LAM, BETA, masses)
         scale = max(abs(value), abs(expected))
         assert abs(value - expected) / scale < 1e-10
@@ -302,7 +304,8 @@ def test_deformed_apply_constant_eigenvalue():
     g = couplings_for("II")
     x = (0.52 + 0.06j,)
     xt = (0.95 - 0.09j,)
-    value = deformed_apply(case, g, LAM, BETA, x, xt, lambda a, b: 1.0 + 0j)
+    value = sum(weighted_terms(def_weights(case, g, LAM, BETA, x, xt), lambda Q: 1.0 + 0j),
+                start=0j)
     masses = (1.0, -1 / LAM)
     expected = eigen_constant(case, g, LAM, BETA, masses)
     scale = max(abs(value), abs(expected))
@@ -315,7 +318,8 @@ def test_deformed_apply_constant_eigenvalue_elliptic_balanced():
     xt = (0.95 - 0.09j,)
     g = balance_solve("deformed-constant", LAM, couplings_for("IV"),
                       N=len(x), Nt=len(xt))
-    value = deformed_apply(case, g, LAM, BETA, x, xt, lambda a, b: 1.0 + 0j)
+    value = sum(weighted_terms(def_weights(case, g, LAM, BETA, x, xt), lambda Q: 1.0 + 0j),
+                start=0j)
     masses = (1.0,) * len(x) + (-1 / LAM,) * len(xt)
     expected = eigen_constant(case, g, LAM, BETA, masses)
     scale = max(abs(value), abs(expected))

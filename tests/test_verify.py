@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -45,6 +46,45 @@ def test_identity_tables_are_consistent():
         assert support and all(c in CASES for c in support)
         for label in support:
             assert default_tolerance(ident, label) >= 0.0
+
+
+def test_the_registry_holds_every_identity_fact():
+    # a literal copy of the catalogue: names in report order (which seeds the
+    # rows), supported cases, (I-III, IV) tolerances and the balanced set
+    all_cases = ("I", "II", "III", "IV")
+    expected = [
+        ("s-oddness", all_cases, (1e-10, 1e-10)),
+        ("s-quasi-period", ("II", "III", "IV"), (1e-10, 1e-10)),
+        ("s-duplication", all_cases, (1e-10, 1e-10)),
+        ("theta-product", ("IV",), (1e-10, 1e-10)),
+        ("gamma-fe", all_cases, (1e-9, 1e-8)),
+        ("gamma-reflection", all_cases, (0.0, 0.0)),
+        ("summation", all_cases, (1e-8, 1e-7)),
+        ("source", all_cases, (1e-8, 1e-7)),
+        ("conjugation", ("I", "II"), (1e-8, 1e-7)),
+        ("eigen-plain", all_cases, (1e-8, 1e-7)),
+        ("kernel-cauchy", all_cases, (1e-8, 1e-7)),
+        ("kernel-dual", all_cases, (1e-8, 1e-7)),
+        ("deformed-groundstate", all_cases, (1e-8, 1e-7)),
+        ("deformed-constant", all_cases, (1e-8, 1e-7)),
+        ("kernel-deformed", all_cases, (1e-8, 1e-7)),
+        ("anti-symmetry", all_cases, (1e-10, 1e-10)),
+        ("parameter-swap", all_cases, (1e-10, 1e-10)),
+        ("quasi-invariance", ("II",), (1e-8, 1e-8)),
+    ]
+    balanced = {"summation", "source", "eigen-plain", "kernel-cauchy", "kernel-dual",
+                "deformed-groundstate", "deformed-constant", "kernel-deformed"}
+    assert IDENTITIES == tuple(name for name, _, _ in expected)
+    assert list(verify._REGISTRY) == list(IDENTITIES)
+    for name, cases, (lo, hi) in expected:
+        assert CASE_SUPPORT[name] == cases
+        assert [default_tolerance(name, label) for label in all_cases] == [lo, lo, lo, hi]
+    assert {name for name, spec in verify._REGISTRY.items() if spec.balanced} == balanced
+
+
+def _with_runner(name, runner):
+    """The registry entry of ``name`` with ``runner`` in place of its own."""
+    return replace(verify._REGISTRY[name], run=runner)
 
 
 def test_default_tolerance_split():
@@ -223,9 +263,9 @@ def _fake_rows(residuals):
 
 
 def test_summary_scans_controls_past_a_non_finite_row(monkeypatch):
-    monkeypatch.setitem(verify._RUNNERS, "s-oddness", _fake_rows(
+    monkeypatch.setitem(verify._REGISTRY, "s-oddness", _with_runner("s-oddness", _fake_rows(
         [(1e-14, False), (math.nan, False), (5.0, False), (math.inf, False),
-         (0.5, True), (0.02, True)]))
+         (0.5, True), (0.02, True)])))
     rep = run_identity("s-oddness", "II", samples=1, seed=0)
     assert math.isnan(rep.max_rel_residual)  # the first non-finite row stays
     assert rep.normalization_scale == 2.0
@@ -233,8 +273,8 @@ def test_summary_scans_controls_past_a_non_finite_row(monkeypatch):
 
 
 def test_a_nan_control_shows_as_the_minimum(monkeypatch):
-    monkeypatch.setitem(verify._RUNNERS, "s-oddness", _fake_rows(
-        [(1e-14, False), (0.5, True), (math.nan, True), (0.02, True)]))
+    monkeypatch.setitem(verify._REGISTRY, "s-oddness", _with_runner("s-oddness", _fake_rows(
+        [(1e-14, False), (0.5, True), (math.nan, True), (0.02, True)])))
     rep = run_identity("s-oddness", "II", samples=1, seed=0)
     assert math.isnan(rep.min_control_residual)
 
@@ -527,7 +567,8 @@ def test_json_lines_parse_merge_round_trip(parts, seed):
         return [verify._row(ctx, "fake", i, res, i + 1.0, control=ctl)
                 for i, (res, ctl) in enumerate(rows)]
 
-    with mock.patch.dict(verify._RUNNERS, {"s-oddness": runner, "gamma-fe": runner}):
+    with mock.patch.dict(verify._REGISTRY, {"s-oddness": _with_runner("s-oddness", runner),
+                                            "gamma-fe": _with_runner("gamma-fe", runner)}):
         reports = [run_identity(ident, case, samples=1, seed=seed)
                    for ident, case in pairs[:len(parts)]]
     parsed = parse_report_lines(render_json_lines(reports, created="t0"))
