@@ -610,7 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
         "eval", help="tabulate special functions and coefficients")
     p_eval.add_argument("quantity", choices=list(EVAL_QUANTITIES))
     p_eval.add_argument("--x", help="comma-separated complex points "
-                                    "(coordinates for vector quantities)")
+                                    "(coordinates for vector quantities); a list "
+                                    "that starts with '-' takes '=', as in "
+                                    "--x=-0.3-0.1i")
     p_eval.add_argument("--alpha", type=float,
                         help="gamma-function step scale (default 1)")
     p_eval.add_argument("--g", help="comma-separated couplings")

@@ -26,6 +26,10 @@ exact ``2 cosh`` functional-equation steps, integrates where the tail
 decays at rate ``Re(a)`` or better, and multiplies the steps back in.  In
 float64 the points of one call share numpy node blocks, one row per point,
 so a scalar and the same point in any array give the same bits.
+
+An mpmath argument ``x`` takes the same formulas in mpmath at the working
+precision ``mpmath.mp.dps`` and gives an mpmath value; its product term
+counts and its hyperbolic cutoff follow that precision.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .sfun import (
     _DeferredModule,
     _SCALAR_TYPES,
     _as_complex_array,
+    _is_mp,
     _restore,
     s_eval,
 )
@@ -57,7 +62,6 @@ __all__ = [
     "gamma_G1",
     "gamma_G",
     "functional_eq_constant",
-    "functional_residual",
     "gamma_ratio_shift",
 ]
 
@@ -99,35 +103,11 @@ def _geometric_terms(step: float, start: float, growth: float, tol: float) -> in
 # ---------------------------------------------------------------------------
 
 
-def _g1_rational(alpha: complex, x: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
-    if policy.precision_dps is not None:
-        with mpmath.workdps(policy.precision_dps):
-            vals = [
-                complex(mpmath.gamma(mpmath.mpf("0.5") + mpmath.mpc(complex(v)) / (1j * alpha)))
-                for v in x.ravel()
-            ]
-        return np.array(vals).reshape(x.shape)
-    return scipy_special.gamma(0.5 + x / (1j * alpha))
-
-
 def _g1_trigonometric(case: CaseParams, alpha: complex, x: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
     r = case.r
     tol = policy.target_rel_err
     im_max = float(np.max(np.abs(x.imag), initial=0.0))
     count = _geometric_terms(r * alpha.real, 0.0, 2 * r * im_max, tol)
-
-    if policy.precision_dps is not None:
-        with mpmath.workdps(policy.precision_dps):
-            out = []
-            for v in x.ravel():
-                xm = mpmath.mpc(complex(v))
-                prod = mpmath.mpc(1)
-                for n in range(1, count + 1):
-                    prod *= 1 - mpmath.e ** (-r * alpha * (2 * n - 1) + 2j * r * xm)
-                pref = mpmath.e ** (-r * xm**2 / (2 * alpha))
-                out.append(complex(pref / prod))
-        return np.array(out).reshape(x.shape)
-
     # factors 1 - u_n exp(2 i r x), broadcast (terms, points) into one
     # temporary
     e = np.exp(2j * r * x.ravel())
@@ -227,56 +207,58 @@ def _hyperbolic_GR(a: float, alpha: complex, ws: list[complex], policy: Truncati
     """
     steps = []
     for w in ws:
-        # step count toward the real axis
-        k = -int(round(w.imag / alpha.real))
-        w0 = w + 1j * k * alpha
-        margin = a + alpha.real - 2 * abs(w0.imag)
-        y_cut = (-math.log(policy.target_rel_err) + 5.0) / margin
+        k, w0, y_cut = _toward_the_axis(a, alpha, w, policy.target_rel_err)
         if y_cut > policy.quadrature_cutoff:
             raise ConvergenceError(
                 f"hyperbolic integral needs cutoff {y_cut:.1f} > "
                 f"quadrature_cutoff={policy.quadrature_cutoff:g}; raise the policy cutoff"
             )
         steps.append((k, w0, max(y_cut, 8.0)))
-    if policy.precision_dps is not None:
-        bases = [_hyperbolic_mp(a, alpha, w0, y_cut, policy.precision_dps) for _, w0, y_cut in steps]
-    else:
-        bases = _hyperbolic_float(a, alpha, steps, policy.quadrature_points)
-
-    # multiply the functional-equation steps back in
-    out = []
-    for w, (k, _, _), base in zip(ws, steps, bases):
-        corr = 1.0 + 0j
-        if k > 0:
-            # G_R(w) = G_R(w + i k alpha) / prod_{j=0}^{k-1} 2 cosh(pi (w + i alpha/2 + i j alpha)/a)
-            for j in range(k):
-                corr *= 2 * cmath.cosh(math.pi * (w + 1j * alpha / 2 + 1j * j * alpha) / a)
-            base = base / corr
-        elif k < 0:
-            for j in range(1, -k + 1):
-                corr *= 2 * cmath.cosh(math.pi * (w - 1j * alpha / 2 - 1j * (j - 1) * alpha) / a)
-            base = base * corr
-        out.append(base)
-    return out
+    bases = _hyperbolic_float(a, alpha, steps, policy.quadrature_points)
+    return [_cosh_steps(base, w, k, alpha, a, cmath.cosh, math.pi)
+            for w, (k, _, _), base in zip(ws, steps, bases)]
 
 
-def _hyperbolic_mp(a: float, alpha: complex, w0: complex, y_cut: float, dps: int) -> complex:
-    with mpmath.workdps(dps):
-        wm = mpmath.mpc(complex(w0))
-        am = mpmath.mpf(a)
-        alm = mpmath.mpc(complex(alpha))
+def _toward_the_axis(a, alpha, w, tol: float):
+    """The step count ``k`` toward the real axis, ``w0 = w + i k alpha``, and
+    the cutoff past which the integrand at ``w0`` has decayed below ``tol``."""
+    k = -int(round(float(w.imag / alpha.real)))
+    w0 = w + 1j * k * alpha
+    margin = a + alpha.real - 2 * abs(w0.imag)
+    return k, w0, (-math.log(tol) + 5.0) / margin
 
-        def h(y):
-            return (
-                mpmath.sin(2 * wm * y) / (2 * mpmath.sinh(am * y) * mpmath.sinh(alm * y))
-                - wm / (am * alm * y)
-            ) / y
 
-        y0m = mpmath.mpf("1e-3")
-        order = int(math.ceil((dps + 8) / 6)) + 2
-        head_mp = _hyperbolic_head(wm, am, alm, y0m, _head_table(am, alm, order, mpmath.mpc(1)))
-        integral = head_mp + mpmath.quad(h, [y0m, 1, 5, y_cut, mpmath.inf])
-        return complex(mpmath.e ** (1j * integral))
+def _cosh_steps(base, w, k: int, alpha, a, cosh, pi):
+    """``G_R(w)`` from ``base = G_R(w + i k alpha)``: the ``k`` functional-
+    equation steps multiplied back in, in the number type of ``cosh``."""
+    corr = 1.0 + 0j
+    if k > 0:
+        # G_R(w) = G_R(w + i k alpha) / prod_{j=0}^{k-1} 2 cosh(pi (w + i alpha/2 + i j alpha)/a)
+        for j in range(k):
+            corr *= 2 * cosh(pi * (w + 1j * alpha / 2 + 1j * j * alpha) / a)
+        return base / corr
+    if k < 0:
+        for j in range(1, -k + 1):
+            corr *= 2 * cosh(pi * (w - 1j * alpha / 2 - 1j * (j - 1) * alpha) / a)
+        return base * corr
+    return base
+
+
+def _hyperbolic_mp(a, alpha, w, tol: float):
+    """``G_R(w)`` at one mpmath point: stepped toward the real axis as in
+    :func:`_hyperbolic_GR`, then integrated by ``mpmath.quad`` to infinity
+    with the head series, at the working precision."""
+    k, w0, y_cut = _toward_the_axis(a, alpha, w, tol)
+
+    def h(y):
+        return (mpmath.sin(2 * w0 * y) / (2 * mpmath.sinh(a * y) * mpmath.sinh(alpha * y))
+                - w0 / (a * alpha * y)) / y
+
+    y0 = mpmath.mpf("1e-3")
+    order = int(math.ceil((mpmath.mp.dps + 8) / 6)) + 2
+    head = _hyperbolic_head(w0, a, alpha, y0, _head_table(a, alpha, order, mpmath.mpc(1)))
+    base = mpmath.exp(1j * (head + mpmath.quad(h, [y0, 1, 5, max(y_cut, 8), mpmath.inf])))
+    return _cosh_steps(base, w, k, alpha, a, mpmath.cosh, mpmath.pi)
 
 
 def _hyperbolic_float(a: float, alpha: complex, steps: list[tuple], quadrature_points: int) -> list[complex]:
@@ -329,21 +311,6 @@ def _g1_elliptic(case: CaseParams, alpha: complex, x: np.ndarray, policy: Trunca
     log_t = -r * alpha.real
     n_count = _count_double(log_p, log_t, growth, tol)
     m_count = _count_double(log_t, log_p, growth, tol)
-
-    if policy.precision_dps is not None:
-        with mpmath.workdps(policy.precision_dps):
-            out = []
-            for v in x.ravel():
-                wm = mpmath.mpc(complex(v)) - 0.5j * a
-                prod = mpmath.mpc(1)
-                for n in range(1, n_count + 1):
-                    for m in range(1, m_count + 1):
-                        u = mpmath.e ** (-r * a * (2 * n - 1) - r * alpha * (2 * m - 1))
-                        prod *= (1 - u * mpmath.e ** (-2j * r * wm)) / (1 - u * mpmath.e ** (2j * r * wm))
-                pref = mpmath.e ** (-r * mpmath.mpc(complex(v)) ** 2 / (2 * alpha))
-                out.append(complex(pref * prod))
-        return np.array(out).reshape(x.shape)
-
     u = _elliptic_table(r, a, alpha, n_count, m_count)
     e_minus = np.exp(-2j * r * w.ravel())
     e_plus = np.exp(2j * r * w.ravel())
@@ -382,13 +349,50 @@ def _count_double(step_log: float, other_log: float, growth: float, tol: float) 
 # ---------------------------------------------------------------------------
 
 
+def _g1_mp(case: CaseParams, alpha, x):
+    """The primitive at one mpmath point ``x`` (``alpha`` an mpmath number)
+    at the working precision: the array path's formulas, with term counts
+    for the working precision's epsilon (a float, so up to about 300
+    digits)."""
+    tol = float(mpmath.eps)
+    r, a = mpmath.mpf(case.r), mpmath.mpf(case.a)
+    kind = case.kind
+    if kind is CaseKind.RATIONAL:
+        return mpmath.gamma(0.5 + x / (1j * alpha))
+    if kind is CaseKind.TRIGONOMETRIC:
+        count = _geometric_terms(float(r * alpha.real), 0.0, float(2 * r * abs(x.imag)), tol)
+        e = mpmath.exp(2j * r * x)
+        prod = 1
+        for n in range(1, count + 1):
+            prod *= 1 - mpmath.exp(-r * alpha * (2 * n - 1)) * e
+        return mpmath.exp(-r * x * x / (2 * alpha)) / prod
+    w = x - 0.5j * a
+    if kind is CaseKind.HYPERBOLIC:
+        return _hyperbolic_mp(a, alpha, w, tol)
+    log_p, log_t = float(-r * a), float(-r * alpha.real)
+    growth = float(2 * r * abs(w.imag))
+    n_count = _count_double(log_p, log_t, growth, tol)
+    m_count = _count_double(log_t, log_p, growth, tol)
+    e_minus, e_plus = mpmath.exp(-2j * r * w), mpmath.exp(2j * r * w)
+    prod = 1
+    for n in range(1, n_count + 1):
+        for m in range(1, m_count + 1):
+            u = mpmath.exp(-r * a * (2 * n - 1) - r * alpha * (2 * m - 1))
+            prod *= (1 - u * e_minus) / (1 - u * e_plus)
+    return mpmath.exp(-r * x * x / (2 * alpha)) * prod
+
+
 def gamma_G1(case: CaseParams, alpha, x, policy: TruncationPolicy = DEFAULT_POLICY):
-    """The primitive solution on the half-plane ``Re(alpha) > 0``."""
+    """The primitive solution on the half-plane ``Re(alpha) > 0``; an
+    mpmath ``x`` gives an mpmath value (see :func:`_g1_mp`)."""
+    if _is_mp(x):
+        _require_alpha(alpha, positive=True)
+        return _g1_mp(case, mpmath.mpmathify(alpha), x)
     alpha = _require_alpha(alpha, positive=True)
     xx, scalar = _as_complex_array(x)
     kind = case.kind
     if kind is CaseKind.RATIONAL:
-        vals = _g1_rational(alpha, xx, policy)
+        vals = scipy_special.gamma(0.5 + xx / (1j * alpha))
     elif kind is CaseKind.TRIGONOMETRIC:
         vals = _g1_trigonometric(case, alpha, xx, policy)
     elif kind is CaseKind.HYPERBOLIC:
@@ -403,17 +407,22 @@ def gamma_G(case: CaseParams, alpha, x, policy: TruncationPolicy = DEFAULT_POLIC
 
     For ``Re(alpha) < 0`` this is ``gamma_G1(case, -alpha, -x)``, so the
     reflection rule ``G(x; -alpha) == G(-x; alpha)`` holds identically.
-    Unless ``policy.precision_dps`` is set, a rational or trigonometric
-    scalar is evaluated with ``cmath`` and a hyperbolic one as a one-row
-    node block; everything else, and a scalar where ``cmath`` overflows,
-    goes through the array path of :func:`gamma_G1`.
+    A rational or trigonometric scalar is evaluated with ``cmath`` and a
+    hyperbolic one as a one-row node block; everything else, and a scalar
+    where ``cmath`` overflows, goes through the array path of
+    :func:`gamma_G1`.  An mpmath ``x`` is evaluated in mpmath at the
+    working precision and gives an mpmath value; its term counts and
+    cutoff follow that precision, not ``policy.target_rel_err``.
     """
-    alpha = _require_alpha(alpha, positive=False)
+    checked = _require_alpha(alpha, positive=False)
     scalar = isinstance(x, _SCALAR_TYPES)
+    if not scalar and _is_mp(x):
+        return gamma_G1(case, -alpha, -x) if checked.real < 0 else gamma_G1(case, alpha, x)
+    alpha = checked
     if alpha.real < 0:
         alpha = -alpha
         x = -complex(x) if scalar else -np.asarray(x, dtype=np.complex128)
-    if scalar and policy.precision_dps is None:
+    if scalar:
         z = complex(x)
         if case.kind is CaseKind.RATIONAL:
             return complex(scipy_special.gamma(0.5 + z / (1j * alpha)))
@@ -459,25 +468,6 @@ def _elliptic_constant_product(r: float, a: float, tol: float) -> float:
     for n in range(1, count + 1):
         prod *= 1.0 - math.exp(-2 * r * n * a)
     return prod
-
-
-def functional_residual(case: CaseParams, alpha, x, policy: TruncationPolicy = DEFAULT_POLICY):
-    """Relative defect of the difference equation at ``x``.
-
-    Computes ``|G(x + i a/2) - c s(x) G(x - i a/2)|`` divided by the larger
-    of the two sides.  Zero (to rounding) certifies that the evaluator, the
-    building block and the constant are mutually consistent at ``x``.
-    """
-    alpha = _require_alpha(alpha, positive=False)
-    xx, scalar = _as_complex_array(x)
-    up = np.atleast_1d(gamma_G(case, alpha, xx + 0.5j * alpha, policy))
-    dn = np.atleast_1d(gamma_G(case, alpha, xx - 0.5j * alpha, policy))
-    c = functional_eq_constant(case, alpha, policy)
-    lhs = up
-    rhs = c * np.atleast_1d(s_eval(case, xx, policy)) * dn
-    scale = np.maximum(np.abs(lhs), np.abs(rhs))
-    resid = np.abs(lhs - rhs) / np.where(scale > 0, scale, 1.0)
-    return float(resid[0]) if scalar else resid
 
 
 def gamma_ratio_shift(case: CaseParams, alpha, z, steps: int, policy: TruncationPolicy = DEFAULT_POLICY):

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -65,7 +64,7 @@ from .sfun import (
     CaseParams,
     DomainError,
     TruncationPolicy,
-    lattice_distance,
+    _mp_types,
     s_eval,
 )
 
@@ -75,8 +74,6 @@ __all__ = [
     "Configuration",
     "SummationParams",
     "d_param",
-    "f_pm",
-    "half_period_product",
     "coeff_V_shift",
     "coeff_V0",
     "operator_weights",
@@ -102,7 +99,6 @@ __all__ = [
     "summation_rhs",
     "summation_terms",
     "proof_params",
-    "shift_lattice_advisory",
     "batched",
 ]
 
@@ -319,6 +315,10 @@ def _batched(
     An argument may also be an array (a path): each array argument, and
     each scalar one broadcast to its shape, then gets one row of the call.
     Path calls run with the memo off (see :func:`_coefficient_memo`).
+
+    When an argument is an mpmath number, the second run instead calls
+    :func:`s_eval` once per argument, so the values keep their precision,
+    and neither its value nor those of its inner keyed calls enter the memo.
     """
     memo = _MEMO.get()
     if memo is None:
@@ -338,6 +338,8 @@ def _batched(
         return 1.0
 
     _run_with(case, policy, record, formula, None)
+    if not set(map(type, args)).isdisjoint(_mp_types()):
+        return _run_with(case, policy, lambda z: s_eval(case, z, policy), formula, None)
     try:
         flat = np.array(args, dtype=np.complex128)
     except ValueError:  # arrays among scalars
@@ -402,16 +404,7 @@ def d_param(g: float, mass: float, lam: float, tag: MassTag | None = None) -> co
     return g if positive else g - (lam + 1) / 2
 
 
-def f_pm(
-    case: CaseParams,
-    sign: int,
-    x: complex,
-    m_j: complex,
-    m_k: complex,
-    lam: float,
-    beta: float,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> complex:
+def _f_pm(s, sign, x, m_j, m_k, lam, beta) -> complex:
     """Pair interaction factor between coordinates of masses ``m_j, m_k``.
 
     ``sign`` is the shift direction label (+1 or -1).  The factor is a
@@ -420,22 +413,14 @@ def f_pm(
         f_sign(x) = s(x - sign*i*(t + lam*m_k*beta)) / s(x - sign*i*t),
         t = (m_j - m_k)(lam*m_j*m_k - 1) * beta / (4*m_j*m_k)
     """
-    return _batched(case, policy, lambda s: _f_pm(s, sign, x, m_j, m_k, lam, beta))
-
-
-def _f_pm(s, sign, x, m_j, m_k, lam, beta) -> complex:
     t = (m_j - m_k) * (lam * m_j * m_k - 1) * beta / (4 * m_j * m_k)
     num = s(x - sign * 1j * t - sign * 1j * lam * m_k * beta)
     den = s(x - sign * 1j * t)
     return num / den
 
 
-def half_period_product(case: CaseParams, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """The constant ``prod_{nu=1}^{rho} s(omega_nu / 2)`` (empty => 1)."""
-    return _batched(case, policy, lambda s: _half_period_product(s, case))
-
-
 def _half_period_product(s, case: CaseParams) -> complex:
+    """The constant ``prod_{nu=1}^{rho} s(omega_nu / 2)`` (empty => 1)."""
     out = 1.0 + 0j
     for w in case.omega[1:]:
         out *= s(w / 2)
@@ -1112,35 +1097,3 @@ def proof_params(
     return SummationParams(
         X=tuple(X), m=tuple(masses), gamma=gamma, a=a, c=c, d=d, n=n_first + n_second
     )
-
-
-def shift_lattice_advisory(
-    case: CaseParams,
-    lam: float,
-    beta: float,
-    mass_values: Sequence[float],
-    k_max: int = 12,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> list[str]:
-    """Warn when some multiple of a shift step lands on the zero lattice.
-
-    The operator identities assume the step lattice ``(i beta / m) Z`` and
-    the zero lattice of ``s`` meet only at the origin.  This cannot be
-    certified numerically, so the check is advisory: it scans multiples
-    ``k = 1 .. k_max`` and reports near-collisions as warning strings
-    (also emitted through :mod:`warnings`).
-    """
-    notes = []
-    for m in set(mass_values):
-        for k in range(1, k_max + 1):
-            point = 1j * k * beta / m
-            dist = lattice_distance(case, point)
-            if dist < policy.pole_floor:
-                note = (
-                    f"step multiple {k} * i*beta/{m:g} lies within {dist:.3g} "
-                    f"of the zero lattice ({case.describe()}); identities may degenerate"
-                )
-                notes.append(note)
-                warnings.warn(note, stacklevel=2)
-                break
-    return notes

@@ -25,10 +25,11 @@ argument.  :func:`s_eval` and :func:`theta_eval` evaluate a Python or
 numpy scalar with ``cmath`` (nearly every call the identities make) and an
 array with numpy; the two paths do the same arithmetic in the same order
 and give each point the theta term count of the same rule, so a point's
-value does not depend on the call it comes in.  Passing a
-:class:`TruncationPolicy` with ``precision_dps`` set routes scalar
-evaluation through ``mpmath`` at the requested number of decimal digits;
-this is the slow path used for oracle-grade checks.
+value does not depend on the call it comes in.  The precision follows the
+argument's type: an mpmath number (and only that) is evaluated in mpmath
+at the working precision ``mpmath.mp.dps``, with term counts taken from
+that precision, and the value comes back as an mpmath number.  This is
+the slow path for oracle-grade checks.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import cmath
 import enum
 import importlib
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -63,10 +65,11 @@ __all__ = [
 class _DeferredModule:
     """Stands for the module ``name`` and imports it at the first access to
     one of its attributes, which it then keeps, so that later accesses cost
-    what a module attribute costs.  mpmath (the ``precision_dps`` paths and
-    the ``*_mp`` evaluators) and scipy.special (the rational gamma function)
-    were about half of the package's import time, and most runs need
-    neither."""
+    what a module attribute costs.  mpmath (the routes of mpmath arguments)
+    and scipy.special (the rational gamma function) were about half of the
+    package's import time, and most runs need neither.  Testing whether a
+    value is an mpmath number must not touch this stand-in: see
+    :func:`_is_mp`."""
 
     def __init__(self, name: str) -> None:
         self._name = name
@@ -86,6 +89,18 @@ _THETA_TERM_CAP = 400
 
 # Arguments s_eval and theta_eval evaluate with cmath instead of numpy.
 _SCALAR_TYPES = (complex, float, int, np.number)
+
+
+def _mp_types() -> tuple:
+    """mpmath's number types, or none while mpmath is not loaded (no mpmath
+    number exists then).  Never imports mpmath."""
+    mp = sys.modules.get("mpmath")
+    return () if mp is None else (mp.mpf, mp.mpc)
+
+
+def _is_mp(x) -> bool:
+    """Whether ``x`` is an mpmath number."""
+    return isinstance(x, _mp_types())
 
 
 class DomainError(ValueError):
@@ -133,9 +148,8 @@ class TruncationPolicy:
     Attributes
     ----------
     product_terms:
-        Cap on the number of factors kept in infinite products (theta
-        product, gamma-function products).  Raising it helps only when the
-        relevant nome is close to 1.
+        Cap on the number of factors of the theta product.  Raising it
+        helps only when the nome is close to 1.
     quadrature_points:
         Budget of Gauss-Legendre nodes for the hyperbolic gamma integral.
     quadrature_cutoff:
@@ -145,12 +159,11 @@ class TruncationPolicy:
     pole_floor:
         Minimum allowed distance from the zero lattice of ``s``; points
         closer than this raise :class:`PoleProximityError` when checked.
-    precision_dps:
-        When set, ``s``, theta and ``gamma`` evaluations are carried out
-        with ``mpmath`` at this many decimal digits instead of float64.
-        Only those evaluations gain precision: their values return as
-        complex128, and the products and quotients built from them (the
-        operator coefficients, the residuals) stay in float64.
+
+    Precision is not a policy field: it follows the argument's type.  An
+    mpmath argument is evaluated at ``mpmath.mp.dps`` digits, and its term
+    counts and hyperbolic cutoff come from that precision, not from
+    ``target_rel_err``; ``product_terms`` still caps the theta product.
     """
 
     product_terms: int = 40
@@ -158,7 +171,6 @@ class TruncationPolicy:
     quadrature_cutoff: float = 40.0
     target_rel_err: float = 1e-13
     pole_floor: float = 0.05
-    precision_dps: int | None = None
 
     def __post_init__(self) -> None:
         if self.product_terms < 1:
@@ -171,8 +183,6 @@ class TruncationPolicy:
             raise DomainError("target_rel_err must lie in (0, 1)")
         if self.pole_floor < 0:
             raise DomainError("pole_floor must be non-negative")
-        if self.precision_dps is not None and self.precision_dps < 15:
-            raise DomainError("precision_dps below 15 digits is pointless")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -328,13 +338,9 @@ def theta_eval(z, tau=None, q=None, policy: TruncationPolicy = DEFAULT_POLICY):
         Modular parameter or nome; exactly one must be given, with
         ``q = exp(i pi tau)`` and ``|q| < 1``.
     policy:
-        Truncation control; only ``target_rel_err`` and ``precision_dps``
-        are consulted here.
+        Truncation control; only ``target_rel_err`` is consulted here.
     """
     qq = _nome_from(tau=tau, q=q)
-    if policy.precision_dps is not None:
-        return _theta_eval_mp(z, qq, policy)
-
     log_q = cmath.log(qq)  # principal branch fixes q**(1/4)
     if isinstance(z, _SCALAR_TYPES):
         zc = complex(z)
@@ -343,6 +349,8 @@ def theta_eval(z, tau=None, q=None, policy: TruncationPolicy = DEFAULT_POLICY):
             return _theta_sum(zc, log_q, n_stop)
         except (OverflowError, ValueError):
             pass  # cmath raises where numpy returns inf or nan
+    elif _is_mp(z):
+        return _theta_mp(z, mpmath.log(_nome_mp(tau, q)))
 
     zz, scalar = _as_complex_array(z)
     if not zz.size:
@@ -457,22 +465,9 @@ def theta_product(z, tau=None, q=None, policy: TruncationPolicy = DEFAULT_POLICY
     convenient.
     """
     qq = _nome_from(tau=tau, q=q)
+    if _is_mp(z):
+        return _theta_product_mp(z, _nome_mp(tau, q), policy.product_terms)
     zz, scalar = _as_complex_array(z)
-
-    if policy.precision_dps is not None:
-        with mpmath.workdps(policy.precision_dps):
-            qm = mpmath.mpmathify(complex(qq))
-            out = []
-            for val in zz.ravel():
-                zm = mpmath.mpmathify(complex(val))
-                prod = mpmath.mpf(1)
-                for n in range(1, policy.product_terms + 1):
-                    q2n = qm ** (2 * n)
-                    prod *= (1 - q2n) * (1 - 2 * q2n * mpmath.cos(2 * zm) + q2n**2)
-                out.append(2 * qm ** mpmath.mpf("0.25") * mpmath.sin(zm) * prod)
-            vals = np.array([complex(v) for v in out], dtype=np.complex128).reshape(zz.shape)
-        return _restore(vals, scalar)
-
     im_max = float(np.max(np.abs(zz.imag), initial=0.0))
     cos_bound = 2.0 * math.exp(2 * im_max) + 1.0
     prod = np.ones_like(zz)
@@ -492,31 +487,60 @@ def theta_product(z, tau=None, q=None, policy: TruncationPolicy = DEFAULT_POLICY
     return _restore(2.0 * q_quarter * np.sin(zz) * prod, scalar)
 
 
-def _theta_eval_mp(z, qq: complex, policy: TruncationPolicy):
-    zz, scalar = _as_complex_array(z)
-    with mpmath.workdps(policy.precision_dps):
-        qm = mpmath.mpmathify(complex(qq))
-        log_q = mpmath.log(qm)
-        tol = mpmath.mpf(10) ** (-(policy.precision_dps - 2))
-        out = []
-        for val in zz.ravel():
-            zm = mpmath.mpmathify(complex(val))
-            im = abs(mpmath.im(zm))
-            total = mpmath.mpc(0)
-            for n in range(_THETA_TERM_CAP + 1):
-                exponent = (n + mpmath.mpf(1) / 2) ** 2 * log_q
-                term = (
-                    mpmath.e ** (exponent + 1j * (2 * n + 1) * zm)
-                    - mpmath.e ** (exponent - 1j * (2 * n + 1) * zm)
-                ) / (2j)
-                total += -term if n % 2 else term
-                if n >= 1 and mpmath.re(n * (n + 1) * log_q) + 2 * n * im < mpmath.log(tol):
-                    break
-            else:
-                raise ConvergenceError("theta series (mpmath) did not converge")
-            out.append(2 * total)
-        vals = np.array([complex(v) for v in out], dtype=np.complex128).reshape(zz.shape)
-    return _restore(vals, scalar)
+# -- the mpmath routes: one mpmath argument at the working precision -------
+
+
+def _nome_mp(tau, q):
+    """The nome in mpmath, from whichever of ``tau`` and ``q`` is given."""
+    return mpmath.mpmathify(q) if q is not None else mpmath.expjpi(tau)
+
+
+def _theta_mp(z, log_q):
+    """The sine series of :func:`theta_eval`, stopped by the same tail bound
+    at the working precision's epsilon."""
+    im = abs(mpmath.im(z))
+    decay = mpmath.re(log_q)
+    log_tol = mpmath.log(mpmath.eps)
+    total = 0
+    for n in range(_THETA_TERM_CAP + 1):
+        exponent = (n + 0.5) ** 2 * log_q
+        k = 1j * (2 * n + 1)
+        term = (mpmath.exp(exponent + k * z) - mpmath.exp(exponent - k * z)) / 2j
+        total = total - term if n % 2 else total + term
+        if n >= 1 and n * (n + 1) * decay + 2 * n * im < log_tol:
+            return 2 * total
+    raise ConvergenceError("theta series (mpmath) did not converge")
+
+
+def _theta_product_mp(z, q, product_terms: int):
+    """The triple product of :func:`theta_product`, stopped by the same
+    bound at the working precision's epsilon."""
+    bound = 2 * mpmath.exp(2 * abs(mpmath.im(z))) + 2
+    cos_2z = mpmath.cos(2 * z)
+    prod = 1
+    for n in range(1, product_terms + 1):
+        q2n = q ** (2 * n)
+        prod *= (1 - q2n) * (1 - 2 * q2n * cos_2z + q2n * q2n)
+        if abs(q2n) * bound < mpmath.eps:
+            return 2 * mpmath.exp(mpmath.log(q) / 4) * mpmath.sin(z) * prod
+    raise ConvergenceError(
+        f"theta product (mpmath) not converged after {product_terms} factors; "
+        "raise product_terms"
+    )
+
+
+def _s_mp(case: CaseParams, x):
+    """``s`` at one mpmath argument; the elliptic case is the theta series
+    at the nome ``exp(-r a)`` computed in mpmath."""
+    kind = case.kind
+    if kind is CaseKind.RATIONAL:
+        return x
+    if kind is CaseKind.TRIGONOMETRIC:
+        return mpmath.sin(case.r * x) / case.r
+    if kind is CaseKind.HYPERBOLIC:
+        return (case.a / mpmath.pi) * mpmath.sinh(mpmath.pi * x / case.a)
+    log_q = -mpmath.mpf(case.r) * case.a
+    return mpmath.exp(-log_q / 4) / case.r * _theta_mp(case.r * x, log_q)
 
 
 # ---------------------------------------------------------------------------
@@ -527,18 +551,9 @@ def _theta_eval_mp(z, qq: complex, policy: TruncationPolicy):
 def s_eval(case: CaseParams, x, policy: TruncationPolicy = DEFAULT_POLICY):
     """Evaluate the case's building-block function ``s`` at ``x``.
 
-    Accepts scalars or arrays.  With ``policy.precision_dps`` set the
-    computation runs in mpmath arithmetic (returned still as complex128
-    unless the caller goes through :func:`s_eval_mp` directly).
+    Accepts scalars or arrays, and an mpmath number, which it evaluates in
+    mpmath at the working precision and returns as an mpmath number.
     """
-    if policy.precision_dps is not None:
-        xx, scalar = _as_complex_array(x)
-        vals = np.array(
-            [complex(s_eval_mp(case, complex(v), policy.precision_dps)) for v in xx.ravel()],
-            dtype=np.complex128,
-        ).reshape(xx.shape)
-        return _restore(vals, scalar)
-
     kind = case.kind
     if isinstance(x, _SCALAR_TYPES):
         z = complex(x)
@@ -552,6 +567,8 @@ def s_eval(case: CaseParams, x, policy: TruncationPolicy = DEFAULT_POLICY):
             return (case.a / math.pi) * cmath.sinh(_div_real(math.pi * z, case.a))
         except (OverflowError, ValueError):
             pass  # cmath raises where numpy returns inf or nan
+    elif _is_mp(x):
+        return _s_mp(case, x)
 
     xx, scalar = _as_complex_array(x)
     if kind is CaseKind.RATIONAL:
@@ -574,28 +591,9 @@ def _div_real(w: complex, d: float) -> complex:
 
 
 def s_eval_mp(case: CaseParams, x: complex, dps: int):
-    """Scalar mpmath evaluation of ``s`` at ``dps`` decimal digits."""
+    """``s`` at ``x`` in mpmath at ``dps`` decimal digits, as an mpmath number."""
     with mpmath.workdps(dps):
-        xm = mpmath.mpmathify(complex(x))
-        kind = case.kind
-        if kind is CaseKind.RATIONAL:
-            return xm
-        if kind is CaseKind.TRIGONOMETRIC:
-            return mpmath.sin(case.r * xm) / case.r
-        if kind is CaseKind.HYPERBOLIC:
-            return (case.a / mpmath.pi) * mpmath.sinh(mpmath.pi * xm / case.a)
-        q = mpmath.e ** (-mpmath.mpf(case.r) * case.a)
-        z = case.r * xm
-        tol = mpmath.mpf(10) ** (-(dps + 5))
-        total = mpmath.mpc(0)
-        for n in range(_THETA_TERM_CAP + 1):
-            term = (-1) ** n * q ** (n * (n + 1)) * mpmath.sin((2 * n + 1) * z)
-            total += term
-            if n >= 1 and q ** (n * (n + 1)) * mpmath.e ** (2 * n * abs(mpmath.im(z))) < tol:
-                break
-        else:
-            raise ConvergenceError("elliptic s series (mpmath) did not converge")
-        return 2 * total / case.r
+        return s_eval(case, mpmath.mpmathify(x))
 
 
 def quasi_factor(case: CaseParams, x, nu: int, policy: TruncationPolicy = DEFAULT_POLICY):

@@ -1,5 +1,6 @@
-"""Cold start: importing the package loads neither scipy nor mpmath, and the
-first call that needs one of them gives the bits of a direct call."""
+"""Cold start: importing the package loads neither scipy nor mpmath, the
+first call that needs one of them gives the bits of a direct call, and a
+float run never loads mpmath."""
 
 import json
 import os
@@ -22,7 +23,7 @@ DPS = 30
 
 # Runs in a fresh interpreter: the modules loaded by the import, then the
 # first calls that need scipy (a scalar, then an array rational gamma) and
-# mpmath (an extended-precision s, then s_eval_mp).  Complex values are
+# mpmath (s_eval_mp, then s at an mpmath argument).  Complex values are
 # sent as float.hex pairs, mpmath values as their exact mantissa-exponent
 # tuples.
 SCRIPT = """
@@ -31,7 +32,7 @@ import vandiejen, vandiejen.cli
 loaded = sorted(m for m in sys.modules if m.partition(".")[0] in ("scipy", "mpmath"))
 import numpy as np
 from vandiejen.gamma import gamma_G
-from vandiejen.sfun import CaseKind, CaseParams, TruncationPolicy, s_eval, s_eval_mp
+from vandiejen.sfun import CaseKind, CaseParams, s_eval, s_eval_mp
 alpha, z, xs, r, dps = {args}
 rational = CaseParams(CaseKind.RATIONAL, r=1.0, a=2.0)
 trig = CaseParams(CaseKind.TRIGONOMETRIC, r=r, a=2.0)
@@ -40,8 +41,10 @@ def bits(w):
 out = {{"loaded": loaded}}
 out["gamma-scalar"] = bits(gamma_G(rational, alpha, z))
 out["gamma-array"] = [bits(w) for w in gamma_G(rational, alpha, np.array(xs))]
-out["precision_dps"] = bits(s_eval(trig, z, TruncationPolicy(precision_dps=dps)))
 out["s_eval_mp"] = str(s_eval_mp(trig, z, dps)._mpc_)
+import mpmath
+with mpmath.workdps(dps):
+    out["mpmath-argument"] = str(s_eval(trig, mpmath.mpmathify(z))._mpc_)
 print(json.dumps(out))
 """
 
@@ -50,13 +53,26 @@ def _bits(w):
     return [complex(w).real.hex(), complex(w).imag.hex()]
 
 
-def test_import_loads_neither_dependency_and_first_calls_give_the_direct_bits():
+# A float run over the cases that do not need scipy either.
+FLOAT_RUN = """
+import sys
+from vandiejen.verify import IDENTITIES, run_suite
+reports = run_suite(IDENTITIES, ["II", "III", "IV"], samples=2, seed=0)
+assert reports
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "mpmath"))
+"""
+
+
+def _run_fresh(script: str) -> str:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    script = SCRIPT.format(args=repr((ALPHA, Z, XS, R, DPS)))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    got = json.loads(done.stdout)
+    return done.stdout
+
+
+def test_import_loads_neither_dependency_and_first_calls_give_the_direct_bits():
+    got = json.loads(_run_fresh(SCRIPT.format(args=repr((ALPHA, Z, XS, R, DPS)))))
     assert got.pop("loaded") == []
 
     # the same values from scipy and mpmath called directly
@@ -66,6 +82,10 @@ def test_import_loads_neither_dependency_and_first_calls_give_the_direct_bits():
     assert got == {
         "gamma-scalar": _bits(scipy.special.gamma(0.5 + Z / (1j * alpha))),
         "gamma-array": [_bits(w) for w in scipy.special.gamma(0.5 + np.array(XS) / (1j * alpha))],
-        "precision_dps": _bits(s_mp),
         "s_eval_mp": str(s_mp._mpc_),
+        "mpmath-argument": str(s_mp._mpc_),
     }
+
+
+def test_a_float_run_does_not_load_mpmath():
+    assert _run_fresh(FLOAT_RUN).strip() == "[]"

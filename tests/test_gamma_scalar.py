@@ -4,6 +4,7 @@ evaluator."""
 
 import cmath
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from vandiejen import gamma as gamma_mod
 from vandiejen.gamma import gamma_G, gamma_G1
-from vandiejen.sfun import (DEFAULT_POLICY, CaseKind, CaseParams, ConvergenceError, DomainError,
-                            TruncationPolicy)
+from vandiejen.sfun import DEFAULT_POLICY, CaseKind, CaseParams, ConvergenceError, DomainError
 
 R = 1.1
 CASES = {label: CaseParams(CaseKind.from_label(label), r=R, a=1.8) for label in ("I", "II")}
@@ -87,19 +87,20 @@ def test_scalar_argument_types(label):
 
 
 @pytest.mark.parametrize("label", sorted(CASES))
-def test_precision_policy_still_routes_scalars_to_mpmath(label, monkeypatch):
+def test_an_mpmath_argument_takes_the_mpmath_route(label, monkeypatch):
     case = CASES[label]
-    policy = TruncationPolicy(precision_dps=30)
-    z = 0.37 + 0.11j
-    mp_value = complex(gamma_G1(case, 0.8, np.array([z]), policy)[0])
+    with mpmath.workdps(30):
+        z = mpmath.mpc(0.37 + 0.11j)
+        mp_value = gamma_G1(case, 0.8, z)
 
-    def float_path(*args):
-        raise AssertionError("float path used under precision_dps")
+        def float_path(*args):
+            raise AssertionError("float path used for an mpmath argument")
 
-    monkeypatch.setattr(gamma_mod, "_g1_trigonometric_scalar", float_path)
-    monkeypatch.setattr(gamma_mod.scipy_special, "gamma", float_path)
-    assert gamma_G(case, 0.8, z, policy) == mp_value
-    assert gamma_G(case, -0.8, -z, policy) == mp_value
+        monkeypatch.setattr(gamma_mod, "_g1_trigonometric_scalar", float_path)
+        monkeypatch.setattr(gamma_mod.scipy_special, "gamma", float_path)
+        assert isinstance(mp_value, mpmath.mpc)
+        assert gamma_G(case, 0.8, z) == mp_value
+        assert gamma_G(case, -0.8, -z) == mp_value
 
 
 @pytest.mark.parametrize("alpha", (2e-6, -2e-6))

@@ -1,7 +1,5 @@
 """Difference operators: coefficients, constants, balancing, summation identity."""
 
-import warnings
-
 import pytest
 
 from vandiejen.operators import (
@@ -22,7 +20,6 @@ from vandiejen.operators import (
     summation_lhs,
     summation_rhs,
     proof_params,
-    shift_lattice_advisory,
     source_constant,
     vd_V0,
     vd_V_pm,
@@ -427,28 +424,3 @@ def test_proof_params_reproduce_operator_action():
     lhs = summation_lhs(case, p)
     rhs = summation_rhs(case, p)
     assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < 1e-9
-
-
-# --------------------------------------------------------------------------
-# advisory checks
-# --------------------------------------------------------------------------
-
-
-def test_shift_lattice_advisory_flags_collision():
-    # trigonometric zero lattice is (pi / r) Z; choose beta so that an
-    # early multiple of i*beta lands near i*pi/r... impossible on the real
-    # lattice, so use the hyperbolic case where the lattice is i*a*Z
-    case = make("III")
-    beta = A / 3  # 3 * i*beta = i*a exactly
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        notes = shift_lattice_advisory(case, LAM, beta, (1.0,))
-    assert notes and "multiple 3" in notes[0]
-
-
-def test_shift_lattice_advisory_quiet_when_clear():
-    case = make("III")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        notes = shift_lattice_advisory(case, LAM, 0.137, (1.0,))
-    assert notes == []

@@ -5,6 +5,7 @@ argument."""
 
 from unittest import mock
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,8 +21,6 @@ from vandiejen.operators import (
     def_V0,
     def_V_pm,
     def_Vt_pm,
-    f_pm,
-    half_period_product,
     proof_params,
     source_constant,
     summation_boundary_term,
@@ -35,7 +34,6 @@ from vandiejen.sfun import (
     CaseParams,
     ConvergenceError,
     DomainError,
-    TruncationPolicy,
     s_eval,
 )
 
@@ -53,7 +51,6 @@ def _scalar_batched(case, policy, formula, key=None):
 
 def _calls(case, g, lam, beta, tags, X, xt, j, sign, policy):
     masses = tuple(t.value_for(lam) for t in tags)
-    n_x = len(X)
     p = proof_params(case, g, lam, beta, masses, X)
     nu = j % (case.rho + 1)
     return {
@@ -69,9 +66,6 @@ def _calls(case, g, lam, beta, tags, X, xt, j, sign, policy):
         "summation_shift_term": lambda: summation_shift_term(case, p, j, sign, policy),
         "summation_boundary_term": lambda: summation_boundary_term(
             case, p, nu, use_c=sign > 0, policy=policy),
-        "f_pm": lambda: f_pm(case, sign, X[j] + X[(j + 1) % n_x], masses[j],
-                             masses[(j + 1) % n_x], lam, beta, policy),
-        "half_period_product": lambda: half_period_product(case, policy),
     }
 
 
@@ -119,15 +113,25 @@ def test_batched_equals_scalar_bit_for_bit(name, label, g, lam, beta, tags, X, x
     assert batched == scalar
 
 
+def _mp_scalar_batched(case, policy, formula, key=None):
+    """The scalar path with each ``s`` value at the argument's own type."""
+    return formula(lambda z: s_eval(case, z, policy))
+
+
 def test_coeff_V0_at_30_digits_matches_the_scalar_path():
     case = CASES["IV"]
     g = tuple(0.37 + 0.05 * k for k in range(8))
-    args = (case, g, 1.45, 0.31, (1.0, -1.0, 1 / 1.45), (0.41 + 0.07j, 0.83 - 0.11j, -0.3 + 0.2j))
-    fine = TruncationPolicy(precision_dps=30)
-    batched = coeff_V0(*args, fine)
-    with mock.patch.object(operators, "_batched", _scalar_batched):
-        assert coeff_V0(*args, fine) == batched
-    assert batched == pytest.approx(coeff_V0(*args), rel=1e-10)
+    X = (0.41 + 0.07j, 0.83 - 0.11j, -0.3 + 0.2j)
+    args = (case, g, 1.45, 0.31, (1.0, -1.0, 1 / 1.45))
+    with mpmath.workdps(30), operators._coefficient_memo():
+        fine = tuple(mpmath.mpc(x) for x in X)
+        batched = coeff_V0(*args, fine)
+        assert isinstance(batched, mpmath.mpc)
+        # an mpmath value never enters the memo
+        assert not operators._MEMO.get()
+        with mock.patch.object(operators, "_batched", _mp_scalar_batched):
+            assert coeff_V0(*args, fine) == batched
+    assert complex(batched) == pytest.approx(coeff_V0(*args, X), rel=1e-10)
 
 
 @pytest.mark.parametrize("label", sorted(CASES))
@@ -224,11 +228,15 @@ def test_a_scope_rejects_a_thunk_that_branches_on_s_values(label):
     g = tuple(0.37 + 0.05 * k for k in range(2 * (case.rho + 1)))
     X = (0.41 + 0.07j,)
 
+    def half_period_product():  # prod_{nu >= 1} s(omega_nu / 2), 1 while recording
+        return operators._half_period_product(
+            lambda z: operators._sv(case, z, DEFAULT_POLICY), case)
+
     def more():  # on replay the product is not 1 and asks for more values
-        return 0j if half_period_product(case) == 1 else vd_V0(case, g, 1.45, 0.31, X)
+        return 0j if half_period_product() == 1 else vd_V0(case, g, 1.45, 0.31, X)
 
     def fewer():  # on replay the product is not 1 and asks for fewer values
-        return vd_V0(case, g, 1.45, 0.31, X) if half_period_product(case) == 1 else 0j
+        return vd_V0(case, g, 1.45, 0.31, X) if half_period_product() == 1 else 0j
 
     with pytest.raises(RuntimeError, match="more"):
         operators.batched(case, DEFAULT_POLICY, more)

@@ -5,6 +5,7 @@ import cmath
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,6 @@ from vandiejen.sfun import (
     CaseParams,
     ConvergenceError,
     DomainError,
-    TruncationPolicy,
     _theta_terms,
     _theta_terms_array,
     s_eval,
@@ -92,11 +92,13 @@ def test_scalar_argument_types():
     assert s_eval(case, 2) == s_eval(case, np.int64(2)) == s_eval(case, 2.0)
 
 
-def test_precision_policy_still_routes_scalars_to_mpmath():
+def test_an_mpmath_argument_takes_the_mpmath_route():
     case = CASES["IV"]
     z = 0.37 + 0.11j
-    policy = TruncationPolicy(precision_dps=30)
-    assert s_eval(case, z, policy) == complex(s_eval_mp(case, z, 30))
+    with mpmath.workdps(30):
+        value = s_eval(case, mpmath.mpc(z))
+    assert isinstance(value, mpmath.mpc)
+    assert value == s_eval_mp(case, z, 30)
 
 
 def _reference_terms(log_q, im_max, tol, abs_q):
