@@ -149,7 +149,8 @@ class TruncationPolicy:
     ----------
     product_terms:
         Cap on the number of factors of the theta product.  Raising it
-        helps only when the nome is close to 1.
+        helps when the nome is close to 1, and for an mpmath argument at
+        high precision (at q = 0.3, 50 digits need 48 factors).
     quadrature_points:
         Budget of Gauss-Legendre nodes for the hyperbolic gamma integral.
     quadrature_cutoff:

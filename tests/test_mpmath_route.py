@@ -1,13 +1,16 @@
 """An mpmath argument takes the mpmath route: s, theta and G come back as
 mpmath numbers at the working precision.  At 30 digits they agree with
 40-digit references built here from mpmath's own functions (jtheta, gamma,
-qp, quad) to 1e-25 relative."""
+qp, quad) to 1e-25 relative.  Rounded to complex128 they agree with the
+float route to its policy's target, and their error falls with the working
+precision: the term counts follow mpmath.eps, not the float policy."""
 
 import mpmath as mp
 import pytest
 
-from vandiejen.gamma import gamma_G
-from vandiejen.sfun import CaseKind, CaseParams, s_eval, theta_eval, theta_product
+from vandiejen.gamma import gamma_G, gamma_G1
+from vandiejen.sfun import (DEFAULT_POLICY, CaseKind, CaseParams, TruncationPolicy, s_eval,
+                            theta_eval, theta_product)
 
 CASES = {label: CaseParams(CaseKind.from_label(label), r=1.1, a=1.8)
          for label in ("I", "II", "III", "IV")}
@@ -94,3 +97,73 @@ def test_theta_at_30_digits(theta, nome):
         with mp.workdps(30):
             value = theta(mp.mpc(x), **nome)
         assert _rel(value, ref) < REL
+
+
+# evaluators of (case, alpha, x); gamma_G1 only where Re(alpha) > 0
+EVALUATORS = {
+    "s_eval": lambda case, alpha, x: s_eval(case, x),
+    "gamma_G": lambda case, alpha, x: gamma_G(case, alpha, x),
+    "gamma_G/-alpha": lambda case, alpha, x: gamma_G(case, -alpha, x),
+    "gamma_G1": lambda case, alpha, x: gamma_G1(case, abs(alpha.real) + 1j * alpha.imag, x),
+}
+NOMES = [dict(q=0.3), dict(q=mp.exp(-1.98)), dict(tau=0.2 + 0.8j)]
+NOME_IDS = ["q=0.3", "q=exp(-1.98)", "tau"]
+
+
+def _float_nome(nome):
+    return {k: float(v) if isinstance(v, mp.mpf) else v for k, v in nome.items()}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_the_mpmath_route_rounds_to_the_float_route(label, name):
+    case, evaluate = CASES[label], EVALUATORS[name]
+    for alpha, x in POINTS:
+        alpha = complex(alpha)
+        with mp.workdps(30):
+            value = evaluate(case, alpha, mp.mpc(x))
+        assert isinstance(value, mp.mpc)
+        ref = evaluate(case, alpha, x)
+        assert abs(complex(value) - ref) / abs(ref) < DEFAULT_POLICY.target_rel_err
+
+
+@pytest.mark.parametrize("nome", NOMES, ids=NOME_IDS)
+@pytest.mark.parametrize("theta", [theta_eval, theta_product])
+def test_theta_mpmath_route_rounds_to_the_float_route(theta, nome):
+    for _, x in POINTS:
+        with mp.workdps(30):
+            value = theta(mp.mpc(x), **nome)
+        ref = theta(x, **_float_nome(nome))
+        assert abs(complex(value) - ref) / abs(ref) < DEFAULT_POLICY.target_rel_err
+
+
+@pytest.mark.parametrize("dps", [15, 25, 40])
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_s_and_gamma_follow_the_working_precision(label, dps):
+    # against the references 10 digits higher; one point per sign of alpha
+    case = CASES[label]
+    for alpha, x in POINTS[1:3]:
+        with mp.workdps(dps + 10):
+            ref = _s_ref(case, mp.mpc(x)), _g_ref(case, mp.mpmathify(alpha), mp.mpc(x))
+        with mp.workdps(dps):
+            got = s_eval(case, mp.mpc(x)), gamma_G(case, alpha, mp.mpc(x))
+        with mp.workdps(dps + 10):
+            for g, r in zip(got, ref):
+                assert abs(g - r) / abs(r) < mp.mpf(10) ** (3 - dps)
+
+
+@pytest.mark.parametrize("dps", [15, 25, 40])
+@pytest.mark.parametrize("theta", [theta_eval, theta_product])
+def test_theta_follows_the_working_precision(theta, dps):
+    # product_terms still caps the product: at q = 0.3 and 50 digits it
+    # needs 48 factors, above the default 40
+    policy = TruncationPolicy(product_terms=80)
+    for nome in NOMES:
+        for _, x in POINTS:
+            with mp.workdps(dps + 10):
+                q = mp.mpmathify(nome["q"]) if "q" in nome else mp.expjpi(nome["tau"])
+                ref = mp.jtheta(1, mp.mpc(x), q)
+            with mp.workdps(dps):
+                got = theta(mp.mpc(x), policy=policy, **nome)
+            with mp.workdps(dps + 10):
+                assert abs(got - ref) / abs(ref) < mp.mpf(10) ** (3 - dps)
