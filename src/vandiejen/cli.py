@@ -49,12 +49,10 @@ from .eigenfunctions import (
 from .gamma import functional_eq_constant, gamma_G
 from .operators import CouplingSet, MassTag, coeff_V0, coeff_V_shift
 from .sfun import (
-    DEFAULT_POLICY,
     CaseParams,
     ConvergenceError,
     DomainError,
     PoleProximityError,
-    TruncationPolicy,
     lattice_distance,
     s_eval,
     theta_eval,
@@ -171,12 +169,6 @@ class RunConfig:
         if self.no_balance and any(c != "IV" for c in self.cases):
             raise DomainError(
                 "field no_balance: applies to the elliptic case only")
-
-    def policy(self) -> TruncationPolicy:
-        if self.trunc_terms is None:
-            return DEFAULT_POLICY
-        return dataclasses.replace(DEFAULT_POLICY,
-                                   product_terms=self.trunc_terms)
 
     def coupling_for(self, case: CaseParams) -> CouplingSet:
         if self.g is None or self.lam is None or self.beta is None:
@@ -367,13 +359,12 @@ def _tags_for_eval(cfg: RunConfig, count: int) -> tuple[MassTag, ...]:
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
     label = cfg.cases[0]
     case = verify.make_case(label, None, r=cfg.r, a=cfg.a)
-    policy = cfg.policy()
     quantity = args.quantity
     alpha = 1.0 if args.alpha is None else args.alpha
     rows: list[tuple[str, complex, str]] = []
 
     if quantity == "constant":
-        value = functional_eq_constant(case, alpha, policy)
+        value = functional_eq_constant(case, alpha)
         rows.append(("c", value, ""))
     elif quantity in ("s", "theta", "gamma"):
         if quantity == "theta" and label != "IV":
@@ -384,14 +375,13 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
             try:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     if quantity == "s":
-                        value = complex(s_eval(case, x, policy))
+                        value = complex(s_eval(case, x))
                         distance = float(lattice_distance(case, x))
                     elif quantity == "theta":
-                        value = complex(theta_eval(case.r * x, q=case.q,
-                                                   policy=policy))
+                        value = complex(theta_eval(case.r * x, q=case.q))
                         distance = float(lattice_distance(case, x))
                     else:
-                        value = complex(gamma_G(case, alpha, x, policy))
+                        value = complex(gamma_G(case, alpha, x))
             except (ZeroDivisionError, OverflowError):
                 value = complex("inf")
             except PoleProximityError:
@@ -406,12 +396,11 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
                 f"flag --x: expected {len(tags)} coordinates, got {len(X)}")
         values = tuple(t.value_for(coupling.lam) for t in tags)
         rows.append(("V0", coeff_V0(case, coupling.g, coupling.lam,
-                                    coupling.beta, values, X, policy), ""))
+                                    coupling.beta, values, X), ""))
         for j in range(len(X)):
             for sign, mark in ((1, "+"), (-1, "-")):
                 v = coeff_V_shift(case, coupling.g, coupling.lam,
-                                  coupling.beta, values, tags, X, j, sign,
-                                  policy)
+                                  coupling.beta, values, tags, X, j, sign)
                 rows.append((f"V{mark}[{j}]", v, _flag_for(v, None)))
     elif quantity == "eigenfunction":
         X = _eval_points(args)
@@ -429,11 +418,11 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
         if nt:
             value = deformed_groundstate_value(
                 case, coupling.g, coupling.lam, coupling.beta, tuple(X),
-                tuple(range(n)), tuple(range(n, n + nt)), tracker, policy)
+                tuple(range(n)), tuple(range(n, n + nt)), tracker)
         else:
             value = groundstate_psi(case, coupling.g, coupling.lam,
                                     coupling.beta, tuple(X), tuple(range(n)),
-                                    tracker, policy)
+                                    tracker)
         rows.append(("psi", value, _flag_for(value, None)))
     else:
         raise DomainError(f"unknown quantity {quantity!r}")
@@ -493,7 +482,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         cfg.cases,
         samples=cfg.samples,
         seed=cfg.seed,
-        policy=cfg.policy(),
+        product_terms=cfg.trunc_terms,
         tol=cfg.tol,
         masses=cfg.masses,
         particles=cfg.particles,

@@ -45,14 +45,7 @@ import numpy as np
 from .gamma import _step_ratio, functional_eq_constant, gamma_G
 from .operators import (MassTag, _batched, _coefficient_memo, _moved, batched, coeff_V0,
                         coeff_V_shift, d_param, dual_couplings, reflected_couplings)
-from .sfun import (
-    DEFAULT_POLICY,
-    CaseParams,
-    DomainError,
-    PoleProximityError,
-    TruncationPolicy,
-    s_eval,
-)
+from .sfun import CaseParams, DomainError, PoleProximityError, s_eval
 
 __all__ = [
     "BranchError",
@@ -134,16 +127,15 @@ def factor_value(
     case: CaseParams,
     factors: Sequence[Factor],
     Z: Sequence[complex],
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Evaluate the product of all factors at the point ``Z``."""
     out = 1.0 + 0j
     for f in factors:
         arg = f.argument(Z)
         if isinstance(f, GFactor):
-            base = complex(gamma_G(case, f.alpha, arg, policy))
+            base = complex(gamma_G(case, f.alpha, arg))
         else:
-            base = complex(s_eval(case, arg, policy))
+            base = complex(s_eval(case, arg))
         out *= base**f.power
     return out
 
@@ -154,7 +146,6 @@ def factor_ratio(
     Z: Sequence[complex],
     var: int,
     delta: complex,
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Exact ratio ``product(Z + delta e_var) / product(Z)``.
 
@@ -181,7 +172,7 @@ def factor_ratio(
                     f"multiple of i*alpha = {1j * f.alpha}"
                 )
             alpha = complex(f.alpha)
-            plan.append((f.power, arg, steps, alpha, functional_eq_constant(case, alpha, policy)))
+            plan.append((f.power, arg, steps, alpha, functional_eq_constant(case, alpha)))
         else:
             plan.append((f.power, arg, c * delta, None, None))
 
@@ -195,7 +186,7 @@ def factor_ratio(
             out *= ratio**power
         return out
 
-    return _batched(case, policy, formula)
+    return _batched(case, formula)
 
 
 def groundstate_sq_factors(
@@ -500,11 +491,7 @@ class BranchTracker:
         return prev
 
 
-def pathwise(
-    case: CaseParams,
-    policy: TruncationPolicy,
-    coeff: Callable[[Sequence[complex]], complex],
-) -> Callable:
+def pathwise(case: CaseParams, coeff: Callable[[Sequence[complex]], complex]) -> Callable:
     """``coeff`` of one point as a :meth:`BranchTracker.sqrt_at` factor.
 
     On a path, ``coeff`` runs once on the coordinate arrays of all points
@@ -516,7 +503,7 @@ def pathwise(
         if not isinstance(P[0], np.ndarray):
             return coeff(P)
         with _coefficient_memo(on=False):
-            inner = batched(case, policy, lambda: coeff(tuple(c[:-1] for c in P)))
+            inner = batched(case, lambda: coeff(tuple(c[:-1] for c in P)))
         return np.append(inner, coeff(tuple(complex(c[-1]) for c in P)))
 
     return fn
@@ -552,8 +539,8 @@ def pair_kind(tag_j: MassTag, tag_k: MassTag) -> str:
     return "antidual"
 
 
-def _pair_factor(case: CaseParams, lam: float, beta: float, tag_j: MassTag, tag_k: MassTag,
-                 policy: TruncationPolicy) -> tuple[str, Callable]:
+def _pair_factor(case: CaseParams, lam: float, beta: float, tag_j: MassTag,
+                 tag_k: MassTag) -> tuple[str, Callable]:
     """The pair block of masses ``tag_j`` and ``tag_k``, by their
     :func:`pair_kind`, as its mode (see :func:`phi_factor_specs`) and its
     factor, a function of the combined argument ``x``.
@@ -568,16 +555,16 @@ def _pair_factor(case: CaseParams, lam: float, beta: float, tag_j: MassTag, tag_
 
         def w_same(x):
             arg = x + 0.5j * beta / m
-            num = gamma_G(case, alpha, arg, policy)
-            den = gamma_G(case, alpha, arg - 1j * lam * m * beta, policy)
+            num = gamma_G(case, alpha, arg)
+            den = gamma_G(case, alpha, arg - 1j * lam * m * beta)
             return num / den
 
         return "sqrt", w_same
     if kind == "opposite":
-        return "direct", lambda x: gamma_G(case, alpha, x - 0.5j * lam * m * beta, policy)
+        return "direct", lambda x: gamma_G(case, alpha, x - 0.5j * lam * m * beta)
     if kind == "dual":
-        return "sqrt", lambda x: s_eval(case, x, policy)
-    return "invsqrt", lambda x: s_eval(case, x - 0.5j * lam * m * beta + 0.5j * beta / m, policy)
+        return "sqrt", lambda x: s_eval(case, x)
+    return "invsqrt", lambda x: s_eval(case, x - 0.5j * lam * m * beta + 0.5j * beta / m)
 
 
 def phi_factor_specs(
@@ -586,7 +573,6 @@ def phi_factor_specs(
     lam: float,
     beta: float,
     tags: Sequence[MassTag],
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> list[tuple]:
     """Factor plan for the eigenfunction of a general mass assignment.
 
@@ -601,13 +587,13 @@ def phi_factor_specs(
     for j in range(n):
 
         def w_single(Z, j=j):
-            return psi_single_sq(case, g, lam, beta, Z[j], tags[j], policy)
+            return psi_single_sq(case, g, lam, beta, Z[j], tags[j])
 
         specs.append((("single", j), "sqrt", w_single))
 
     for j in range(n):
         for k in range(j + 1, n):
-            mode, factor = _pair_factor(case, lam, beta, tags[j], tags[k], policy)
+            mode, factor = _pair_factor(case, lam, beta, tags[j], tags[k])
             for e1 in (1, -1):
                 for e2 in (1, -1):
                     specs.append((("pair", j, k, e1, e2), mode,
@@ -670,21 +656,19 @@ class ConjugatedTerms:
     def __init__(
         self,
         case: CaseParams,
-        policy: TruncationPolicy,
         tracker: BranchTracker,
         blocks: Sequence[ShiftBlock],
         F: Callable[[Sequence[complex]], complex],
         ref: Callable[[Sequence[complex], ShiftBlock, int, int], complex],
     ) -> None:
         self.case = case
-        self.policy = policy
         self.tracker = tracker
         self.blocks = tuple(blocks)
         self.F = F
         self.ref = ref
         self.terms = tuple((b, j, sign) for b in self.blocks
                            for j in range(len(b.slots)) for sign in (1, -1))
-        self._s = cache(lambda arg: complex(s_eval(case, arg, policy)))
+        self._s = cache(lambda arg: complex(s_eval(case, arg)))
 
     def prefactor(self, b: ShiftBlock) -> complex:
         sign, arg = b.pref
@@ -695,9 +679,9 @@ class ConjugatedTerms:
         slot = b.slots[j]
         shifted = _moved(P, slot, P[slot] + sign * b.step)
         here = self.tracker.sqrt_at((b.label, slot, sign), pathwise(
-            self.case, self.policy, lambda Q: b.coeff(Q, j, sign)), P)
+            self.case, lambda Q: b.coeff(Q, j, sign)), P)
         there = self.tracker.sqrt_at((b.label, slot, -sign), pathwise(
-            self.case, self.policy, lambda Q: b.coeff(Q, j, -sign)), shifted)
+            self.case, lambda Q: b.coeff(Q, j, -sign)), shifted)
         return here, there, shifted
 
     def _ratio(self, P: tuple, FP: complex, b: ShiftBlock, j: int, sign: int) -> complex:
@@ -753,7 +737,6 @@ def conjugation_terms(
     tags: Sequence[MassTag],
     specs: Sequence[tuple],
     tracker: BranchTracker,
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> ConjugatedTerms:
     """The square-root form of the operator of mass assignment ``tags``,
     conjugated by its eigenfunction (``specs``): one block per coordinate,
@@ -761,19 +744,18 @@ def conjugation_terms(
     masses = tuple(t.value_for(lam) for t in tags)
     blocks = [
         ShiftBlock("coeff", (j,),
-                   lambda P, _, s, j=j: coeff_V_shift(case, g, lam, beta, masses, tags, P, j, s,
-                                                      policy),
+                   lambda P, _, s, j=j: coeff_V_shift(case, g, lam, beta, masses, tags, P, j, s),
                    -1j * beta / m_j, (1, 1j * lam * m_j * beta))
         for j, m_j in enumerate(masses)
     ]
-    return ConjugatedTerms(case, policy, tracker, blocks,
+    return ConjugatedTerms(case, tracker, blocks,
                            lambda P: eigenfunction_value(specs, tracker, P),
                            lambda P, b, j, s: b.coeff(P, j, s))
 
 
 def sqrt_operator_weights(
     case: CaseParams, g: Sequence[float], lam: float, beta: float, tags: Sequence[MassTag],
-    Z: Sequence[complex], terms: ConjugatedTerms, policy: TruncationPolicy = DEFAULT_POLICY,
+    Z: Sequence[complex], terms: ConjugatedTerms,
 ) -> list[tuple[complex, tuple]]:
     """The square-root form of the operator at ``Z`` as ``(weight, point)``
     pairs: per shift term of ``terms`` (:func:`conjugation_terms`) its
@@ -785,7 +767,7 @@ def sqrt_operator_weights(
     for b, j, sign in terms.terms:
         here, there, shifted = terms.roots(Z, b, j, sign)
         weights.append((terms.prefactor(b) * here * there, shifted))
-    weights.append((coeff_V0(case, g, lam, beta, masses, Z, policy), Z))
+    weights.append((coeff_V0(case, g, lam, beta, masses, Z), Z))
     return weights
 
 
@@ -802,7 +784,6 @@ def psi_single(
     x: complex,
     tag: MassTag,
     tracker: BranchTracker,
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Single-coordinate block: square root of a doubled-argument gamma
     pair over the coupling gamma products, with the coupling offsets
@@ -810,7 +791,7 @@ def psi_single(
     """
 
     def w(Z):
-        return psi_single_sq(case, g, lam, beta, Z[0], tag, policy)
+        return psi_single_sq(case, g, lam, beta, Z[0], tag)
 
     return tracker.sqrt_at(("psi", tag.value), w, (x,))
 
@@ -822,20 +803,19 @@ def psi_single_sq(
     beta: float,
     x: complex,
     tag: MassTag,
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """The defining product under the square root of :func:`psi_single`,
     at one point ``x`` or at an array of points."""
     m = tag.value_for(lam)
     alpha = beta / m
     half = 0.5j * beta / m
-    num = gamma_G(case, alpha, 2 * x + half, policy)
-    num *= gamma_G(case, alpha, -2 * x + half, policy)
+    num = gamma_G(case, alpha, 2 * x + half)
+    num *= gamma_G(case, alpha, -2 * x + half)
     den = 1.0 + 0j
     for g_nu in g:
         off = half - 1j * d_param(g_nu, m, lam, tag) * beta
-        den *= gamma_G(case, alpha, x + off, policy)
-        den *= gamma_G(case, alpha, -x + off, policy)
+        den *= gamma_G(case, alpha, x + off)
+        den *= gamma_G(case, alpha, -x + off)
     return num / den
 
 
@@ -847,13 +827,12 @@ def phi_pair(
     tag_j: MassTag,
     tag_k: MassTag,
     tracker: BranchTracker,
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Pair block at combined argument ``x``, by species relation (see
     :func:`_pair_factor`).  The tracker's base must be a 1-tuple for the
     rooted kinds.
     """
-    mode, factor = _pair_factor(case, lam, beta, tag_j, tag_k, policy)
+    mode, factor = _pair_factor(case, lam, beta, tag_j, tag_k)
     if mode == "direct":
         return complex(factor(x))
     root = tracker.sqrt_at(("phi", tag_j.value, tag_k.value), lambda Z: factor(Z[0]), (x,))
@@ -868,7 +847,6 @@ def groundstate_psi(
     Z: Sequence[complex],
     variables: Sequence[int],
     tracker: BranchTracker,
-    policy: TruncationPolicy = DEFAULT_POLICY,
     key_prefix: str = "gs",
 ) -> complex:
     """All-unit-mass ground state on the given coordinate slots of ``Z``.
@@ -883,12 +861,12 @@ def groundstate_psi(
 
         def w_single(P, i=i):
             v = P[i]
-            num = gamma_G(case, beta, 2 * v + b2, policy)
-            num *= gamma_G(case, beta, -2 * v + b2, policy)
+            num = gamma_G(case, beta, 2 * v + b2)
+            num *= gamma_G(case, beta, -2 * v + b2)
             den = 1.0 + 0j
             for g_nu in g:
-                den *= gamma_G(case, beta, v + b2 - 1j * g_nu * beta, policy)
-                den *= gamma_G(case, beta, -v + b2 - 1j * g_nu * beta, policy)
+                den *= gamma_G(case, beta, v + b2 - 1j * g_nu * beta)
+                den *= gamma_G(case, beta, -v + b2 - 1j * g_nu * beta)
             return num / den
 
         out *= tracker.sqrt_at((key_prefix, "single", i), w_single, Z)
@@ -900,8 +878,8 @@ def groundstate_psi(
 
                     def w_pair(P, j=idx[a], k=idx[b], e1=e1, e2=e2):
                         arg = e1 * P[j] + e2 * P[k] + b2
-                        num = gamma_G(case, beta, arg, policy)
-                        den = gamma_G(case, beta, arg - 1j * lam * beta, policy)
+                        num = gamma_G(case, beta, arg)
+                        den = gamma_G(case, beta, arg - 1j * lam * beta)
                         return num / den
 
                     out *= tracker.sqrt_at(
@@ -919,16 +897,14 @@ def deformed_groundstate_value(
     x_vars: Sequence[int],
     xt_vars: Sequence[int],
     tracker: BranchTracker,
-    policy: TruncationPolicy = DEFAULT_POLICY,
     key_prefix: str = "dgs",
 ) -> complex:
     """Two-species ground state: plain block times dual block over the
     square-rooted cross product."""
     g_dual = dual_couplings(g, lam)
-    out = groundstate_psi(case, g, lam, beta, Z, x_vars, tracker, policy,
-                          key_prefix=key_prefix + "-x")
+    out = groundstate_psi(case, g, lam, beta, Z, x_vars, tracker, key_prefix=key_prefix + "-x")
     out *= groundstate_psi(case, g_dual, 1.0 / lam, lam * beta, Z, xt_vars,
-                           tracker, policy, key_prefix=key_prefix + "-t")
+                           tracker, key_prefix=key_prefix + "-t")
     u = 0.5j * (lam - 1) * beta
     for i in x_vars:
         for k in xt_vars:
@@ -936,7 +912,7 @@ def deformed_groundstate_value(
 
                 def w_cross(P, i=i, k=k, delta=delta):
                     arg = P[i] + delta * P[k]
-                    return s_eval(case, arg + u, policy) * s_eval(case, arg - u, policy)
+                    return s_eval(case, arg + u) * s_eval(case, arg - u)
 
                 out /= tracker.sqrt_at(
                     (key_prefix, "cross", i, k, delta), w_cross, Z
@@ -953,17 +929,14 @@ def kernel_cauchy_value(
     x_vars: Sequence[int],
     y_vars: Sequence[int],
     tracker: BranchTracker,
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Gamma cross kernel joining a plain block at coupling ``g`` and one
     at the :func:`~vandiejen.operators.reflected_couplings`."""
     g_ref = reflected_couplings(g, lam)
-    out = groundstate_psi(case, g, lam, beta, Z, x_vars, tracker, policy,
-                          key_prefix="kc-x")
-    out *= groundstate_psi(case, g_ref, lam, beta, Z, y_vars, tracker, policy,
-                           key_prefix="kc-y")
+    out = groundstate_psi(case, g, lam, beta, Z, x_vars, tracker, key_prefix="kc-x")
+    out *= groundstate_psi(case, g_ref, lam, beta, Z, y_vars, tracker, key_prefix="kc-y")
     cross = cauchy_kernel_factors(lam, beta, x_vars, y_vars)
-    return out * factor_value(case, cross, Z, policy)
+    return out * factor_value(case, cross, Z)
 
 
 def kernel_dual_cauchy_value(
@@ -975,17 +948,15 @@ def kernel_dual_cauchy_value(
     x_vars: Sequence[int],
     yt_vars: Sequence[int],
     tracker: BranchTracker,
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Building-block cross kernel joining a plain block and a block with
     scaled parameters ``(g/lam, 1/lam, lam*beta)``."""
     g_scaled = tuple(v / lam for v in g)
-    out = groundstate_psi(case, g, lam, beta, Z, x_vars, tracker, policy,
-                          key_prefix="kd-x")
+    out = groundstate_psi(case, g, lam, beta, Z, x_vars, tracker, key_prefix="kd-x")
     out *= groundstate_psi(case, g_scaled, 1.0 / lam, lam * beta, Z, yt_vars,
-                           tracker, policy, key_prefix="kd-t")
+                           tracker, key_prefix="kd-t")
     cross = dual_cauchy_kernel_factors(x_vars, yt_vars)
-    return out * factor_value(case, cross, Z, policy)
+    return out * factor_value(case, cross, Z)
 
 
 def kernel_deformed_value(
@@ -999,17 +970,16 @@ def kernel_deformed_value(
     y_vars: Sequence[int],
     yt_vars: Sequence[int],
     tracker: BranchTracker,
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Four-block kernel: two two-species ground states joined by two
     gamma cross kernels and two building-block cross kernels."""
     g_ref = reflected_couplings(g, lam)
     out = deformed_groundstate_value(case, g, lam, beta, Z, x_vars, xt_vars,
-                                     tracker, policy, key_prefix="kf-a")
+                                     tracker, key_prefix="kf-a")
     out *= deformed_groundstate_value(case, g_ref, lam, beta, Z, y_vars, yt_vars,
-                                      tracker, policy, key_prefix="kf-b")
+                                      tracker, key_prefix="kf-b")
     cross = deformed_kernel_cross_factors(lam, beta, x_vars, xt_vars, y_vars, yt_vars)
-    return out * factor_value(case, cross, Z, policy)
+    return out * factor_value(case, cross, Z)
 
 
 # ---------------------------------------------------------------------------

@@ -58,15 +58,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .sfun import (
-    DEFAULT_POLICY,
-    CaseKind,
-    CaseParams,
-    DomainError,
-    TruncationPolicy,
-    _mp_types,
-    s_eval,
-)
+from .sfun import CaseKind, CaseParams, DomainError, _mp_types, s_eval
 
 __all__ = [
     "MassTag",
@@ -258,7 +250,7 @@ def balance_defect(coupling: CouplingSet, mass_values: Sequence[float]) -> float
 # ---------------------------------------------------------------------------
 
 
-# (case, policy, s, staged) of the innermost running ``_batched`` formula;
+# (case, s, staged) of the innermost running ``_batched`` formula;
 # ``staged`` collects the keyed values of a replay pass, None while recording
 _ENCLOSING: ContextVar[tuple | None] = ContextVar("_ENCLOSING", default=None)
 # key -> value of the keyed ``_batched`` calls of one run (see _coefficient_memo)
@@ -275,18 +267,19 @@ def _coefficient_memo(on: bool = True):
         _MEMO.reset(token)
 
 
-def _sv(case: CaseParams, z: complex, policy: TruncationPolicy) -> complex:
-    """``s(z)``: from the enclosing recorder of the same case and policy
-    when one is active (see :func:`batched`), else one scalar call."""
+def _sv(case: CaseParams, z: complex) -> complex:
+    """``s(z)``: from the enclosing recorder of the same case when one is
+    active (see :func:`batched`), else one scalar call, at the default
+    truncation policy (only :mod:`~vandiejen.sfun` and
+    :mod:`~vandiejen.gamma` take a policy)."""
     enclosing = _ENCLOSING.get()
-    if enclosing is not None and enclosing[:2] == (case, policy):
-        return enclosing[2](z)
-    return complex(s_eval(case, complex(z), policy))
+    if enclosing is not None and enclosing[:1] == (case,):
+        return enclosing[1](z)
+    return complex(s_eval(case, complex(z)))
 
 
 def _batched(
     case: CaseParams,
-    policy: TruncationPolicy,
     formula: Callable[[Callable[[complex], complex]], complex],
     key: tuple | None = None,
 ):
@@ -299,12 +292,14 @@ def _batched(
     of scalar ``s`` calls, with the same bits, and an exact zero in a
     denominator still raises :class:`ZeroDivisionError`.  This needs the
     sequence of ``s`` arguments not to depend on ``s`` values; the replay
-    checks that it consumes exactly the recorded values.
+    checks that it consumes exactly the recorded values.  The array call
+    uses the default truncation policy: only the evaluators of
+    :mod:`~vandiejen.sfun` and :mod:`~vandiejen.gamma` take a policy.
 
     Calls are re-entrant: while ``formula`` runs, an inner ``_batched``
-    call on the same case and policy (a coefficient evaluated inside it)
-    hands its own formula the enclosing ``s``, so the values of the whole
-    run come from one array call.
+    call on the same case (a coefficient evaluated inside it) hands its
+    own formula the enclosing ``s``, so the values of the whole run come
+    from one array call.
 
     A ``key`` names every input of ``formula``.  Within the memo of one
     :func:`~vandiejen.verify.run_identity` call, a key already held
@@ -326,10 +321,10 @@ def _batched(
     elif key is not None and (held := memo.get(key)) is not None:
         return held
     enclosing = _ENCLOSING.get()
-    if enclosing is not None and enclosing[:2] == (case, policy):
-        out = formula(enclosing[2])
-        if key is not None and enclosing[3] is not None:
-            enclosing[3][key] = out
+    if enclosing is not None and enclosing[:1] == (case,):
+        out = formula(enclosing[1])
+        if key is not None and enclosing[2] is not None:
+            enclosing[2][key] = out
         return out
     args: list[complex] = []
 
@@ -337,14 +332,14 @@ def _batched(
         args.append(z)
         return 1.0
 
-    _run_with(case, policy, record, formula, None)
+    _run_with(case, record, formula, None)
     if not set(map(type, args)).isdisjoint(_mp_types()):
-        return _run_with(case, policy, lambda z: s_eval(case, z, policy), formula, None)
+        return _run_with(case, lambda z: s_eval(case, z), formula, None)
     try:
         flat = np.array(args, dtype=np.complex128)
     except ValueError:  # arrays among scalars
         flat = np.array(np.broadcast_arrays(*args))
-    values = s_eval(case, flat.reshape(-1), policy) if args else flat
+    values = s_eval(case, flat.reshape(-1)) if args else flat
     values = iter(values.tolist() if flat.ndim == 1 else values.reshape(flat.shape))
 
     def replay(z: complex) -> complex:
@@ -354,7 +349,7 @@ def _batched(
         return value
 
     staged = None if memo is None else {}
-    out = _run_with(case, policy, replay, formula, staged)
+    out = _run_with(case, replay, formula, staged)
     if next(values, None) is not None:
         raise RuntimeError("formula asked for fewer s values than it recorded")
     if memo is not None:
@@ -364,16 +359,16 @@ def _batched(
     return out
 
 
-def _run_with(case, policy, s, formula, staged):
-    """``formula(s)`` as the enclosing scope ``(case, policy, s, staged)``."""
-    token = _ENCLOSING.set((case, policy, s, staged))
+def _run_with(case, s, formula, staged):
+    """``formula(s)`` as the enclosing scope ``(case, s, staged)``."""
+    token = _ENCLOSING.set((case, s, staged))
     try:
         return formula(s)
     finally:
         _ENCLOSING.reset(token)
 
 
-def batched(case: CaseParams, policy: TruncationPolicy, thunk: Callable[[], object]):
+def batched(case: CaseParams, thunk: Callable[[], object]):
     """``thunk()`` with every ``s`` value that its coefficients, constants
     and prefactors ask for taken from one array call (see :func:`_batched`).
 
@@ -381,7 +376,7 @@ def batched(case: CaseParams, policy: TruncationPolicy, thunk: Callable[[], obje
     side effects, and it must not branch on a value built from ``s``:
     reductions such as a maximum over terms belong outside.  Each value
     is the same, bit for bit, as with one call per coefficient."""
-    return _batched(case, policy, lambda s: thunk())
+    return _batched(case, lambda s: thunk())
 
 
 def _moved(P: Sequence[complex], j: int, z: complex) -> tuple[complex, ...]:
@@ -427,8 +422,8 @@ def _half_period_product(s, case: CaseParams) -> complex:
     return out
 
 
-def _nu_blocks(case: CaseParams, g: Sequence[float], lam: float, beta: float,
-               policy: TruncationPolicy) -> tuple[list[tuple[complex, complex, complex]], complex]:
+def _nu_blocks(case: CaseParams, g: Sequence[float], lam: float,
+               beta: float) -> tuple[list[tuple[complex, complex, complex]], complex]:
     """The coordinate-free blocks of every ``V_0``: per ``omega_nu`` the product
     ``prod_{mu != nu} s((omega_nu - omega_mu)/2)`` and the coupling blocks at
     ``i beta / 2`` and ``i lam beta / 2``; then the half-period product."""
@@ -453,7 +448,7 @@ def _nu_blocks(case: CaseParams, g: Sequence[float], lam: float, beta: float,
                            block(s, w_nu, 0.5j * lam * beta, 1j * (lam - 1) * beta)))
         return per_nu, _half_period_product(s, case)
 
-    return _batched(case, policy, formula, ("nu_blocks", case, policy, tuple(g), lam, beta))
+    return _batched(case, formula, ("nu_blocks", case, tuple(g), lam, beta))
 
 
 def _exp_weights(case: CaseParams, g, lam: float, beta: float, mass_part=0) -> list[complex]:
@@ -479,7 +474,6 @@ def coeff_V_shift(
     X: Sequence[complex],
     j: int,
     sign: int,
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Shift-term coefficient for coordinate ``j`` and direction ``sign``.
 
@@ -511,9 +505,9 @@ def coeff_V_shift(
                 out *= _f_pm(s, sign, x_j + delta * x_k, m_j, masses[k], lam, beta)
         return out
 
-    key = ("V_shift", case, policy, tuple(g), lam, beta, tuple(masses),
+    key = ("V_shift", case, tuple(g), lam, beta, tuple(masses),
            None if tags is None else tuple(tags), tuple(X), j, sign)
-    return _batched(case, policy, formula, key)
+    return _batched(case, formula, key)
 
 
 def coeff_V0(
@@ -523,7 +517,6 @@ def coeff_V0(
     beta: float,
     masses: Sequence[complex],
     X: Sequence[complex],
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Non-shifting coefficient of the conjugated operator.
 
@@ -547,21 +540,20 @@ def coeff_V0(
         return out
 
     def formula(s):
-        per_nu, pref = _nu_blocks(case, g, lam, beta, policy)
+        per_nu, pref = _nu_blocks(case, g, lam, beta)
         total = 0j
         for w_nu, expo, (denom_nu, g_block1, g_block2) in zip(case.omega, expos, per_nu):
             total += expo / denom_nu * (g_block1 * x_block(s, w_nu, -1)
                                         + g_block2 * x_block(s, w_nu, 1))
         return -0.25 * pref * pref * total
 
-    key = ("V0", case, policy, tuple(g), lam, beta, tuple(masses), tuple(X))
-    return _batched(case, policy, formula, key)
+    key = ("V0", case, tuple(g), lam, beta, tuple(masses), tuple(X))
+    return _batched(case, formula, key)
 
 
 def operator_weights(
     case: CaseParams, g: Sequence[float], lam: float, beta: float, masses: Sequence[complex],
     tags: Sequence[MassTag] | None, X: Sequence[complex],
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> list[tuple[complex, tuple]]:
     """The conjugated operator at ``X`` as ``(weight, point)`` pairs: a
     prefactor times a shift coefficient with its shifted point, ``2 * n_p``
@@ -571,11 +563,11 @@ def operator_weights(
     weights = []
     for j, m_j in enumerate(masses):
         step = 1j * beta / m_j
-        pref = _sv(case, 1j * lam * m_j * beta, policy)
+        pref = _sv(case, 1j * lam * m_j * beta)
         for sign in (1, -1):
-            coeff = coeff_V_shift(case, g, lam, beta, masses, tags, X, j, sign, policy)
+            coeff = coeff_V_shift(case, g, lam, beta, masses, tags, X, j, sign)
             weights.append((pref * coeff, _moved(X, j, X[j] - sign * step)))
-    weights.append((coeff_V0(case, g, lam, beta, masses, X, policy), X))
+    weights.append((coeff_V0(case, g, lam, beta, masses, X), X))
     return weights
 
 
@@ -588,7 +580,6 @@ def operator_terms(
     tags: Sequence[MassTag] | None,
     X: Sequence[complex],
     fn: Callable[[Sequence[complex]], complex],
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> list[complex]:
     """All terms of the conjugated operator applied to ``fn`` at ``X``.
 
@@ -596,7 +587,7 @@ def operator_terms(
     the list is the operator action.  Exposing the list (rather than only
     the sum) lets callers normalise residuals by the largest term.
     """
-    return weighted_terms(operator_weights(case, g, lam, beta, masses, tags, X, policy), fn)
+    return weighted_terms(operator_weights(case, g, lam, beta, masses, tags, X), fn)
 
 
 def weighted_terms(weights: Sequence[tuple[complex, tuple]], fn: Callable) -> list[complex]:
@@ -617,7 +608,6 @@ def source_constant(
     lam: float,
     beta: float,
     mass_values: Sequence[complex],
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Eigenvalue of the conjugated operator on the constant function.
 
@@ -633,7 +623,7 @@ def source_constant(
         pref = _half_period_product(s, case)
         return 0.25 * pref * pref * s(arg)
 
-    return _batched(case, policy, formula)
+    return _batched(case, formula)
 
 
 def c0_constant(
@@ -641,20 +631,19 @@ def c0_constant(
     g: Sequence[float],
     lam: float,
     beta: float,
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Additive constant relating the unreduced operator to the conjugated
     one (mass-independent; diverges as ``lam -> 1``)."""
     expos = _exp_weights(case, g, lam, beta)
 
     def formula(s):
-        per_nu, pref = _nu_blocks(case, g, lam, beta, policy)
+        per_nu, pref = _nu_blocks(case, g, lam, beta)
         total = 0j
         for expo, (denom, _, block) in zip(expos, per_nu):
             total += expo * block / denom
         return 0.25 * pref * pref * total
 
-    return _batched(case, policy, formula)
+    return _batched(case, formula)
 
 
 def eigen_constant(
@@ -663,13 +652,10 @@ def eigen_constant(
     lam: float,
     beta: float,
     mass_values: Sequence[float],
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Eigenvalue of the unreduced (ground-state form) operator: the
     additive constant plus the conjugated eigenvalue."""
-    return c0_constant(case, g, lam, beta, policy) + source_constant(
-        case, g, lam, beta, mass_values, policy
-    )
+    return c0_constant(case, g, lam, beta) + source_constant(case, g, lam, beta, mass_values)
 
 
 _BALANCE_VARIANTS = {
@@ -727,11 +713,10 @@ def vd_V_pm(
     x: Sequence[complex],
     j: int,
     sign: int,
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Shift coefficient of the all-unit-mass operator, from its own
     closed form (independent of :func:`coeff_V_shift`)."""
-    return _batched(case, policy, lambda s: _vd_V_pm(s, g, lam, beta, x, j, sign))
+    return _batched(case, lambda s: _vd_V_pm(s, g, lam, beta, x, j, sign))
 
 
 def _vd_V_pm(s, g, lam, beta, x, j, sign) -> complex:
@@ -756,26 +741,24 @@ def vd_V0(
     lam: float,
     beta: float,
     x: Sequence[complex],
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Zeroth coefficient of the all-unit-mass operator (closed form)."""
-    return _unit_V0(case, g, lam, beta, x, None, policy)
+    return _unit_V0(case, g, lam, beta, x, None)
 
 
 def vd_weights(
     case: CaseParams, g: Sequence[float], lam: float, beta: float, x: Sequence[complex],
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> list[tuple[complex, tuple]]:
     """The all-unit-mass operator at ``x`` as ``(weight, point)`` pairs, as
     :func:`operator_weights` gives the conjugated one."""
     x = tuple(complex(v) for v in x)
-    pref = _sv(case, 1j * lam * beta, policy)
+    pref = _sv(case, 1j * lam * beta)
     weights = []
     for j in range(len(x)):
         for sign in (1, -1):
-            coeff = vd_V_pm(case, g, lam, beta, x, j, sign, policy)
+            coeff = vd_V_pm(case, g, lam, beta, x, j, sign)
             weights.append((pref * coeff, _moved(x, j, x[j] - sign * 1j * beta)))
-    weights.append((vd_V0(case, g, lam, beta, x, policy), x))
+    weights.append((vd_V0(case, g, lam, beta, x), x))
     return weights
 
 
@@ -793,7 +776,6 @@ def def_V_pm(
     xt: Sequence[complex],
     j: int,
     sign: int,
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Shift coefficient on an undeformed coordinate of the two-species
     operator: the all-unit-mass block times the cross factors."""
@@ -809,7 +791,7 @@ def def_V_pm(
                 out *= num / den
         return out
 
-    return _batched(case, policy, formula)
+    return _batched(case, formula)
 
 
 def def_Vt_pm(
@@ -821,7 +803,6 @@ def def_Vt_pm(
     xt: Sequence[complex],
     k: int,
     sign: int,
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Shift coefficient on a deformed coordinate of the two-species
     operator, written directly from its closed form."""
@@ -847,7 +828,7 @@ def def_Vt_pm(
                 out *= num / den
         return out
 
-    return _batched(case, policy, formula)
+    return _batched(case, formula)
 
 
 def def_V0(
@@ -857,13 +838,12 @@ def def_V0(
     beta: float,
     x: Sequence[complex],
     xt: Sequence[complex],
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """Zeroth coefficient of the two-species operator (closed form)."""
-    return _unit_V0(case, g, lam, beta, x, xt, policy)
+    return _unit_V0(case, g, lam, beta, x, xt)
 
 
-def _unit_V0(case, g, lam, beta, x, xt, policy) -> complex:
+def _unit_V0(case, g, lam, beta, x, xt) -> complex:
     """The closed-form ``V_0`` with unit masses on ``x``, times the factor
     of the deformed coordinates ``xt`` unless ``xt`` is None."""
     expos = _exp_weights(case, g, lam, beta, 2 * lam * len(x) - 2 * len(xt or ()))
@@ -871,7 +851,7 @@ def _unit_V0(case, g, lam, beta, x, xt, policy) -> complex:
     xt = None if xt is None else tuple(complex(v) for v in xt)
 
     def formula(s):
-        per_nu, pref = _nu_blocks(case, g, lam, beta, policy)
+        per_nu, pref = _nu_blocks(case, g, lam, beta)
         total = 0j
         for w_nu, expo, (denom, block, _) in zip(case.omega, expos, per_nu):
             xblock = 1.0 + 0j
@@ -890,12 +870,12 @@ def _unit_V0(case, g, lam, beta, x, xt, policy) -> complex:
             total += term / denom
         return -0.25 * pref * pref * total
 
-    return _batched(case, policy, formula)
+    return _batched(case, formula)
 
 
 def def_weights(
     case: CaseParams, g: Sequence[float], lam: float, beta: float, x: Sequence[complex],
-    xt: Sequence[complex], policy: TruncationPolicy = DEFAULT_POLICY,
+    xt: Sequence[complex],
 ) -> list[tuple[complex, tuple]]:
     """The two-species operator at ``(x, xt)`` as ``(weight, (x', xt'))``
     pairs (see :func:`operator_weights`).
@@ -906,18 +886,18 @@ def def_weights(
     """
     x = tuple(complex(v) for v in x)
     xt = tuple(complex(v) for v in xt)
-    pref_x = _sv(case, 1j * lam * beta, policy)
-    pref_t = _sv(case, 1j * beta, policy)
+    pref_x = _sv(case, 1j * lam * beta)
+    pref_t = _sv(case, 1j * beta)
     weights = []
     for j in range(len(x)):
         for sign in (1, -1):
-            coeff = def_V_pm(case, g, lam, beta, x, xt, j, sign, policy)
+            coeff = def_V_pm(case, g, lam, beta, x, xt, j, sign)
             weights.append((pref_x * coeff, (_moved(x, j, x[j] - sign * 1j * beta), xt)))
     for k in range(len(xt)):
         for sign in (1, -1):
-            coeff = def_Vt_pm(case, g, lam, beta, x, xt, k, sign, policy)
+            coeff = def_Vt_pm(case, g, lam, beta, x, xt, k, sign)
             weights.append((-pref_t * coeff, (x, _moved(xt, k, xt[k] + sign * 1j * lam * beta))))
-    weights.append((def_V0(case, g, lam, beta, x, xt, policy), (x, xt)))
+    weights.append((def_V0(case, g, lam, beta, x, xt), (x, xt)))
     return weights
 
 
@@ -958,7 +938,6 @@ def summation_shift_term(
     p: SummationParams,
     j: int,
     sign: int,
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """One shift-type term of the summation identity (coordinate ``j``,
     direction ``sign``)."""
@@ -985,12 +964,10 @@ def summation_shift_term(
             term /= s(sign * x_j + a_j - p.d[nu] - half)
         return term
 
-    return _batched(case, policy, formula)
+    return _batched(case, formula)
 
 
-def summation_lhs(
-    case: CaseParams, p: SummationParams, policy: TruncationPolicy = DEFAULT_POLICY
-) -> complex:
+def summation_lhs(case: CaseParams, p: SummationParams) -> complex:
     """Left side: shift-type terms minus the two boundary families."""
     rho = case.rho
     if len(p.c) != rho + 1 or len(p.d) != rho + 1 or len(p.n) != 2 * (rho + 1):
@@ -998,25 +975,23 @@ def summation_lhs(
             f"case {case.kind.label} needs {rho + 1} entries in c and d and "
             f"{2 * (rho + 1)} in n"
         )
-    return sum(summation_terms(case, p, policy)[0], start=0j)
+    return sum(summation_terms(case, p)[0], start=0j)
 
 
-def summation_terms(
-    case: CaseParams, p: SummationParams, policy: TruncationPolicy = DEFAULT_POLICY
-) -> tuple[list[complex], complex]:
+def summation_terms(case: CaseParams, p: SummationParams) -> tuple[list[complex], complex]:
     """All left-side terms (shift family, then negated boundary family)
     plus the right-side value, with all of their ``s`` values from one
     array call."""
 
     def both_sides():
-        terms = [summation_shift_term(case, p, j, sign, policy)
+        terms = [summation_shift_term(case, p, j, sign)
                  for sign in (1, -1) for j in range(len(p.X))]
         for nu in range(case.rho + 1):
-            terms.append(-summation_boundary_term(case, p, nu, use_c=True, policy=policy))
-            terms.append(-summation_boundary_term(case, p, nu, use_c=False, policy=policy))
-        return terms, summation_rhs(case, p, policy)
+            terms.append(-summation_boundary_term(case, p, nu, use_c=True))
+            terms.append(-summation_boundary_term(case, p, nu, use_c=False))
+        return terms, summation_rhs(case, p)
 
-    return batched(case, policy, both_sides)
+    return batched(case, both_sides)
 
 
 def summation_boundary_term(
@@ -1024,7 +999,6 @@ def summation_boundary_term(
     p: SummationParams,
     nu: int,
     use_c: bool,
-    policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> complex:
     """One boundary family member (anchored at ``c_nu`` or ``d_nu``)."""
     rho = case.rho
@@ -1055,14 +1029,12 @@ def summation_boundary_term(
                     term /= s(gap + anchor - p.d[mu])
         return term
 
-    return _batched(case, policy, formula)
+    return _batched(case, formula)
 
 
-def summation_rhs(
-    case: CaseParams, p: SummationParams, policy: TruncationPolicy = DEFAULT_POLICY
-) -> complex:
+def summation_rhs(case: CaseParams, p: SummationParams) -> complex:
     """Right side: a single ``s`` value at the parameter sum."""
-    return _sv(case, 2 * p.gamma * sum(p.m) + sum(p.n), policy)
+    return _sv(case, 2 * p.gamma * sum(p.m) + sum(p.n))
 
 
 def proof_params(

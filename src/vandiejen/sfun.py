@@ -145,6 +145,12 @@ class CaseKind(enum.Enum):
 class TruncationPolicy:
     """Knobs controlling series/product truncation and safety margins.
 
+    Only the evaluators take a policy: those of this module and of
+    :mod:`~vandiejen.gamma`.  The operator, eigenfunction and verification
+    layers call them at :data:`DEFAULT_POLICY`.  One field passes through:
+    :func:`~vandiejen.verify.run_identity` takes ``product_terms``, which
+    only the ``theta-product`` identity reads.
+
     Attributes
     ----------
     product_terms:
@@ -213,7 +219,7 @@ class CaseParams:
 
     # -- lattice / half-period data -------------------------------------
 
-    @property
+    @cached_property
     def rho(self) -> int:
         """Index of the last independent half-period (0, 1, 1, 3)."""
         return {

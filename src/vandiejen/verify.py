@@ -22,7 +22,7 @@ import cmath
 import json
 import math
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from functools import cache
 from itertools import accumulate
 
@@ -265,15 +265,14 @@ def _draw_coupling(rng, case: CaseParams, lam: float | None = None,
     return CouplingSet(g, lam, beta)
 
 
-def _screen_config(config: Configuration, X: Sequence[complex],
-                   policy: TruncationPolicy, coeff_cap: float = 1e8) -> bool:
+def _screen_config(config: Configuration, X: Sequence[complex], coeff_cap: float = 1e8) -> bool:
     """True when every operator coefficient at ``X`` is finite and not
     absurdly amplified by a nearby pole."""
     case, cs = config.case, config.coupling
     try:
-        terms = batched(case, policy, lambda: operator_terms(
+        terms = batched(case, lambda: operator_terms(
             case, cs.g, cs.lam, cs.beta, config.mass_values, config.masses,
-            X, lambda _: 1.0, policy,
+            X, lambda _: 1.0,
         ))
     except (DomainError, ZeroDivisionError, OverflowError, ConvergenceError):
         return False
@@ -304,7 +303,6 @@ def sample_admissible(
     template: Configuration,
     count: int,
     seed: int,
-    policy: TruncationPolicy = DEFAULT_POLICY,
     coeff_cap: float = 1e8,
     max_attempts: int | None = None,
 ) -> SampleBatch:
@@ -327,7 +325,7 @@ def sample_admissible(
             )
         attempts += 1
         X = _draw_X(rng, template.size)
-        if _screen_config(template, X, policy, coeff_cap):
+        if _screen_config(template, X, coeff_cap):
             points.append(SamplePoint(template, X))
         else:
             rejected += 1
@@ -347,12 +345,12 @@ class _RunCtx:
     samples: int
     seed: int
     tol: float
-    policy: TruncationPolicy
     rng: np.random.Generator
     masses: tuple[MassTag, ...] | None = None
     particles: tuple[int, int, int, int] | None = None
     no_balance: bool = False
     max_n: int = 3
+    product_terms: int | None = None
     attempts: int = 0
     rejected: int = 0
 
@@ -361,7 +359,7 @@ class _RunCtx:
         for _ in range(max_tries):
             self.attempts += 1
             X = _draw_X(self.rng, config.size, im_window=im_window)
-            if _screen_config(config, X, self.policy):
+            if _screen_config(config, X):
                 return X
             self.rejected += 1
         raise ConvergenceError(
@@ -415,8 +413,8 @@ def _rows_s_oddness(ctx: _RunCtx) -> list[SampleResult]:
     rows = []
     for i in range(ctx.samples):
         z = _draw_scalar(ctx.rng)
-        a = _sv(ctx.case, z, ctx.policy)
-        b = _sv(ctx.case, -z, ctx.policy)
+        a = _sv(ctx.case, z)
+        b = _sv(ctx.case, -z)
         rows.append(_row(ctx, "odd", i, *_rel_dev(a, -b)))
     return rows
 
@@ -427,9 +425,9 @@ def _rows_s_quasi_period(ctx: _RunCtx) -> list[SampleResult]:
     for i in range(ctx.samples):
         nu = 1 + i % case.rho
         z = _draw_scalar(ctx.rng)
-        fac = quasi_factor(case, z, nu, ctx.policy)
-        lhs = _sv(case, z + case.omega[nu], ctx.policy)
-        rhs = complex(fac) * _sv(case, z, ctx.policy)
+        fac = quasi_factor(case, z, nu)
+        lhs = _sv(case, z + case.omega[nu])
+        rhs = complex(fac) * _sv(case, z)
         rows.append(_row(ctx, f"nu={nu}", i, *_rel_dev(lhs, rhs)))
     return rows
 
@@ -443,11 +441,11 @@ def _rows_s_duplication(ctx: _RunCtx) -> list[SampleResult]:
         ctx.attempts += 1
         z = _draw_scalar(ctx.rng)
         try:
-            res = float(duplication_residual(ctx.case, z, ctx.policy))
+            res = float(duplication_residual(ctx.case, z))
         except PoleProximityError:
             ctx.rejected += 1
             continue
-        scale = abs(_sv(ctx.case, 2 * z, ctx.policy))
+        scale = abs(_sv(ctx.case, 2 * z))
         rows.append(_row(ctx, "duplication", i, res, max(scale, _TINY)))
         i += 1
     if len(rows) < ctx.samples:
@@ -458,10 +456,12 @@ def _rows_s_duplication(ctx: _RunCtx) -> list[SampleResult]:
 def _rows_theta_product(ctx: _RunCtx) -> list[SampleResult]:
     rows = []
     q = ctx.case.q
+    policy = (DEFAULT_POLICY if ctx.product_terms is None
+              else TruncationPolicy(product_terms=ctx.product_terms))
     for i in range(ctx.samples):
         z = _draw_scalar(ctx.rng)
-        sv = complex(theta_eval(z, q=q, policy=ctx.policy))
-        pv = complex(theta_product(z, q=q, policy=ctx.policy))
+        sv = complex(theta_eval(z, q=q))
+        pv = complex(theta_product(z, q=q, policy=policy))
         rows.append(_row(ctx, "sum-vs-product", i, *_rel_dev(sv, pv)))
     return rows
 
@@ -478,10 +478,10 @@ def _rows_gamma_fe(ctx: _RunCtx) -> list[SampleResult]:
             alpha = -alpha
         z = _draw_scalar(ctx.rng, re=(0.1, 1.1), im=(-0.2, 0.2))
         try:
-            up = complex(gamma_G(ctx.case, alpha, z + 0.5j * alpha, ctx.policy))
-            dn = complex(gamma_G(ctx.case, alpha, z - 0.5j * alpha, ctx.policy))
-            c = functional_eq_constant(ctx.case, alpha, ctx.policy)
-            rhs = c * _sv(ctx.case, z, ctx.policy) * dn
+            up = complex(gamma_G(ctx.case, alpha, z + 0.5j * alpha))
+            dn = complex(gamma_G(ctx.case, alpha, z - 0.5j * alpha))
+            c = functional_eq_constant(ctx.case, alpha)
+            rhs = c * _sv(ctx.case, z) * dn
         except (DomainError, ConvergenceError, OverflowError):
             ctx.rejected += 1
             continue
@@ -502,8 +502,8 @@ def _rows_gamma_reflection(ctx: _RunCtx) -> list[SampleResult]:
     for i in range(ctx.samples):
         alpha = float(ctx.rng.uniform(0.3, 0.6))
         z = _draw_scalar(ctx.rng, re=(0.1, 1.1), im=(-0.2, 0.2))
-        a = complex(gamma_G(ctx.case, -alpha, z, ctx.policy))
-        b = complex(gamma_G(ctx.case, alpha, -z, ctx.policy))
+        a = complex(gamma_G(ctx.case, -alpha, z))
+        b = complex(gamma_G(ctx.case, alpha, -z))
         residual, scale = _rel_dev(a, b)
         rows.append(_row(ctx, "reflection", i, 0.0 if a == b else residual, scale))
     return rows
@@ -514,10 +514,8 @@ def _rows_gamma_reflection(ctx: _RunCtx) -> list[SampleResult]:
 # ---------------------------------------------------------------------------
 
 
-def residual_summation(
-    case: CaseParams, p: SummationParams, policy: TruncationPolicy = DEFAULT_POLICY
-) -> tuple[float, float]:
-    return _summation_residual(*summation_terms(case, p, policy))
+def residual_summation(case: CaseParams, p: SummationParams) -> tuple[float, float]:
+    return _summation_residual(*summation_terms(case, p))
 
 
 def _summation_residual(terms: list[complex], rhs: complex) -> tuple[float, float]:
@@ -544,7 +542,7 @@ def _draw_summation_params(ctx: _RunCtx, n: int) -> tuple[SummationParams, tuple
             n_par[-1] = -2 * gamma * sum(m) - sum(n_par[:-1])
         params = SummationParams(X=X, m=m, gamma=gamma, a=a, c=c, d=d, n=tuple(n_par))
         try:
-            terms, rhs = summation_terms(ctx.case, params, ctx.policy)
+            terms, rhs = summation_terms(ctx.case, params)
         except (DomainError, ZeroDivisionError, OverflowError):
             ctx.rejected += 1
             continue
@@ -568,7 +566,7 @@ def _rows_summation(ctx: _RunCtx) -> list[SampleResult]:
                 n_det = list(params.n)
                 n_det[-1] += delta
                 detuned = replace(params, n=tuple(n_det))
-                res, scale = residual_summation(ctx.case, detuned, ctx.policy)
+                res, scale = residual_summation(ctx.case, detuned)
                 rows.append(
                     _row(ctx, f"n={n}/defect={delta:+g}", i, res, scale, control=True)
                 )
@@ -580,19 +578,15 @@ def _rows_summation(ctx: _RunCtx) -> list[SampleResult]:
 # ---------------------------------------------------------------------------
 
 
-def residual_source(
-    config: Configuration,
-    X: Sequence[complex],
-    policy: TruncationPolicy = DEFAULT_POLICY,
-) -> tuple[float, float]:
+def residual_source(config: Configuration, X: Sequence[complex]) -> tuple[float, float]:
     """Defect of (conjugated operator on the constant function) minus the
     closed-form constant, normalised by the largest single term."""
     case = config.case
     cs = config.coupling
-    terms, const = batched(case, policy, lambda: (
-        operator_terms(case, cs.g, cs.lam, cs.beta, config.mass_values, config.masses,
-                       X, lambda _: 1.0, policy),
-        source_constant(case, cs.g, cs.lam, cs.beta, config.mass_values, policy),
+    terms, const = batched(case, lambda: (
+        operator_terms(case, cs.g, cs.lam, cs.beta, config.mass_values, config.masses, X,
+                       lambda _: 1.0),
+        source_constant(case, cs.g, cs.lam, cs.beta, config.mass_values),
     ))
     scale = max(_max_abs(terms), abs(const), _TINY)
     return abs(sum(terms) - const) / scale, scale
@@ -651,8 +645,8 @@ def _detuned_controls(ctx: _RunCtx, coupling: CouplingSet, tags: tuple[MassTag, 
     rows = []
     for delta in (CONTROL_DETUNE, -CONTROL_DETUNE):
         bad = Configuration(ctx.case, _detuned(coupling, delta), tags)
-        X2 = X if _screen_config(bad, X, ctx.policy) else ctx.admissible_X(bad)
-        res, scale = residual_source(bad, X2, ctx.policy)
+        X2 = X if _screen_config(bad, X) else ctx.admissible_X(bad)
+        res, scale = residual_source(bad, X2)
         rows.append(_row(ctx, f"{prefix}/defect={delta:+g}", index, res, scale, control=True))
     return rows
 
@@ -668,7 +662,7 @@ def _rows_source(ctx: _RunCtx) -> list[SampleResult]:
         X = ctx.admissible_X(config)
         name = ",".join(t.value for t in tags)
         if not (ctx.label == "IV" and ctx.no_balance):
-            res, scale = residual_source(config, X, ctx.policy)
+            res, scale = residual_source(config, X)
             rows.append(_row(ctx, f"m=({name})", i, res, scale))
         if ctx.label == "IV":
             rows.extend(_detuned_controls(ctx, coupling, tags, X, i, f"m=({name})"))
@@ -696,7 +690,6 @@ _CONJ_TAG_CYCLE = (
 def _rows_conjugation(ctx: _RunCtx) -> list[SampleResult]:
     rows = []
     case = ctx.case
-    policy = ctx.policy
     for i in range(ctx.samples):
         tags = ctx.masses or _CONJ_TAG_CYCLE[i % len(_CONJ_TAG_CYCLE)]
         n = len(tags)
@@ -707,12 +700,12 @@ def _rows_conjugation(ctx: _RunCtx) -> list[SampleResult]:
             coupling = _draw_coupling(ctx.rng, case)
             config = Configuration(case, coupling, tags)
             base = _draw_X(ctx.rng, n, im_window=(-0.12, 0.12))
-            if not _screen_config(config, base, policy):
+            if not _screen_config(config, base):
                 ctx.rejected += 1
                 continue
-            specs = phi_factor_specs(case, coupling.g, coupling.lam, coupling.beta, tags, policy)
+            specs = phi_factor_specs(case, coupling.g, coupling.lam, coupling.beta, tags)
             terms = conjugation_terms(case, coupling.g, coupling.lam, coupling.beta, tags,
-                                      specs, BranchTracker(base), policy)
+                                      specs, BranchTracker(base))
             try:
                 terms.calibrate()
             except (BranchError, PoleProximityError) as exc:
@@ -729,7 +722,7 @@ def _rows_conjugation(ctx: _RunCtx) -> list[SampleResult]:
         g, lam, beta = config.coupling.g, config.coupling.lam, config.coupling.beta
         point = _offset_point(
             ctx, rows, "offset-continuation", i, base, 8, 0.08, 0.04,
-            lambda P: _screen_config(config, P, policy) and terms.coherent(P))
+            lambda P: _screen_config(config, P) and terms.coherent(P))
         if point is None:
             continue
         fns = [("const", lambda Z: 1.0 + 0j)]
@@ -739,8 +732,8 @@ def _rows_conjugation(ctx: _RunCtx) -> list[SampleResult]:
         def forms(P):
             # both forms at P for every test function: the plain weights,
             # F(P), and the square-root weights with F at their points
-            rooted = sqrt_operator_weights(case, g, lam, beta, tags, P, terms, policy)
-            plain = operator_weights(case, g, lam, beta, config.mass_values, tags, P, policy)
+            rooted = sqrt_operator_weights(case, g, lam, beta, tags, P, terms)
+            plain = operator_weights(case, g, lam, beta, config.mass_values, tags, P)
             return plain, F(P), [(w, Q, F(Q)) for w, Q in rooted]
 
         def residual(form, fn):
@@ -863,8 +856,7 @@ def _direct_kernel_rows(
     rows: list[SampleResult] = []
     try:
         tracker = BranchTracker(Z0)
-        terms = ConjugatedTerms(ctx.case, ctx.policy, tracker, blocks,
-                                lambda P: kernel_fn(tracker, P), ref_fn)
+        terms = ConjugatedTerms(ctx.case, tracker, blocks, lambda P: kernel_fn(tracker, P), ref_fn)
         terms.calibrate()
 
         def residual_at(P):
@@ -940,38 +932,38 @@ def _pick(P: Sequence[complex], slots: Sequence[int]) -> tuple[complex, ...]:
     return tuple(P[v] for v in slots)
 
 
-def _on_slots(case, fn, g, lam, beta, slices, policy):
+def _on_slots(case, fn, g, lam, beta, slices):
     """``fn`` of the operator at ``(g, lam, beta)`` acting on the
     coordinates ``P[slices]``, as a function of ``P`` and the remaining
     arguments of ``fn`` (``j, sign`` for a shift coefficient)."""
-    return lambda P, *args: fn(case, g, lam, beta, *(_pick(P, v) for v in slices), *args, policy)
+    return lambda P, *args: fn(case, g, lam, beta, *(_pick(P, v) for v in slices), *args)
 
 
 @dataclass(frozen=True)
 class _DisplaySpec:
     """One specialised display of the operator: its species in coordinate
-    order; ``build(case, g, lam, beta, slices, policy)``, which returns the
-    zeroth coefficient ``v0(P)`` less its constant, the weights ``weights(P)``,
-    the squared ground-state factors and one ``(label, slots, coeff(P, j,
-    sign), step)`` closure block per species; and whether the chain and
-    closure rows run before the eigen row."""
+    order; ``build(case, g, lam, beta, slices)``, which returns the zeroth
+    coefficient ``v0(P)`` less its constant, the weights ``weights(P)``, the
+    squared ground-state factors and one ``(label, slots, coeff(P, j, sign),
+    step)`` closure block per species; and whether the chain and closure
+    rows run before the eigen row."""
 
     species: tuple[_Species, ...]
     build: Callable
     display: bool = True
 
 
-def _plain_display(case, g, lam, beta, slices, policy):
+def _plain_display(case, g, lam, beta, slices):
     def on(fn):
-        return _on_slots(case, fn, g, lam, beta, slices, policy)
+        return _on_slots(case, fn, g, lam, beta, slices)
 
     return (on(vd_V0), on(vd_weights), groundstate_sq_factors(case, g, lam, beta, *slices),
             [("closure", slices[0], on(vd_V_pm), -1j * beta)])
 
 
-def _deformed_display(case, g, lam, beta, slices, policy):
+def _deformed_display(case, g, lam, beta, slices):
     def on(fn):
-        return _on_slots(case, fn, g, lam, beta, slices, policy)
+        return _on_slots(case, fn, g, lam, beta, slices)
 
     return (on(def_V0), on(def_weights),
             deformed_groundstate_sq_factors(case, g, lam, beta, *slices),
@@ -989,26 +981,26 @@ _DISPLAYS = {
 def _rows_display(ctx: _RunCtx) -> list[SampleResult]:
     spec = _DISPLAYS[ctx.identity]
     rows = []
-    case, policy = ctx.case, ctx.policy
+    case = ctx.case
     for i in range(ctx.samples):
         slices, lab, config, Z = _block_sample(ctx, spec.species, i)
         coupling, tags, values = config.coupling, config.masses, config.mass_values
         g, lam, beta = coupling.g, coupling.lam, coupling.beta
-        v0, weights, gs_sq, blocks = spec.build(case, g, lam, beta, slices, policy)
+        v0, weights, gs_sq, blocks = spec.build(case, g, lam, beta, slices)
 
         if not (ctx.label == "IV" and ctx.no_balance):
             if spec.display:
                 # specialised coefficients == generic multiset coefficients
-                dev, sc = _worst_dev(batched(case, policy, lambda: [
-                    (coeff_V_shift(case, g, lam, beta, values, tags, Z, slot, sign, policy),
+                dev, sc = _worst_dev(batched(case, lambda: [
+                    (coeff_V_shift(case, g, lam, beta, values, tags, Z, slot, sign),
                      coeff(Z, j, sign))
                     for _, slots, coeff, _ in blocks for j, slot in enumerate(slots)
                     for sign in (1, -1)]))
                 rows.append(_row(ctx, f"{lab}/chain-shift", i, dev, sc))
 
-                d, s = _rel_dev(*batched(case, policy, lambda: (
-                    coeff_V0(case, g, lam, beta, values, Z, policy),
-                    v0(Z) - c0_constant(case, g, lam, beta, policy))))
+                d, s = _rel_dev(*batched(case, lambda: (
+                    coeff_V0(case, g, lam, beta, values, Z),
+                    v0(Z) - c0_constant(case, g, lam, beta))))
                 rows.append(_row(ctx, f"{lab}/chain-zero", i, d, s))
 
                 # square-root closure: coefficient ratio under one step
@@ -1016,19 +1008,19 @@ def _rows_display(ctx: _RunCtx) -> list[SampleResult]:
                 def closure(coeff, slot, j, sign, delta):
                     shifted = _moved(Z, slot, Z[slot] + delta)
                     return (coeff(Z, j, sign) / coeff(shifted, j, -sign),
-                            factor_ratio(case, gs_sq, Z, slot, delta, policy))
+                            factor_ratio(case, gs_sq, Z, slot, delta))
 
                 for name, slots, coeff, step in blocks:
                     if slots:
-                        dev, sc = _worst_dev(batched(case, policy, lambda: [
+                        dev, sc = _worst_dev(batched(case, lambda: [
                             closure(coeff, slot, j, sign, sign * step)
                             for j, slot in enumerate(slots) for sign in (1, -1)]))
                         rows.append(_row(ctx, f"{lab}/{name}", i, dev, sc))
 
             # eigenvalue: the action on the constant function
-            terms, const = batched(case, policy, lambda: (
+            terms, const = batched(case, lambda: (
                 weighted_terms(weights(Z), lambda _: 1.0),
-                eigen_constant(case, g, lam, beta, values, policy)))
+                eigen_constant(case, g, lam, beta, values)))
             scale = max(_max_abs(terms), abs(const), _TINY)
             rows.append(_row(ctx, f"{lab}/eigen", i, abs(sum(terms) - const) / scale, scale))
 
@@ -1049,65 +1041,65 @@ def _rows_display(ctx: _RunCtx) -> list[SampleResult]:
 @dataclass(frozen=True)
 class _KernelSpec:
     """One kernel identity: its species in coordinate order, the kernel
-    value ``value(case, g, lam, beta, P, *slices, tracker, policy)``, and
-    ``blocks(case, g, lam, beta, slices, policy)``, which returns the
-    kernel factors ``K``, the zeroth coefficient ``v0(P)`` of the combined
-    operator and the :class:`ShiftBlock` of each species."""
+    value ``value(case, g, lam, beta, P, *slices, tracker)``, and ``blocks(case,
+    g, lam, beta, slices)``, which returns the kernel factors ``K``, the
+    zeroth coefficient ``v0(P)`` of the combined operator and the
+    :class:`ShiftBlock` of each species."""
 
     species: tuple[_Species, ...]
     value: Callable
     blocks: Callable
 
 
-def _cauchy_blocks(case, g, lam, beta, slices, policy):
+def _cauchy_blocks(case, g, lam, beta, slices):
     x, y = slices
     gref = reflected_couplings(g, lam)
 
     def v0(P):
-        return (vd_V0(case, g, lam, beta, _pick(P, x), policy)
-                - vd_V0(case, gref, lam, beta, _pick(P, y), policy))
+        return (vd_V0(case, g, lam, beta, _pick(P, x))
+                - vd_V0(case, gref, lam, beta, _pick(P, y)))
 
     return cauchy_kernel_factors(lam, beta, x, y), v0, (
-        ShiftBlock("map-x", x, _on_slots(case, vd_V_pm, g, lam, beta, [x], policy),
+        ShiftBlock("map-x", x, _on_slots(case, vd_V_pm, g, lam, beta, [x]),
                -1j * beta, (1, 1j * lam * beta), 1),
-        ShiftBlock("map-y", y, _on_slots(case, vd_V_pm, gref, lam, beta, [y], policy),
+        ShiftBlock("map-y", y, _on_slots(case, vd_V_pm, gref, lam, beta, [y]),
                -1j * beta, (-1, 1j * lam * beta), -1),
     )
 
 
-def _dual_blocks(case, g, lam, beta, slices, policy):
+def _dual_blocks(case, g, lam, beta, slices):
     x, t = slices
     gsc = tuple(v / lam for v in g)
 
     def v0(P):
-        return (vd_V0(case, g, lam, beta, _pick(P, x), policy)
-                + vd_V0(case, gsc, 1.0 / lam, lam * beta, _pick(P, t), policy))
+        return (vd_V0(case, g, lam, beta, _pick(P, x))
+                + vd_V0(case, gsc, 1.0 / lam, lam * beta, _pick(P, t)))
 
     return dual_cauchy_kernel_factors(x, t), v0, (
-        ShiftBlock("map-x", x, _on_slots(case, vd_V_pm, g, lam, beta, [x], policy),
+        ShiftBlock("map-x", x, _on_slots(case, vd_V_pm, g, lam, beta, [x]),
                -1j * beta, (1, 1j * lam * beta), 1),
-        ShiftBlock("map-t", t, _on_slots(case, vd_V_pm, gsc, 1.0 / lam, lam * beta, [t], policy),
+        ShiftBlock("map-t", t, _on_slots(case, vd_V_pm, gsc, 1.0 / lam, lam * beta, [t]),
                -1j * lam * beta, (1, 1j * beta), 1),
     )
 
 
-def _deformed_blocks(case, g, lam, beta, slices, policy):
+def _deformed_blocks(case, g, lam, beta, slices):
     x, xt, y, yt = slices
     gref = reflected_couplings(g, lam)
     K = deformed_kernel_cross_factors(lam, beta, x, xt, y, yt)
 
     def v0(P):
-        return (def_V0(case, g, lam, beta, _pick(P, x), _pick(P, xt), policy)
-                - def_V0(case, gref, lam, beta, _pick(P, y), _pick(P, yt), policy))
+        return (def_V0(case, g, lam, beta, _pick(P, x), _pick(P, xt))
+                - def_V0(case, gref, lam, beta, _pick(P, y), _pick(P, yt)))
 
     return K, v0, (
-        ShiftBlock("map-x", x, _on_slots(case, def_V_pm, g, lam, beta, [x, xt], policy),
+        ShiftBlock("map-x", x, _on_slots(case, def_V_pm, g, lam, beta, [x, xt]),
                -1j * beta, (1, 1j * lam * beta), 1),
-        ShiftBlock("map-t", xt, _on_slots(case, def_Vt_pm, g, lam, beta, [x, xt], policy),
+        ShiftBlock("map-t", xt, _on_slots(case, def_Vt_pm, g, lam, beta, [x, xt]),
                1j * lam * beta, (-1, 1j * beta), 1),
-        ShiftBlock("map-y", y, _on_slots(case, def_V_pm, gref, lam, beta, [y, yt], policy),
+        ShiftBlock("map-y", y, _on_slots(case, def_V_pm, gref, lam, beta, [y, yt]),
                -1j * beta, (-1, 1j * lam * beta), -1),
-        ShiftBlock("map-yt", yt, _on_slots(case, def_Vt_pm, gref, lam, beta, [y, yt], policy),
+        ShiftBlock("map-yt", yt, _on_slots(case, def_Vt_pm, gref, lam, beta, [y, yt]),
                1j * lam * beta, (1, 1j * beta), -1),
     )
 
@@ -1122,34 +1114,33 @@ _KERNELS = {
 def _rows_kernel(ctx: _RunCtx) -> list[SampleResult]:
     spec = _KERNELS[ctx.identity]
     rows = []
-    case, policy = ctx.case, ctx.policy
+    case = ctx.case
     direct_budget = 2
     for i in range(ctx.samples):
         slices, lab, config, Z = _block_sample(ctx, spec.species, i)
         coupling, tags, values = config.coupling, config.masses, config.mass_values
         g, lam, beta = coupling.g, coupling.lam, coupling.beta
-        K, v0, blocks = spec.blocks(case, g, lam, beta, slices, policy)
+        K, v0, blocks = spec.blocks(case, g, lam, beta, slices)
 
         def ref(P, b, j, sign):
-            return coeff_V_shift(case, g, lam, beta, values, tags, P, b.slots[j],
-                                 b.orient * sign, policy)
+            return coeff_V_shift(case, g, lam, beta, values, tags, P, b.slots[j], b.orient * sign)
 
         if not (ctx.label == "IV" and ctx.no_balance):
             for b in blocks:
                 if b.slots:
-                    dev, sc = _worst_dev(batched(case, policy, lambda: [
+                    dev, sc = _worst_dev(batched(case, lambda: [
                         (ref(Z, b, j, sign),
                          b.coeff(Z, j, sign)
-                         * factor_ratio(case, K, Z, slot, sign * b.step, policy))
+                         * factor_ratio(case, K, Z, slot, sign * b.step))
                         # combined shift +1 first: of equal deviations the first counts
                         for j, slot in enumerate(b.slots) for sign in (b.orient, -b.orient)]))
                     rows.append(_row(ctx, f"{lab}/{b.label}", i, dev, sc))
 
-            d, s = _rel_dev(*batched(case, policy, lambda: (
-                coeff_V0(case, g, lam, beta, values, Z, policy), v0(Z))))
+            d, s = _rel_dev(*batched(case, lambda: (
+                coeff_V0(case, g, lam, beta, values, Z), v0(Z))))
             rows.append(_row(ctx, f"{lab}/chain-zero", i, d, s))
 
-            res, scale = residual_source(config, Z, policy)
+            res, scale = residual_source(config, Z)
             rows.append(_row(ctx, f"{lab}/const", i, res, scale))
 
             # N and Nt belong to the first operator, M and Mt to the second;
@@ -1157,17 +1148,17 @@ def _rows_kernel(ctx: _RunCtx) -> list[SampleResult]:
             first = sum(len(sl) for sp, sl in zip(spec.species, slices) if sp.particles < 2)
             if ctx.label in ("I", "II") and direct_budget > 0 and 0 < first < len(tags):
                 direct_budget -= 1
-                const = source_constant(case, g, lam, beta, values, policy)
+                const = source_constant(case, g, lam, beta, values)
 
                 def kernel(tr, P):
-                    return spec.value(case, g, lam, beta, P, *slices, tr, policy)
+                    return spec.value(case, g, lam, beta, P, *slices, tr)
 
                 rows.extend(_direct_kernel_rows(ctx, lab, i, Z, blocks, kernel, v0, const, ref))
 
         if ctx.label == "IV":
             for delta in (CONTROL_DETUNE, -CONTROL_DETUNE):
                 bad = Configuration(case, _detuned(coupling, delta), tags)
-                res, scale = residual_source(bad, Z, policy)
+                res, scale = residual_source(bad, Z)
                 rows.append(_row(ctx, f"{lab}/const/defect={delta:+g}", i, res, scale,
                                  control=True))
     return rows
@@ -1180,7 +1171,7 @@ def _rows_kernel(ctx: _RunCtx) -> list[SampleResult]:
 
 def _rows_anti_symmetry(ctx: _RunCtx) -> list[SampleResult]:
     rows = []
-    case, policy = ctx.case, ctx.policy
+    case = ctx.case
     pair_grid = [(1, 1), (2, 1), (1, 2)]
     for i in range(ctx.samples):
         coupling = _draw_coupling(ctx.rng, case)
@@ -1198,11 +1189,11 @@ def _rows_anti_symmetry(ctx: _RunCtx) -> list[SampleResult]:
         ts = tuple(Z[v] for v in range(N, N + Nt))
         # the operators at +beta and -beta, plain and two-species, for every
         # test function
-        plain, two = batched(case, policy, lambda: (
-            (vd_weights(case, g, lam, beta, X, policy),
-             vd_weights(case, g, lam, -beta, X, policy)),
-            (def_weights(case, g, lam, beta, xs, ts, policy),
-             def_weights(case, g, lam, -beta, xs, ts, policy))))
+        plain, two = batched(case, lambda: (
+            (vd_weights(case, g, lam, beta, X),
+             vd_weights(case, g, lam, -beta, X)),
+            (def_weights(case, g, lam, beta, xs, ts),
+             def_weights(case, g, lam, -beta, xs, ts))))
 
         for fi in range(5):
             fn = _exp_fn(ctx.rng.uniform(-0.9, 0.9, size=n))
@@ -1226,9 +1217,9 @@ def _rows_anti_symmetry(ctx: _RunCtx) -> list[SampleResult]:
             else:
                 g_wit = g
             g_neg = tuple(-v for v in g_wit)
-            t_pos, t_bad = batched(case, policy, lambda: (
-                weighted_terms(vd_weights(case, g_wit, lam, beta, X, policy), fn),
-                weighted_terms(vd_weights(case, g_neg, lam, -beta, X, policy), fn)))
+            t_pos, t_bad = batched(case, lambda: (
+                weighted_terms(vd_weights(case, g_wit, lam, beta, X), fn),
+                weighted_terms(vd_weights(case, g_neg, lam, -beta, X), fn)))
             scale = max(_max_abs(t_pos), _max_abs(t_bad))
             rows.append(_row(ctx, "plain/joint-flip", i,
                              abs(sum(t_pos) + sum(t_bad)) / scale, scale, control=True))
@@ -1237,7 +1228,7 @@ def _rows_anti_symmetry(ctx: _RunCtx) -> list[SampleResult]:
 
 def _rows_parameter_swap(ctx: _RunCtx) -> list[SampleResult]:
     rows = []
-    case, policy = ctx.case, ctx.policy
+    case = ctx.case
     grid = [(1, 1), (2, 1), (1, 2), (1, 0), (0, 1)]
     for i in range(ctx.samples):
         N, Nt = grid[i % len(grid)]
@@ -1261,16 +1252,16 @@ def _rows_parameter_swap(ctx: _RunCtx) -> list[SampleResult]:
         def swapped(point):
             return fn(point[::-1])
 
-        t_orig, t_swap = batched(case, policy, lambda: (
-            weighted_terms(def_weights(case, g, lam, beta, xs, ts, policy), fn),
-            weighted_terms(def_weights(case, g_swap, 1.0 / lam, -lam * beta, ts, xs, policy), swapped)))
+        t_orig, t_swap = batched(case, lambda: (
+            weighted_terms(def_weights(case, g, lam, beta, xs, ts), fn),
+            weighted_terms(def_weights(case, g_swap, 1.0 / lam, -lam * beta, ts, xs), swapped)))
         scale = max(_max_abs(t_orig), _max_abs(t_swap))
         rows.append(_row(ctx, f"{lab}/swap", i,
                          abs(sum(t_orig) - sum(t_swap)) / scale, scale))
 
         if ctx.label != "IV":
-            t_bad = batched(case, policy, lambda: weighted_terms(
-                def_weights(case, g_bad, 1.0 / lam, -lam * beta, ts, xs, policy), swapped))
+            t_bad = batched(case, lambda: weighted_terms(
+                def_weights(case, g_bad, 1.0 / lam, -lam * beta, ts, xs), swapped))
             scale = max(_max_abs(t_orig), _max_abs(t_bad))
             rows.append(_row(ctx, f"{lab}/swap-bad-coupling", i,
                              abs(sum(t_orig) - sum(t_bad)) / scale, scale, control=True))
@@ -1284,7 +1275,7 @@ def _rows_parameter_swap(ctx: _RunCtx) -> list[SampleResult]:
 
 def _rows_quasi_invariance(ctx: _RunCtx) -> list[SampleResult]:
     rows = []
-    case, policy = ctx.case, ctx.policy
+    case = ctx.case
     r = case.r
     h0 = 5e-3
     radius = 0.02
@@ -1300,7 +1291,7 @@ def _rows_quasi_invariance(ctx: _RunCtx) -> list[SampleResult]:
             x_pole = xt0 + 0.5j * (lam + 1) * beta
             p_fn = lambda x, xt, lam=lam, beta=beta: deformed_power_sum(r, lam, beta, n_pow, x, xt)
             try:
-                weights = def_weights(case, coupling.g, lam, beta, (x_pole + h0,), (xt0,), policy)
+                weights = def_weights(case, coupling.g, lam, beta, (x_pole + h0,), (xt0,))
                 probe = sum(weighted_terms(weights, lambda Q: p_fn(*Q)), start=0j)
             except (DomainError, ZeroDivisionError, OverflowError):
                 ctx.rejected += 1
@@ -1327,8 +1318,7 @@ def _rows_quasi_invariance(ctx: _RunCtx) -> list[SampleResult]:
             return abs(d) / scale, scale
 
         # the probe points, shared by p_fn and p_bad
-        weights_at = cache(lambda zeta: def_weights(case, g, lam, beta, (x_pole + zeta,),
-                                                    (xt0,), policy))
+        weights_at = cache(lambda zeta: def_weights(case, g, lam, beta, (x_pole + zeta,), (xt0,)))
 
         def f_at(p, zeta):
             return sum(weighted_terms(weights_at(zeta), lambda Q: p(*Q)), start=0j)
@@ -1426,7 +1416,6 @@ def run_identity(
     samples: int = 20,
     seed: int = 0,
     *,
-    policy: TruncationPolicy = DEFAULT_POLICY,
     tol: float | None = None,
     masses: Sequence[MassTag | str] | None = None,
     particles: tuple[int, int, int, int] | None = None,
@@ -1434,13 +1423,16 @@ def run_identity(
     max_n: int = 3,
     r: float | None = None,
     a: float | None = None,
+    product_terms: int | None = None,
 ) -> ResidualReport:
     """Verify one identity on one case and return the report.
 
     ``masses`` pins the mass multiset where the identity admits one;
     ``particles`` pins the block sizes of the specialised identities;
     ``no_balance`` (elliptic only) runs just the detuned negative
-    controls, whose expectation is a LARGE residual.
+    controls, whose expectation is a LARGE residual.  ``product_terms``
+    caps the factors of the theta product (see :class:`TruncationPolicy`);
+    only ``theta-product`` reads it.
     """
     spec = _REGISTRY.get(identity)
     if spec is None:
@@ -1456,6 +1448,8 @@ def run_identity(
         raise DomainError("no_balance applies to the elliptic case only")
     if no_balance and not spec.balanced:
         raise DomainError(f"identity {identity!r} has no balancing constraint to drop")
+    if product_terms is not None and product_terms < 1:
+        raise DomainError("product_terms must be at least 1")
 
     rng = _rng_for(seed, identity, case_label)
     case = make_case(case_label, rng, r=r, a=a)
@@ -1466,12 +1460,12 @@ def run_identity(
         samples=int(samples),
         seed=int(seed),
         tol=float(tol) if tol is not None else default_tolerance(identity, case_label),
-        policy=policy,
         rng=rng,
         masses=tuple(MassTag.parse(t) for t in masses) if masses else None,
         particles=tuple(int(v) for v in particles) if particles else None,
         no_balance=bool(no_balance),
         max_n=int(max_n),
+        product_terms=product_terms,
     )
     with _coefficient_memo():
         rows = spec.run(ctx)
@@ -1542,10 +1536,7 @@ def run_suite(
 
 FORMAT_VERSION = 1
 
-_CSV_COLUMNS = (
-    "identity", "case", "label", "index", "residual", "scale",
-    "tolerance", "control", "passed", "detail",
-)
+_CSV_COLUMNS = tuple(f.name for f in dataclass_fields(SampleResult))
 
 
 def json_line(record: dict) -> str:
@@ -1561,34 +1552,11 @@ def header_line(created: str, **fields) -> str:
 
 
 def sample_record(row: SampleResult) -> dict:
-    return {
-        "record": "sample",
-        "identity": row.identity,
-        "case": row.case,
-        "label": row.label,
-        "index": row.index,
-        "residual": row.residual,
-        "scale": row.scale,
-        "tolerance": row.tolerance,
-        "control": row.control,
-        "passed": row.passed,
-        "detail": row.detail,
-    }
+    return {"record": "sample", **vars(row)}
 
 
 def summary_record(report: ResidualReport) -> dict:
-    return {
-        "record": "summary",
-        "identity": report.identity,
-        "case": report.case,
-        "seed": report.seed,
-        "sample_count": report.sample_count,
-        "max_rel_residual": report.max_rel_residual,
-        "normalization_scale": report.normalization_scale,
-        "min_control_residual": report.min_control_residual,
-        "rejection_rate": report.rejection_rate,
-        "verdict": report.verdict,
-    }
+    return {"record": "summary", **{k: v for k, v in vars(report).items() if k != "results"}}
 
 
 def render_json_lines(

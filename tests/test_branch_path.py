@@ -21,7 +21,7 @@ from vandiejen.eigenfunctions import (
     sqrt_operator_weights,
 )
 from vandiejen.operators import MassTag, def_V_pm, def_Vt_pm, weighted_terms
-from vandiejen.sfun import DEFAULT_POLICY, CaseKind, CaseParams, PoleProximityError
+from vandiejen.sfun import CaseKind, CaseParams, PoleProximityError
 
 R, A = 1.1, 1.8
 LAM, BETA = 1.45, 0.31
@@ -207,7 +207,7 @@ def _compare_two_species(label, base, dx, dy):
     )
 
     def evaluate(tracker):
-        terms = ConjugatedTerms(case, DEFAULT_POLICY, tracker, blocks, lambda P: 1.0, None)
+        terms = ConjugatedTerms(case, tracker, blocks, lambda P: 1.0, None)
         for Z in (base, (base[0] + dx, base[1] + dy)):
             for b, j, sign in terms.terms:
                 terms.roots(Z, b, j, sign)

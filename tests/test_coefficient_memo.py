@@ -22,7 +22,7 @@ from vandiejen.operators import (
     coeff_V_shift,
     vd_V0,
 )
-from vandiejen.sfun import DEFAULT_POLICY, CaseKind, CaseParams
+from vandiejen.sfun import CaseKind, CaseParams
 
 CASE = CaseParams(CaseKind.ELLIPTIC, r=1.1, a=1.8)
 G = tuple(0.37 + 0.05 * k for k in range(8))
@@ -56,9 +56,9 @@ def test_a_run_takes_fewer_s_values_with_the_memo():
     points = []
     original = operators.s_eval
 
-    def counting(case, x, policy=DEFAULT_POLICY):
+    def counting(case, x):
         points.append(np.size(x))
-        return original(case, x, policy)
+        return original(case, x)
 
     with mock.patch.object(operators, "s_eval", counting):
         verify.run_identity("source", "IV", samples=4, seed=0)
@@ -91,7 +91,7 @@ def test_the_coupling_blocks_serve_every_zeroth_coefficient():
 def test_a_scope_may_ask_for_one_key_twice():
     fresh = coeff_V0(CASE, G, LAM, BETA, MASSES, X)
     with _coefficient_memo():
-        pair = batched(CASE, DEFAULT_POLICY, lambda: (
+        pair = batched(CASE, lambda: (
             coeff_V0(CASE, G, LAM, BETA, MASSES, X), coeff_V0(CASE, G, LAM, BETA, MASSES, X)))
         assert pair == (fresh, fresh)
         assert coeff_V0(CASE, G, LAM, BETA, MASSES, X) == fresh
@@ -101,8 +101,8 @@ def test_a_scope_that_raises_commits_nothing():
     # s(0) = 0 divides by zero in the replay, after V_0 was staged
     with _coefficient_memo():
         with pytest.raises(ZeroDivisionError):
-            batched(CASE, DEFAULT_POLICY, lambda: (
-                coeff_V0(CASE, G, LAM, BETA, MASSES, X), 1 / _sv(CASE, 0j, DEFAULT_POLICY)))
+            batched(CASE, lambda: (
+                coeff_V0(CASE, G, LAM, BETA, MASSES, X), 1 / _sv(CASE, 0j)))
         assert _memo() == {}
 
 
@@ -124,8 +124,7 @@ def test_keys_do_not_collide(calls):
 
 
 def test_a_path_call_is_not_memoized():
-    coeff = pathwise(CASE, DEFAULT_POLICY,
-                     lambda Q: coeff_V_shift(CASE, G, LAM, BETA, MASSES, TAGS, Q, 0, 1))
+    coeff = pathwise(CASE, lambda Q: coeff_V_shift(CASE, G, LAM, BETA, MASSES, TAGS, Q, 0, 1))
     path = tuple(np.array([x, x + 0.01, x + 0.02]) for x in X)
     with _coefficient_memo():
         values = coeff(path)

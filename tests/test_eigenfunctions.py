@@ -36,7 +36,7 @@ from vandiejen.eigenfunctions import (
 )
 from vandiejen.operators import (MassTag, coeff_V_shift, operator_terms, source_constant,
                                  weighted_terms)
-from vandiejen.sfun import DEFAULT_POLICY, CaseKind, CaseParams, DomainError
+from vandiejen.sfun import CaseKind, CaseParams, DomainError
 from vandiejen.verify import _KERNELS
 
 R, A = 1.1, 1.8
@@ -371,7 +371,7 @@ def test_gauge_calibration_needs_one_sign_per_factor():
     # directions, so a reference whose sign follows the direction cannot
     # be matched
     conj = _one_coordinate_conjugation()
-    flipped = ConjugatedTerms(conj.case, conj.policy, conj.tracker, conj.blocks, conj.F,
+    flipped = ConjugatedTerms(conj.case, conj.tracker, conj.blocks, conj.F,
                               lambda P, b, j, s: s * b.coeff(P, j, s))
     with pytest.raises(BranchError, match="need opposite gauges"):
         flipped.calibrate()
@@ -394,12 +394,11 @@ def test_sheet_fault_breaks_a_kernel_identity():
     g = couplings_for("II")
     tags = (MassTag.PLUS_ONE, MassTag.MINUS_ONE)
     masses = tuple(t.value_for(LAM) for t in tags)
-    _, v0, blocks = _KERNELS["kernel-cauchy"].blocks(case, g, LAM, BETA, ((0,), (1,)),
-                                                     DEFAULT_POLICY)
+    _, v0, blocks = _KERNELS["kernel-cauchy"].blocks(case, g, LAM, BETA, ((0,), (1,)))
     base = (0.43 + 0.04j, 0.86 - 0.05j)
     tracker = BranchTracker(base)
     terms = ConjugatedTerms(
-        case, DEFAULT_POLICY, tracker, blocks,
+        case, tracker, blocks,
         lambda P: kernel_cauchy_value(case, g, LAM, BETA, P, (0,), (1,), tracker),
         lambda P, b, j, s: coeff_V_shift(case, g, LAM, BETA, masses, tags, P, b.slots[j],
                                          b.orient * s))

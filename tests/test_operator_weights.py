@@ -36,7 +36,7 @@ from vandiejen.operators import (
     vd_weights,
     weighted_terms,
 )
-from vandiejen.sfun import DEFAULT_POLICY, CaseKind, CaseParams, PoleProximityError, s_eval
+from vandiejen.sfun import CaseKind, CaseParams, PoleProximityError, s_eval
 
 CASES = {label: CaseParams(CaseKind.from_label(label), r=1.1, a=1.8)
          for label in ("I", "II", "III", "IV")}
@@ -49,65 +49,65 @@ PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=N
 # ---------------------------------------------------------------------------
 
 
-def _ref_operator_terms(case, g, lam, beta, masses, tags, X, fn, policy=DEFAULT_POLICY):
+def _ref_operator_terms(case, g, lam, beta, masses, tags, X, fn):
     X = tuple(complex(v) for v in X)
     terms = []
     for j, m_j in enumerate(masses):
         step = 1j * beta / m_j
-        pref = _sv(case, 1j * lam * m_j * beta, policy)
+        pref = _sv(case, 1j * lam * m_j * beta)
         for sign in (1, -1):
-            coeff = coeff_V_shift(case, g, lam, beta, masses, tags, X, j, sign, policy)
+            coeff = coeff_V_shift(case, g, lam, beta, masses, tags, X, j, sign)
             shifted = list(X)
             shifted[j] = X[j] - sign * step
             terms.append(pref * coeff * fn(tuple(shifted)))
-    terms.append(coeff_V0(case, g, lam, beta, masses, X, policy) * fn(X))
+    terms.append(coeff_V0(case, g, lam, beta, masses, X) * fn(X))
     return terms
 
 
-def _ref_vd_terms(case, g, lam, beta, x, fn, policy=DEFAULT_POLICY):
+def _ref_vd_terms(case, g, lam, beta, x, fn):
     x = tuple(complex(v) for v in x)
-    pref = _sv(case, 1j * lam * beta, policy)
+    pref = _sv(case, 1j * lam * beta)
     terms = []
     for j in range(len(x)):
         for sign in (1, -1):
-            coeff = vd_V_pm(case, g, lam, beta, x, j, sign, policy)
+            coeff = vd_V_pm(case, g, lam, beta, x, j, sign)
             shifted = list(x)
             shifted[j] = x[j] - sign * 1j * beta
             terms.append(pref * coeff * fn(tuple(shifted)))
-    terms.append(vd_V0(case, g, lam, beta, x, policy) * fn(x))
+    terms.append(vd_V0(case, g, lam, beta, x) * fn(x))
     return terms
 
 
-def _ref_def_terms(case, g, lam, beta, x, xt, fn, policy=DEFAULT_POLICY):
+def _ref_def_terms(case, g, lam, beta, x, xt, fn):
     x = tuple(complex(v) for v in x)
     xt = tuple(complex(v) for v in xt)
-    pref_x = _sv(case, 1j * lam * beta, policy)
-    pref_t = _sv(case, 1j * beta, policy)
+    pref_x = _sv(case, 1j * lam * beta)
+    pref_t = _sv(case, 1j * beta)
     terms = []
     for j in range(len(x)):
         for sign in (1, -1):
-            coeff = def_V_pm(case, g, lam, beta, x, xt, j, sign, policy)
+            coeff = def_V_pm(case, g, lam, beta, x, xt, j, sign)
             shifted = list(x)
             shifted[j] = x[j] - sign * 1j * beta
             terms.append(pref_x * coeff * fn(tuple(shifted), xt))
     for k in range(len(xt)):
         for sign in (1, -1):
-            coeff = def_Vt_pm(case, g, lam, beta, x, xt, k, sign, policy)
+            coeff = def_Vt_pm(case, g, lam, beta, x, xt, k, sign)
             shifted = list(xt)
             shifted[k] = xt[k] + sign * 1j * lam * beta
             terms.append(-pref_t * coeff * fn(x, tuple(shifted)))
-    terms.append(def_V0(case, g, lam, beta, x, xt, policy) * fn(x, xt))
+    terms.append(def_V0(case, g, lam, beta, x, xt) * fn(x, xt))
     return terms
 
 
-def _ref_apply_sqrt_operator(case, g, lam, beta, tags, Z, h_fn, terms, policy=DEFAULT_POLICY):
+def _ref_apply_sqrt_operator(case, g, lam, beta, tags, Z, h_fn, terms):
     Z = tuple(complex(v) for v in Z)
     masses = tuple(t.value_for(lam) for t in tags)
     total = 0j
     for b, j, sign in terms.terms:
         root_here, root_there, shifted = terms.roots(Z, b, j, sign)
         total += terms.prefactor(b) * root_here * root_there * h_fn(shifted)
-    total += coeff_V0(case, g, lam, beta, masses, Z, policy) * h_fn(Z)
+    total += coeff_V0(case, g, lam, beta, masses, Z) * h_fn(Z)
     return total
 
 
@@ -242,7 +242,7 @@ def test_a_path_agrees_with_its_points_and_ends_on_the_scalar_value(
     assume(all(cmath.isfinite(v) and 1e-200 < abs(v) < 1e200 for v in points))
     with mock.patch.object(operators, "s_eval", wraps=s_eval) as spy, \
             np.errstate(divide="raise", over="raise", invalid="raise"):
-        values = pathwise(case, DEFAULT_POLICY, coeff)(path)
+        values = pathwise(case, coeff)(path)
     # one array call for the path, one scalar coefficient for the target
     assert spy.call_count == 2
     assert values.shape == (len(ts),)
@@ -260,11 +260,11 @@ def test_a_formula_may_mix_scalar_and_array_arguments():
         return lambda s: s(0.5 + 0.1j) * s(v) / s(2 * v)
 
     with mock.patch.object(operators, "s_eval", wraps=s_eval) as spy:
-        values = operators._batched(case, DEFAULT_POLICY, formula(z))
+        values = operators._batched(case, formula(z))
     assert spy.call_count == 1
     assert spy.call_args.args[1].shape == (3 * len(z),)
     for value, v in zip(values, z.tolist()):
-        point = operators._batched(case, DEFAULT_POLICY, formula(v))
+        point = operators._batched(case, formula(v))
         assert abs(value - point) <= 1e-15 * abs(point)
 
 
@@ -288,7 +288,7 @@ def test_an_anti_symmetry_sample_builds_each_operator_once(seed):
     # without residual scopes each thunk runs once, so the count is the
     # number of operators built: +beta and -beta, plain and two-species
     counts = []
-    with mock.patch.object(verify, "batched", lambda case, policy, thunk: thunk()), \
+    with mock.patch.object(verify, "batched", lambda case, thunk: thunk()), \
             _counting(operators, "vd_V0", counts), _counting(operators, "def_V0", counts), \
             _counting(verify, "vd_V0", counts), _counting(verify, "def_V0", counts):
         report = verify.run_identity("anti-symmetry", "IV", samples=1, seed=seed)

@@ -29,7 +29,6 @@ from vandiejen.operators import (
     vd_V_pm,
 )
 from vandiejen.sfun import (
-    DEFAULT_POLICY,
     CaseKind,
     CaseParams,
     ConvergenceError,
@@ -43,34 +42,34 @@ CASES = {label: CaseParams(CaseKind.from_label(label), r=1.1, a=1.8)
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
-def _scalar_batched(case, policy, formula, key=None):
+def _scalar_batched(case, formula, key=None):
     """The path before batching: each ``s`` argument through its own scalar
     ``s_eval`` call, in the order the formula asks for them, and no memo."""
-    return formula(lambda z: complex(s_eval(case, complex(z), policy)))
+    return formula(lambda z: complex(s_eval(case, complex(z))))
 
 
-def _calls(case, g, lam, beta, tags, X, xt, j, sign, policy):
+def _calls(case, g, lam, beta, tags, X, xt, j, sign):
     masses = tuple(t.value_for(lam) for t in tags)
     p = proof_params(case, g, lam, beta, masses, X)
     nu = j % (case.rho + 1)
     return {
-        "coeff_V_shift": lambda: coeff_V_shift(case, g, lam, beta, masses, tags, X, j, sign, policy),
-        "coeff_V0": lambda: coeff_V0(case, g, lam, beta, masses, X, policy),
-        "vd_V_pm": lambda: vd_V_pm(case, g, lam, beta, X, j, sign, policy),
-        "vd_V0": lambda: vd_V0(case, g, lam, beta, X, policy),
-        "def_V_pm": lambda: def_V_pm(case, g, lam, beta, X, xt, j, sign, policy),
-        "def_Vt_pm": lambda: def_Vt_pm(case, g, lam, beta, X, xt, j % len(xt), sign, policy),
-        "def_V0": lambda: def_V0(case, g, lam, beta, X, xt, policy),
-        "c0_constant": lambda: c0_constant(case, g, lam, beta, policy),
-        "source_constant": lambda: source_constant(case, g, lam, beta, masses, policy),
-        "summation_shift_term": lambda: summation_shift_term(case, p, j, sign, policy),
+        "coeff_V_shift": lambda: coeff_V_shift(case, g, lam, beta, masses, tags, X, j, sign),
+        "coeff_V0": lambda: coeff_V0(case, g, lam, beta, masses, X),
+        "vd_V_pm": lambda: vd_V_pm(case, g, lam, beta, X, j, sign),
+        "vd_V0": lambda: vd_V0(case, g, lam, beta, X),
+        "def_V_pm": lambda: def_V_pm(case, g, lam, beta, X, xt, j, sign),
+        "def_Vt_pm": lambda: def_Vt_pm(case, g, lam, beta, X, xt, j % len(xt), sign),
+        "def_V0": lambda: def_V0(case, g, lam, beta, X, xt),
+        "c0_constant": lambda: c0_constant(case, g, lam, beta),
+        "source_constant": lambda: source_constant(case, g, lam, beta, masses),
+        "summation_shift_term": lambda: summation_shift_term(case, p, j, sign),
         "summation_boundary_term": lambda: summation_boundary_term(
-            case, p, nu, use_c=sign > 0, policy=policy),
+            case, p, nu, use_c=sign > 0),
     }
 
 
 FUNCTIONS = sorted(_calls(CASES["I"], (0.3, 0.4), 1.5, 0.3, (MassTag.PLUS_ONE,),
-                          (0.4,), (0.2,), 0, 1, DEFAULT_POLICY))
+                          (0.4,), (0.2,), 0, 1))
 
 
 def _outcome(call):
@@ -103,8 +102,7 @@ def test_batched_equals_scalar_bit_for_bit(name, label, g, lam, beta, tags, X, x
     case = CASES[label]
     g = tuple(g[:2 * (case.rho + 1)])
     X = tuple(X[:len(tags)])
-    call = _calls(case, g, lam, beta, tuple(tags), X, tuple(xt), j % len(X), sign,
-                  DEFAULT_POLICY)[name]
+    call = _calls(case, g, lam, beta, tuple(tags), X, tuple(xt), j % len(X), sign)[name]
     with mock.patch.object(operators, "s_eval", wraps=s_eval) as spy:
         batched = _outcome(call)
     assert spy.call_count <= 1
@@ -113,9 +111,9 @@ def test_batched_equals_scalar_bit_for_bit(name, label, g, lam, beta, tags, X, x
     assert batched == scalar
 
 
-def _mp_scalar_batched(case, policy, formula, key=None):
+def _mp_scalar_batched(case, formula, key=None):
     """The scalar path with each ``s`` value at the argument's own type."""
-    return formula(lambda z: s_eval(case, z, policy))
+    return formula(lambda z: s_eval(case, z))
 
 
 def test_coeff_V0_at_30_digits_matches_the_scalar_path():
@@ -159,9 +157,9 @@ def test_replay_rejects_a_formula_that_branches_on_s_values():
         return s(0.3) + s(0.7) if s(0.5) == 1.0 else s(0.9)
 
     with pytest.raises(RuntimeError, match="more"):
-        operators._batched(case, DEFAULT_POLICY, more)
+        operators._batched(case, more)
     with pytest.raises(RuntimeError, match="fewer"):
-        operators._batched(case, DEFAULT_POLICY, fewer)
+        operators._batched(case, fewer)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +171,7 @@ SCOPED = ("summation", "source", "eigen-plain", "kernel-cauchy", "kernel-dual",
           "anti-symmetry", "parameter-swap")
 
 
-def _unscoped(case, policy, thunk):
+def _unscoped(case, thunk):
     """No residual scope: each coefficient takes its own array call and
     each prefactor its own scalar call."""
     return thunk()
@@ -216,7 +214,7 @@ def test_factor_ratio_takes_its_gamma_steps_from_one_call():
             mock.patch.object(gamma, "s_eval", wraps=s_eval) as gamma_spy:
         factor_ratio(case, factors, X, 0, -0.31j)
         assert spy.call_count == 1
-        operators.batched(case, DEFAULT_POLICY, lambda: [
+        operators.batched(case, lambda: [
             factor_ratio(case, factors, X, j, sign * 0.31j) for j in (0, 1) for sign in (1, -1)])
         assert spy.call_count == 2
     assert gamma_spy.call_count == 0
@@ -230,7 +228,7 @@ def test_a_scope_rejects_a_thunk_that_branches_on_s_values(label):
 
     def half_period_product():  # prod_{nu >= 1} s(omega_nu / 2), 1 while recording
         return operators._half_period_product(
-            lambda z: operators._sv(case, z, DEFAULT_POLICY), case)
+            lambda z: operators._sv(case, z), case)
 
     def more():  # on replay the product is not 1 and asks for more values
         return 0j if half_period_product() == 1 else vd_V0(case, g, 1.45, 0.31, X)
@@ -239,6 +237,6 @@ def test_a_scope_rejects_a_thunk_that_branches_on_s_values(label):
         return vd_V0(case, g, 1.45, 0.31, X) if half_period_product() == 1 else 0j
 
     with pytest.raises(RuntimeError, match="more"):
-        operators.batched(case, DEFAULT_POLICY, more)
+        operators.batched(case, more)
     with pytest.raises(RuntimeError, match="fewer"):
-        operators.batched(case, DEFAULT_POLICY, fewer)
+        operators.batched(case, fewer)

@@ -124,6 +124,8 @@ def test_run_identity_validation():
         run_identity("source", "II", no_balance=True)
     with pytest.raises(DomainError):
         run_identity("gamma-fe", "IV", no_balance=True)
+    with pytest.raises(DomainError, match="product_terms"):
+        run_identity("source", "I", product_terms=0)
 
 
 def test_s_oddness_report_shape():
@@ -251,6 +253,16 @@ def test_seeds_below_32_bits_keep_their_entropy():
 def test_negative_seed_is_rejected():
     with pytest.raises(DomainError, match="non-negative"):
         run_identity("s-oddness", "II", samples=1, seed=-1)
+
+
+def test_product_terms_caps_the_theta_product():
+    with pytest.raises(ConvergenceError, match="after 1 factors"):
+        run_identity("theta-product", "IV", samples=2, product_terms=1)
+
+
+def test_product_terms_leaves_other_identities_alone():
+    capped = run_identity("source", "IV", samples=3, product_terms=1)
+    assert capped.results == run_identity("source", "IV", samples=3).results
 
 
 def _fake_rows(residuals):
