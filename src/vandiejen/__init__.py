@@ -22,7 +22,6 @@ from .sfun import (
     ConvergenceError,
     DomainError,
     PoleProximityError,
-    TruncationPolicy,
 )
 from .verify import (
     ResidualReport,
@@ -36,7 +35,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CaseKind",
     "CaseParams",
-    "TruncationPolicy",
     "DomainError",
     "PoleProximityError",
     "ConvergenceError",

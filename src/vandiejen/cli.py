@@ -357,7 +357,10 @@ def _tags_for_eval(cfg: RunConfig, count: int) -> tuple[MassTag, ...]:
 
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
-    label = cfg.cases[0]
+    if len(cfg.cases) > 1:
+        raise DomainError(
+            f"field cases: eval takes one case, got {','.join(cfg.cases)}")
+    (label,) = cfg.cases
     case = verify.make_case(label, None, r=cfg.r, a=cfg.a)
     quantity = args.quantity
     alpha = 1.0 if args.alpha is None else args.alpha

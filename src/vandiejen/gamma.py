@@ -27,6 +27,8 @@ decays at rate ``Re(a)`` or better, and multiplies the steps back in.  In
 float64 the points of one call share numpy node blocks, one row per point,
 so a scalar and the same point in any array give the same bits.
 
+In float64 the term counts aim at :data:`~vandiejen.sfun.TARGET_REL_ERR`,
+and a hyperbolic integral that needs an upper limit beyond 40 fails.
 An mpmath argument ``x`` takes the same formulas in mpmath at the working
 precision ``mpmath.mp.dps`` and gives an mpmath value; its product term
 counts and its hyperbolic cutoff follow that precision.
@@ -41,12 +43,11 @@ from functools import lru_cache
 import numpy as np
 
 from .sfun import (
-    DEFAULT_POLICY,
+    TARGET_REL_ERR,
     CaseKind,
     CaseParams,
     ConvergenceError,
     DomainError,
-    TruncationPolicy,
     _DeferredModule,
     _SCALAR_TYPES,
     _as_complex_array,
@@ -69,6 +70,10 @@ _PRODUCT_HARD_CAP = 200_000
 _DOUBLE_PRODUCT_CAP = 400
 # rows of one hyperbolic node block: keeps its temporaries well under 1 MB
 _NODE_BLOCK_POINTS = 64
+# the hyperbolic integral: Gauss-Legendre panels of 16 nodes, at least this
+# many, and the largest upper limit before the analytic tail correction
+_MIN_PANELS = 13
+_QUADRATURE_CUTOFF = 40.0
 
 
 def _require_alpha(alpha: complex, positive: bool = True) -> complex:
@@ -103,11 +108,10 @@ def _geometric_terms(step: float, start: float, growth: float, tol: float) -> in
 # ---------------------------------------------------------------------------
 
 
-def _g1_trigonometric(case: CaseParams, alpha: complex, x: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
+def _g1_trigonometric(case: CaseParams, alpha: complex, x: np.ndarray) -> np.ndarray:
     r = case.r
-    tol = policy.target_rel_err
     im_max = float(np.max(np.abs(x.imag), initial=0.0))
-    count = _geometric_terms(r * alpha.real, 0.0, 2 * r * im_max, tol)
+    count = _geometric_terms(r * alpha.real, 0.0, 2 * r * im_max, TARGET_REL_ERR)
     # factors 1 - u_n exp(2 i r x), broadcast (terms, points) into one
     # temporary
     e = np.exp(2j * r * x.ravel())
@@ -197,7 +201,7 @@ def _hyperbolic_head(w, a, alpha, y0, table):
     return (w / (a * alpha)) * total
 
 
-def _hyperbolic_GR(a: float, alpha: complex, ws: list[complex], policy: TruncationPolicy) -> list[complex]:
+def _hyperbolic_GR(a: float, alpha: complex, ws: list[complex]) -> list[complex]:
     """The hyperbolic integral primitive at the points ``ws``, continued by cosh steps.
 
     Returns ``exp(i * integral)`` where the integral runs over the log-scaled
@@ -207,14 +211,14 @@ def _hyperbolic_GR(a: float, alpha: complex, ws: list[complex], policy: Truncati
     """
     steps = []
     for w in ws:
-        k, w0, y_cut = _toward_the_axis(a, alpha, w, policy.target_rel_err)
-        if y_cut > policy.quadrature_cutoff:
+        k, w0, y_cut = _toward_the_axis(a, alpha, w, TARGET_REL_ERR)
+        if y_cut > _QUADRATURE_CUTOFF:
             raise ConvergenceError(
-                f"hyperbolic integral needs cutoff {y_cut:.1f} > "
-                f"quadrature_cutoff={policy.quadrature_cutoff:g}; raise the policy cutoff"
+                f"hyperbolic integral needs cutoff {y_cut:.1f}, above the "
+                f"fixed limit {_QUADRATURE_CUTOFF:g}"
             )
         steps.append((k, w0, max(y_cut, 8.0)))
-    bases = _hyperbolic_float(a, alpha, steps, policy.quadrature_points)
+    bases = _hyperbolic_float(a, alpha, steps)
     return [_cosh_steps(base, w, k, alpha, a, cmath.cosh, math.pi)
             for w, (k, _, _), base in zip(ws, steps, bases)]
 
@@ -261,14 +265,13 @@ def _hyperbolic_mp(a, alpha, w, tol: float):
     return _cosh_steps(base, w, k, alpha, a, mpmath.cosh, mpmath.pi)
 
 
-def _hyperbolic_float(a: float, alpha: complex, steps: list[tuple], quadrature_points: int) -> list[complex]:
+def _hyperbolic_float(a: float, alpha: complex, steps: list[tuple]) -> list[complex]:
     """``exp(i * integral)`` at each stepped point ``(k, w0, y_cut)`` in float64:
     points with one panel count share node blocks, each row summed alone."""
     y0 = 1e-3
     blocks: dict[int, list[int]] = {}
     for idx, (_, w0, y_cut) in enumerate(steps):
-        n_panels = max(int(math.ceil(quadrature_points / 16)),
-                       int(math.ceil(y_cut * (1.0 + abs(2 * w0)) / 8.0)))
+        n_panels = max(_MIN_PANELS, int(math.ceil(y_cut * (1.0 + abs(2 * w0)) / 8.0)))
         blocks.setdefault(n_panels, []).append(idx)
     nodes, weights = _leggauss(16)
     body: dict[int, complex] = {}
@@ -295,22 +298,21 @@ def _hyperbolic_float(a: float, alpha: complex, steps: list[tuple], quadrature_p
     return out
 
 
-def _g1_hyperbolic(case: CaseParams, alpha: complex, x: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
-    vals = _hyperbolic_GR(case.a, alpha, [v - 0.5j * case.a for v in x.ravel().tolist()], policy)
+def _g1_hyperbolic(case: CaseParams, alpha: complex, x: np.ndarray) -> np.ndarray:
+    vals = _hyperbolic_GR(case.a, alpha, [v - 0.5j * case.a for v in x.ravel().tolist()])
     return np.array(vals, dtype=np.complex128).reshape(x.shape)
 
 
-def _g1_elliptic(case: CaseParams, alpha: complex, x: np.ndarray, policy: TruncationPolicy) -> np.ndarray:
+def _g1_elliptic(case: CaseParams, alpha: complex, x: np.ndarray) -> np.ndarray:
     r, a = case.r, case.a
-    tol = policy.target_rel_err
     w = x - 0.5j * a
     im_max = float(np.max(np.abs(w.imag), initial=0.0))
     growth = 2 * r * im_max
 
     log_p = -r * a
     log_t = -r * alpha.real
-    n_count = _count_double(log_p, log_t, growth, tol)
-    m_count = _count_double(log_t, log_p, growth, tol)
+    n_count = _count_double(log_p, log_t, growth, TARGET_REL_ERR)
+    m_count = _count_double(log_t, log_p, growth, TARGET_REL_ERR)
     u = _elliptic_table(r, a, alpha, n_count, m_count)
     e_minus = np.exp(-2j * r * w.ravel())
     e_plus = np.exp(2j * r * w.ravel())
@@ -382,7 +384,7 @@ def _g1_mp(case: CaseParams, alpha, x):
     return mpmath.exp(-r * x * x / (2 * alpha)) * prod
 
 
-def gamma_G1(case: CaseParams, alpha, x, policy: TruncationPolicy = DEFAULT_POLICY):
+def gamma_G1(case: CaseParams, alpha, x):
     """The primitive solution on the half-plane ``Re(alpha) > 0``; an
     mpmath ``x`` gives an mpmath value (see :func:`_g1_mp`)."""
     if _is_mp(x):
@@ -394,15 +396,15 @@ def gamma_G1(case: CaseParams, alpha, x, policy: TruncationPolicy = DEFAULT_POLI
     if kind is CaseKind.RATIONAL:
         vals = scipy_special.gamma(0.5 + xx / (1j * alpha))
     elif kind is CaseKind.TRIGONOMETRIC:
-        vals = _g1_trigonometric(case, alpha, xx, policy)
+        vals = _g1_trigonometric(case, alpha, xx)
     elif kind is CaseKind.HYPERBOLIC:
-        vals = _g1_hyperbolic(case, alpha, xx, policy)
+        vals = _g1_hyperbolic(case, alpha, xx)
     else:
-        vals = _g1_elliptic(case, alpha, xx, policy)
+        vals = _g1_elliptic(case, alpha, xx)
     return _restore(np.asarray(vals, dtype=np.complex128), scalar)
 
 
-def gamma_G(case: CaseParams, alpha, x, policy: TruncationPolicy = DEFAULT_POLICY):
+def gamma_G(case: CaseParams, alpha, x):
     """Gamma function continued to both half-planes ``Re(alpha) != 0``.
 
     For ``Re(alpha) < 0`` this is ``gamma_G1(case, -alpha, -x)``, so the
@@ -412,7 +414,7 @@ def gamma_G(case: CaseParams, alpha, x, policy: TruncationPolicy = DEFAULT_POLIC
     where ``cmath`` overflows, goes through the array path of
     :func:`gamma_G1`.  An mpmath ``x`` is evaluated in mpmath at the
     working precision and gives an mpmath value; its term counts and
-    cutoff follow that precision, not ``policy.target_rel_err``.
+    cutoff follow that precision, not :data:`~vandiejen.sfun.TARGET_REL_ERR`.
     """
     checked = _require_alpha(alpha, positive=False)
     scalar = isinstance(x, _SCALAR_TYPES)
@@ -428,17 +430,17 @@ def gamma_G(case: CaseParams, alpha, x, policy: TruncationPolicy = DEFAULT_POLIC
             return complex(scipy_special.gamma(0.5 + z / (1j * alpha)))
         if case.kind is CaseKind.TRIGONOMETRIC:
             r = case.r
-            count = _geometric_terms(r * alpha.real, 0.0, 2 * r * abs(z.imag), policy.target_rel_err)
+            count = _geometric_terms(r * alpha.real, 0.0, 2 * r * abs(z.imag), TARGET_REL_ERR)
             try:
                 return _g1_trigonometric_scalar(r, alpha, z, count)
             except (ArithmeticError, ValueError):
                 pass  # cmath raises where numpy returns inf or nan
         if case.kind is CaseKind.HYPERBOLIC:
-            return _hyperbolic_GR(case.a, alpha, [z - 0.5j * case.a], policy)[0]
-    return gamma_G1(case, alpha, x, policy)
+            return _hyperbolic_GR(case.a, alpha, [z - 0.5j * case.a])[0]
+    return gamma_G1(case, alpha, x)
 
 
-def functional_eq_constant(case: CaseParams, alpha, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def functional_eq_constant(case: CaseParams, alpha) -> complex:
     """Signed constant ``c`` with ``G(x + i a/2) = c s(x) G(x - i a/2)``.
 
     On ``Re(alpha) > 0`` this is the primitive's constant; on
@@ -446,7 +448,7 @@ def functional_eq_constant(case: CaseParams, alpha, policy: TruncationPolicy = D
     """
     alpha = _require_alpha(alpha, positive=False)
     if alpha.real < 0:
-        return -functional_eq_constant(case, -alpha, policy)
+        return -functional_eq_constant(case, -alpha)
     kind = case.kind
     if kind is CaseKind.RATIONAL:
         return 1.0 / (1j * alpha)
@@ -455,13 +457,13 @@ def functional_eq_constant(case: CaseParams, alpha, policy: TruncationPolicy = D
     if kind is CaseKind.HYPERBOLIC:
         return -2j * math.pi / case.a
     # elliptic: -i r / prod_{n>=1} (1 - exp(-2 r n a))
-    return -1j * case.r / _elliptic_constant_product(case.r, case.a, policy.target_rel_err)
+    return -1j * case.r / _elliptic_constant_product(case.r, case.a)
 
 
 @lru_cache(maxsize=64)
-def _elliptic_constant_product(r: float, a: float, tol: float) -> float:
-    """``prod_{n>=1} (1 - exp(-2 r n a))`` to relative error ``tol``."""
-    count = max(2, int(math.ceil(-math.log(tol) / (2 * r * a))) + 2)
+def _elliptic_constant_product(r: float, a: float) -> float:
+    """``prod_{n>=1} (1 - exp(-2 r n a))`` to relative error :data:`TARGET_REL_ERR`."""
+    count = max(2, int(math.ceil(-math.log(TARGET_REL_ERR) / (2 * r * a))) + 2)
     if count > _PRODUCT_HARD_CAP:
         raise ConvergenceError("elliptic constant product does not converge")
     prod = 1.0
@@ -470,7 +472,7 @@ def _elliptic_constant_product(r: float, a: float, tol: float) -> float:
     return prod
 
 
-def gamma_ratio_shift(case: CaseParams, alpha, z, steps: int, policy: TruncationPolicy = DEFAULT_POLICY):
+def gamma_ratio_shift(case: CaseParams, alpha, z, steps: int):
     """Exact ratio ``G(z + steps * i alpha) / G(z)`` via the difference equation.
 
     Each unit step up multiplies by ``c * s(z + i alpha/2 + j i alpha)``;
@@ -480,8 +482,8 @@ def gamma_ratio_shift(case: CaseParams, alpha, z, steps: int, policy: Truncation
     """
     alpha = _require_alpha(alpha, positive=False)
     zz, scalar = _as_complex_array(z)
-    c = functional_eq_constant(case, alpha, policy)
-    out = _step_ratio(lambda w: np.atleast_1d(s_eval(case, w, policy)), c, alpha, zz, steps,
+    c = functional_eq_constant(case, alpha)
+    out = _step_ratio(lambda w: np.atleast_1d(s_eval(case, w)), c, alpha, zz, steps,
                       np.ones_like(zz))
     return _restore(out, scalar)
 

@@ -269,9 +269,7 @@ def _coefficient_memo(on: bool = True):
 
 def _sv(case: CaseParams, z: complex) -> complex:
     """``s(z)``: from the enclosing recorder of the same case when one is
-    active (see :func:`batched`), else one scalar call, at the default
-    truncation policy (only :mod:`~vandiejen.sfun` and
-    :mod:`~vandiejen.gamma` take a policy)."""
+    active (see :func:`batched`), else one scalar call."""
     enclosing = _ENCLOSING.get()
     if enclosing is not None and enclosing[:1] == (case,):
         return enclosing[1](z)
@@ -292,9 +290,7 @@ def _batched(
     of scalar ``s`` calls, with the same bits, and an exact zero in a
     denominator still raises :class:`ZeroDivisionError`.  This needs the
     sequence of ``s`` arguments not to depend on ``s`` values; the replay
-    checks that it consumes exactly the recorded values.  The array call
-    uses the default truncation policy: only the evaluators of
-    :mod:`~vandiejen.sfun` and :mod:`~vandiejen.gamma` take a policy.
+    checks that it consumes exactly the recorded values.
 
     Calls are re-entrant: while ``formula`` runs, an inner ``_batched``
     call on the same case (a coefficient evaluated inside it) hands its

@@ -25,7 +25,10 @@ argument.  :func:`s_eval` and :func:`theta_eval` evaluate a Python or
 numpy scalar with ``cmath`` (nearly every call the identities make) and an
 array with numpy; the two paths do the same arithmetic in the same order
 and give each point the theta term count of the same rule, so a point's
-value does not depend on the call it comes in.  The precision follows the
+value does not depend on the call it comes in.  The float paths run at one
+fixed accuracy: the series and products stop at the relative error
+:data:`TARGET_REL_ERR`, and only :func:`theta_product` takes a setting,
+its cap ``product_terms`` on the factors.  The precision follows the
 argument's type: an mpmath number (and only that) is evaluated in mpmath
 at the working precision ``mpmath.mp.dps``, with term counts taken from
 that precision, and the value comes back as an mpmath number.  This is
@@ -47,11 +50,12 @@ import numpy as np
 __all__ = [
     "CaseKind",
     "CaseParams",
-    "TruncationPolicy",
     "DomainError",
     "PoleProximityError",
     "ConvergenceError",
-    "DEFAULT_POLICY",
+    "TARGET_REL_ERR",
+    "POLE_FLOOR",
+    "PRODUCT_TERMS",
     "theta_eval",
     "theta_product",
     "s_eval",
@@ -141,58 +145,17 @@ class CaseKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Knobs controlling series/product truncation and safety margins.
-
-    Only the evaluators take a policy: those of this module and of
-    :mod:`~vandiejen.gamma`.  The operator, eigenfunction and verification
-    layers call them at :data:`DEFAULT_POLICY`.  One field passes through:
-    :func:`~vandiejen.verify.run_identity` takes ``product_terms``, which
-    only the ``theta-product`` identity reads.
-
-    Attributes
-    ----------
-    product_terms:
-        Cap on the number of factors of the theta product.  Raising it
-        helps when the nome is close to 1, and for an mpmath argument at
-        high precision (at q = 0.3, 50 digits need 48 factors).
-    quadrature_points:
-        Budget of Gauss-Legendre nodes for the hyperbolic gamma integral.
-    quadrature_cutoff:
-        Upper integration limit before the analytic tail correction.
-    target_rel_err:
-        Relative truncation target for adaptive series.
-    pole_floor:
-        Minimum allowed distance from the zero lattice of ``s``; points
-        closer than this raise :class:`PoleProximityError` when checked.
-
-    Precision is not a policy field: it follows the argument's type.  An
-    mpmath argument is evaluated at ``mpmath.mp.dps`` digits, and its term
-    counts and hyperbolic cutoff come from that precision, not from
-    ``target_rel_err``; ``product_terms`` still caps the theta product.
-    """
-
-    product_terms: int = 40
-    quadrature_points: int = 200
-    quadrature_cutoff: float = 40.0
-    target_rel_err: float = 1e-13
-    pole_floor: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.product_terms < 1:
-            raise DomainError("product_terms must be at least 1")
-        if self.quadrature_points < 16:
-            raise DomainError("quadrature_points must be at least 16")
-        if not (self.quadrature_cutoff > 0):
-            raise DomainError("quadrature_cutoff must be positive")
-        if not (0 < self.target_rel_err < 1):
-            raise DomainError("target_rel_err must lie in (0, 1)")
-        if self.pole_floor < 0:
-            raise DomainError("pole_floor must be non-negative")
-
-
-DEFAULT_POLICY = TruncationPolicy()
+# The evaluators run at one fixed accuracy.  Target relative error of the
+# adaptive float64 series and products, here and in :mod:`~vandiejen.gamma`:
+# a truncation target, not a bound on every value; the float64 hyperbolic
+# gamma at a = 1.8, alpha = 0.8 reaches 2.2e-13 at x = 3.6+1.2i and 1.4e-13
+# at x = 4.5+0.9i.  An mpmath argument takes its term counts from
+# ``mpmath.eps`` instead.
+TARGET_REL_ERR = 1e-13
+# Distance from the zero lattice of s below which require_regular rejects a point.
+POLE_FLOOR = 0.05
+# Default cap on the factors of theta_product, the one setting of the evaluators.
+PRODUCT_TERMS = 40
 
 
 @dataclass(frozen=True)
@@ -283,11 +246,6 @@ class CaseParams:
             return (1j * self.a,)
         return (complex(math.pi / self.r), 1j * self.a)
 
-    # -- convenience ------------------------------------------------------
-
-    def s(self, x, policy: TruncationPolicy = DEFAULT_POLICY):
-        return s_eval(self, x, policy)
-
     def describe(self) -> str:
         bits = [f"case {self.kind.label} ({self.kind.name.lower()})"]
         if self.kind in (CaseKind.TRIGONOMETRIC, CaseKind.ELLIPTIC):
@@ -328,12 +286,12 @@ def _nome_from(tau=None, q=None) -> complex:
     return q
 
 
-def theta_eval(z, tau=None, q=None, policy: TruncationPolicy = DEFAULT_POLICY):
+def theta_eval(z, tau=None, q=None):
     """Odd Jacobi theta function via its alternating sine series.
 
     Computes ``2 sum_{n>=0} (-1)^n q^{(n+1/2)^2} sin((2n+1) z)`` with the
     number of terms chosen adaptively from the tail bound
-    ``|q|^{n(n+1)} exp(2 n |Im z|) < target_rel_err`` (the bound is relative
+    ``|q|^{n(n+1)} exp(2 n |Im z|) < TARGET_REL_ERR`` (the bound is relative
     to the first term).  Terms are assembled in exponential form so that
     large ``|Im z|`` cannot overflow before the nome decay kicks in.
 
@@ -344,14 +302,12 @@ def theta_eval(z, tau=None, q=None, policy: TruncationPolicy = DEFAULT_POLICY):
     tau, q:
         Modular parameter or nome; exactly one must be given, with
         ``q = exp(i pi tau)`` and ``|q| < 1``.
-    policy:
-        Truncation control; only ``target_rel_err`` is consulted here.
     """
     qq = _nome_from(tau=tau, q=q)
     log_q = cmath.log(qq)  # principal branch fixes q**(1/4)
     if isinstance(z, _SCALAR_TYPES):
         zc = complex(z)
-        n_stop = _theta_terms(log_q, abs(zc.imag), policy.target_rel_err, abs(qq))
+        n_stop = _theta_terms(log_q, abs(zc.imag), TARGET_REL_ERR, abs(qq))
         try:
             return _theta_sum(zc, log_q, n_stop)
         except (OverflowError, ValueError):
@@ -363,13 +319,12 @@ def theta_eval(z, tau=None, q=None, policy: TruncationPolicy = DEFAULT_POLICY):
     if not zz.size:
         return zz
     im = np.abs(zz.imag)
-    tol = policy.target_rel_err
     # the count grows with |Im z|: the point of largest |Im z| is the one
     # the cap and the overflow guard can reject, and when the smallest gets
     # the same count, every point does
-    n_stop = _theta_terms(log_q, float(np.max(im)), tol, abs(qq))
-    n_min = _theta_terms(log_q, float(np.min(im)), tol, abs(qq))
-    counts = _theta_terms_array(log_q, im, tol) if n_min < n_stop else None
+    n_stop = _theta_terms(log_q, float(np.max(im)), TARGET_REL_ERR, abs(qq))
+    n_min = _theta_terms(log_q, float(np.min(im)), TARGET_REL_ERR, abs(qq))
+    counts = _theta_terms_array(log_q, im, TARGET_REL_ERR) if n_min < n_stop else None
     total = np.zeros_like(zz)
     for n in range(n_stop + 1):
         exponent = (n + 0.5) ** 2 * log_q
@@ -462,32 +417,36 @@ def _theta_sum(z: complex, log_q: complex, n_stop: int) -> complex:
     return 2.0 * total
 
 
-def theta_product(z, tau=None, q=None, policy: TruncationPolicy = DEFAULT_POLICY):
+def theta_product(z, tau=None, q=None, product_terms: int = PRODUCT_TERMS):
     """Same odd theta function via its triple-product representation.
 
     ``2 q^{1/4} sin z prod_{n>=1} (1 - q^{2n}) (1 - 2 q^{2n} cos 2z + q^{4n})``.
 
     Kept as an independent implementation so the series form can be
     validated against it; quotient code elsewhere uses whichever is
-    convenient.
+    convenient.  ``product_terms`` caps the number of factors: raising it
+    helps when the nome is close to 1, and for an mpmath argument at high
+    precision (at q = 0.3, 50 digits need 48 factors).
     """
+    if product_terms < 1:
+        raise DomainError("product_terms must be at least 1")
     qq = _nome_from(tau=tau, q=q)
     if _is_mp(z):
-        return _theta_product_mp(z, _nome_mp(tau, q), policy.product_terms)
+        return _theta_product_mp(z, _nome_mp(tau, q), product_terms)
     zz, scalar = _as_complex_array(z)
     im_max = float(np.max(np.abs(zz.imag), initial=0.0))
     cos_bound = 2.0 * math.exp(2 * im_max) + 1.0
     prod = np.ones_like(zz)
     converged = False
-    for n in range(1, policy.product_terms + 1):
+    for n in range(1, product_terms + 1):
         q2n = qq ** (2 * n)
         prod *= (1 - q2n) * (1 - 2 * q2n * np.cos(2 * zz) + q2n * q2n)
-        if abs(q2n) * (1.0 + cos_bound) < policy.target_rel_err:
+        if abs(q2n) * (1.0 + cos_bound) < TARGET_REL_ERR:
             converged = True
             break
     if not converged:
         raise ConvergenceError(
-            f"theta product not converged after {policy.product_terms} factors "
+            f"theta product not converged after {product_terms} factors "
             f"(|q|={abs(qq):.6g}); raise product_terms"
         )
     q_quarter = np.exp(0.25 * cmath.log(qq))
@@ -555,7 +514,7 @@ def _s_mp(case: CaseParams, x):
 # ---------------------------------------------------------------------------
 
 
-def s_eval(case: CaseParams, x, policy: TruncationPolicy = DEFAULT_POLICY):
+def s_eval(case: CaseParams, x):
     """Evaluate the case's building-block function ``s`` at ``x``.
 
     Accepts scalars or arrays, and an mpmath number, which it evaluates in
@@ -565,7 +524,7 @@ def s_eval(case: CaseParams, x, policy: TruncationPolicy = DEFAULT_POLICY):
     if isinstance(x, _SCALAR_TYPES):
         z = complex(x)
         if kind is CaseKind.ELLIPTIC:
-            return case._s_scale * theta_eval(case.r * z, q=case.q, policy=policy)
+            return case._s_scale * theta_eval(case.r * z, q=case.q)
         try:
             if kind is CaseKind.RATIONAL:
                 return z
@@ -585,7 +544,7 @@ def s_eval(case: CaseParams, x, policy: TruncationPolicy = DEFAULT_POLICY):
     elif kind is CaseKind.HYPERBOLIC:
         vals = (case.a / math.pi) * np.sinh(math.pi * xx / case.a)
     else:
-        vals = case._s_scale * theta_eval(case.r * xx, q=case.q, policy=policy)
+        vals = case._s_scale * theta_eval(case.r * xx, q=case.q)
     return _restore(vals, scalar)
 
 
@@ -603,7 +562,7 @@ def s_eval_mp(case: CaseParams, x: complex, dps: int):
         return s_eval(case, mpmath.mpmathify(x))
 
 
-def quasi_factor(case: CaseParams, x, nu: int, policy: TruncationPolicy = DEFAULT_POLICY):
+def quasi_factor(case: CaseParams, x, nu: int):
     """Multiplier relating ``s(x + omega_nu)`` to ``s(x)``.
 
     Returns the factor ``eps_nu * exp(2 i r xi_nu (x + omega_nu / 2))`` so
@@ -659,20 +618,19 @@ def lattice_distance(case: CaseParams, x) -> np.ndarray | float:
     return float(best[0]) if scalar else best
 
 
-def require_regular(case: CaseParams, x, policy: TruncationPolicy = DEFAULT_POLICY, what: str = "argument") -> None:
-    """Raise :class:`PoleProximityError` if ``x`` is closer than the policy
-    floor to a zero of ``s``."""
+def require_regular(case: CaseParams, x, what: str = "argument") -> None:
+    """Raise :class:`PoleProximityError` if ``x`` is closer than
+    :data:`POLE_FLOOR` to a zero of ``s``."""
     dist = lattice_distance(case, x)
-    floor = policy.pole_floor
     dmin = float(np.min(np.atleast_1d(dist), initial=np.inf))
-    if dmin < floor:
+    if dmin < POLE_FLOOR:
         raise PoleProximityError(
-            f"{what} is within {dmin:.3g} of a zero of s (floor {floor:g}, "
+            f"{what} is within {dmin:.3g} of a zero of s (floor {POLE_FLOOR:g}, "
             f"{case.describe()})"
         )
 
 
-def duplication_residual(case: CaseParams, x, policy: TruncationPolicy = DEFAULT_POLICY):
+def duplication_residual(case: CaseParams, x):
     """Relative defect of the duplication rule at ``x``.
 
     The rule expresses ``s(2x)`` through the product of ``s(x - omega_nu/2)``
@@ -686,14 +644,14 @@ def duplication_residual(case: CaseParams, x, policy: TruncationPolicy = DEFAULT
     on the zero lattice are rejected since both sides vanish there.
     """
     xx, scalar = _as_complex_array(x)
-    require_regular(case, 2 * xx, policy, what="duplication argument 2x")
-    lhs = s_eval(case, 2 * xx, policy)
+    require_regular(case, 2 * xx, what="duplication argument 2x")
+    lhs = s_eval(case, 2 * xx)
     num = np.ones_like(np.atleast_1d(lhs))
     for w in case.omega:
-        num = num * np.atleast_1d(s_eval(case, xx - w / 2, policy))
+        num = num * np.atleast_1d(s_eval(case, xx - w / 2))
     den = 1.0 + 0j
     for w in case.omega[1:]:
-        den *= s_eval(case, -w / 2, policy)
+        den *= s_eval(case, -w / 2)
     rhs = 2.0 * num / den
     lhs_arr = np.atleast_1d(lhs)
     resid = np.abs(lhs_arr - rhs) / np.maximum(np.abs(lhs_arr), np.abs(rhs))

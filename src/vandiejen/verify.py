@@ -80,13 +80,12 @@ from .operators import (
     weighted_terms,
 )
 from .sfun import (
-    DEFAULT_POLICY,
+    PRODUCT_TERMS,
     CaseKind,
     CaseParams,
     ConvergenceError,
     DomainError,
     PoleProximityError,
-    TruncationPolicy,
     duplication_residual,
     quasi_factor,
     theta_eval,
@@ -350,7 +349,7 @@ class _RunCtx:
     particles: tuple[int, int, int, int] | None = None
     no_balance: bool = False
     max_n: int = 3
-    product_terms: int | None = None
+    product_terms: int = PRODUCT_TERMS
     attempts: int = 0
     rejected: int = 0
 
@@ -456,12 +455,10 @@ def _rows_s_duplication(ctx: _RunCtx) -> list[SampleResult]:
 def _rows_theta_product(ctx: _RunCtx) -> list[SampleResult]:
     rows = []
     q = ctx.case.q
-    policy = (DEFAULT_POLICY if ctx.product_terms is None
-              else TruncationPolicy(product_terms=ctx.product_terms))
     for i in range(ctx.samples):
         z = _draw_scalar(ctx.rng)
         sv = complex(theta_eval(z, q=q))
-        pv = complex(theta_product(z, q=q, policy=policy))
+        pv = complex(theta_product(z, q=q, product_terms=ctx.product_terms))
         rows.append(_row(ctx, "sum-vs-product", i, *_rel_dev(sv, pv)))
     return rows
 
@@ -1431,8 +1428,8 @@ def run_identity(
     ``particles`` pins the block sizes of the specialised identities;
     ``no_balance`` (elliptic only) runs just the detuned negative
     controls, whose expectation is a LARGE residual.  ``product_terms``
-    caps the factors of the theta product (see :class:`TruncationPolicy`);
-    only ``theta-product`` reads it.
+    caps the factors of the theta product (``None``: the default of
+    :func:`~vandiejen.sfun.theta_product`); only ``theta-product`` reads it.
     """
     spec = _REGISTRY.get(identity)
     if spec is None:
@@ -1465,7 +1462,7 @@ def run_identity(
         particles=tuple(int(v) for v in particles) if particles else None,
         no_balance=bool(no_balance),
         max_n=int(max_n),
-        product_terms=product_terms,
+        product_terms=PRODUCT_TERMS if product_terms is None else product_terms,
     )
     with _coefficient_memo():
         rows = spec.run(ctx)

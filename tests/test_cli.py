@@ -181,6 +181,18 @@ def test_eval_needs_a_point_in_the_list(capsys):
     assert "flag --x: at least one point is required" in err
 
 
+def test_eval_takes_one_case(capsys, tmp_path):
+    # more than one case, from the flag or from a config file, is an error
+    # rather than an evaluation on the first
+    config = tmp_path / "run.json"
+    config.write_text('{"cases": ["I", "IV"]}')
+    for argv, cases in ((["--cases", "I,II"], "I,II"), (["--config", str(config)], "I,IV")):
+        code, out, err = run_main(capsys, ["eval", "s", "--x", "1.5", *argv])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert f"field cases: eval takes one case, got {cases}" in err
+
+
 def test_eval_flags_lattice_zero(capsys):
     x = format_complex(complex(math.pi, 0.0))
     code, out, _ = run_main(

@@ -14,12 +14,12 @@ import oracles
 from vandiejen import gamma as gamma_mod
 from vandiejen import verify
 from vandiejen.gamma import gamma_G, gamma_G1
-from vandiejen.sfun import CaseKind, CaseParams, ConvergenceError, TruncationPolicy
+from vandiejen.sfun import CaseKind, CaseParams, ConvergenceError
 
 R, A = 1.1, 1.8
 CASES = {label: CaseParams(CaseKind.from_label(label), r=R, a=A) for label in ("III", "IV")}
 ALPHAS = (0.8, 0.45, 0.9 + 0.3j, -0.8, -1.15 - 0.2j)
-# |Re x| large enough for more than the 13 panels of the default policy
+# |Re x| large enough for more than the minimum of 13 panels
 WIDE = (4.5 + 0.9j, -4.2 + 0.5j, 3.6 + 1.2j, 2.9 - 0.3j)
 
 
@@ -138,7 +138,7 @@ def test_both_paths_agree_with_the_mpmath_evaluator(label, alpha):
 
 def test_wide_hyperbolic_points_against_the_mpmath_evaluator():
     # the float quadrature's error grows with |w|: at |Re x| ~ 4.5 it is
-    # about 2.2e-13, above the 1e-13 target of the policy
+    # about 2.2e-13, above the 1e-13 target relative error
     case = CASES["III"]
     mp = _mp_values(case, 0.8, WIDE)
     got = gamma_G(case, 0.8, np.array(WIDE))
@@ -161,17 +161,16 @@ def test_both_paths_agree_with_the_oracles(alpha, x):
 
 
 def test_one_point_beyond_the_cutoff_fails_the_whole_array():
-    # the cutoff 34.93 / (a + alpha - 2 |Im w0|) stays below 15 only near
-    # Im w0 = 0; the message names the first point beyond it
-    case = CASES["III"]
-    policy = TruncationPolicy(quadrature_cutoff=15.0)
-    good = [0.3 + 0.9j, 1.1 + 0.95j]
-    bad = 0.5 + 1.25j
-    message = ("hyperbolic integral needs cutoff 18.4 > quadrature_cutoff=15; "
-               "raise the policy cutoff")
-    gamma_G(case, 0.8, np.array(good), policy)
-    for call in (lambda: gamma_G(case, 0.8, np.array([*good, bad, 0.2 + 1.3j]), policy),
-                 lambda: gamma_G(case, 0.8, bad, policy)):
+    # at a = 0.5 the cutoff 34.93 / (a + alpha - 2 |Im w0|) passes the
+    # fixed limit 40 once |Im w0| > 0.21; the message names the first point
+    # beyond it
+    case = CaseParams(CaseKind.HYPERBOLIC, a=0.5)
+    good = [0.3 + 0.3j, 1.1 + 0.35j]
+    bad = 0.3 + 0.64j
+    message = "hyperbolic integral needs cutoff 67.2, above the fixed limit 40"
+    gamma_G(case, 0.8, np.array(good))
+    for call in (lambda: gamma_G(case, 0.8, np.array([*good, bad, 0.2 + 0.7j])),
+                 lambda: gamma_G(case, 0.8, bad)):
         with pytest.raises(ConvergenceError) as err:
             call()
         assert str(err.value) == message

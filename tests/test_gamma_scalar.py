@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from vandiejen import gamma as gamma_mod
 from vandiejen.gamma import gamma_G, gamma_G1
-from vandiejen.sfun import DEFAULT_POLICY, CaseKind, CaseParams, ConvergenceError, DomainError
+from vandiejen.sfun import TARGET_REL_ERR, CaseKind, CaseParams, ConvergenceError, DomainError
 
 R = 1.1
 CASES = {label: CaseParams(CaseKind.from_label(label), r=R, a=1.8) for label in ("I", "II")}
@@ -33,8 +33,8 @@ def _outcome(fn, *args, **kwargs):
         return (type(err).__name__, str(err))
 
 
-def _array(case, alpha, z, policy=gamma_mod.DEFAULT_POLICY):
-    return complex(gamma_G(case, alpha, np.array([z]), policy)[0])
+def _array(case, alpha, z):
+    return complex(gamma_G(case, alpha, np.array([z]))[0])
 
 
 def _close(got, ref, rel=1e-13):
@@ -146,7 +146,7 @@ def test_trigonometric_array_path_reads_a_cached_read_only_table():
     rng = np.random.default_rng(11)
     x = rng.uniform(-2, 2, 48) + 1j * rng.uniform(-0.4, 0.4, 48)
     count = gamma_mod._geometric_terms(R * 0.8, 0.0, 2 * R * np.max(np.abs(x.imag)),
-                                       DEFAULT_POLICY.target_rel_err)
+                                       TARGET_REL_ERR)
     table = np.array(gamma_mod._trig_table(R, 0.8, count))
     e = np.exp(2j * R * x)
     expected = np.exp(-R * x ** 2 / (2 * 0.8)) / np.prod(1.0 - table[:, None] * e[None, :], axis=0)

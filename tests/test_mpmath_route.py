@@ -2,15 +2,15 @@
 mpmath numbers at the working precision.  At 30 digits they agree with
 40-digit references built here from mpmath's own functions (jtheta, gamma,
 qp, quad) to 1e-25 relative.  Rounded to complex128 they agree with the
-float route to its policy's target, and their error falls with the working
-precision: the term counts follow mpmath.eps, not the float policy."""
+float route to its target relative error, and their error falls with the
+working precision: the term counts follow mpmath.eps, not that target."""
 
 import mpmath as mp
 import pytest
 
 from vandiejen.gamma import gamma_G, gamma_G1
-from vandiejen.sfun import (DEFAULT_POLICY, CaseKind, CaseParams, TruncationPolicy, s_eval,
-                            theta_eval, theta_product)
+from vandiejen.sfun import (TARGET_REL_ERR, CaseKind, CaseParams, s_eval, theta_eval,
+                            theta_product)
 
 CASES = {label: CaseParams(CaseKind.from_label(label), r=1.1, a=1.8)
          for label in ("I", "II", "III", "IV")}
@@ -124,7 +124,7 @@ def test_the_mpmath_route_rounds_to_the_float_route(label, name):
             value = evaluate(case, alpha, mp.mpc(x))
         assert isinstance(value, mp.mpc)
         ref = evaluate(case, alpha, x)
-        assert abs(complex(value) - ref) / abs(ref) < DEFAULT_POLICY.target_rel_err
+        assert abs(complex(value) - ref) / abs(ref) < TARGET_REL_ERR
 
 
 @pytest.mark.parametrize("nome", NOMES, ids=NOME_IDS)
@@ -134,7 +134,7 @@ def test_theta_mpmath_route_rounds_to_the_float_route(theta, nome):
         with mp.workdps(30):
             value = theta(mp.mpc(x), **nome)
         ref = theta(x, **_float_nome(nome))
-        assert abs(complex(value) - ref) / abs(ref) < DEFAULT_POLICY.target_rel_err
+        assert abs(complex(value) - ref) / abs(ref) < TARGET_REL_ERR
 
 
 @pytest.mark.parametrize("dps", [15, 25, 40])
@@ -157,13 +157,13 @@ def test_s_and_gamma_follow_the_working_precision(label, dps):
 def test_theta_follows_the_working_precision(theta, dps):
     # product_terms still caps the product: at q = 0.3 and 50 digits it
     # needs 48 factors, above the default 40
-    policy = TruncationPolicy(product_terms=80)
+    cap = {"product_terms": 80} if theta is theta_product else {}
     for nome in NOMES:
         for _, x in POINTS:
             with mp.workdps(dps + 10):
                 q = mp.mpmathify(nome["q"]) if "q" in nome else mp.expjpi(nome["tau"])
                 ref = mp.jtheta(1, mp.mpc(x), q)
             with mp.workdps(dps):
-                got = theta(mp.mpc(x), policy=policy, **nome)
+                got = theta(mp.mpc(x), **cap, **nome)
             with mp.workdps(dps + 10):
                 assert abs(got - ref) / abs(ref) < mp.mpf(10) ** (3 - dps)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from vandiejen import eigenfunctions, operators, verify
+from vandiejen import operators, verify
 from vandiejen.eigenfunctions import (
     BranchError,
     BranchTracker,

@@ -26,7 +26,7 @@ from vandiejen.operators import (
     vd_weights,
     weighted_terms,
 )
-from vandiejen.sfun import CaseKind, CaseParams, DomainError, s_eval
+from vandiejen.sfun import CaseKind, CaseParams, DomainError
 
 R, A = 1.1, 1.8
 

@@ -1,6 +1,5 @@
 """Building-block function: lattice data, oracles, and transformation laws."""
 
-import cmath
 import math
 
 import numpy as np
@@ -8,12 +7,13 @@ import pytest
 
 import oracles
 from vandiejen.sfun import (
-    DEFAULT_POLICY,
+    POLE_FLOOR,
+    PRODUCT_TERMS,
+    TARGET_REL_ERR,
     CaseKind,
     CaseParams,
     DomainError,
     PoleProximityError,
-    TruncationPolicy,
     duplication_residual,
     lattice_distance,
     quasi_factor,
@@ -166,6 +166,6 @@ def test_s_eval_vectorized():
 
 
 def test_policy_defaults_are_sane():
-    assert DEFAULT_POLICY.product_terms >= 20
-    assert 0 < DEFAULT_POLICY.target_rel_err < 1e-9
-    assert DEFAULT_POLICY.pole_floor > 0
+    assert PRODUCT_TERMS >= 20
+    assert 0 < TARGET_REL_ERR < 1e-9
+    assert POLE_FLOOR > 0

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vandiejen.sfun import (
-    DEFAULT_POLICY,
+    TARGET_REL_ERR,
     CaseKind,
     CaseParams,
     ConvergenceError,
@@ -124,7 +124,7 @@ def _reference_terms(log_q, im_max, tol, abs_q):
 
 GRID_Q = (1e-300, 1e-8, 0.05, 0.3, 0.6, 0.9, 0.99, 0.999, 0.99999)
 GRID_IM = (0.0, 1e-9, 0.3, 1.0, 2.7, 8.0, 40.0, 200.0, 1e5, math.inf, math.nan)
-GRID_TOL = (1e-300, 1e-16, DEFAULT_POLICY.target_rel_err, 1e-6, 0.5, 0.999999)
+GRID_TOL = (1e-300, 1e-16, TARGET_REL_ERR, 1e-6, 0.5, 0.999999)
 
 
 def _boundary_points():
@@ -181,7 +181,7 @@ def test_the_largest_imaginary_part_raises_its_error():
 
 def _step_of_the_term_count(case):
     """The count at Im z = 0, and the |Im z| where it steps up by one."""
-    tol = DEFAULT_POLICY.target_rel_err
+    tol = TARGET_REL_ERR
     log_q = cmath.log(case.q)
     n = _theta_terms(log_q, 0.0, tol, case.q)
     step = (math.log(tol) - n * (n + 1) * log_q.real) / (2 * n)
