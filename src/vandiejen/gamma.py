@@ -24,8 +24,8 @@ The hyperbolic evaluator never integrates close to the edge of its
 convergence strip.  It first walks the argument toward the real axis with
 exact ``2 cosh`` functional-equation steps, integrates where the tail
 decays at rate ``Re(a)`` or better, and multiplies the steps back in.  In
-float64 the points of one call share numpy node blocks, one row per point,
-so a scalar and the same point in any array give the same bits.
+float64 the points of one cached quadrature grid are numpy rows, each summed
+alone, so a scalar and the same point in any array give the same bits.
 
 In float64 the term counts aim at :data:`~vandiejen.sfun.TARGET_REL_ERR`,
 and a hyperbolic integral that needs an upper limit beyond 40 fails.
@@ -68,12 +68,12 @@ __all__ = [
 
 _PRODUCT_HARD_CAP = 200_000
 _DOUBLE_PRODUCT_CAP = 400
-# rows of one hyperbolic node block: keeps its temporaries well under 1 MB
-_NODE_BLOCK_POINTS = 64
 # the hyperbolic integral: Gauss-Legendre panels of 16 nodes, at least this
 # many, and the largest upper limit before the analytic tail correction
 _MIN_PANELS = 13
 _QUADRATURE_CUTOFF = 40.0
+# the float head series covers [0, y0] of the hyperbolic integral
+_HEAD_Y0 = 1e-3
 
 
 def _require_alpha(alpha: complex, positive: bool = True) -> complex:
@@ -148,57 +148,45 @@ def _g1_trigonometric_scalar(r: float, alpha: complex, x: complex, count: int) -
 
 @lru_cache(maxsize=8)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights on ``[-1, 1]``, read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
-def _hyperbolic_integrand(w: complex, a: float, alpha: complex, y: np.ndarray) -> np.ndarray:
-    return (np.sin(2 * w * y) / (2 * np.sinh(a * y) * np.sinh(alpha * y)) - w / (a * alpha * y)) / y
+def _head_coefficients(a, alpha, y0, order: int, one) -> list:
+    """``c[0..order]`` in the number type of ``one``, with ``w * sum_j c[j]
+    (4 w^2)^j`` the integral of the regularised integrand over ``[0, y0]``.
 
-
-def _head_table(a, alpha, order: int, one):
-    """The coordinate-free part of the head series for ``k = 0..order``:
-    the inverse odd factorials ``1/(2k+1)!`` and ``den[k]``, the series of
-    ``sinh(a y) sinh(alpha y) / (a alpha y^2)``, in the number type of ``one``."""
+    Near the origin the integrand is a ratio of even power series divided
+    by ``y^2``; direct evaluation there loses all digits to cancellation,
+    so the first stretch is integrated term by term: the ratio's ``y^(2k)``
+    term ``quot[k]`` is a polynomial of degree ``k`` in ``4 w^2``."""
     inv = [one]
     for k in range(1, order + 1):
         inv.append(inv[-1] / (2 * k) / (2 * k + 1))
     aa, bb = a * a, alpha * alpha
-    den = []
-    for k in range(order + 1):
-        acc = 0 * one
-        for j in range(k + 1):
-            acc = acc + aa**j * inv[j] * bb ** (k - j) * inv[k - j]
-        den.append(acc)
-    return inv, den
-
-
-@lru_cache(maxsize=64)
-def _head_table_float(a: complex, alpha: complex, order: int):
-    return _head_table(a, alpha, order, 1 + 0j)
-
-
-def _hyperbolic_head(w, a, alpha, y0, table):
-    """Integral of the regularised integrand over ``[0, y0]`` by series.
-
-    Near the origin the integrand is a ratio of even power series divided
-    by ``y^2``; direct evaluation there loses all digits to cancellation,
-    so the first stretch is integrated term by term instead.  Works with
-    either complex floats or mpmath numbers, following the argument types.
-    """
-    inv, den = table
-    one = inv[0]
-    w2 = 4 * w * w
-    num = [one] + [(-1) ** k * w2**k * inv[k] for k in range(1, len(inv))]
-    quot = [one]
-    for k in range(1, len(inv)):
-        acc = num[k]
+    den = [sum((aa**j * inv[j] * bb ** (k - j) * inv[k - j] for j in range(k + 1)), 0 * one)
+           for k in range(order + 1)]
+    quot, coef = [[one]], [0 * one] * (order + 1)
+    for k in range(1, order + 1):
+        acc = [0 * one] * k + [(-1) ** k * inv[k]]
         for j in range(1, k + 1):
-            acc = acc - den[j] * quot[k - j]
+            for i, c in enumerate(quot[k - j]):
+                acc[i] = acc[i] - den[j] * c
         quot.append(acc)
-    total = 0 * one
-    for k in range(len(inv) - 1, 0, -1):
-        total = total + quot[k] * y0 ** (2 * k - 1) / (2 * k - 1)
-    return (w / (a * alpha)) * total
+        scale = y0 ** (2 * k - 1) / (2 * k - 1) / (a * alpha)
+        coef = [c + q * scale for c, q in zip(coef, acc + [0 * one] * (order - k))]
+    return coef
+
+
+def _hyperbolic_head(w, coef):
+    """The head series at ``w``, a complex, an array or an mpmath number."""
+    w2 = 4 * w * w
+    total = coef[-1]
+    for c in coef[-2::-1]:
+        total = total * w2 + c
+    return w * total
 
 
 def _hyperbolic_GR(a: float, alpha: complex, ws: list[complex]) -> list[complex]:
@@ -260,42 +248,64 @@ def _hyperbolic_mp(a, alpha, w, tol: float):
 
     y0 = mpmath.mpf("1e-3")
     order = int(math.ceil((mpmath.mp.dps + 8) / 6)) + 2
-    head = _hyperbolic_head(w0, a, alpha, y0, _head_table(a, alpha, order, mpmath.mpc(1)))
+    head = _hyperbolic_head(w0, _head_coefficients(a, alpha, y0, order, mpmath.mpc(1)))
     base = mpmath.exp(1j * (head + mpmath.quad(h, [y0, 1, 5, max(y_cut, 8), mpmath.inf])))
     return _cosh_steps(base, w, k, alpha, a, mpmath.cosh, mpmath.pi)
 
 
 def _hyperbolic_float(a: float, alpha: complex, steps: list[tuple]) -> list[complex]:
-    """``exp(i * integral)`` at each stepped point ``(k, w0, y_cut)`` in float64:
-    points with one panel count share node blocks, each row summed alone."""
-    y0 = 1e-3
-    blocks: dict[int, list[int]] = {}
+    """``exp(i * integral)`` at each stepped point ``(k, w0, y_cut)`` in float64.
+
+    The points of one cached grid (:func:`_hyperbolic_grid`) form a group, a
+    column of rows.  The first panel is summed node by node; on the others
+    ``sin(2 w (c + h x))`` splits into ``exp(+-2 i w c)`` and ``exp(+-2 i w h x)``,
+    and their sum is a bilinear form in the two.  Each row is summed alone,
+    so a point's bits do not depend on the call."""
+    groups: dict[tuple[int, int], list[int]] = {}
     for idx, (_, w0, y_cut) in enumerate(steps):
-        n_panels = max(_MIN_PANELS, int(math.ceil(y_cut * (1.0 + abs(2 * w0)) / 8.0)))
-        blocks.setdefault(n_panels, []).append(idx)
-    nodes, weights = _leggauss(16)
-    body: dict[int, complex] = {}
-    for n_panels, idxs in blocks.items():
-        for start in range(0, len(idxs), _NODE_BLOCK_POINTS):
-            rows = idxs[start:start + _NODE_BLOCK_POINTS]
-            # np.linspace(y0, y_cut, n_panels + 1) per row in linspace's own
-            # arithmetic (the same bits) without its per-call overhead
-            y_cut = np.array([steps[i][2] for i in rows])
-            edges = np.arange(n_panels + 1) * ((y_cut - y0) / n_panels)[:, None] + y0
-            edges[:, -1] = y_cut
-            mids = 0.5 * (edges[:, 1:] + edges[:, :-1])
-            half = 0.5 * (edges[:, 1:] - edges[:, :-1])[:, :, None]
-            ys = (mids[:, :, None] + half * nodes).reshape(len(rows), -1)
-            ws = (half * weights).reshape(len(rows), -1)
-            w0 = np.array([steps[i][1] for i in rows])[:, None]
-            body.update(zip(rows, (ws * _hyperbolic_integrand(w0, a, alpha, ys)).sum(axis=-1).tolist()))
-    table = _head_table_float(complex(a), complex(alpha), 3)
-    out = []
-    for idx, (_, w0, y_cut) in enumerate(steps):
-        head = _hyperbolic_head(w0, complex(a), complex(alpha), y0, table)
-        tail = -w0 / (a * alpha * y_cut)
-        out.append(cmath.exp(1j * (head + body[idx] + tail)))
+        y_grid = math.ceil(y_cut)
+        n_panels = max(_MIN_PANELS, math.ceil(y_grid * (1.0 + abs(2 * w0)) / 8.0))
+        groups.setdefault((y_grid, n_panels), []).append(idx)
+    out = [0j] * len(steps)
+    for key, rows in groups.items():
+        z_first, d_first, e_first, mids, offsets, d_rest, poly = _hyperbolic_grid(a, alpha, *key)
+        w = np.array([steps[i][1] for i in rows])
+        col = w[:, None]
+        first = (d_first * np.sin(col * z_first) - col * e_first).sum(axis=-1)
+        phase = col[:, :, None] * np.array([[2j], [-2j]])
+        pm = ((np.exp(phase * mids) @ d_rest) * np.exp(phase * offsets)).sum(axis=-1)
+        total = _hyperbolic_head(w, poly) + first + (pm[:, 0] - pm[:, 1]) / 2j
+        for i, v in zip(rows, np.exp(1j * total).tolist()):
+            out[i] = v
     return out
+
+
+@lru_cache(maxsize=64)
+def _hyperbolic_grid(a: float, alpha: complex, y_grid: int, n_panels: int):
+    """The point-free parts of the float integral, read-only: ``n_panels``
+    panels of 16 Gauss-Legendre nodes ``y = c + h x`` on ``[y0, y_grid]``,
+    where with the weights ``g`` the integrand is ``D sin(2 w y) - w E``,
+    ``D = g / (2 sinh(a y) sinh(alpha y) y)`` and ``E = g / (a alpha y^2)``.
+    Returns the first panel's ``2 y``, ``D`` and ``E``; the other panels'
+    centres ``c``, offsets ``h x`` and ``D``; and the coefficients of the
+    polynomial in ``w``: the head series less ``w`` times the other panels'
+    ``E`` and the tail ``1 / (a alpha y_grid)``."""
+    nodes, weights = _leggauss(16)
+    h = (y_grid - _HEAD_Y0) / (2 * n_panels)
+    mids = _HEAD_Y0 + h * (2 * np.arange(n_panels) + 1)
+    offsets = h * nodes
+    y = mids[:, None] + offsets
+    # D and E in extended precision where the platform has it, rounded once:
+    # the first panel's D sin(2 w y) and w E cancel, node by node
+    g, yl = h * weights, y.astype(np.longdouble)
+    d = (g / (2 * np.sinh(a * yl) * np.sinh(np.clongdouble(alpha) * yl) * yl)).astype(complex)
+    e = (g / (np.clongdouble(a * alpha) * yl * yl)).astype(complex)
+    poly = _head_coefficients(a, alpha, _HEAD_Y0, 3, 1 + 0j)
+    poly[0] -= complex(e[1:].sum()) + 1 / (a * alpha * y_grid)
+    tables = (2 * y[0], d[0], e[0], mids[1:], offsets, d[1:])
+    for t in tables:
+        t.flags.writeable = False
+    return tables + (tuple(poly),)
 
 
 def _g1_hyperbolic(case: CaseParams, alpha: complex, x: np.ndarray) -> np.ndarray:
@@ -410,7 +420,7 @@ def gamma_G(case: CaseParams, alpha, x):
     For ``Re(alpha) < 0`` this is ``gamma_G1(case, -alpha, -x)``, so the
     reflection rule ``G(x; -alpha) == G(-x; alpha)`` holds identically.
     A rational or trigonometric scalar is evaluated with ``cmath`` and a
-    hyperbolic one as a one-row node block; everything else, and a scalar
+    hyperbolic one as a group of one row; everything else, and a scalar
     where ``cmath`` overflows, goes through the array path of
     :func:`gamma_G1`.  An mpmath ``x`` is evaluated in mpmath at the
     working precision and gives an mpmath value; its term counts and

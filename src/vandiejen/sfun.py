@@ -148,14 +148,16 @@ class CaseKind(enum.Enum):
 # The evaluators run at one fixed accuracy.  Target relative error of the
 # adaptive float64 series and products, here and in :mod:`~vandiejen.gamma`:
 # a truncation target, not a bound on every value; the float64 hyperbolic
-# gamma at a = 1.8, alpha = 0.8 reaches 2.2e-13 at x = 3.6+1.2i and 1.4e-13
-# at x = 4.5+0.9i.  An mpmath argument takes its term counts from
+# gamma at a = 1.8, alpha = 0.8 reaches 1.8e-13 at x = 4.5+0.9i and 1.3e-13
+# at x = 3.6+1.2i.  An mpmath argument takes its term counts from
 # ``mpmath.eps`` instead.
 TARGET_REL_ERR = 1e-13
 # Distance from the zero lattice of s below which require_regular rejects a point.
 POLE_FLOOR = 0.05
 # Default cap on the factors of theta_product, the one setting of the evaluators.
 PRODUCT_TERMS = 40
+# how a ConvergenceError of theta_product names that cap on every surface
+_RAISE_PRODUCT_TERMS = "raise product_terms (the --trunc-terms flag, config key trunc_terms)"
 
 
 @dataclass(frozen=True)
@@ -447,7 +449,7 @@ def theta_product(z, tau=None, q=None, product_terms: int = PRODUCT_TERMS):
     if not converged:
         raise ConvergenceError(
             f"theta product not converged after {product_terms} factors "
-            f"(|q|={abs(qq):.6g}); raise product_terms"
+            f"(|q|={abs(qq):.6g}); {_RAISE_PRODUCT_TERMS}"
         )
     q_quarter = np.exp(0.25 * cmath.log(qq))
     return _restore(2.0 * q_quarter * np.sin(zz) * prod, scalar)
@@ -491,7 +493,7 @@ def _theta_product_mp(z, q, product_terms: int):
             return 2 * mpmath.exp(mpmath.log(q) / 4) * mpmath.sin(z) * prod
     raise ConvergenceError(
         f"theta product (mpmath) not converged after {product_terms} factors; "
-        "raise product_terms"
+        f"{_RAISE_PRODUCT_TERMS}"
     )
 
 

@@ -336,6 +336,13 @@ def test_trunc_terms_reaches_only_the_theta_product(capsys):
     assert payload_lines(runs[0][1]) == payload_lines(runs[1][1])
 
 
+def test_theta_product_convergence_error_names_the_flag_and_the_key(capsys):
+    code, _, err = run_main(capsys, ["verify", "--identity", "theta-product", "--cases", "IV",
+                                     "--samples", "2", "--trunc-terms", "1"])
+    assert code == EXIT_DOMAIN
+    assert "--trunc-terms" in err and "trunc_terms" in err
+
+
 def test_tracker_runs_repeat_their_payload_in_one_process(capsys):
     # the branch tracker's base roots, path arrays and the gamma tables are
     # cached; a second run in the same process must read none of the first

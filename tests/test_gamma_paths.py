@@ -1,10 +1,10 @@
 """The hyperbolic and elliptic gamma primitives as scalars and as arrays.
 
-A hyperbolic array evaluates its points in node blocks shared by the
-points of one panel count; a scalar takes the same blocks with one row.
-Each row is summed on its own, so a scalar and the same point in any
-array agree bit for bit, and both agree with the mpmath evaluator and the
-oracles.  An elliptic scalar is a one-point array call."""
+A hyperbolic array evaluates its points in groups, one per cached
+quadrature grid, as numpy rows; a scalar is a group of one row.  Each row
+is summed on its own, so a scalar and the same point in any array agree
+bit for bit, and both agree with the mpmath evaluator and the oracles.
+An elliptic scalar is a one-point array call."""
 
 import mpmath
 import numpy as np
@@ -72,25 +72,57 @@ def test_hyperbolic_scalar_and_array_values_are_equal_bit_for_bit(alpha):
         assert _bits(joined[:1]) == _bits([v])
 
 
-def test_hyperbolic_node_blocks_mix_panel_counts_and_stay_small(monkeypatch):
+def test_hyperbolic_points_share_cached_grids_and_keep_their_bits(monkeypatch):
+    # the points of one call fall into groups, one per cached quadrature
+    # grid (upper limit, panel count), and each group looks its grid up once
     case = CASES["III"]
-    shapes = []
-    integrand = gamma_mod._hyperbolic_integrand
+    grid = gamma_mod._hyperbolic_grid
+    keys = []
 
-    def spy(w, a, alpha, y):
-        shapes.append(y.shape)
-        return integrand(w, a, alpha, y)
+    def spy(*key):
+        keys.append(key)
+        return grid(*key)
 
-    monkeypatch.setattr(gamma_mod, "_hyperbolic_integrand", spy)
+    monkeypatch.setattr(gamma_mod, "_hyperbolic_grid", spy)
     rng = np.random.default_rng(3)
     pts = np.concatenate([rng.uniform(0.1, 1.1, 150) + 0.9j, WIDE])
+    grid.cache_clear()
     values = gamma_G(case, 0.8, pts)
-    panels = sorted({cols // 16 for _, cols in shapes})
-    assert panels[0] == 13 and panels[-1] > 13
-    assert max(rows for rows, _ in shapes) == gamma_mod._NODE_BLOCK_POINTS
-    assert sum(rows for rows, _ in shapes) == len(pts)
-    monkeypatch.setattr(gamma_mod, "_hyperbolic_integrand", integrand)
-    assert _bits(values) == _bits(_scalars(case, 0.8, pts))
+    groups = len(keys)
+    panels = sorted({key[-1] for key in keys})
+    assert len(set(keys)) == groups > 1
+    assert panels[0] == gamma_mod._MIN_PANELS and panels[-1] > gamma_mod._MIN_PANELS
+    first = grid.cache_info()
+    assert first.misses == groups
+    # a repeat call, and every point alone, only hit the cache
+    assert _bits(gamma_G(case, 0.8, pts)) == _bits(values)
+    assert _bits(_scalars(case, 0.8, pts)) == _bits(values)
+    again = grid.cache_info()
+    assert again.misses == first.misses
+    assert again.hits == first.hits + groups + len(pts)
+
+
+def test_cached_gamma_tables_are_read_only():
+    *arrays, poly = gamma_mod._hyperbolic_grid(1.8, 0.8 + 0j, 14, 13)
+    arrays += [*gamma_mod._leggauss(16), gamma_mod._trig_array(1.1, 0.8 + 0j, 5),
+               gamma_mod._elliptic_table(1.1, 1.8, 0.8 + 0j, 3, 4)]
+    assert type(poly) is tuple
+    for table in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            table *= 1
+
+
+@pytest.mark.parametrize("alpha", (0.45, -0.45))
+def test_blocks_window_hyperbolic_points_against_the_mpmath_evaluator(alpha):
+    # near the origin the first panel's D sin(2 w y) and w E cancel, node by
+    # node; the blocks workload's points (small |w|) pin that cancellation
+    case = CaseParams(CaseKind.HYPERBOLIC, a=2.0)
+    rng = np.random.default_rng(19)
+    sign = np.where(np.arange(16) % 2 == 0, 1.0, -1.0)
+    pts = list(rng.uniform(0.1, 1.1, 16) + 1j * sign * rng.uniform(0.02, 0.45, 16))
+    mp = _mp_values(case, alpha, pts)
+    for got in (gamma_G(case, alpha, np.array(pts)), np.array(_scalars(case, alpha, pts))):
+        assert np.max(np.abs(got - mp) / np.abs(mp)) < 2e-13
 
 
 @pytest.mark.parametrize("label", sorted(CASES))
@@ -138,7 +170,7 @@ def test_both_paths_agree_with_the_mpmath_evaluator(label, alpha):
 
 def test_wide_hyperbolic_points_against_the_mpmath_evaluator():
     # the float quadrature's error grows with |w|: at |Re x| ~ 4.5 it is
-    # about 2.2e-13, above the 1e-13 target relative error
+    # about 1.8e-13, above the 1e-13 target relative error
     case = CASES["III"]
     mp = _mp_values(case, 0.8, WIDE)
     got = gamma_G(case, 0.8, np.array(WIDE))

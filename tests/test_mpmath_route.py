@@ -9,8 +9,8 @@ import mpmath as mp
 import pytest
 
 from vandiejen.gamma import gamma_G, gamma_G1
-from vandiejen.sfun import (TARGET_REL_ERR, CaseKind, CaseParams, s_eval, theta_eval,
-                            theta_product)
+from vandiejen.sfun import (TARGET_REL_ERR, CaseKind, CaseParams, ConvergenceError, s_eval,
+                            theta_eval, theta_product)
 
 CASES = {label: CaseParams(CaseKind.from_label(label), r=1.1, a=1.8)
          for label in ("I", "II", "III", "IV")}
@@ -167,3 +167,10 @@ def test_theta_follows_the_working_precision(theta, dps):
                 got = theta(mp.mpc(x), **cap, **nome)
             with mp.workdps(dps + 10):
                 assert abs(got - ref) / abs(ref) < mp.mpf(10) ** (3 - dps)
+
+
+@pytest.mark.parametrize("z", [0.3 + 0.1j, mp.mpc(0.3, 0.1)])
+def test_a_capped_theta_product_names_the_flag_and_the_key(z):
+    # both routes tell a command-line user what to raise
+    with pytest.raises(ConvergenceError, match="--trunc-terms flag, config key trunc_terms"):
+        theta_product(z, q=0.3, product_terms=1)
