@@ -581,9 +581,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cases", help="comma-separated case labels")
     sub.add_argument("--r", type=float, help="trigonometric/elliptic scale")
     sub.add_argument("--a", type=float, help="hyperbolic/elliptic scale")
-    sub.add_argument("--trunc-terms", dest="trunc_terms", type=int,
-                     help="factors of the theta product (read only by "
-                          "the theta-product identity)")
     sub.add_argument("--out", help="write output to this path")
     sub.add_argument("--format", dest="fmt", choices=list(FORMATS),
                      help="output format (default text)")
@@ -636,6 +633,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "balancing condition and expect failure")
     p_verify.add_argument("--max-n", dest="max_n", type=int,
                           help="largest particle total in sweeps")
+    p_verify.add_argument("--trunc-terms", dest="trunc_terms", type=int,
+                          help="factors of the theta product (theta-product only)")
     _add_common(p_verify)
 
     p_report = subs.add_parser(

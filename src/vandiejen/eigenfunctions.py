@@ -318,8 +318,10 @@ class BranchTracker:
     base point, once per key; later evaluations walk from the base to the
     requested target, choosing at each step the root closest to the
     previous value and bisecting the step whenever the choice is
-    ambiguous.  Results are cached per (key, target), and the coordinate
-    arrays of each target's path are built once and shared by every key.
+    ambiguous.  The squares along a path come from one array call of the
+    factor, and one walk, :meth:`_walk`, decides every step.  Results are
+    cached per (key, target), and the coordinate arrays of each target's
+    path are built once and shared by every key.
 
     Continuation pins each root only up to one global sign per factor.
     ``set_gauge`` flips that sign coherently (at every point at once);
@@ -363,9 +365,6 @@ class BranchTracker:
         self._fault_key = None
         self._fault_pred = None
 
-    def _point(self, target: tuple, t: float) -> tuple:
-        return tuple(b + t * (z - b) for b, z in zip(self.base, target))
-
     def sqrt_at(self, key, fn: Callable[[Sequence[complex]], complex], target) -> complex:
         """Continued root of ``fn`` at ``target``.  ``fn`` takes one point
         (a tuple of complex coordinates) or a whole path (a tuple of
@@ -396,20 +395,17 @@ class BranchTracker:
         ts = [k / self.path_steps for k in range(1, self.path_steps + 1)]
         values = self._path_values(fn, target, ts)
         if values is None:
-            return self._walk(fn, target, 0.0, prev, ts, self._point_values(fn, target, ts), 0)
-        settled, prev = self._settle(prev, values)
-        # the scalar walk decides every step from the first the arrays leave open
-        return self._walk(fn, target, ts[settled - 1] if settled else 0.0, prev,
-                          ts[settled:], values[settled:].tolist(), 0)
+            values = self._point_values(fn, target, ts)
+        return self._walk(fn, target, 0.0, prev, ts, values, 0)
 
-    def _path_values(self, fn, target: tuple, ts: list) -> np.ndarray | None:
-        """``fn`` on all points ``ts`` in one call.  Each coordinate is one
-        array built element by element (the same floats as :meth:`_point`),
-        once per target and read-only, so every key continued to ``target``
-        shares it.  None when the walk must go point by point: the call
-        raised (a numpy division by zero, overflow or invalid operation
-        included), or gave a value that is not finite, or not one value per
-        point."""
+    def _path_values(self, fn, target: tuple, ts: list) -> list[complex] | None:
+        """``fn`` on all points ``ts`` in one call, as the list of squares
+        for :meth:`_walk`.  Each coordinate is one array built element by
+        element (the floats of :meth:`_point_values`), once per target and
+        read-only, so every key continued to ``target`` shares it.  None
+        when the walk must go point by point: the call raised (a numpy
+        division by zero, overflow or invalid operation included), or gave
+        a value that is not finite, or not one value per point."""
         try:
             path = self._paths.get(target)
             if path is None:
@@ -425,45 +421,13 @@ class BranchTracker:
             return None
         if values.shape != (len(ts),) or not np.isfinite(values).all():
             return None
-        return values
+        return values.tolist()
 
     def _point_values(self, fn, target: tuple, ts: list):
         """``fn`` at each point of ``ts``, called only when the walk reaches
         that point."""
-        return (complex(fn(self._point(target, t))) for t in ts)
-
-    def _settle(self, prev: complex, values: np.ndarray) -> tuple[int, complex]:
-        """The walk of :meth:`_walk` over the squares ``values``, on arrays,
-        up to its first step that is ambiguous, near the zero floor or not
-        finite: the number of steps settled and the root after them.
-
-        Each step chooses a ``cmath.sqrt`` root or its negative, so the
-        previous value is the root of the step before times a running sign.
-        The floor and ambiguity tests do not depend on that sign, and it
-        flips where the negated previous root is the nearer one.  A tie of
-        the two distances is ambiguous (their squares add up to twice
-        ``|root|**2 + |prev|**2``).  Distances and moduli are the scalar
-        walk's ``hypot`` values; ``|prev|**2`` may round an ulp away from
-        the scalar ``pow``, so a step counts as near the floor already at
-        twice ``rel_floor``."""
-        # q[0] is the previous root, q[k] the root of step k (from 1)
-        q = np.array([prev, *map(cmath.sqrt, values.tolist())])
-        r, p = q[1:], q[:-1]
-        with np.errstate(all="ignore"):
-            abs_q = np.hypot(q.real, q.imag)
-            abs_r, abs_p = abs_q[1:], abs_q[:-1]
-            abs_w = np.hypot(values.real, values.imag)
-            diff, total = r - p, r + p
-            d_plus = np.hypot(diff.real, diff.imag)
-            d_minus = np.hypot(total.real, total.imag)
-            scale = abs_p * abs_p + abs_w
-            undecided = ((abs_w < 2.0 * self.rel_floor * scale) | (scale == np.inf)
-                         | (np.minimum(d_plus, d_minus) > 0.5 * np.maximum(abs_r, abs_p)))
-        first = int(undecided.argmax())
-        settled = first if undecided[first] else len(values)
-        flips = int(np.count_nonzero(d_minus[:settled] < d_plus[:settled]))
-        root = complex(q[settled])
-        return settled, (-root if flips % 2 else root)
+        return (complex(fn(tuple(b + t * (z - b) for b, z in zip(self.base, target))))
+                for t in ts)
 
     def _walk(self, fn, target, t_prev: float, prev: complex, ts: list, values,
               depth: int) -> complex:
@@ -471,15 +435,17 @@ class BranchTracker:
         ``values`` at ``ts``, taking at each step the root nearest the
         previous one.  An ambiguous step is bisected with scalar calls of
         ``fn``, at most ``max_depth`` times."""
+        rel_floor = self.rel_floor
         for t, w_sq in zip(ts, values):
-            scale = abs(prev) ** 2 + abs(w_sq)
-            if abs(w_sq) < self.rel_floor * scale:
+            abs_prev = abs(prev)
+            scale = abs_prev ** 2 + abs(w_sq)
+            if abs(w_sq) < rel_floor * scale:
                 raise BranchError("square-root argument passes too close to zero along the path")
             root = cmath.sqrt(w_sq)
             d_plus = abs(root - prev)
             d_minus = abs(root + prev)
             # ambiguous step: the two sheets are not clearly separated
-            if min(d_plus, d_minus) > 0.5 * max(abs(root), abs(prev)):
+            if min(d_plus, d_minus) > 0.5 * max(abs(root), abs_prev):
                 if depth >= self.max_depth:
                     raise BranchError(f"cannot separate square-root sheets near t={t:.6f}")
                 halves = [0.5 * (t_prev + t), t]

@@ -281,15 +281,22 @@ def _screen_config(config: Configuration, X: Sequence[complex], coeff_cap: float
     return float(np.max(np.abs(arr))) <= coeff_cap
 
 
-@dataclass(frozen=True)
-class SamplePoint:
-    config: Configuration
-    X: tuple[complex, ...]
+def _admissible(rng, config: Configuration, count: int, tries: int,
+                coeff_cap: float = 1e8) -> tuple[list[tuple[complex, ...]], int]:
+    """Up to ``count`` draws of coordinates that pass :func:`_screen_config`,
+    out of at most ``tries`` draws, and the number of draws made."""
+    points, draws = [], 0
+    while len(points) < count and draws < tries:
+        draws += 1
+        X = _draw_X(rng, config.size)
+        if _screen_config(config, X, coeff_cap):
+            points.append(X)
+    return points, draws
 
 
 @dataclass(frozen=True)
 class SampleBatch:
-    points: tuple[SamplePoint, ...]
+    points: tuple[tuple[complex, ...], ...]
     attempts: int
     rejected: int
 
@@ -312,23 +319,14 @@ def sample_admissible(
     Raises :class:`ConvergenceError` (reporting the attempt and rejection
     counts) instead of looping forever when the window is hostile.
     """
-    rng = _rng_for(seed)
     limit = max_attempts if max_attempts is not None else 60 * count
-    points: list[SamplePoint] = []
-    attempts = rejected = 0
-    while len(points) < count:
-        if attempts >= limit:
-            raise ConvergenceError(
-                f"admissible sampling exhausted after {attempts} attempts "
-                f"({rejected} rejected) for {template.case.describe()}"
-            )
-        attempts += 1
-        X = _draw_X(rng, template.size)
-        if _screen_config(template, X, coeff_cap):
-            points.append(SamplePoint(template, X))
-        else:
-            rejected += 1
-    return SampleBatch(tuple(points), attempts, rejected)
+    points, attempts = _admissible(_rng_for(seed), template, count, limit, coeff_cap)
+    if len(points) < count:
+        raise ConvergenceError(
+            f"admissible sampling exhausted after {attempts} attempts "
+            f"({attempts - len(points)} rejected) for {template.case.describe()}"
+        )
+    return SampleBatch(tuple(points), attempts, attempts - count)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +340,6 @@ class _RunCtx:
     case: CaseParams
     label: str
     samples: int
-    seed: int
     tol: float
     rng: np.random.Generator
     masses: tuple[MassTag, ...] | None = None
@@ -353,18 +350,14 @@ class _RunCtx:
     attempts: int = 0
     rejected: int = 0
 
-    def admissible_X(self, config: Configuration, im_window=WINDOW_IM,
-                     max_tries: int = 80) -> tuple[complex, ...]:
-        for _ in range(max_tries):
-            self.attempts += 1
-            X = _draw_X(self.rng, config.size, im_window=im_window)
-            if _screen_config(config, X):
-                return X
-            self.rejected += 1
-        raise ConvergenceError(
-            f"no admissible point for {config.case.describe()} with "
-            f"{config.size} coordinates after {max_tries} tries"
-        )
+    def admissible_X(self, config: Configuration) -> tuple[complex, ...]:
+        points, draws = _admissible(self.rng, config, 1, 80)
+        self.attempts += draws
+        self.rejected += draws - len(points)
+        if not points:
+            raise ConvergenceError(f"no admissible point for {config.case.describe()} with "
+                                   f"{config.size} coordinates after 80 tries")
+        return points[0]
 
 
 def _max_abs(values: Iterable[complex]) -> float:
@@ -1447,6 +1440,10 @@ def run_identity(
         raise DomainError(f"identity {identity!r} has no balancing constraint to drop")
     if product_terms is not None and product_terms < 1:
         raise DomainError("product_terms must be at least 1")
+    if max_n < 1:
+        raise DomainError("max_n must be at least 1")
+    if particles and (len(particles) != 4 or min(particles) < 0):
+        raise DomainError("particles must be four non-negative counts")
 
     rng = _rng_for(seed, identity, case_label)
     case = make_case(case_label, rng, r=r, a=a)
@@ -1455,7 +1452,6 @@ def run_identity(
         case=case,
         label=case_label,
         samples=int(samples),
-        seed=int(seed),
         tol=float(tol) if tol is not None else default_tolerance(identity, case_label),
         rng=rng,
         masses=tuple(MassTag.parse(t) for t in masses) if masses else None,
@@ -1744,7 +1740,6 @@ __all__ = [
     "IDENTITIES",
     "ResidualReport",
     "SampleBatch",
-    "SamplePoint",
     "SampleResult",
     "default_tolerance",
     "footer_record",

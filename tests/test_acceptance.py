@@ -173,8 +173,8 @@ def test_criterion_04_source_identity_mass_vectors(announce):
         for vi, tags in enumerate(_mass_vectors()):
             conf = Configuration(case, _coupling_draw(rng, case), tags)
             batch = sample_admissible(conf, 20, seed=7000 + vi)
-            for pt in batch.points:
-                res, _ = residual_source(conf, pt.X)
+            for X in batch.points:
+                res, _ = residual_source(conf, X)
                 worst_free = max(worst_free, res)
                 if res >= 1e-8:
                     failures.append(f"{label} vector {vi}: residual {res:.3e}")
@@ -194,8 +194,8 @@ def test_criterion_04_source_identity_mass_vectors(announce):
         conf = Configuration(case, balanced, tags)
         assert conf.is_balanced(1e-9)
         batch = sample_admissible(conf, 2, seed=7100 + vi)
-        for pt in batch.points:
-            res, _ = residual_source(conf, pt.X)
+        for X in batch.points:
+            res, _ = residual_source(conf, X)
             worst_balanced = max(worst_balanced, res)
             if res >= 1e-7:
                 failures.append(f"IV vector {vi}: residual {res:.3e}")
@@ -206,7 +206,7 @@ def test_criterion_04_source_identity_mass_vectors(announce):
                 case, CouplingSet(tuple(detuned), balanced.lam, balanced.beta), tags
             )
             ctrl_batch = sample_admissible(bad, 3, seed=7200 + vi, coeff_cap=1e4)
-            ctrl = max(residual_source(bad, pt.X)[0] for pt in ctrl_batch.points)
+            ctrl = max(residual_source(bad, X)[0] for X in ctrl_batch.points)
             floor = min(floor, ctrl)
             if ctrl <= CONTROL_FLOOR:
                 failures.append(

@@ -403,8 +403,7 @@ def test_a_step_below_a_wide_floor_fails_like_the_reference_walk():
 
 def test_a_modulus_beyond_float64_fails_like_the_reference_walk():
     # |w| overflows although w is finite, at every point and at the base:
-    # the scalar walk's |prev|**2 raises at the first step, and the array
-    # walk, which reads an infinite scale there, leaves that step to it
+    # the walk's |prev|**2 raises at the first step, as the reference's does
     def f(x):
         return complex(1.5e308, 1.5e308) * cmath.exp(0.1j * x)
 

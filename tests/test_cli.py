@@ -336,6 +336,14 @@ def test_trunc_terms_reaches_only_the_theta_product(capsys):
     assert payload_lines(runs[0][1]) == payload_lines(runs[1][1])
 
 
+def test_eval_does_not_take_trunc_terms(capsys):
+    # only the theta-product identity reads the flag, and eval runs none
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "theta", "--case", "IV", "--x", "0.3", "--trunc-terms", "1"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--trunc-terms" in capsys.readouterr().err
+
+
 def test_theta_product_convergence_error_names_the_flag_and_the_key(capsys):
     code, _, err = run_main(capsys, ["verify", "--identity", "theta-product", "--cases", "IV",
                                      "--samples", "2", "--trunc-terms", "1"])

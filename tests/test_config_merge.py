@@ -154,10 +154,10 @@ _FLAG_VALUES = {
     "--out": ["", "o.txt"],
     "--format": ["text", "csv", "json-lines"],
 }
-_COMMON = {"--case", "--cases", "--r", "--a", "--trunc-terms", "--out", "--format"}
+_COMMON = {"--case", "--cases", "--r", "--a", "--out", "--format"}
 _COMMAND_FLAGS = {
     "verify": _COMMON | {"--identity", "--all", "--samples", "--seed", "--tol", "--masses",
-                         "--particles", "--no-balance", "--max-n"},
+                         "--particles", "--no-balance", "--max-n", "--trunc-terms"},
     "eval": _COMMON | {"--g", "--lambda", "--beta", "--masses", "--particles"},
     "report": {"--out", "--format"},
 }

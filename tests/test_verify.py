@@ -255,6 +255,17 @@ def test_negative_seed_is_rejected():
         run_identity("s-oddness", "II", samples=1, seed=-1)
 
 
+def test_max_n_below_one_is_rejected():
+    with pytest.raises(DomainError, match="max_n"):
+        run_identity("eigen-plain", "I", max_n=0)
+
+
+@pytest.mark.parametrize("particles", [(1, -1, 0, 0), (1, 0, 0)])
+def test_particles_must_be_four_non_negative_counts(particles):
+    with pytest.raises(DomainError, match="particles"):
+        run_identity("eigen-plain", "I", samples=2, particles=particles)
+
+
 def test_product_terms_caps_the_theta_product():
     with pytest.raises(ConvergenceError, match="after 1 factors"):
         run_identity("theta-product", "IV", samples=2, product_terms=1)
@@ -401,7 +412,7 @@ def test_sample_admissible_deterministic():
     batch_a = sample_admissible(_template(), 6, seed=21)
     batch_b = sample_admissible(_template(), 6, seed=21)
     assert len(batch_a.points) == 6
-    assert [p.X for p in batch_a.points] == [p.X for p in batch_b.points]
+    assert batch_a.points == batch_b.points
     assert batch_a.attempts == batch_b.attempts
     assert 0.0 <= batch_a.rejection_rate < 0.5
 
