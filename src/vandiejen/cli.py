@@ -357,6 +357,10 @@ def _tags_for_eval(cfg: RunConfig, count: int) -> tuple[MassTag, ...]:
 
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
+    # eval runs no theta-product identity, so it has no use for the cap,
+    # from a config file or (see build_parser) from a flag
+    if cfg.trunc_terms is not None:
+        raise DomainError("field trunc_terms: applies to verify only, not to eval")
     if len(cfg.cases) > 1:
         raise DomainError(
             f"field cases: eval takes one case, got {','.join(cfg.cases)}")

@@ -153,9 +153,9 @@ def factor_ratio(
     of :func:`~vandiejen.gamma.gamma_ratio_shift`), which requires
     ``coeff * delta`` to be an integer multiple of ``i alpha``;
     building-block factors are evaluated directly.  The result involves
-    no gamma evaluations and no square roots, and takes all of its ``s``
-    values from one array call, or from the enclosing
-    :func:`~vandiejen.operators.batched` scope.
+    no gamma evaluations and no square roots, and takes its ``s`` values
+    as a coefficient does (see :func:`~vandiejen.operators._batched`), or
+    from the enclosing :func:`~vandiejen.operators.batched` scope.
     """
     plan = []
     for f in factors:
@@ -461,7 +461,8 @@ def pathwise(case: CaseParams, coeff: Callable[[Sequence[complex]], complex]) ->
     """``coeff`` of one point as a :meth:`BranchTracker.sqrt_at` factor.
 
     On a path, ``coeff`` runs once on the coordinate arrays of all points
-    but the last, all ``s`` values from one array call.  These values agree
+    but the last, its ``s`` values from array calls (one per array argument
+    on cases I-III, one for all arguments on case IV).  These values agree
     with point by point to rounding and only choose the sheets; the target
     is evaluated alone, so its root is the same, bit for bit."""
 
@@ -634,7 +635,7 @@ class ConjugatedTerms:
         self.ref = ref
         self.terms = tuple((b, j, sign) for b in self.blocks
                            for j in range(len(b.slots)) for sign in (1, -1))
-        self._s = cache(lambda arg: complex(s_eval(case, arg)))
+        self._s = cache(case.s_scalar)
 
     def prefactor(self, b: ShiftBlock) -> complex:
         sign, arg = b.pref

@@ -27,13 +27,15 @@ duplicate code paths are deliberate: agreement between the generic route
 and the specialised route is one of the verification targets, so they
 must never be collapsed into one implementation.
 
-Each coefficient is written as a formula in a function ``s`` and gets all
-of its ``s`` values from one array :func:`~vandiejen.sfun.s_eval` call
-(see :func:`_batched`); the values are the same, bit for bit, as with one
-scalar call per argument.  :func:`batched` opens a residual scope: every
-coefficient, constant and ``s`` prefactor evaluated inside it records into
-one recorder, so a whole residual takes one array call.  Handed arrays of
-coordinates (a branch-tracker path), a coefficient runs once for all points.
+Each coefficient is written as a formula in a function ``s`` (see
+:func:`_batched`).  On cases I-III the formula runs once with the case's
+scalar ``s``; on case IV it takes all of its ``s`` values from one array
+:func:`~vandiejen.sfun.s_eval` call.  Either way the values are the same,
+bit for bit, as with one scalar call per argument.  :func:`batched` opens
+a residual scope: every coefficient, constant and ``s`` prefactor
+evaluated inside it runs in that scope, so on case IV a whole residual
+takes one array call.  Handed arrays of coordinates (a branch-tracker
+path), a coefficient runs once for all points.
 
 The exact summation identity (:func:`summation_lhs` versus
 :func:`summation_rhs`) is implemented for free complex parameters; the
@@ -58,6 +60,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import sfun
 from .sfun import CaseKind, CaseParams, DomainError, _mp_types, s_eval
 
 __all__ = [
@@ -251,7 +254,8 @@ def balance_defect(coupling: CouplingSet, mass_values: Sequence[float]) -> float
 
 
 # (case, s, staged) of the innermost running ``_batched`` formula;
-# ``staged`` collects the keyed values of a replay pass, None while recording
+# ``staged`` collects the keyed values of a single or a replay pass, None
+# while recording
 _ENCLOSING: ContextVar[tuple | None] = ContextVar("_ENCLOSING", default=None)
 # key -> value of the keyed ``_batched`` calls of one run (see _coefficient_memo)
 _MEMO: ContextVar[dict | None] = ContextVar("_MEMO", default=None)
@@ -268,12 +272,12 @@ def _coefficient_memo(on: bool = True):
 
 
 def _sv(case: CaseParams, z: complex) -> complex:
-    """``s(z)``: from the enclosing recorder of the same case when one is
+    """``s(z)``: from the enclosing scope of the same case when one is
     active (see :func:`batched`), else one scalar call."""
     enclosing = _ENCLOSING.get()
     if enclosing is not None and enclosing[:1] == (case,):
         return enclosing[1](z)
-    return complex(s_eval(case, complex(z)))
+    return case.s_scalar(complex(z))
 
 
 def _batched(
@@ -281,35 +285,34 @@ def _batched(
     formula: Callable[[Callable[[complex], complex]], complex],
     key: tuple | None = None,
 ):
-    """``formula(s)`` with every ``s`` value taken from one array call.
+    """``formula(s)`` in one scope, with the values of one scalar ``s``
+    call per argument, bit for bit.
 
-    ``formula`` runs twice.  The first run hands it an ``s`` that records
-    its argument and returns 1; all recorded arguments then go through a
-    single :func:`s_eval` call; the second run hands the values back in
-    call order.  Products and quotients therefore run in exactly the order
-    of scalar ``s`` calls, with the same bits, and an exact zero in a
-    denominator still raises :class:`ZeroDivisionError`.  This needs the
-    sequence of ``s`` arguments not to depend on ``s`` values; the replay
-    checks that it consumes exactly the recorded values.
+    On cases I-III ``formula`` runs once with the case's scalar ``s``
+    (:attr:`~vandiejen.sfun.CaseParams.s_scalar`), whose value equals the
+    array value.  On case IV a scalar theta series costs several times a
+    point of an array call, so ``formula`` records its arguments and
+    replays the values of one array call (see :func:`_record_and_replay`).
 
     Calls are re-entrant: while ``formula`` runs, an inner ``_batched``
     call on the same case (a coefficient evaluated inside it) hands its
-    own formula the enclosing ``s``, so the values of the whole run come
-    from one array call.
+    own formula the enclosing ``s``, so on case IV the values of the
+    whole run come from one array call.
 
     A ``key`` names every input of ``formula``.  Within the memo of one
     :func:`~vandiejen.verify.run_identity` call, a key already held
-    returns its value in both runs and takes no ``s`` values; a new value
-    is committed when the scope that computed it (the call that made the
-    array call) finishes its replay without error, never during it.
+    returns its value at once and takes no ``s`` values; a new value is
+    committed when the scope that computed it (the outermost call)
+    finishes its last run without error, never during it.
 
-    An argument may also be an array (a path): each array argument, and
-    each scalar one broadcast to its shape, then gets one row of the call.
-    Path calls run with the memo off (see :func:`_coefficient_memo`).
+    An argument may also be an array (a path).  On cases I-III each array
+    argument takes its own :func:`s_eval` array call; on case IV each
+    array argument, and each scalar one broadcast to its shape, gets one
+    row of the call.  Path calls run with the memo off (see
+    :func:`_coefficient_memo`).
 
-    When an argument is an mpmath number, the second run instead calls
-    :func:`s_eval` once per argument, so the values keep their precision,
-    and neither its value nor those of its inner keyed calls enter the memo.
+    An mpmath argument takes one :func:`s_eval` call, so its value keeps
+    its precision, and a scope that saw one commits nothing to the memo.
     """
     memo = _MEMO.get()
     if memo is None:
@@ -322,6 +325,33 @@ def _batched(
         if key is not None and enclosing[2] is not None:
             enclosing[2][key] = out
         return out
+    staged = None if memo is None else {}
+    mp_evals = sfun._mp_s_evals
+    if case.kind is CaseKind.ELLIPTIC:
+        out = _record_and_replay(case, formula, staged)
+    else:
+        out = _run_with(case, case.s_scalar, formula, staged)
+    if memo is not None and sfun._mp_s_evals == mp_evals:
+        memo.update(staged)
+        if key is not None:
+            memo[key] = out
+    return out
+
+
+def _record_and_replay(case: CaseParams, formula, staged: dict | None):
+    """``formula(s)`` run twice, its keyed inner values staged in ``staged``.
+
+    The first run hands ``formula`` an ``s`` that records its argument and
+    returns 1; all recorded arguments then go through a single
+    :func:`s_eval` call; the second run hands the values back in call
+    order.  Products and quotients therefore run in exactly the order of
+    scalar ``s`` calls, with the same bits, and an exact zero in a
+    denominator still raises :class:`ZeroDivisionError`.  This needs the
+    sequence of ``s`` arguments not to depend on ``s`` values; the replay
+    checks that it consumes exactly the recorded values.  When an argument
+    is an mpmath number, the second run calls :func:`s_eval` once per
+    argument instead.
+    """
     args: list[complex] = []
 
     def record(z: complex) -> complex:
@@ -330,7 +360,7 @@ def _batched(
 
     _run_with(case, record, formula, None)
     if not set(map(type, args)).isdisjoint(_mp_types()):
-        return _run_with(case, lambda z: s_eval(case, z), formula, None)
+        return _run_with(case, lambda z: s_eval(case, z), formula, staged)
     try:
         flat = np.array(args, dtype=np.complex128)
     except ValueError:  # arrays among scalars
@@ -344,14 +374,9 @@ def _batched(
             raise RuntimeError("formula asked for more s values than it recorded")
         return value
 
-    staged = None if memo is None else {}
     out = _run_with(case, replay, formula, staged)
     if next(values, None) is not None:
         raise RuntimeError("formula asked for fewer s values than it recorded")
-    if memo is not None:
-        memo.update(staged)
-        if key is not None:
-            memo[key] = out
     return out
 
 
@@ -365,13 +390,14 @@ def _run_with(case, s, formula, staged):
 
 
 def batched(case: CaseParams, thunk: Callable[[], object]):
-    """``thunk()`` with every ``s`` value that its coefficients, constants
-    and prefactors ask for taken from one array call (see :func:`_batched`).
+    """``thunk()`` as one scope of :func:`_batched`: on case IV every ``s``
+    value that its coefficients, constants and prefactors ask for comes
+    from one array call, on cases I-III from the scalar ``s``.
 
-    ``thunk`` runs twice, so it must not draw random numbers or have other
-    side effects, and it must not branch on a value built from ``s``:
-    reductions such as a maximum over terms belong outside.  Each value
-    is the same, bit for bit, as with one call per coefficient."""
+    On case IV ``thunk`` runs twice, so it must not draw random numbers or
+    have other side effects, and it must not branch on a value built from
+    ``s``: reductions such as a maximum over terms belong outside.  Each
+    value is the same, bit for bit, as with one call per coefficient."""
     return _batched(case, lambda s: thunk())
 
 
@@ -976,8 +1002,7 @@ def summation_lhs(case: CaseParams, p: SummationParams) -> complex:
 
 def summation_terms(case: CaseParams, p: SummationParams) -> tuple[list[complex], complex]:
     """All left-side terms (shift family, then negated boundary family)
-    plus the right-side value, with all of their ``s`` values from one
-    array call."""
+    plus the right-side value, in one :func:`batched` scope."""
 
     def both_sides():
         terms = [summation_shift_term(case, p, j, sign)

@@ -25,14 +25,17 @@ argument.  :func:`s_eval` and :func:`theta_eval` evaluate a Python or
 numpy scalar with ``cmath`` (nearly every call the identities make) and an
 array with numpy; the two paths do the same arithmetic in the same order
 and give each point the theta term count of the same rule, so a point's
-value does not depend on the call it comes in.  The float paths run at one
-fixed accuracy: the series and products stop at the relative error
-:data:`TARGET_REL_ERR`, and only :func:`theta_product` takes a setting,
-its cap ``product_terms`` on the factors.  The precision follows the
-argument's type: an mpmath number (and only that) is evaluated in mpmath
-at the working precision ``mpmath.mp.dps``, with term counts taken from
-that precision, and the value comes back as an mpmath number.  This is
-the slow path for oracle-grade checks.
+value does not depend on the call it comes in.  The scalar ``s`` of a
+case is bound once, with the case's constants, as
+:attr:`CaseParams.s_scalar`, which :func:`s_eval` and the operator
+formulas share.  The float paths run at one fixed accuracy: the series
+and products stop at the relative error :data:`TARGET_REL_ERR`, and only
+:func:`theta_product` takes a setting, its cap ``product_terms`` on the
+factors.  The precision follows the argument's type: an mpmath number (and
+only that) is evaluated in mpmath at the working precision
+``mpmath.mp.dps``, with term counts taken from that precision, and the
+value comes back as an mpmath number.  This is the slow path for
+oracle-grade checks.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -236,6 +240,11 @@ class CaseParams:
     def _s_scale(self) -> float:
         """Elliptic prefactor ``exp(r a / 4) / r`` turning theta into ``s``."""
         return math.exp(self.r * self.a / 4) / self.r
+
+    @cached_property
+    def s_scalar(self) -> Callable:
+        """``s`` of this case at one argument (see :func:`_scalar_s`)."""
+        return _scalar_s(self)
 
     @property
     def zero_lattice_basis(self) -> tuple[complex, ...]:
@@ -497,9 +506,17 @@ def _theta_product_mp(z, q, product_terms: int):
     )
 
 
+# mpmath evaluations of s so far: a formula pass of
+# :func:`~vandiejen.operators._batched` that sees the count move took an
+# mpmath argument (a count moved by another thread only costs memo entries)
+_mp_s_evals = 0
+
+
 def _s_mp(case: CaseParams, x):
     """``s`` at one mpmath argument; the elliptic case is the theta series
     at the nome ``exp(-r a)`` computed in mpmath."""
+    global _mp_s_evals
+    _mp_s_evals += 1
     kind = case.kind
     if kind is CaseKind.RATIONAL:
         return x
@@ -520,25 +537,21 @@ def s_eval(case: CaseParams, x):
     """Evaluate the case's building-block function ``s`` at ``x``.
 
     Accepts scalars or arrays, and an mpmath number, which it evaluates in
-    mpmath at the working precision and returns as an mpmath number.
+    mpmath at the working precision and returns as an mpmath number.  A
+    scalar takes the case's bound evaluator :attr:`CaseParams.s_scalar`,
+    whose value equals the array value bit for bit.
     """
-    kind = case.kind
     if isinstance(x, _SCALAR_TYPES):
-        z = complex(x)
-        if kind is CaseKind.ELLIPTIC:
-            return case._s_scale * theta_eval(case.r * z, q=case.q)
-        try:
-            if kind is CaseKind.RATIONAL:
-                return z
-            if kind is CaseKind.TRIGONOMETRIC:
-                return _div_real(cmath.sin(case.r * z), case.r)
-            return (case.a / math.pi) * cmath.sinh(_div_real(math.pi * z, case.a))
-        except (OverflowError, ValueError):
-            pass  # cmath raises where numpy returns inf or nan
-    elif _is_mp(x):
+        return case.s_scalar(x)
+    if _is_mp(x):
         return _s_mp(case, x)
+    return _s_array(case, x)
 
+
+def _s_array(case: CaseParams, x):
+    """``s`` at ``x`` with numpy, an array or a scalar (as a complex)."""
     xx, scalar = _as_complex_array(x)
+    kind = case.kind
     if kind is CaseKind.RATIONAL:
         vals = xx.copy()
     elif kind is CaseKind.TRIGONOMETRIC:
@@ -550,12 +563,66 @@ def s_eval(case: CaseParams, x):
     return _restore(vals, scalar)
 
 
-def _div_real(w: complex, d: float) -> complex:
-    """``w / d`` for ``d > 0`` as numpy divides a complex128 by a real: a
-    product with the reciprocal, with numpy's signs of zero.  Python's own
-    ``w / d`` rounds differently in the last bit."""
-    inv = 1.0 / d
-    return complex((w.real + w.imag * 0.0) * inv, (w.imag - w.real * 0.0) * inv)
+def _scalar_s(case: CaseParams) -> Callable:
+    """The scalar branch of :func:`s_eval` for ``case``, with the case
+    constants taken once: one argument of :data:`_SCALAR_TYPES` in
+    ``cmath`` (the theta series in case IV), as a complex.
+
+    On cases I-III it does the float operations of :func:`_s_array` in the
+    same order, so the value is the array value, bit for bit.  A quotient
+    by a real ``d > 0`` is taken as numpy divides a complex128 by a real:
+    a product with the reciprocal ``1/d``, with numpy's signs of zero
+    (Python's own ``w / d`` rounds differently in the last bit).  Where
+    cmath raises, numpy returns inf or nan: such an argument takes
+    :func:`_s_array`.  Any other argument (an array, an mpmath number)
+    goes to :func:`s_eval`.
+    """
+    kind = case.kind
+    if kind is CaseKind.RATIONAL:
+
+        def s(x):
+            if type(x) is complex:
+                return x
+            return complex(x) if isinstance(x, _SCALAR_TYPES) else s_eval(case, x)
+
+    elif kind is CaseKind.TRIGONOMETRIC:
+        r, inv_r = case.r, 1.0 / case.r
+
+        def s(x):
+            if type(x) is not complex:
+                if not isinstance(x, _SCALAR_TYPES):
+                    return s_eval(case, x)
+                x = complex(x)
+            try:
+                w = cmath.sin(r * x)
+            except (OverflowError, ValueError):
+                return _s_array(case, x)
+            return complex((w.real + w.imag * 0.0) * inv_r, (w.imag - w.real * 0.0) * inv_r)
+
+    elif kind is CaseKind.HYPERBOLIC:
+        a_pi, inv_a = case.a / math.pi, 1.0 / case.a
+
+        def s(x):
+            if type(x) is not complex:
+                if not isinstance(x, _SCALAR_TYPES):
+                    return s_eval(case, x)
+                x = complex(x)
+            w = math.pi * x
+            try:
+                return a_pi * cmath.sinh(
+                    complex((w.real + w.imag * 0.0) * inv_a, (w.imag - w.real * 0.0) * inv_a))
+            except (OverflowError, ValueError):
+                return _s_array(case, x)
+
+    else:
+        scale, r, q = case._s_scale, case.r, case.q
+
+        def s(x):
+            if isinstance(x, _SCALAR_TYPES):
+                return scale * theta_eval(r * complex(x), q=q)
+            return s_eval(case, x)
+
+    return s
 
 
 def s_eval_mp(case: CaseParams, x: complex, dps: int):

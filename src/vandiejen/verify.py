@@ -1440,6 +1440,8 @@ def run_identity(
         raise DomainError(f"identity {identity!r} has no balancing constraint to drop")
     if product_terms is not None and product_terms < 1:
         raise DomainError("product_terms must be at least 1")
+    if samples < 1:
+        raise DomainError("samples must be at least 1")
     if max_n < 1:
         raise DomainError("max_n must be at least 1")
     if particles and (len(particles) != 4 or min(particles) < 0):

@@ -344,6 +344,16 @@ def test_eval_does_not_take_trunc_terms(capsys):
     assert "--trunc-terms" in capsys.readouterr().err
 
 
+def test_eval_does_not_take_trunc_terms_from_a_config_file(tmp_path, capsys):
+    config = tmp_path / "ev.json"
+    config.write_text('{"trunc_terms": 1}')
+    code, out, err = run_main(capsys, ["eval", "theta", "--case", "IV", "--x", "0.3",
+                                       "--config", str(config)])
+    assert code == EXIT_CONFIG
+    assert "configuration error: field trunc_terms:" in err
+    assert out == ""
+
+
 def test_theta_product_convergence_error_names_the_flag_and_the_key(capsys):
     code, _, err = run_main(capsys, ["verify", "--identity", "theta-product", "--cases", "IV",
                                      "--samples", "2", "--trunc-terms", "1"])

@@ -1,15 +1,18 @@
-"""Operator coefficients evaluate ``s`` in one array call each, and a
+"""Operator coefficients run their formula once with the scalar ``s`` on
+cases I-III, and take ``s`` from one array call each on case IV, where a
 residual scope serves all of a residual's coefficients from one call; the
 values equal, bit for bit, those of one scalar ``s_eval`` call per
 argument."""
 
+import cmath
 from unittest import mock
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vandiejen import gamma, operators, verify
+from vandiejen import gamma, operators, sfun, verify
 from vandiejen.eigenfunctions import factor_ratio, groundstate_sq_factors
 from vandiejen.operators import (
     Configuration,
@@ -148,7 +151,8 @@ def test_a_zero_coordinate_still_divides_by_zero(label):
 
 
 def test_replay_rejects_a_formula_that_branches_on_s_values():
-    case = CASES["II"]
+    # only case IV records and replays
+    case = CASES["IV"]
 
     def more(s):  # records two arguments, asks for three on replay
         return s(0.3) if s(0.5) == 1.0 else s(0.7) + s(0.9)
@@ -192,17 +196,113 @@ def test_a_scoped_residual_equals_one_call_per_coefficient(identity, label, seed
         assert _row_bytes(identity, label, seed) == scoped
 
 
-@pytest.mark.parametrize("label", sorted(CASES))
-def test_a_residual_takes_one_s_eval_call(label):
+def _residuals(label):
+    """A source residual and the summation terms at one point."""
     case = CASES[label]
     g = tuple(0.37 + 0.05 * k for k in range(2 * (case.rho + 1)))
     config = Configuration(case, CouplingSet(g, 1.45, 0.31),
                            (MassTag.PLUS_ONE, MassTag.MINUS_INV))
     X = (0.41 + 0.07j, 0.83 - 0.11j)
+    return (verify.residual_source(config, X),
+            verify.summation_terms(case, proof_params(case, g, 1.45, 0.31,
+                                                      config.mass_values, X)))
+
+
+def test_a_residual_takes_one_s_eval_call():
     with mock.patch.object(operators, "s_eval", wraps=s_eval) as spy:
-        verify.residual_source(config, X)
-        verify.summation_terms(case, proof_params(case, g, 1.45, 0.31, config.mass_values, X))
+        _residuals("IV")
     assert spy.call_count == 2
+
+
+@pytest.mark.parametrize("label", ("I", "II", "III"))
+def test_a_residual_takes_no_array_call_on_cases_I_to_III(label):
+    # every scalar s goes through the case's bound evaluator alone
+    with mock.patch.object(operators, "s_eval", side_effect=AssertionError), \
+            mock.patch.object(sfun, "_s_array", side_effect=AssertionError):
+        scalar_s = _residuals(label)
+    with mock.patch.object(operators, "_batched", _scalar_batched):
+        assert _residuals(label) == scalar_s
+
+
+def _runs(formula):
+    """``formula`` and the list of the ``s`` functions it was run with."""
+    runs = []
+
+    def counted(s):
+        runs.append(s)
+        return formula(s)
+
+    return counted, runs
+
+
+@pytest.mark.parametrize("label", ("I", "II", "III"))
+def test_a_formula_runs_once_with_the_scalar_s(label):
+    case = CASES[label]
+    g = tuple(0.37 + 0.05 * k for k in range(2 * (case.rho + 1)))
+
+    def formula(s):  # with an inner keyed call, which runs in this scope
+        return (coeff_V0(case, g, 1.45, 0.31, (1.0, -1.0), (0.41 + 0.07j, 0.6 - 0.2j))
+                * s(0.3 + 0.1j) / s(0.7 - 0.2j))
+
+    counted, runs = _runs(formula)
+    with operators._coefficient_memo(), \
+            mock.patch.object(operators, "s_eval", side_effect=AssertionError), \
+            mock.patch.object(sfun, "_s_array", side_effect=AssertionError):
+        value = operators._batched(case, counted, ("test", label))
+        assert runs == [case.s_scalar]
+        # the scope committed its own value and the inner coefficient's
+        assert operators._MEMO.get()[("test", label)] == value
+        assert len(operators._MEMO.get()) == 3
+        assert operators._batched(case, counted, ("test", label)) == value
+        assert len(runs) == 1
+    assert value == _scalar_batched(case, formula)
+
+
+def test_the_elliptic_case_records_and_replays_a_formula():
+    case = CASES["IV"]
+
+    def formula(s):
+        return s(0.3 + 0.1j) / s(0.7 - 0.2j)
+
+    counted, runs = _runs(formula)
+    with mock.patch.object(operators, "s_eval", wraps=s_eval) as spy:
+        value = operators._batched(case, counted)
+    assert len(runs) == 2 and spy.call_count == 1
+    assert value == _scalar_batched(case, formula)
+
+
+def test_a_pass_with_an_mpmath_argument_commits_nothing():
+    case = CASES["II"]
+    g = tuple(0.37 + 0.05 * k for k in range(4))
+    args = (case, g, 1.45, 0.31, (1.0, -1.0 / 1.45))
+    X = (0.41 + 0.07j, 0.83 - 0.11j)
+    with mpmath.workdps(30), operators._coefficient_memo():
+        fine = tuple(mpmath.mpc(x) for x in X)
+        value = coeff_V0(*args, fine)
+        assert isinstance(value, mpmath.mpc)
+        # neither the coefficient nor its float coupling blocks
+        assert operators._MEMO.get() == {}
+        with mock.patch.object(operators, "_batched", _mp_scalar_batched):
+            assert coeff_V0(*args, fine) == value
+        # a float pass after it commits as before
+        coeff_V0(*args, X)
+        assert len(operators._MEMO.get()) == 2
+    assert complex(value) == pytest.approx(coeff_V0(*args, X), rel=1e-10)
+
+
+@pytest.mark.parametrize("label, z", [("II", complex(0.3, 800.0)), ("II", complex(-0.7, -800.0)),
+                                      ("III", complex(500.0, 0.3)), ("III", complex(-480.0, 1.1))])
+def test_the_bound_evaluator_takes_the_array_path_where_cmath_overflows(label, z):
+    case = CASES[label]
+    with pytest.raises(OverflowError):
+        if label == "II":
+            cmath.sin(case.r * z)
+        else:
+            cmath.sinh(complex(z.real / case.a, z.imag / case.a) * cmath.pi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        array = complex(s_eval(case, np.array([z]))[0])
+        values = [case.s_scalar(z), s_eval(case, z), operators._batched(case, lambda s: s(z))]
+    assert [_outcome(lambda v=v: v) for v in values] == [_outcome(lambda: array)] * 3
 
 
 def test_factor_ratio_takes_its_gamma_steps_from_one_call():
@@ -220,8 +320,9 @@ def test_factor_ratio_takes_its_gamma_steps_from_one_call():
     assert gamma_spy.call_count == 0
 
 
-@pytest.mark.parametrize("label", ("II", "IV"))
+@pytest.mark.parametrize("label", ("IV",))
 def test_a_scope_rejects_a_thunk_that_branches_on_s_values(label):
+    # only case IV records and replays
     case = CASES[label]
     g = tuple(0.37 + 0.05 * k for k in range(2 * (case.rho + 1)))
     X = (0.41 + 0.07j,)

@@ -255,6 +255,13 @@ def test_negative_seed_is_rejected():
         run_identity("s-oddness", "II", samples=1, seed=-1)
 
 
+@pytest.mark.parametrize("samples", [0, -2])
+def test_samples_below_one_are_rejected(samples):
+    # as the CLI rejects them, instead of a failing report without rows
+    with pytest.raises(DomainError, match="samples must be at least 1"):
+        run_identity("source", "I", samples=samples)
+
+
 def test_max_n_below_one_is_rejected():
     with pytest.raises(DomainError, match="max_n"):
         run_identity("eigen-plain", "I", max_n=0)
