@@ -145,7 +145,7 @@ class RunConfig:
             raise DomainError("field seed: must be non-negative")
         if self.max_n < 1:
             raise DomainError("field max_n: must be at least 1")
-        if self.tol is not None and self.tol <= 0:
+        if self.tol is not None and not self.tol > 0:
             raise DomainError("field tol: must be positive")
         if self.trunc_terms is not None and self.trunc_terms < 1:
             raise DomainError("field trunc_terms: must be at least 1")
@@ -213,7 +213,10 @@ def _has_type(value, kind: type) -> bool:
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
-def _load_config_file(path_text: str) -> RunConfig:
+def _load_config_file(path_text: str, command: str) -> RunConfig:
+    """The config file at ``path_text``, read for the subcommand
+    ``command``: a field that it sets (a null sets none) must be a flag of
+    ``command``."""
     path = Path(path_text)
     try:
         raw = path.read_text()
@@ -226,7 +229,21 @@ def _load_config_file(path_text: str) -> RunConfig:
             f"config file {path}: invalid JSON at line {exc.lineno}") from exc
     if not isinstance(mapping, dict):
         raise DomainError(f"config file {path}: top level must be a mapping")
-    return RunConfig.from_mapping(mapping, f" (config file {path})")
+    where = f" (config file {path})"
+    dests = _flag_dests()
+    for attr, (key, _, _) in _FIELDS.items():
+        dest = _FLAG_DESTS.get(attr, attr)
+        if mapping.get(key) is not None and dest not in dests[command]:
+            takers = ", ".join(name for name, d in dests.items() if dest in d)
+            raise DomainError(f"field {key}: applies to {takers} only, not to {command}{where}")
+    return RunConfig.from_mapping(mapping, where)
+
+
+@functools.cache
+def _flag_dests() -> dict[str, frozenset[str]]:
+    """Per subcommand, the destinations of its arguments."""
+    (subs,) = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: frozenset(a.dest for a in sub._actions) for name, sub in subs.choices.items()}
 
 
 def _check_field_types(mapping: dict, where: str = "") -> None:
@@ -256,7 +273,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     """The config file (or the defaults), with each flag that is set
     replacing its field.  ``--case`` wins over ``--cases``, and ``--cases``
     and ``--identity`` win over ``--all``."""
-    cfg = _load_config_file(args.config) if getattr(args, "config", None) else RunConfig()
+    cfg = _load_config_file(args.config, args.command) if args.config else RunConfig()
     flags = {}
     if getattr(args, "all", None):
         flags.update(cases=verify.CASES, identities=verify.IDENTITIES)
@@ -357,10 +374,6 @@ def _tags_for_eval(cfg: RunConfig, count: int) -> tuple[MassTag, ...]:
 
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
-    # eval runs no theta-product identity, so it has no use for the cap,
-    # from a config file or (see build_parser) from a flag
-    if cfg.trunc_terms is not None:
-        raise DomainError("field trunc_terms: applies to verify only, not to eval")
     if len(cfg.cases) > 1:
         raise DomainError(
             f"field cases: eval takes one case, got {','.join(cfg.cases)}")

@@ -43,8 +43,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gamma import _step_ratio, functional_eq_constant, gamma_G
-from .operators import (MassTag, _batched, _coefficient_memo, _moved, batched, coeff_V0,
-                        coeff_V_shift, d_param, dual_couplings, reflected_couplings)
+from .operators import (MassTag, _batched, _coefficient_memo, _moved, coeff_V0, coeff_V_shift,
+                        d_param, dual_couplings, reflected_couplings)
 from .sfun import CaseParams, DomainError, PoleProximityError, s_eval
 
 __all__ = [
@@ -154,8 +154,7 @@ def factor_ratio(
     ``coeff * delta`` to be an integer multiple of ``i alpha``;
     building-block factors are evaluated directly.  The result involves
     no gamma evaluations and no square roots, and takes its ``s`` values
-    as a coefficient does (see :func:`~vandiejen.operators._batched`), or
-    from the enclosing :func:`~vandiejen.operators.batched` scope.
+    as a coefficient does (see :func:`~vandiejen.operators._batched`).
     """
     plan = []
     for f in factors:
@@ -457,20 +456,20 @@ class BranchTracker:
         return prev
 
 
-def pathwise(case: CaseParams, coeff: Callable[[Sequence[complex]], complex]) -> Callable:
+def pathwise(coeff: Callable[[Sequence[complex]], complex]) -> Callable:
     """``coeff`` of one point as a :meth:`BranchTracker.sqrt_at` factor.
 
     On a path, ``coeff`` runs once on the coordinate arrays of all points
-    but the last, its ``s`` values from array calls (one per array argument
-    on cases I-III, one for all arguments on case IV).  These values agree
-    with point by point to rounding and only choose the sheets; the target
-    is evaluated alone, so its root is the same, bit for bit."""
+    but the last, its ``s`` values from one array call per array argument.
+    These values agree with point by point to rounding and only choose the
+    sheets; the target is evaluated alone, so its root is the same, bit for
+    bit."""
 
     def fn(P):
         if not isinstance(P[0], np.ndarray):
             return coeff(P)
         with _coefficient_memo(on=False):
-            inner = batched(case, lambda: coeff(tuple(c[:-1] for c in P)))
+            inner = coeff(tuple(c[:-1] for c in P))
         return np.append(inner, coeff(tuple(complex(c[-1]) for c in P)))
 
     return fn
@@ -645,10 +644,10 @@ class ConjugatedTerms:
         """The term's two continued roots and its shifted point."""
         slot = b.slots[j]
         shifted = _moved(P, slot, P[slot] + sign * b.step)
-        here = self.tracker.sqrt_at((b.label, slot, sign), pathwise(
-            self.case, lambda Q: b.coeff(Q, j, sign)), P)
-        there = self.tracker.sqrt_at((b.label, slot, -sign), pathwise(
-            self.case, lambda Q: b.coeff(Q, j, -sign)), shifted)
+        here = self.tracker.sqrt_at((b.label, slot, sign),
+                                    pathwise(lambda Q: b.coeff(Q, j, sign)), P)
+        there = self.tracker.sqrt_at((b.label, slot, -sign),
+                                     pathwise(lambda Q: b.coeff(Q, j, -sign)), shifted)
         return here, there, shifted
 
     def _ratio(self, P: tuple, FP: complex, b: ShiftBlock, j: int, sign: int) -> complex:

@@ -28,14 +28,10 @@ and the specialised route is one of the verification targets, so they
 must never be collapsed into one implementation.
 
 Each coefficient is written as a formula in a function ``s`` (see
-:func:`_batched`).  On cases I-III the formula runs once with the case's
-scalar ``s``; on case IV it takes all of its ``s`` values from one array
-:func:`~vandiejen.sfun.s_eval` call.  Either way the values are the same,
-bit for bit, as with one scalar call per argument.  :func:`batched` opens
-a residual scope: every coefficient, constant and ``s`` prefactor
-evaluated inside it runs in that scope, so on case IV a whole residual
-takes one array call.  Handed arrays of coordinates (a branch-tracker
-path), a coefficient runs once for all points.
+:func:`_batched`), which runs once with the case's scalar ``s``.  Its
+values are the same, bit for bit, as those of an array
+:func:`~vandiejen.sfun.s_eval` call.  Handed arrays of coordinates (a
+branch-tracker path), a coefficient runs once for all points.
 
 The exact summation identity (:func:`summation_lhs` versus
 :func:`summation_rhs`) is implemented for free complex parameters; the
@@ -58,10 +54,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import sfun
-from .sfun import CaseKind, CaseParams, DomainError, _mp_types, s_eval
+from .sfun import CaseKind, CaseParams, DomainError
 
 __all__ = [
     "MassTag",
@@ -94,7 +88,6 @@ __all__ = [
     "summation_rhs",
     "summation_terms",
     "proof_params",
-    "batched",
 ]
 
 
@@ -253,11 +246,8 @@ def balance_defect(coupling: CouplingSet, mass_values: Sequence[float]) -> float
 # ---------------------------------------------------------------------------
 
 
-# (case, s, staged) of the innermost running ``_batched`` formula;
-# ``staged`` collects the keyed values of a single or a replay pass, None
-# while recording
-_ENCLOSING: ContextVar[tuple | None] = ContextVar("_ENCLOSING", default=None)
-# key -> value of the keyed ``_batched`` calls of one run (see _coefficient_memo)
+# key -> value of the keyed ``_batched`` calls of one run, and under
+# ("s", case) the remembering ``s`` of an elliptic case (see _run_s)
 _MEMO: ContextVar[dict | None] = ContextVar("_MEMO", default=None)
 
 
@@ -271,134 +261,64 @@ def _coefficient_memo(on: bool = True):
         _MEMO.reset(token)
 
 
-def _sv(case: CaseParams, z: complex) -> complex:
-    """``s(z)``: from the enclosing scope of the same case when one is
-    active (see :func:`batched`), else one scalar call."""
-    enclosing = _ENCLOSING.get()
-    if enclosing is not None and enclosing[:1] == (case,):
-        return enclosing[1](z)
-    return case.s_scalar(complex(z))
-
-
 def _batched(
     case: CaseParams,
     formula: Callable[[Callable[[complex], complex]], complex],
     key: tuple | None = None,
 ):
-    """``formula(s)`` in one scope, with the values of one scalar ``s``
-    call per argument, bit for bit.
-
-    On cases I-III ``formula`` runs once with the case's scalar ``s``
+    """``formula(s)``, run once with the case's scalar ``s``
     (:attr:`~vandiejen.sfun.CaseParams.s_scalar`), whose value equals the
-    array value.  On case IV a scalar theta series costs several times a
-    point of an array call, so ``formula`` records its arguments and
-    replays the values of one array call (see :func:`_record_and_replay`).
-
-    Calls are re-entrant: while ``formula`` runs, an inner ``_batched``
-    call on the same case (a coefficient evaluated inside it) hands its
-    own formula the enclosing ``s``, so on case IV the values of the
-    whole run come from one array call.
+    array value bit for bit.
 
     A ``key`` names every input of ``formula``.  Within the memo of one
     :func:`~vandiejen.verify.run_identity` call, a key already held
-    returns its value at once and takes no ``s`` values; a new value is
-    committed when the scope that computed it (the outermost call)
-    finishes its last run without error, never during it.
+    returns its value at once; otherwise the formula runs and its value is
+    committed, unless it took an mpmath argument: such a value keeps its
+    precision and stays out of the memo.  On case IV the formula takes
+    ``s`` from :func:`_run_s`, which remembers values within the memo.
 
-    An argument may also be an array (a path).  On cases I-III each array
-    argument takes its own :func:`s_eval` array call; on case IV each
-    array argument, and each scalar one broadcast to its shape, gets one
-    row of the call.  Path calls run with the memo off (see
-    :func:`_coefficient_memo`).
-
-    An mpmath argument takes one :func:`s_eval` call, so its value keeps
-    its precision, and a scope that saw one commits nothing to the memo.
+    An argument may also be an array (a path): it takes its own
+    :func:`~vandiejen.sfun.s_eval` array call.  Path calls run with the
+    memo off (see :func:`_coefficient_memo`).
     """
     memo = _MEMO.get()
     if memo is None:
-        key = None
-    elif key is not None and (held := memo.get(key)) is not None:
+        return formula(case.s_scalar)
+    if key is not None and (held := memo.get(key)) is not None:
         return held
-    enclosing = _ENCLOSING.get()
-    if enclosing is not None and enclosing[:1] == (case,):
-        out = formula(enclosing[1])
-        if key is not None and enclosing[2] is not None:
-            enclosing[2][key] = out
-        return out
-    staged = None if memo is None else {}
     mp_evals = sfun._mp_s_evals
-    if case.kind is CaseKind.ELLIPTIC:
-        out = _record_and_replay(case, formula, staged)
-    else:
-        out = _run_with(case, case.s_scalar, formula, staged)
-    if memo is not None and sfun._mp_s_evals == mp_evals:
-        memo.update(staged)
-        if key is not None:
-            memo[key] = out
+    out = formula(_run_s(memo, case))
+    if key is not None and sfun._mp_s_evals == mp_evals:
+        memo[key] = out
     return out
 
 
-def _record_and_replay(case: CaseParams, formula, staged: dict | None):
-    """``formula(s)`` run twice, its keyed inner values staged in ``staged``.
+def _run_s(memo: dict, case: CaseParams) -> Callable[[complex], complex]:
+    """The ``s`` of ``case`` for formulas run within ``memo``.
 
-    The first run hands ``formula`` an ``s`` that records its argument and
-    returns 1; all recorded arguments then go through a single
-    :func:`s_eval` call; the second run hands the values back in call
-    order.  Products and quotients therefore run in exactly the order of
-    scalar ``s`` calls, with the same bits, and an exact zero in a
-    denominator still raises :class:`ZeroDivisionError`.  This needs the
-    sequence of ``s`` arguments not to depend on ``s`` values; the replay
-    checks that it consumes exactly the recorded values.  When an argument
-    is an mpmath number, the second run calls :func:`s_eval` once per
-    argument instead.
+    On cases I-III that is the scalar ``s``.  On case IV a scalar theta
+    series costs microseconds, and a run asks for many arguments more than
+    once, so the ``s`` kept in the memo remembers the value of each complex
+    argument, and dies with the memo.  An argument with a zero part is not
+    remembered: ``s`` is odd, and ``-0.0 == 0.0`` would hand ``s(-0.0 + yi)``
+    the value of ``s(0.0 + yi)``.  mpmath numbers and arrays pass through.
     """
-    args: list[complex] = []
+    if case.kind is not CaseKind.ELLIPTIC:
+        return case.s_scalar
+    remembering = memo.get(("s", case))
+    if remembering is None:
+        s, values = case.s_scalar, {}
 
-    def record(z: complex) -> complex:
-        args.append(z)
-        return 1.0
+        def remembering(z):
+            if type(z) is not complex or not (z.real and z.imag):
+                return s(z)
+            value = values.get(z)
+            if value is None:
+                value = values[z] = s(z)
+            return value
 
-    _run_with(case, record, formula, None)
-    if not set(map(type, args)).isdisjoint(_mp_types()):
-        return _run_with(case, lambda z: s_eval(case, z), formula, staged)
-    try:
-        flat = np.array(args, dtype=np.complex128)
-    except ValueError:  # arrays among scalars
-        flat = np.array(np.broadcast_arrays(*args))
-    values = s_eval(case, flat.reshape(-1)) if args else flat
-    values = iter(values.tolist() if flat.ndim == 1 else values.reshape(flat.shape))
-
-    def replay(z: complex) -> complex:
-        value = next(values, None)
-        if value is None:
-            raise RuntimeError("formula asked for more s values than it recorded")
-        return value
-
-    out = _run_with(case, replay, formula, staged)
-    if next(values, None) is not None:
-        raise RuntimeError("formula asked for fewer s values than it recorded")
-    return out
-
-
-def _run_with(case, s, formula, staged):
-    """``formula(s)`` as the enclosing scope ``(case, s, staged)``."""
-    token = _ENCLOSING.set((case, s, staged))
-    try:
-        return formula(s)
-    finally:
-        _ENCLOSING.reset(token)
-
-
-def batched(case: CaseParams, thunk: Callable[[], object]):
-    """``thunk()`` as one scope of :func:`_batched`: on case IV every ``s``
-    value that its coefficients, constants and prefactors ask for comes
-    from one array call, on cases I-III from the scalar ``s``.
-
-    On case IV ``thunk`` runs twice, so it must not draw random numbers or
-    have other side effects, and it must not branch on a value built from
-    ``s``: reductions such as a maximum over terms belong outside.  Each
-    value is the same, bit for bit, as with one call per coefficient."""
-    return _batched(case, lambda s: thunk())
+        memo[("s", case)] = remembering
+    return remembering
 
 
 def _moved(P: Sequence[complex], j: int, z: complex) -> tuple[complex, ...]:
@@ -585,7 +505,7 @@ def operator_weights(
     weights = []
     for j, m_j in enumerate(masses):
         step = 1j * beta / m_j
-        pref = _sv(case, 1j * lam * m_j * beta)
+        pref = case.s_scalar(1j * lam * m_j * beta)
         for sign in (1, -1):
             coeff = coeff_V_shift(case, g, lam, beta, masses, tags, X, j, sign)
             weights.append((pref * coeff, _moved(X, j, X[j] - sign * step)))
@@ -774,7 +694,7 @@ def vd_weights(
     """The all-unit-mass operator at ``x`` as ``(weight, point)`` pairs, as
     :func:`operator_weights` gives the conjugated one."""
     x = tuple(complex(v) for v in x)
-    pref = _sv(case, 1j * lam * beta)
+    pref = case.s_scalar(1j * lam * beta)
     weights = []
     for j in range(len(x)):
         for sign in (1, -1):
@@ -908,8 +828,8 @@ def def_weights(
     """
     x = tuple(complex(v) for v in x)
     xt = tuple(complex(v) for v in xt)
-    pref_x = _sv(case, 1j * lam * beta)
-    pref_t = _sv(case, 1j * beta)
+    pref_x = case.s_scalar(1j * lam * beta)
+    pref_t = case.s_scalar(1j * beta)
     weights = []
     for j in range(len(x)):
         for sign in (1, -1):
@@ -1002,17 +922,13 @@ def summation_lhs(case: CaseParams, p: SummationParams) -> complex:
 
 def summation_terms(case: CaseParams, p: SummationParams) -> tuple[list[complex], complex]:
     """All left-side terms (shift family, then negated boundary family)
-    plus the right-side value, in one :func:`batched` scope."""
-
-    def both_sides():
-        terms = [summation_shift_term(case, p, j, sign)
-                 for sign in (1, -1) for j in range(len(p.X))]
-        for nu in range(case.rho + 1):
-            terms.append(-summation_boundary_term(case, p, nu, use_c=True))
-            terms.append(-summation_boundary_term(case, p, nu, use_c=False))
-        return terms, summation_rhs(case, p)
-
-    return batched(case, both_sides)
+    plus the right-side value."""
+    terms = [summation_shift_term(case, p, j, sign)
+             for sign in (1, -1) for j in range(len(p.X))]
+    for nu in range(case.rho + 1):
+        terms.append(-summation_boundary_term(case, p, nu, use_c=True))
+        terms.append(-summation_boundary_term(case, p, nu, use_c=False))
+    return terms, summation_rhs(case, p)
 
 
 def summation_boundary_term(
@@ -1055,7 +971,7 @@ def summation_boundary_term(
 
 def summation_rhs(case: CaseParams, p: SummationParams) -> complex:
     """Right side: a single ``s`` value at the parameter sum."""
-    return _sv(case, 2 * p.gamma * sum(p.m) + sum(p.n))
+    return case.s_scalar(2 * p.gamma * sum(p.m) + sum(p.n))
 
 
 def proof_params(

@@ -28,14 +28,16 @@ and give each point the theta term count of the same rule, so a point's
 value does not depend on the call it comes in.  The scalar ``s`` of a
 case is bound once, with the case's constants, as
 :attr:`CaseParams.s_scalar`, which :func:`s_eval` and the operator
-formulas share.  The float paths run at one fixed accuracy: the series
-and products stop at the relative error :data:`TARGET_REL_ERR`, and only
-:func:`theta_product` takes a setting, its cap ``product_terms`` on the
-factors.  The precision follows the argument's type: an mpmath number (and
-only that) is evaluated in mpmath at the working precision
-``mpmath.mp.dps``, with term counts taken from that precision, and the
-value comes back as an mpmath number.  This is the slow path for
-oracle-grade checks.
+formulas share; on case IV these include the per-term constants of the
+scalar theta series, whose one implementation :func:`theta_eval` shares
+(see :func:`_theta_series`).  The float paths run at one fixed accuracy:
+the series and products stop at the relative error
+:data:`TARGET_REL_ERR`, and only :func:`theta_product` takes a setting,
+its cap ``product_terms`` on the factors.  The precision follows the
+argument's type: an mpmath number (and only that) is evaluated in mpmath
+at the working precision ``mpmath.mp.dps``, with term counts taken from
+that precision, and the value comes back as an mpmath number.  This is
+the slow path for oracle-grade checks.
 """
 
 from __future__ import annotations
@@ -315,17 +317,16 @@ def theta_eval(z, tau=None, q=None):
         ``q = exp(i pi tau)`` and ``|q| < 1``.
     """
     qq = _nome_from(tau=tau, q=q)
-    log_q = cmath.log(qq)  # principal branch fixes q**(1/4)
     if isinstance(z, _SCALAR_TYPES):
-        zc = complex(z)
-        n_stop = _theta_terms(log_q, abs(zc.imag), TARGET_REL_ERR, abs(qq))
-        try:
-            return _theta_sum(zc, log_q, n_stop)
-        except (OverflowError, ValueError):
-            pass  # cmath raises where numpy returns inf or nan
+        value = _theta_series(qq)(complex(z))
+        if value is not None:
+            return value
+        # the term cap, the overflow guard, or cmath raising where numpy
+        # returns inf or nan: the array path raises or returns that value
     elif _is_mp(z):
         return _theta_mp(z, mpmath.log(_nome_mp(tau, q)))
 
+    log_q = cmath.log(qq)  # principal branch fixes q**(1/4)
     zz, scalar = _as_complex_array(z)
     if not zz.size:
         return zz
@@ -414,18 +415,53 @@ def _theta_terms_array(log_q: complex, im: np.ndarray, tol: float) -> np.ndarray
     return n
 
 
-def _theta_sum(z: complex, log_q: complex, n_stop: int) -> complex:
-    """Scalar twin of the numpy series in :func:`theta_eval`, term for term."""
-    total = 0j
-    for n in range(n_stop + 1):
-        exponent = (n + 0.5) ** 2 * log_q
-        k = 1j * (2 * n + 1)
-        term = (cmath.exp(exponent + k * z) - cmath.exp(exponent - k * z)) / 2j
-        if n % 2:
-            total -= term
-        else:
-            total += term
-    return 2.0 * total
+def _theta_series(q: complex) -> Callable[[complex], complex | None]:
+    """The scalar sine series of :func:`theta_eval` at the nome ``q``, with
+    ``log q`` and the per-term constants ``(n + 1/2)^2 log q`` and
+    ``i (2n + 1)`` bound once.
+
+    A call sums the series at one complex ``z`` with ``cmath``, term for
+    term as the numpy series, to the count :func:`_theta_terms` gives at
+    ``|Im z|``, found here by the scan from ``n = 1`` that its closed form
+    is pinned to (a call of :func:`_theta_terms` would add about an eighth
+    to a series of five terms).  It returns None where that count meets
+    the term cap or the overflow guard, or where ``cmath`` raises: the
+    array path of :func:`theta_eval` answers those.
+    """
+    log_q = cmath.log(q)  # principal branch fixes q**(1/4)
+    decay = log_q.real  # = ln|q| < 0
+    quarter = abs(log_q) / 4
+    log_tol = math.log(TARGET_REL_ERR)
+    consts: list = []  # (exponent, frequency) of terms 0, 1, ...: replaced, never mutated
+
+    def series(z: complex) -> complex | None:
+        nonlocal consts
+        im = abs(z.imag)
+        n_stop = 1
+        while not n_stop * (n_stop + 1) * decay + 2 * n_stop * im < log_tol:
+            if n_stop == _THETA_TERM_CAP:
+                return None
+            n_stop += 1
+        if quarter + (2 * n_stop + 1) * im > 650.0:
+            return None
+        terms = consts
+        if len(terms) <= n_stop:
+            terms = consts = [((n + 0.5) ** 2 * log_q, 1j * (2 * n + 1))
+                              for n in range(n_stop + 1)]
+        total = 0j
+        try:
+            for n, (exponent, k) in zip(range(n_stop + 1), terms):
+                kz = k * z
+                term = (cmath.exp(exponent + kz) - cmath.exp(exponent - kz)) / 2j
+                if n % 2:
+                    total -= term
+                else:
+                    total += term
+        except (OverflowError, ValueError):
+            return None
+        return 2.0 * total
+
+    return series
 
 
 def theta_product(z, tau=None, q=None, product_terms: int = PRODUCT_TERMS):
@@ -539,7 +575,9 @@ def s_eval(case: CaseParams, x):
     Accepts scalars or arrays, and an mpmath number, which it evaluates in
     mpmath at the working precision and returns as an mpmath number.  A
     scalar takes the case's bound evaluator :attr:`CaseParams.s_scalar`,
-    whose value equals the array value bit for bit.
+    whose value equals the array value bit for bit.  The formulas of
+    :mod:`~vandiejen.operators` call that evaluator directly on every case,
+    so their scalar values do not pass through here.
     """
     if isinstance(x, _SCALAR_TYPES):
         return case.s_scalar(x)
@@ -566,7 +604,8 @@ def _s_array(case: CaseParams, x):
 def _scalar_s(case: CaseParams) -> Callable:
     """The scalar branch of :func:`s_eval` for ``case``, with the case
     constants taken once: one argument of :data:`_SCALAR_TYPES` in
-    ``cmath`` (the theta series in case IV), as a complex.
+    ``cmath`` (in case IV the bound theta series of :func:`_theta_series`,
+    and :func:`theta_eval` where that series gives no value), as a complex.
 
     On cases I-III it does the float operations of :func:`_s_array` in the
     same order, so the value is the array value, bit for bit.  A quotient
@@ -616,11 +655,14 @@ def _scalar_s(case: CaseParams) -> Callable:
 
     else:
         scale, r, q = case._s_scale, case.r, case.q
+        series = _theta_series(q)
 
         def s(x):
-            if isinstance(x, _SCALAR_TYPES):
-                return scale * theta_eval(r * complex(x), q=q)
-            return s_eval(case, x)
+            if not isinstance(x, _SCALAR_TYPES):
+                return s_eval(case, x)
+            z = r * complex(x)
+            value = series(z)
+            return scale * (theta_eval(z, q=q) if value is None else value)
 
     return s
 

@@ -57,9 +57,7 @@ from .operators import (
     MassTag,
     _coefficient_memo,
     _moved,
-    _sv,
     balance_solve,
-    batched,
     c0_constant,
     coeff_V0,
     coeff_V_shift,
@@ -269,10 +267,8 @@ def _screen_config(config: Configuration, X: Sequence[complex], coeff_cap: float
     absurdly amplified by a nearby pole."""
     case, cs = config.case, config.coupling
     try:
-        terms = batched(case, lambda: operator_terms(
-            case, cs.g, cs.lam, cs.beta, config.mass_values, config.masses,
-            X, lambda _: 1.0,
-        ))
+        terms = operator_terms(case, cs.g, cs.lam, cs.beta, config.mass_values,
+                               config.masses, X, lambda _: 1.0)
     except (DomainError, ZeroDivisionError, OverflowError, ConvergenceError):
         return False
     arr = np.asarray(terms, dtype=complex)
@@ -405,8 +401,8 @@ def _rows_s_oddness(ctx: _RunCtx) -> list[SampleResult]:
     rows = []
     for i in range(ctx.samples):
         z = _draw_scalar(ctx.rng)
-        a = _sv(ctx.case, z)
-        b = _sv(ctx.case, -z)
+        a = ctx.case.s_scalar(z)
+        b = ctx.case.s_scalar(-z)
         rows.append(_row(ctx, "odd", i, *_rel_dev(a, -b)))
     return rows
 
@@ -418,8 +414,8 @@ def _rows_s_quasi_period(ctx: _RunCtx) -> list[SampleResult]:
         nu = 1 + i % case.rho
         z = _draw_scalar(ctx.rng)
         fac = quasi_factor(case, z, nu)
-        lhs = _sv(case, z + case.omega[nu])
-        rhs = complex(fac) * _sv(case, z)
+        lhs = case.s_scalar(z + case.omega[nu])
+        rhs = complex(fac) * case.s_scalar(z)
         rows.append(_row(ctx, f"nu={nu}", i, *_rel_dev(lhs, rhs)))
     return rows
 
@@ -437,7 +433,7 @@ def _rows_s_duplication(ctx: _RunCtx) -> list[SampleResult]:
         except PoleProximityError:
             ctx.rejected += 1
             continue
-        scale = abs(_sv(ctx.case, 2 * z))
+        scale = abs(ctx.case.s_scalar(2 * z))
         rows.append(_row(ctx, "duplication", i, res, max(scale, _TINY)))
         i += 1
     if len(rows) < ctx.samples:
@@ -471,7 +467,7 @@ def _rows_gamma_fe(ctx: _RunCtx) -> list[SampleResult]:
             up = complex(gamma_G(ctx.case, alpha, z + 0.5j * alpha))
             dn = complex(gamma_G(ctx.case, alpha, z - 0.5j * alpha))
             c = functional_eq_constant(ctx.case, alpha)
-            rhs = c * _sv(ctx.case, z) * dn
+            rhs = c * ctx.case.s_scalar(z) * dn
         except (DomainError, ConvergenceError, OverflowError):
             ctx.rejected += 1
             continue
@@ -573,11 +569,9 @@ def residual_source(config: Configuration, X: Sequence[complex]) -> tuple[float,
     closed-form constant, normalised by the largest single term."""
     case = config.case
     cs = config.coupling
-    terms, const = batched(case, lambda: (
-        operator_terms(case, cs.g, cs.lam, cs.beta, config.mass_values, config.masses, X,
-                       lambda _: 1.0),
-        source_constant(case, cs.g, cs.lam, cs.beta, config.mass_values),
-    ))
+    terms = operator_terms(case, cs.g, cs.lam, cs.beta, config.mass_values, config.masses, X,
+                           lambda _: 1.0)
+    const = source_constant(case, cs.g, cs.lam, cs.beta, config.mass_values)
     scale = max(_max_abs(terms), abs(const), _TINY)
     return abs(sum(terms) - const) / scale, scale
 
@@ -981,16 +975,15 @@ def _rows_display(ctx: _RunCtx) -> list[SampleResult]:
         if not (ctx.label == "IV" and ctx.no_balance):
             if spec.display:
                 # specialised coefficients == generic multiset coefficients
-                dev, sc = _worst_dev(batched(case, lambda: [
+                dev, sc = _worst_dev([
                     (coeff_V_shift(case, g, lam, beta, values, tags, Z, slot, sign),
                      coeff(Z, j, sign))
                     for _, slots, coeff, _ in blocks for j, slot in enumerate(slots)
-                    for sign in (1, -1)]))
+                    for sign in (1, -1)])
                 rows.append(_row(ctx, f"{lab}/chain-shift", i, dev, sc))
 
-                d, s = _rel_dev(*batched(case, lambda: (
-                    coeff_V0(case, g, lam, beta, values, Z),
-                    v0(Z) - c0_constant(case, g, lam, beta))))
+                d, s = _rel_dev(coeff_V0(case, g, lam, beta, values, Z),
+                                v0(Z) - c0_constant(case, g, lam, beta))
                 rows.append(_row(ctx, f"{lab}/chain-zero", i, d, s))
 
                 # square-root closure: coefficient ratio under one step
@@ -1002,15 +995,14 @@ def _rows_display(ctx: _RunCtx) -> list[SampleResult]:
 
                 for name, slots, coeff, step in blocks:
                     if slots:
-                        dev, sc = _worst_dev(batched(case, lambda: [
+                        dev, sc = _worst_dev([
                             closure(coeff, slot, j, sign, sign * step)
-                            for j, slot in enumerate(slots) for sign in (1, -1)]))
+                            for j, slot in enumerate(slots) for sign in (1, -1)])
                         rows.append(_row(ctx, f"{lab}/{name}", i, dev, sc))
 
             # eigenvalue: the action on the constant function
-            terms, const = batched(case, lambda: (
-                weighted_terms(weights(Z), lambda _: 1.0),
-                eigen_constant(case, g, lam, beta, values)))
+            terms = weighted_terms(weights(Z), lambda _: 1.0)
+            const = eigen_constant(case, g, lam, beta, values)
             scale = max(_max_abs(terms), abs(const), _TINY)
             rows.append(_row(ctx, f"{lab}/eigen", i, abs(sum(terms) - const) / scale, scale))
 
@@ -1118,16 +1110,15 @@ def _rows_kernel(ctx: _RunCtx) -> list[SampleResult]:
         if not (ctx.label == "IV" and ctx.no_balance):
             for b in blocks:
                 if b.slots:
-                    dev, sc = _worst_dev(batched(case, lambda: [
+                    dev, sc = _worst_dev([
                         (ref(Z, b, j, sign),
                          b.coeff(Z, j, sign)
                          * factor_ratio(case, K, Z, slot, sign * b.step))
                         # combined shift +1 first: of equal deviations the first counts
-                        for j, slot in enumerate(b.slots) for sign in (b.orient, -b.orient)]))
+                        for j, slot in enumerate(b.slots) for sign in (b.orient, -b.orient)])
                     rows.append(_row(ctx, f"{lab}/{b.label}", i, dev, sc))
 
-            d, s = _rel_dev(*batched(case, lambda: (
-                coeff_V0(case, g, lam, beta, values, Z), v0(Z))))
+            d, s = _rel_dev(coeff_V0(case, g, lam, beta, values, Z), v0(Z))
             rows.append(_row(ctx, f"{lab}/chain-zero", i, d, s))
 
             res, scale = residual_source(config, Z)
@@ -1179,11 +1170,8 @@ def _rows_anti_symmetry(ctx: _RunCtx) -> list[SampleResult]:
         ts = tuple(Z[v] for v in range(N, N + Nt))
         # the operators at +beta and -beta, plain and two-species, for every
         # test function
-        plain, two = batched(case, lambda: (
-            (vd_weights(case, g, lam, beta, X),
-             vd_weights(case, g, lam, -beta, X)),
-            (def_weights(case, g, lam, beta, xs, ts),
-             def_weights(case, g, lam, -beta, xs, ts))))
+        plain = (vd_weights(case, g, lam, beta, X), vd_weights(case, g, lam, -beta, X))
+        two = (def_weights(case, g, lam, beta, xs, ts), def_weights(case, g, lam, -beta, xs, ts))
 
         for fi in range(5):
             fn = _exp_fn(ctx.rng.uniform(-0.9, 0.9, size=n))
@@ -1207,9 +1195,8 @@ def _rows_anti_symmetry(ctx: _RunCtx) -> list[SampleResult]:
             else:
                 g_wit = g
             g_neg = tuple(-v for v in g_wit)
-            t_pos, t_bad = batched(case, lambda: (
-                weighted_terms(vd_weights(case, g_wit, lam, beta, X), fn),
-                weighted_terms(vd_weights(case, g_neg, lam, -beta, X), fn)))
+            t_pos = weighted_terms(vd_weights(case, g_wit, lam, beta, X), fn)
+            t_bad = weighted_terms(vd_weights(case, g_neg, lam, -beta, X), fn)
             scale = max(_max_abs(t_pos), _max_abs(t_bad))
             rows.append(_row(ctx, "plain/joint-flip", i,
                              abs(sum(t_pos) + sum(t_bad)) / scale, scale, control=True))
@@ -1242,16 +1229,15 @@ def _rows_parameter_swap(ctx: _RunCtx) -> list[SampleResult]:
         def swapped(point):
             return fn(point[::-1])
 
-        t_orig, t_swap = batched(case, lambda: (
-            weighted_terms(def_weights(case, g, lam, beta, xs, ts), fn),
-            weighted_terms(def_weights(case, g_swap, 1.0 / lam, -lam * beta, ts, xs), swapped)))
+        t_orig = weighted_terms(def_weights(case, g, lam, beta, xs, ts), fn)
+        t_swap = weighted_terms(def_weights(case, g_swap, 1.0 / lam, -lam * beta, ts, xs), swapped)
         scale = max(_max_abs(t_orig), _max_abs(t_swap))
         rows.append(_row(ctx, f"{lab}/swap", i,
                          abs(sum(t_orig) - sum(t_swap)) / scale, scale))
 
         if ctx.label != "IV":
-            t_bad = batched(case, lambda: weighted_terms(
-                def_weights(case, g_bad, 1.0 / lam, -lam * beta, ts, xs), swapped))
+            t_bad = weighted_terms(def_weights(case, g_bad, 1.0 / lam, -lam * beta, ts, xs),
+                                   swapped)
             scale = max(_max_abs(t_orig), _max_abs(t_bad))
             rows.append(_row(ctx, f"{lab}/swap-bad-coupling", i,
                              abs(sum(t_orig) - sum(t_bad)) / scale, scale, control=True))
@@ -1442,6 +1428,8 @@ def run_identity(
         raise DomainError("product_terms must be at least 1")
     if samples < 1:
         raise DomainError("samples must be at least 1")
+    if tol is not None and not tol >= 0:
+        raise DomainError("tol must be non-negative")
     if max_n < 1:
         raise DomainError("max_n must be at least 1")
     if particles and (len(particles) != 4 or min(particles) < 0):

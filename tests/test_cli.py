@@ -354,6 +354,36 @@ def test_eval_does_not_take_trunc_terms_from_a_config_file(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, file_map, message", [
+    (["eval", "s", "--case", "II", "--x", "0.3"], {"samples": 3, "tol": 1e-3},
+     "field samples: applies to verify only, not to eval"),
+    (["eval", "s", "--case", "II", "--x", "0.3"], {"tol": 1e-3},
+     "field tol: applies to verify only, not to eval"),
+    (["verify", "--identity", "s-oddness", "--samples", "1"],
+     {"g": [0.3, 0.35, 0.4, 0.45], "lambda": 1.4}, "field g: applies to eval only, not to verify"),
+    (["verify", "--identity", "s-oddness", "--samples", "1"], {"lambda": 1.4},
+     "field lambda: applies to eval only, not to verify"),
+    (["report", "r.jsonl"], {"cases": ["II"]},
+     "field cases: applies to eval, verify only, not to report"),
+], ids=["eval-samples", "eval-tol", "verify-g", "verify-lambda", "report-cases"])
+def test_a_config_key_that_is_no_flag_of_the_subcommand_is_rejected(
+        tmp_path, capsys, argv, file_map, message):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(file_map))
+    code, out, err = run_main(capsys, [*argv, "--config", str(config)])
+    assert code == EXIT_CONFIG
+    assert f"configuration error: {message} (config file {config})" in err
+    assert out == ""
+
+
+def test_verify_rejects_a_nan_tolerance(capsys):
+    code, out, err = run_main(capsys, ["verify", "--identity", "s-oddness", "--samples", "1",
+                                       "--tol", "nan"])
+    assert code == EXIT_CONFIG
+    assert "configuration error: field tol: must be positive" in err
+    assert out == ""
+
+
 def test_theta_product_convergence_error_names_the_flag_and_the_key(capsys):
     code, _, err = run_main(capsys, ["verify", "--identity", "theta-product", "--cases", "IV",
                                      "--samples", "2", "--trunc-terms", "1"])

@@ -3,20 +3,20 @@ coefficient is evaluated once, with the bits of a fresh evaluation, and
 nothing of it outlives the call."""
 
 import contextlib
+import gc
 import math
+import weakref
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from vandiejen import operators, verify
+from vandiejen import operators, sfun, verify
 from vandiejen.eigenfunctions import pathwise
 from vandiejen.operators import (
     MassTag,
     _coefficient_memo,
-    _sv,
-    batched,
     c0_constant,
     coeff_V0,
     coeff_V_shift,
@@ -54,13 +54,19 @@ def test_every_pair_gives_the_same_payload_without_the_memo(seed):
 
 def test_a_run_takes_fewer_s_values_with_the_memo():
     points = []
-    original = operators.s_eval
+    original = sfun._scalar_s
 
-    def counting(case, x):
-        points.append(np.size(x))
-        return original(case, x)
+    def counting(case):
+        s = original(case)
 
-    with mock.patch.object(operators, "s_eval", counting):
+        def counted(x):
+            points.append(np.size(x))
+            return s(x)
+
+        return counted
+
+    # each run makes its own case, whose scalar s is bound at its first use
+    with mock.patch.object(sfun, "_scalar_s", counting):
         verify.run_identity("source", "IV", samples=4, seed=0)
         with_memo = sum(points)
         points.clear()
@@ -71,9 +77,12 @@ def test_a_run_takes_fewer_s_values_with_the_memo():
 
 def test_a_hit_takes_no_s_values_and_returns_the_same_bits():
     fresh = coeff_V0(CASE, G, LAM, BETA, MASSES, X)
+    def no_s(memo, case):
+        return mock.Mock(side_effect=AssertionError)
+
     with _coefficient_memo():
         first = coeff_V0(CASE, G, LAM, BETA, MASSES, X)
-        with mock.patch.object(operators, "s_eval", side_effect=AssertionError):
+        with mock.patch.object(operators, "_run_s", no_s):
             again = coeff_V0(CASE, G, LAM, BETA, MASSES, X)
             # the coordinate-free blocks of V_0 serve the constant too
             const = c0_constant(CASE, G, LAM, BETA)
@@ -88,22 +97,24 @@ def test_the_coupling_blocks_serve_every_zeroth_coefficient():
         assert vd_V0(CASE, G, LAM, BETA, X) == fresh
 
 
-def test_a_scope_may_ask_for_one_key_twice():
+def test_a_formula_may_ask_for_one_key_twice():
     fresh = coeff_V0(CASE, G, LAM, BETA, MASSES, X)
     with _coefficient_memo():
-        pair = batched(CASE, lambda: (
+        pair = operators._batched(CASE, lambda s: (
             coeff_V0(CASE, G, LAM, BETA, MASSES, X), coeff_V0(CASE, G, LAM, BETA, MASSES, X)))
         assert pair == (fresh, fresh)
         assert coeff_V0(CASE, G, LAM, BETA, MASSES, X) == fresh
 
 
-def test_a_scope_that_raises_commits_nothing():
-    # s(0) = 0 divides by zero in the replay, after V_0 was staged
+def test_a_formula_that_raises_commits_nothing():
+    # s(0) = 0 divides by zero after V_0 finished its own pass, which it keeps
+    fresh = coeff_V0(CASE, G, LAM, BETA, MASSES, X)
     with _coefficient_memo():
         with pytest.raises(ZeroDivisionError):
-            batched(CASE, lambda: (
-                coeff_V0(CASE, G, LAM, BETA, MASSES, X), 1 / _sv(CASE, 0j)))
-        assert _memo() == {}
+            operators._batched(CASE, lambda s: (
+                coeff_V0(CASE, G, LAM, BETA, MASSES, X), 1 / s(0j)), ("test",))
+        assert ("test",) not in _memo()
+        assert _memo()[("V0", CASE, G, LAM, BETA, MASSES, X)] == fresh
 
 
 def _shift(masses=MASSES, tags=TAGS, j=0, sign=1):
@@ -119,17 +130,18 @@ def test_keys_do_not_collide(calls):
     fresh = [_shift(**kw) for kw in calls]
     with _coefficient_memo():
         memoized = [_shift(**kw) for kw in calls]
-        assert len(_memo()) == len(calls)
+        assert len(_memo()) == len(calls) + 1  # and the remembering s
     assert memoized == fresh
 
 
 def test_a_path_call_is_not_memoized():
-    coeff = pathwise(CASE, lambda Q: coeff_V_shift(CASE, G, LAM, BETA, MASSES, TAGS, Q, 0, 1))
+    coeff = pathwise(lambda Q: coeff_V_shift(CASE, G, LAM, BETA, MASSES, TAGS, Q, 0, 1))
     path = tuple(np.array([x, x + 0.01, x + 0.02]) for x in X)
     with _coefficient_memo():
         values = coeff(path)
-        # only the scalar target point, evaluated alone, is kept
-        assert len(_memo()) == 1
+        # only the scalar target point, evaluated alone, is kept (with the
+        # remembering s)
+        assert len(_memo()) == 2
     assert values.shape == (3,)
 
 
@@ -155,3 +167,22 @@ def test_the_memo_ends_with_its_run():
             verify.run_identity("source", "I", samples=1)
     assert isinstance(seen[-1], dict) and _memo() is None
     assert seen[0] is not seen[1]
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_the_remembered_s_values_end_with_their_run(fails):
+    stores = []
+
+    def runner(ctx):
+        coeff_V0(ctx.case, G, LAM, BETA, MASSES, X)
+        stores.append(weakref.ref(_memo()[("s", ctx.case)]))
+        if fails:
+            raise RuntimeError("runner failed")
+        return []
+
+    with mock.patch.dict(verify._REGISTRY, {"source": replace(verify._REGISTRY["source"],
+                                                              run=runner)}):
+        with contextlib.suppress(RuntimeError):
+            verify.run_identity("source", "IV", samples=1)
+    gc.collect()
+    assert len(stores) == 1 and stores[0]() is None and _memo() is None

@@ -26,11 +26,19 @@ from vandiejen.sfun import DomainError
 # --------------------------------------------------------------------------
 
 
-def _reference_load(path_text):
+def _reference_load(path_text, command):
     path = Path(path_text)
     mapping = json.loads(path.read_text())
     if not isinstance(mapping, dict):
         raise DomainError(f"config file {path}: top level must be a mapping")
+    # a key set to a value must be a flag of the subcommand (keys in field
+    # order)
+    for key in _FILE_VALUES:
+        flag = _KEY_FLAGS.get(key, "--" + key.replace("_", "-"))
+        if mapping.get(key) is not None and flag not in _COMMAND_FLAGS[command]:
+            takers = ", ".join(sorted(c for c, flags in _COMMAND_FLAGS.items() if flag in flags))
+            raise DomainError(f"field {key}: applies to {takers} only, not to {command}"
+                              f" (config file {path})")
     _check_field_types(mapping, f" (config file {path})")
     return mapping
 
@@ -38,7 +46,7 @@ def _reference_load(path_text):
 def _reference_merge(args):
     file_map = {}
     if getattr(args, "config", None):
-        file_map = _reference_load(args.config)
+        file_map = _reference_load(args.config, args.command)
 
     def pick(key, flag_value, default):
         if flag_value is not None:
@@ -161,6 +169,8 @@ _COMMAND_FLAGS = {
     "eval": _COMMON | {"--g", "--lambda", "--beta", "--masses", "--particles"},
     "report": {"--out", "--format"},
 }
+# the config-file keys whose flag is not --<key> with '-' for '_'
+_KEY_FLAGS = {"identities": "--identity"}
 _FILE_VALUES = {
     "cases": [["II"], [], "II", ["I", "IV"], None, ["V"]],
     "r": [1.5, "2", "x", None, 0, True, [1]],

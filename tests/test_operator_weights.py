@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from vandiejen import operators, verify
+from vandiejen import operators, sfun, verify
 from vandiejen.eigenfunctions import (
     BranchError,
     BranchTracker,
@@ -22,7 +22,6 @@ from vandiejen.eigenfunctions import (
 )
 from vandiejen.operators import (
     MassTag,
-    _sv,
     coeff_V0,
     coeff_V_shift,
     def_V0,
@@ -54,7 +53,7 @@ def _ref_operator_terms(case, g, lam, beta, masses, tags, X, fn):
     terms = []
     for j, m_j in enumerate(masses):
         step = 1j * beta / m_j
-        pref = _sv(case, 1j * lam * m_j * beta)
+        pref = case.s_scalar(1j * lam * m_j * beta)
         for sign in (1, -1):
             coeff = coeff_V_shift(case, g, lam, beta, masses, tags, X, j, sign)
             shifted = list(X)
@@ -66,7 +65,7 @@ def _ref_operator_terms(case, g, lam, beta, masses, tags, X, fn):
 
 def _ref_vd_terms(case, g, lam, beta, x, fn):
     x = tuple(complex(v) for v in x)
-    pref = _sv(case, 1j * lam * beta)
+    pref = case.s_scalar(1j * lam * beta)
     terms = []
     for j in range(len(x)):
         for sign in (1, -1):
@@ -81,8 +80,8 @@ def _ref_vd_terms(case, g, lam, beta, x, fn):
 def _ref_def_terms(case, g, lam, beta, x, xt, fn):
     x = tuple(complex(v) for v in x)
     xt = tuple(complex(v) for v in xt)
-    pref_x = _sv(case, 1j * lam * beta)
-    pref_t = _sv(case, 1j * beta)
+    pref_x = case.s_scalar(1j * lam * beta)
+    pref_t = case.s_scalar(1j * beta)
     terms = []
     for j in range(len(x)):
         for sign in (1, -1):
@@ -240,13 +239,8 @@ def test_a_path_agrees_with_its_points_and_ends_on_the_scalar_value(
     except (ZeroDivisionError, PoleProximityError):
         assume(False)
     assume(all(cmath.isfinite(v) and 1e-200 < abs(v) < 1e200 for v in points))
-    with mock.patch.object(operators, "s_eval", wraps=s_eval) as spy, \
-            np.errstate(divide="raise", over="raise", invalid="raise"):
-        values = pathwise(case, coeff)(path)
-    if label == "IV":
-        # one array call for the path, one scalar coefficient for the target
-        # (on cases I-III each array argument takes its own call)
-        assert spy.call_count == 2
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        values = pathwise(coeff)(path)
     assert values.shape == (len(ts),)
     for value, point in zip(values, points):
         assert abs(value - point) <= 1e-13 * abs(point)
@@ -254,17 +248,17 @@ def test_a_path_agrees_with_its_points_and_ends_on_the_scalar_value(
 
 
 def test_a_formula_may_mix_scalar_and_array_arguments():
-    # a scalar argument is broadcast to the path and takes its own row
+    # a scalar argument takes the scalar s, each array argument its own
+    # array call
     case = CASES["IV"]
     z = np.array([0.3 + 0.1j, 0.7 - 0.2j, 1.1 + 0.05j])
 
     def formula(v):
         return lambda s: s(0.5 + 0.1j) * s(v) / s(2 * v)
 
-    with mock.patch.object(operators, "s_eval", wraps=s_eval) as spy:
+    with mock.patch.object(sfun, "s_eval", wraps=s_eval) as spy:
         values = operators._batched(case, formula(z))
-    assert spy.call_count == 1
-    assert spy.call_args.args[1].shape == (3 * len(z),)
+    assert [call.args[1].shape for call in spy.call_args_list] == [z.shape] * 2
     for value, v in zip(values, z.tolist()):
         point = operators._batched(case, formula(v))
         assert abs(value - point) <= 1e-15 * abs(point)
@@ -287,11 +281,9 @@ def _counting(module, name, counts, key=lambda *args: None):
 
 @pytest.mark.parametrize("seed", (0, 1))
 def test_an_anti_symmetry_sample_builds_each_operator_once(seed):
-    # without residual scopes each thunk runs once, so the count is the
-    # number of operators built: +beta and -beta, plain and two-species
+    # the operators built: +beta and -beta, plain and two-species
     counts = []
-    with mock.patch.object(verify, "batched", lambda case, thunk: thunk()), \
-            _counting(operators, "vd_V0", counts), _counting(operators, "def_V0", counts), \
+    with _counting(operators, "vd_V0", counts), _counting(operators, "def_V0", counts), \
             _counting(verify, "vd_V0", counts), _counting(verify, "def_V0", counts):
         report = verify.run_identity("anti-symmetry", "IV", samples=1, seed=seed)
     assert len(report.results) == 10
@@ -310,10 +302,6 @@ def test_a_conjugation_sample_builds_each_form_once_per_point(label):
         def __setitem__(self, key, value):
             committed.append(key)
             super().__setitem__(key, value)
-
-        def update(self, other):
-            for key, value in other.items():
-                self[key] = value
 
     @contextlib.contextmanager
     def counting_memo():

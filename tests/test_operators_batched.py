@@ -1,6 +1,5 @@
-"""Operator coefficients run their formula once with the scalar ``s`` on
-cases I-III, and take ``s`` from one array call each on case IV, where a
-residual scope serves all of a residual's coefficients from one call; the
+"""Operator coefficients run their formula once with the case's scalar
+``s``, on case IV within a run with an ``s`` that remembers its values; the
 values equal, bit for bit, those of one scalar ``s_eval`` call per
 argument."""
 
@@ -106,9 +105,9 @@ def test_batched_equals_scalar_bit_for_bit(name, label, g, lam, beta, tags, X, x
     g = tuple(g[:2 * (case.rho + 1)])
     X = tuple(X[:len(tags)])
     call = _calls(case, g, lam, beta, tuple(tags), X, tuple(xt), j % len(X), sign)[name]
-    with mock.patch.object(operators, "s_eval", wraps=s_eval) as spy:
+    # within a run's memo, where case IV takes the remembering s
+    with operators._coefficient_memo():
         batched = _outcome(call)
-    assert spy.call_count <= 1
     with mock.patch.object(operators, "_batched", _scalar_batched):
         scalar = _outcome(call)
     assert batched == scalar
@@ -128,8 +127,9 @@ def test_coeff_V0_at_30_digits_matches_the_scalar_path():
         fine = tuple(mpmath.mpc(x) for x in X)
         batched = coeff_V0(*args, fine)
         assert isinstance(batched, mpmath.mpc)
-        # an mpmath value never enters the memo
-        assert not operators._MEMO.get()
+        # an mpmath value never enters the memo: it holds the remembering s
+        # and the float coupling blocks, whose arguments are floats
+        assert sorted(key[0] for key in operators._MEMO.get()) == ["nu_blocks", "s"]
         with mock.patch.object(operators, "_batched", _mp_scalar_batched):
             assert coeff_V0(*args, fine) == batched
     assert complex(batched) == pytest.approx(coeff_V0(*args, X), rel=1e-10)
@@ -137,48 +137,28 @@ def test_coeff_V0_at_30_digits_matches_the_scalar_path():
 
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_a_zero_coordinate_still_divides_by_zero(label):
-    # s(2 X_j) vanishes at X_j = 0, and the replay divides by it as the
-    # scalar path did
+    # s(2 X_j) vanishes at X_j = 0, and the formula divides by it as the
+    # scalar path did, within a run as well
     case = CASES[label]
     g = tuple(0.37 + 0.05 * k for k in range(2 * (case.rho + 1)))
     X = (0j, 0.6 + 0.1j)
-    with pytest.raises(ZeroDivisionError):
-        coeff_V_shift(case, g, 1.45, 0.31, (1.0, -1.0), None, X, 0, 1)
-    with pytest.raises(ZeroDivisionError):
-        vd_V_pm(case, g, 1.45, 0.31, X, 0, -1)
-    with pytest.raises(ZeroDivisionError):
-        def_Vt_pm(case, g, 1.45, 0.31, (0.6 + 0.1j,), X, 0, 1)
-
-
-def test_replay_rejects_a_formula_that_branches_on_s_values():
-    # only case IV records and replays
-    case = CASES["IV"]
-
-    def more(s):  # records two arguments, asks for three on replay
-        return s(0.3) if s(0.5) == 1.0 else s(0.7) + s(0.9)
-
-    def fewer(s):  # records three arguments, asks for two on replay
-        return s(0.3) + s(0.7) if s(0.5) == 1.0 else s(0.9)
-
-    with pytest.raises(RuntimeError, match="more"):
-        operators._batched(case, more)
-    with pytest.raises(RuntimeError, match="fewer"):
-        operators._batched(case, fewer)
+    for in_run in (False, True):
+        with operators._coefficient_memo(on=in_run):
+            with pytest.raises(ZeroDivisionError):
+                coeff_V_shift(case, g, 1.45, 0.31, (1.0, -1.0), None, X, 0, 1)
+            with pytest.raises(ZeroDivisionError):
+                vd_V_pm(case, g, 1.45, 0.31, X, 0, -1)
+            with pytest.raises(ZeroDivisionError):
+                def_Vt_pm(case, g, 1.45, 0.31, (0.6 + 0.1j,), X, 0, 1)
 
 
 # ---------------------------------------------------------------------------
-# residual scopes
+# one formula pass on every case
 # ---------------------------------------------------------------------------
 
-SCOPED = ("summation", "source", "eigen-plain", "kernel-cauchy", "kernel-dual",
-          "deformed-groundstate", "deformed-constant", "kernel-deformed",
-          "anti-symmetry", "parameter-swap")
-
-
-def _unscoped(case, thunk):
-    """No residual scope: each coefficient takes its own array call and
-    each prefactor its own scalar call."""
-    return thunk()
+SAMPLED = ("summation", "source", "eigen-plain", "kernel-cauchy", "kernel-dual",
+           "deformed-groundstate", "deformed-constant", "kernel-deformed",
+           "anti-symmetry", "parameter-swap")
 
 
 def _row_bytes(identity, label, seed):
@@ -188,12 +168,14 @@ def _row_bytes(identity, label, seed):
 
 @settings(max_examples=4, deadline=None, derandomize=True, database=None)
 @pytest.mark.parametrize("label", sorted(CASES))
-@pytest.mark.parametrize("identity", SCOPED)
+@pytest.mark.parametrize("identity", SAMPLED)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_a_scoped_residual_equals_one_call_per_coefficient(identity, label, seed):
-    scoped = _row_bytes(identity, label, seed)
-    with mock.patch.object(verify, "batched", _unscoped):
-        assert _row_bytes(identity, label, seed) == scoped
+def test_a_run_equals_one_s_eval_call_per_argument(identity, label, seed):
+    # with the memo and, on case IV, the remembering s, against no memo and
+    # one s_eval call per argument (an array argument being a path)
+    rows = _row_bytes(identity, label, seed)
+    with mock.patch.object(operators, "_batched", _mp_scalar_batched):
+        assert _row_bytes(identity, label, seed) == rows
 
 
 def _residuals(label):
@@ -208,17 +190,11 @@ def _residuals(label):
                                                       config.mass_values, X)))
 
 
-def test_a_residual_takes_one_s_eval_call():
-    with mock.patch.object(operators, "s_eval", wraps=s_eval) as spy:
-        _residuals("IV")
-    assert spy.call_count == 2
-
-
-@pytest.mark.parametrize("label", ("I", "II", "III"))
-def test_a_residual_takes_no_array_call_on_cases_I_to_III(label):
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_a_residual_takes_no_array_call(label):
     # every scalar s goes through the case's bound evaluator alone
-    with mock.patch.object(operators, "s_eval", side_effect=AssertionError), \
-            mock.patch.object(sfun, "_s_array", side_effect=AssertionError):
+    with mock.patch.object(sfun, "_s_array", side_effect=AssertionError), \
+            mock.patch.object(sfun, "theta_eval", side_effect=AssertionError):
         scalar_s = _residuals(label)
     with mock.patch.object(operators, "_batched", _scalar_batched):
         assert _residuals(label) == scalar_s
@@ -240,17 +216,16 @@ def test_a_formula_runs_once_with_the_scalar_s(label):
     case = CASES[label]
     g = tuple(0.37 + 0.05 * k for k in range(2 * (case.rho + 1)))
 
-    def formula(s):  # with an inner keyed call, which runs in this scope
+    def formula(s):  # with an inner keyed call, which commits its own value
         return (coeff_V0(case, g, 1.45, 0.31, (1.0, -1.0), (0.41 + 0.07j, 0.6 - 0.2j))
                 * s(0.3 + 0.1j) / s(0.7 - 0.2j))
 
     counted, runs = _runs(formula)
     with operators._coefficient_memo(), \
-            mock.patch.object(operators, "s_eval", side_effect=AssertionError), \
             mock.patch.object(sfun, "_s_array", side_effect=AssertionError):
         value = operators._batched(case, counted, ("test", label))
         assert runs == [case.s_scalar]
-        # the scope committed its own value and the inner coefficient's
+        # the formula's own value and the inner coefficient's
         assert operators._MEMO.get()[("test", label)] == value
         assert len(operators._MEMO.get()) == 3
         assert operators._batched(case, counted, ("test", label)) == value
@@ -258,17 +233,45 @@ def test_a_formula_runs_once_with_the_scalar_s(label):
     assert value == _scalar_batched(case, formula)
 
 
-def test_the_elliptic_case_records_and_replays_a_formula():
+def test_a_formula_runs_once_on_the_elliptic_case():
     case = CASES["IV"]
+    g = tuple(0.37 + 0.05 * k for k in range(8))
 
-    def formula(s):
-        return s(0.3 + 0.1j) / s(0.7 - 0.2j)
+    def formula(s):  # branching on an s value is allowed: nothing replays
+        v0 = coeff_V0(case, g, 1.45, 0.31, (1.0, -1.0), (0.41 + 0.07j, 0.6 - 0.2j))
+        ratio = s(0.3 + 0.1j) / s(0.7 - 0.2j)
+        return v0 * ratio if abs(ratio) < 1 else v0 / ratio
 
     counted, runs = _runs(formula)
-    with mock.patch.object(operators, "s_eval", wraps=s_eval) as spy:
-        value = operators._batched(case, counted)
-    assert len(runs) == 2 and spy.call_count == 1
+    with mock.patch.object(sfun, "_s_array", side_effect=AssertionError), \
+            mock.patch.object(sfun, "theta_eval", side_effect=AssertionError):
+        assert operators._batched(case, counted) == _scalar_batched(case, formula)
+        assert runs == [case.s_scalar]
+        with operators._coefficient_memo():
+            value = operators._batched(case, counted, ("test", "IV"))
+            memo = operators._MEMO.get()
+            # one run with the run's remembering s, which the memo holds
+            assert runs[1:] == [memo[("s", case)]]
+            assert memo[("test", "IV")] == value
+            assert len(memo) == 4  # with V_0 and its coupling blocks
+            assert operators._batched(case, counted, ("test", "IV")) == value
+            assert len(runs) == 2
     assert value == _scalar_batched(case, formula)
+
+
+def _bits(z):
+    return repr(z.real), repr(z.imag)
+
+
+def test_the_remembering_s_keeps_signed_zeros():
+    case = CASES["IV"]
+    args = [complex(0.0, 0.4), complex(-0.0, 0.4), complex(0.0, -0.4), complex(-0.0, -0.4),
+            complex(0.7, 0.0), complex(0.7, -0.0), complex(-0.7, 0.0), complex(-0.7, -0.0)]
+    outside = [_bits(case.s_scalar(z)) for z in args]
+    for order in (args, args[::-1]):
+        with operators._coefficient_memo():
+            inside = operators._batched(case, lambda s: [s(z) for z in order + order])
+        assert [_bits(v) for v in inside] == [outside[args.index(z)] for z in order + order]
 
 
 def test_a_pass_with_an_mpmath_argument_commits_nothing():
@@ -280,8 +283,8 @@ def test_a_pass_with_an_mpmath_argument_commits_nothing():
         fine = tuple(mpmath.mpc(x) for x in X)
         value = coeff_V0(*args, fine)
         assert isinstance(value, mpmath.mpc)
-        # neither the coefficient nor its float coupling blocks
-        assert operators._MEMO.get() == {}
+        # not the coefficient; its coupling blocks, a float pass, are kept
+        assert [key[0] for key in operators._MEMO.get()] == ["nu_blocks"]
         with mock.patch.object(operators, "_batched", _mp_scalar_batched):
             assert coeff_V0(*args, fine) == value
         # a float pass after it commits as before
@@ -305,39 +308,15 @@ def test_the_bound_evaluator_takes_the_array_path_where_cmath_overflows(label, z
     assert [_outcome(lambda v=v: v) for v in values] == [_outcome(lambda: array)] * 3
 
 
-def test_factor_ratio_takes_its_gamma_steps_from_one_call():
+def test_factor_ratio_takes_its_gamma_steps_from_the_formulas_s():
     case = CASES["IV"]
     g = tuple(0.37 + 0.05 * k for k in range(8))
     factors = groundstate_sq_factors(case, g, 1.45, 0.31, (0, 1))
     X = (0.41 + 0.07j, 0.83 - 0.11j)
-    with mock.patch.object(operators, "s_eval", wraps=s_eval) as spy, \
-            mock.patch.object(gamma, "s_eval", wraps=s_eval) as gamma_spy:
-        factor_ratio(case, factors, X, 0, -0.31j)
-        assert spy.call_count == 1
-        operators.batched(case, lambda: [
-            factor_ratio(case, factors, X, j, sign * 0.31j) for j in (0, 1) for sign in (1, -1)])
-        assert spy.call_count == 2
+    with mock.patch.object(gamma, "s_eval", wraps=s_eval) as gamma_spy:
+        values = [factor_ratio(case, factors, X, j, sign * 0.31j)
+                  for j in (0, 1) for sign in (1, -1)]
     assert gamma_spy.call_count == 0
-
-
-@pytest.mark.parametrize("label", ("IV",))
-def test_a_scope_rejects_a_thunk_that_branches_on_s_values(label):
-    # only case IV records and replays
-    case = CASES[label]
-    g = tuple(0.37 + 0.05 * k for k in range(2 * (case.rho + 1)))
-    X = (0.41 + 0.07j,)
-
-    def half_period_product():  # prod_{nu >= 1} s(omega_nu / 2), 1 while recording
-        return operators._half_period_product(
-            lambda z: operators._sv(case, z), case)
-
-    def more():  # on replay the product is not 1 and asks for more values
-        return 0j if half_period_product() == 1 else vd_V0(case, g, 1.45, 0.31, X)
-
-    def fewer():  # on replay the product is not 1 and asks for fewer values
-        return vd_V0(case, g, 1.45, 0.31, X) if half_period_product() == 1 else 0j
-
-    with pytest.raises(RuntimeError, match="more"):
-        operators.batched(case, more)
-    with pytest.raises(RuntimeError, match="fewer"):
-        operators.batched(case, fewer)
+    with mock.patch.object(operators, "_batched", _scalar_batched):
+        assert values == [factor_ratio(case, factors, X, j, sign * 0.31j)
+                          for j in (0, 1) for sign in (1, -1)]

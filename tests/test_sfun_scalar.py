@@ -127,10 +127,10 @@ GRID_IM = (0.0, 1e-9, 0.3, 1.0, 2.7, 8.0, 40.0, 200.0, 1e5, math.inf, math.nan)
 GRID_TOL = (1e-300, 1e-16, TARGET_REL_ERR, 1e-6, 0.5, 0.999999)
 
 
-def _boundary_points():
+def _boundary_points(mods=(0.05, 0.3, 0.6, 0.9, 0.99), tols=(1e-16, 1e-13, 1e-6)):
     """(|q|, |Im z|, tol) on and next to the tail-bound boundary of each n,
     where the closed-form root sits on an integer and rounding decides."""
-    for mod, tol in itertools.product((0.05, 0.3, 0.6, 0.9, 0.99), (1e-16, 1e-13, 1e-6)):
+    for mod, tol in itertools.product(mods, tols):
         for n in range(1, 40):
             im0 = (math.log(tol) - n * (n + 1) * math.log(mod)) / (2 * n)
             if im0 >= 0:
@@ -149,6 +149,47 @@ def test_closed_form_term_count_matches_scan():
             seen.add(got[0] if isinstance(got, tuple) else "n")
     # the grid reaches the term cap and the overflow guard
     assert seen == {"n", "ConvergenceError", "DomainError"}
+
+
+def _bit_outcome(fn, *args, **kwargs):
+    """The value as the reprs of its parts (signs of zero and NaN kept), or
+    the error's type and message."""
+    out = _outcome(fn, *args, **kwargs)
+    return out if isinstance(out, tuple) else (repr(out.real), repr(out.imag))
+
+
+# q from 2e-9 (the shortest series, n_stop = 1, for |Im z| below 5) to
+# 0.99 and the outcomes the points reach: the overflow guard needs a count
+# below the term cap at a large |Im z|, which q near 1 does not give; at
+# q = 0.99999 every point meets the term cap
+_EVERY = {"value", "ConvergenceError", "DomainError"}
+_NO_GUARD = {"value", "ConvergenceError"}
+
+
+_REACHED = [(20.0, _EVERY), (3.0, _EVERY), (1.2, _EVERY), (0.5, _EVERY), (0.1, _NO_GUARD),
+            (0.01, _NO_GUARD), (1e-5, {"ConvergenceError"})]
+
+
+@pytest.mark.parametrize("a, reached", _REACHED, ids=[f"a={a:g}" for a, _ in _REACHED])
+def test_elliptic_scalar_s_is_theta_eval_bit_for_bit(a, reached):
+    case = CaseParams(CaseKind.ELLIPTIC, r=1.0, a=a)
+    scale, q = case._s_scale, case.q
+    ims = [im for _, im, _ in _boundary_points(mods=(q,), tols=(TARGET_REL_ERR,))]
+    points = [complex(x, sign * im) for im in [0.0, 0.4, *ims] for x, sign in
+              ((0.4, 1.0), (-1.3, -1.0))]
+    points += [complex(math.inf, 0.3), complex(math.nan, 0.3), complex(0.3, math.nan),
+               complex(0.3, math.inf), complex(0.3, 1e300)]
+    seen = set()
+    with np.errstate(all="ignore"):
+        for z in points:
+            got = _bit_outcome(case.s_scalar, z)
+            w = case.r * z  # r = 1: z itself, but for an infinite part
+            for theta in (_outcome(theta_eval, w, q=q),
+                          _outcome(lambda: complex(theta_eval(np.array([w]), q=q)[0]))):
+                want = theta if isinstance(theta, tuple) else _bit_outcome(lambda: scale * theta)
+                assert got == want, z
+            seen.add(got[0] if got[0] in ("ConvergenceError", "DomainError") else "value")
+    assert seen == reached
 
 
 def test_vectorised_term_count_matches_the_scalar_count():

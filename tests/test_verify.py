@@ -262,6 +262,18 @@ def test_samples_below_one_are_rejected(samples):
         run_identity("source", "I", samples=samples)
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+def test_a_negative_or_nan_tolerance_is_rejected(tol):
+    # instead of a report whose every row fails
+    with pytest.raises(DomainError, match="tol must be non-negative"):
+        run_identity("s-oddness", "I", samples=1, tol=tol)
+
+
+def test_a_zero_tolerance_stays_allowed():
+    # gamma-reflection's own tolerance is zero
+    assert run_identity("s-oddness", "I", samples=2, tol=0.0).verdict == "pass"
+
+
 def test_max_n_below_one_is_rejected():
     with pytest.raises(DomainError, match="max_n"):
         run_identity("eigen-plain", "I", max_n=0)
