@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -299,9 +300,10 @@ def _run_s(memo: dict, case: CaseParams) -> Callable[[complex], complex]:
     On cases I-III that is the scalar ``s``.  On case IV a scalar theta
     series costs microseconds, and a run asks for many arguments more than
     once, so the ``s`` kept in the memo remembers the value of each complex
-    argument, and dies with the memo.  An argument with a zero part is not
-    remembered: ``s`` is odd, and ``-0.0 == 0.0`` would hand ``s(-0.0 + yi)``
-    the value of ``s(0.0 + yi)``.  mpmath numbers and arrays pass through.
+    argument, and dies with the memo.  An argument with a zero part is
+    keyed by the signs of its parts too: ``s`` is odd, and ``-0.0 == 0.0``
+    would hand ``s(-0.0 + yi)`` the value of ``s(0.0 + yi)``.  mpmath
+    numbers and arrays pass through.
     """
     if case.kind is not CaseKind.ELLIPTIC:
         return case.s_scalar
@@ -310,11 +312,13 @@ def _run_s(memo: dict, case: CaseParams) -> Callable[[complex], complex]:
         s, values = case.s_scalar, {}
 
         def remembering(z):
-            if type(z) is not complex or not (z.real and z.imag):
+            if type(z) is not complex:
                 return s(z)
-            value = values.get(z)
+            key = z if z.real and z.imag else (z, math.copysign(1.0, z.real),
+                                                math.copysign(1.0, z.imag))
+            value = values.get(key)
             if value is None:
-                value = values[z] = s(z)
+                value = values[key] = s(z)
             return value
 
         memo[("s", case)] = remembering
@@ -505,7 +509,7 @@ def operator_weights(
     weights = []
     for j, m_j in enumerate(masses):
         step = 1j * beta / m_j
-        pref = case.s_scalar(1j * lam * m_j * beta)
+        pref = case.s_scalar(complex(1j * lam * m_j * beta))
         for sign in (1, -1):
             coeff = coeff_V_shift(case, g, lam, beta, masses, tags, X, j, sign)
             weights.append((pref * coeff, _moved(X, j, X[j] - sign * step)))
@@ -694,7 +698,7 @@ def vd_weights(
     """The all-unit-mass operator at ``x`` as ``(weight, point)`` pairs, as
     :func:`operator_weights` gives the conjugated one."""
     x = tuple(complex(v) for v in x)
-    pref = case.s_scalar(1j * lam * beta)
+    pref = case.s_scalar(complex(1j * lam * beta))
     weights = []
     for j in range(len(x)):
         for sign in (1, -1):
@@ -828,8 +832,8 @@ def def_weights(
     """
     x = tuple(complex(v) for v in x)
     xt = tuple(complex(v) for v in xt)
-    pref_x = case.s_scalar(1j * lam * beta)
-    pref_t = case.s_scalar(1j * beta)
+    pref_x = case.s_scalar(complex(1j * lam * beta))
+    pref_t = case.s_scalar(complex(1j * beta))
     weights = []
     for j in range(len(x)):
         for sign in (1, -1):
@@ -971,7 +975,7 @@ def summation_boundary_term(
 
 def summation_rhs(case: CaseParams, p: SummationParams) -> complex:
     """Right side: a single ``s`` value at the parameter sum."""
-    return case.s_scalar(2 * p.gamma * sum(p.m) + sum(p.n))
+    return case.s_scalar(complex(2 * p.gamma * sum(p.m) + sum(p.n)))
 
 
 def proof_params(

@@ -28,10 +28,10 @@ and give each point the theta term count of the same rule, so a point's
 value does not depend on the call it comes in.  The scalar ``s`` of a
 case is bound once, with the case's constants, as
 :attr:`CaseParams.s_scalar`, which :func:`s_eval` and the operator
-formulas share; on case IV these include the per-term constants of the
-scalar theta series, whose one implementation :func:`theta_eval` shares
-(see :func:`_theta_series`).  The float paths run at one fixed accuracy:
-the series and products stop at the relative error
+formulas share; on case IV it calls the scalar branch of
+:func:`theta_eval`, which binds the per-term constants of the series once
+per nome (see :func:`_theta_series`).  The float paths run at one fixed
+accuracy: the series and products stop at the relative error
 :data:`TARGET_REL_ERR`, and only :func:`theta_product` takes a setting,
 its cap ``product_terms`` on the factors.  The precision follows the
 argument's type: an mpmath number (and only that) is evaluated in mpmath
@@ -48,7 +48,7 @@ import importlib
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -96,6 +96,10 @@ class _DeferredModule:
 mpmath = _DeferredModule("mpmath")
 
 _THETA_TERM_CAP = 400
+
+# Largest exponent a theta term may reach: exp overflows float64 above
+# about 709.78, and this leaves a margin for the sum.
+_THETA_OVERFLOW_EXP = 650.0
 
 # Arguments s_eval and theta_eval evaluate with cmath instead of numpy.
 _SCALAR_TYPES = (complex, float, int, np.number)
@@ -316,14 +320,18 @@ def theta_eval(z, tau=None, q=None):
         Modular parameter or nome; exactly one must be given, with
         ``q = exp(i pi tau)`` and ``|q| < 1``.
     """
-    qq = _nome_from(tau=tau, q=q)
     if isinstance(z, _SCALAR_TYPES):
-        value = _theta_series(qq)(complex(z))
+        if tau is None and type(q) is float:
+            series = _float_nome_series(q)
+        else:
+            series = _theta_series(_nome_from(tau=tau, q=q))
+        value = series(complex(z))
         if value is not None:
             return value
         # the term cap, the overflow guard, or cmath raising where numpy
         # returns inf or nan: the array path raises or returns that value
-    elif _is_mp(z):
+    qq = _nome_from(tau=tau, q=q)
+    if _is_mp(z):
         return _theta_mp(z, mpmath.log(_nome_mp(tau, q)))
 
     log_q = cmath.log(qq)  # principal branch fixes q**(1/4)
@@ -366,17 +374,13 @@ def _theta_terms(log_q: complex, im_max: float, tol: float, abs_q: float) -> int
     """
     decay = log_q.real  # = ln|q| < 0
     log_tol = math.log(tol)
-
-    def below(n: int) -> bool:
-        return n * (n + 1) * decay + 2 * n * im_max < log_tol
-
     b = decay + 2 * im_max
     root = (b + math.sqrt(b * b + 4 * decay * log_tol)) / (-2 * decay)
     # a NaN or infinite im_max gives a NaN or infinite root: start at the cap
     n = max(1, math.floor(root) + 1) if root < _THETA_TERM_CAP else _THETA_TERM_CAP
-    while n > 1 and below(n - 1):
+    while n > 1 and _tail_below(n - 1, decay, im_max, log_tol):
         n -= 1
-    while not below(n):
+    while not _tail_below(n, decay, im_max, log_tol):
         if n == _THETA_TERM_CAP:
             raise ConvergenceError(
                 "theta series tail still above target after "
@@ -385,7 +389,7 @@ def _theta_terms(log_q: complex, im_max: float, tol: float, abs_q: float) -> int
         n += 1
 
     peak = abs(log_q) / 4 + (2 * n + 1) * im_max
-    if peak > 650.0:
+    if peak > _THETA_OVERFLOW_EXP:
         raise DomainError(
             f"theta argument too deep in the strip: |Im z|={im_max:.3g} "
             "would overflow float64"
@@ -400,19 +404,31 @@ def _theta_terms_array(log_q: complex, im: np.ndarray, tol: float) -> np.ndarray
     :func:`_theta_terms` accepts."""
     decay = log_q.real
     log_tol = math.log(tol)
-
-    def below(n: np.ndarray) -> np.ndarray:
-        return n * (n + 1) * decay + 2 * n * im < log_tol
-
     b = decay + 2 * im
     root = (b + np.sqrt(b * b + 4 * decay * log_tol)) / (-2 * decay)
     n = np.where(root < _THETA_TERM_CAP, np.maximum(1, np.floor(root) + 1),
                  _THETA_TERM_CAP).astype(np.int64)
-    while (step := (n > 1) & below(n - 1)).any():
+    while (step := (n > 1) & _tail_below(n - 1, decay, im, log_tol)).any():
         n -= step
-    while (step := ~below(n)).any():
+    while (step := ~_tail_below(n, decay, im, log_tol)).any():
         n += step
     return n
+
+
+def _tail_below(n, decay: float, im, log_tol: float):
+    """Whether the theta tail bound ``n(n+1) ln|q| + 2 n |Im z|`` after term
+    ``n`` lies below ``ln tol`` (``decay = ln|q|``); ``n`` and ``im`` may be
+    arrays.  The one home of the rule every term count follows."""
+    return n * (n + 1) * decay + 2 * n * im < log_tol
+
+
+@lru_cache(maxsize=64)
+def _float_nome_series(q: float) -> Callable[[complex], complex | None]:
+    """:func:`_theta_series` of a nome given as a float, as every case's
+    is: bound once per nome.  Only a float keys it: a complex nome
+    ``-0.3 - 0j`` equals ``-0.3 + 0j`` but lies across the branch cut of
+    ``log q``, so a complex nome is bound at each call."""
+    return _theta_series(_nome_from(q=q))
 
 
 def _theta_series(q: complex) -> Callable[[complex], complex | None]:
@@ -438,11 +454,11 @@ def _theta_series(q: complex) -> Callable[[complex], complex | None]:
         nonlocal consts
         im = abs(z.imag)
         n_stop = 1
-        while not n_stop * (n_stop + 1) * decay + 2 * n_stop * im < log_tol:
+        while not _tail_below(n_stop, decay, im, log_tol):
             if n_stop == _THETA_TERM_CAP:
                 return None
             n_stop += 1
-        if quarter + (2 * n_stop + 1) * im > 650.0:
+        if quarter + (2 * n_stop + 1) * im > _THETA_OVERFLOW_EXP:
             return None
         terms = consts
         if len(terms) <= n_stop:
@@ -604,8 +620,8 @@ def _s_array(case: CaseParams, x):
 def _scalar_s(case: CaseParams) -> Callable:
     """The scalar branch of :func:`s_eval` for ``case``, with the case
     constants taken once: one argument of :data:`_SCALAR_TYPES` in
-    ``cmath`` (in case IV the bound theta series of :func:`_theta_series`,
-    and :func:`theta_eval` where that series gives no value), as a complex.
+    ``cmath`` (in case IV through the scalar branch of :func:`theta_eval`),
+    as a complex.
 
     On cases I-III it does the float operations of :func:`_s_array` in the
     same order, so the value is the array value, bit for bit.  A quotient
@@ -655,14 +671,11 @@ def _scalar_s(case: CaseParams) -> Callable:
 
     else:
         scale, r, q = case._s_scale, case.r, case.q
-        series = _theta_series(q)
 
         def s(x):
             if not isinstance(x, _SCALAR_TYPES):
                 return s_eval(case, x)
-            z = r * complex(x)
-            value = series(z)
-            return scale * (theta_eval(z, q=q) if value is None else value)
+            return scale * theta_eval(r * complex(x), q=q)
 
     return s
 

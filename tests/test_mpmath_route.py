@@ -8,6 +8,7 @@ working precision: the term counts follow mpmath.eps, not that target."""
 import mpmath as mp
 import pytest
 
+from vandiejen import operators
 from vandiejen.gamma import gamma_G, gamma_G1
 from vandiejen.sfun import (TARGET_REL_ERR, CaseKind, CaseParams, ConvergenceError, s_eval,
                             theta_eval, theta_product)
@@ -174,3 +175,31 @@ def test_a_capped_theta_product_names_the_flag_and_the_key(z):
     # both routes tell a command-line user what to raise
     with pytest.raises(ConvergenceError, match="--trunc-terms flag, config key trunc_terms"):
         theta_product(z, q=0.3, product_terms=1)
+
+
+def test_weight_prefactors_take_s_at_the_argument_rounded_to_complex():
+    # mpmath lam and beta reach the coefficients in mpmath, but the
+    # prefactors s(i lam m beta), s(i beta) and the summation's right side
+    # are float s values at the argument rounded to complex
+    case = CASES["IV"]
+    s = case.s_scalar
+    g = tuple(0.37 + 0.05 * k for k in range(8))
+    lam, beta = mp.mpf("1.45"), mp.mpf("0.31")
+    x, xt, masses = (0.41 + 0.07j, 0.6 - 0.2j), (0.2 + 0.1j,), (1.0, -lam)
+    with mp.workdps(30):
+        got = operators.operator_weights(case, g, lam, beta, masses, None, x)[2][0]
+        want = operators.coeff_V_shift(case, g, lam, beta, masses, None, x, 1, 1)
+        assert got == s(complex(1j * lam * masses[1] * beta)) * want
+        got = operators.vd_weights(case, g, lam, beta, x)[0][0]
+        assert got == s(complex(1j * lam * beta)) * operators.vd_V_pm(case, g, lam, beta, x, 0, 1)
+        weights = operators.def_weights(case, g, lam, beta, x, xt)
+        want = operators.def_V_pm(case, g, lam, beta, x, xt, 0, 1)
+        assert weights[0][0] == s(complex(1j * lam * beta)) * want
+        want = operators.def_Vt_pm(case, g, lam, beta, x, xt, 0, 1)
+        assert weights[4][0] == -s(complex(1j * beta)) * want
+        assert all(isinstance(w, mp.mpc) for w, _ in weights)
+        p = operators.SummationParams(X=(0.3 + 0.1j,), m=(1.0,), gamma=mp.mpc("0.2", "0.4"),
+                                      a=(0.1,), c=(0.1, 0.2, 0.3, 0.4), d=(0.5, 0.6, 0.7, 0.8),
+                                      n=tuple(0.05 * k for k in range(8)))
+        rhs = operators.summation_rhs(case, p)
+        assert type(rhs) is complex and rhs == s(complex(2 * p.gamma + sum(p.n)))

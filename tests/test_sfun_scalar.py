@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vandiejen import sfun
 from vandiejen.sfun import (
     TARGET_REL_ERR,
     CaseKind,
@@ -61,6 +62,33 @@ def test_scalar_theta_eval_equals_array_path(mod, arg, x, y, sign):
     scalar = _outcome(theta_eval, z, q=q)
     array = _outcome(lambda: complex(theta_eval(np.array([z]), q=q)[0]))
     assert scalar == array
+
+
+@pytest.mark.parametrize("nome", [{"q": 1.5}, {"q": 0.0}, {"q": -0.0}, {"q": math.nan},
+                                  {"q": 0j}, {}, {"q": 0.3, "tau": 1j}],
+                         ids=["q=1.5", "q=0", "q=-0", "q=nan", "q=0j", "none", "both"])
+def test_an_invalid_nome_is_rejected_on_every_path(nome):
+    errors = set()
+    for z in (0.3, 0.3 + 0j, np.array([0.3]), mpmath.mpf("0.3")):
+        with pytest.raises(DomainError) as err:
+            theta_eval(z, **nome)
+        errors.add(str(err.value))
+    assert len(errors) == 1
+
+
+def test_each_nome_keeps_its_own_bound_series():
+    # -0.3, -0.3 + 0j and -0.3 - 0j compare equal, but the last lies across
+    # the branch cut of log q, so q^(1/4) and every value differ; the series
+    # theta_eval keeps for a float nome must never serve it
+    nomes = [0.3, -0.3] + [complex(re, im) for re, im in itertools.product(
+        (0.3, -0.3, 0.0, -0.0), (0.0, -0.0, 0.3, -0.3)) if re or im]
+    points = [complex(x, y) for x, y in itertools.product((0.0, -0.0, 0.7), (0.0, -0.0, 0.4))]
+    for order in (nomes, nomes[::-1]):
+        sfun._float_nome_series.cache_clear()
+        for q in order:
+            for z in points:
+                want = complex(theta_eval(np.array([z]), q=q)[0])
+                assert _bit_outcome(theta_eval, z, q=q) == _bit_outcome(lambda: want), (q, z)
 
 
 @pytest.mark.parametrize("label", sorted(CASES))
