@@ -26,6 +26,7 @@ fails, 2 for configuration problems, 3 for numerical domain problems
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import functools
 import json
@@ -215,8 +216,8 @@ def _has_type(value, kind: type) -> bool:
 
 def _load_config_file(path_text: str, command: str) -> RunConfig:
     """The config file at ``path_text``, read for the subcommand
-    ``command``: a field that it sets (a null sets none) must be a flag of
-    ``command``."""
+    ``command``: each key must name a field, and a field that it sets (a
+    null sets none) must be a flag of ``command``."""
     path = Path(path_text)
     try:
         raw = path.read_text()
@@ -230,6 +231,10 @@ def _load_config_file(path_text: str, command: str) -> RunConfig:
     if not isinstance(mapping, dict):
         raise DomainError(f"config file {path}: top level must be a mapping")
     where = f" (config file {path})"
+    keys = {key for key, _, _ in _FIELDS.values()}
+    for key in mapping:
+        if key not in keys:
+            raise DomainError(f"field {key}: unknown key{where}")
     dests = _flag_dests()
     for attr, (key, _, _) in _FIELDS.items():
         dest = _FLAG_DESTS.get(attr, attr)
@@ -297,16 +302,20 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def parse_complex(token: str) -> complex:
-    """Parse ``2``, ``-0.5i``, ``0.3+0.1i`` (``j`` also accepted)."""
+    """Parse ``2``, ``-0.5i``, ``0.3+0.1i`` (``j`` also accepted).  A part
+    that is not finite (``nan``, ``inf``, ``1e400``) is rejected."""
     text = token.strip().lower().replace(" ", "")
     if not text:
         raise DomainError("empty coordinate")
-    norm = text.replace("i", "j")
-    norm = re.sub(r"(?<![0-9.])j", "1j", norm)
+    # i is the unit except in inf; a j after inf or nan has its coefficient
+    norm = re.sub(r"(?<![0-9.fn])j", "1j", re.sub(r"i(?!nf)", "j", text))
     try:
-        return complex(norm)
+        value = complex(norm)
     except ValueError as exc:
         raise DomainError(f"cannot parse complex number {token!r}") from exc
+    if not cmath.isfinite(value):
+        raise DomainError(f"coordinate {token!r} is not finite")
+    return value
 
 
 def _fmt_real(v: float) -> str:

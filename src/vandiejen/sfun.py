@@ -24,20 +24,20 @@ Evaluators accept scalars or numpy arrays and are vectorised over the
 argument.  :func:`s_eval` and :func:`theta_eval` evaluate a Python or
 numpy scalar with ``cmath`` (nearly every call the identities make) and an
 array with numpy; the two paths do the same arithmetic in the same order
-and give each point the theta term count of the same rule, so a point's
+and give each point the theta term count of the same table, so a point's
 value does not depend on the call it comes in.  The scalar ``s`` of a
 case is bound once, with the case's constants, as
 :attr:`CaseParams.s_scalar`, which :func:`s_eval` and the operator
 formulas share; on case IV it calls the scalar branch of
-:func:`theta_eval`, which binds the per-term constants of the series once
-per nome (see :func:`_theta_series`).  The float paths run at one fixed
-accuracy: the series and products stop at the relative error
-:data:`TARGET_REL_ERR`, and only :func:`theta_product` takes a setting,
-its cap ``product_terms`` on the factors.  The precision follows the
-argument's type: an mpmath number (and only that) is evaluated in mpmath
-at the working precision ``mpmath.mp.dps``, with term counts taken from
-that precision, and the value comes back as an mpmath number.  This is
-the slow path for oracle-grade checks.
+:func:`theta_eval`, whose series is bound once per nome (see
+:func:`_theta_series`).  The float paths run at one fixed accuracy: the
+series and products stop at the relative error :data:`TARGET_REL_ERR`,
+and only :func:`theta_product` takes a setting, its cap
+``product_terms`` on the factors.  The precision follows the argument's
+type: an mpmath number (and only that) is evaluated in mpmath at the
+working precision ``mpmath.mp.dps``, with term counts taken from that
+precision, and the value comes back as an mpmath number.  This is the
+slow path for oracle-grade checks.
 """
 
 from __future__ import annotations
@@ -47,8 +47,10 @@ import enum
 import importlib
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -339,9 +341,8 @@ def theta_eval(z, tau=None, q=None):
     if not zz.size:
         return zz
     im = np.abs(zz.imag)
-    # the count grows with |Im z|: the point of largest |Im z| is the one
-    # the cap and the overflow guard can reject, and when the smallest gets
-    # the same count, every point does
+    # the count grows with |Im z|: the cap and the overflow guard reject at
+    # the largest, and when the smallest gets the same count, every point does
     n_stop = _theta_terms(log_q, float(np.max(im)), TARGET_REL_ERR, abs(qq))
     n_min = _theta_terms(log_q, float(np.min(im)), TARGET_REL_ERR, abs(qq))
     counts = _theta_terms_array(log_q, im, TARGET_REL_ERR) if n_min < n_stop else None
@@ -364,30 +365,16 @@ def theta_eval(z, tau=None, q=None):
 
 
 def _theta_terms(log_q: complex, im_max: float, tol: float, abs_q: float) -> int:
-    """Last index ``n_stop`` of the theta sine series for ``max|Im z| = im_max``.
-
-    ``n_stop`` is the least ``n`` in ``1 .. _THETA_TERM_CAP`` whose tail
-    bound ``n(n+1) ln|q| + 2 n im_max`` lies below ``ln tol``.  The larger
-    root of that quadratic gives it in closed form; the unit steps after it
-    make the result agree with a scan over ``n = 1, 2, ...`` in floating
-    point.  ``abs_q`` is only quoted in error messages.
-    """
-    decay = log_q.real  # = ln|q| < 0
-    log_tol = math.log(tol)
-    b = decay + 2 * im_max
-    root = (b + math.sqrt(b * b + 4 * decay * log_tol)) / (-2 * decay)
-    # a NaN or infinite im_max gives a NaN or infinite root: start at the cap
-    n = max(1, math.floor(root) + 1) if root < _THETA_TERM_CAP else _THETA_TERM_CAP
-    while n > 1 and _tail_below(n - 1, decay, im_max, log_tol):
-        n -= 1
-    while not _tail_below(n, decay, im_max, log_tol):
-        if n == _THETA_TERM_CAP:
-            raise ConvergenceError(
-                "theta series tail still above target after "
-                f"{_THETA_TERM_CAP} terms (|q|={abs_q:.6g}, max|Im z|={im_max:.3g})"
-            )
-        n += 1
-
+    """Last index ``n_stop`` of the theta sine series for ``max|Im z| = im_max``:
+    the least ``n`` in ``1 .. _THETA_TERM_CAP`` whose tail bound lies below
+    ``tol``, from the table of :func:`_count_table`.  ``abs_q`` is only
+    quoted in error messages."""
+    n = bisect_right(_count_table(log_q.real, math.log(tol)), im_max) + 1
+    if n > _THETA_TERM_CAP:
+        raise ConvergenceError(
+            "theta series tail still above target after "
+            f"{_THETA_TERM_CAP} terms (|q|={abs_q:.6g}, max|Im z|={im_max:.3g})"
+        )
     peak = abs(log_q) / 4 + (2 * n + 1) * im_max
     if peak > _THETA_OVERFLOW_EXP:
         raise DomainError(
@@ -398,28 +385,49 @@ def _theta_terms(log_q: complex, im_max: float, tol: float, abs_q: float) -> int
 
 
 def _theta_terms_array(log_q: complex, im: np.ndarray, tol: float) -> np.ndarray:
-    """:func:`_theta_terms` of every entry of ``im``, with the same float
-    operations in the same order, so each count is the one the point gets
-    alone.  Every entry must lie at or below a ``|Im z|`` that
-    :func:`_theta_terms` accepts."""
-    decay = log_q.real
-    log_tol = math.log(tol)
-    b = decay + 2 * im
-    root = (b + np.sqrt(b * b + 4 * decay * log_tol)) / (-2 * decay)
-    n = np.where(root < _THETA_TERM_CAP, np.maximum(1, np.floor(root) + 1),
-                 _THETA_TERM_CAP).astype(np.int64)
-    while (step := (n > 1) & _tail_below(n - 1, decay, im, log_tol)).any():
-        n -= step
-    while (step := ~_tail_below(n, decay, im, log_tol)).any():
-        n += step
-    return n
+    """:func:`_theta_terms` of every entry of ``im``, from the same table, so
+    each count is the one the point gets alone.  Every entry must lie at
+    or below a ``|Im z|`` that :func:`_theta_terms` accepts."""
+    return np.searchsorted(_count_table(log_q.real, math.log(tol)), im, side="right") + 1
 
 
 def _tail_below(n, decay: float, im, log_tol: float):
     """Whether the theta tail bound ``n(n+1) ln|q| + 2 n |Im z|`` after term
     ``n`` lies below ``ln tol`` (``decay = ln|q|``); ``n`` and ``im`` may be
-    arrays.  The one home of the rule every term count follows."""
+    arrays.  The rule every term count follows, by :func:`_count_table`."""
     return n * (n + 1) * decay + 2 * n * im < log_tol
+
+
+@lru_cache(maxsize=64)
+def _count_table(decay: float, log_tol: float) -> tuple[float, ...]:
+    """Per ``n`` in ``1 .. _THETA_TERM_CAP``, the least float ``|Im z|`` at
+    which :func:`_tail_below` turns false.  The rule is monotone in
+    ``|Im z|``, so a scan from ``n = 1`` stops at ``bisect_right(table,
+    |Im z|) + 1`` (``_THETA_TERM_CAP + 1``: never, as at NaN and inf).
+    Keyed by ``ln|q|``, not by the nome, so a complex nome bound at each
+    call finds its table.  Each entry is bisected over float steps (the
+    int64 patterns of the floats >= 0 are in order) near the bound's root,
+    or over all floats where rounding moves the flip further."""
+    n = np.arange(1, _THETA_TERM_CAP + 1)
+    bound = n * (n + 1) * decay
+    root = (log_tol - bound) / (2 * n)
+    slack = 1e-15 * (np.abs(bound) - log_tol) / n  # a few roundings of the bound
+
+    def below(bits):
+        return _tail_below(n, decay, bits.view(np.float64), log_tol)
+
+    # the rule holds at lo (lo = -1: at no float) and fails at hi
+    lo = np.maximum(root - slack, 0.0).view(np.int64)
+    lo = np.where(below(lo), lo, -1)
+    hi = np.maximum(root + slack, 0.0).view(np.int64)
+    hi = np.where(below(hi), 0x7FF0000000000000, hi)  # inf: fails
+    while (wide := hi - lo > 1).any():
+        mid = np.where(wide, lo + (hi - lo) // 2, hi)
+        holds = below(mid)
+        lo, hi = np.where(holds, mid, lo), np.where(holds, hi, mid)
+    table = tuple(hi.view(np.float64).tolist())
+    assert all(a <= b for a, b in zip(table, table[1:])), (decay, log_tol)
+    return table
 
 
 @lru_cache(maxsize=64)
@@ -433,46 +441,38 @@ def _float_nome_series(q: float) -> Callable[[complex], complex | None]:
 
 def _theta_series(q: complex) -> Callable[[complex], complex | None]:
     """The scalar sine series of :func:`theta_eval` at the nome ``q``, with
-    ``log q`` and the per-term constants ``(n + 1/2)^2 log q`` and
-    ``i (2n + 1)`` bound once.
+    ``log q`` and the count table bound once and the per-term constants
+    ``(n + 1/2)^2 log q`` and ``i (2n + 1)`` built as far as a call needs.
 
     A call sums the series at one complex ``z`` with ``cmath``, term for
     term as the numpy series, to the count :func:`_theta_terms` gives at
-    ``|Im z|``, found here by the scan from ``n = 1`` that its closed form
-    is pinned to (a call of :func:`_theta_terms` would add about an eighth
-    to a series of five terms).  It returns None where that count meets
-    the term cap or the overflow guard, or where ``cmath`` raises: the
-    array path of :func:`theta_eval` answers those.
+    ``|Im z|``.  It returns None where that count meets the term cap or
+    the overflow guard, or where ``cmath`` raises: the array path of
+    :func:`theta_eval` answers those.
     """
     log_q = cmath.log(q)  # principal branch fixes q**(1/4)
-    decay = log_q.real  # = ln|q| < 0
-    quarter = abs(log_q) / 4
-    log_tol = math.log(TARGET_REL_ERR)
-    consts: list = []  # (exponent, frequency) of terms 0, 1, ...: replaced, never mutated
+    quarter, exp = abs(log_q) / 4, cmath.exp
+    table = _count_table(log_q.real, math.log(TARGET_REL_ERR))
+    consts: list = []  # (exponent, frequency, odd) of terms 0, 1, ...: replaced, not mutated
 
     def series(z: complex) -> complex | None:
         nonlocal consts
         im = abs(z.imag)
-        n_stop = 1
-        while not _tail_below(n_stop, decay, im, log_tol):
-            if n_stop == _THETA_TERM_CAP:
-                return None
-            n_stop += 1
-        if quarter + (2 * n_stop + 1) * im > _THETA_OVERFLOW_EXP:
+        n_stop = bisect_right(table, im) + 1
+        if n_stop > _THETA_TERM_CAP or quarter + (2 * n_stop + 1) * im > _THETA_OVERFLOW_EXP:
             return None
         terms = consts
         if len(terms) <= n_stop:
-            terms = consts = [((n + 0.5) ** 2 * log_q, 1j * (2 * n + 1))
+            terms = consts = [((n + 0.5) ** 2 * log_q, 1j * (2 * n + 1), n % 2)
                               for n in range(n_stop + 1)]
         total = 0j
         try:
-            for n, (exponent, k) in zip(range(n_stop + 1), terms):
+            for exponent, k, odd in islice(terms, n_stop + 1):
                 kz = k * z
-                term = (cmath.exp(exponent + kz) - cmath.exp(exponent - kz)) / 2j
-                if n % 2:
-                    total -= term
+                if odd:
+                    total -= (exp(exponent + kz) - exp(exponent - kz)) / 2j
                 else:
-                    total += term
+                    total += (exp(exponent + kz) - exp(exponent - kz)) / 2j
         except (OverflowError, ValueError):
             return None
         return 2.0 * total

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -41,6 +42,13 @@ def test_parse_complex_rejects_junk():
         parse_complex("two")
     with pytest.raises(DomainError):
         parse_complex("")
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400", "0.3+1e400i", "infi",
+                                   "0.3-nani", "NaN"])
+def test_parse_complex_rejects_a_part_that_is_not_finite(token):
+    with pytest.raises(DomainError, match=re.escape(f"coordinate '{token}' is not finite")):
+        parse_complex(token)
 
 
 def test_format_complex_forms():
@@ -209,6 +217,15 @@ def test_eval_gamma_pole_exits_domain(capsys):
     assert "pole" in out or "pole" in err
 
 
+@pytest.mark.parametrize("token", ["1e400", "nan", "inf"])
+def test_eval_of_a_coordinate_that_is_not_finite_is_a_configuration_error(capsys, token):
+    # not a value at a pole (exit 3): the point is rejected before evaluation
+    code, out, err = run_main(capsys, ["eval", "s", "--case", "II", "--x", f"0.3,{token}"])
+    assert code == EXIT_CONFIG
+    assert f"configuration error: coordinate '{token}' is not finite" in err
+    assert out == ""
+
+
 def test_eval_coefficients_table(capsys):
     code, out, _ = run_main(capsys, [
         "eval", "coefficients", "--case", "II",
@@ -373,6 +390,19 @@ def test_a_config_key_that_is_no_flag_of_the_subcommand_is_rejected(
     code, out, err = run_main(capsys, [*argv, "--config", str(config)])
     assert code == EXIT_CONFIG
     assert f"configuration error: {message} (config file {config})" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [["verify", "--identity", "s-oddness", "--samples", "1"],
+                                  ["eval", "s", "--case", "II", "--x", "0.3"],
+                                  ["report", "r.jsonl"]], ids=["verify", "eval", "report"])
+def test_a_config_key_that_names_no_field_is_rejected(tmp_path, capsys, argv):
+    # a misspelt key ("sample", "lam") is not ignored; the first one is named
+    config = tmp_path / "unk.json"
+    config.write_text(json.dumps({"sample": 0, "lam": 1.4}))
+    code, out, err = run_main(capsys, [*argv, "--config", str(config)])
+    assert code == EXIT_CONFIG
+    assert f"configuration error: field sample: unknown key (config file {config})" in err
     assert out == ""
 
 

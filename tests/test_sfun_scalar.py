@@ -130,7 +130,7 @@ def test_an_mpmath_argument_takes_the_mpmath_route():
 
 
 def _reference_terms(log_q, im_max, tol, abs_q):
-    """The term-count scan the closed form replaced."""
+    """The term-count scan that the count table replaced."""
     decay = log_q.real
     n_stop = None
     for n in range(1, 401):
@@ -166,7 +166,7 @@ def _boundary_points(mods=(0.05, 0.3, 0.6, 0.9, 0.99), tols=(1e-16, 1e-13, 1e-6)
                     yield mod, im_max, tol
 
 
-def test_closed_form_term_count_matches_scan():
+def test_table_term_count_matches_scan():
     seen = set()
     grid = itertools.chain(itertools.product(GRID_Q, GRID_IM, GRID_TOL), _boundary_points())
     for mod, im_max, tol in grid:
@@ -180,10 +180,94 @@ def test_closed_form_term_count_matches_scan():
 
 
 def _bit_outcome(fn, *args, **kwargs):
-    """The value as the reprs of its parts (signs of zero and NaN kept), or
-    the error's type and message."""
+    """The value as the reprs of its parts (signs of zero and NaN kept), the
+    error's type and message, or None (a bound series that has no value)."""
     out = _outcome(fn, *args, **kwargs)
-    return out if isinstance(out, tuple) else (repr(out.real), repr(out.imag))
+    return out if out is None or isinstance(out, tuple) else (repr(out.real), repr(out.imag))
+
+
+def _reference_series(q):
+    """The scalar series as it was before the count table: the count by a
+    scan from n = 1, then the terms with their constants built per term."""
+    log_q = cmath.log(q)
+    decay, quarter, log_tol = log_q.real, abs(log_q) / 4, math.log(TARGET_REL_ERR)
+
+    def series(z):
+        im = abs(z.imag)
+        n_stop = 1
+        while not n_stop * (n_stop + 1) * decay + 2 * n_stop * im < log_tol:
+            if n_stop == 400:
+                return None
+            n_stop += 1
+        if quarter + (2 * n_stop + 1) * im > 650.0:
+            return None
+        total = 0j
+        try:
+            for n in range(n_stop + 1):
+                exponent, k = (n + 0.5) ** 2 * log_q, 1j * (2 * n + 1)
+                kz = k * z
+                term = (cmath.exp(exponent + kz) - cmath.exp(exponent - kz)) / 2j
+                if n % 2:
+                    total -= term
+                else:
+                    total += term
+        except (OverflowError, ValueError):
+            return None
+        return 2.0 * total
+
+    return series
+
+
+# the float nomes of r = 1 at a = 2, 0.5 and 20 (a series of two terms),
+# one whose counts reach the term cap below the overflow guard, a complex
+# one, and the two sides of the branch cut of log q
+SERIES_NOMES = (math.exp(-2.0), math.exp(-0.5), math.exp(-20.0), 0.999,
+                cmath.rect(0.3, 2.0), complex(-0.3, 0.0), complex(-0.3, -0.0))
+
+
+@pytest.mark.parametrize("q", SERIES_NOMES, ids=repr)
+def test_the_series_equals_the_scan_and_sum_it_replaced(q):
+    new, old = sfun._theta_series(q), _reference_series(q)
+    rng = np.random.default_rng(23)
+    n_pts = 3000  # 21,000 over the seven nomes
+    ims = rng.uniform(0.0, 4.0, n_pts) * rng.choice((-1.0, 1.0), n_pts)
+    points = [complex(x, y) for x, y in zip(rng.uniform(-4.0, 4.0, n_pts), ims)]
+    # each entry of the count table and the float below it, where the count steps
+    for im in sfun._count_table(cmath.log(q).real, math.log(TARGET_REL_ERR)):
+        for y in (im, math.nextafter(im, 0.0)):
+            points += [complex(0.7, y), complex(-1.3, -y)]
+    parts = (0.0, -0.0, 0.4, -1.3, math.nan, math.inf, -math.inf)
+    points += [complex(x, y) for x, y in itertools.product(parts, parts)]
+    outcomes = set()
+    for z in points:
+        got = _bit_outcome(new, z)
+        assert got == _bit_outcome(old, z), (q, z)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("mod", GRID_Q)
+def test_the_count_table_holds_the_flip_of_each_tail_bound(mod):
+    decay = math.log(mod)
+    for log_tol in map(math.log, GRID_TOL):
+        table = sfun._count_table(decay, log_tol)
+        assert len(table) == sfun._THETA_TERM_CAP
+        assert all(a <= b for a, b in zip(table, table[1:]))
+        for n, im in enumerate(table, start=1):
+            assert not sfun._tail_below(n, decay, im, log_tol), (mod, log_tol, n)
+            if im > 0:
+                assert sfun._tail_below(n, decay, math.nextafter(im, 0.0), log_tol), (mod, n)
+
+
+def test_complex_nomes_share_their_table_and_build_it_once():
+    sfun._count_table.cache_clear()
+    z = 0.4 + 0.3j
+    for _ in range(50):
+        # -0.3 + 0j and -0.3 - 0j: one ln|q|, so one table
+        for q in (complex(-0.3, 0.0), complex(-0.3, -0.0)):
+            theta_eval(z, q=q)
+    info = sfun._count_table.cache_info()
+    assert (info.misses, info.hits) == (1, 99)
 
 
 # q from 2e-9 (the shortest series, n_stop = 1, for |Im z| below 5) to
