@@ -146,8 +146,8 @@ class RunConfig:
             raise DomainError("field seed: must be non-negative")
         if self.max_n < 1:
             raise DomainError("field max_n: must be at least 1")
-        if self.tol is not None and not self.tol > 0:
-            raise DomainError("field tol: must be positive")
+        if self.tol is not None and not self.tol >= 0:
+            raise DomainError("field tol: must be non-negative")
         if self.trunc_terms is not None and self.trunc_terms < 1:
             raise DomainError("field trunc_terms: must be at least 1")
         if self.fmt not in FORMATS:

@@ -50,7 +50,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice
+from itertools import islice, product
 from typing import Callable
 
 import numpy as np
@@ -256,14 +256,9 @@ class CaseParams:
 
     @property
     def zero_lattice_basis(self) -> tuple[complex, ...]:
-        """Generators of the zero lattice of ``s`` (empty in case I)."""
-        if self.kind is CaseKind.RATIONAL:
-            return ()
-        if self.kind is CaseKind.TRIGONOMETRIC:
-            return (complex(math.pi / self.r),)
-        if self.kind is CaseKind.HYPERBOLIC:
-            return (1j * self.a,)
-        return (complex(math.pi / self.r), 1j * self.a)
+        """Generators of the zero lattice of ``s`` (empty in case I): the
+        real half-period, the imaginary one, or both."""
+        return self.omega[1:3]
 
     def describe(self) -> str:
         bits = [f"case {self.kind.label} ({self.kind.name.lower()})"]
@@ -388,7 +383,7 @@ def _theta_terms_array(log_q: complex, im: np.ndarray, tol: float) -> np.ndarray
     """:func:`_theta_terms` of every entry of ``im``, from the same table, so
     each count is the one the point gets alone.  Every entry must lie at
     or below a ``|Im z|`` that :func:`_theta_terms` accepts."""
-    return np.searchsorted(_count_table(log_q.real, math.log(tol)), im, side="right") + 1
+    return np.searchsorted(_count_array(log_q.real, math.log(tol)), im, side="right") + 1
 
 
 def _tail_below(n, decay: float, im, log_tol: float):
@@ -427,6 +422,14 @@ def _count_table(decay: float, log_tol: float) -> tuple[float, ...]:
         lo, hi = np.where(holds, mid, lo), np.where(holds, hi, mid)
     table = tuple(hi.view(np.float64).tolist())
     assert all(a <= b for a, b in zip(table, table[1:])), (decay, log_tol)
+    return table
+
+
+@lru_cache(maxsize=64)
+def _count_array(decay: float, log_tol: float) -> np.ndarray:
+    """:func:`_count_table` as a read-only array, for ``np.searchsorted``."""
+    table = np.array(_count_table(decay, log_tol))
+    table.flags.writeable = False
     return table
 
 
@@ -536,7 +539,7 @@ def _theta_mp(z, log_q):
         k = 1j * (2 * n + 1)
         term = (mpmath.exp(exponent + k * z) - mpmath.exp(exponent - k * z)) / 2j
         total = total - term if n % 2 else total + term
-        if n >= 1 and n * (n + 1) * decay + 2 * n * im < log_tol:
+        if n >= 1 and _tail_below(n, decay, im, log_tol):
             return 2 * total
     raise ConvergenceError("theta series (mpmath) did not converge")
 
@@ -714,31 +717,15 @@ def lattice_distance(case: CaseParams, x) -> np.ndarray | float:
     around the rounded coordinates is generous enough for any input.
     """
     xx, scalar = _as_complex_array(x)
-    basis = case.zero_lattice_basis
-    if not basis:
-        dist = np.abs(xx)
-        return float(dist[0]) if scalar else dist
-
-    if len(basis) == 1:
-        (w,) = basis
-        if w.imag == 0:
-            coord = xx.real / w.real
-        else:
-            coord = xx.imag / w.imag
-        best = np.full(xx.shape, np.inf)
-        base = np.round(coord)
-        for dn in (-1, 0, 1):
-            best = np.minimum(best, np.abs(xx - (base + dn) * w))
-        return float(best[0]) if scalar else best
-
-    w1, w2 = basis  # real period, imaginary period
-    n1 = np.round(xx.real / w1.real)
-    n2 = np.round(xx.imag / w2.imag)
+    # each generator is real or imaginary: round that coordinate of x
+    near = [(w, np.round(xx.real / w.real if w.imag == 0 else xx.imag / w.imag))
+            for w in case.zero_lattice_basis]
     best = np.full(xx.shape, np.inf)
-    for d1 in (-1, 0, 1):
-        for d2 in (-1, 0, 1):
-            cand = np.abs(xx - (n1 + d1) * w1 - (n2 + d2) * w2)
-            best = np.minimum(best, cand)
+    for offsets in product((-1, 0, 1), repeat=len(near)):
+        cand = xx
+        for (w, n), d in zip(near, offsets):
+            cand = cand - (n + d) * w
+        best = np.minimum(best, np.abs(cand))
     return float(best[0]) if scalar else best
 
 

@@ -25,6 +25,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from functools import cache
 from itertools import accumulate
+from typing import TypeVar
 
 import numpy as np
 
@@ -91,6 +92,8 @@ from .sfun import (
 )
 
 _TINY = 1e-300
+
+T = TypeVar("T")
 
 CASES = ("I", "II", "III", "IV")
 
@@ -163,13 +166,9 @@ def _row(
     residual = float(residual)
     if control:
         tol = CONTROL_FLOOR
-    elif tol_override is not None:
-        tol = tol_override
-    else:
-        tol = ctx.tol
-    if control:
         passed = math.isfinite(residual) and residual > tol
     else:
+        tol = ctx.tol if tol_override is None else tol_override
         passed = math.isfinite(residual) and residual <= tol
     return SampleResult(
         identity=ctx.identity,
@@ -277,17 +276,10 @@ def _screen_config(config: Configuration, X: Sequence[complex], coeff_cap: float
     return float(np.max(np.abs(arr))) <= coeff_cap
 
 
-def _admissible(rng, config: Configuration, count: int, tries: int,
-                coeff_cap: float = 1e8) -> tuple[list[tuple[complex, ...]], int]:
-    """Up to ``count`` draws of coordinates that pass :func:`_screen_config`,
-    out of at most ``tries`` draws, and the number of draws made."""
-    points, draws = [], 0
-    while len(points) < count and draws < tries:
-        draws += 1
-        X = _draw_X(rng, config.size)
-        if _screen_config(config, X, coeff_cap):
-            points.append(X)
-    return points, draws
+def _screened_X(rng, config: Configuration, coeff_cap: float = 1e8) -> tuple[complex, ...] | None:
+    """Coordinates for ``config``, or None where :func:`_screen_config` rejects them."""
+    X = _draw_X(rng, config.size)
+    return X if _screen_config(config, X, coeff_cap) else None
 
 
 @dataclass(frozen=True)
@@ -316,13 +308,18 @@ def sample_admissible(
     counts) instead of looping forever when the window is hostile.
     """
     limit = max_attempts if max_attempts is not None else 60 * count
-    points, attempts = _admissible(_rng_for(seed), template, count, limit, coeff_cap)
-    if len(points) < count:
-        raise ConvergenceError(
-            f"admissible sampling exhausted after {attempts} attempts "
-            f"({attempts - len(points)} rejected) for {template.case.describe()}"
-        )
-    return SampleBatch(tuple(points), attempts, attempts - count)
+    ctx = _RunCtx(identity="", case=template.case, label=template.case.kind.label,
+                  samples=count, tol=0.0, rng=_rng_for(seed))  # for its draw loop only
+    points = []
+    while len(points) < count:
+        X = ctx.draw(lambda: _screened_X(ctx.rng, template, coeff_cap), limit - ctx.attempts)
+        if X is None:
+            raise ConvergenceError(
+                f"admissible sampling exhausted after {ctx.attempts} attempts "
+                f"({ctx.rejected} rejected) for {template.case.describe()}"
+            )
+        points.append(X)
+    return SampleBatch(tuple(points), ctx.attempts, ctx.rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -340,29 +337,44 @@ class _RunCtx:
     rng: np.random.Generator
     masses: tuple[MassTag, ...] | None = None
     particles: tuple[int, int, int, int] | None = None
-    no_balance: bool = False
     max_n: int = 3
     product_terms: int = PRODUCT_TERMS
     attempts: int = 0
     rejected: int = 0
 
+    def draw(self, make: Callable[[], T | None], tries: int,
+             catch: type[Exception] | tuple[type[Exception], ...] = ()) -> T | None:
+        """The first value other than None of at most ``tries`` calls of
+        ``make``.  Each call is one attempt; one that returns None or raises
+        one of ``catch`` is one rejection.  None when every call is rejected."""
+        for _ in range(tries):
+            self.attempts += 1
+            try:
+                value = make()
+            except catch:
+                value = None
+            if value is not None:
+                return value
+            self.rejected += 1
+        return None
+
     def admissible_X(self, config: Configuration) -> tuple[complex, ...]:
-        points, draws = _admissible(self.rng, config, 1, 80)
-        self.attempts += draws
-        self.rejected += draws - len(points)
-        if not points:
+        X = self.draw(lambda: _screened_X(self.rng, config), 80)
+        if X is None:
             raise ConvergenceError(f"no admissible point for {config.case.describe()} with "
                                    f"{config.size} coordinates after 80 tries")
-        return points[0]
+        return X
 
 
-def _max_abs(values: Iterable[complex]) -> float:
-    out = _TINY
-    for v in values:
+def _defect(terms: Sequence[complex], rhs: Sequence[complex] = ()) -> tuple[float, float]:
+    """``|sum(terms) - sum(rhs)|`` over the largest single term on either
+    side, and that scale (at least ``_TINY``; a NaN term is passed over)."""
+    scale = _TINY
+    for v in (*terms, *rhs):
         av = abs(v)
-        if av > out:
-            out = av
-    return out
+        if av > scale:
+            scale = av
+    return abs(sum(terms) - sum(rhs)) / scale, scale
 
 
 def _exp_fn(k: Sequence[float]):
@@ -421,23 +433,19 @@ def _rows_s_quasi_period(ctx: _RunCtx) -> list[SampleResult]:
 
 
 def _rows_s_duplication(ctx: _RunCtx) -> list[SampleResult]:
-    rows = []
-    i = 0
-    guard = 0
-    while len(rows) < ctx.samples and guard < 60 * ctx.samples:
-        guard += 1
-        ctx.attempts += 1
+    def make():
         z = _draw_scalar(ctx.rng)
-        try:
-            res = float(duplication_residual(ctx.case, z))
-        except PoleProximityError:
-            ctx.rejected += 1
-            continue
+        return z, float(duplication_residual(ctx.case, z))
+
+    rows = []
+    for i in range(ctx.samples):
+        # the budget of 60 draws per sample is shared by the whole run
+        got = ctx.draw(make, 60 * ctx.samples - ctx.attempts, catch=PoleProximityError)
+        if got is None:
+            raise ConvergenceError("duplication sampling kept hitting lattice points")
+        z, res = got
         scale = abs(ctx.case.s_scalar(2 * z))
         rows.append(_row(ctx, "duplication", i, res, max(scale, _TINY)))
-        i += 1
-    if len(rows) < ctx.samples:
-        raise ConvergenceError("duplication sampling kept hitting lattice points")
     return rows
 
 
@@ -453,33 +461,28 @@ def _rows_theta_product(ctx: _RunCtx) -> list[SampleResult]:
 
 
 def _rows_gamma_fe(ctx: _RunCtx) -> list[SampleResult]:
-    rows = []
-    i = 0
-    guard = 0
-    while len(rows) < ctx.samples and guard < 60 * ctx.samples:
-        guard += 1
-        ctx.attempts += 1
+    def make(i):
         alpha = float(ctx.rng.uniform(0.3, 0.6))
         if i % 5 == 4:
             alpha = -alpha
         z = _draw_scalar(ctx.rng, re=(0.1, 1.1), im=(-0.2, 0.2))
-        try:
-            up = complex(gamma_G(ctx.case, alpha, z + 0.5j * alpha))
-            dn = complex(gamma_G(ctx.case, alpha, z - 0.5j * alpha))
-            c = functional_eq_constant(ctx.case, alpha)
-            rhs = c * ctx.case.s_scalar(z) * dn
-        except (DomainError, ConvergenceError, OverflowError):
-            ctx.rejected += 1
-            continue
-        scale = max(abs(up), abs(rhs))
-        if not (math.isfinite(scale) and scale > 1e-12):
-            ctx.rejected += 1
-            continue
-        sign = "-" if alpha < 0 else "+"
-        rows.append(_row(ctx, f"fe[{sign}]", i, abs(up - rhs) / scale, scale))
-        i += 1
-    if len(rows) < ctx.samples:
-        raise ConvergenceError("functional-equation sampling kept rejecting points")
+        up = complex(gamma_G(ctx.case, alpha, z + 0.5j * alpha))
+        dn = complex(gamma_G(ctx.case, alpha, z - 0.5j * alpha))
+        rhs = functional_eq_constant(ctx.case, alpha) * ctx.case.s_scalar(z) * dn
+        res, scale = _rel_dev(up, rhs)
+        if math.isfinite(scale) and scale > 1e-12:
+            return alpha, res, scale
+        return None
+
+    rows = []
+    for i in range(ctx.samples):
+        # the budget of 60 draws per sample is shared by the whole run
+        got = ctx.draw(lambda: make(i), 60 * ctx.samples - ctx.attempts,
+                       catch=(DomainError, ConvergenceError, OverflowError))
+        if got is None:
+            raise ConvergenceError("functional-equation sampling kept rejecting points")
+        alpha, res, scale = got
+        rows.append(_row(ctx, f"fe[{'-' if alpha < 0 else '+'}]", i, res, scale))
     return rows
 
 
@@ -501,20 +504,16 @@ def _rows_gamma_reflection(ctx: _RunCtx) -> list[SampleResult]:
 
 
 def residual_summation(case: CaseParams, p: SummationParams) -> tuple[float, float]:
-    return _summation_residual(*summation_terms(case, p))
+    terms, rhs = summation_terms(case, p)
+    return _defect(terms, [rhs])
 
 
-def _summation_residual(terms: list[complex], rhs: complex) -> tuple[float, float]:
-    scale = max(_max_abs(terms), abs(rhs), _TINY)
-    return abs(sum(terms) - rhs) / scale, scale
-
-
-def _draw_summation_params(ctx: _RunCtx, n: int) -> tuple[SummationParams, tuple]:
-    """Admissible parameters for ``n`` coordinates and their screened sides."""
+def _draw_summation_params(ctx: _RunCtx, n: int) -> tuple[SummationParams, tuple[float, float]]:
+    """Admissible parameters for ``n`` coordinates and their residual."""
     rho = ctx.case.rho
     rng = ctx.rng
-    for _ in range(80):
-        ctx.attempts += 1
+
+    def make():
         X = _draw_X(rng, n)
         m = tuple(complex(rng.uniform(0.4, 1.3), rng.uniform(-0.25, 0.25)) for _ in range(n))
         gam_sign = 1.0 if int(rng.integers(0, 2)) else -1.0
@@ -527,35 +526,29 @@ def _draw_summation_params(ctx: _RunCtx, n: int) -> tuple[SummationParams, tuple
             # the elliptic identity needs the parameter sum to vanish
             n_par[-1] = -2 * gamma * sum(m) - sum(n_par[:-1])
         params = SummationParams(X=X, m=m, gamma=gamma, a=a, c=c, d=d, n=tuple(n_par))
-        try:
-            terms, rhs = summation_terms(ctx.case, params)
-        except (DomainError, ZeroDivisionError, OverflowError):
-            ctx.rejected += 1
-            continue
+        terms, rhs = summation_terms(ctx.case, params)
         arr = np.asarray(terms + [rhs], dtype=complex)
         if not np.all(np.isfinite(arr)) or float(np.max(np.abs(arr))) > 1e8:
-            ctx.rejected += 1
-            continue
-        return params, (terms, rhs)
-    raise ConvergenceError("summation parameter sampling kept rejecting draws")
+            return None
+        return params, _defect(terms, [rhs])
+
+    got = ctx.draw(make, 80, catch=(DomainError, ZeroDivisionError, OverflowError))
+    if got is None:
+        raise ConvergenceError("summation parameter sampling kept rejecting draws")
+    return got
 
 
 def _rows_summation(ctx: _RunCtx) -> list[SampleResult]:
     rows = []
     for i in range(ctx.samples):
         n = 1 + i % 3
-        params, sides = _draw_summation_params(ctx, n)
-        if not (ctx.label == "IV" and ctx.no_balance):
-            rows.append(_row(ctx, f"n={n}", i, *_summation_residual(*sides)))
+        params, (res, scale) = _draw_summation_params(ctx, n)
+        rows.append(_row(ctx, f"n={n}", i, res, scale))
         if ctx.label == "IV":
             for delta in (CONTROL_DETUNE, -CONTROL_DETUNE):
-                n_det = list(params.n)
-                n_det[-1] += delta
-                detuned = replace(params, n=tuple(n_det))
-                res, scale = residual_summation(ctx.case, detuned)
-                rows.append(
-                    _row(ctx, f"n={n}/defect={delta:+g}", i, res, scale, control=True)
-                )
+                detuned = replace(params, n=(*params.n[:-1], params.n[-1] + delta))
+                rows.append(_row(ctx, f"n={n}/defect={delta:+g}", i,
+                                 *residual_summation(ctx.case, detuned), control=True))
     return rows
 
 
@@ -571,9 +564,7 @@ def residual_source(config: Configuration, X: Sequence[complex]) -> tuple[float,
     cs = config.coupling
     terms = operator_terms(case, cs.g, cs.lam, cs.beta, config.mass_values, config.masses, X,
                            lambda _: 1.0)
-    const = source_constant(case, cs.g, cs.lam, cs.beta, config.mass_values)
-    scale = max(_max_abs(terms), abs(const), _TINY)
-    return abs(sum(terms) - const) / scale, scale
+    return _defect(terms, [source_constant(case, cs.g, cs.lam, cs.beta, config.mass_values)])
 
 
 _ALL_TAGS = (MassTag.PLUS_ONE, MassTag.MINUS_ONE, MassTag.PLUS_INV, MassTag.MINUS_INV)
@@ -600,25 +591,27 @@ _BALANCED_G_CAP = 9.0
 def _balanced_coupling(ctx: _RunCtx, coupling: CouplingSet, variant: str,
                        N: int = 0, Nt: int = 0, M: int = 0, Mt: int = 0,
                        tags: tuple[MassTag, ...] = ()) -> CouplingSet:
-    for _ in range(40):
+    def make():
+        nonlocal coupling
         # The mass sum depends on lam for 1/lam species, so it has to be
         # recomputed for every redrawn coupling, not fixed at the first one.
         mass_sum = sum(t.value_for(coupling.lam) for t in tags)
         g = balance_solve(variant, coupling.lam, coupling.g, N=N, Nt=Nt, M=M,
                           Mt=Mt, mass_sum=mass_sum)
-        ctx.attempts += 1
         if abs(g[-1]) <= _BALANCED_G_CAP:
             return CouplingSet(g, coupling.lam, coupling.beta)
-        ctx.rejected += 1
-        coupling = _draw_coupling(ctx.rng, ctx.case)
-    raise ConvergenceError(
-        f"no balanced coupling within |g| <= {_BALANCED_G_CAP} for {variant}")
+        coupling = _draw_coupling(ctx.rng, ctx.case)  # also after the last rejection
+        return None
+
+    balanced = ctx.draw(make, 40)
+    if balanced is None:
+        raise ConvergenceError(
+            f"no balanced coupling within |g| <= {_BALANCED_G_CAP} for {variant}")
+    return balanced
 
 
 def _detuned(coupling: CouplingSet, delta: float) -> CouplingSet:
-    g = list(coupling.g)
-    g[-1] += delta
-    return CouplingSet(tuple(g), coupling.lam, coupling.beta)
+    return CouplingSet((*coupling.g[:-1], coupling.g[-1] + delta), coupling.lam, coupling.beta)
 
 
 def _detuned_controls(ctx: _RunCtx, coupling: CouplingSet, tags: tuple[MassTag, ...],
@@ -630,8 +623,8 @@ def _detuned_controls(ctx: _RunCtx, coupling: CouplingSet, tags: tuple[MassTag, 
     for delta in (CONTROL_DETUNE, -CONTROL_DETUNE):
         bad = Configuration(ctx.case, _detuned(coupling, delta), tags)
         X2 = X if _screen_config(bad, X) else ctx.admissible_X(bad)
-        res, scale = residual_source(bad, X2)
-        rows.append(_row(ctx, f"{prefix}/defect={delta:+g}", index, res, scale, control=True))
+        rows.append(_row(ctx, f"{prefix}/defect={delta:+g}", index, *residual_source(bad, X2),
+                         control=True))
     return rows
 
 
@@ -645,9 +638,7 @@ def _rows_source(ctx: _RunCtx) -> list[SampleResult]:
         config = Configuration(ctx.case, coupling, tags)
         X = ctx.admissible_X(config)
         name = ",".join(t.value for t in tags)
-        if not (ctx.label == "IV" and ctx.no_balance):
-            res, scale = residual_source(config, X)
-            rows.append(_row(ctx, f"m=({name})", i, res, scale))
+        rows.append(_row(ctx, f"m=({name})", i, *residual_source(config, X)))
         if ctx.label == "IV":
             rows.extend(_detuned_controls(ctx, coupling, tags, X, i, f"m=({name})"))
     return rows
@@ -677,27 +668,26 @@ def _rows_conjugation(ctx: _RunCtx) -> list[SampleResult]:
     for i in range(ctx.samples):
         tags = ctx.masses or _CONJ_TAG_CYCLE[i % len(_CONJ_TAG_CYCLE)]
         n = len(tags)
-        prepared = None
         failure = ""
-        for _ in range(40):
-            ctx.attempts += 1
+
+        def set_up():
+            nonlocal failure
             coupling = _draw_coupling(ctx.rng, case)
             config = Configuration(case, coupling, tags)
             base = _draw_X(ctx.rng, n, im_window=(-0.12, 0.12))
             if not _screen_config(config, base):
-                ctx.rejected += 1
-                continue
+                return None
             specs = phi_factor_specs(case, coupling.g, coupling.lam, coupling.beta, tags)
             terms = conjugation_terms(case, coupling.g, coupling.lam, coupling.beta, tags,
                                       specs, BranchTracker(base))
             try:
                 terms.calibrate()
             except (BranchError, PoleProximityError) as exc:
-                ctx.rejected += 1
-                failure = _failure(exc)
-                continue
-            prepared = (config, base, terms)
-            break
+                failure = _failure(exc)  # the row keeps the last failure's detail
+                return None
+            return config, base, terms
+
+        prepared = ctx.draw(set_up, 40)
         if prepared is None:
             rows.append(_row(ctx, "calibration", i, math.inf, 0.0, detail=failure))
             continue
@@ -722,10 +712,8 @@ def _rows_conjugation(ctx: _RunCtx) -> list[SampleResult]:
 
         def residual(form, fn):
             plain, FP, rooted = form
-            a_terms = weighted_terms(plain, fn)
             lhs = sum((w * (FQ * fn(Q)) for w, Q, FQ in rooted), start=0j) / FP
-            scale = max(_max_abs(a_terms), abs(lhs), _TINY)
-            return abs(lhs - sum(a_terms)) / scale, scale
+            return _defect(weighted_terms(plain, fn), [lhs])
 
         at = []
         for P in (base, point):
@@ -806,19 +794,19 @@ def _offset_point(ctx: _RunCtx, rows: list[SampleResult], label: str, index: int
     offset uniformly within ``+-half_re`` and ``+-half_im``, that ``accept``
     takes; every other counts as rejected.  None, with a failure row under
     ``label``, when none is taken."""
-    for _ in range(tries):
-        ctx.attempts += 1
+    def make():
         off = tuple(
             complex(ctx.rng.uniform(-half_re, half_re), ctx.rng.uniform(-half_im, half_im))
             for _ in range(len(base))
         )
         point = tuple(b + o for b, o in zip(base, off))
-        if accept(point):
-            return point
-        ctx.rejected += 1
-    rows.append(_row(ctx, label, index, math.inf, 0.0,
-                     detail="branch-failure: no offset continues coherently"))
-    return None
+        return point if accept(point) else None
+
+    point = ctx.draw(make, tries)
+    if point is None:
+        rows.append(_row(ctx, label, index, math.inf, 0.0,
+                         detail="branch-failure: no offset continues coherently"))
+    return point
 
 
 def _direct_kernel_rows(
@@ -850,17 +838,13 @@ def _direct_kernel_rows(
                 parts.append(terms.prefactor(b) * (here * there * terms.F(shifted)))
             FP = terms.F(P)
             parts.append(v0_fn(P) * FP)
-            parts.append(-const * FP)
-            scale = _max_abs(parts)
-            return abs(sum(parts)) / scale, scale
+            return _defect(parts, [const * FP])
 
-        res, scale = residual_at(Z0)
-        rows.append(_row(ctx, f"{grid_label}/direct@p0", index, res, scale))
+        rows.append(_row(ctx, f"{grid_label}/direct@p0", index, *residual_at(Z0)))
         label = f"{grid_label}/direct@p1"
         P1 = _offset_point(ctx, rows, label, index, Z0, 6, 0.05, 0.02, terms.coherent)
         if P1 is not None:
-            res, scale = residual_at(P1)
-            rows.append(_row(ctx, label, index, res, scale))
+            rows.append(_row(ctx, label, index, *residual_at(P1)))
     except (BranchError, PoleProximityError) as exc:
         rows.append(_row(ctx, f"{grid_label}/direct", index, math.inf, 0.0,
                          detail=_failure(exc)))
@@ -972,39 +956,37 @@ def _rows_display(ctx: _RunCtx) -> list[SampleResult]:
         g, lam, beta = coupling.g, coupling.lam, coupling.beta
         v0, weights, gs_sq, blocks = spec.build(case, g, lam, beta, slices)
 
-        if not (ctx.label == "IV" and ctx.no_balance):
-            if spec.display:
-                # specialised coefficients == generic multiset coefficients
-                dev, sc = _worst_dev([
-                    (coeff_V_shift(case, g, lam, beta, values, tags, Z, slot, sign),
-                     coeff(Z, j, sign))
-                    for _, slots, coeff, _ in blocks for j, slot in enumerate(slots)
-                    for sign in (1, -1)])
-                rows.append(_row(ctx, f"{lab}/chain-shift", i, dev, sc))
+        if spec.display:
+            # specialised coefficients == generic multiset coefficients
+            dev, sc = _worst_dev([
+                (coeff_V_shift(case, g, lam, beta, values, tags, Z, slot, sign),
+                 coeff(Z, j, sign))
+                for _, slots, coeff, _ in blocks for j, slot in enumerate(slots)
+                for sign in (1, -1)])
+            rows.append(_row(ctx, f"{lab}/chain-shift", i, dev, sc))
 
-                d, s = _rel_dev(coeff_V0(case, g, lam, beta, values, Z),
-                                v0(Z) - c0_constant(case, g, lam, beta))
-                rows.append(_row(ctx, f"{lab}/chain-zero", i, d, s))
+            rows.append(_row(ctx, f"{lab}/chain-zero", i,
+                             *_rel_dev(coeff_V0(case, g, lam, beta, values, Z),
+                                       v0(Z) - c0_constant(case, g, lam, beta))))
 
-                # square-root closure: coefficient ratio under one step
-                # equals the squared ground-state ratio
-                def closure(coeff, slot, j, sign, delta):
-                    shifted = _moved(Z, slot, Z[slot] + delta)
-                    return (coeff(Z, j, sign) / coeff(shifted, j, -sign),
-                            factor_ratio(case, gs_sq, Z, slot, delta))
+            # square-root closure: coefficient ratio under one step
+            # equals the squared ground-state ratio
+            def closure(coeff, slot, j, sign, delta):
+                shifted = _moved(Z, slot, Z[slot] + delta)
+                return (coeff(Z, j, sign) / coeff(shifted, j, -sign),
+                        factor_ratio(case, gs_sq, Z, slot, delta))
 
-                for name, slots, coeff, step in blocks:
-                    if slots:
-                        dev, sc = _worst_dev([
-                            closure(coeff, slot, j, sign, sign * step)
-                            for j, slot in enumerate(slots) for sign in (1, -1)])
-                        rows.append(_row(ctx, f"{lab}/{name}", i, dev, sc))
+            for name, slots, coeff, step in blocks:
+                if slots:
+                    dev, sc = _worst_dev([
+                        closure(coeff, slot, j, sign, sign * step)
+                        for j, slot in enumerate(slots) for sign in (1, -1)])
+                    rows.append(_row(ctx, f"{lab}/{name}", i, dev, sc))
 
-            # eigenvalue: the action on the constant function
-            terms = weighted_terms(weights(Z), lambda _: 1.0)
-            const = eigen_constant(case, g, lam, beta, values)
-            scale = max(_max_abs(terms), abs(const), _TINY)
-            rows.append(_row(ctx, f"{lab}/eigen", i, abs(sum(terms) - const) / scale, scale))
+        # eigenvalue: the action on the constant function
+        terms = weighted_terms(weights(Z), lambda _: 1.0)
+        rows.append(_row(ctx, f"{lab}/eigen", i,
+                         *_defect(terms, [eigen_constant(case, g, lam, beta, values)])))
 
         if ctx.label == "IV":
             # the zeroth coefficient of the specialised form carries a large
@@ -1107,41 +1089,37 @@ def _rows_kernel(ctx: _RunCtx) -> list[SampleResult]:
         def ref(P, b, j, sign):
             return coeff_V_shift(case, g, lam, beta, values, tags, P, b.slots[j], b.orient * sign)
 
-        if not (ctx.label == "IV" and ctx.no_balance):
-            for b in blocks:
-                if b.slots:
-                    dev, sc = _worst_dev([
-                        (ref(Z, b, j, sign),
-                         b.coeff(Z, j, sign)
-                         * factor_ratio(case, K, Z, slot, sign * b.step))
-                        # combined shift +1 first: of equal deviations the first counts
-                        for j, slot in enumerate(b.slots) for sign in (b.orient, -b.orient)])
-                    rows.append(_row(ctx, f"{lab}/{b.label}", i, dev, sc))
+        for b in blocks:
+            if b.slots:
+                dev, sc = _worst_dev([
+                    (ref(Z, b, j, sign),
+                     b.coeff(Z, j, sign)
+                     * factor_ratio(case, K, Z, slot, sign * b.step))
+                    # combined shift +1 first: of equal deviations the first counts
+                    for j, slot in enumerate(b.slots) for sign in (b.orient, -b.orient)])
+                rows.append(_row(ctx, f"{lab}/{b.label}", i, dev, sc))
 
-            d, s = _rel_dev(coeff_V0(case, g, lam, beta, values, Z), v0(Z))
-            rows.append(_row(ctx, f"{lab}/chain-zero", i, d, s))
+        rows.append(_row(ctx, f"{lab}/chain-zero", i,
+                         *_rel_dev(coeff_V0(case, g, lam, beta, values, Z), v0(Z))))
+        rows.append(_row(ctx, f"{lab}/const", i, *residual_source(config, Z)))
 
-            res, scale = residual_source(config, Z)
-            rows.append(_row(ctx, f"{lab}/const", i, res, scale))
+        # N and Nt belong to the first operator, M and Mt to the second;
+        # the direct check needs a kernel that joins the two
+        first = sum(len(sl) for sp, sl in zip(spec.species, slices) if sp.particles < 2)
+        if ctx.label in ("I", "II") and direct_budget > 0 and 0 < first < len(tags):
+            direct_budget -= 1
+            const = source_constant(case, g, lam, beta, values)
 
-            # N and Nt belong to the first operator, M and Mt to the second;
-            # the direct check needs a kernel that joins the two
-            first = sum(len(sl) for sp, sl in zip(spec.species, slices) if sp.particles < 2)
-            if ctx.label in ("I", "II") and direct_budget > 0 and 0 < first < len(tags):
-                direct_budget -= 1
-                const = source_constant(case, g, lam, beta, values)
+            def kernel(tr, P):
+                return spec.value(case, g, lam, beta, P, *slices, tr)
 
-                def kernel(tr, P):
-                    return spec.value(case, g, lam, beta, P, *slices, tr)
-
-                rows.extend(_direct_kernel_rows(ctx, lab, i, Z, blocks, kernel, v0, const, ref))
+            rows.extend(_direct_kernel_rows(ctx, lab, i, Z, blocks, kernel, v0, const, ref))
 
         if ctx.label == "IV":
             for delta in (CONTROL_DETUNE, -CONTROL_DETUNE):
                 bad = Configuration(case, _detuned(coupling, delta), tags)
-                res, scale = residual_source(bad, Z)
-                rows.append(_row(ctx, f"{lab}/const/defect={delta:+g}", i, res, scale,
-                                 control=True))
+                rows.append(_row(ctx, f"{lab}/const/defect={delta:+g}", i,
+                                 *residual_source(bad, Z), control=True))
     return rows
 
 
@@ -1166,8 +1144,7 @@ def _rows_anti_symmetry(ctx: _RunCtx) -> list[SampleResult]:
         tags_def = (MassTag.PLUS_ONE,) * N + (MassTag.MINUS_INV,) * Nt
         config2 = Configuration(case, coupling, tags_def)
         Z = ctx.admissible_X(config2)
-        xs = tuple(Z[v] for v in range(N))
-        ts = tuple(Z[v] for v in range(N, N + Nt))
+        xs, ts = Z[:N], Z[N:N + Nt]
         # the operators at +beta and -beta, plain and two-species, for every
         # test function
         plain = (vd_weights(case, g, lam, beta, X), vd_weights(case, g, lam, -beta, X))
@@ -1177,10 +1154,9 @@ def _rows_anti_symmetry(ctx: _RunCtx) -> list[SampleResult]:
             fn = _exp_fn(ctx.rng.uniform(-0.9, 0.9, size=n))
             fn2 = _exp_fn2(ctx.rng.uniform(-0.9, 0.9, size=N), ctx.rng.uniform(-0.9, 0.9, size=Nt))
             for name, (pos, neg), f in (("plain", plain, fn), ("two-species", two, fn2)):
-                t_pos, t_neg = weighted_terms(pos, f), weighted_terms(neg, f)
-                scale = max(_max_abs(t_pos), _max_abs(t_neg))
+                t_neg = [-t for t in weighted_terms(neg, f)]
                 rows.append(_row(ctx, f"{name}/exp{fi}", i,
-                                 abs(sum(t_pos) + sum(t_neg)) / scale, scale))
+                                 *_defect(weighted_terms(pos, f), t_neg)))
 
         if ctx.label != "IV":
             # refuted variant: flipping the couplings along with the step
@@ -1196,10 +1172,8 @@ def _rows_anti_symmetry(ctx: _RunCtx) -> list[SampleResult]:
                 g_wit = g
             g_neg = tuple(-v for v in g_wit)
             t_pos = weighted_terms(vd_weights(case, g_wit, lam, beta, X), fn)
-            t_bad = weighted_terms(vd_weights(case, g_neg, lam, -beta, X), fn)
-            scale = max(_max_abs(t_pos), _max_abs(t_bad))
-            rows.append(_row(ctx, "plain/joint-flip", i,
-                             abs(sum(t_pos) + sum(t_bad)) / scale, scale, control=True))
+            t_bad = [-t for t in weighted_terms(vd_weights(case, g_neg, lam, -beta, X), fn)]
+            rows.append(_row(ctx, "plain/joint-flip", i, *_defect(t_pos, t_bad), control=True))
     return rows
 
 
@@ -1216,8 +1190,7 @@ def _rows_parameter_swap(ctx: _RunCtx) -> list[SampleResult]:
         tags_def = (MassTag.PLUS_ONE,) * N + (MassTag.MINUS_INV,) * Nt
         config = Configuration(case, coupling, tags_def)
         Z = ctx.admissible_X(config)
-        xs = tuple(Z[v] for v in range(N))
-        ts = tuple(Z[v] for v in range(N, N + Nt))
+        xs, ts = Z[:N], Z[N:N + Nt]
         g_swap = dual_couplings(g, lam)
         g_bad = tuple((2 * v - lam - 1) / (2 * lam) for v in g)
         lab = f"N{N}Nt{Nt}"
@@ -1231,16 +1204,13 @@ def _rows_parameter_swap(ctx: _RunCtx) -> list[SampleResult]:
 
         t_orig = weighted_terms(def_weights(case, g, lam, beta, xs, ts), fn)
         t_swap = weighted_terms(def_weights(case, g_swap, 1.0 / lam, -lam * beta, ts, xs), swapped)
-        scale = max(_max_abs(t_orig), _max_abs(t_swap))
-        rows.append(_row(ctx, f"{lab}/swap", i,
-                         abs(sum(t_orig) - sum(t_swap)) / scale, scale))
+        rows.append(_row(ctx, f"{lab}/swap", i, *_defect(t_orig, t_swap)))
 
         if ctx.label != "IV":
             t_bad = weighted_terms(def_weights(case, g_bad, 1.0 / lam, -lam * beta, ts, xs),
                                    swapped)
-            scale = max(_max_abs(t_orig), _max_abs(t_bad))
-            rows.append(_row(ctx, f"{lab}/swap-bad-coupling", i,
-                             abs(sum(t_orig) - sum(t_bad)) / scale, scale, control=True))
+            rows.append(_row(ctx, f"{lab}/swap-bad-coupling", i, *_defect(t_orig, t_bad),
+                             control=True))
     return rows
 
 
@@ -1258,25 +1228,20 @@ def _rows_quasi_invariance(ctx: _RunCtx) -> list[SampleResult]:
     K = 16
     for i in range(ctx.samples):
         n_pow = 1 + i % 3
-        got = None
-        for _ in range(60):
-            ctx.attempts += 1
+
+        def make():
             coupling = _draw_coupling(ctx.rng, case)
             lam, beta = coupling.lam, coupling.beta
             xt0 = complex(ctx.rng.uniform(0.3, 1.0), ctx.rng.uniform(-0.08, 0.08))
             x_pole = xt0 + 0.5j * (lam + 1) * beta
-            p_fn = lambda x, xt, lam=lam, beta=beta: deformed_power_sum(r, lam, beta, n_pow, x, xt)
-            try:
-                weights = def_weights(case, coupling.g, lam, beta, (x_pole + h0,), (xt0,))
-                probe = sum(weighted_terms(weights, lambda Q: p_fn(*Q)), start=0j)
-            except (DomainError, ZeroDivisionError, OverflowError):
-                ctx.rejected += 1
-                continue
-            if not (cmath.isfinite(probe) and abs(probe) < 1e10):
-                ctx.rejected += 1
-                continue
-            got = (coupling, xt0, x_pole, p_fn)
-            break
+            p_fn = lambda x, xt: deformed_power_sum(r, lam, beta, n_pow, x, xt)
+            weights = def_weights(case, coupling.g, lam, beta, (x_pole + h0,), (xt0,))
+            probe = sum(weighted_terms(weights, lambda Q: p_fn(*Q)), start=0j)
+            if cmath.isfinite(probe) and abs(probe) < 1e10:
+                return coupling, xt0, x_pole, p_fn
+            return None
+
+        got = ctx.draw(make, 60, catch=(DomainError, ZeroDivisionError, OverflowError))
         if got is None:
             raise ConvergenceError("quasi-invariance sampling kept rejecting draws")
         coupling, xt0, x_pole, p_fn = got
@@ -1344,8 +1309,8 @@ class _Identity:
     """One identity the verifier knows: its runner, the cases it is defined
     (and certifiable) on, its default tolerance on cases I-III and on case
     IV, and whether its elliptic validity hinges on a balancing constraint
-    (such an identity gets detuned negative controls and honours
-    ``no_balance``)."""
+    (such an identity gets detuned negative controls, which are all that
+    ``no_balance`` keeps)."""
 
     run: Callable[[_RunCtx], list[SampleResult]]
     cases: tuple[str, ...]
@@ -1405,7 +1370,7 @@ def run_identity(
 
     ``masses`` pins the mass multiset where the identity admits one;
     ``particles`` pins the block sizes of the specialised identities;
-    ``no_balance`` (elliptic only) runs just the detuned negative
+    ``no_balance`` (elliptic only) keeps just the detuned negative
     controls, whose expectation is a LARGE residual.  ``product_terms``
     caps the factors of the theta product (``None``: the default of
     :func:`~vandiejen.sfun.theta_product`); only ``theta-product`` reads it.
@@ -1446,12 +1411,14 @@ def run_identity(
         rng=rng,
         masses=tuple(MassTag.parse(t) for t in masses) if masses else None,
         particles=tuple(int(v) for v in particles) if particles else None,
-        no_balance=bool(no_balance),
         max_n=int(max_n),
         product_terms=PRODUCT_TERMS if product_terms is None else product_terms,
     )
     with _coefficient_memo():
         rows = spec.run(ctx)
+    if no_balance:
+        # the positive rows draw nothing, so the controls are as in a full run
+        rows = [row for row in rows if row.control]
 
     max_res = 0.0
     scale_at_max = 0.0
@@ -1500,13 +1467,17 @@ def run_suite(
     **kwargs,
 ) -> list[ResidualReport]:
     """Run several (identity, case) pairs in product order; unsupported
-    pairs are skipped."""
+    pairs are skipped, and so are identities without a balancing
+    constraint under ``no_balance`` (if none is left, the first one's
+    error stands)."""
     tasks = [
         (ident, label)
         for ident in identities
         for label in case_labels
         if label in CASE_SUPPORT[ident]
     ]
+    if kwargs.get("no_balance"):
+        tasks = [task for task in tasks if _REGISTRY[task[0]].balanced] or tasks[:1]
     if not tasks:
         raise DomainError("no supported (identity, case) combinations selected")
     return [run_identity(ident, label, samples=samples, seed=seed, **kwargs)

@@ -19,7 +19,7 @@ from vandiejen.cli import (
     parse_complex,
 )
 from vandiejen.sfun import DomainError
-from vandiejen.verify import _KERNELS, payload_lines
+from vandiejen.verify import _KERNELS, _REGISTRY, payload_lines
 
 
 # --------------------------------------------------------------------------
@@ -332,6 +332,16 @@ def test_verify_no_balance_control_passes(capsys):
     assert "suite verdict: pass" in out
 
 
+def test_verify_all_without_balancing_runs_the_balanced_identities(capsys):
+    code, out, err = run_main(capsys, [
+        "verify", "--all", "--cases", "IV", "--samples", "1", "--no-balance",
+        "--format", "json-lines"])
+    assert (code, err) == (EXIT_PASS, "")
+    summaries = [json.loads(line) for line in payload_lines(out) if '"summary"' in line]
+    assert [s["identity"] for s in summaries] == [
+        name for name, spec in _REGISTRY.items() if spec.balanced]
+
+
 def test_verify_no_balance_rejected_off_elliptic(capsys):
     code, _, err = run_main(capsys, [
         "verify", "--identity", "source", "--case", "II", "--no-balance"])
@@ -407,11 +417,21 @@ def test_a_config_key_that_names_no_field_is_rejected(tmp_path, capsys, argv):
 
 
 def test_verify_rejects_a_nan_tolerance(capsys):
-    code, out, err = run_main(capsys, ["verify", "--identity", "s-oddness", "--samples", "1",
-                                       "--tol", "nan"])
-    assert code == EXIT_CONFIG
-    assert "configuration error: field tol: must be positive" in err
-    assert out == ""
+    # and a negative one
+    for tol in ("nan", "-1e-9"):
+        code, out, err = run_main(capsys, ["verify", "--identity", "s-oddness", "--samples",
+                                           "1", f"--tol={tol}"])
+        assert code == EXIT_CONFIG
+        assert "configuration error: field tol: must be non-negative" in err
+        assert out == ""
+
+
+def test_verify_takes_a_zero_tolerance_as_the_library_does(capsys):
+    # gamma-reflection's own tolerance is zero
+    code, out, err = run_main(capsys, ["verify", "--identity", "gamma-reflection",
+                                       "--samples", "2", "--tol", "0"])
+    assert (code, err) == (EXIT_PASS, "")
+    assert "suite verdict: pass" in out
 
 
 def test_theta_product_convergence_error_names_the_flag_and_the_key(capsys):

@@ -147,6 +147,49 @@ def test_lattice_distance_values():
     assert lattice_distance(four, 0.25) == pytest.approx(0.25, rel=1e-9)
 
 
+def _lattice_distance_by_generator_count(case, x):
+    """lattice_distance as written before its one loop over the offsets:
+    one branch each for no, one and two generators."""
+    xx = np.atleast_1d(np.asarray(x, dtype=complex))
+    basis = case.zero_lattice_basis
+    if not basis:
+        best = np.abs(xx)
+    elif len(basis) == 1:
+        (w,) = basis
+        coord = xx.real / w.real if w.imag == 0 else xx.imag / w.imag
+        best = np.full(xx.shape, np.inf)
+        base = np.round(coord)
+        for dn in (-1, 0, 1):
+            best = np.minimum(best, np.abs(xx - (base + dn) * w))
+    else:
+        w1, w2 = basis
+        n1 = np.round(xx.real / w1.real)
+        n2 = np.round(xx.imag / w2.imag)
+        best = np.full(xx.shape, np.inf)
+        for d1 in (-1, 0, 1):
+            for d2 in (-1, 0, 1):
+                best = np.minimum(best, np.abs(xx - (n1 + d1) * w1 - (n2 + d2) * w2))
+    return best
+
+
+@pytest.mark.parametrize("label", CASE_LABELS)
+def test_lattice_distance_is_the_branch_per_generator_count_bit_for_bit(label):
+    case = make(label)
+    rng = np.random.default_rng(41)
+    n_pts = 20_000
+    # half spread over several periods, half within 1e-3 of a lattice point
+    wide = rng.uniform(-12, 12, n_pts // 2) + 1j * rng.uniform(-12, 12, n_pts // 2)
+    ks = rng.integers(-5, 6, size=(n_pts // 2, 2))
+    near = sum((k * w for k, w in zip(ks.T, case.zero_lattice_basis)), start=0j)
+    near = near + rng.uniform(-1e-3, 1e-3, n_pts // 2) + 1j * rng.uniform(-1e-3, 1e-3, n_pts // 2)
+    points = np.concatenate([wide, near])
+    want = _lattice_distance_by_generator_count(case, points).view(np.int64)
+    assert np.array_equal(lattice_distance(case, points).view(np.int64), want)
+    scalar = np.array([lattice_distance(case, complex(z)) for z in points])
+    assert np.array_equal(scalar.view(np.int64), want)
+    assert case.zero_lattice_basis == case.omega[1:3]
+
+
 def test_s_eval_mp_agrees_with_float_path():
     for label in CASE_LABELS:
         case = make(label)

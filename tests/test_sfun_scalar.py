@@ -259,6 +259,14 @@ def test_the_count_table_holds_the_flip_of_each_tail_bound(mod):
                 assert sfun._tail_below(n, decay, math.nextafter(im, 0.0), log_tol), (mod, n)
 
 
+def test_the_count_array_is_the_count_table_read_only():
+    decay, log_tol = math.log(0.3), math.log(TARGET_REL_ERR)
+    array = sfun._count_array(decay, log_tol)
+    assert array.tolist() == list(sfun._count_table(decay, log_tol))
+    assert not array.flags.writeable
+    assert sfun._count_array(decay, log_tol) is array
+
+
 def test_complex_nomes_share_their_table_and_build_it_once():
     sfun._count_table.cache_clear()
     z = 0.4 + 0.3j

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from vandiejen import verify
 from vandiejen.operators import Configuration, CouplingSet, MassTag
-from vandiejen.sfun import ConvergenceError, DomainError
+from vandiejen.sfun import ConvergenceError, DomainError, PoleProximityError
 from vandiejen.verify import (
     CASES,
     CASE_SUPPORT,
@@ -443,6 +443,77 @@ def test_sample_admissible_gives_up_cleanly():
 
 
 # --------------------------------------------------------------------------
+# the draw loop and the no_balance filter
+# --------------------------------------------------------------------------
+
+_BALANCED = [name for name, spec in verify._REGISTRY.items() if spec.balanced]
+
+
+def _ctx(label, identity="s-duplication", samples=3):
+    return verify._RunCtx(identity=identity, case=make_case(label), label=label,
+                          samples=samples, tol=1e-10, rng=np.random.default_rng(5))
+
+
+@pytest.mark.parametrize("identity", _BALANCED)
+def test_no_balance_keeps_the_control_rows_of_the_full_run(identity):
+    for seed in range(3):
+        full = run_identity(identity, "IV", samples=4, seed=seed)
+        bare = run_identity(identity, "IV", samples=4, seed=seed, no_balance=True)
+        assert bare.results == tuple(row for row in full.results if row.control)
+        assert bare.rejection_rate == full.rejection_rate
+
+
+@pytest.mark.parametrize("passing", [0, 1])
+def test_duplication_sampling_shares_its_budget_and_keeps_its_message(monkeypatch, passing):
+    calls = []
+
+    def residual(case, z):
+        calls.append(z)
+        if len(calls) > passing:
+            raise PoleProximityError("on the lattice")
+        return 0.0
+
+    monkeypatch.setattr(verify, "duplication_residual", residual)
+    ctx = _ctx("II")
+    with pytest.raises(ConvergenceError, match="^duplication sampling kept hitting lattice points$"):
+        verify._rows_s_duplication(ctx)
+    # 60 draws per sample over the whole run, however the rows used them
+    assert len(calls) == ctx.attempts == 60 * 3
+    assert ctx.rejected == 60 * 3 - passing
+
+
+def test_the_balanced_coupling_cap_gives_up_after_40_attempts(monkeypatch):
+    monkeypatch.setattr(verify, "_BALANCED_G_CAP", -1.0)
+    ctx = _ctx("IV", identity="source")
+    first = verify._draw_coupling(ctx.rng, ctx.case)
+    with pytest.raises(ConvergenceError, match="no balanced coupling within"):
+        verify._balanced_coupling(ctx, first, "source", tags=(MassTag.PLUS_ONE,))
+    assert ctx.attempts == ctx.rejected == 40
+    # every rejected call drew the next coupling, the last one too
+    rng = np.random.default_rng(5)
+    for _ in range(41):
+        verify._draw_coupling(rng, ctx.case)
+    assert ctx.rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_the_calibration_row_carries_the_last_calibration_failure(monkeypatch):
+    screens = []
+
+    class Uncalibrated:
+        def calibrate(self):
+            raise verify.BranchError(f"set-up {len(screens)}")
+
+    # the set-ups after the 30th fail the screen, so they leave the detail alone
+    monkeypatch.setattr(verify, "_screen_config", lambda *args: screens.append(1) or len(screens) <= 30)
+    monkeypatch.setattr(verify, "conjugation_terms", lambda *args: Uncalibrated())
+    rep = run_identity("conjugation", "I", samples=1, seed=0)
+    (row,) = rep.results
+    assert (row.label, row.residual, row.detail) == ("calibration", math.inf,
+                                                     "branch-failure: set-up 30")
+    assert len(screens) == 40 and rep.rejection_rate == 1.0
+
+
+# --------------------------------------------------------------------------
 # suite running
 # --------------------------------------------------------------------------
 
@@ -453,6 +524,18 @@ def test_run_suite_skips_unsupported_pairs():
     assert keys == [("theta-product", "IV"), ("s-oddness", "I"), ("s-oddness", "IV")]
     with pytest.raises(DomainError):
         run_suite(["theta-product"], ["I", "II"], samples=3, seed=1)
+
+
+def test_run_suite_without_balancing_skips_identities_that_have_none():
+    reports = run_suite(["s-oddness", "source", "gamma-fe", "summation"], ["IV"], samples=1,
+                        seed=2, no_balance=True)
+    assert [r.identity for r in reports] == ["source", "summation"]
+    assert all(row.control for r in reports for row in r.results)
+    # with none left, the first identity's own error stands
+    with pytest.raises(DomainError, match="'gamma-fe' has no balancing constraint to drop"):
+        run_suite(["gamma-fe", "s-oddness"], ["IV"], samples=1, no_balance=True)
+    with pytest.raises(DomainError, match="'gamma-fe' has no balancing constraint to drop"):
+        run_identity("gamma-fe", "IV", no_balance=True)
 
 
 # --------------------------------------------------------------------------
