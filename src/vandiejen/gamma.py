@@ -12,7 +12,7 @@ package pins one concrete solution per case:
 * rational:       Euler's gamma, ``G_1(x) = Gamma(1/2 + x / (i alpha))``
 * trigonometric:  a q-shifted factorial with a Gaussian prefactor
 * hyperbolic:     the exponential of a principal-value style integral
-* elliptic:       a double q-product with a Gaussian prefactor
+* elliptic:       the elliptic gamma function with a Gaussian prefactor
 
 The primitives ``G_1`` are defined for ``Re(alpha) > 0``.  They extend to
 ``Re(alpha) < 0`` through ``G(x; alpha) = G_1(-x; -alpha)``, which flips
@@ -27,10 +27,24 @@ decays at rate ``Re(a)`` or better, and multiplies the steps back in.  In
 float64 the points of one cached quadrature grid are numpy rows, each summed
 alone, so a scalar and the same point in any array give the same bits.
 
-In float64 the term counts aim at :data:`~vandiejen.sfun.TARGET_REL_ERR`,
-and a hyperbolic integral that needs an upper limit beyond 40 fails.
-An mpmath argument ``x`` takes the same formulas in mpmath at the working
-precision ``mpmath.mp.dps`` and gives an mpmath value; its product term
+The elliptic gamma function ``Gamma(z; P, T)`` is a double product over
+the nomes ``P = exp(-2 r a)`` and ``T = exp(-2 r alpha)``.  The float64
+evaluator walks ``z`` into the annulus ``|PT| < |z| < 1`` instead, with
+exact steps ``Gamma(q z) = theta(z; p) Gamma(z)`` in the nome ``q`` nearer
+1, until ``log|z|`` is within half a step of the centre ``log|PT| / 2``;
+there ``log Gamma`` is a power series in ``z`` and ``PT / z`` whose ratio is
+at most ``|p|^(1/2)``, so a point costs a few dozen terms instead of the
+product's full rectangle.  A scalar and a one-point array run one ``cmath``
+loop; several points run the same arithmetic in numpy, each with its own
+walk, and take the series length of the call, so they agree with their
+scalars to rounding.
+
+In float64 the term counts aim at :data:`~vandiejen.sfun.TARGET_REL_ERR`
+(the elliptic series and theta products at 1e-16, below rounding), and a
+hyperbolic integral that needs an upper limit beyond 40 fails.  An mpmath
+argument ``x`` takes the same formulas in mpmath at the working precision
+``mpmath.mp.dps`` and gives an mpmath value, except that the elliptic case
+keeps the double product as an independent referee; its product term
 counts and its hyperbolic cutoff follow that precision.
 """
 
@@ -39,6 +53,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,7 +82,13 @@ __all__ = [
 ]
 
 _PRODUCT_HARD_CAP = 200_000
+# the mpmath route's elliptic double product: factors per axis
 _DOUBLE_PRODUCT_CAP = 400
+# the float elliptic log series and theta products stop below float64
+# rounding, a multiplication per term; a point takes at most the cap of
+# series terms and of theta steps
+_ELLIPTIC_TOL = 1e-16
+_ELLIPTIC_CAP = 2000
 # the hyperbolic integral: Gauss-Legendre panels of 16 nodes, at least this
 # many, and the largest upper limit before the analytic tail correction
 _MIN_PANELS = 13
@@ -313,35 +334,132 @@ def _g1_hyperbolic(case: CaseParams, alpha: complex, x: np.ndarray) -> np.ndarra
     return np.array(vals, dtype=np.complex128).reshape(x.shape)
 
 
+class _EllipticTables(NamedTuple):
+    """The point-free parts of the elliptic primitive for one ``(r, a, alpha)``,
+    with ``P = exp(-2 r a)`` and ``T = exp(-2 r alpha)``: the walk steps by
+    the nome ``q`` nearer 1 and its theta functions take the other, ``p``."""
+    log_q: complex
+    log_p: complex
+    p: complex
+    log_pq: complex
+    centre: float                  # log|pq| / 2, the middle of the annulus
+    series_log_tol: float          # log(rho^K) below this ends the log series
+    theta_log_tol: float           # log|p^J v| below this ends a theta product
+    coef: tuple[complex, ...]      # 1 / (n (1 - P^n) (1 - T^n)), n = 1, 2, ...
+
+
+@lru_cache(maxsize=64)
+def _elliptic_tables(r: float, a: float, alpha: complex) -> _EllipticTables:
+    """:class:`_EllipticTables` for ``(r, a, alpha)``, with as many series
+    coefficients as the farthest point of the annulus, ``rho = |p|^(1/2)``,
+    needs; raises :class:`ConvergenceError` beyond :data:`_ELLIPTIC_CAP`."""
+    log_P, log_T = complex(-2 * r * a), -2 * r * alpha
+    log_q, log_p = (log_P, log_T) if log_P.real > log_T.real else (log_T, log_P)
+    abs_p, abs_q = math.exp(log_p.real), math.exp(log_q.real)
+    # |coef_n| <= 1 / ((1 - |p|)(1 - |q|)), so the series' tail after K terms
+    # is at most 2 rho^(K+1) / ((1 - |p|)(1 - |q|)(1 - rho)) with rho <= |p|^(1/2)
+    series_log_tol = math.log(_ELLIPTIC_TOL * (1 - abs_p) * (1 - abs_q)
+                              * (1 - math.sqrt(abs_p)) / 2)
+    count = math.ceil(series_log_tol / (log_p.real / 2))
+    _within_cap(count, "log series terms", "both nomes are too close to 1")
+    P, T = math.exp(log_P.real), cmath.exp(log_T)
+    coef = tuple(1 / (n * (1 - P**n) * (1 - T**n)) for n in range(1, count + 1))
+    return _EllipticTables(log_q, log_p, cmath.exp(log_p), log_P + log_T,
+                           (log_P.real + log_T.real) / 2, series_log_tol,
+                           math.log(_ELLIPTIC_TOL * (1 - abs_p)), coef)
+
+
+def _within_cap(count: int, what: str, why: str) -> None:
+    if count > _ELLIPTIC_CAP:
+        raise ConvergenceError(
+            f"elliptic gamma needs {count} {what}, above the cap {_ELLIPTIC_CAP}; {why}"
+        )
+
+
+def _elliptic_counts(t: _EllipticTables, off: float, lo: float, hi: float) -> tuple[int, int]:
+    """Series terms and theta factors for walked points ``y`` with ``log|y|``
+    at most ``off`` from the centre, and walks whose ``log|v|`` lie in
+    ``[lo, hi]``: the series ratio is ``rho = max(|y|, |pq/y|)``, and a
+    theta product's terms are ``p^n v`` and ``p^(n+1) / v``."""
+    terms = min(len(t.coef), math.ceil(t.series_log_tol / (t.centre + off)))
+    far = max(hi, t.log_p.real - lo)
+    return terms, max(1, math.ceil((t.theta_log_tol - far) / t.log_p.real))
+
+
+def _g1_elliptic_scalar(r: float, alpha: complex, x: complex, t: _EllipticTables) -> complex:
+    """The elliptic primitive at one point in ``cmath``; the array path of
+    :func:`_g1_elliptic` does the same arithmetic on numpy arrays."""
+    lz = 2j * r * x - r * alpha
+    k = round((lz.real - t.centre) / -t.log_q.real)
+    _within_cap(abs(k), "theta steps", "the point is too far from the annulus")
+    ly = lz + k * t.log_q
+    terms, factors = _elliptic_counts(t, abs(ly.real - t.centre),
+                                      min(lz.real, ly.real), max(lz.real, ly.real))
+    y, u = cmath.exp(ly), cmath.exp(t.log_pq - ly)
+    sy = su = 0j
+    for c in t.coef[terms - 1::-1]:
+        sy = (sy + c) * y
+        su = (su + c) * u
+    value = cmath.exp(sy - su - r * x * x / (2 * alpha))
+    walk, p = 1 + 0j, t.p
+    for j in (range(k) if k > 0 else range(-1, k - 1, -1)):
+        tv = cmath.exp(lz + j * t.log_q)
+        sv, theta = p / tv, 1 + 0j
+        for _ in range(factors):
+            theta *= (1 - tv) * (1 - sv)
+            tv *= p
+            sv *= p
+        walk *= theta
+    return value / walk if k > 0 else value * walk
+
+
 def _g1_elliptic(case: CaseParams, alpha: complex, x: np.ndarray) -> np.ndarray:
-    r, a = case.r, case.a
-    w = x - 0.5j * a
-    im_max = float(np.max(np.abs(w.imag), initial=0.0))
-    growth = 2 * r * im_max
-
-    log_p = -r * a
-    log_t = -r * alpha.real
-    n_count = _count_double(log_p, log_t, growth, TARGET_REL_ERR)
-    m_count = _count_double(log_t, log_p, growth, TARGET_REL_ERR)
-    u = _elliptic_table(r, a, alpha, n_count, m_count)
-    e_minus = np.exp(-2j * r * w.ravel())
-    e_plus = np.exp(2j * r * w.ravel())
-    num = 1.0 - u[:, None] * e_minus[None, :]
-    den = 1.0 - u[:, None] * e_plus[None, :]
-    prod = np.prod(num / den, axis=0)
-    pref = np.exp(-r * x.ravel() ** 2 / (2 * alpha))
-    return (pref * prod).reshape(x.shape)
-
-
-@lru_cache(maxsize=16)
-def _elliptic_table(r: float, a: float, alpha: complex, n_count: int, m_count: int) -> np.ndarray:
-    """The nome powers ``exp(-r a (2n-1) - r alpha (2m-1))``, n-major, read-only."""
-    n = np.arange(1, n_count + 1)
-    m = np.arange(1, m_count + 1)
-    log_u = (-r * a * (2 * n - 1))[:, None] + (-r * alpha * (2 * m - 1))[None, :]
-    u = np.exp(log_u).ravel()
-    u.flags.writeable = False
-    return u
+    """The elliptic primitive ``exp(-r x^2 / (2 alpha)) Gamma(z; P, T)`` at
+    ``z = exp(2 i r x - r alpha)``.  Each point takes its own walk of ``k``
+    theta steps, ``Gamma(z) = Gamma(q^k z) / prod_{0 <= j < k} theta(q^j z; p)``
+    (for ``k < 0`` the ``theta(q^j z; p)``, ``k <= j < 0``, multiply), to
+    ``y = q^k z`` within half a step of the annulus centre, where
+    ``log Gamma(y) = sum_n coef_n (y^n - (pq/y)^n)`` converges at ratio at
+    most ``|p|^(1/2)``.  One point runs the ``cmath`` loop of
+    :func:`_g1_elliptic_scalar`; several points share the series length
+    and the theta factor count of the call."""
+    r = case.r
+    t = _elliptic_tables(r, case.a, alpha)
+    flat = x.ravel()
+    if flat.size == 1:
+        try:
+            return np.array([_g1_elliptic_scalar(r, alpha, complex(flat[0]), t)]).reshape(x.shape)
+        except (ArithmeticError, ValueError):
+            pass  # cmath raises where numpy returns inf or nan
+    if flat.size == 0:
+        return np.empty(x.shape, dtype=np.complex128)
+    lz = 2j * r * flat - r * alpha
+    k = np.rint((lz.real - t.centre) / -t.log_q.real)
+    steps = int(np.max(np.abs(k)))
+    _within_cap(steps, "theta steps", "the point is too far from the annulus")
+    ly = lz + k * t.log_q
+    ends = np.stack([lz.real, ly.real])
+    terms, factors = _elliptic_counts(t, float(np.max(np.abs(ly.real - t.centre))),
+                                      float(np.min(ends)), float(np.max(ends)))
+    yu = np.exp(np.stack([ly, t.log_pq - ly]))
+    acc = np.zeros_like(yu)
+    for c in t.coef[terms - 1::-1]:
+        acc += c
+        acc *= yu
+    value = np.exp(acc[0] - acc[1] - r * flat * flat / (2 * alpha))
+    up, down = np.ones_like(flat), np.ones_like(flat)
+    for j in range(steps):
+        # step j of the points with more than j steps: the theta at q^j z
+        # divides, the one at q^(-j-1) z multiplies; the others stay at z
+        tv = np.exp(lz + np.where(k > j, j, np.where(k < -j, -j - 1, 0)) * t.log_q)
+        sv, theta = t.p / tv, np.ones_like(tv)
+        for _ in range(factors):
+            theta *= (1 - tv) * (1 - sv)
+            tv *= t.p
+            sv *= t.p
+        down *= np.where(k > j, theta, 1)
+        up *= np.where(k < -j, theta, 1)
+    return (value * up / down).reshape(x.shape)
 
 
 def _count_double(step_log: float, other_log: float, growth: float, tol: float) -> int:
@@ -419,9 +537,9 @@ def gamma_G(case: CaseParams, alpha, x):
 
     For ``Re(alpha) < 0`` this is ``gamma_G1(case, -alpha, -x)``, so the
     reflection rule ``G(x; -alpha) == G(-x; alpha)`` holds identically.
-    A rational or trigonometric scalar is evaluated with ``cmath`` and a
-    hyperbolic one as a group of one row; everything else, and a scalar
-    where ``cmath`` overflows, goes through the array path of
+    A rational, trigonometric or elliptic scalar is evaluated with ``cmath``
+    and a hyperbolic one as a group of one row; everything else, and a
+    scalar where ``cmath`` overflows, goes through the array path of
     :func:`gamma_G1`.  An mpmath ``x`` is evaluated in mpmath at the
     working precision and gives an mpmath value; its term counts and
     cutoff follow that precision, not :data:`~vandiejen.sfun.TARGET_REL_ERR`.
@@ -447,6 +565,12 @@ def gamma_G(case: CaseParams, alpha, x):
                 pass  # cmath raises where numpy returns inf or nan
         if case.kind is CaseKind.HYPERBOLIC:
             return _hyperbolic_GR(case.a, alpha, [z - 0.5j * case.a])[0]
+        if case.kind is CaseKind.ELLIPTIC:
+            tables = _elliptic_tables(case.r, case.a, alpha)
+            try:
+                return _g1_elliptic_scalar(case.r, alpha, z, tables)
+            except (ArithmeticError, ValueError):
+                pass
     return gamma_G1(case, alpha, x)
 
 

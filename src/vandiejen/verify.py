@@ -23,7 +23,7 @@ import json
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, fields as dataclass_fields, replace
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate
 from typing import TypeVar
 
@@ -305,8 +305,11 @@ def sample_admissible(
     Draws coordinates from the standard window, rejecting any point whose
     operator coefficients blow up (pole proximity) or fail to evaluate.
     Raises :class:`ConvergenceError` (reporting the attempt and rejection
-    counts) instead of looping forever when the window is hostile.
+    counts) instead of looping forever when the window is hostile, and
+    :class:`DomainError` for a ``count`` below 1.
     """
+    if count < 1:
+        raise DomainError("count must be at least 1")
     limit = max_attempts if max_attempts is not None else 60 * count
     ctx = _RunCtx(identity="", case=template.case, label=template.case.kind.label,
                   samples=count, tol=0.0, rng=_rng_for(seed))  # for its draw loop only
@@ -758,11 +761,11 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _grid(parts: int, max_n: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    for tot in range(1, max_n + 1):
-        out.extend(_compositions(tot, parts))
-    return out
+@lru_cache(maxsize=8)
+def _grid(parts: int, max_n: int) -> tuple[tuple[int, ...], ...]:
+    """The block sizes a block-structured runner cycles through: every
+    composition of 1..max_n into ``parts`` parts, built once per key."""
+    return tuple(c for tot in range(1, max_n + 1) for c in _compositions(tot, parts))
 
 
 def _rel_dev(lhs: complex, rhs: complex) -> tuple[float, float]:

@@ -4,7 +4,14 @@ A hyperbolic array evaluates its points in groups, one per cached
 quadrature grid, as numpy rows; a scalar is a group of one row.  Each row
 is summed on its own, so a scalar and the same point in any array agree
 bit for bit, and both agree with the mpmath evaluator and the oracles.
-An elliptic scalar is a one-point array call."""
+
+An elliptic point walks into the annulus of the log series with exact
+theta steps in the nome nearer 1 (one step per ``min(a, Re alpha)`` of
+``Im w``), then sums the series.  A scalar and a one-point array run the
+same ``cmath`` loop and are equal bit for bit; several points take the
+series length of the call and agree with their scalars to rounding.  The
+tests put points on both sides of every step-count change and compare
+them with the mpmath route, which keeps the double product."""
 
 import mpmath
 import numpy as np
@@ -13,8 +20,8 @@ import pytest
 import oracles
 from vandiejen import gamma as gamma_mod
 from vandiejen import verify
-from vandiejen.gamma import gamma_G, gamma_G1
-from vandiejen.sfun import CaseKind, CaseParams, ConvergenceError
+from vandiejen.gamma import functional_eq_constant, gamma_G, gamma_G1
+from vandiejen.sfun import CaseKind, CaseParams, ConvergenceError, s_eval
 
 R, A = 1.1, 1.8
 CASES = {label: CaseParams(CaseKind.from_label(label), r=R, a=A) for label in ("III", "IV")}
@@ -104,9 +111,11 @@ def test_hyperbolic_points_share_cached_grids_and_keep_their_bits(monkeypatch):
 
 def test_cached_gamma_tables_are_read_only():
     *arrays, poly = gamma_mod._hyperbolic_grid(1.8, 0.8 + 0j, 14, 13)
-    arrays += [*gamma_mod._leggauss(16), gamma_mod._trig_array(1.1, 0.8 + 0j, 5),
-               gamma_mod._elliptic_table(1.1, 1.8, 0.8 + 0j, 3, 4)]
-    assert type(poly) is tuple
+    arrays += [*gamma_mod._leggauss(16), gamma_mod._trig_array(1.1, 0.8 + 0j, 5)]
+    elliptic = gamma_mod._elliptic_tables(1.1, 1.8, 0.8 + 0j)
+    assert type(poly) is tuple and type(elliptic.coef) is tuple
+    with pytest.raises(AttributeError):
+        elliptic.coef = ()
     for table in arrays:
         with pytest.raises(ValueError, match="read-only"):
             table *= 1
@@ -156,6 +165,79 @@ def test_elliptic_array_points_agree_with_their_scalars_to_rounding():
     values = gamma_G(case, 0.8, np.array(row))
     scalars = np.array(_scalars(case, 0.8, row))
     assert np.max(np.abs(values - scalars) / np.abs(scalars)) < 1e-14
+
+
+def _theta_steps(alpha, z, a=A):
+    """The theta step count of the elliptic primitive at ``z``: ``Im w``,
+    ``w = z - i a/2``, over the step ``min(a, Re alpha)``, rounded."""
+    if alpha.real < 0:
+        alpha, z = -alpha, -z
+    return -round((z.imag - a / 2) / min(a, alpha.real))
+
+
+def _step_edges(alpha, a=A, ks=range(-3, 3)):
+    """A point on each side of the change from k + 1 to k theta steps, at
+    Im w = (k + 1/2) times the step, for each k in ``ks``."""
+    step = min(a, abs(alpha.real))
+    sign = 1 if alpha.real > 0 else -1
+    return [sign * complex(x, a / 2 - (k + 0.5) * step + d)
+            for k in ks for x, d in ((-0.6, 0.01 * step), (0.9, -0.02 * step))]
+
+
+def _worst_against_mpmath(case, alpha, pts):
+    mp = _mp_values(case, alpha, pts)
+    return max(float(np.max(np.abs(got - mp) / np.abs(mp)))
+               for got in (gamma_G(case, alpha, np.array(pts)), np.array(_scalars(case, alpha, pts))))
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_elliptic_points_on_both_sides_of_every_step_change_against_the_mpmath_route(alpha):
+    # near rounding; the float64 double product over N x M factors reaches 3e-14 here
+    case = CASES["IV"]
+    pts = _step_edges(complex(alpha))
+    steps = [_theta_steps(complex(alpha), z) for z in pts]
+    assert set(steps) == set(range(-3, 4))
+    for k, side in zip(range(-3, 3), np.reshape(steps, (6, 2))):
+        assert sorted(side) == [k, k + 1]
+    assert _worst_against_mpmath(case, alpha, pts + list(WIDE)) < 1e-14
+
+
+@pytest.mark.parametrize("alpha", (0.45, -0.45))
+def test_blocks_window_elliptic_points_against_the_mpmath_route(alpha):
+    case = CaseParams(CaseKind.ELLIPTIC, r=1.0, a=2.0)
+    rng = np.random.default_rng(23)
+    sign = np.where(np.arange(8) % 2 == 0, 1.0, -1.0)
+    pts = list(rng.uniform(0.1, 1.1, 8) + 1j * sign * rng.uniform(0.02, 0.45, 8))
+    edges = _step_edges(complex(alpha), a=2.0, ks=range(-2, 1))
+    assert {_theta_steps(complex(alpha), z, a=2.0) for z in edges} == {-2, -1, 0, 1}
+    assert _worst_against_mpmath(case, alpha, pts + edges) < 1e-14
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_elliptic_functional_equation(alpha):
+    # G(x + i alpha/2) / G(x - i alpha/2) = c s(x), scalars and arrays
+    case = CASES["IV"]
+    c = functional_eq_constant(case, alpha)
+    x = np.array([p - 0.3j * complex(alpha).real for p in _step_edges(complex(alpha))])
+    half = 0.5j * alpha
+    rhs = c * s_eval(case, x)
+    for up, dn in ((gamma_G(case, alpha, x + half), gamma_G(case, alpha, x - half)),
+                   (np.array(_scalars(case, alpha, x + half)), np.array(_scalars(case, alpha, x - half)))):
+        assert np.max(np.abs(up / dn - rhs) / np.abs(rhs)) < 1e-13
+
+
+def test_elliptic_nomes_near_1_and_far_points_fail_at_the_cap():
+    near = CaseParams(CaseKind.ELLIPTIC, r=1.0, a=0.01)
+    for call in (lambda: gamma_G(near, 0.01, 0.3 + 0.1j),
+                 lambda: gamma_G(near, -0.01, np.array([0.3 + 0.1j, 0.5]))):
+        with pytest.raises(ConvergenceError, match="log series terms, above the cap 2000; "
+                                                   "both nomes are too close to 1"):
+            call()
+    far = 0.3 + 1000j  # Im w = 999.1: 2220 theta steps of 0.45
+    for call in (lambda: gamma_G(CASES["IV"], 0.45, far),
+                 lambda: gamma_G(CASES["IV"], 0.45, np.array([0.3 + 0.1j, far]))):
+        with pytest.raises(ConvergenceError, match="needs 2220 theta steps, above the cap 2000"):
+            call()
 
 
 @pytest.mark.parametrize("label", sorted(CASES))

@@ -442,6 +442,27 @@ def test_sample_admissible_gives_up_cleanly():
     assert "25 attempts" in str(err.value)
 
 
+@pytest.mark.parametrize("count", [-3, 0])
+def test_sample_admissible_rejects_a_count_below_one(count):
+    # as run_identity rejects samples below 1, not an empty batch
+    with pytest.raises(DomainError, match="count must be at least 1"):
+        sample_admissible(_template(), count, seed=1)
+
+
+def test_the_composition_grid_is_built_once_per_key():
+    verify._grid.cache_clear()
+    report = run_identity("eigen-plain", "II", samples=7, seed=3, max_n=4)
+    assert len(report.results) >= 7
+    info = verify._grid.cache_info()
+    assert (info.misses, info.hits) == (1, 6)
+    grid = verify._grid(1, 4)
+    assert grid == ((1,), (2,), (3,), (4,))
+    four = verify._grid(4, 3)
+    assert type(four) is tuple and verify._grid(4, 3) is four
+    assert list(four) == [c for tot in (1, 2, 3) for c in verify._compositions(tot, 4)]
+    assert len(four) == 34 and len(set(four)) == 34
+
+
 # --------------------------------------------------------------------------
 # the draw loop and the no_balance filter
 # --------------------------------------------------------------------------
