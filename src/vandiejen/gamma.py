@@ -43,9 +43,10 @@ In float64 the term counts aim at :data:`~vandiejen.sfun.TARGET_REL_ERR`
 (the elliptic series and theta products at 1e-16, below rounding), and a
 hyperbolic integral that needs an upper limit beyond 40 fails.  An mpmath
 argument ``x`` takes the same formulas in mpmath at the working precision
-``mpmath.mp.dps`` and gives an mpmath value, except that the elliptic case
-keeps the double product as an independent referee; its product term
-counts and its hyperbolic cutoff follow that precision.
+``mpmath.mp.dps`` and gives an mpmath value; the term counts and the
+hyperbolic cutoff follow the log of the working epsilon.  No second
+algorithm here checks the first: the independent references (the double
+product, mpmath's ``qp``, ``jtheta`` and ``quad``) live in the tests.
 """
 
 from __future__ import annotations
@@ -82,12 +83,12 @@ __all__ = [
 ]
 
 _PRODUCT_HARD_CAP = 200_000
-# the mpmath route's elliptic double product: factors per axis
-_DOUBLE_PRODUCT_CAP = 400
+# term counts take log(tol): past ~323 digits an mpmath epsilon underflows float64
+_LOG_TARGET = math.log(TARGET_REL_ERR)
 # the float elliptic log series and theta products stop below float64
 # rounding, a multiplication per term; a point takes at most the cap of
 # series terms and of theta steps
-_ELLIPTIC_TOL = 1e-16
+_ELLIPTIC_LOG_TOL = math.log(1e-16)
 _ELLIPTIC_CAP = 2000
 # the hyperbolic integral: Gauss-Legendre panels of 16 nodes, at least this
 # many, and the largest upper limit before the analytic tail correction
@@ -106,19 +107,19 @@ def _require_alpha(alpha: complex, positive: bool = True) -> complex:
     return alpha
 
 
-def _geometric_terms(step: float, start: float, growth: float, tol: float) -> int:
-    """Number of terms so that exp(start - step*(2n-1) + growth) < tol.
+def _geometric_terms(step: float, start: float, growth: float, log_tol: float) -> int:
+    """Number of terms so that exp(start - step*(2n-1) + growth) < exp(log_tol).
 
     ``step`` is the per-index decay exponent, ``growth`` a worst-case
     argument-dependent amplification, both in natural-log units.
     """
     if step <= 0:
         raise DomainError("non-decaying product; check parameter signs")
-    needed = (growth + start - math.log(tol)) / step
+    needed = (growth + start - log_tol) / step
     count = max(2, int(math.ceil((needed + 1) / 2)) + 1)
     if count > _PRODUCT_HARD_CAP:
         raise ConvergenceError(
-            f"product needs {count} factors to reach tol={tol:g}; "
+            f"product needs {count} factors to reach tol={math.exp(log_tol):g}; "
             "parameters are too close to a degenerate limit"
         )
     return count
@@ -132,7 +133,7 @@ def _geometric_terms(step: float, start: float, growth: float, tol: float) -> in
 def _g1_trigonometric(case: CaseParams, alpha: complex, x: np.ndarray) -> np.ndarray:
     r = case.r
     im_max = float(np.max(np.abs(x.imag), initial=0.0))
-    count = _geometric_terms(r * alpha.real, 0.0, 2 * r * im_max, TARGET_REL_ERR)
+    count = _geometric_terms(r * alpha.real, 0.0, 2 * r * im_max, _LOG_TARGET)
     # factors 1 - u_n exp(2 i r x), broadcast (terms, points) into one
     # temporary
     e = np.exp(2j * r * x.ravel())
@@ -220,7 +221,7 @@ def _hyperbolic_GR(a: float, alpha: complex, ws: list[complex]) -> list[complex]
     """
     steps = []
     for w in ws:
-        k, w0, y_cut = _toward_the_axis(a, alpha, w, TARGET_REL_ERR)
+        k, w0, y_cut = _toward_the_axis(a, alpha, w, _LOG_TARGET)
         if y_cut > _QUADRATURE_CUTOFF:
             raise ConvergenceError(
                 f"hyperbolic integral needs cutoff {y_cut:.1f}, above the "
@@ -232,13 +233,14 @@ def _hyperbolic_GR(a: float, alpha: complex, ws: list[complex]) -> list[complex]
             for w, (k, _, _), base in zip(ws, steps, bases)]
 
 
-def _toward_the_axis(a, alpha, w, tol: float):
+def _toward_the_axis(a, alpha, w, log_tol: float):
     """The step count ``k`` toward the real axis, ``w0 = w + i k alpha``, and
-    the cutoff past which the integrand at ``w0`` has decayed below ``tol``."""
+    the cutoff past which the integrand at ``w0`` has decayed below
+    ``exp(log_tol)``."""
     k = -int(round(float(w.imag / alpha.real)))
     w0 = w + 1j * k * alpha
     margin = a + alpha.real - 2 * abs(w0.imag)
-    return k, w0, (-math.log(tol) + 5.0) / margin
+    return k, w0, (-log_tol + 5.0) / margin
 
 
 def _cosh_steps(base, w, k: int, alpha, a, cosh, pi):
@@ -257,11 +259,11 @@ def _cosh_steps(base, w, k: int, alpha, a, cosh, pi):
     return base
 
 
-def _hyperbolic_mp(a, alpha, w, tol: float):
+def _hyperbolic_mp(a, alpha, w, log_tol: float):
     """``G_R(w)`` at one mpmath point: stepped toward the real axis as in
     :func:`_hyperbolic_GR`, then integrated by ``mpmath.quad`` to infinity
     with the head series, at the working precision."""
-    k, w0, y_cut = _toward_the_axis(a, alpha, w, tol)
+    k, w0, y_cut = _toward_the_axis(a, alpha, w, log_tol)
 
     def h(y):
         return (mpmath.sin(2 * w0 * y) / (2 * mpmath.sinh(a * y) * mpmath.sinh(alpha * y))
@@ -337,11 +339,15 @@ def _g1_hyperbolic(case: CaseParams, alpha: complex, x: np.ndarray) -> np.ndarra
 class _EllipticTables(NamedTuple):
     """The point-free parts of the elliptic primitive for one ``(r, a, alpha)``,
     with ``P = exp(-2 r a)`` and ``T = exp(-2 r alpha)``: the walk steps by
-    the nome ``q`` nearer 1 and its theta functions take the other, ``p``."""
+    the nome ``q`` nearer 1 and its theta functions take the other, ``p``.
+    The term counts read only the float fields; the others are numbers of
+    the backend."""
     log_q: complex
     log_p: complex
     p: complex
     log_pq: complex
+    log_q_re: float                # Re log q and Re log p as floats
+    log_p_re: float
     centre: float                  # log|pq| / 2, the middle of the annulus
     series_log_tol: float          # log(rho^K) below this ends the log series
     theta_log_tol: float           # log|p^J v| below this ends a theta product
@@ -350,23 +356,29 @@ class _EllipticTables(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _elliptic_tables(r: float, a: float, alpha: complex) -> _EllipticTables:
-    """:class:`_EllipticTables` for ``(r, a, alpha)``, with as many series
+    """The float64 :class:`_EllipticTables`, cached: tails below 1e-16."""
+    return _elliptic_tables_at(r, a, alpha, _ELLIPTIC_LOG_TOL, cmath.exp)
+
+
+def _elliptic_tables_at(r, a, alpha, log_tol: float, exp) -> _EllipticTables:
+    """:class:`_EllipticTables` with tails below ``exp(log_tol)`` and with
+    ``r, a, alpha`` and ``exp`` of one backend, and as many series
     coefficients as the farthest point of the annulus, ``rho = |p|^(1/2)``,
     needs; raises :class:`ConvergenceError` beyond :data:`_ELLIPTIC_CAP`."""
-    log_P, log_T = complex(-2 * r * a), -2 * r * alpha
+    log_P, log_T = -2 * r * a + 0j, -2 * r * alpha
     log_q, log_p = (log_P, log_T) if log_P.real > log_T.real else (log_T, log_P)
-    abs_p, abs_q = math.exp(log_p.real), math.exp(log_q.real)
+    log_q_re, log_p_re = float(log_q.real), float(log_p.real)
+    abs_p, abs_q = math.exp(log_p_re), math.exp(log_q_re)
     # |coef_n| <= 1 / ((1 - |p|)(1 - |q|)), so the series' tail after K terms
     # is at most 2 rho^(K+1) / ((1 - |p|)(1 - |q|)(1 - rho)) with rho <= |p|^(1/2)
-    series_log_tol = math.log(_ELLIPTIC_TOL * (1 - abs_p) * (1 - abs_q)
-                              * (1 - math.sqrt(abs_p)) / 2)
-    count = math.ceil(series_log_tol / (log_p.real / 2))
+    series_log_tol = log_tol + math.log((1 - abs_p) * (1 - abs_q) * (1 - math.sqrt(abs_p)) / 2)
+    count = math.ceil(series_log_tol / (log_p_re / 2))
     _within_cap(count, "log series terms", "both nomes are too close to 1")
-    P, T = math.exp(log_P.real), cmath.exp(log_T)
+    P, T = exp(log_P).real, exp(log_T)
     coef = tuple(1 / (n * (1 - P**n) * (1 - T**n)) for n in range(1, count + 1))
-    return _EllipticTables(log_q, log_p, cmath.exp(log_p), log_P + log_T,
-                           (log_P.real + log_T.real) / 2, series_log_tol,
-                           math.log(_ELLIPTIC_TOL * (1 - abs_p)), coef)
+    return _EllipticTables(log_q, log_p, exp(log_p), log_P + log_T, log_q_re, log_p_re,
+                           (log_p_re + log_q_re) / 2, series_log_tol,
+                           log_tol + math.log(1 - abs_p), coef)
 
 
 def _within_cap(count: int, what: str, why: str) -> None:
@@ -382,28 +394,32 @@ def _elliptic_counts(t: _EllipticTables, off: float, lo: float, hi: float) -> tu
     ``[lo, hi]``: the series ratio is ``rho = max(|y|, |pq/y|)``, and a
     theta product's terms are ``p^n v`` and ``p^(n+1) / v``."""
     terms = min(len(t.coef), math.ceil(t.series_log_tol / (t.centre + off)))
-    far = max(hi, t.log_p.real - lo)
-    return terms, max(1, math.ceil((t.theta_log_tol - far) / t.log_p.real))
+    far = max(hi, t.log_p_re - lo)
+    return terms, max(1, math.ceil((t.theta_log_tol - far) / t.log_p_re))
 
 
-def _g1_elliptic_scalar(r: float, alpha: complex, x: complex, t: _EllipticTables) -> complex:
-    """The elliptic primitive at one point in ``cmath``; the array path of
+def _g1_elliptic_scalar(r, alpha, x, t: _EllipticTables, exp):
+    """The elliptic primitive at one point, in the number type of ``exp``
+    (``cmath.exp`` or ``mpmath.exp``) and of ``t``; the step, term and factor
+    counts are float arithmetic on both.  The array path of
     :func:`_g1_elliptic` does the same arithmetic on numpy arrays."""
     lz = 2j * r * x - r * alpha
-    k = round((lz.real - t.centre) / -t.log_q.real)
+    lz_re = float(lz.real)
+    k = round((lz_re - t.centre) / -t.log_q_re)
     _within_cap(abs(k), "theta steps", "the point is too far from the annulus")
     ly = lz + k * t.log_q
-    terms, factors = _elliptic_counts(t, abs(ly.real - t.centre),
-                                      min(lz.real, ly.real), max(lz.real, ly.real))
-    y, u = cmath.exp(ly), cmath.exp(t.log_pq - ly)
+    ly_re = float(ly.real)
+    terms, factors = _elliptic_counts(t, abs(ly_re - t.centre),
+                                      min(lz_re, ly_re), max(lz_re, ly_re))
+    y, u = exp(ly), exp(t.log_pq - ly)
     sy = su = 0j
     for c in t.coef[terms - 1::-1]:
         sy = (sy + c) * y
         su = (su + c) * u
-    value = cmath.exp(sy - su - r * x * x / (2 * alpha))
+    value = exp(sy - su - r * x * x / (2 * alpha))
     walk, p = 1 + 0j, t.p
     for j in (range(k) if k > 0 else range(-1, k - 1, -1)):
-        tv = cmath.exp(lz + j * t.log_q)
+        tv = exp(lz + j * t.log_q)
         sv, theta = p / tv, 1 + 0j
         for _ in range(factors):
             theta *= (1 - tv) * (1 - sv)
@@ -428,7 +444,8 @@ def _g1_elliptic(case: CaseParams, alpha: complex, x: np.ndarray) -> np.ndarray:
     flat = x.ravel()
     if flat.size == 1:
         try:
-            return np.array([_g1_elliptic_scalar(r, alpha, complex(flat[0]), t)]).reshape(x.shape)
+            value = _g1_elliptic_scalar(r, alpha, complex(flat[0]), t, cmath.exp)
+            return np.array([value]).reshape(x.shape)
         except (ArithmeticError, ValueError):
             pass  # cmath raises where numpy returns inf or nan
     if flat.size == 0:
@@ -462,18 +479,6 @@ def _g1_elliptic(case: CaseParams, alpha: complex, x: np.ndarray) -> np.ndarray:
     return (value * up / down).reshape(x.shape)
 
 
-def _count_double(step_log: float, other_log: float, growth: float, tol: float) -> int:
-    """Terms along one axis of the double product, partner index at 1."""
-    needed = (growth - math.log(tol) + other_log) / (-step_log)
-    count = max(2, int(math.ceil((needed + 1) / 2)) + 1)
-    if count > _DOUBLE_PRODUCT_CAP:
-        raise ConvergenceError(
-            f"elliptic gamma product needs {count} factors per axis; "
-            "nome too close to 1"
-        )
-    return count
-
-
 # ---------------------------------------------------------------------------
 # public interface
 # ---------------------------------------------------------------------------
@@ -481,35 +486,26 @@ def _count_double(step_log: float, other_log: float, growth: float, tol: float) 
 
 def _g1_mp(case: CaseParams, alpha, x):
     """The primitive at one mpmath point ``x`` (``alpha`` an mpmath number)
-    at the working precision: the array path's formulas, with term counts
-    for the working precision's epsilon (a float, so up to about 300
-    digits)."""
-    tol = float(mpmath.eps)
+    at the working precision: the formulas of the float path, with term
+    counts for the log of the working precision's epsilon.  The elliptic
+    case runs :func:`_g1_elliptic_scalar` with ``mpmath.exp`` and tables
+    built, uncached, at that epsilon."""
+    log_tol = float(mpmath.log(mpmath.eps))
     r, a = mpmath.mpf(case.r), mpmath.mpf(case.a)
     kind = case.kind
     if kind is CaseKind.RATIONAL:
         return mpmath.gamma(0.5 + x / (1j * alpha))
     if kind is CaseKind.TRIGONOMETRIC:
-        count = _geometric_terms(float(r * alpha.real), 0.0, float(2 * r * abs(x.imag)), tol)
+        count = _geometric_terms(float(r * alpha.real), 0.0, float(2 * r * abs(x.imag)), log_tol)
         e = mpmath.exp(2j * r * x)
         prod = 1
         for n in range(1, count + 1):
             prod *= 1 - mpmath.exp(-r * alpha * (2 * n - 1)) * e
         return mpmath.exp(-r * x * x / (2 * alpha)) / prod
-    w = x - 0.5j * a
     if kind is CaseKind.HYPERBOLIC:
-        return _hyperbolic_mp(a, alpha, w, tol)
-    log_p, log_t = float(-r * a), float(-r * alpha.real)
-    growth = float(2 * r * abs(w.imag))
-    n_count = _count_double(log_p, log_t, growth, tol)
-    m_count = _count_double(log_t, log_p, growth, tol)
-    e_minus, e_plus = mpmath.exp(-2j * r * w), mpmath.exp(2j * r * w)
-    prod = 1
-    for n in range(1, n_count + 1):
-        for m in range(1, m_count + 1):
-            u = mpmath.exp(-r * a * (2 * n - 1) - r * alpha * (2 * m - 1))
-            prod *= (1 - u * e_minus) / (1 - u * e_plus)
-    return mpmath.exp(-r * x * x / (2 * alpha)) * prod
+        return _hyperbolic_mp(a, alpha, x - 0.5j * a, log_tol)
+    t = _elliptic_tables_at(r, a, alpha, log_tol, mpmath.exp)
+    return _g1_elliptic_scalar(r, alpha, x, t, mpmath.exp)
 
 
 def gamma_G1(case: CaseParams, alpha, x):
@@ -541,8 +537,10 @@ def gamma_G(case: CaseParams, alpha, x):
     and a hyperbolic one as a group of one row; everything else, and a
     scalar where ``cmath`` overflows, goes through the array path of
     :func:`gamma_G1`.  An mpmath ``x`` is evaluated in mpmath at the
-    working precision and gives an mpmath value; its term counts and
-    cutoff follow that precision, not :data:`~vandiejen.sfun.TARGET_REL_ERR`.
+    working precision by the same formulas (see :func:`_g1_mp`) and gives
+    an mpmath value; its term counts and cutoff follow that precision, not
+    :data:`~vandiejen.sfun.TARGET_REL_ERR`.  The independent references for
+    both routes are in the tests.
     """
     checked = _require_alpha(alpha, positive=False)
     scalar = isinstance(x, _SCALAR_TYPES)
@@ -558,7 +556,7 @@ def gamma_G(case: CaseParams, alpha, x):
             return complex(scipy_special.gamma(0.5 + z / (1j * alpha)))
         if case.kind is CaseKind.TRIGONOMETRIC:
             r = case.r
-            count = _geometric_terms(r * alpha.real, 0.0, 2 * r * abs(z.imag), TARGET_REL_ERR)
+            count = _geometric_terms(r * alpha.real, 0.0, 2 * r * abs(z.imag), _LOG_TARGET)
             try:
                 return _g1_trigonometric_scalar(r, alpha, z, count)
             except (ArithmeticError, ValueError):
@@ -568,7 +566,7 @@ def gamma_G(case: CaseParams, alpha, x):
         if case.kind is CaseKind.ELLIPTIC:
             tables = _elliptic_tables(case.r, case.a, alpha)
             try:
-                return _g1_elliptic_scalar(case.r, alpha, z, tables)
+                return _g1_elliptic_scalar(case.r, alpha, z, tables, cmath.exp)
             except (ArithmeticError, ValueError):
                 pass
     return gamma_G1(case, alpha, x)

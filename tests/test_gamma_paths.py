@@ -11,7 +11,9 @@ theta steps in the nome nearer 1 (one step per ``min(a, Re alpha)`` of
 same ``cmath`` loop and are equal bit for bit; several points take the
 series length of the call and agree with their scalars to rounding.  The
 tests put points on both sides of every step-count change and compare
-them with the mpmath route, which keeps the double product."""
+them with the mpmath route.  That route runs the same walk and series in
+mpmath, so the checks independent of the package are the oracles here and
+the qp references and functional equations of test_mpmath_route."""
 
 import mpmath
 import numpy as np
@@ -157,9 +159,9 @@ def test_elliptic_scalar_equals_a_one_point_array(alpha):
 
 
 def test_elliptic_array_points_agree_with_their_scalars_to_rounding():
-    # not bit for bit: the array takes its term counts from the largest
-    # |Im w| of the call, and numpy multiplies several columns of the
-    # product in a different rounding than one
+    # not bit for bit: the array takes the series length and the theta
+    # factor count of the call, and numpy's complex multiplication rounds
+    # differently from Python's
     case = CASES["IV"]
     row = [complex(x, 0.4) for x in (-1.3, -0.2, 0.5, 1.7)] + [0.6 + 0.8j, 0.1 - 0.9j]
     values = gamma_G(case, 0.8, np.array(row))

@@ -3,11 +3,19 @@ mpmath numbers at the working precision.  At 30 digits they agree with
 40-digit references built here from mpmath's own functions (jtheta, gamma,
 qp, quad) to 1e-25 relative.  Rounded to complex128 they agree with the
 float route to its target relative error, and their error falls with the
-working precision: the term counts follow mpmath.eps, not that target."""
+working precision: the term counts follow mpmath.eps, not that target.
+
+The elliptic route runs the float route's walk and log series in mpmath, so
+the package holds no second algorithm to check it against; the references
+here are: the double product as q-Pochhammer symbols, both functional
+equations of the elliptic gamma function with theta functions from qp, and
+the float route itself where the old double product refused."""
 
 import mpmath as mp
+import numpy as np
 import pytest
 
+from test_gamma_paths import ALPHAS, _step_edges
 from vandiejen import operators
 from vandiejen.gamma import gamma_G, gamma_G1
 from vandiejen.sfun import (TARGET_REL_ERR, CaseKind, CaseParams, ConvergenceError, s_eval,
@@ -203,3 +211,86 @@ def test_weight_prefactors_take_s_at_the_argument_rounded_to_complex():
                                       n=tuple(0.05 * k for k in range(8)))
         rhs = operators.summation_rhs(case, p)
         assert type(rhs) is complex and rhs == s(complex(2 * p.gamma + sum(p.n)))
+
+
+def _fe_defects(r, a, alpha, x):
+    """The relative defects of Gamma(T z) = theta(z; P) Gamma(z) and
+    Gamma(P z) = theta(z; T) Gamma(z), P = exp(-2 r a), T = exp(-2 r alpha),
+    with Gamma from the route at the working precision and theta(z; p) =
+    (z; p) (p/z; p) from qp 10 digits higher.  At z = exp(2 i r x - r alpha)
+    the primitive is G_1(x) = exp(-r x^2 / (2 alpha)) Gamma(z), and T z, P z
+    are z at x + i alpha, x + i a."""
+    case = CaseParams(CaseKind.ELLIPTIC, r=r, a=a)
+    shifted = {shift: mp.mpc(x) + 1j * mp.mpf(shift) for shift in (0, alpha, a)}
+    g = {shift: gamma_G1(case, alpha, y) for shift, y in shifted.items()}
+    with mp.extradps(10):
+        rr, al = mp.mpf(r), mp.mpf(alpha)
+
+        def big_gamma(shift):
+            y = shifted[shift]
+            return g[shift] * mp.exp(rr * y * y / (2 * al))
+
+        z = mp.exp(2j * rr * shifted[0] - rr * al)
+        defects = []
+        for shift, nome in ((alpha, mp.exp(-2 * rr * a)), (a, mp.exp(-2 * rr * al))):
+            ref = mp.qp(z, nome) * mp.qp(nome / z, nome) * big_gamma(0)
+            defects.append(abs(big_gamma(shift) - ref) / abs(ref))
+        return defects
+
+
+# (r, a, alpha, x): the blocks window, seeded as in test_gamma_paths, and
+# alpha = 0.1 at r = 0.7, where the double product needs over 500 factors
+# per axis at 30 digits.  At a = 0.3 = 3 alpha, P is
+# T^3, so z, T z and P z walk to one annulus point and the equations test
+# the theta steps alone; at a = 0.35 P z ends elsewhere, and they test the
+# series too
+_BLOCKS = np.random.default_rng(23)
+FE_POINTS = [(1.0, 2.0, 0.45, complex(x, y)) for x, y in
+             zip(_BLOCKS.uniform(0.1, 1.1, 3), _BLOCKS.uniform(-0.45, 0.45, 3))]
+FE_POINTS += [(0.7, 0.3, 0.1, 0.3 + 0.1j), (0.7, 0.35, 0.1, -0.5 + 0.6j)]
+
+
+@pytest.mark.parametrize("r,a,alpha,x", FE_POINTS)
+def test_elliptic_functional_equations_at_30_digits(r, a, alpha, x):
+    with mp.workdps(30):
+        assert max(_fe_defects(r, a, alpha, x)) < REL
+
+
+def test_the_route_evaluates_where_the_double_product_refused():
+    # r = 0.7, a = 0.3, alpha = 0.1: the float route takes it, and a double
+    # product capped at 400 factors per axis refuses it
+    case = CaseParams(CaseKind.ELLIPTIC, r=0.7, a=0.3)
+    with mp.workdps(30):
+        value = gamma_G(case, 0.1, mp.mpc(0.3 + 0.1j))
+    ref = gamma_G(case, 0.1, 0.3 + 0.1j)
+    assert isinstance(value, mp.mpc)
+    assert abs(complex(value) - ref) / abs(ref) < 1e-14
+
+
+def test_elliptic_step_edges_against_the_qp_reference():
+    # a seeded subset of the points on both sides of every theta step change
+    case = CASES["IV"]
+    rng = np.random.default_rng(29)
+    for alpha in ALPHAS:
+        for x in rng.choice(_step_edges(complex(alpha)), 3, replace=False):
+            with mp.workdps(40):
+                ref = _g_ref(case, mp.mpmathify(alpha), mp.mpc(x))
+            with mp.workdps(30):
+                assert _rel(gamma_G(case, alpha, mp.mpc(x)), ref) < REL
+
+
+@pytest.mark.parametrize("label", ["II", "IV"])
+def test_gamma_beyond_the_float64_epsilon(label):
+    # at 330 digits mpmath.eps is below the smallest float64; the term
+    # counts take its log.  II against the qp reference, IV by its two
+    # functional equations (the reference's double product is slow there)
+    x = mp.mpc(0.3 + 0.1j)
+    with mp.workdps(330):
+        if label == "II":
+            case = CaseParams(CaseKind.TRIGONOMETRIC, r=1.0, a=2.0)
+            value = gamma_G(case, 1.5, x)
+            with mp.workdps(340):
+                defects = [abs(value - _g_ref(case, mp.mpf(1.5), x)) / abs(value)]
+        else:
+            defects = _fe_defects(1.0, 2.0, 1.5, x)
+        assert max(defects) < mp.mpf(10) ** -327
