@@ -402,7 +402,7 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
         for x in _eval_points(args):
             distance = None
             try:
-                with np.errstate(divide="ignore", invalid="ignore"):
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                     if quantity == "s":
                         value = complex(s_eval(case, x))
                         distance = float(lattice_distance(case, x))

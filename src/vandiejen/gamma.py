@@ -42,11 +42,13 @@ scalars to rounding.
 In float64 the term counts aim at :data:`~vandiejen.sfun.TARGET_REL_ERR`
 (the elliptic series and theta products at 1e-16, below rounding), and a
 hyperbolic integral that needs an upper limit beyond 40 fails.  An mpmath
-argument ``x`` takes the same formulas in mpmath at the working precision
-``mpmath.mp.dps`` and gives an mpmath value; the term counts and the
-hyperbolic cutoff follow the log of the working epsilon.  No second
-algorithm here checks the first: the independent references (the double
-product, mpmath's ``qp``, ``jtheta`` and ``quad``) live in the tests.
+argument ``x`` gives an mpmath value at the working precision
+``mpmath.mp.dps``: the trigonometric and elliptic cases run the float
+scalar code with ``mpmath.exp``, the hyperbolic integral is
+``mpmath.quad``'s and the rational case ``mpmath.gamma``, with term counts
+and cutoff from the log of the working epsilon.  The independent
+references (the double product, mpmath's ``qp``, ``jtheta`` and ``quad``)
+live in the tests.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .sfun import (
     ConvergenceError,
     DomainError,
     _DeferredModule,
+    _LOG_TARGET,
     _SCALAR_TYPES,
     _as_complex_array,
     _is_mp,
@@ -83,8 +86,6 @@ __all__ = [
 ]
 
 _PRODUCT_HARD_CAP = 200_000
-# term counts take log(tol): past ~323 digits an mpmath epsilon underflows float64
-_LOG_TARGET = math.log(TARGET_REL_ERR)
 # the float elliptic log series and theta products stop below float64
 # rounding, a multiplication per term; a point takes at most the cap of
 # series terms and of theta steps
@@ -158,14 +159,15 @@ def _trig_array(r: float, alpha: complex, count: int) -> np.ndarray:
     return u
 
 
-def _g1_trigonometric_scalar(r: float, alpha: complex, x: complex, count: int) -> complex:
-    """The trigonometric primitive at one point in ``cmath``: the array
-    path's arithmetic without numpy's per-call cost."""
-    e = cmath.exp(2j * r * x)
+def _g1_trigonometric_scalar(r, alpha, x, table, exp):
+    """The trigonometric primitive at one point over the nome powers ``table``,
+    in the number type of ``exp`` (``cmath.exp`` or ``mpmath.exp``): the
+    array path's arithmetic without numpy's per-call cost."""
+    e = exp(2j * r * x)
     prod = 1.0 + 0j
-    for u in _trig_table(r, alpha, count):
+    for u in table:
         prod *= 1.0 - u * e
-    return cmath.exp(-r * x * x / (2 * alpha)) / prod
+    return exp(-r * x * x / (2 * alpha)) / prod
 
 
 @lru_cache(maxsize=8)
@@ -486,10 +488,11 @@ def _g1_elliptic(case: CaseParams, alpha: complex, x: np.ndarray) -> np.ndarray:
 
 def _g1_mp(case: CaseParams, alpha, x):
     """The primitive at one mpmath point ``x`` (``alpha`` an mpmath number)
-    at the working precision: the formulas of the float path, with term
-    counts for the log of the working precision's epsilon.  The elliptic
-    case runs :func:`_g1_elliptic_scalar` with ``mpmath.exp`` and tables
-    built, uncached, at that epsilon."""
+    at the working precision, with term counts for the log of its epsilon:
+    the float scalar code of the trigonometric and elliptic cases with
+    ``mpmath.exp`` and nome powers or tables built, uncached, at that
+    epsilon, ``mpmath.quad`` for the hyperbolic integral and ``mpmath.gamma``
+    for the rational case.  The independent references are in the tests."""
     log_tol = float(mpmath.log(mpmath.eps))
     r, a = mpmath.mpf(case.r), mpmath.mpf(case.a)
     kind = case.kind
@@ -497,11 +500,8 @@ def _g1_mp(case: CaseParams, alpha, x):
         return mpmath.gamma(0.5 + x / (1j * alpha))
     if kind is CaseKind.TRIGONOMETRIC:
         count = _geometric_terms(float(r * alpha.real), 0.0, float(2 * r * abs(x.imag)), log_tol)
-        e = mpmath.exp(2j * r * x)
-        prod = 1
-        for n in range(1, count + 1):
-            prod *= 1 - mpmath.exp(-r * alpha * (2 * n - 1)) * e
-        return mpmath.exp(-r * x * x / (2 * alpha)) / prod
+        table = [mpmath.exp(-r * alpha * (2 * n - 1)) for n in range(1, count + 1)]
+        return _g1_trigonometric_scalar(r, alpha, x, table, mpmath.exp)
     if kind is CaseKind.HYPERBOLIC:
         return _hyperbolic_mp(a, alpha, x - 0.5j * a, log_tol)
     t = _elliptic_tables_at(r, a, alpha, log_tol, mpmath.exp)
@@ -558,7 +558,8 @@ def gamma_G(case: CaseParams, alpha, x):
             r = case.r
             count = _geometric_terms(r * alpha.real, 0.0, 2 * r * abs(z.imag), _LOG_TARGET)
             try:
-                return _g1_trigonometric_scalar(r, alpha, z, count)
+                return _g1_trigonometric_scalar(r, alpha, z, _trig_table(r, alpha, count),
+                                                cmath.exp)
             except (ArithmeticError, ValueError):
                 pass  # cmath raises where numpy returns inf or nan
         if case.kind is CaseKind.HYPERBOLIC:

@@ -274,9 +274,10 @@ def _batched(
     A ``key`` names every input of ``formula``.  Within the memo of one
     :func:`~vandiejen.verify.run_identity` call, a key already held
     returns its value at once; otherwise the formula runs and its value is
-    committed, unless it took an mpmath argument: such a value keeps its
-    precision and stays out of the memo.  On case IV the formula takes
-    ``s`` from :func:`_run_s`, which remembers values within the memo.
+    committed.  A key that holds an mpmath number skips the memo: it equals
+    the float key of the same value, and its value keeps its precision.  On
+    case IV the formula takes ``s`` from :func:`_run_s`, which remembers
+    values within the memo.
 
     An argument may also be an array (a path): it takes its own
     :func:`~vandiejen.sfun.s_eval` array call.  Path calls run with the
@@ -285,13 +286,19 @@ def _batched(
     memo = _MEMO.get()
     if memo is None:
         return formula(case.s_scalar)
+    if key is not None and (types := sfun._mp_types()) and _holds(key, types):
+        key = None
     if key is not None and (held := memo.get(key)) is not None:
         return held
-    mp_evals = sfun._mp_s_evals
     out = formula(_run_s(memo, case))
-    if key is not None and sfun._mp_s_evals == mp_evals:
+    if key is not None:
         memo[key] = out
     return out
+
+
+def _holds(key: tuple, types: tuple) -> bool:
+    """Whether ``key``, or a tuple in it, holds a value of one of ``types``."""
+    return any(isinstance(v, types) or type(v) is tuple and _holds(v, types) for v in key)
 
 
 def _run_s(memo: dict, case: CaseParams) -> Callable[[complex], complex]:

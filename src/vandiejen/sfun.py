@@ -36,8 +36,10 @@ and only :func:`theta_product` takes a setting, its cap
 ``product_terms`` on the factors.  The precision follows the argument's
 type: an mpmath number (and only that) is evaluated in mpmath at the
 working precision ``mpmath.mp.dps``, with term counts taken from that
-precision, and the value comes back as an mpmath number.  This is the
-slow path for oracle-grade checks.
+precision, and the value comes back as an mpmath number.  That route
+runs the float algorithms (the theta series, the theta product) with
+mpmath's functions; it is no second algorithm to check them against.  The
+independent references, mpmath's ``jtheta`` among them, are in the tests.
 """
 
 from __future__ import annotations
@@ -164,6 +166,8 @@ class CaseKind(enum.Enum):
 # at x = 3.6+1.2i.  An mpmath argument takes its term counts from
 # ``mpmath.eps`` instead.
 TARGET_REL_ERR = 1e-13
+# term counts take log(tol): past ~323 digits an mpmath epsilon underflows float64
+_LOG_TARGET = math.log(TARGET_REL_ERR)
 # Distance from the zero lattice of s below which require_regular rejects a point.
 POLE_FLOOR = 0.05
 # Default cap on the factors of theta_product, the one setting of the evaluators.
@@ -307,12 +311,14 @@ def theta_eval(z, tau=None, q=None):
     number of terms chosen adaptively from the tail bound
     ``|q|^{n(n+1)} exp(2 n |Im z|) < TARGET_REL_ERR`` (the bound is relative
     to the first term).  Terms are assembled in exponential form so that
-    large ``|Im z|`` cannot overflow before the nome decay kicks in.
+    large ``|Im z|`` cannot overflow before the nome decay kicks in.  An
+    mpmath ``z`` runs the scalar series with mpmath's ``exp``, its count
+    taken at the working epsilon instead of :data:`TARGET_REL_ERR`.
 
     Parameters
     ----------
     z:
-        Scalar or array argument.
+        Scalar, array or mpmath argument.
     tau, q:
         Modular parameter or nome; exactly one must be given, with
         ``q = exp(i pi tau)`` and ``|q| < 1``.
@@ -321,7 +327,8 @@ def theta_eval(z, tau=None, q=None):
         if tau is None and type(q) is float:
             series = _float_nome_series(q)
         else:
-            series = _theta_series(_nome_from(tau=tau, q=q))
+            series = _theta_series(cmath.log(_nome_from(tau=tau, q=q)), _LOG_TARGET, cmath.exp,
+                                   _THETA_OVERFLOW_EXP)
         value = series(complex(z))
         if value is not None:
             return value
@@ -435,34 +442,37 @@ def _count_array(decay: float, log_tol: float) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _float_nome_series(q: float) -> Callable[[complex], complex | None]:
-    """:func:`_theta_series` of a nome given as a float, as every case's
-    is: bound once per nome.  Only a float keys it: a complex nome
+    """The float64 :func:`_theta_series` of a nome given as a float, as every
+    case's is: bound once per nome.  Only a float keys it: a complex nome
     ``-0.3 - 0j`` equals ``-0.3 + 0j`` but lies across the branch cut of
     ``log q``, so a complex nome is bound at each call."""
-    return _theta_series(_nome_from(q=q))
+    return _theta_series(cmath.log(_nome_from(q=q)), _LOG_TARGET, cmath.exp, _THETA_OVERFLOW_EXP)
 
 
-def _theta_series(q: complex) -> Callable[[complex], complex | None]:
-    """The scalar sine series of :func:`theta_eval` at the nome ``q``, with
-    ``log q`` and the count table bound once and the per-term constants
-    ``(n + 1/2)^2 log q`` and ``i (2n + 1)`` built as far as a call needs.
+def _theta_series(log_q, log_tol: float, exp, overflow: float) -> Callable:
+    """The scalar sine series of :func:`theta_eval` at the nome ``exp(log_q)``,
+    with the count table of ``(Re log q, log_tol)`` bound once and the
+    per-term constants ``(n + 1/2)^2 log q`` and ``i (2n + 1)`` built as far
+    as a call needs.  ``log_q`` (on the principal branch, which fixes
+    ``q**(1/4)``) and ``exp`` are of one backend: ``cmath`` with the float64
+    target and overflow bound :data:`_THETA_OVERFLOW_EXP`, or mpmath with
+    the log of the working epsilon and no bound.
 
-    A call sums the series at one complex ``z`` with ``cmath``, term for
-    term as the numpy series, to the count :func:`_theta_terms` gives at
-    ``|Im z|``.  It returns None where that count meets the term cap or
-    the overflow guard, or where ``cmath`` raises: the array path of
-    :func:`theta_eval` answers those.
+    A call sums the series at one ``z`` of that backend, term for term as
+    the numpy series, to the count :func:`_theta_terms` gives at ``|Im z|``.
+    It returns None where that count meets the term cap or the overflow
+    bound, or where ``cmath`` raises: the array path of :func:`theta_eval`
+    answers those, and the mpmath route raises.
     """
-    log_q = cmath.log(q)  # principal branch fixes q**(1/4)
-    quarter, exp = abs(log_q) / 4, cmath.exp
-    table = _count_table(log_q.real, math.log(TARGET_REL_ERR))
+    quarter = abs(log_q) / 4
+    table = _count_table(float(log_q.real), log_tol)
     consts: list = []  # (exponent, frequency, odd) of terms 0, 1, ...: replaced, not mutated
 
-    def series(z: complex) -> complex | None:
+    def series(z):
         nonlocal consts
         im = abs(z.imag)
         n_stop = bisect_right(table, im) + 1
-        if n_stop > _THETA_TERM_CAP or quarter + (2 * n_stop + 1) * im > _THETA_OVERFLOW_EXP:
+        if n_stop > _THETA_TERM_CAP or quarter + (2 * n_stop + 1) * im > overflow:
             return None
         terms = consts
         if len(terms) <= n_stop:
@@ -492,31 +502,33 @@ def theta_product(z, tau=None, q=None, product_terms: int = PRODUCT_TERMS):
     validated against it; quotient code elsewhere uses whichever is
     convenient.  ``product_terms`` caps the number of factors: raising it
     helps when the nome is close to 1, and for an mpmath argument at high
-    precision (at q = 0.3, 50 digits need 48 factors).
+    precision (at q = 0.3, 50 digits need 48 factors).  An mpmath argument
+    runs the same loop with mpmath's functions and stops at the working
+    epsilon instead of :data:`TARGET_REL_ERR`.
     """
     if product_terms < 1:
         raise DomainError("product_terms must be at least 1")
     qq = _nome_from(tau=tau, q=q)
     if _is_mp(z):
-        return _theta_product_mp(z, _nome_mp(tau, q), product_terms)
-    zz, scalar = _as_complex_array(z)
-    im_max = float(np.max(np.abs(zz.imag), initial=0.0))
-    cos_bound = 2.0 * math.exp(2 * im_max) + 1.0
-    prod = np.ones_like(zz)
-    converged = False
+        qq, zz, scalar, im_max = _nome_mp(tau, q), z, False, abs(z.imag)
+        cos, sin, exp, log, tol = mpmath.cos, mpmath.sin, mpmath.exp, mpmath.log, mpmath.eps
+        real_exp, prod = mpmath.exp, mpmath.mpc(1)
+    else:
+        zz, scalar = _as_complex_array(z)
+        im_max = float(np.max(np.abs(zz.imag), initial=0.0))
+        cos, sin, exp, log, tol = np.cos, np.sin, np.exp, cmath.log, TARGET_REL_ERR
+        real_exp, prod = math.exp, np.ones_like(zz)
+    bound = 1.0 + (2.0 * real_exp(2 * im_max) + 1.0)
+    cos_2z = cos(2 * zz)
     for n in range(1, product_terms + 1):
         q2n = qq ** (2 * n)
-        prod *= (1 - q2n) * (1 - 2 * q2n * np.cos(2 * zz) + q2n * q2n)
-        if abs(q2n) * (1.0 + cos_bound) < TARGET_REL_ERR:
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceError(
-            f"theta product not converged after {product_terms} factors "
-            f"(|q|={abs(qq):.6g}); {_RAISE_PRODUCT_TERMS}"
-        )
-    q_quarter = np.exp(0.25 * cmath.log(qq))
-    return _restore(2.0 * q_quarter * np.sin(zz) * prod, scalar)
+        prod *= (1 - q2n) * (1 - 2 * q2n * cos_2z + q2n * q2n)
+        if abs(q2n) * bound < tol:
+            return _restore(2.0 * exp(0.25 * log(qq)) * sin(zz) * prod, scalar)
+    raise ConvergenceError(
+        f"theta product not converged after {product_terms} factors "
+        f"(|q|={float(abs(qq)):.6g}); {_RAISE_PRODUCT_TERMS}"
+    )
 
 
 # -- the mpmath routes: one mpmath argument at the working precision -------
@@ -528,50 +540,19 @@ def _nome_mp(tau, q):
 
 
 def _theta_mp(z, log_q):
-    """The sine series of :func:`theta_eval`, stopped by the same tail bound
-    at the working precision's epsilon."""
-    im = abs(mpmath.im(z))
-    decay = mpmath.re(log_q)
-    log_tol = mpmath.log(mpmath.eps)
-    total = 0
-    for n in range(_THETA_TERM_CAP + 1):
-        exponent = (n + 0.5) ** 2 * log_q
-        k = 1j * (2 * n + 1)
-        term = (mpmath.exp(exponent + k * z) - mpmath.exp(exponent - k * z)) / 2j
-        total = total - term if n % 2 else total + term
-        if n >= 1 and _tail_below(n, decay, im, log_tol):
-            return 2 * total
-    raise ConvergenceError("theta series (mpmath) did not converge")
-
-
-def _theta_product_mp(z, q, product_terms: int):
-    """The triple product of :func:`theta_product`, stopped by the same
-    bound at the working precision's epsilon."""
-    bound = 2 * mpmath.exp(2 * abs(mpmath.im(z))) + 2
-    cos_2z = mpmath.cos(2 * z)
-    prod = 1
-    for n in range(1, product_terms + 1):
-        q2n = q ** (2 * n)
-        prod *= (1 - q2n) * (1 - 2 * q2n * cos_2z + q2n * q2n)
-        if abs(q2n) * bound < mpmath.eps:
-            return 2 * mpmath.exp(mpmath.log(q) / 4) * mpmath.sin(z) * prod
-    raise ConvergenceError(
-        f"theta product (mpmath) not converged after {product_terms} factors; "
-        f"{_RAISE_PRODUCT_TERMS}"
-    )
-
-
-# mpmath evaluations of s so far: a formula pass of
-# :func:`~vandiejen.operators._batched` that sees the count move took an
-# mpmath argument (a count moved by another thread only costs memo entries)
-_mp_s_evals = 0
+    """:func:`_theta_series` at one mpmath argument, with mpmath's ``exp``
+    and the term count of the working precision's epsilon."""
+    value = _theta_series(log_q, float(mpmath.log(mpmath.eps)), mpmath.exp, math.inf)(z)
+    if value is None:
+        raise ConvergenceError(
+            f"theta series tail still above the working epsilon after {_THETA_TERM_CAP} terms"
+        )
+    return value
 
 
 def _s_mp(case: CaseParams, x):
     """``s`` at one mpmath argument; the elliptic case is the theta series
     at the nome ``exp(-r a)`` computed in mpmath."""
-    global _mp_s_evals
-    _mp_s_evals += 1
     kind = case.kind
     if kind is CaseKind.RATIONAL:
         return x

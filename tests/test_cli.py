@@ -217,6 +217,16 @@ def test_eval_gamma_pole_exits_domain(capsys):
     assert "pole" in out or "pole" in err
 
 
+@pytest.mark.parametrize("argv", [["s", "--case", "II", "--x", "0.3+800i"],
+                                  ["gamma", "--case", "IV", "--x", "0.3+300i", "--alpha", "0.7"]])
+def test_eval_deep_in_the_strip_writes_only_the_domain_error(capsys, argv):
+    # numpy overflows on the way to the value: no RuntimeWarning may reach stderr
+    code, out, err = run_main(capsys, ["eval", *argv])
+    assert code == EXIT_DOMAIN
+    assert "(pole)" in out
+    assert err == "numerical domain error: evaluation point sits on a pole\n"
+
+
 @pytest.mark.parametrize("token", ["1e400", "nan", "inf"])
 def test_eval_of_a_coordinate_that_is_not_finite_is_a_configuration_error(capsys, token):
     # not a value at a pole (exit 3): the point is rejected before evaluation

@@ -9,6 +9,7 @@ import weakref
 from dataclasses import replace
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -131,6 +132,32 @@ def test_keys_do_not_collide(calls):
     with _coefficient_memo():
         memoized = [_shift(**kw) for kw in calls]
         assert len(_memo()) == len(calls) + 1  # and the remembering s
+    assert memoized == fresh
+
+
+def _mp_X(mp):
+    return tuple(map(mpmath.mpc, X)) if mp else X
+
+
+# a float call and, with mp=True, an mpmath call at equal values: the
+# coordinates, or lam (which the coupling blocks of V_0 are keyed by too)
+MP_CALLS = {
+    "V0": lambda mp: coeff_V0(CASE, G, LAM, BETA, MASSES, _mp_X(mp)),
+    "V_shift": lambda mp: coeff_V_shift(CASE, G, LAM, BETA, MASSES, TAGS, _mp_X(mp), 0, 1),
+    "V0/lam": lambda mp: coeff_V0(CASE, G, mpmath.mpf(LAM) if mp else LAM, BETA, MASSES, X),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MP_CALLS))
+def test_an_mpmath_call_never_takes_the_value_of_an_equal_float_key(name):
+    # an mpmath key equals the float key of its value, so it skips the memo
+    call = MP_CALLS[name]
+    with mpmath.workdps(30):
+        fresh = call(True)
+        with _coefficient_memo():
+            call(False)
+            memoized = call(True)
+    assert isinstance(memoized, mpmath.mpc)
     assert memoized == fresh
 
 

@@ -100,7 +100,7 @@ def test_an_mpmath_argument_takes_the_mpmath_route(label, monkeypatch):
     with mpmath.workdps(30):
         z = mpmath.mpc(0.37 + 0.11j)
         mp_value = gamma_G1(case, 0.8, z)
-        monkeypatch.setattr(gamma_mod, "_g1_trigonometric_scalar", float_path)
+        monkeypatch.setattr(gamma_mod, "_trig_table", float_path)
         monkeypatch.setattr(gamma_mod.scipy_special, "gamma", float_path)
         assert isinstance(mp_value, mpmath.mpc)
         assert gamma_G(case, 0.8, z) == mp_value

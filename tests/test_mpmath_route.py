@@ -5,11 +5,12 @@ qp, quad) to 1e-25 relative.  Rounded to complex128 they agree with the
 float route to its target relative error, and their error falls with the
 working precision: the term counts follow mpmath.eps, not that target.
 
-The elliptic route runs the float route's walk and log series in mpmath, so
-the package holds no second algorithm to check it against; the references
-here are: the double product as q-Pochhammer symbols, both functional
-equations of the elliptic gamma function with theta functions from qp, and
-the float route itself where the old double product refused."""
+The theta, trigonometric and elliptic routes run the float route's code in
+mpmath, so the package holds no second algorithm to check them against; the
+references here are: jtheta, the trigonometric product as a q-Pochhammer
+symbol, the elliptic double product as q-Pochhammer symbols, both
+functional equations of the elliptic gamma function with theta functions
+from qp, and the float route itself where the old double product refused."""
 
 import mpmath as mp
 import numpy as np
@@ -294,3 +295,16 @@ def test_gamma_beyond_the_float64_epsilon(label):
         else:
             defects = _fe_defects(1.0, 2.0, 1.5, x)
         assert max(defects) < mp.mpf(10) ** -327
+
+
+def test_s_and_theta_beyond_the_float64_epsilon():
+    # the theta count table at log eps ~ -760: a float64 target would stop
+    # the series near 1e-13
+    x = mp.mpc(0.3 + 0.1j)
+    case = CASES["IV"]
+    with mp.workdps(330):
+        values = (s_eval(case, x), theta_eval(x, q=0.3))
+        with mp.workdps(340):
+            refs = (_s_ref(case, x), mp.jtheta(1, x, mp.mpf(0.3)))
+            for value, ref in zip(values, refs):
+                assert abs(value - ref) / abs(ref) < mp.mpf(10) ** -327

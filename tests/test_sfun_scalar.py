@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from vandiejen import sfun
 from vandiejen.sfun import (
     TARGET_REL_ERR,
@@ -105,11 +106,15 @@ def test_scalar_path_agrees_with_batch_in_both_half_planes(label):
 
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_scalar_path_matches_mpmath(label):
+    # the mpmath route runs the same series; the oracle (jtheta on case IV)
+    # is the independent check
     case = CASES[label]
     rng = np.random.default_rng(11)
     for z in rng.uniform(-2, 2, 4) + 1j * rng.uniform(-1, 1, 4):
-        ref = complex(s_eval_mp(case, complex(z), 30))
-        assert s_eval(case, complex(z)) == pytest.approx(ref, rel=1e-12)
+        value = s_eval(case, complex(z))
+        assert value == pytest.approx(complex(s_eval_mp(case, complex(z), 30)), rel=1e-12)
+        assert value == pytest.approx(oracles.s_oracle(label, complex(z), r=case.r, a=case.a),
+                                      rel=1e-12)
 
 
 def test_scalar_argument_types():
@@ -227,7 +232,8 @@ SERIES_NOMES = (math.exp(-2.0), math.exp(-0.5), math.exp(-20.0), 0.999,
 
 @pytest.mark.parametrize("q", SERIES_NOMES, ids=repr)
 def test_the_series_equals_the_scan_and_sum_it_replaced(q):
-    new, old = sfun._theta_series(q), _reference_series(q)
+    new = sfun._theta_series(cmath.log(q), math.log(TARGET_REL_ERR), cmath.exp, 650.0)
+    old = _reference_series(q)
     rng = np.random.default_rng(23)
     n_pts = 3000  # 21,000 over the seven nomes
     ims = rng.uniform(0.0, 4.0, n_pts) * rng.choice((-1.0, 1.0), n_pts)
