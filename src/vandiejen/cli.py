@@ -346,10 +346,13 @@ def format_complex(z: complex) -> str:
 def _write_output(text: str, out: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise DomainError(f"output file {out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

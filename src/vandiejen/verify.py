@@ -19,6 +19,8 @@ and seed, the emitted rows (and their serialised bytes) are identical.
 from __future__ import annotations
 
 import cmath
+import csv
+import io
 import json
 import math
 from collections.abc import Callable, Iterable, Sequence
@@ -1423,28 +1425,13 @@ def run_identity(
         # the positive rows draw nothing, so the controls are as in a full run
         rows = [row for row in rows if row.control]
 
-    max_res = 0.0
-    scale_at_max = 0.0
-    min_ctrl = None
-    for row in rows:
-        if row.control:
-            if _worse_control(row.residual, min_ctrl):
-                min_ctrl = row.residual
-        elif _worse_residual(row.residual, max_res):
-            max_res = row.residual
-            scale_at_max = row.scale
-    verdict = "pass" if rows and all(row.passed for row in rows) else "fail"
     return ResidualReport(
         identity=identity,
         case=case_label,
         seed=int(seed),
-        sample_count=len(rows),
-        max_rel_residual=max_res,
-        normalization_scale=scale_at_max,
-        min_control_residual=0.0 if min_ctrl is None else min_ctrl,
         rejection_rate=ctx.rejected / max(1, ctx.attempts),
-        verdict=verdict,
         results=tuple(rows),
+        **_fold(map(vars, rows), "pass" if rows else "fail"),
     )
 
 
@@ -1454,12 +1441,26 @@ def _worse_residual(residual: float, worst: float) -> bool:
     return math.isfinite(worst) and (residual > worst or not math.isfinite(residual))
 
 
-def _worse_control(residual: float, lowest: float | None) -> bool:
-    """Whether a control ``residual`` replaces ``lowest`` as the minimum
-    control residual: the first control does, a smaller one does, and the
-    first non-finite one does and then stays."""
-    return lowest is None or (
-        math.isfinite(lowest) and (residual < lowest or not math.isfinite(residual)))
+def _fold(rows: Iterable[dict], verdict: str) -> dict:
+    """The summary fields of sample records (see :func:`sample_record`):
+    their count, the largest positive residual with its scale, the smallest
+    control residual (0.0 without controls) and ``verdict``, which turns
+    ``"fail"`` at a failing row.  The first of equal extrema counts, and
+    the first non-finite one stays (see :func:`_worse_residual`)."""
+    count, worst, scale, weakest = 0, 0.0, 0.0, None
+    for row in rows:
+        count += 1
+        residual = row["residual"]
+        if not row.get("control"):
+            if _worse_residual(residual, worst):
+                worst, scale = residual, row.get("scale", 0.0)
+        # a smaller control is worse: the residual rule on negated values
+        elif weakest is None or _worse_residual(-residual, -weakest):
+            weakest = residual
+        if not row["passed"]:
+            verdict = "fail"
+    return {"sample_count": count, "max_rel_residual": worst, "normalization_scale": scale,
+            "min_control_residual": 0.0 if weakest is None else weakest, "verdict": verdict}
 
 
 def run_suite(
@@ -1556,18 +1557,18 @@ def footer_record(samples: Sequence[dict], summaries: Sequence[dict]) -> dict:
 
 
 def render_csv(samples: Iterable[dict]) -> str:
-    """Sample records (see :func:`sample_record`) as comma-separated rows."""
-    out = [",".join(_CSV_COLUMNS)]
+    """Sample records (see :func:`sample_record`) as comma-separated rows,
+    each field quoted where it needs it."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(_CSV_COLUMNS)
     for row in samples:
-        detail = str(row.get("detail", "")).replace('"', "'")
-        if "," in detail:
-            detail = f'"{detail}"'
-        out.append(
-            f"{row['identity']},{row['case']},{row['label']},{row['index']},"
-            f"{row['residual']!r},{row['scale']!r},{row['tolerance']!r},"
-            f"{int(row['control'])},{int(row['passed'])},{detail}"
-        )
-    return "\n".join(out) + "\n"
+        writer.writerow([
+            row["identity"], row["case"], row["label"], row["index"],
+            repr(row["residual"]), repr(row["scale"]), repr(row["tolerance"]),
+            int(row["control"]), int(row["passed"]), row.get("detail", ""),
+        ])
+    return out.getvalue()
 
 
 def payload_lines(text: str) -> list[str]:
@@ -1628,49 +1629,29 @@ def parse_report_lines(text: str) -> dict:
 
 
 def merge_parsed_reports(parsed: Sequence[dict]) -> dict:
-    """Merge several parsed reports: sample rows concatenate, summaries
-    regroup by (identity, case) with counts added and extrema recomputed.
-    A summary without rows is kept, and a failing summary verdict stays."""
-    grouped: dict[tuple[str, str], dict] = {}
-
-    def group(key: tuple[str, str]) -> dict:
-        return grouped.setdefault(key, {
-            "record": "summary",
-            "identity": key[0],
-            "case": key[1],
-            "sample_count": 0,
-            "max_rel_residual": 0.0,
-            "normalization_scale": 0.0,
-            "min_control_residual": None,
-            "verdict": "pass",
-            "seeds": set(),
-        })
-
+    """Merge several parsed reports: sample rows concatenate, and the
+    summaries regroup by (identity, case), each folded from its rows by the
+    rule of a run (see :func:`_fold`) with its seeds unioned.  A summary
+    without rows is kept, and a failing summary verdict stays."""
     samples: list[dict] = []
+    seeds: dict[tuple[str, str], set] = {}
+    failed = set()
     for part in parsed:
         samples.extend(part["samples"])
         for summ in part["summaries"]:
-            agg = group((summ["identity"], summ["case"]))
-            agg["seeds"].update([summ.get("seed"), *(summ.get("seeds") or ())])
+            key = (summ["identity"], summ["case"])
+            seeds.setdefault(key, set()).update([summ.get("seed"), *(summ.get("seeds") or ())])
             if summ.get("verdict") == "fail":
-                agg["verdict"] = "fail"
-
+                failed.add(key)
+    rows: dict[tuple[str, str], list[dict]] = {}
     for row in samples:
-        agg = group((row["identity"], row["case"]))
-        agg["sample_count"] += 1
-        if row.get("control"):
-            if _worse_control(row["residual"], agg["min_control_residual"]):
-                agg["min_control_residual"] = row["residual"]
-        elif _worse_residual(row["residual"], agg["max_rel_residual"]):
-            agg["max_rel_residual"] = row["residual"]
-            agg["normalization_scale"] = row.get("scale", 0.0)
-        if not row["passed"]:
-            agg["verdict"] = "fail"
-    for agg in grouped.values():
-        if agg["min_control_residual"] is None:
-            agg["min_control_residual"] = 0.0
-        agg["seeds"] = sorted(s for s in agg["seeds"] if s is not None)
-    summaries = [grouped[k] for k in sorted(grouped)]
+        key = (row["identity"], row["case"])
+        rows.setdefault(key, []).append(row)
+        seeds.setdefault(key, set())
+    summaries = [{"record": "summary", "identity": key[0], "case": key[1],
+                  **_fold(rows.get(key, ()), "fail" if key in failed else "pass"),
+                  "seeds": sorted(s for s in seeds[key] if s is not None)}
+                 for key in sorted(seeds)]
     return {"header": None, "samples": samples, "summaries": summaries,
             "footer": footer_record(samples, summaries)}
 

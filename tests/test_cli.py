@@ -499,16 +499,25 @@ def test_consecutive_main_calls_are_independent(tmp_path, capsys):
     assert runs[0][0]["seed"] == 7 and runs[0][0]["tol"] == 1e-3
 
 
-def test_verify_csv_output(tmp_path, capsys):
+@pytest.mark.parametrize("identity", ["s-oddness", "source"])
+def test_verify_csv_output(tmp_path, capsys, identity):
+    # source rows are labelled by their mass multiset, such as m=(1,-1)
+    argv = ["verify", "--identity", identity, "--case", "I", "--samples", "6"]
     out = tmp_path / "rows.csv"
-    code = main(["verify", "--identity", "s-oddness", "--case", "I",
-                 "--samples", "3", "--format", "csv", "--out", str(out)])
+    lines = tmp_path / "rows.jsonl"
+    code = main([*argv, "--format", "csv", "--out", str(out)])
+    assert main([*argv, "--format", "json-lines", "--out", str(lines)]) == code
     capsys.readouterr()
     assert code == EXIT_PASS
     rows = list(csv.DictReader(io.StringIO(out.read_text())))
-    assert len(rows) == 3
-    assert rows[0]["identity"] == "s-oddness"
+    records = [rec for rec in map(json.loads, payload_lines(lines.read_text()))
+               if rec["record"] == "sample"]
+    assert len(rows) == len(records) >= 6
+    assert rows[0]["identity"] == identity
     assert rows[0]["passed"] == "1"
+    for row, rec in zip(rows, records):
+        assert (row["label"], int(row["index"]), float(row["residual"]), row["passed"]) == (
+            rec["label"], rec["index"], rec["residual"], str(int(rec["passed"])))
 
 
 def test_config_file_precedence(tmp_path, capsys):
@@ -763,3 +772,17 @@ def test_report_missing_file(tmp_path, capsys):
     code, _, err = run_main(capsys, ["report", str(tmp_path / "nope.jsonl")])
     assert code == EXIT_CONFIG
     assert "report file" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "verify", "report"])
+def test_an_unwritable_out_path_is_a_configuration_error(tmp_path, capsys, command):
+    argv = {"eval": ["eval", "s", "--x", "0.3", "--case", "I"],
+            "verify": ["verify", "--identity", "s-oddness", "--samples", "1"],
+            "report": ["report", str(_write_report(tmp_path, "a.jsonl", 1))]}[command]
+    capsys.readouterr()
+    # a missing directory, and a directory given as the file
+    for out in (tmp_path / "missing" / "x.txt", tmp_path):
+        code, stdout, err = run_main(capsys, [*argv, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"configuration error: output file {out}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err and stdout == ""
