@@ -568,13 +568,17 @@ def _render_verify_text(reports: Sequence[verify.ResidualReport],
 
 
 def cmd_report(args: argparse.Namespace, cfg: RunConfig) -> int:
-    parsed = []
+    parsed, seen = [], set()
     for path_text in args.files:
         path = Path(path_text)
         try:
             raw = path.read_text()
         except OSError as exc:
             raise DomainError(f"report file {path}: {exc}") from exc
+        # the same rows read twice would be counted twice
+        if path.resolve() in seen:
+            raise DomainError(f"report file {path}: given twice")
+        seen.add(path.resolve())
         try:
             parsed.append(verify.parse_report_lines(raw))
         except DomainError as exc:

@@ -24,7 +24,9 @@ The hyperbolic evaluator never integrates close to the edge of its
 convergence strip.  It first walks the argument toward the real axis with
 exact ``2 cosh`` functional-equation steps, integrates where the tail
 decays at rate ``Re(a)`` or better, and multiplies the steps back in.  In
-float64 the points of one cached quadrature grid are numpy rows, each summed
+float64 the integrand, even and analytic in a strip about the real axis,
+is summed by the trapezoidal rule, whose error falls geometrically with
+the step; the points of one cached node table are numpy rows, each summed
 alone, so a scalar and the same point in any array give the same bits.
 
 The elliptic gamma function ``Gamma(z; P, T)`` is a double product over
@@ -40,8 +42,9 @@ walk, and take the series length of the call, so they agree with their
 scalars to rounding.
 
 In float64 the term counts aim at :data:`~vandiejen.sfun.TARGET_REL_ERR`
-(the elliptic series and theta products at 1e-16, below rounding), and a
-hyperbolic integral that needs an upper limit beyond 40 fails.  An mpmath
+(the elliptic series, the theta products and the hyperbolic step at 1e-16,
+below rounding), and a hyperbolic integral that needs an upper limit beyond
+40 or more than 2000 nodes fails.  An mpmath
 argument ``x`` gives an mpmath value at the working precision
 ``mpmath.mp.dps``: the trigonometric and elliptic cases run the float
 scalar code with ``mpmath.exp``, the hyperbolic integral is
@@ -88,15 +91,13 @@ __all__ = [
 _PRODUCT_HARD_CAP = 200_000
 # the float elliptic log series and theta products stop below float64
 # rounding, a multiplication per term; a point takes at most the cap of
-# series terms and of theta steps
+# series terms, of theta steps and of hyperbolic nodes
 _ELLIPTIC_LOG_TOL = math.log(1e-16)
-_ELLIPTIC_CAP = 2000
-# the hyperbolic integral: Gauss-Legendre panels of 16 nodes, at least this
-# many, and the largest upper limit before the analytic tail correction
-_MIN_PANELS = 13
+_CAP = 2000
+# the hyperbolic integral: the largest upper limit of its sine part, and the
+# decay exponent of the trapezoidal rule's error (-log 1e-16, rounded up)
 _QUADRATURE_CUTOFF = 40.0
-# the float head series covers [0, y0] of the hyperbolic integral
-_HEAD_Y0 = 1e-3
+_TRAPEZOID_LOG_TOL = 37.0
 
 
 def _require_alpha(alpha: complex, positive: bool = True) -> complex:
@@ -170,14 +171,6 @@ def _g1_trigonometric_scalar(r, alpha, x, table, exp):
     return exp(-r * x * x / (2 * alpha)) / prod
 
 
-@lru_cache(maxsize=8)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on ``[-1, 1]``, read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
 def _head_coefficients(a, alpha, y0, order: int, one) -> list:
     """``c[0..order]`` in the number type of ``one``, with ``w * sum_j c[j]
     (4 w^2)^j`` the integral of the regularised integrand over ``[0, y0]``.
@@ -204,15 +197,6 @@ def _head_coefficients(a, alpha, y0, order: int, one) -> list:
     return coef
 
 
-def _hyperbolic_head(w, coef):
-    """The head series at ``w``, a complex, an array or an mpmath number."""
-    w2 = 4 * w * w
-    total = coef[-1]
-    for c in coef[-2::-1]:
-        total = total * w2 + c
-    return w * total
-
-
 def _hyperbolic_GR(a: float, alpha: complex, ws: list[complex]) -> list[complex]:
     """The hyperbolic integral primitive at the points ``ws``, continued by cosh steps.
 
@@ -220,7 +204,18 @@ def _hyperbolic_GR(a: float, alpha: complex, ws: list[complex]) -> list[complex]
     integrand built from ``sin(2 w y)``; before integrating, ``w`` is moved
     by multiples of ``i alpha`` until its imaginary part is small so the
     integral tail decays at rate ``Re(a + alpha) - 2 |Im w|  >=  Re(a)``.
+
+    The integrand is even and analytic for ``|Im y| < d = pi min(1/a,
+    Re alpha / |alpha|^2)``, inside the zeros of ``sinh(a y) sinh(alpha y)``.
+    There the trapezoidal rule with step ``h`` errs by at most
+    ``2 M / (exp(2 pi eta / h) - 1)``, ``eta < d``, with ``M`` the integral of
+    ``|f|`` along ``Im y = eta`` (Trefethen and Weideman, SIAM Rev. 56 (2014)
+    385, Thm. 5.1), and ``sin(2 w y)`` puts ``exp(2 |Re w| eta)`` into ``M``.
+    So a point takes ``h = 1/m``, ``m = ceil((37 + 2 |Re w0| eta) / (2 pi eta))``
+    at ``eta = 0.8 d``, and nodes in panels of 8 up to the cutoff of
+    :func:`_toward_the_axis`; more than :data:`_CAP` fail.
     """
+    eta = 0.8 * math.pi * min(1 / a, alpha.real / abs(alpha) ** 2)
     steps = []
     for w in ws:
         k, w0, y_cut = _toward_the_axis(a, alpha, w, _LOG_TARGET)
@@ -229,7 +224,11 @@ def _hyperbolic_GR(a: float, alpha: complex, ws: list[complex]) -> list[complex]
                 f"hyperbolic integral needs cutoff {y_cut:.1f}, above the "
                 f"fixed limit {_QUADRATURE_CUTOFF:g}"
             )
-        steps.append((k, w0, max(y_cut, 8.0)))
+        m = math.ceil((_TRAPEZOID_LOG_TOL + 2 * abs(w0.real) * eta) / (2 * math.pi * eta))
+        panels = math.ceil(max(y_cut, 8.0) * m / 8)
+        _within_cap(8 * panels, "hyperbolic integral", "nodes",
+                    "Re alpha / |alpha|^2 is too small or |Re x| too large")
+        steps.append((k, w0, (m, panels)))
     bases = _hyperbolic_float(a, alpha, steps)
     return [_cosh_steps(base, w, k, alpha, a, cmath.cosh, math.pi)
             for w, (k, _, _), base in zip(ws, steps, bases)]
@@ -273,64 +272,62 @@ def _hyperbolic_mp(a, alpha, w, log_tol: float):
 
     y0 = mpmath.mpf("1e-3")
     order = int(math.ceil((mpmath.mp.dps + 8) / 6)) + 2
-    head = _hyperbolic_head(w0, _head_coefficients(a, alpha, y0, order, mpmath.mpc(1)))
+    coef = _head_coefficients(a, alpha, y0, order, mpmath.mpc(1))
+    head = w0 * sum(c * (4 * w0 * w0) ** j for j, c in enumerate(coef))
     base = mpmath.exp(1j * (head + mpmath.quad(h, [y0, 1, 5, max(y_cut, 8), mpmath.inf])))
     return _cosh_steps(base, w, k, alpha, a, mpmath.cosh, mpmath.pi)
 
 
 def _hyperbolic_float(a: float, alpha: complex, steps: list[tuple]) -> list[complex]:
-    """``exp(i * integral)`` at each stepped point ``(k, w0, y_cut)`` in float64.
-
-    The points of one cached grid (:func:`_hyperbolic_grid`) form a group, a
-    column of rows.  The first panel is summed node by node; on the others
-    ``sin(2 w (c + h x))`` splits into ``exp(+-2 i w c)`` and ``exp(+-2 i w h x)``,
-    and their sum is a bilinear form in the two.  Each row is summed alone,
-    so a point's bits do not depend on the call."""
+    """``exp(i * integral)`` at each stepped point ``(k, w0, (m, panels))`` in
+    float64.  The points of one cached table (:func:`_hyperbolic_table`) form
+    a group, a column of rows, each summed alone, so a point's bits do not
+    depend on the call; a lone point is a group of one row."""
+    if len(steps) == 1:
+        return _hyperbolic_rows(a, alpha, steps[0][2], [steps[0][1]])
     groups: dict[tuple[int, int], list[int]] = {}
-    for idx, (_, w0, y_cut) in enumerate(steps):
-        y_grid = math.ceil(y_cut)
-        n_panels = max(_MIN_PANELS, math.ceil(y_grid * (1.0 + abs(2 * w0)) / 8.0))
-        groups.setdefault((y_grid, n_panels), []).append(idx)
+    for idx, (_, _, key) in enumerate(steps):
+        groups.setdefault(key, []).append(idx)
     out = [0j] * len(steps)
     for key, rows in groups.items():
-        z_first, d_first, e_first, mids, offsets, d_rest, poly = _hyperbolic_grid(a, alpha, *key)
-        w = np.array([steps[i][1] for i in rows])
-        col = w[:, None]
-        first = (d_first * np.sin(col * z_first) - col * e_first).sum(axis=-1)
-        phase = col[:, :, None] * np.array([[2j], [-2j]])
-        pm = ((np.exp(phase * mids) @ d_rest) * np.exp(phase * offsets)).sum(axis=-1)
-        total = _hyperbolic_head(w, poly) + first + (pm[:, 0] - pm[:, 1]) / 2j
-        for i, v in zip(rows, np.exp(1j * total).tolist()):
+        for i, v in zip(rows, _hyperbolic_rows(a, alpha, key, [steps[i][1] for i in rows])):
             out[i] = v
     return out
 
 
+def _hyperbolic_rows(a: float, alpha: complex, key: tuple[int, int], ws: list[complex]):
+    """``exp(i * integral)`` at the points ``ws`` of one group ``key = (m, panels)``:
+    ``sum_k c_k sin(2 w k h)`` plus a cubic in ``w``.  At ``y = (8 p + j + 1) h``,
+    ``sin(2 w y)`` splits into ``exp(+-2 i w 8 p h)`` and ``exp(+-2 i w (j + 1) h)``,
+    and the sum is a bilinear form in the two."""
+    phases, coef, c1, c3 = _hyperbolic_table(a, alpha, *key)
+    panels = key[1]
+    e = np.exp(np.multiply.outer(ws, phases))
+    sums = ((e[:, :, None, :panels] @ coef)[:, :, 0] * e[:, :, panels:]).sum(axis=(1, 2))
+    return [cmath.exp(1j * (s + w * (c1 + c3 * w * w))) for s, w in zip(sums.tolist(), ws)]
+
+
 @lru_cache(maxsize=64)
-def _hyperbolic_grid(a: float, alpha: complex, y_grid: int, n_panels: int):
-    """The point-free parts of the float integral, read-only: ``n_panels``
-    panels of 16 Gauss-Legendre nodes ``y = c + h x`` on ``[y0, y_grid]``,
-    where with the weights ``g`` the integrand is ``D sin(2 w y) - w E``,
-    ``D = g / (2 sinh(a y) sinh(alpha y) y)`` and ``E = g / (a alpha y^2)``.
-    Returns the first panel's ``2 y``, ``D`` and ``E``; the other panels'
-    centres ``c``, offsets ``h x`` and ``D``; and the coefficients of the
-    polynomial in ``w``: the head series less ``w`` times the other panels'
-    ``E`` and the tail ``1 / (a alpha y_grid)``."""
-    nodes, weights = _leggauss(16)
-    h = (y_grid - _HEAD_Y0) / (2 * n_panels)
-    mids = _HEAD_Y0 + h * (2 * np.arange(n_panels) + 1)
-    offsets = h * nodes
-    y = mids[:, None] + offsets
-    # D and E in extended precision where the platform has it, rounded once:
-    # the first panel's D sin(2 w y) and w E cancel, node by node
-    g, yl = h * weights, y.astype(np.longdouble)
-    d = (g / (2 * np.sinh(a * yl) * np.sinh(np.clongdouble(alpha) * yl) * yl)).astype(complex)
-    e = (g / (np.clongdouble(a * alpha) * yl * yl)).astype(complex)
-    poly = _head_coefficients(a, alpha, _HEAD_Y0, 3, 1 + 0j)
-    poly[0] -= complex(e[1:].sum()) + 1 / (a * alpha * y_grid)
-    tables = (2 * y[0], d[0], e[0], mids[1:], offsets, d[1:])
-    for t in tables:
-        t.flags.writeable = False
-    return tables + (tuple(poly),)
+def _hyperbolic_table(a: float, alpha: complex, m: int, panels: int):
+    """The point-free parts of the trapezoidal rule with step ``h = 1/m`` on
+    the ``8 panels`` nodes ``y = (8 p + j + 1) h``, read-only: the phases,
+    ``+-2 i`` times the panel starts ``8 p h`` and the offsets ``(j + 1) h``;
+    the weights ``c = h / (2 sinh(a y) sinh(alpha y) y)`` times ``+-1/2i``;
+    and the coefficients of ``w`` and ``w^3`` in ``-w pi^2 / (6 a alpha h)``,
+    ``h`` times ``-w / (a alpha y^2)`` summed over the nodes, and
+    ``-h w (4 w^2 + a^2 + alpha^2) / (12 a alpha)``, the node ``y = 0`` at
+    half weight."""
+    k = np.arange(1, 8 * panels + 1)
+    y = k.astype(np.longdouble) / m
+    # c / 2i in extended precision where the platform has it, rounded once:
+    # the first nodes' c sin(2 w y) and the sum over w / (a alpha y^2) cancel
+    half = 1 / (4j * k * np.sinh(a * y) * np.sinh(np.clongdouble(alpha) * y))
+    half = half.astype(complex).reshape(panels, 8)
+    parts = np.concatenate([8 * np.arange(panels), np.arange(1, 9)]) / m
+    phases, coef = np.array([2j * parts, -2j * parts]), np.array([half, -half])
+    phases.flags.writeable = coef.flags.writeable = False
+    c1 = -(math.pi**2 * m / 6 + (a * a + alpha * alpha) / (12 * m)) / (a * alpha)
+    return phases, coef, c1, -1 / (3 * a * alpha * m)
 
 
 def _g1_hyperbolic(case: CaseParams, alpha: complex, x: np.ndarray) -> np.ndarray:
@@ -366,7 +363,7 @@ def _elliptic_tables_at(r, a, alpha, log_tol: float, exp) -> _EllipticTables:
     """:class:`_EllipticTables` with tails below ``exp(log_tol)`` and with
     ``r, a, alpha`` and ``exp`` of one backend, and as many series
     coefficients as the farthest point of the annulus, ``rho = |p|^(1/2)``,
-    needs; raises :class:`ConvergenceError` beyond :data:`_ELLIPTIC_CAP`."""
+    needs; raises :class:`ConvergenceError` beyond :data:`_CAP`."""
     log_P, log_T = -2 * r * a + 0j, -2 * r * alpha
     log_q, log_p = (log_P, log_T) if log_P.real > log_T.real else (log_T, log_P)
     log_q_re, log_p_re = float(log_q.real), float(log_p.real)
@@ -375,7 +372,7 @@ def _elliptic_tables_at(r, a, alpha, log_tol: float, exp) -> _EllipticTables:
     # is at most 2 rho^(K+1) / ((1 - |p|)(1 - |q|)(1 - rho)) with rho <= |p|^(1/2)
     series_log_tol = log_tol + math.log((1 - abs_p) * (1 - abs_q) * (1 - math.sqrt(abs_p)) / 2)
     count = math.ceil(series_log_tol / (log_p_re / 2))
-    _within_cap(count, "log series terms", "both nomes are too close to 1")
+    _within_cap(count, "elliptic gamma", "log series terms", "both nomes are too close to 1")
     P, T = exp(log_P).real, exp(log_T)
     coef = tuple(1 / (n * (1 - P**n) * (1 - T**n)) for n in range(1, count + 1))
     return _EllipticTables(log_q, log_p, exp(log_p), log_P + log_T, log_q_re, log_p_re,
@@ -383,11 +380,9 @@ def _elliptic_tables_at(r, a, alpha, log_tol: float, exp) -> _EllipticTables:
                            log_tol + math.log(1 - abs_p), coef)
 
 
-def _within_cap(count: int, what: str, why: str) -> None:
-    if count > _ELLIPTIC_CAP:
-        raise ConvergenceError(
-            f"elliptic gamma needs {count} {what}, above the cap {_ELLIPTIC_CAP}; {why}"
-        )
+def _within_cap(count: int, who: str, what: str, why: str) -> None:
+    if count > _CAP:
+        raise ConvergenceError(f"{who} needs {count} {what}, above the cap {_CAP}; {why}")
 
 
 def _elliptic_counts(t: _EllipticTables, off: float, lo: float, hi: float) -> tuple[int, int]:
@@ -408,7 +403,7 @@ def _g1_elliptic_scalar(r, alpha, x, t: _EllipticTables, exp):
     lz = 2j * r * x - r * alpha
     lz_re = float(lz.real)
     k = round((lz_re - t.centre) / -t.log_q_re)
-    _within_cap(abs(k), "theta steps", "the point is too far from the annulus")
+    _within_cap(abs(k), "elliptic gamma", "theta steps", "the point is too far from the annulus")
     ly = lz + k * t.log_q
     ly_re = float(ly.real)
     terms, factors = _elliptic_counts(t, abs(ly_re - t.centre),
@@ -455,7 +450,7 @@ def _g1_elliptic(case: CaseParams, alpha: complex, x: np.ndarray) -> np.ndarray:
     lz = 2j * r * flat - r * alpha
     k = np.rint((lz.real - t.centre) / -t.log_q.real)
     steps = int(np.max(np.abs(k)))
-    _within_cap(steps, "theta steps", "the point is too far from the annulus")
+    _within_cap(steps, "elliptic gamma", "theta steps", "the point is too far from the annulus")
     ly = lz + k * t.log_q
     ends = np.stack([lz.real, ly.real])
     terms, factors = _elliptic_counts(t, float(np.max(np.abs(ly.real - t.centre))),

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -766,6 +767,26 @@ def test_a_merged_report_merged_again_keeps_its_seeds(tmp_path, capsys):
     summaries = [r for r in map(json.loads, out.splitlines()) if r["record"] == "summary"]
     assert [r["seeds"] for r in summaries] == [[1, 2], [1, 2]]
     assert payload_lines(out) == payload_lines(merged)
+
+
+def test_report_of_a_file_given_twice_is_a_configuration_error(tmp_path, capsys, monkeypatch):
+    # its rows would be counted twice; another spelling of the same path is
+    # the same file
+    a = _write_report(tmp_path, "a.jsonl", 1)
+    b = _write_report(tmp_path, "b.jsonl", 2)
+    monkeypatch.chdir(tmp_path)
+    for argv in (["a.jsonl", "a.jsonl"], ["a.jsonl", str(b), "./a.jsonl"], [str(a), "a.jsonl"]):
+        capsys.readouterr()
+        code, out, err = run_main(capsys, ["report", *argv])
+        assert code == EXIT_CONFIG
+        assert f"report file {Path(argv[-1])}: given twice" in err
+        assert "samples" not in out
+    # a path that cannot be read fails on reading, before it is resolved
+    (tmp_path / "loop1").symlink_to("loop2")
+    (tmp_path / "loop2").symlink_to("loop1")
+    code, _, err = run_main(capsys, ["report", "a.jsonl", "loop1"])
+    assert code == EXIT_CONFIG
+    assert "report file loop1: " in err
 
 
 def test_report_missing_file(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """The hyperbolic and elliptic gamma primitives as scalars and as arrays.
 
 A hyperbolic array evaluates its points in groups, one per cached
-quadrature grid, as numpy rows; a scalar is a group of one row.  Each row
-is summed on its own, so a scalar and the same point in any array agree
-bit for bit, and both agree with the mpmath evaluator and the oracles.
+trapezoidal table (step and node count), as numpy rows; a scalar is a group
+of one row.  Each row is summed on its own, so a scalar and the same point
+in any array agree bit for bit, and both agree with the mpmath evaluator and
+the oracles.
 
 An elliptic point walks into the annulus of the log series with exact
 theta steps in the nome nearer 1 (one step per ``min(a, Re alpha)`` of
@@ -14,6 +15,8 @@ tests put points on both sides of every step-count change and compare
 them with the mpmath route.  That route runs the same walk and series in
 mpmath, so the checks independent of the package are the oracles here and
 the qp references and functional equations of test_mpmath_route."""
+
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -28,15 +31,15 @@ from vandiejen.sfun import CaseKind, CaseParams, ConvergenceError, s_eval
 R, A = 1.1, 1.8
 CASES = {label: CaseParams(CaseKind.from_label(label), r=R, a=A) for label in ("III", "IV")}
 ALPHAS = (0.8, 0.45, 0.9 + 0.3j, -0.8, -1.15 - 0.2j)
-# |Re x| large enough for more than the minimum of 13 panels
+# |Re x| large enough for a finer trapezoidal step than the points near 0
 WIDE = (4.5 + 0.9j, -4.2 + 0.5j, 3.6 + 1.2j, 2.9 - 0.3j)
 
 
-def _steps(alpha, z):
+def _steps(alpha, z, a=A):
     """The cosh step count of the primitive at ``z``, as the evaluator takes it."""
     if alpha.real < 0:
         alpha, z = -alpha, -z
-    return -round((z.imag - A / 2) / alpha.real)
+    return -round((z.imag - a / 2) / alpha.real)
 
 
 def _grid(alpha):
@@ -56,10 +59,23 @@ def _scalars(case, alpha, pts):
     return [gamma_G(case, alpha, complex(z)) for z in pts]
 
 
-def _mp_values(case, alpha, pts):
-    """The mpmath route at 30 digits, rounded to complex128."""
+@lru_cache(maxsize=None)
+def _mp_value(case, alpha, z):
     with mpmath.workdps(30):
-        return np.array([complex(gamma_G(case, alpha, mpmath.mpc(z))) for z in pts])
+        return complex(gamma_G(case, alpha, mpmath.mpc(z)))
+
+
+def _mp_values(case, alpha, pts):
+    """The mpmath route at 30 digits, rounded to complex128; each point is
+    evaluated once per session."""
+    return np.array([_mp_value(case, alpha, complex(z)) for z in pts])
+
+
+def _blocks_window():
+    """16 points of the blocks workload's window, Im x of both signs."""
+    rng = np.random.default_rng(19)
+    sign = np.where(np.arange(16) % 2 == 0, 1.0, -1.0)
+    return list(rng.uniform(0.1, 1.1, 16) + 1j * sign * rng.uniform(0.02, 0.45, 16))
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -81,59 +97,140 @@ def test_hyperbolic_scalar_and_array_values_are_equal_bit_for_bit(alpha):
         assert _bits(joined[:1]) == _bits([v])
 
 
-def test_hyperbolic_points_share_cached_grids_and_keep_their_bits(monkeypatch):
-    # the points of one call fall into groups, one per cached quadrature
-    # grid (upper limit, panel count), and each group looks its grid up once
+def test_hyperbolic_points_share_cached_tables_and_keep_their_bits(monkeypatch):
+    # the points of one call fall into groups, one per cached trapezoidal
+    # table (step 1/m, panel count), and each group looks its table up once
     case = CASES["III"]
-    grid = gamma_mod._hyperbolic_grid
+    table = gamma_mod._hyperbolic_table
     keys = []
 
     def spy(*key):
         keys.append(key)
-        return grid(*key)
+        return table(*key)
 
-    monkeypatch.setattr(gamma_mod, "_hyperbolic_grid", spy)
+    monkeypatch.setattr(gamma_mod, "_hyperbolic_table", spy)
     rng = np.random.default_rng(3)
-    pts = np.concatenate([rng.uniform(0.1, 1.1, 150) + 0.9j, WIDE])
-    grid.cache_clear()
+    small = rng.uniform(0.1, 1.1, 150) + 0.9j
+    pts = np.concatenate([small, WIDE])
+    table.cache_clear()
     values = gamma_G(case, 0.8, pts)
     groups = len(keys)
-    panels = sorted({key[-1] for key in keys})
     assert len(set(keys)) == groups > 1
-    assert panels[0] == gamma_mod._MIN_PANELS and panels[-1] > gamma_mod._MIN_PANELS
-    first = grid.cache_info()
+    first = table.cache_info()
     assert first.misses == groups
     # a repeat call, and every point alone, only hit the cache
     assert _bits(gamma_G(case, 0.8, pts)) == _bits(values)
     assert _bits(_scalars(case, 0.8, pts)) == _bits(values)
-    again = grid.cache_info()
+    again = table.cache_info()
     assert again.misses == first.misses
     assert again.hits == first.hits + groups + len(pts)
+    # the WIDE points oscillate faster and take more nodes per unit of y
+    keys.clear()
+    gamma_G(case, 0.8, small)
+    near = max(key[2] for key in keys)
+    keys.clear()
+    gamma_G(case, 0.8, np.array(WIDE))
+    assert min(key[2] for key in keys) > near
+    assert table.cache_info().misses == first.misses
 
 
 def test_cached_gamma_tables_are_read_only():
-    *arrays, poly = gamma_mod._hyperbolic_grid(1.8, 0.8 + 0j, 14, 13)
-    arrays += [*gamma_mod._leggauss(16), gamma_mod._trig_array(1.1, 0.8 + 0j, 5)]
+    phases, coef, c1, c3 = gamma_mod._hyperbolic_table(1.8, 0.8 + 0j, 5, 9)
+    assert phases.shape == (2, 9 + 8) and coef.shape == (2, 9, 8)
+    assert type(c1) is complex and type(c3) is complex
     elliptic = gamma_mod._elliptic_tables(1.1, 1.8, 0.8 + 0j)
-    assert type(poly) is tuple and type(elliptic.coef) is tuple
+    assert type(elliptic.coef) is tuple
     with pytest.raises(AttributeError):
         elliptic.coef = ()
-    for table in arrays:
+    for table in (phases, coef, gamma_mod._trig_array(1.1, 0.8 + 0j, 5)):
         with pytest.raises(ValueError, match="read-only"):
             table *= 1
 
 
 @pytest.mark.parametrize("alpha", (0.45, -0.45))
 def test_blocks_window_hyperbolic_points_against_the_mpmath_evaluator(alpha):
-    # near the origin the first panel's D sin(2 w y) and w E cancel, node by
-    # node; the blocks workload's points (small |w|) pin that cancellation
+    # near the origin the first nodes' c sin(2 w y) and the closed-form sum
+    # over w / (a alpha y^2) cancel; the blocks workload's points (small |w|)
+    # pin that cancellation
     case = CaseParams(CaseKind.HYPERBOLIC, a=2.0)
-    rng = np.random.default_rng(19)
-    sign = np.where(np.arange(16) % 2 == 0, 1.0, -1.0)
-    pts = list(rng.uniform(0.1, 1.1, 16) + 1j * sign * rng.uniform(0.02, 0.45, 16))
+    pts = _blocks_window()
     mp = _mp_values(case, alpha, pts)
     for got in (gamma_G(case, alpha, np.array(pts)), np.array(_scalars(case, alpha, pts))):
         assert np.max(np.abs(got - mp) / np.abs(mp)) < 2e-13
+
+
+# the float hyperbolic gamma's point sets: the blocks window, every step
+# count at every ALPHAS, and the WIDE points
+_HYPERBOLIC_SETS = {
+    **{f"blocks{alpha:+}": (CaseParams(CaseKind.HYPERBOLIC, a=2.0), alpha, _blocks_window)
+       for alpha in (0.45, -0.45)},
+    **{f"grid{alpha}": (CASES["III"], alpha, lambda alpha=alpha: _grid(complex(alpha)))
+       for alpha in ALPHAS},
+    "wide": (CASES["III"], 0.8, lambda: list(WIDE)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HYPERBOLIC_SETS))
+def test_hyperbolic_points_within_2e_14_of_the_mpmath_route(name):
+    # the trapezoidal step aims below 1e-16, so rounding is what is left
+    case, alpha, points = _HYPERBOLIC_SETS[name]
+    pts = points()
+    mp = _mp_values(case, alpha, pts)
+    for got in (gamma_G(case, alpha, np.array(pts)), np.array(_scalars(case, alpha, pts))):
+        assert np.max(np.abs(got - mp) / np.abs(mp)) < 2e-14
+
+
+@lru_cache(maxsize=None)
+def _oracle(alpha, x, a):
+    return oracles.g1_hyperbolic_oracle(alpha, x, a=a)
+
+
+@pytest.mark.parametrize("name", sorted(_HYPERBOLIC_SETS))
+def test_hyperbolic_quadrature_within_2e_14_of_the_oracle(name):
+    # the oracle integrates only where the tail decays, so each point is
+    # compared where the evaluator integrates: moved by its cosh steps to
+    # |Im w| <= Re alpha / 2, on the half-plane Re alpha > 0; the
+    # functional-equation steps are exact and the mpmath route checks them.
+    # The stepped points of a real alpha coincide across step counts; of
+    # the distinct ones, every (n // 4)-th by Re x is taken, for time
+    case, alpha, points = _HYPERBOLIC_SETS[name]
+    beta, sign = (complex(alpha), 1) if alpha.real > 0 else (-complex(alpha), -1)
+    stepped = sorted({complex(round(v.real, 12), round(v.imag, 12))
+                      for v in (sign * z + 1j * _steps(complex(alpha), z, case.a) * beta
+                                for z in points())},
+                     key=lambda v: (v.real, v.imag))
+    for x in stepped[::max(1, len(stepped) // 4)]:
+        ref = _oracle(beta, x, case.a)
+        assert abs(gamma_G1(case, beta, x) - ref) < 2e-14 * abs(ref)
+
+
+def test_complex_alpha_far_from_the_real_axis_regression():
+    # a = 1.8, alpha = 0.3 + 1.5i: the strip of analyticity is narrow
+    # (Re alpha / |alpha|^2 = 0.128) and the step must follow it; a rule
+    # blind to it was off by up to 2.7e-9 here.  At Im w = 0 the points take
+    # no cosh steps, so the oracle checks them as they are
+    case, alpha = CASES["III"], 0.3 + 1.5j
+    pts = [-1.0 + 0.9j, 0.6 + 0.9j, 2.5 + 0.9j]
+    mp = _mp_values(case, alpha, pts)
+    oracle = np.array([_oracle(alpha, z, A) for z in pts])
+    for got in (gamma_G(case, alpha, np.array(pts)), np.array(_scalars(case, alpha, pts))):
+        for ref in (mp, oracle):
+            assert np.max(np.abs(got - ref) / np.abs(ref)) < 5e-14
+
+
+def test_hyperbolic_points_past_the_node_cap_fail():
+    # the step shrinks as Re alpha / |alpha|^2 falls and as |Re w| grows;
+    # a point needing more than 2000 nodes fails, and so does an array
+    # holding one
+    case = CASES["III"]
+    with pytest.raises(ConvergenceError, match=r"needs 2160 nodes, above the cap 2000; "):
+        gamma_G(case, 0.05 + 1.5j, 0.3 + 0.1j)
+    good, far = [0.3 + 0.9j, 450 + 0.9j], 500 + 0.9j
+    gamma_G(case, 0.8, np.array(good))
+    for call in (lambda: gamma_G(case, 0.8, far),
+                 lambda: gamma_G(case, -0.8, np.array([-good[0], -far, -good[1]]))):
+        with pytest.raises(ConvergenceError, match=r"needs 2208 nodes, above the cap 2000; "):
+            call()
 
 
 @pytest.mark.parametrize("label", sorted(CASES))
@@ -253,8 +350,8 @@ def test_both_paths_agree_with_the_mpmath_evaluator(label, alpha):
 
 
 def test_wide_hyperbolic_points_against_the_mpmath_evaluator():
-    # the float quadrature's error grows with |w|: at |Re x| ~ 4.5 it is
-    # about 1.8e-13, above the 1e-13 target relative error
+    # the trapezoidal step shrinks with |Re w|: at |Re x| ~ 4.5 the error is
+    # about 3e-15
     case = CASES["III"]
     mp = _mp_values(case, 0.8, WIDE)
     got = gamma_G(case, 0.8, np.array(WIDE))
