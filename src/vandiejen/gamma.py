@@ -23,10 +23,10 @@ correct signed constant for either half-plane.
 The hyperbolic evaluator never integrates close to the edge of its
 convergence strip.  It first walks the argument toward the real axis with
 exact ``2 cosh`` functional-equation steps, integrates where the tail
-decays at rate ``Re(a)`` or better, and multiplies the steps back in.  In
-float64 the integrand, even and analytic in a strip about the real axis,
-is summed by the trapezoidal rule, whose error falls geometrically with
-the step; the points of one cached node table are numpy rows, each summed
+decays at rate ``Re(a)`` or better, and multiplies the steps back in.  The
+integrand, even and analytic in a strip about the real axis, is summed by
+the trapezoidal rule, whose error falls geometrically with the step; in
+float64 the points of one cached node table are numpy rows, each summed
 alone, so a scalar and the same point in any array give the same bits.
 
 The elliptic gamma function ``Gamma(z; P, T)`` is a double product over
@@ -44,20 +44,20 @@ scalars to rounding.
 In float64 the term counts aim at :data:`~vandiejen.sfun.TARGET_REL_ERR`
 (the elliptic series, the theta products and the hyperbolic step at 1e-16,
 below rounding), and a hyperbolic integral that needs an upper limit beyond
-40 or more than 2000 nodes fails.  An mpmath
-argument ``x`` gives an mpmath value at the working precision
-``mpmath.mp.dps``: the trigonometric and elliptic cases run the float
-scalar code with ``mpmath.exp``, the hyperbolic integral is
-``mpmath.quad``'s and the rational case ``mpmath.gamma``, with term counts
-and cutoff from the log of the working epsilon.  The independent
-references (the double product, mpmath's ``qp``, ``jtheta`` and ``quad``)
-live in the tests.
+40 or more than 2000 nodes fails.  An mpmath argument ``x`` gives an mpmath
+value at the working precision ``mpmath.mp.dps``: the trigonometric,
+hyperbolic and elliptic cases run the float algorithms in mpmath and the
+rational case is ``mpmath.gamma``, with term counts, cutoff, trapezoidal
+step and the hyperbolic limits from the log of the working epsilon.  The
+independent references (the double product, mpmath's ``qp`` and
+``jtheta``, and numerical integration) live in the tests.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -94,10 +94,11 @@ _PRODUCT_HARD_CAP = 200_000
 # series terms, of theta steps and of hyperbolic nodes
 _ELLIPTIC_LOG_TOL = math.log(1e-16)
 _CAP = 2000
-# the hyperbolic integral: the largest upper limit of its sine part, and the
-# decay exponent of the trapezoidal rule's error (-log 1e-16, rounded up)
-_QUADRATURE_CUTOFF = 40.0
-_TRAPEZOID_LOG_TOL = 37.0
+# the hyperbolic integral: the largest upper limit of its sine part in
+# float64, and the log of the float64 epsilon, which sets the trapezoidal
+# rule's step and scales both limits at other precisions
+_HYPERBOLIC_CUTOFF = 40.0
+_LOG_EPS = math.log(sys.float_info.epsilon)
 
 
 def _require_alpha(alpha: complex, positive: bool = True) -> complex:
@@ -171,77 +172,58 @@ def _g1_trigonometric_scalar(r, alpha, x, table, exp):
     return exp(-r * x * x / (2 * alpha)) / prod
 
 
-def _head_coefficients(a, alpha, y0, order: int, one) -> list:
-    """``c[0..order]`` in the number type of ``one``, with ``w * sum_j c[j]
-    (4 w^2)^j`` the integral of the regularised integrand over ``[0, y0]``.
-
-    Near the origin the integrand is a ratio of even power series divided
-    by ``y^2``; direct evaluation there loses all digits to cancellation,
-    so the first stretch is integrated term by term: the ratio's ``y^(2k)``
-    term ``quot[k]`` is a polynomial of degree ``k`` in ``4 w^2``."""
-    inv = [one]
-    for k in range(1, order + 1):
-        inv.append(inv[-1] / (2 * k) / (2 * k + 1))
-    aa, bb = a * a, alpha * alpha
-    den = [sum((aa**j * inv[j] * bb ** (k - j) * inv[k - j] for j in range(k + 1)), 0 * one)
-           for k in range(order + 1)]
-    quot, coef = [[one]], [0 * one] * (order + 1)
-    for k in range(1, order + 1):
-        acc = [0 * one] * k + [(-1) ** k * inv[k]]
-        for j in range(1, k + 1):
-            for i, c in enumerate(quot[k - j]):
-                acc[i] = acc[i] - den[j] * c
-        quot.append(acc)
-        scale = y0 ** (2 * k - 1) / (2 * k - 1) / (a * alpha)
-        coef = [c + q * scale for c, q in zip(coef, acc + [0 * one] * (order - k))]
-    return coef
-
-
 def _hyperbolic_GR(a: float, alpha: complex, ws: list[complex]) -> list[complex]:
-    """The hyperbolic integral primitive at the points ``ws``, continued by cosh steps.
-
-    Returns ``exp(i * integral)`` where the integral runs over the log-scaled
-    integrand built from ``sin(2 w y)``; before integrating, ``w`` is moved
-    by multiples of ``i alpha`` until its imaginary part is small so the
-    integral tail decays at rate ``Re(a + alpha) - 2 |Im w|  >=  Re(a)``.
-
-    The integrand is even and analytic for ``|Im y| < d = pi min(1/a,
-    Re alpha / |alpha|^2)``, inside the zeros of ``sinh(a y) sinh(alpha y)``.
-    There the trapezoidal rule with step ``h`` errs by at most
-    ``2 M / (exp(2 pi eta / h) - 1)``, ``eta < d``, with ``M`` the integral of
-    ``|f|`` along ``Im y = eta`` (Trefethen and Weideman, SIAM Rev. 56 (2014)
-    385, Thm. 5.1), and ``sin(2 w y)`` puts ``exp(2 |Re w| eta)`` into ``M``.
-    So a point takes ``h = 1/m``, ``m = ceil((37 + 2 |Re w0| eta) / (2 pi eta))``
-    at ``eta = 0.8 d``, and nodes in panels of 8 up to the cutoff of
-    :func:`_toward_the_axis`; more than :data:`_CAP` fail.
-    """
-    eta = 0.8 * math.pi * min(1 / a, alpha.real / abs(alpha) ** 2)
+    """The hyperbolic integral primitive at the points ``ws`` in float64, by
+    the plans of :func:`_trapezoid_plan`, continued by cosh steps."""
     steps = []
     for w in ws:
-        k, w0, y_cut = _toward_the_axis(a, alpha, w, _LOG_TARGET)
-        if y_cut > _QUADRATURE_CUTOFF:
-            raise ConvergenceError(
-                f"hyperbolic integral needs cutoff {y_cut:.1f}, above the "
-                f"fixed limit {_QUADRATURE_CUTOFF:g}"
-            )
-        m = math.ceil((_TRAPEZOID_LOG_TOL + 2 * abs(w0.real) * eta) / (2 * math.pi * eta))
-        panels = math.ceil(max(y_cut, 8.0) * m / 8)
-        _within_cap(8 * panels, "hyperbolic integral", "nodes",
-                    "Re alpha / |alpha|^2 is too small or |Re x| too large")
-        steps.append((k, w0, (m, panels)))
+        k, w0, m, nodes = _trapezoid_plan(a, alpha, w, _LOG_TARGET, _LOG_EPS)
+        steps.append((k, w0, (m, nodes // 8)))
     bases = _hyperbolic_float(a, alpha, steps)
     return [_cosh_steps(base, w, k, alpha, a, cmath.cosh, math.pi)
             for w, (k, _, _), base in zip(ws, steps, bases)]
 
 
-def _toward_the_axis(a, alpha, w, log_tol: float):
-    """The step count ``k`` toward the real axis, ``w0 = w + i k alpha``, and
-    the cutoff past which the integrand at ``w0`` has decayed below
-    ``exp(log_tol)``."""
+def _trapezoid_plan(a, alpha, w, log_tol: float, log_eps: float):
+    """The trapezoidal rule at ``w`` for a backend of epsilon ``exp(log_eps)``:
+    the cosh step count ``k``, the stepped point ``w0 = w + i k alpha``, the
+    step ``h = 1/m`` and the node count, a multiple of 8.  ``a``, ``alpha``
+    and ``w`` may be mpmath numbers; the counts are float arithmetic.
+
+    ``w0`` has ``|Im w0| <= Re alpha / 2``, so the integrand decays at rate
+    ``Re(a + alpha) - 2 |Im w0|  >=  Re(a)``, below ``exp(log_tol)`` past the
+    cutoff.  It is even and analytic for ``|Im y| < d = pi min(1/a, Re alpha
+    / |alpha|^2)``, inside the zeros of ``sinh(a y) sinh(alpha y)``.  There
+    the trapezoidal rule with step ``h`` errs by at most ``2 M / (exp(2 pi
+    eta / h) - 1)``, ``eta < d``, with ``M`` the integral of ``|f|`` along
+    ``Im y = eta`` (Trefethen and Weideman, SIAM Rev. 56 (2014) 385, Thm.
+    5.1), and ``sin(2 w y)`` puts ``exp(2 |Re w| eta)`` into ``M``.  So a
+    point takes ``m = ceil((E + 2 |Re w0| eta) / (2 pi eta))`` at ``eta =
+    0.8 d``, ``E = ceil(-log_eps)`` (37 in float64), and nodes in panels of 8
+    up to the cutoff.
+
+    The limits grow with the work, from 40 and 2000 in float64: the cutoff
+    limit by ``s = (5 - log_tol) / (5 - log TARGET_REL_ERR)``, as the cutoff
+    grows, so a point fails for its cutoff at every precision or at none;
+    the node cap by ``s`` times ``log_eps / log(float64 eps)``, as ``m``
+    grows.  At 30 digits they are 86.7 and 8501, at 330 digits 878 and
+    927,780.
+    """
+    depth = 5.0 - log_tol
+    scale = depth / (5.0 - _LOG_TARGET)
     k = -int(round(float(w.imag / alpha.real)))
     w0 = w + 1j * k * alpha
-    margin = a + alpha.real - 2 * abs(w0.imag)
-    return k, w0, (-log_tol + 5.0) / margin
+    y_cut = float(depth / (a + alpha.real - 2 * abs(w0.imag)))
+    if y_cut > _HYPERBOLIC_CUTOFF * scale:
+        raise ConvergenceError(f"hyperbolic integral needs cutoff {y_cut:.1f}, above the "
+                               f"fixed limit {_HYPERBOLIC_CUTOFF * scale:g}")
+    eta = 0.8 * math.pi * min(1 / float(a), float(alpha.real) / abs(complex(alpha)) ** 2)
+    m = math.ceil((math.ceil(-log_eps) + 2 * abs(float(w0.real)) * eta) / (2 * math.pi * eta))
+    nodes = 8 * math.ceil(max(y_cut, 8.0) * m / 8)
+    _within_cap(nodes, "hyperbolic integral", "nodes",
+                "Re alpha / |alpha|^2 is too small or |Re x| too large",
+                int(_CAP * scale * log_eps / _LOG_EPS))
+    return k, w0, m, nodes
 
 
 def _cosh_steps(base, w, k: int, alpha, a, cosh, pi):
@@ -261,20 +243,26 @@ def _cosh_steps(base, w, k: int, alpha, a, cosh, pi):
 
 
 def _hyperbolic_mp(a, alpha, w, log_tol: float):
-    """``G_R(w)`` at one mpmath point: stepped toward the real axis as in
-    :func:`_hyperbolic_GR`, then integrated by ``mpmath.quad`` to infinity
-    with the head series, at the working precision."""
-    k, w0, y_cut = _toward_the_axis(a, alpha, w, log_tol)
-
-    def h(y):
-        return (mpmath.sin(2 * w0 * y) / (2 * mpmath.sinh(a * y) * mpmath.sinh(alpha * y))
-                - w0 / (a * alpha * y)) / y
-
-    y0 = mpmath.mpf("1e-3")
-    order = int(math.ceil((mpmath.mp.dps + 8) / 6)) + 2
-    coef = _head_coefficients(a, alpha, y0, order, mpmath.mpc(1))
-    head = w0 * sum(c * (4 * w0 * w0) ** j for j, c in enumerate(coef))
-    base = mpmath.exp(1j * (head + mpmath.quad(h, [y0, 1, 5, max(y_cut, 8), mpmath.inf])))
+    """``G_R(w)`` at one mpmath point: the float path's rule at the working
+    epsilon ``exp(log_tol)``, that is the plan of :func:`_trapezoid_plan`,
+    the sum of ``c_k sin(2 w0 k h)`` over its nodes with the weights of
+    :func:`_hyperbolic_table`, and the cubic of :func:`_trapezoid_cubic`,
+    all in mpmath."""
+    k, w0, m, nodes = _trapezoid_plan(a, alpha, w, log_tol, log_tol)
+    h = mpmath.mpf(1) / m
+    # i c_j sin(2 w0 y) at y = j h is (u^j - v^j) / (j (1 - p^j)(1 - q^j)),
+    # with u, v = exp(-(a + alpha -+ 2 i w0) h), p = exp(-2 a h) and
+    # q = exp(-2 alpha h): four geometric sequences instead of a sine and
+    # two sinh per node
+    u, v = mpmath.exp(-(a + alpha - 2j * w0) * h), mpmath.exp(-(a + alpha + 2j * w0) * h)
+    p, q = mpmath.exp(-2 * a * h), mpmath.exp(-2 * alpha * h)
+    un = vn = pn = qn = mpmath.mpf(1)
+    total = 0
+    for j in range(1, nodes + 1):
+        un, vn, pn, qn = un * u, vn * v, pn * p, qn * q
+        total += (un - vn) / (j * (1 - pn) * (1 - qn))
+    c1, c3 = _trapezoid_cubic(a, alpha, m, mpmath.pi)
+    base = mpmath.exp(total + 1j * w0 * (c1 + c3 * w0 * w0))
     return _cosh_steps(base, w, k, alpha, a, mpmath.cosh, mpmath.pi)
 
 
@@ -326,8 +314,13 @@ def _hyperbolic_table(a: float, alpha: complex, m: int, panels: int):
     parts = np.concatenate([8 * np.arange(panels), np.arange(1, 9)]) / m
     phases, coef = np.array([2j * parts, -2j * parts]), np.array([half, -half])
     phases.flags.writeable = coef.flags.writeable = False
-    c1 = -(math.pi**2 * m / 6 + (a * a + alpha * alpha) / (12 * m)) / (a * alpha)
-    return phases, coef, c1, -1 / (3 * a * alpha * m)
+    return (phases, coef, *_trapezoid_cubic(a, alpha, m, math.pi))
+
+
+def _trapezoid_cubic(a, alpha, m: int, pi):
+    """``c1, c3`` of :func:`_hyperbolic_table` in the number type of ``pi``."""
+    c1 = -(pi**2 * m / 6 + (a * a + alpha * alpha) / (12 * m)) / (a * alpha)
+    return c1, -1 / (3 * a * alpha * m)
 
 
 def _g1_hyperbolic(case: CaseParams, alpha: complex, x: np.ndarray) -> np.ndarray:
@@ -380,9 +373,9 @@ def _elliptic_tables_at(r, a, alpha, log_tol: float, exp) -> _EllipticTables:
                            log_tol + math.log(1 - abs_p), coef)
 
 
-def _within_cap(count: int, who: str, what: str, why: str) -> None:
-    if count > _CAP:
-        raise ConvergenceError(f"{who} needs {count} {what}, above the cap {_CAP}; {why}")
+def _within_cap(count: int, who: str, what: str, why: str, cap: int = _CAP) -> None:
+    if count > cap:
+        raise ConvergenceError(f"{who} needs {count} {what}, above the cap {cap}; {why}")
 
 
 def _elliptic_counts(t: _EllipticTables, off: float, lo: float, hi: float) -> tuple[int, int]:
@@ -486,8 +479,9 @@ def _g1_mp(case: CaseParams, alpha, x):
     at the working precision, with term counts for the log of its epsilon:
     the float scalar code of the trigonometric and elliptic cases with
     ``mpmath.exp`` and nome powers or tables built, uncached, at that
-    epsilon, ``mpmath.quad`` for the hyperbolic integral and ``mpmath.gamma``
-    for the rational case.  The independent references are in the tests."""
+    epsilon, the float trapezoidal plan of the hyperbolic integral summed in
+    mpmath (:func:`_hyperbolic_mp`), and ``mpmath.gamma`` for the rational
+    case.  The independent references are in the tests."""
     log_tol = float(mpmath.log(mpmath.eps))
     r, a = mpmath.mpf(case.r), mpmath.mpf(case.a)
     kind = case.kind
@@ -532,8 +526,9 @@ def gamma_G(case: CaseParams, alpha, x):
     and a hyperbolic one as a group of one row; everything else, and a
     scalar where ``cmath`` overflows, goes through the array path of
     :func:`gamma_G1`.  An mpmath ``x`` is evaluated in mpmath at the
-    working precision by the same formulas (see :func:`_g1_mp`) and gives
-    an mpmath value; its term counts and cutoff follow that precision, not
+    working precision by the same algorithms (see :func:`_g1_mp`) and gives
+    an mpmath value; its term counts, cutoff, trapezoidal step and
+    hyperbolic limits follow that precision, not
     :data:`~vandiejen.sfun.TARGET_REL_ERR`.  The independent references for
     both routes are in the tests.
     """

@@ -33,6 +33,8 @@ CASES = {label: CaseParams(CaseKind.from_label(label), r=R, a=A) for label in ("
 ALPHAS = (0.8, 0.45, 0.9 + 0.3j, -0.8, -1.15 - 0.2j)
 # |Re x| large enough for a finer trapezoidal step than the points near 0
 WIDE = (4.5 + 0.9j, -4.2 + 0.5j, 3.6 + 1.2j, 2.9 - 0.3j)
+# far from the origin, where sin(2 w y) oscillates fast
+FAR = (15 + 0.9j, 30 + 0.5j)
 
 
 def _steps(alpha, z, a=A):
@@ -351,11 +353,12 @@ def test_both_paths_agree_with_the_mpmath_evaluator(label, alpha):
 
 def test_wide_hyperbolic_points_against_the_mpmath_evaluator():
     # the trapezoidal step shrinks with |Re w|: at |Re x| ~ 4.5 the error is
-    # about 3e-15
+    # about 3e-15, at 15 and 30 about 2e-14 to 2e-13
     case = CASES["III"]
-    mp = _mp_values(case, 0.8, WIDE)
-    got = gamma_G(case, 0.8, np.array(WIDE))
-    assert np.max(np.abs(got - mp) / np.abs(mp)) < 5e-13
+    for alpha, pts in ((0.8, [*WIDE, *FAR]), (0.45, FAR)):
+        mp = _mp_values(case, alpha, pts)
+        got = gamma_G(case, alpha, np.array(pts))
+        assert np.max(np.abs(got - mp) / np.abs(mp)) < 5e-13
 
 
 @pytest.mark.parametrize("alpha,x", [(0.8, 0.3 + 0.1j), (1.2, 0.8 - 0.05j), (0.9 + 0.3j, 1.1 + 0.9j),

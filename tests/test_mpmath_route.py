@@ -5,12 +5,14 @@ qp, quad) to 1e-25 relative.  Rounded to complex128 they agree with the
 float route to its target relative error, and their error falls with the
 working precision: the term counts follow mpmath.eps, not that target.
 
-The theta, trigonometric and elliptic routes run the float route's code in
-mpmath, so the package holds no second algorithm to check them against; the
-references here are: jtheta, the trigonometric product as a q-Pochhammer
-symbol, the elliptic double product as q-Pochhammer symbols, both
-functional equations of the elliptic gamma function with theta functions
-from qp, and the float route itself where the old double product refused."""
+The theta, trigonometric, hyperbolic and elliptic routes run the float
+route's code in mpmath, so the package holds no second algorithm to check
+them against; the references here are: jtheta, the trigonometric product as
+a q-Pochhammer symbol, the hyperbolic integral by mpmath.quad at the point
+itself and the hyperbolic equation in the shift i a, the elliptic double
+product as q-Pochhammer symbols, both functional equations of the elliptic
+gamma function with theta functions from qp, and the float route itself
+where the old double product refused."""
 
 import mpmath as mp
 import numpy as np
@@ -280,11 +282,51 @@ def test_elliptic_step_edges_against_the_qp_reference():
                 assert _rel(gamma_G(case, alpha, mp.mpc(x)), ref) < REL
 
 
-@pytest.mark.parametrize("label", ["II", "IV"])
+def _ia_defect(case, alpha, x):
+    """The relative defect of G(x + i a/2) / G(x - i a/2) = 2 cosh(pi (x -
+    i a/2) / alpha), the hyperbolic equation in the shift i a, at the
+    working precision.  The route's cosh steps build in the equation in
+    i alpha, not this one."""
+    a, alpha = mp.mpf(case.a), mp.mpf(alpha)
+    ratio = gamma_G(case, alpha, x + 0.5j * a) / gamma_G(case, alpha, x - 0.5j * a)
+    rhs = 2 * mp.cosh(mp.pi * (x - 0.5j * a) / alpha)
+    return abs(ratio - rhs) / abs(rhs)
+
+
+def test_the_hyperbolic_equation_in_i_a_at_30_digits():
+    # 0.3 + 0.1i pins the orientation: 2 cosh(pi (x + i a/2) / alpha) or
+    # 2 cosh(pi x / alpha) is off by O(1).  At 30 + 0.5i sin(2 w y)
+    # oscillates fast
+    case = CaseParams(CaseKind.HYPERBOLIC, a=1.8)
+    with mp.workdps(30):
+        assert _ia_defect(case, 0.8, mp.mpc(0.3, 0.1)) < REL
+        assert _ia_defect(case, 0.8, mp.mpc(30, 0.5)) < REL
+
+
+def test_the_hyperbolic_limits_follow_the_working_precision():
+    # at a = 0.5, alpha = 0.8 the float route refuses 0.3 + 0.64i (cutoff
+    # 67.2 above 40); at 30 digits the cutoff and its limit both grow by
+    # (5 - log eps) / (5 - log 1e-13), and the route refuses it too, naming
+    # both.  The points the float route takes agree with the reference
+    case = CaseParams(CaseKind.HYPERBOLIC, a=0.5)
+    with mp.workdps(30):
+        with pytest.raises(ConvergenceError) as err:
+            gamma_G(case, 0.8, mp.mpc(0.3, 0.64))
+    assert str(err.value) == "hyperbolic integral needs cutoff 145.6, above the fixed limit 86.6799"
+    for x in (0.3 + 0.3j, 1.1 + 0.35j):
+        with mp.workdps(40):
+            ref = _g_ref(case, mp.mpf(0.8), mp.mpc(x))
+        with mp.workdps(30):
+            assert _rel(gamma_G(case, 0.8, mp.mpc(x)), ref) < REL
+
+
+@pytest.mark.parametrize("label", ["II", "III", "IV"])
 def test_gamma_beyond_the_float64_epsilon(label):
     # at 330 digits mpmath.eps is below the smallest float64; the term
-    # counts take its log.  II against the qp reference, IV by its two
-    # functional equations (the reference's double product is slow there)
+    # counts take its log.  II against the qp reference, III by its
+    # equation in i a (27800 nodes a side, below the limits 878 for the
+    # cutoff and 927,780 nodes), IV by its two functional equations (the
+    # reference's double product is slow there)
     x = mp.mpc(0.3 + 0.1j)
     with mp.workdps(330):
         if label == "II":
@@ -292,6 +334,8 @@ def test_gamma_beyond_the_float64_epsilon(label):
             value = gamma_G(case, 1.5, x)
             with mp.workdps(340):
                 defects = [abs(value - _g_ref(case, mp.mpf(1.5), x)) / abs(value)]
+        elif label == "III":
+            defects = [_ia_defect(CaseParams(CaseKind.HYPERBOLIC, a=1.8), 0.8, x)]
         else:
             defects = _fe_defects(1.0, 2.0, 1.5, x)
         assert max(defects) < mp.mpf(10) ** -327
