@@ -665,7 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="elliptic negative control: drop the "
                                "balancing condition and expect failure")
     p_verify.add_argument("--max-n", dest="max_n", type=int,
-                          help="largest particle total in sweeps")
+                          help="largest particle total of the block-structured "
+                               "identities (eigen-plain, deformed-*, kernel-*)")
     p_verify.add_argument("--trunc-terms", dest="trunc_terms", type=int,
                           help="factors of the theta product (theta-product only)")
     _add_common(p_verify)

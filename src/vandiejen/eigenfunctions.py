@@ -482,25 +482,14 @@ def pathwise(coeff: Callable[[Sequence[complex]], complex]) -> Callable:
 
 def pair_kind(tag_j: MassTag, tag_k: MassTag) -> str:
     """Relation of the second mass to the first within the four-element
-    mass set: ``same`` (equal), ``opposite`` (negated), ``dual``
-    (equal to ``+1/(lam * m)``), or ``antidual`` (``-1/(lam * m)``)."""
+    mass set: ``same`` (equal), ``opposite`` (negated: the same unit-ness),
+    ``dual`` (equal to ``+1/(lam * m)``: the same sign), or ``antidual``
+    (``-1/(lam * m)``: neither)."""
     if tag_j is tag_k:
         return "same"
-    opposite = {
-        MassTag.PLUS_ONE: MassTag.MINUS_ONE,
-        MassTag.MINUS_ONE: MassTag.PLUS_ONE,
-        MassTag.PLUS_INV: MassTag.MINUS_INV,
-        MassTag.MINUS_INV: MassTag.PLUS_INV,
-    }
-    dual = {
-        MassTag.PLUS_ONE: MassTag.PLUS_INV,
-        MassTag.PLUS_INV: MassTag.PLUS_ONE,
-        MassTag.MINUS_ONE: MassTag.MINUS_INV,
-        MassTag.MINUS_INV: MassTag.MINUS_ONE,
-    }
-    if opposite[tag_j] is tag_k:
+    if tag_j.is_unit == tag_k.is_unit:
         return "opposite"
-    if dual[tag_j] is tag_k:
+    if (tag_j.value_for(1.0) > 0) == (tag_k.value_for(1.0) > 0):
         return "dual"
     return "antidual"
 

@@ -247,23 +247,33 @@ def _hyperbolic_mp(a, alpha, w, log_tol: float):
     epsilon ``exp(log_tol)``, that is the plan of :func:`_trapezoid_plan`,
     the sum of ``c_k sin(2 w0 k h)`` over its nodes with the weights of
     :func:`_hyperbolic_table`, and the cubic of :func:`_trapezoid_cubic`,
-    all in mpmath."""
+    all in mpmath.
+
+    The node sum and the cubic's ``-w0 pi^2 m / (6 a alpha)`` cancel from
+    that size down to the integral, so the rule runs with as many guard
+    bits as that size has, ``ceil(log2(|w0| pi^2 m / (6 a |alpha|)))`` (none
+    below 1), and its value is rounded to the working precision.  The same
+    bits cover the exponential and the cosh steps, whose arguments grow
+    like ``pi |w| / a``, below that size."""
     k, w0, m, nodes = _trapezoid_plan(a, alpha, w, log_tol, log_tol)
-    h = mpmath.mpf(1) / m
-    # i c_j sin(2 w0 y) at y = j h is (u^j - v^j) / (j (1 - p^j)(1 - q^j)),
-    # with u, v = exp(-(a + alpha -+ 2 i w0) h), p = exp(-2 a h) and
-    # q = exp(-2 alpha h): four geometric sequences instead of a sine and
-    # two sinh per node
-    u, v = mpmath.exp(-(a + alpha - 2j * w0) * h), mpmath.exp(-(a + alpha + 2j * w0) * h)
-    p, q = mpmath.exp(-2 * a * h), mpmath.exp(-2 * alpha * h)
-    un = vn = pn = qn = mpmath.mpf(1)
-    total = 0
-    for j in range(1, nodes + 1):
-        un, vn, pn, qn = un * u, vn * v, pn * p, qn * q
-        total += (un - vn) / (j * (1 - pn) * (1 - qn))
-    c1, c3 = _trapezoid_cubic(a, alpha, m, mpmath.pi)
-    base = mpmath.exp(total + 1j * w0 * (c1 + c3 * w0 * w0))
-    return _cosh_steps(base, w, k, alpha, a, mpmath.cosh, mpmath.pi)
+    size = float(abs(w0)) * math.pi ** 2 * m / (6 * float(a) * abs(complex(alpha)))
+    with mpmath.extraprec(math.ceil(math.log2(size)) if size > 1 else 0):
+        h = mpmath.mpf(1) / m
+        # i c_j sin(2 w0 y) at y = j h is (u^j - v^j) / (j (1 - p^j)(1 - q^j)),
+        # with u, v = exp(-(a + alpha -+ 2 i w0) h), p = exp(-2 a h) and
+        # q = exp(-2 alpha h): four geometric sequences instead of a sine and
+        # two sinh per node
+        u, v = mpmath.exp(-(a + alpha - 2j * w0) * h), mpmath.exp(-(a + alpha + 2j * w0) * h)
+        p, q = mpmath.exp(-2 * a * h), mpmath.exp(-2 * alpha * h)
+        un = vn = pn = qn = mpmath.mpf(1)
+        total = 0
+        for j in range(1, nodes + 1):
+            un, vn, pn, qn = un * u, vn * v, pn * p, qn * q
+            total += (un - vn) / (j * (1 - pn) * (1 - qn))
+        c1, c3 = _trapezoid_cubic(a, alpha, m, mpmath.pi)
+        base = mpmath.exp(total + 1j * w0 * (c1 + c3 * w0 * w0))
+        value = _cosh_steps(base, w, k, alpha, a, mpmath.cosh, mpmath.pi)
+    return +value
 
 
 def _hyperbolic_float(a: float, alpha: complex, steps: list[tuple]) -> list[complex]:
@@ -498,12 +508,19 @@ def _g1_mp(case: CaseParams, alpha, x):
 
 
 def gamma_G1(case: CaseParams, alpha, x):
-    """The primitive solution on the half-plane ``Re(alpha) > 0``; an
-    mpmath ``x`` gives an mpmath value (see :func:`_g1_mp`)."""
+    """The primitive solution on the half-plane ``Re(alpha) > 0``: there it
+    is :func:`gamma_G`, scalar routes included.  An mpmath ``x`` gives an
+    mpmath value (see :func:`_g1_mp`)."""
+    _require_alpha(alpha, positive=True)
     if _is_mp(x):
-        _require_alpha(alpha, positive=True)
         return _g1_mp(case, mpmath.mpmathify(alpha), x)
-    alpha = _require_alpha(alpha, positive=True)
+    return gamma_G(case, alpha, x)
+
+
+def _g1_array(case: CaseParams, alpha: complex, x):
+    """The primitive at ``Re(alpha) > 0`` on numpy's path: the array path
+    of each case, which also takes the scalars the routes of
+    :func:`gamma_G` pass on."""
     xx, scalar = _as_complex_array(x)
     kind = case.kind
     if kind is CaseKind.RATIONAL:
@@ -524,8 +541,8 @@ def gamma_G(case: CaseParams, alpha, x):
     reflection rule ``G(x; -alpha) == G(-x; alpha)`` holds identically.
     A rational, trigonometric or elliptic scalar is evaluated with ``cmath``
     and a hyperbolic one as a group of one row; everything else, and a
-    scalar where ``cmath`` overflows, goes through the array path of
-    :func:`gamma_G1`.  An mpmath ``x`` is evaluated in mpmath at the
+    scalar where ``cmath`` overflows, goes through the array path of each
+    case.  An mpmath ``x`` is evaluated in mpmath at the
     working precision by the same algorithms (see :func:`_g1_mp`) and gives
     an mpmath value; its term counts, cutoff, trapezoidal step and
     hyperbolic limits follow that precision, not
@@ -560,7 +577,7 @@ def gamma_G(case: CaseParams, alpha, x):
                 return _g1_elliptic_scalar(case.r, alpha, z, tables, cmath.exp)
             except (ArithmeticError, ValueError):
                 pass
-    return gamma_G1(case, alpha, x)
+    return _g1_array(case, alpha, x)
 
 
 def functional_eq_constant(case: CaseParams, alpha) -> complex:

@@ -25,9 +25,9 @@ import json
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, fields as dataclass_fields, replace
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import accumulate
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 import numpy as np
 
@@ -348,10 +348,12 @@ class _RunCtx:
     rejected: int = 0
 
     def draw(self, make: Callable[[], T | None], tries: int,
-             catch: type[Exception] | tuple[type[Exception], ...] = ()) -> T | None:
-        """The first value other than None of at most ``tries`` calls of
-        ``make``.  Each call is one attempt; one that returns None or raises
-        one of ``catch`` is one rejection.  None when every call is rejected."""
+             catch: type[Exception] | tuple[type[Exception], ...] = (),
+             fail: str | None = None) -> T | None:
+        """The first value other than None of at most ``tries`` calls of ``make``.
+        Each call is one attempt; one that returns None or raises one of ``catch``
+        is one rejection.  When every call is rejected, this raises
+        :class:`ConvergenceError` with the message ``fail``, or returns None without one."""
         for _ in range(tries):
             self.attempts += 1
             try:
@@ -361,14 +363,14 @@ class _RunCtx:
             if value is not None:
                 return value
             self.rejected += 1
+        if fail is not None:
+            raise ConvergenceError(fail)
         return None
 
     def admissible_X(self, config: Configuration) -> tuple[complex, ...]:
-        X = self.draw(lambda: _screened_X(self.rng, config), 80)
-        if X is None:
-            raise ConvergenceError(f"no admissible point for {config.case.describe()} with "
-                                   f"{config.size} coordinates after 80 tries")
-        return X
+        return self.draw(lambda: _screened_X(self.rng, config), 80,
+                         fail=f"no admissible point for {config.case.describe()} with "
+                              f"{config.size} coordinates after 80 tries")
 
 
 def _defect(terms: Sequence[complex], rhs: Sequence[complex] = ()) -> tuple[float, float]:
@@ -382,26 +384,19 @@ def _defect(terms: Sequence[complex], rhs: Sequence[complex] = ()) -> tuple[floa
     return abs(sum(terms) - sum(rhs)) / scale, scale
 
 
+def _phase(k: tuple[float, ...], Z: Sequence[complex]) -> complex:
+    return sum(kv * complex(zv) for kv, zv in zip(k, Z))
+
+
 def _exp_fn(k: Sequence[float]):
     k = tuple(float(v) for v in k)
-
-    def fn(Z: Sequence[complex]) -> complex:
-        return cmath.exp(1j * sum(kv * complex(zv) for kv, zv in zip(k, Z)))
-
-    return fn
+    return lambda Z: cmath.exp(1j * _phase(k, Z))
 
 
 def _exp_fn2(kx: Sequence[float], kt: Sequence[float]):
     kx = tuple(float(v) for v in kx)
     kt = tuple(float(v) for v in kt)
-
-    def fn(point: tuple[Sequence[complex], Sequence[complex]]) -> complex:
-        x, xt = point
-        tot = sum(kv * complex(zv) for kv, zv in zip(kx, x))
-        tot += sum(kv * complex(zv) for kv, zv in zip(kt, xt))
-        return cmath.exp(1j * tot)
-
-    return fn
+    return lambda point: cmath.exp(1j * (_phase(kx, point[0]) + _phase(kt, point[1])))
 
 
 def _failure(exc: Exception) -> str:
@@ -414,92 +409,83 @@ def _failure(exc: Exception) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _rows_s_oddness(ctx: _RunCtx) -> list[SampleResult]:
-    rows = []
-    for i in range(ctx.samples):
-        z = _draw_scalar(ctx.rng)
-        a = ctx.case.s_scalar(z)
-        b = ctx.case.s_scalar(-z)
-        rows.append(_row(ctx, "odd", i, *_rel_dev(a, -b)))
-    return rows
+def _odd_row(ctx: _RunCtx, i: int):
+    z = _draw_scalar(ctx.rng)
+    return "odd", *_rel_dev(ctx.case.s_scalar(z), -ctx.case.s_scalar(-z))
 
 
-def _rows_s_quasi_period(ctx: _RunCtx) -> list[SampleResult]:
-    rows = []
+def _quasi_period_row(ctx: _RunCtx, i: int):
     case = ctx.case
-    for i in range(ctx.samples):
-        nu = 1 + i % case.rho
-        z = _draw_scalar(ctx.rng)
-        fac = quasi_factor(case, z, nu)
-        lhs = case.s_scalar(z + case.omega[nu])
-        rhs = complex(fac) * case.s_scalar(z)
-        rows.append(_row(ctx, f"nu={nu}", i, *_rel_dev(lhs, rhs)))
-    return rows
+    nu = 1 + i % case.rho
+    z = _draw_scalar(ctx.rng)
+    fac = quasi_factor(case, z, nu)
+    return f"nu={nu}", *_rel_dev(case.s_scalar(z + case.omega[nu]), complex(fac) * case.s_scalar(z))
 
 
-def _rows_s_duplication(ctx: _RunCtx) -> list[SampleResult]:
-    def make():
-        z = _draw_scalar(ctx.rng)
-        return z, float(duplication_residual(ctx.case, z))
+def _duplication_row(ctx: _RunCtx, i: int):
+    z = _draw_scalar(ctx.rng)
+    res = float(duplication_residual(ctx.case, z))  # a lattice point raises here
+    return "duplication", res, max(abs(ctx.case.s_scalar(2 * z)), _TINY)
 
+
+def _theta_product_row(ctx: _RunCtx, i: int):
+    z, q = _draw_scalar(ctx.rng), ctx.case.q
+    sv = complex(theta_eval(z, q=q))
+    pv = complex(theta_product(z, q=q, product_terms=ctx.product_terms))
+    return "sum-vs-product", *_rel_dev(sv, pv)
+
+
+def _gamma_fe_row(ctx: _RunCtx, i: int):
+    alpha = float(ctx.rng.uniform(0.3, 0.6))
+    alpha = -alpha if i % 5 == 4 else alpha
+    z = _draw_scalar(ctx.rng, re=(0.1, 1.1), im=(-0.2, 0.2))
+    up = complex(gamma_G(ctx.case, alpha, z + 0.5j * alpha))
+    dn = complex(gamma_G(ctx.case, alpha, z - 0.5j * alpha))
+    rhs = functional_eq_constant(ctx.case, alpha) * ctx.case.s_scalar(z) * dn
+    res, scale = _rel_dev(up, rhs)
+    if math.isfinite(scale) and scale > 1e-12:  # otherwise the draw is rejected
+        return f"fe[{'-' if alpha < 0 else '+'}]", res, scale
+
+
+def _reflection_row(ctx: _RunCtx, i: int):
+    alpha = float(ctx.rng.uniform(0.3, 0.6))
+    z = _draw_scalar(ctx.rng, re=(0.1, 1.1), im=(-0.2, 0.2))
+    a = complex(gamma_G(ctx.case, -alpha, z))
+    b = complex(gamma_G(ctx.case, alpha, -z))
+    residual, scale = _rel_dev(a, b)
+    return "reflection", 0.0 if a == b else residual, scale
+
+
+class _Pointwise(NamedTuple):
+    """One pointwise identity: ``row(ctx, i)``, which draws sample ``i`` and returns its
+    ``(label, residual, scale)`` or None for a rejected draw; the errors that also
+    reject a draw; and the message when every draw of the run's budget is rejected."""
+
+    row: Callable
+    catch: tuple[type[Exception], ...] = ()
+    fail: str | None = None
+
+
+_POINTWISE = {
+    "s-oddness": _Pointwise(_odd_row),
+    "s-quasi-period": _Pointwise(_quasi_period_row),
+    "s-duplication": _Pointwise(_duplication_row, (PoleProximityError,),
+                                "duplication sampling kept hitting lattice points"),
+    "theta-product": _Pointwise(_theta_product_row),
+    "gamma-fe": _Pointwise(_gamma_fe_row, (DomainError, ConvergenceError, OverflowError),
+                           "functional-equation sampling kept rejecting points"),
+    "gamma-reflection": _Pointwise(_reflection_row),
+}
+
+
+def _rows_pointwise(ctx: _RunCtx) -> list[SampleResult]:
+    spec = _POINTWISE[ctx.identity]
     rows = []
     for i in range(ctx.samples):
         # the budget of 60 draws per sample is shared by the whole run
-        got = ctx.draw(make, 60 * ctx.samples - ctx.attempts, catch=PoleProximityError)
-        if got is None:
-            raise ConvergenceError("duplication sampling kept hitting lattice points")
-        z, res = got
-        scale = abs(ctx.case.s_scalar(2 * z))
-        rows.append(_row(ctx, "duplication", i, res, max(scale, _TINY)))
-    return rows
-
-
-def _rows_theta_product(ctx: _RunCtx) -> list[SampleResult]:
-    rows = []
-    q = ctx.case.q
-    for i in range(ctx.samples):
-        z = _draw_scalar(ctx.rng)
-        sv = complex(theta_eval(z, q=q))
-        pv = complex(theta_product(z, q=q, product_terms=ctx.product_terms))
-        rows.append(_row(ctx, "sum-vs-product", i, *_rel_dev(sv, pv)))
-    return rows
-
-
-def _rows_gamma_fe(ctx: _RunCtx) -> list[SampleResult]:
-    def make(i):
-        alpha = float(ctx.rng.uniform(0.3, 0.6))
-        if i % 5 == 4:
-            alpha = -alpha
-        z = _draw_scalar(ctx.rng, re=(0.1, 1.1), im=(-0.2, 0.2))
-        up = complex(gamma_G(ctx.case, alpha, z + 0.5j * alpha))
-        dn = complex(gamma_G(ctx.case, alpha, z - 0.5j * alpha))
-        rhs = functional_eq_constant(ctx.case, alpha) * ctx.case.s_scalar(z) * dn
-        res, scale = _rel_dev(up, rhs)
-        if math.isfinite(scale) and scale > 1e-12:
-            return alpha, res, scale
-        return None
-
-    rows = []
-    for i in range(ctx.samples):
-        # the budget of 60 draws per sample is shared by the whole run
-        got = ctx.draw(lambda: make(i), 60 * ctx.samples - ctx.attempts,
-                       catch=(DomainError, ConvergenceError, OverflowError))
-        if got is None:
-            raise ConvergenceError("functional-equation sampling kept rejecting points")
-        alpha, res, scale = got
-        rows.append(_row(ctx, f"fe[{'-' if alpha < 0 else '+'}]", i, res, scale))
-    return rows
-
-
-def _rows_gamma_reflection(ctx: _RunCtx) -> list[SampleResult]:
-    rows = []
-    for i in range(ctx.samples):
-        alpha = float(ctx.rng.uniform(0.3, 0.6))
-        z = _draw_scalar(ctx.rng, re=(0.1, 1.1), im=(-0.2, 0.2))
-        a = complex(gamma_G(ctx.case, -alpha, z))
-        b = complex(gamma_G(ctx.case, alpha, -z))
-        residual, scale = _rel_dev(a, b)
-        rows.append(_row(ctx, "reflection", i, 0.0 if a == b else residual, scale))
+        label, residual, scale = ctx.draw(lambda: spec.row(ctx, i),
+                                          60 * ctx.samples - ctx.attempts, spec.catch, spec.fail)
+        rows.append(_row(ctx, label, i, residual, scale))
     return rows
 
 
@@ -537,10 +523,8 @@ def _draw_summation_params(ctx: _RunCtx, n: int) -> tuple[SummationParams, tuple
             return None
         return params, _defect(terms, [rhs])
 
-    got = ctx.draw(make, 80, catch=(DomainError, ZeroDivisionError, OverflowError))
-    if got is None:
-        raise ConvergenceError("summation parameter sampling kept rejecting draws")
-    return got
+    return ctx.draw(make, 80, (DomainError, ZeroDivisionError, OverflowError),
+                    "summation parameter sampling kept rejecting draws")
 
 
 def _rows_summation(ctx: _RunCtx) -> list[SampleResult]:
@@ -550,10 +534,8 @@ def _rows_summation(ctx: _RunCtx) -> list[SampleResult]:
         params, (res, scale) = _draw_summation_params(ctx, n)
         rows.append(_row(ctx, f"n={n}", i, res, scale))
         if ctx.label == "IV":
-            for delta in (CONTROL_DETUNE, -CONTROL_DETUNE):
-                detuned = replace(params, n=(*params.n[:-1], params.n[-1] + delta))
-                rows.append(_row(ctx, f"n={n}/defect={delta:+g}", i,
-                                 *residual_summation(ctx.case, detuned), control=True))
+            rows.extend(_controls(ctx, f"n={n}", i, lambda delta: residual_summation(
+                ctx.case, replace(params, n=(*params.n[:-1], params.n[-1] + delta)))))
     return rows
 
 
@@ -608,29 +590,29 @@ def _balanced_coupling(ctx: _RunCtx, coupling: CouplingSet, variant: str,
         coupling = _draw_coupling(ctx.rng, ctx.case)  # also after the last rejection
         return None
 
-    balanced = ctx.draw(make, 40)
-    if balanced is None:
-        raise ConvergenceError(
-            f"no balanced coupling within |g| <= {_BALANCED_G_CAP} for {variant}")
-    return balanced
+    return ctx.draw(make, 40,
+                    fail=f"no balanced coupling within |g| <= {_BALANCED_G_CAP} for {variant}")
 
 
 def _detuned(coupling: CouplingSet, delta: float) -> CouplingSet:
     return CouplingSet((*coupling.g[:-1], coupling.g[-1] + delta), coupling.lam, coupling.beta)
 
 
-def _detuned_controls(ctx: _RunCtx, coupling: CouplingSet, tags: tuple[MassTag, ...],
-                      X: tuple[complex, ...], index: int, prefix: str) -> list[SampleResult]:
-    """Elliptic negative controls: the source-identity defect with the last
-    coupling detuned both ways, at ``X`` where the detuned configuration
-    is admissible there and at a fresh admissible point otherwise."""
-    rows = []
-    for delta in (CONTROL_DETUNE, -CONTROL_DETUNE):
-        bad = Configuration(ctx.case, _detuned(coupling, delta), tags)
-        X2 = X if _screen_config(bad, X) else ctx.admissible_X(bad)
-        rows.append(_row(ctx, f"{prefix}/defect={delta:+g}", index, *residual_source(bad, X2),
-                         control=True))
-    return rows
+def _controls(ctx: _RunCtx, prefix: str, index: int,
+              residual: Callable[[float], tuple[float, float]]) -> list[SampleResult]:
+    """Elliptic negative controls: the rows ``prefix/defect=+-delta`` of ``residual(delta)``,
+    the defect of a configuration detuned by ``delta``, ``+CONTROL_DETUNE`` first."""
+    return [_row(ctx, f"{prefix}/defect={delta:+g}", index, *residual(delta), control=True)
+            for delta in (CONTROL_DETUNE, -CONTROL_DETUNE)]
+
+
+def _detuned_source(ctx: _RunCtx, coupling: CouplingSet, tags: tuple[MassTag, ...],
+                    X: tuple[complex, ...], delta: float) -> tuple[float, float]:
+    """The source-identity defect with the last coupling detuned by ``delta``,
+    at ``X`` where the detuned configuration is admissible there and at a
+    fresh admissible point otherwise."""
+    bad = Configuration(ctx.case, _detuned(coupling, delta), tags)
+    return residual_source(bad, X if _screen_config(bad, X) else ctx.admissible_X(bad))
 
 
 def _rows_source(ctx: _RunCtx) -> list[SampleResult]:
@@ -645,7 +627,8 @@ def _rows_source(ctx: _RunCtx) -> list[SampleResult]:
         name = ",".join(t.value for t in tags)
         rows.append(_row(ctx, f"m=({name})", i, *residual_source(config, X)))
         if ctx.label == "IV":
-            rows.extend(_detuned_controls(ctx, coupling, tags, X, i, f"m=({name})"))
+            rows.extend(_controls(ctx, f"m=({name})", i,
+                                  partial(_detuned_source, ctx, coupling, tags, X)))
     return rows
 
 
@@ -998,7 +981,8 @@ def _rows_display(ctx: _RunCtx) -> list[SampleResult]:
             # additive constant that cancels in the defect, so the detuned
             # controls measure the same defect through the conjugated form
             # (whose term scale is free of that offset)
-            rows.extend(_detuned_controls(ctx, coupling, tags, Z, i, f"{lab}/eigen"))
+            rows.extend(_controls(ctx, f"{lab}/eigen", i,
+                                  partial(_detuned_source, ctx, coupling, tags, Z)))
     return rows
 
 
@@ -1121,10 +1105,8 @@ def _rows_kernel(ctx: _RunCtx) -> list[SampleResult]:
             rows.extend(_direct_kernel_rows(ctx, lab, i, Z, blocks, kernel, v0, const, ref))
 
         if ctx.label == "IV":
-            for delta in (CONTROL_DETUNE, -CONTROL_DETUNE):
-                bad = Configuration(case, _detuned(coupling, delta), tags)
-                rows.append(_row(ctx, f"{lab}/const/defect={delta:+g}", i,
-                                 *residual_source(bad, Z), control=True))
+            rows.extend(_controls(ctx, f"{lab}/const", i, lambda delta: residual_source(
+                Configuration(case, _detuned(coupling, delta), tags), Z)))
     return rows
 
 
@@ -1246,10 +1228,9 @@ def _rows_quasi_invariance(ctx: _RunCtx) -> list[SampleResult]:
                 return coupling, xt0, x_pole, p_fn
             return None
 
-        got = ctx.draw(make, 60, catch=(DomainError, ZeroDivisionError, OverflowError))
-        if got is None:
-            raise ConvergenceError("quasi-invariance sampling kept rejecting draws")
-        coupling, xt0, x_pole, p_fn = got
+        coupling, xt0, x_pole, p_fn = ctx.draw(
+            make, 60, (DomainError, ZeroDivisionError, OverflowError),
+            "quasi-invariance sampling kept rejecting draws")
         g, lam, beta = coupling.g, coupling.lam, coupling.beta
         w_bad = -power_sum_weight(r, lam, beta, n_pow)
         p_bad = lambda x, xt: deformed_power_sum(r, lam, beta, n_pow, x, xt, weight=w_bad)
@@ -1325,12 +1306,12 @@ class _Identity:
 
 #: The identity registry, in report order (which also seeds each run's rows).
 _REGISTRY = {
-    "s-oddness": _Identity(_rows_s_oddness, CASES, (1e-10, 1e-10)),
-    "s-quasi-period": _Identity(_rows_s_quasi_period, ("II", "III", "IV"), (1e-10, 1e-10)),
-    "s-duplication": _Identity(_rows_s_duplication, CASES, (1e-10, 1e-10)),
-    "theta-product": _Identity(_rows_theta_product, ("IV",), (1e-10, 1e-10)),
-    "gamma-fe": _Identity(_rows_gamma_fe, CASES, (1e-9, 1e-8)),
-    "gamma-reflection": _Identity(_rows_gamma_reflection, CASES, (0.0, 0.0)),
+    "s-oddness": _Identity(_rows_pointwise, CASES, (1e-10, 1e-10)),
+    "s-quasi-period": _Identity(_rows_pointwise, ("II", "III", "IV"), (1e-10, 1e-10)),
+    "s-duplication": _Identity(_rows_pointwise, CASES, (1e-10, 1e-10)),
+    "theta-product": _Identity(_rows_pointwise, ("IV",), (1e-10, 1e-10)),
+    "gamma-fe": _Identity(_rows_pointwise, CASES, (1e-9, 1e-8)),
+    "gamma-reflection": _Identity(_rows_pointwise, CASES, (0.0, 0.0)),
     "summation": _Identity(_rows_summation, CASES, (1e-8, 1e-7), balanced=True),
     "source": _Identity(_rows_source, CASES, (1e-8, 1e-7), balanced=True),
     "conjugation": _Identity(_rows_conjugation, ("I", "II"), (1e-8, 1e-7)),

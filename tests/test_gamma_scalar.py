@@ -156,3 +156,20 @@ def test_trigonometric_array_path_reads_a_cached_read_only_table():
     expected = np.exp(-R * x ** 2 / (2 * 0.8)) / np.prod(1.0 - table[:, None] * e[None, :], axis=0)
     got = gamma_G(CASES["II"], 0.8, x)
     assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+def _bits(v):
+    return np.array([v], dtype=np.complex128).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
+def test_the_primitive_takes_the_scalar_routes_of_gamma_G(label):
+    # gamma_G1 at Re(alpha) > 0 is gamma_G, and the reflection rule of
+    # gamma_G's docstring holds, bit for bit, on every case
+    case = CaseParams(CaseKind.from_label(label), r=1.0, a=2.0)
+    rng = np.random.default_rng(3)
+    alpha = 0.45
+    for x, y in zip(rng.uniform(0.1, 1.1, 200), rng.uniform(-0.45, 0.45, 200)):
+        z = complex(x, y)
+        assert _bits(gamma_G1(case, alpha, z)) == _bits(gamma_G(case, alpha, z))
+        assert _bits(gamma_G(case, -alpha, z)) == _bits(gamma_G1(case, alpha, -z))

@@ -320,6 +320,21 @@ def test_the_hyperbolic_limits_follow_the_working_precision():
             assert _rel(gamma_G(case, 0.8, mp.mpc(x)), ref) < REL
 
 
+@pytest.mark.parametrize("a,alpha,x", [(1.8, 0.8, 30 + 0.5j), (2.0, 0.45, 15 + 0.9j),
+                                       (2.0, 0.45, 30 + 0.5j)])
+def test_the_hyperbolic_route_keeps_its_digits_at_far_points(a, alpha, x):
+    # the node sum and the cubic cancel from about |w0| pi^2 m / (6 a alpha),
+    # 380 to 620 here, down to the integral: without guard bits the 30-digit value
+    # is 1e-28 off the 45-digit one
+    case = CaseParams(CaseKind.HYPERBOLIC, a=a)
+    with mp.workdps(45):
+        ref = gamma_G(case, mp.mpf(alpha), mp.mpc(x))
+    with mp.workdps(30):
+        value = gamma_G(case, mp.mpf(alpha), mp.mpc(x))
+    with mp.workdps(45):
+        assert abs(value - ref) / abs(ref) < mp.mpf(10) ** -30
+
+
 @pytest.mark.parametrize("label", ["II", "III", "IV"])
 def test_gamma_beyond_the_float64_epsilon(label):
     # at 330 digits mpmath.eps is below the smallest float64; the term

@@ -497,7 +497,7 @@ def test_duplication_sampling_shares_its_budget_and_keeps_its_message(monkeypatc
     monkeypatch.setattr(verify, "duplication_residual", residual)
     ctx = _ctx("II")
     with pytest.raises(ConvergenceError, match="^duplication sampling kept hitting lattice points$"):
-        verify._rows_s_duplication(ctx)
+        verify._rows_pointwise(ctx)
     # 60 draws per sample over the whole run, however the rows used them
     assert len(calls) == ctx.attempts == 60 * 3
     assert ctx.rejected == 60 * 3 - passing
