@@ -67,6 +67,11 @@ EXIT_DOMAIN = 3
 FORMATS = ("text", "json-lines", "csv")
 EVAL_QUANTITIES = ("s", "theta", "gamma", "constant", "coefficients",
                    "eigenfunction")
+# per eval quantity, the flags (x, alpha) and fields it reads besides --case,
+# --cases, --r, --a, --out, --format and --config
+_EVAL_READS = {"s": "x", "theta": "x", "gamma": "x alpha", "constant": "alpha",
+               "coefficients": "x g lam beta masses particles",
+               "eigenfunction": "x g lam beta particles"}
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +141,10 @@ class RunConfig:
                 raise DomainError(
                     f"field identity: unknown identity {ident!r}; choose "
                     "from " + ", ".join(verify.IDENTITIES))
-        if self.r <= 0:
-            raise DomainError("field r: must be positive")
-        if self.a <= 0:
-            raise DomainError("field a: must be positive")
+        if not 0 < self.r < math.inf:
+            raise DomainError("field r: must be positive and finite")
+        if not 0 < self.a < math.inf:
+            raise DomainError("field a: must be positive and finite")
         if self.samples < 1:
             raise DomainError("field samples: must be at least 1")
         if self.seed < 0:
@@ -386,12 +391,19 @@ def _tags_for_eval(cfg: RunConfig, count: int) -> tuple[MassTag, ...]:
 
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
+    quantity = args.quantity
+    # a flag or config key that the quantity does not read is an error
+    given = {"x": args.x, "alpha": args.alpha,
+             **{f: getattr(cfg, f) for f in ("g", "lam", "beta", "masses", "particles")}}
+    for attr, value in given.items():
+        if value is not None and attr not in _EVAL_READS[quantity].split():
+            name = f"field {_FIELDS[attr][0]}" if attr in _FIELDS else f"flag --{attr}"
+            raise DomainError(f"{name}: eval {quantity} does not read it")
     if len(cfg.cases) > 1:
         raise DomainError(
             f"field cases: eval takes one case, got {','.join(cfg.cases)}")
     (label,) = cfg.cases
     case = verify.make_case(label, None, r=cfg.r, a=cfg.a)
-    quantity = args.quantity
     alpha = 1.0 if args.alpha is None else args.alpha
     rows: list[tuple[str, complex, str]] = []
 

@@ -43,8 +43,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gamma import _step_ratio, functional_eq_constant, gamma_G
-from .operators import (MassTag, _batched, _coefficient_memo, _moved, coeff_V0, coeff_V_shift,
-                        d_param, dual_couplings, reflected_couplings)
+from .operators import (MassTag, ShiftBlock, _batched, _coefficient_memo, _moved,
+                        conjugated_operator, d_param, dual_couplings, reflected_couplings)
 from .sfun import CaseParams, DomainError, PoleProximityError, s_eval
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "phi_factor_specs",
     "eigenfunction_value",
     "pathwise",
-    "ShiftBlock",
     "ConjugatedTerms",
     "conjugation_terms",
     "sqrt_operator_weights",
@@ -575,25 +574,6 @@ def eigenfunction_value(
     return out
 
 
-@dataclass(frozen=True)
-class ShiftBlock:
-    """The shift terms of one species in a square-root-form operator.
-
-    ``coeff(P, j, s)`` is the plain shift coefficient of the block's own
-    operator for the coordinate ``P[slots[j]]`` moving by ``s * step``.  A
-    shift of sign ``sign`` in the combined operator is the block's shift of
-    sign ``orient * sign``.  The block's terms carry the prefactor
-    ``sign * s(arg)`` for ``pref = (sign, arg)``.
-    """
-
-    label: str
-    slots: tuple[int, ...]
-    coeff: Callable[[Sequence[complex], int, int], complex]
-    step: complex
-    pref: tuple[int, complex]
-    orient: int = 1
-
-
 class ConjugatedTerms:
     """The shift terms of a square-root-form operator conjugated by ``F``.
 
@@ -626,8 +606,7 @@ class ConjugatedTerms:
         self._s = cache(case.s_scalar)
 
     def prefactor(self, b: ShiftBlock) -> complex:
-        sign, arg = b.pref
-        return self._s(arg) if sign > 0 else -self._s(arg)
+        return b.prefactor(self._s)
 
     def roots(self, P: tuple, b: ShiftBlock, j: int, sign: int) -> tuple:
         """The term's two continued roots and its shifted point."""
@@ -696,14 +675,8 @@ def conjugation_terms(
     """The square-root form of the operator of mass assignment ``tags``,
     conjugated by its eigenfunction (``specs``): one block per coordinate,
     with its own plain shift coefficient as the reference."""
-    masses = tuple(t.value_for(lam) for t in tags)
-    blocks = [
-        ShiftBlock("coeff", (j,),
-                   lambda P, _, s, j=j: coeff_V_shift(case, g, lam, beta, masses, tags, P, j, s),
-                   -1j * beta / m_j, (1, 1j * lam * m_j * beta))
-        for j, m_j in enumerate(masses)
-    ]
-    return ConjugatedTerms(case, tracker, blocks,
+    op = conjugated_operator(case, g, lam, beta, tuple(t.value_for(lam) for t in tags), tags)
+    return ConjugatedTerms(case, tracker, op.blocks,
                            lambda P: eigenfunction_value(specs, tracker, P),
                            lambda P, b, j, s: b.coeff(P, j, s))
 
@@ -717,12 +690,12 @@ def sqrt_operator_weights(
     prefactor times both continued roots, at the shifted point, then
     ``(V_0, Z)``."""
     Z = tuple(complex(v) for v in Z)
-    masses = tuple(t.value_for(lam) for t in tags)
+    op = conjugated_operator(case, g, lam, beta, tuple(t.value_for(lam) for t in tags), tags)
     weights = []
     for b, j, sign in terms.terms:
         here, there, shifted = terms.roots(Z, b, j, sign)
         weights.append((terms.prefactor(b) * here * there, shifted))
-    weights.append((coeff_V0(case, g, lam, beta, masses, Z), Z))
+    weights.append((op.v0(Z), Z))
     return weights
 
 

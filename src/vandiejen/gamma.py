@@ -103,6 +103,8 @@ _LOG_EPS = math.log(sys.float_info.epsilon)
 
 def _require_alpha(alpha: complex, positive: bool = True) -> complex:
     alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha}")
     if alpha.real == 0:
         raise DomainError("alpha must have nonzero real part")
     if positive and alpha.real < 0:

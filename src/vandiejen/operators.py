@@ -10,8 +10,10 @@ function ``s``:
 * :func:`coeff_V_shift` - the shift-term coefficient attached to
   coordinate ``J`` and sign ``eps``;
 * :func:`coeff_V0` - the zeroth (non-shifting) coefficient;
-* :func:`operator_weights` - the operator at one point as ``(weight,
-  shifted point)`` pairs, which do not depend on the function acted on;
+* :class:`Operator` - an operator's shift blocks and zeroth coefficient,
+  laid out once by :func:`conjugated_operator`, :func:`vd_operator` or
+  :func:`def_operator`; :meth:`Operator.weights` gives it at one point as
+  ``(weight, shifted point)`` pairs, which do not depend on the function;
 * :func:`weighted_terms` - the terms of an operator given by its weights
   acting on a callable; their sum is the action.
 
@@ -52,7 +54,7 @@ import enum
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from . import sfun
@@ -66,6 +68,11 @@ __all__ = [
     "d_param",
     "coeff_V_shift",
     "coeff_V0",
+    "ShiftBlock",
+    "Operator",
+    "conjugated_operator",
+    "vd_operator",
+    "def_operator",
     "operator_weights",
     "operator_terms",
     "weighted_terms",
@@ -162,10 +169,12 @@ class CouplingSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "g", tuple(float(v) for v in self.g))
-        if not self.lam > 0:
-            raise DomainError(f"lam must be positive, got {self.lam}")
-        if not self.beta > 0:
-            raise DomainError(f"beta must be positive, got {self.beta}")
+        if not all(map(math.isfinite, self.g)):
+            raise DomainError(f"couplings must be finite, got {self.g}")
+        if not 0 < self.lam < math.inf:
+            raise DomainError(f"lam must be positive and finite, got {self.lam}")
+        if not 0 < self.beta < math.inf:
+            raise DomainError(f"beta must be positive and finite, got {self.beta}")
 
     def validate_for(self, case: CaseParams) -> None:
         expected = 2 * (case.rho + 1)
@@ -337,6 +346,11 @@ def _moved(P: Sequence[complex], j: int, z: complex) -> tuple[complex, ...]:
     return (*P[:j], z, *P[j + 1:])
 
 
+def _pick(P: Sequence[complex], slots: Sequence[int]) -> tuple[complex, ...]:
+    """The coordinates ``P[slots]``."""
+    return tuple(P[v] for v in slots)
+
+
 def d_param(g: float, mass: float, lam: float, tag: MassTag | None = None) -> complex:
     """Coupling shift ``d(g, m)``: ``g`` for the species ``{1, +1/lam}``
     and ``g - (lam + 1)/2`` for ``{-1, -1/lam}``.
@@ -504,24 +518,127 @@ def coeff_V0(
     return _batched(case, formula, key)
 
 
+# ---------------------------------------------------------------------------
+# an operator on coordinate slots, and its three builders
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ShiftBlock:
+    """The shift terms of one species of an operator.
+
+    ``coeff(P, j, sign)`` is the shift coefficient of ``P[slots[j]]`` moving
+    by ``sign * step``, and its term carries the prefactor ``sign * s(arg)``
+    for ``pref = (sign, arg)``, the float ``s`` at ``arg`` rounded to complex.
+    A shift of sign ``sign`` in a combined operator (see :class:`Operator`)
+    is the block's of sign ``orient * sign``.
+    """
+
+    label: str
+    slots: Sequence[int]
+    coeff: Callable[[Sequence[complex], int, int], complex]
+    step: complex
+    pref: tuple[int, complex]
+    orient: int = 1
+
+    def prefactor(self, s: Callable[[complex], complex]) -> complex:
+        sign, arg = self.pref
+        value = s(complex(arg))
+        return value if sign > 0 else -value
+
+
+@dataclass(frozen=True)
+class Operator:
+    """An operator on coordinate slots: its shift blocks and its zeroth
+    coefficient ``v0(P)``.  ``a + b`` is the sum of two operators; ``a - b``
+    their difference as a kernel function sees it, ``b`` acting on the
+    species of opposite mass sign: its prefactors change sign and its
+    blocks' ``orient`` flips."""
+
+    case: CaseParams
+    blocks: tuple[ShiftBlock, ...]
+    v0: Callable[[Sequence[complex]], complex]
+
+    def __add__(self, other: "Operator") -> "Operator":
+        return Operator(self.case, self.blocks + other.blocks, lambda P: self.v0(P) + other.v0(P))
+
+    def __sub__(self, other: "Operator") -> "Operator":
+        flipped = tuple(replace(b, pref=(-b.pref[0], b.pref[1]), orient=-b.orient)
+                        for b in other.blocks)
+        return Operator(self.case, self.blocks + flipped, lambda P: self.v0(P) - other.v0(P))
+
+    def weights(self, P: Sequence[complex]) -> list[tuple[complex, tuple]]:
+        """The operator at ``P`` as ``(weight, point)`` pairs: per block,
+        slot and sign ``+1, -1`` the prefactor times the shift coefficient,
+        at ``P`` moved by ``sign * step``; then ``(V_0, P)``.  Its action on
+        ``fn`` is the sum of ``weight * fn(point)``, for every ``fn``."""
+        P = tuple(complex(v) for v in P)
+        weights = []
+        for b in self.blocks:
+            pref = b.prefactor(self.case.s_scalar)
+            for j, slot in enumerate(b.slots):
+                for sign in (1, -1):
+                    weights.append((pref * b.coeff(P, j, sign),
+                                    _moved(P, slot, P[slot] + sign * b.step)))
+        weights.append((self.v0(P), P))
+        return weights
+
+
+def conjugated_operator(case: CaseParams, g: Sequence[float], lam: float, beta: float,
+                        masses: Sequence[complex], tags: Sequence[MassTag] | None) -> Operator:
+    """The conjugated operator of ``masses``: per coordinate a block
+    ``coeff`` of :func:`coeff_V_shift`, step ``-i beta / m_j``, prefactor
+    ``s(i lam m_j beta)``; and :func:`coeff_V0`."""
+
+    def coeff(j):
+        return lambda P, _, sign: coeff_V_shift(case, g, lam, beta, masses, tags, P, j, sign)
+
+    blocks = tuple(ShiftBlock("coeff", (j,), coeff(j), -1j * beta / m_j,
+                              (1, 1j * lam * m_j * beta)) for j, m_j in enumerate(masses))
+    return Operator(case, blocks, lambda P: coeff_V0(case, g, lam, beta, masses, P))
+
+
+def vd_operator(case: CaseParams, g: Sequence[float], lam: float, beta: float,
+                slots: Sequence[int], label: str = "x", scaled: bool = False) -> Operator:
+    """The all-unit-mass operator on ``P[slots]``: a block of :func:`vd_V_pm`,
+    step ``-i beta``, prefactor ``s(i lam beta)``; and :func:`vd_V0`.
+    ``scaled`` gives that of masses ``+1/lam``: the same at couplings
+    ``g / lam``, ``1 / lam`` and ``lam * beta``, prefactor ``s(i beta)``."""
+    pref_arg = 1j * lam * beta
+    if scaled:
+        g, lam, beta, pref_arg = tuple(v / lam for v in g), 1.0 / lam, lam * beta, 1j * beta
+
+    def coeff(P, j, sign):
+        return vd_V_pm(case, g, lam, beta, _pick(P, slots), j, sign)
+
+    block = ShiftBlock(label, slots, coeff, -1j * beta, (1, pref_arg))
+    return Operator(case, (block,), lambda P: vd_V0(case, g, lam, beta, _pick(P, slots)))
+
+
+def def_operator(case: CaseParams, g: Sequence[float], lam: float, beta: float,
+                 x: Sequence[int], xt: Sequence[int],
+                 labels: tuple[str, str] = ("x", "t")) -> Operator:
+    """The two-species operator on the undeformed ``P[x]`` and the deformed
+    ``P[xt]``: a block of :func:`def_V_pm`, step ``-i beta``, prefactor
+    ``s(i lam beta)``; a block of :func:`def_Vt_pm`, step ``+i lam beta``,
+    prefactor ``-s(i beta)``; and :func:`def_V0`."""
+
+    def on(coeff):
+        return lambda P, j, sign: coeff(case, g, lam, beta, _pick(P, x), _pick(P, xt), j, sign)
+
+    return Operator(case, (
+        ShiftBlock(labels[0], x, on(def_V_pm), -1j * beta, (1, 1j * lam * beta)),
+        ShiftBlock(labels[1], xt, on(def_Vt_pm), 1j * lam * beta, (-1, 1j * beta)),
+    ), lambda P: def_V0(case, g, lam, beta, _pick(P, x), _pick(P, xt)))
+
+
 def operator_weights(
     case: CaseParams, g: Sequence[float], lam: float, beta: float, masses: Sequence[complex],
     tags: Sequence[MassTag] | None, X: Sequence[complex],
 ) -> list[tuple[complex, tuple]]:
-    """The conjugated operator at ``X`` as ``(weight, point)`` pairs: a
-    prefactor times a shift coefficient with its shifted point, ``2 * n_p``
-    of them, then ``(V_0, X)``.  Its action on ``fn`` is the sum of
-    ``weight * fn(point)``, so the weights serve every function."""
-    X = tuple(complex(v) for v in X)
-    weights = []
-    for j, m_j in enumerate(masses):
-        step = 1j * beta / m_j
-        pref = case.s_scalar(complex(1j * lam * m_j * beta))
-        for sign in (1, -1):
-            coeff = coeff_V_shift(case, g, lam, beta, masses, tags, X, j, sign)
-            weights.append((pref * coeff, _moved(X, j, X[j] - sign * step)))
-    weights.append((coeff_V0(case, g, lam, beta, masses, X), X))
-    return weights
+    """The conjugated operator at ``X`` as ``(weight, point)`` pairs:
+    ``2 * n_p`` shift terms, then ``(V_0, X)``."""
+    return conjugated_operator(case, g, lam, beta, masses, tags).weights(X)
 
 
 def operator_terms(
@@ -704,15 +821,7 @@ def vd_weights(
 ) -> list[tuple[complex, tuple]]:
     """The all-unit-mass operator at ``x`` as ``(weight, point)`` pairs, as
     :func:`operator_weights` gives the conjugated one."""
-    x = tuple(complex(v) for v in x)
-    pref = case.s_scalar(complex(1j * lam * beta))
-    weights = []
-    for j in range(len(x)):
-        for sign in (1, -1):
-            coeff = vd_V_pm(case, g, lam, beta, x, j, sign)
-            weights.append((pref * coeff, _moved(x, j, x[j] - sign * 1j * beta)))
-    weights.append((vd_V0(case, g, lam, beta, x), x))
-    return weights
+    return vd_operator(case, g, lam, beta, range(len(x))).weights(x)
 
 
 # ---------------------------------------------------------------------------
@@ -830,28 +939,11 @@ def def_weights(
     case: CaseParams, g: Sequence[float], lam: float, beta: float, x: Sequence[complex],
     xt: Sequence[complex],
 ) -> list[tuple[complex, tuple]]:
-    """The two-species operator at ``(x, xt)`` as ``(weight, (x', xt'))``
-    pairs (see :func:`operator_weights`).
-
-    Undeformed coordinates step by ``i beta`` with weight ``s(i lam beta)``;
-    deformed coordinates step by ``i lam beta`` the opposite way with
-    weight ``-s(i beta)``.
-    """
-    x = tuple(complex(v) for v in x)
-    xt = tuple(complex(v) for v in xt)
-    pref_x = case.s_scalar(complex(1j * lam * beta))
-    pref_t = case.s_scalar(complex(1j * beta))
-    weights = []
-    for j in range(len(x)):
-        for sign in (1, -1):
-            coeff = def_V_pm(case, g, lam, beta, x, xt, j, sign)
-            weights.append((pref_x * coeff, (_moved(x, j, x[j] - sign * 1j * beta), xt)))
-    for k in range(len(xt)):
-        for sign in (1, -1):
-            coeff = def_Vt_pm(case, g, lam, beta, x, xt, k, sign)
-            weights.append((-pref_t * coeff, (x, _moved(xt, k, xt[k] + sign * 1j * lam * beta))))
-    weights.append((def_V0(case, g, lam, beta, x, xt), (x, xt)))
-    return weights
+    """The two-species operator (:func:`def_operator`) at ``(x, xt)`` as
+    ``(weight, (x', xt'))`` pairs."""
+    n = len(x)
+    op = def_operator(case, g, lam, beta, range(n), range(n, n + len(xt)))
+    return [(w, (Q[:n], Q[n:])) for w, Q in op.weights((*x, *xt))]
 
 
 # ---------------------------------------------------------------------------

@@ -193,10 +193,10 @@ class CaseParams:
     def __post_init__(self) -> None:
         kind = CaseKind.from_label(self.kind)
         object.__setattr__(self, "kind", kind)
-        if kind in (CaseKind.TRIGONOMETRIC, CaseKind.ELLIPTIC) and not self.r > 0:
-            raise DomainError(f"case {kind.label} needs r > 0, got r={self.r}")
-        if kind in (CaseKind.HYPERBOLIC, CaseKind.ELLIPTIC) and not self.a > 0:
-            raise DomainError(f"case {kind.label} needs a > 0, got a={self.a}")
+        if kind in (CaseKind.TRIGONOMETRIC, CaseKind.ELLIPTIC) and not 0 < self.r < math.inf:
+            raise DomainError(f"case {kind.label} needs a finite r > 0, got r={self.r}")
+        if kind in (CaseKind.HYPERBOLIC, CaseKind.ELLIPTIC) and not 0 < self.a < math.inf:
+            raise DomainError(f"case {kind.label} needs a finite a > 0, got a={self.a}")
 
     # -- lattice / half-period data -------------------------------------
 

@@ -35,7 +35,6 @@ from .eigenfunctions import (
     BranchError,
     BranchTracker,
     ConjugatedTerms,
-    ShiftBlock,
     cauchy_kernel_factors,
     conjugation_terms,
     deformed_groundstate_sq_factors,
@@ -58,15 +57,15 @@ from .operators import (
     CouplingSet,
     SummationParams,
     MassTag,
+    Operator,
     _coefficient_memo,
     _moved,
     balance_solve,
     c0_constant,
     coeff_V0,
     coeff_V_shift,
-    def_V0,
-    def_V_pm,
-    def_Vt_pm,
+    def_V0,  # not called here; tests patch this name to count calls
+    def_operator,
     def_weights,
     dual_couplings,
     eigen_constant,
@@ -75,8 +74,8 @@ from .operators import (
     operator_weights,
     reflected_couplings,
     source_constant,
-    vd_V0,
-    vd_V_pm,
+    vd_V0,  # as def_V0
+    vd_operator,
     vd_weights,
     weighted_terms,
 )
@@ -802,21 +801,21 @@ def _direct_kernel_rows(
     grid_label: str,
     index: int,
     Z0: tuple[complex, ...],
-    blocks: Sequence[ShiftBlock],
+    op: Operator,
     kernel_fn: Callable,
-    v0_fn: Callable,
     const: complex,
     ref_fn: Callable,
 ) -> list[SampleResult]:
-    """Pointwise action of the difference of square-root-form operators on
-    the kernel, at ``Z0`` and at one offset point: the
-    :class:`ConjugatedTerms` of ``blocks`` with the kernel as ``F``, every
+    """Pointwise action of the sum or difference ``op`` of square-root-form
+    operators on the kernel, at ``Z0`` and at one offset point: the
+    :class:`ConjugatedTerms` of its blocks with the kernel as ``F``, every
     square root continued from ``Z0``, against ``ref_fn``, the shift
     coefficients of the combined configuration."""
     rows: list[SampleResult] = []
     try:
         tracker = BranchTracker(Z0)
-        terms = ConjugatedTerms(ctx.case, tracker, blocks, lambda P: kernel_fn(tracker, P), ref_fn)
+        terms = ConjugatedTerms(ctx.case, tracker, op.blocks, lambda P: kernel_fn(tracker, P),
+                                ref_fn)
         terms.calibrate()
 
         def residual_at(P):
@@ -825,7 +824,7 @@ def _direct_kernel_rows(
                 here, there, shifted = terms.roots(P, b, j, sign)
                 parts.append(terms.prefactor(b) * (here * there * terms.F(shifted)))
             FP = terms.F(P)
-            parts.append(v0_fn(P) * FP)
+            parts.append(op.v0(P) * FP)
             return _defect(parts, [const * FP])
 
         rows.append(_row(ctx, f"{grid_label}/direct@p0", index, *residual_at(Z0)))
@@ -884,53 +883,27 @@ def _block_sample(ctx: _RunCtx, species: Sequence[_Species], i: int):
     return [tuple(range(a, b)) for a, b in zip(ends, ends[1:])], lab, config, Z
 
 
-def _pick(P: Sequence[complex], slots: Sequence[int]) -> tuple[complex, ...]:
-    return tuple(P[v] for v in slots)
-
-
-def _on_slots(case, fn, g, lam, beta, slices):
-    """``fn`` of the operator at ``(g, lam, beta)`` acting on the
-    coordinates ``P[slices]``, as a function of ``P`` and the remaining
-    arguments of ``fn`` (``j, sign`` for a shift coefficient)."""
-    return lambda P, *args: fn(case, g, lam, beta, *(_pick(P, v) for v in slices), *args)
-
-
 @dataclass(frozen=True)
 class _DisplaySpec:
     """One specialised display of the operator: its species in coordinate
-    order; ``build(case, g, lam, beta, slices)``, which returns the zeroth
-    coefficient ``v0(P)`` less its constant, the weights ``weights(P)``, the
-    squared ground-state factors and one ``(label, slots, coeff(P, j, sign),
-    step)`` closure block per species; and whether the chain and closure
+    order; ``operator(case, g, lam, beta, *slices)``, whose blocks give the
+    chain-shift and closure rows; ``ground(case, g, lam, beta, *slices)``,
+    the squared ground-state factors; and whether the chain and closure
     rows run before the eigen row."""
 
     species: tuple[_Species, ...]
-    build: Callable
+    operator: Callable[..., Operator]
+    ground: Callable
     display: bool = True
 
 
-def _plain_display(case, g, lam, beta, slices):
-    def on(fn):
-        return _on_slots(case, fn, g, lam, beta, slices)
-
-    return (on(vd_V0), on(vd_weights), groundstate_sq_factors(case, g, lam, beta, *slices),
-            [("closure", slices[0], on(vd_V_pm), -1j * beta)])
-
-
-def _deformed_display(case, g, lam, beta, slices):
-    def on(fn):
-        return _on_slots(case, fn, g, lam, beta, slices)
-
-    return (on(def_V0), on(def_weights),
-            deformed_groundstate_sq_factors(case, g, lam, beta, *slices),
-            [("closure-x", slices[0], on(def_V_pm), -1j * beta),
-             ("closure-t", slices[1], on(def_Vt_pm), 1j * lam * beta)])
-
-
+_TWO_SPECIES = ((_N, _NT), partial(def_operator, labels=("closure-x", "closure-t")),
+                deformed_groundstate_sq_factors)
 _DISPLAYS = {
-    "eigen-plain": _DisplaySpec((_N,), _plain_display),
-    "deformed-groundstate": _DisplaySpec((_N, _NT), _deformed_display),
-    "deformed-constant": _DisplaySpec((_N, _NT), _deformed_display, display=False),
+    "eigen-plain": _DisplaySpec((_N,), partial(vd_operator, label="closure"),
+                                groundstate_sq_factors),
+    "deformed-groundstate": _DisplaySpec(*_TWO_SPECIES),
+    "deformed-constant": _DisplaySpec(*_TWO_SPECIES, display=False),
 }
 
 
@@ -942,37 +915,38 @@ def _rows_display(ctx: _RunCtx) -> list[SampleResult]:
         slices, lab, config, Z = _block_sample(ctx, spec.species, i)
         coupling, tags, values = config.coupling, config.masses, config.mass_values
         g, lam, beta = coupling.g, coupling.lam, coupling.beta
-        v0, weights, gs_sq, blocks = spec.build(case, g, lam, beta, slices)
+        op = spec.operator(case, g, lam, beta, *slices)
 
         if spec.display:
             # specialised coefficients == generic multiset coefficients
             dev, sc = _worst_dev([
                 (coeff_V_shift(case, g, lam, beta, values, tags, Z, slot, sign),
-                 coeff(Z, j, sign))
-                for _, slots, coeff, _ in blocks for j, slot in enumerate(slots)
-                for sign in (1, -1)])
+                 b.coeff(Z, j, sign))
+                for b in op.blocks for j, slot in enumerate(b.slots) for sign in (1, -1)])
             rows.append(_row(ctx, f"{lab}/chain-shift", i, dev, sc))
 
             rows.append(_row(ctx, f"{lab}/chain-zero", i,
                              *_rel_dev(coeff_V0(case, g, lam, beta, values, Z),
-                                       v0(Z) - c0_constant(case, g, lam, beta))))
+                                       op.v0(Z) - c0_constant(case, g, lam, beta))))
 
             # square-root closure: coefficient ratio under one step
             # equals the squared ground-state ratio
+            gs_sq = spec.ground(case, g, lam, beta, *slices)
+
             def closure(coeff, slot, j, sign, delta):
                 shifted = _moved(Z, slot, Z[slot] + delta)
                 return (coeff(Z, j, sign) / coeff(shifted, j, -sign),
                         factor_ratio(case, gs_sq, Z, slot, delta))
 
-            for name, slots, coeff, step in blocks:
-                if slots:
+            for b in op.blocks:
+                if b.slots:
                     dev, sc = _worst_dev([
-                        closure(coeff, slot, j, sign, sign * step)
-                        for j, slot in enumerate(slots) for sign in (1, -1)])
-                    rows.append(_row(ctx, f"{lab}/{name}", i, dev, sc))
+                        closure(b.coeff, slot, j, sign, sign * b.step)
+                        for j, slot in enumerate(b.slots) for sign in (1, -1)])
+                    rows.append(_row(ctx, f"{lab}/{b.label}", i, dev, sc))
 
         # eigenvalue: the action on the constant function
-        terms = weighted_terms(weights(Z), lambda _: 1.0)
+        terms = weighted_terms(op.weights(Z), lambda _: 1.0)
         rows.append(_row(ctx, f"{lab}/eigen", i,
                          *_defect(terms, [eigen_constant(case, g, lam, beta, values)])))
 
@@ -994,73 +968,38 @@ def _rows_display(ctx: _RunCtx) -> list[SampleResult]:
 @dataclass(frozen=True)
 class _KernelSpec:
     """One kernel identity: its species in coordinate order, the kernel
-    value ``value(case, g, lam, beta, P, *slices, tracker)``, and ``blocks(case,
-    g, lam, beta, slices)``, which returns the kernel factors ``K``, the
-    zeroth coefficient ``v0(P)`` of the combined operator and the
-    :class:`ShiftBlock` of each species."""
+    value ``value(case, g, lam, beta, P, *slices, tracker)``, and
+    ``build(case, g, lam, beta, *slices)``, which returns the kernel factors
+    ``K`` and the operator the kernel intertwines: the difference or the sum
+    of the operators of its two sides."""
 
     species: tuple[_Species, ...]
     value: Callable
-    blocks: Callable
+    build: Callable[..., tuple[list, Operator]]
 
 
-def _cauchy_blocks(case, g, lam, beta, slices):
-    x, y = slices
-    gref = reflected_couplings(g, lam)
-
-    def v0(P):
-        return (vd_V0(case, g, lam, beta, _pick(P, x))
-                - vd_V0(case, gref, lam, beta, _pick(P, y)))
-
-    return cauchy_kernel_factors(lam, beta, x, y), v0, (
-        ShiftBlock("map-x", x, _on_slots(case, vd_V_pm, g, lam, beta, [x]),
-               -1j * beta, (1, 1j * lam * beta), 1),
-        ShiftBlock("map-y", y, _on_slots(case, vd_V_pm, gref, lam, beta, [y]),
-               -1j * beta, (-1, 1j * lam * beta), -1),
-    )
+def _cauchy(case, g, lam, beta, x, y):
+    return cauchy_kernel_factors(lam, beta, x, y), (
+        vd_operator(case, g, lam, beta, x, "map-x")
+        - vd_operator(case, reflected_couplings(g, lam), lam, beta, y, "map-y"))
 
 
-def _dual_blocks(case, g, lam, beta, slices):
-    x, t = slices
-    gsc = tuple(v / lam for v in g)
-
-    def v0(P):
-        return (vd_V0(case, g, lam, beta, _pick(P, x))
-                + vd_V0(case, gsc, 1.0 / lam, lam * beta, _pick(P, t)))
-
-    return dual_cauchy_kernel_factors(x, t), v0, (
-        ShiftBlock("map-x", x, _on_slots(case, vd_V_pm, g, lam, beta, [x]),
-               -1j * beta, (1, 1j * lam * beta), 1),
-        ShiftBlock("map-t", t, _on_slots(case, vd_V_pm, gsc, 1.0 / lam, lam * beta, [t]),
-               -1j * lam * beta, (1, 1j * beta), 1),
-    )
+def _dual(case, g, lam, beta, x, t):
+    return dual_cauchy_kernel_factors(x, t), (
+        vd_operator(case, g, lam, beta, x, "map-x")
+        + vd_operator(case, g, lam, beta, t, "map-t", scaled=True))
 
 
-def _deformed_blocks(case, g, lam, beta, slices):
-    x, xt, y, yt = slices
-    gref = reflected_couplings(g, lam)
-    K = deformed_kernel_cross_factors(lam, beta, x, xt, y, yt)
-
-    def v0(P):
-        return (def_V0(case, g, lam, beta, _pick(P, x), _pick(P, xt))
-                - def_V0(case, gref, lam, beta, _pick(P, y), _pick(P, yt)))
-
-    return K, v0, (
-        ShiftBlock("map-x", x, _on_slots(case, def_V_pm, g, lam, beta, [x, xt]),
-               -1j * beta, (1, 1j * lam * beta), 1),
-        ShiftBlock("map-t", xt, _on_slots(case, def_Vt_pm, g, lam, beta, [x, xt]),
-               1j * lam * beta, (-1, 1j * beta), 1),
-        ShiftBlock("map-y", y, _on_slots(case, def_V_pm, gref, lam, beta, [y, yt]),
-               -1j * beta, (-1, 1j * lam * beta), -1),
-        ShiftBlock("map-yt", yt, _on_slots(case, def_Vt_pm, gref, lam, beta, [y, yt]),
-               1j * lam * beta, (1, 1j * beta), -1),
-    )
+def _deformed(case, g, lam, beta, x, xt, y, yt):
+    return deformed_kernel_cross_factors(lam, beta, x, xt, y, yt), (
+        def_operator(case, g, lam, beta, x, xt, ("map-x", "map-t"))
+        - def_operator(case, reflected_couplings(g, lam), lam, beta, y, yt, ("map-y", "map-yt")))
 
 
 _KERNELS = {
-    "kernel-cauchy": _KernelSpec((_N, _M), kernel_cauchy_value, _cauchy_blocks),
-    "kernel-dual": _KernelSpec((_N, _MT), kernel_dual_cauchy_value, _dual_blocks),
-    "kernel-deformed": _KernelSpec((_N, _NT, _M, _MT), kernel_deformed_value, _deformed_blocks),
+    "kernel-cauchy": _KernelSpec((_N, _M), kernel_cauchy_value, _cauchy),
+    "kernel-dual": _KernelSpec((_N, _MT), kernel_dual_cauchy_value, _dual),
+    "kernel-deformed": _KernelSpec((_N, _NT, _M, _MT), kernel_deformed_value, _deformed),
 }
 
 
@@ -1073,12 +1012,12 @@ def _rows_kernel(ctx: _RunCtx) -> list[SampleResult]:
         slices, lab, config, Z = _block_sample(ctx, spec.species, i)
         coupling, tags, values = config.coupling, config.masses, config.mass_values
         g, lam, beta = coupling.g, coupling.lam, coupling.beta
-        K, v0, blocks = spec.blocks(case, g, lam, beta, slices)
+        K, op = spec.build(case, g, lam, beta, *slices)
 
         def ref(P, b, j, sign):
             return coeff_V_shift(case, g, lam, beta, values, tags, P, b.slots[j], b.orient * sign)
 
-        for b in blocks:
+        for b in op.blocks:
             if b.slots:
                 dev, sc = _worst_dev([
                     (ref(Z, b, j, sign),
@@ -1089,7 +1028,7 @@ def _rows_kernel(ctx: _RunCtx) -> list[SampleResult]:
                 rows.append(_row(ctx, f"{lab}/{b.label}", i, dev, sc))
 
         rows.append(_row(ctx, f"{lab}/chain-zero", i,
-                         *_rel_dev(coeff_V0(case, g, lam, beta, values, Z), v0(Z))))
+                         *_rel_dev(coeff_V0(case, g, lam, beta, values, Z), op.v0(Z))))
         rows.append(_row(ctx, f"{lab}/const", i, *residual_source(config, Z)))
 
         # N and Nt belong to the first operator, M and Mt to the second;
@@ -1102,7 +1041,7 @@ def _rows_kernel(ctx: _RunCtx) -> list[SampleResult]:
             def kernel(tr, P):
                 return spec.value(case, g, lam, beta, P, *slices, tr)
 
-            rows.extend(_direct_kernel_rows(ctx, lab, i, Z, blocks, kernel, v0, const, ref))
+            rows.extend(_direct_kernel_rows(ctx, lab, i, Z, op, kernel, const, ref))
 
         if ctx.label == "IV":
             rows.extend(_controls(ctx, f"{lab}/const", i, lambda delta: residual_source(

@@ -12,7 +12,6 @@ from vandiejen.eigenfunctions import (
     BranchError,
     BranchTracker,
     ConjugatedTerms,
-    ShiftBlock,
     conjugation_terms,
     deformed_groundstate_value,
     groundstate_psi,
@@ -20,7 +19,7 @@ from vandiejen.eigenfunctions import (
     psi_single,
     sqrt_operator_weights,
 )
-from vandiejen.operators import MassTag, def_V_pm, def_Vt_pm, weighted_terms
+from vandiejen.operators import MassTag, def_operator, weighted_terms
 from vandiejen.sfun import CaseKind, CaseParams, PoleProximityError
 
 R, A = 1.1, 1.8
@@ -199,12 +198,7 @@ def _compare_two_species(label, base, dx, dy):
     coordinate, as in the four-block kernel, at ``base`` and at ``base``
     moved by ``(dx, dy)``, against the reference walk bit for bit."""
     case, g = CASES[label], G[label]
-    blocks = (
-        ShiftBlock("x", (0,), lambda P, j, s: def_V_pm(case, g, LAM, BETA, P[:1], P[1:], j, s),
-                   -1j * BETA, (1, 1j * LAM * BETA)),
-        ShiftBlock("t", (1,), lambda P, j, s: def_Vt_pm(case, g, LAM, BETA, P[:1], P[1:], j, s),
-                   1j * LAM * BETA, (-1, 1j * BETA)),
-    )
+    blocks = def_operator(case, g, LAM, BETA, (0,), (1,)).blocks
 
     def evaluate(tracker):
         terms = ConjugatedTerms(case, tracker, blocks, lambda P: 1.0, None)

@@ -162,9 +162,10 @@ def test_eval_constant_trigonometric(capsys):
 
 @pytest.mark.parametrize("quantity", ("gamma", "constant"))
 def test_eval_alpha_zero_is_rejected(capsys, quantity):
-    # --alpha 0 is a given value, not a missing flag
+    # --alpha 0 is a given value, not a missing flag; constant reads no point
+    points = ["--x", "0.3"] if quantity == "gamma" else []
     code, out, err = run_main(
-        capsys, ["eval", quantity, "--x", "0.3", "--alpha", "0", "--case", "I"])
+        capsys, ["eval", quantity, *points, "--alpha", "0", "--case", "I"])
     assert code == EXIT_CONFIG
     assert out == ""
     assert "alpha must have nonzero real part" in err
@@ -235,6 +236,49 @@ def test_eval_of_a_coordinate_that_is_not_finite_is_a_configuration_error(capsys
     assert code == EXIT_CONFIG
     assert f"configuration error: coordinate '{token}' is not finite" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--case", "II", "--x", "0.3", "--alpha", "nan"],
+    ["s", "--case", "III", "--a", "inf", "--x", "0.3"],
+    ["coefficients", "--case", "II", "--x", "0.4", "--g", "0.3,0.35,0.4,0.45", "--lambda", "1.45",
+     "--beta", "inf"],
+    ["coefficients", "--case", "II", "--x", "0.4", "--g", "nan,0.35,0.4,0.45", "--lambda", "1.45",
+     "--beta", "0.3"],
+    # a scale the case does not use
+    ["s", "--case", "I", "--r", "nan", "--x", "0.3"],
+])
+def test_eval_of_a_parameter_that_is_not_finite_is_a_configuration_error(capsys, argv):
+    # neither a traceback nor a value at a pole (exit 3)
+    code, out, err = run_main(capsys, ["eval", *argv])
+    assert code == EXIT_CONFIG
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "finite" in err and out == ""
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["constant", "--case", "III", "--a", "1.5", "--g", "0.3,0.4,0.1,0.2", "--lambda", "0.8",
+      "--beta", "0.25"], "field g"),
+    (["s", "--case", "II", "--x", "0.3", "--masses", "1", "--lambda", "0.8"], "field lambda"),
+    (["constant", "--case", "II", "--x", "0.3"], "flag --x"),
+    (["theta", "--case", "IV", "--x", "0.3", "--alpha", "0.5"], "flag --alpha"),
+    (["eigenfunction", "--case", "II", "--x", "0.4", "--g", "0.3,0.35,0.4,0.45", "--lambda",
+      "1.45", "--beta", "0.3", "--masses", "1"], "field masses"),
+])
+def test_eval_rejects_a_flag_its_quantity_does_not_read(capsys, argv, name):
+    code, out, err = run_main(capsys, ["eval", *argv])
+    assert code == EXIT_CONFIG
+    assert err == f"configuration error: {name}: eval {argv[0]} does not read it\n"
+    assert out == ""
+
+
+def test_eval_rejects_a_config_key_its_quantity_does_not_read(tmp_path, capsys):
+    config = tmp_path / "ev.json"
+    config.write_text('{"lambda": 0.8, "r": 1.0}')
+    code, out, err = run_main(capsys, ["eval", "s", "--case", "II", "--x", "0.3",
+                                       "--config", str(config)])
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == "configuration error: field lambda: eval s does not read it\n"
 
 
 def test_eval_coefficients_table(capsys):

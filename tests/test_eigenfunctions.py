@@ -394,11 +394,11 @@ def test_sheet_fault_breaks_a_kernel_identity():
     g = couplings_for("II")
     tags = (MassTag.PLUS_ONE, MassTag.MINUS_ONE)
     masses = tuple(t.value_for(LAM) for t in tags)
-    _, v0, blocks = _KERNELS["kernel-cauchy"].blocks(case, g, LAM, BETA, ((0,), (1,)))
+    _, op = _KERNELS["kernel-cauchy"].build(case, g, LAM, BETA, (0,), (1,))
     base = (0.43 + 0.04j, 0.86 - 0.05j)
     tracker = BranchTracker(base)
     terms = ConjugatedTerms(
-        case, tracker, blocks,
+        case, tracker, op.blocks,
         lambda P: kernel_cauchy_value(case, g, LAM, BETA, P, (0,), (1,), tracker),
         lambda P, b, j, s: coeff_V_shift(case, g, LAM, BETA, masses, tags, P, b.slots[j],
                                          b.orient * s))
@@ -410,7 +410,7 @@ def test_sheet_fault_breaks_a_kernel_identity():
         for b, j, sign in terms.terms:
             here, there, shifted = terms.roots(P, b, j, sign)
             parts.append(terms.prefactor(b) * here * there * terms.F(shifted))
-        parts.append((v0(P) - const) * terms.F(P))
+        parts.append((op.v0(P) - const) * terms.F(P))
         return abs(sum(parts)) / max(abs(p) for p in parts)
 
     P = (0.47 + 0.02j, 0.83 - 0.03j)

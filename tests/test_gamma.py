@@ -178,6 +178,12 @@ def test_purely_imaginary_alpha_rejected():
         gamma_G(make("II"), 1j, 0.3)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(0.7, math.nan)])
+def test_alpha_that_is_not_finite_is_rejected(alpha):
+    with pytest.raises(DomainError, match="alpha must be finite"):
+        gamma_G(make("II"), alpha, 0.3)
+
+
 def test_functional_equation_ties_constant_to_s():
     # the quotient G(x+ia/2)/G(x-ia/2) reproduces c * s(x) for fresh points,
     # pinning the sign convention of the constant

@@ -1,5 +1,7 @@
 """Difference operators: coefficients, constants, balancing, summation identity."""
 
+import math
+
 import pytest
 
 from vandiejen.operators import (
@@ -93,6 +95,13 @@ def test_coupling_set_validation():
     with pytest.raises(DomainError):
         cs.validate_for(make("IV"))
     assert cs.g_sum == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("g, lam, beta", [((math.nan, 0.2), 1.4, 0.3), ((0.1, 0.2), math.inf, 0.3),
+                                         ((0.1, 0.2), 1.4, math.inf)])
+def test_coupling_set_rejects_a_parameter_that_is_not_finite(g, lam, beta):
+    with pytest.raises(DomainError, match="finite"):
+        CouplingSet(g, lam=lam, beta=beta)
 
 
 def test_coupling_duals():

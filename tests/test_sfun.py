@@ -42,6 +42,14 @@ def test_case_kind_labels():
         CaseKind.from_label("V")
 
 
+@pytest.mark.parametrize("label, scales", [("III", {"a": math.inf}), ("II", {"r": math.inf}),
+                                           ("IV", {"r": 1.0, "a": math.inf}),
+                                           ("IV", {"r": math.inf, "a": 2.0})])
+def test_case_scales_that_are_not_finite_are_rejected(label, scales):
+    with pytest.raises(DomainError, match="needs a finite"):
+        CaseParams(CaseKind.from_label(label), **scales)
+
+
 def test_lattice_data():
     one = make("I")
     assert one.rho == 0

@@ -386,11 +386,16 @@ def test_conjugation_gauge_flip_invariance(monkeypatch):
         assert abs(ra.residual - rb.residual) < 1e-12
 
 
-@pytest.mark.parametrize("case", ["I", "II"])
-def test_four_block_direct_rows_pass(case):
+@pytest.mark.parametrize("identity, particles, case", [
+    *(pytest.param("kernel-deformed", (1, 1, 1, 1), c, id=c) for c in ("I", "II")),
+    # the difference and the sum of two all-unit operators
+    *(pytest.param("kernel-cauchy", (1, 0, 1, 0), c, id=f"cauchy-{c}") for c in ("I", "II")),
+    *(pytest.param("kernel-dual", (1, 0, 0, 1), c, id=f"dual-{c}") for c in ("I", "II")),
+])
+def test_four_block_direct_rows_pass(identity, particles, case):
     # one coordinate per species joins both operators at every sample, so
-    # two samples reach the direct rows of the deformed kernel
-    rep = run_identity("kernel-deformed", case, samples=2, seed=0, particles=(1, 1, 1, 1))
+    # two samples reach the direct rows of the kernel
+    rep = run_identity(identity, case, samples=2, seed=0, particles=particles)
     direct = [row for row in rep.results if "/direct" in row.label]
     assert [row.label.split("/")[1] for row in direct] == ["direct@p0", "direct@p1"] * 2
     assert all(row.passed for row in direct)
