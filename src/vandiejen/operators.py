@@ -316,10 +316,18 @@ def _run_s(memo: dict, case: CaseParams) -> Callable[[complex], complex]:
     On cases I-III that is the scalar ``s``.  On case IV a scalar theta
     series costs microseconds, and a run asks for many arguments more than
     once, so the ``s`` kept in the memo remembers the value of each complex
-    argument, and dies with the memo.  An argument with a zero part is
-    keyed by the signs of its parts too: ``s`` is odd, and ``-0.0 == 0.0``
-    would hand ``s(-0.0 + yi)`` the value of ``s(0.0 + yi)``.  mpmath
-    numbers and arrays pass through.
+    argument, and dies with the memo.
+
+    The float theta series is odd bit for bit (see
+    :func:`~vandiejen.sfun._theta_series`), so an argument with both parts
+    nonzero shares one entry with its negation: the entry of the one with
+    ``Re > 0``, which holds the negated value when the other came first.  A
+    miss evaluates ``s`` at the argument asked for, so an error and its
+    message are that argument's, and nothing is committed.  An argument
+    with a zero part is not folded and is keyed by the signs of its parts
+    too: ``-0.0 == 0.0`` would hand ``s(-0.0 + yi)`` the value of
+    ``s(0.0 + yi)``, and there the series is odd only up to the sign of a
+    zero.  mpmath numbers and arrays pass through.
     """
     if case.kind is not CaseKind.ELLIPTIC:
         return case.s_scalar
@@ -330,12 +338,18 @@ def _run_s(memo: dict, case: CaseParams) -> Callable[[complex], complex]:
         def remembering(z):
             if type(z) is not complex:
                 return s(z)
-            key = z if z.real and z.imag else (z, math.copysign(1.0, z.real),
-                                                math.copysign(1.0, z.imag))
+            re, im = z.real, z.imag
+            if re and im:
+                flip = re < 0
+                key = -z if flip else z
+            else:
+                flip, key = False, (z, math.copysign(1.0, re), math.copysign(1.0, im))
             value = values.get(key)
             if value is None:
-                value = values[key] = s(z)
-            return value
+                value = s(z)
+                values[key] = -value if flip else value
+                return value
+            return -value if flip else value
 
         memo[("s", case)] = remembering
     return remembering
@@ -571,11 +585,15 @@ class Operator:
         """The operator at ``P`` as ``(weight, point)`` pairs: per block,
         slot and sign ``+1, -1`` the prefactor times the shift coefficient,
         at ``P`` moved by ``sign * step``; then ``(V_0, P)``.  Its action on
-        ``fn`` is the sum of ``weight * fn(point)``, for every ``fn``."""
+        ``fn`` is the sum of ``weight * fn(point)``, for every ``fn``.  The
+        prefactors take the run's ``s`` (:func:`_run_s`) when a memo is
+        open, as the coefficients do, and the case's scalar ``s`` otherwise."""
         P = tuple(complex(v) for v in P)
+        memo = _MEMO.get()
+        s = self.case.s_scalar if memo is None else _run_s(memo, self.case)
         weights = []
         for b in self.blocks:
-            pref = b.prefactor(self.case.s_scalar)
+            pref = b.prefactor(s)
             for j, slot in enumerate(b.slots):
                 for sign in (1, -1):
                     weights.append((pref * b.coeff(P, j, sign),

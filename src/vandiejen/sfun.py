@@ -52,7 +52,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice, product
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -315,6 +315,12 @@ def theta_eval(z, tau=None, q=None):
     mpmath ``z`` runs the scalar series with mpmath's ``exp``, its count
     taken at the working epsilon instead of :data:`TARGET_REL_ERR`.
 
+    A scalar takes the bound series of :func:`_theta_series` (a ``complex``
+    as it is, another scalar type as a ``complex``).  The scalar ``s`` of
+    case IV (:attr:`CaseParams.s_scalar`) calls this function, not the
+    bound series, so each float series it sums is a ``theta_eval`` call
+    that a profile or a tracer counts.
+
     Parameters
     ----------
     z:
@@ -323,13 +329,13 @@ def theta_eval(z, tau=None, q=None):
         Modular parameter or nome; exactly one must be given, with
         ``q = exp(i pi tau)`` and ``|q| < 1``.
     """
-    if isinstance(z, _SCALAR_TYPES):
+    if type(z) is complex or isinstance(z, _SCALAR_TYPES):
         if tau is None and type(q) is float:
             series = _float_nome_series(q)
         else:
             series = _theta_series(cmath.log(_nome_from(tau=tau, q=q)), _LOG_TARGET, cmath.exp,
                                    _THETA_OVERFLOW_EXP)
-        value = series(complex(z))
+        value = series(z if type(z) is complex else complex(z))
         if value is not None:
             return value
         # the term cap, the overflow guard, or cmath raising where numpy
@@ -462,11 +468,21 @@ def _theta_series(log_q, log_tol: float, exp, overflow: float) -> Callable:
     the numpy series, to the count :func:`_theta_terms` gives at ``|Im z|``.
     It returns None where that count meets the term cap or the overflow
     bound, or where ``cmath`` raises: the array path of :func:`theta_eval`
-    answers those, and the mpmath route raises.
+    answers those, and the mpmath route raises.  The sign ``(-1)^n`` of a
+    term rides on its frequency ``(-1)^n i (2n + 1)``, which swaps the two
+    exponentials of an odd term; as IEEE rounding is symmetric in sign, the
+    sum is that of subtracting the term, bit for bit.
+
+    On the float route the series is odd bit for bit at a ``z`` with both
+    parts nonzero: at ``-z`` the two exponentials ``exp(e +- kz)`` of each
+    term swap exactly, and every later step is symmetric in sign.  (A zero
+    part may lose the sign of a zero; the count, the term cap and the
+    overflow bound read ``|Im z|``, so ``-z`` gives None where ``z`` does.)
+    The run memo of :func:`vandiejen.operators._run_s` folds on this.
     """
     quarter = abs(log_q) / 4
     table = _count_table(float(log_q.real), log_tol)
-    consts: list = []  # (exponent, frequency, odd) of terms 0, 1, ...: replaced, not mutated
+    consts: list = []  # (exponent, frequency) of terms 0, 1, ...: replaced, not mutated
 
     def series(z):
         nonlocal consts
@@ -476,16 +492,13 @@ def _theta_series(log_q, log_tol: float, exp, overflow: float) -> Callable:
             return None
         terms = consts
         if len(terms) <= n_stop:
-            terms = consts = [((n + 0.5) ** 2 * log_q, 1j * (2 * n + 1), n % 2)
+            terms = consts = [((n + 0.5) ** 2 * log_q, complex(0.0, (-1) ** n * (2 * n + 1)))
                               for n in range(n_stop + 1)]
         total = 0j
         try:
-            for exponent, k, odd in islice(terms, n_stop + 1):
+            for exponent, k in terms[:n_stop + 1]:
                 kz = k * z
-                if odd:
-                    total -= (exp(exponent + kz) - exp(exponent - kz)) / 2j
-                else:
-                    total += (exp(exponent + kz) - exp(exponent - kz)) / 2j
+                total += (exp(exponent + kz) - exp(exponent - kz)) / 2j
         except (OverflowError, ValueError):
             return None
         return 2.0 * total
@@ -657,9 +670,11 @@ def _scalar_s(case: CaseParams) -> Callable:
         scale, r, q = case._s_scale, case.r, case.q
 
         def s(x):
-            if not isinstance(x, _SCALAR_TYPES):
-                return s_eval(case, x)
-            return scale * theta_eval(r * complex(x), q=q)
+            if type(x) is not complex:
+                if not isinstance(x, _SCALAR_TYPES):
+                    return s_eval(case, x)
+                x = complex(x)
+            return scale * theta_eval(r * x, q=q)
 
     return s
 

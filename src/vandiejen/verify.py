@@ -64,7 +64,6 @@ from .operators import (
     c0_constant,
     coeff_V0,
     coeff_V_shift,
-    def_V0,  # not called here; tests patch this name to count calls
     def_operator,
     def_weights,
     dual_couplings,
@@ -74,7 +73,6 @@ from .operators import (
     operator_weights,
     reflected_couplings,
     source_constant,
-    vd_V0,  # as def_V0
     vd_operator,
     vd_weights,
     weighted_terms,

@@ -213,3 +213,77 @@ def test_the_remembered_s_values_end_with_their_run(fails):
             verify.run_identity("source", "IV", samples=1)
     gc.collect()
     assert len(stores) == 1 and stores[0]() is None and _memo() is None
+
+
+# ---------------------------------------------------------------------------
+# the remembering s of case IV: folded by oddness
+# ---------------------------------------------------------------------------
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    """The parts of ``z`` as reprs, signs of zero kept."""
+    return repr(z.real), repr(z.imag)
+
+
+@contextlib.contextmanager
+def _theta_calls():
+    """The arguments of every ``theta_eval`` call inside the block."""
+    args = []
+    original = sfun.theta_eval
+
+    def counted(z, *a, **kw):
+        args.append(z)
+        return original(z, *a, **kw)
+
+    with mock.patch.object(sfun, "theta_eval", counted):
+        yield args
+
+
+@pytest.mark.parametrize("z", [0.41 + 0.07j, -0.41 + 0.07j, 0.41 - 0.07j, -0.41 - 0.07j])
+def test_an_argument_and_its_negation_share_one_series(z):
+    with _coefficient_memo():
+        s = operators._run_s(_memo(), CASE)
+        with _theta_calls() as args:
+            first, second = s(z), s(-z)
+            assert len(args) == 1
+            # both values remembered, with their own bits
+            assert (_bits(s(z)), _bits(s(-z))) == (_bits(first), _bits(second))
+            assert len(args) == 1
+    assert _bits(first) == _bits(CASE.s_scalar(z))
+    assert _bits(second) == _bits(CASE.s_scalar(-z))
+
+
+def test_an_argument_with_a_zero_part_keeps_its_own_entry():
+    points = (complex(0.0, 0.3), complex(-0.0, -0.3))
+    with _coefficient_memo():
+        s = operators._run_s(_memo(), CASE)
+        with _theta_calls() as args:
+            values = [s(z) for z in points]
+            assert [_bits(s(z)) for z in points] == [_bits(v) for v in values]
+    assert [_bits(w) for w in args] == [_bits(CASE.r * z) for z in points]
+    assert [_bits(v) for v in values] == [_bits(CASE.s_scalar(z)) for z in points]
+
+
+@pytest.mark.parametrize("z", [complex(-0.5, 100.0), complex(0.5, -100.0)])
+def test_an_argument_that_fails_raises_at_itself_and_commits_nothing(z):
+    with pytest.raises(sfun.DomainError) as fresh:
+        CASE.s_scalar(z)
+    with _coefficient_memo():
+        s = operators._run_s(_memo(), CASE)
+        for w in (z, z, -z):
+            with _theta_calls() as args, pytest.raises(sfun.DomainError) as err:
+                s(w)
+            # evaluated at w itself, not at the representative -w of the fold
+            assert [_bits(a) for a in args] == [_bits(CASE.r * w)]
+            assert str(err.value) == str(fresh.value)
+
+
+def test_a_second_weights_call_takes_no_new_s_values():
+    op = operators.vd_operator(CASE, G, LAM, BETA, (0, 1))
+    fresh = op.weights(X)
+    with _coefficient_memo():
+        first = op.weights(X)
+        with _theta_calls() as args:
+            again = op.weights(X)
+    assert not args
+    assert first == again == fresh

@@ -252,6 +252,39 @@ def test_the_series_equals_the_scan_and_sum_it_replaced(q):
     assert outcomes == {True, False}
 
 
+def _unsigned_zeros(outcome):
+    return outcome if outcome is None else tuple("0.0" if p == "-0.0" else p for p in outcome)
+
+
+@pytest.mark.parametrize("q", SERIES_NOMES, ids=repr)
+def test_the_series_is_odd_bit_for_bit(q):
+    # the run memo of case IV keeps one value for z and -z (operators._run_s);
+    # the points of the test above, compared as reprs (a NaN's sign is no value)
+    series = sfun._theta_series(cmath.log(q), math.log(TARGET_REL_ERR), cmath.exp, 650.0)
+    rng = np.random.default_rng(23)
+    n_pts = 3000
+    ims = rng.uniform(0.0, 4.0, n_pts) * rng.choice((-1.0, 1.0), n_pts)
+    points = [complex(x, y) for x, y in zip(rng.uniform(-4.0, 4.0, n_pts), ims)]
+    for im in sfun._count_table(cmath.log(q).real, math.log(TARGET_REL_ERR)):
+        for y in (im, math.nextafter(im, 0.0)):
+            points += [complex(0.7, y), complex(-1.3, -y)]
+    parts = (0.0, -0.0, 0.4, -1.3, math.nan, math.inf, -math.inf)
+    points += [complex(x, y) for x, y in itertools.product(parts, parts)]
+    outcomes = set()
+    for z in points:
+        at_z = series(z)
+        negated = _bit_outcome(lambda: at_z if at_z is None else -at_z)
+        got = _bit_outcome(series, -z)
+        if z.real and z.imag:
+            assert got == negated, (q, z)
+            outcomes.add(got is None)
+        else:
+            # a zero part may lose the sign of a zero, and nothing else
+            assert _unsigned_zeros(got) == _unsigned_zeros(negated), (q, z)
+    # values, and points past the term cap or the overflow guard
+    assert outcomes == {True, False}
+
+
 @pytest.mark.parametrize("mod", GRID_Q)
 def test_the_count_table_holds_the_flip_of_each_tail_bound(mod):
     decay = math.log(mod)
