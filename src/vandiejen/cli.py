@@ -399,6 +399,8 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
         if value is not None and attr not in _EVAL_READS[quantity].split():
             name = f"field {_FIELDS[attr][0]}" if attr in _FIELDS else f"flag --{attr}"
             raise DomainError(f"{name}: eval {quantity} does not read it")
+    if cfg.masses is not None and cfg.particles is not None:
+        raise DomainError(f"fields masses, particles: eval {quantity} reads one, not both")
     if len(cfg.cases) > 1:
         raise DomainError(
             f"field cases: eval takes one case, got {','.join(cfg.cases)}")

@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gamma import _step_ratio, functional_eq_constant, gamma_G
-from .operators import (MassTag, ShiftBlock, _batched, _coefficient_memo, _moved,
+from .operators import (MassTag, Operator, ShiftBlock, _batched, _coefficient_memo, _moved,
                         conjugated_operator, d_param, dual_couplings, reflected_couplings)
 from .sfun import CaseParams, DomainError, PoleProximityError, s_eval
 
@@ -65,7 +65,6 @@ __all__ = [
     "pathwise",
     "ConjugatedTerms",
     "conjugation_terms",
-    "sqrt_operator_weights",
     "psi_single",
     "psi_single_sq",
     "phi_pair",
@@ -575,7 +574,7 @@ def eigenfunction_value(
 
 
 class ConjugatedTerms:
-    """The shift terms of a square-root-form operator conjugated by ``F``.
+    """The square-root form of an operator ``op``, conjugated by ``F``.
 
     The term of block ``b``, index ``j`` and sign ``sign`` pairs the
     continued root of ``b.coeff(., j, sign)`` at ``P`` with that of
@@ -586,27 +585,26 @@ class ConjugatedTerms:
     per slot, since the factor ``(b.label, slot, 1)`` enters the terms of
     both directions.  :meth:`calibrate` pins that gauge at the tracker's
     base and :meth:`coherent` checks the terms at another point.
+
+    ``F`` is evaluated once per point and kept.  That is safe under a
+    sheet fault (:meth:`BranchTracker.set_fault`) on a coefficient root,
+    keyed by its block's label: ``F`` continues its own roots under other
+    keys, so a value kept from before the fault is its value after it.
     """
 
     def __init__(
         self,
-        case: CaseParams,
         tracker: BranchTracker,
-        blocks: Sequence[ShiftBlock],
+        op: Operator,
         F: Callable[[Sequence[complex]], complex],
         ref: Callable[[Sequence[complex], ShiftBlock, int, int], complex],
     ) -> None:
-        self.case = case
         self.tracker = tracker
-        self.blocks = tuple(blocks)
-        self.F = F
+        self.op = op
+        self.F = cache(F)
         self.ref = ref
-        self.terms = tuple((b, j, sign) for b in self.blocks
+        self.terms = tuple((b, j, sign) for b in op.blocks
                            for j in range(len(b.slots)) for sign in (1, -1))
-        self._s = cache(case.s_scalar)
-
-    def prefactor(self, b: ShiftBlock) -> complex:
-        return b.prefactor(self._s)
 
     def roots(self, P: tuple, b: ShiftBlock, j: int, sign: int) -> tuple:
         """The term's two continued roots and its shifted point."""
@@ -617,6 +615,22 @@ class ConjugatedTerms:
         there = self.tracker.sqrt_at((b.label, slot, -sign),
                                      pathwise(lambda Q: b.coeff(Q, j, -sign)), shifted)
         return here, there, shifted
+
+    def weights(self, P: Sequence[complex]) -> list[tuple[complex, tuple]]:
+        """The square-root form at ``P`` as ``(weight, point)`` pairs, as
+        :meth:`Operator.weights` gives the plain one: per term the
+        prefactor times both continued roots, at the shifted point; then
+        ``(V_0, P)``.  With the eigenfunction as ``F``, on ``F * fn`` over
+        ``F(P)`` it is ``op.weights`` on ``fn``."""
+        P = tuple(complex(v) for v in P)
+        weights = []
+        for b, pref in zip(self.op.blocks, self.op.prefactors()):
+            for j in range(len(b.slots)):
+                for sign in (1, -1):
+                    here, there, shifted = self.roots(P, b, j, sign)
+                    weights.append((pref * here * there, shifted))
+        weights.append((self.op.v0(P), P))
+        return weights
 
     def _ratio(self, P: tuple, FP: complex, b: ShiftBlock, j: int, sign: int) -> complex:
         here, there, shifted = self.roots(P, b, j, sign)
@@ -640,7 +654,7 @@ class ConjugatedTerms:
                 return -1
             raise BranchError(f"gauge ratio {ratio:.6f} at {where} is not a sign")
 
-        for b in self.blocks:
+        for b in self.op.blocks:
             for j, slot in enumerate(b.slots):
                 if to_sign(self._ratio(base, F0, b, j, 1), f"coordinate {slot}, up shift") < 0:
                     self.tracker.set_gauge((b.label, slot, 1), -1)
@@ -676,27 +690,8 @@ def conjugation_terms(
     conjugated by its eigenfunction (``specs``): one block per coordinate,
     with its own plain shift coefficient as the reference."""
     op = conjugated_operator(case, g, lam, beta, tuple(t.value_for(lam) for t in tags), tags)
-    return ConjugatedTerms(case, tracker, op.blocks,
-                           lambda P: eigenfunction_value(specs, tracker, P),
+    return ConjugatedTerms(tracker, op, lambda P: eigenfunction_value(specs, tracker, P),
                            lambda P, b, j, s: b.coeff(P, j, s))
-
-
-def sqrt_operator_weights(
-    case: CaseParams, g: Sequence[float], lam: float, beta: float, tags: Sequence[MassTag],
-    Z: Sequence[complex], terms: ConjugatedTerms,
-) -> list[tuple[complex, tuple]]:
-    """The square-root form of the operator at ``Z`` as ``(weight, point)``
-    pairs: per shift term of ``terms`` (:func:`conjugation_terms`) its
-    prefactor times both continued roots, at the shifted point, then
-    ``(V_0, Z)``."""
-    Z = tuple(complex(v) for v in Z)
-    op = conjugated_operator(case, g, lam, beta, tuple(t.value_for(lam) for t in tags), tags)
-    weights = []
-    for b, j, sign in terms.terms:
-        here, there, shifted = terms.roots(Z, b, j, sign)
-        weights.append((terms.prefactor(b) * here * there, shifted))
-    weights.append((op.v0(Z), Z))
-    return weights
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,6 @@ __all__ = [
     "conjugated_operator",
     "vd_operator",
     "def_operator",
-    "operator_weights",
     "operator_terms",
     "weighted_terms",
     "source_constant",
@@ -85,11 +84,9 @@ __all__ = [
     "dual_couplings",
     "vd_V_pm",
     "vd_V0",
-    "vd_weights",
     "def_V_pm",
     "def_Vt_pm",
     "def_V0",
-    "def_weights",
     "summation_shift_term",
     "summation_boundary_term",
     "summation_lhs",
@@ -581,19 +578,22 @@ class Operator:
                         for b in other.blocks)
         return Operator(self.case, self.blocks + flipped, lambda P: self.v0(P) - other.v0(P))
 
+    def prefactors(self) -> list[complex]:
+        """Each block's prefactor, from the run's ``s`` (:func:`_run_s`)
+        when a memo is open, as the coefficients take it, and from the
+        case's scalar ``s`` otherwise."""
+        memo = _MEMO.get()
+        s = self.case.s_scalar if memo is None else _run_s(memo, self.case)
+        return [b.prefactor(s) for b in self.blocks]
+
     def weights(self, P: Sequence[complex]) -> list[tuple[complex, tuple]]:
         """The operator at ``P`` as ``(weight, point)`` pairs: per block,
         slot and sign ``+1, -1`` the prefactor times the shift coefficient,
         at ``P`` moved by ``sign * step``; then ``(V_0, P)``.  Its action on
-        ``fn`` is the sum of ``weight * fn(point)``, for every ``fn``.  The
-        prefactors take the run's ``s`` (:func:`_run_s`) when a memo is
-        open, as the coefficients do, and the case's scalar ``s`` otherwise."""
+        ``fn`` is the sum of ``weight * fn(point)``, for every ``fn``."""
         P = tuple(complex(v) for v in P)
-        memo = _MEMO.get()
-        s = self.case.s_scalar if memo is None else _run_s(memo, self.case)
         weights = []
-        for b in self.blocks:
-            pref = b.prefactor(s)
+        for b, pref in zip(self.blocks, self.prefactors()):
             for j, slot in enumerate(b.slots):
                 for sign in (1, -1):
                     weights.append((pref * b.coeff(P, j, sign),
@@ -650,15 +650,6 @@ def def_operator(case: CaseParams, g: Sequence[float], lam: float, beta: float,
     ), lambda P: def_V0(case, g, lam, beta, _pick(P, x), _pick(P, xt)))
 
 
-def operator_weights(
-    case: CaseParams, g: Sequence[float], lam: float, beta: float, masses: Sequence[complex],
-    tags: Sequence[MassTag] | None, X: Sequence[complex],
-) -> list[tuple[complex, tuple]]:
-    """The conjugated operator at ``X`` as ``(weight, point)`` pairs:
-    ``2 * n_p`` shift terms, then ``(V_0, X)``."""
-    return conjugated_operator(case, g, lam, beta, masses, tags).weights(X)
-
-
 def operator_terms(
     case: CaseParams,
     g: Sequence[float],
@@ -675,7 +666,7 @@ def operator_terms(
     the list is the operator action.  Exposing the list (rather than only
     the sum) lets callers normalise residuals by the largest term.
     """
-    return weighted_terms(operator_weights(case, g, lam, beta, masses, tags, X), fn)
+    return weighted_terms(conjugated_operator(case, g, lam, beta, masses, tags).weights(X), fn)
 
 
 def weighted_terms(weights: Sequence[tuple[complex, tuple]], fn: Callable) -> list[complex]:
@@ -834,14 +825,6 @@ def vd_V0(
     return _unit_V0(case, g, lam, beta, x, None)
 
 
-def vd_weights(
-    case: CaseParams, g: Sequence[float], lam: float, beta: float, x: Sequence[complex],
-) -> list[tuple[complex, tuple]]:
-    """The all-unit-mass operator at ``x`` as ``(weight, point)`` pairs, as
-    :func:`operator_weights` gives the conjugated one."""
-    return vd_operator(case, g, lam, beta, range(len(x))).weights(x)
-
-
 # ---------------------------------------------------------------------------
 # specialised coefficients: two-species deformation
 # ---------------------------------------------------------------------------
@@ -951,17 +934,6 @@ def _unit_V0(case, g, lam, beta, x, xt) -> complex:
         return -0.25 * pref * pref * total
 
     return _batched(case, formula)
-
-
-def def_weights(
-    case: CaseParams, g: Sequence[float], lam: float, beta: float, x: Sequence[complex],
-    xt: Sequence[complex],
-) -> list[tuple[complex, tuple]]:
-    """The two-species operator (:func:`def_operator`) at ``(x, xt)`` as
-    ``(weight, (x', xt'))`` pairs."""
-    n = len(x)
-    op = def_operator(case, g, lam, beta, range(n), range(n, n + len(xt)))
-    return [(w, (Q[:n], Q[n:])) for w, Q in op.weights((*x, *xt))]
 
 
 # ---------------------------------------------------------------------------

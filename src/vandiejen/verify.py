@@ -49,7 +49,6 @@ from .eigenfunctions import (
     phi_factor_specs,
     power_sum_weight,
     quasi_invariance_defect,
-    sqrt_operator_weights,
 )
 from .gamma import functional_eq_constant, gamma_G
 from .operators import (
@@ -65,16 +64,13 @@ from .operators import (
     coeff_V0,
     coeff_V_shift,
     def_operator,
-    def_weights,
     dual_couplings,
     eigen_constant,
     summation_terms,
     operator_terms,
-    operator_weights,
     reflected_couplings,
     source_constant,
     vd_operator,
-    vd_weights,
     weighted_terms,
 )
 from .sfun import (
@@ -393,7 +389,7 @@ def _exp_fn(k: Sequence[float]):
 def _exp_fn2(kx: Sequence[float], kt: Sequence[float]):
     kx = tuple(float(v) for v in kx)
     kt = tuple(float(v) for v in kt)
-    return lambda point: cmath.exp(1j * (_phase(kx, point[0]) + _phase(kt, point[1])))
+    return lambda P: cmath.exp(1j * (_phase(kx, P) + _phase(kt, P[len(kx):])))
 
 
 def _failure(exc: Exception) -> str:
@@ -678,7 +674,6 @@ def _rows_conjugation(ctx: _RunCtx) -> list[SampleResult]:
             continue
 
         config, base, terms = prepared
-        g, lam, beta = config.coupling.g, config.coupling.lam, config.coupling.beta
         point = _offset_point(
             ctx, rows, "offset-continuation", i, base, 8, 0.08, 0.04,
             lambda P: _screen_config(config, P) and terms.coherent(P))
@@ -686,14 +681,12 @@ def _rows_conjugation(ctx: _RunCtx) -> list[SampleResult]:
             continue
         fns = [("const", lambda Z: 1.0 + 0j)]
         fns += [(f"exp{fi}", _exp_fn(ctx.rng.uniform(-0.9, 0.9, size=n))) for fi in range(5)]
-        F = cache(terms.F)  # the eigenfunction's sheets carry no fault
 
         def forms(P):
             # both forms at P for every test function: the plain weights,
             # F(P), and the square-root weights with F at their points
-            rooted = sqrt_operator_weights(case, g, lam, beta, tags, P, terms)
-            plain = operator_weights(case, g, lam, beta, config.mass_values, tags, P)
-            return plain, F(P), [(w, Q, F(Q)) for w, Q in rooted]
+            F = terms.F
+            return terms.op.weights(P), F(P), [(w, Q, F(Q)) for w, Q in terms.weights(P)]
 
         def residual(form, fn):
             plain, FP, rooted = form
@@ -806,24 +799,17 @@ def _direct_kernel_rows(
 ) -> list[SampleResult]:
     """Pointwise action of the sum or difference ``op`` of square-root-form
     operators on the kernel, at ``Z0`` and at one offset point: the
-    :class:`ConjugatedTerms` of its blocks with the kernel as ``F``, every
-    square root continued from ``Z0``, against ``ref_fn``, the shift
-    coefficients of the combined configuration."""
+    :class:`ConjugatedTerms` of ``op`` with the kernel as ``F``, every
+    square root continued from ``Z0``, calibrated and checked against
+    ``ref_fn``, the shift coefficients of the combined configuration."""
     rows: list[SampleResult] = []
     try:
         tracker = BranchTracker(Z0)
-        terms = ConjugatedTerms(ctx.case, tracker, op.blocks, lambda P: kernel_fn(tracker, P),
-                                ref_fn)
+        terms = ConjugatedTerms(tracker, op, lambda P: kernel_fn(tracker, P), ref_fn)
         terms.calibrate()
 
         def residual_at(P):
-            parts = []
-            for b, j, sign in terms.terms:
-                here, there, shifted = terms.roots(P, b, j, sign)
-                parts.append(terms.prefactor(b) * (here * there * terms.F(shifted)))
-            FP = terms.F(P)
-            parts.append(op.v0(P) * FP)
-            return _defect(parts, [const * FP])
+            return _defect(weighted_terms(terms.weights(P), terms.F), [const * terms.F(P)])
 
         rows.append(_row(ctx, f"{grid_label}/direct@p0", index, *residual_at(Z0)))
         label = f"{grid_label}/direct@p1"
@@ -1068,11 +1054,11 @@ def _rows_anti_symmetry(ctx: _RunCtx) -> list[SampleResult]:
         tags_def = (MassTag.PLUS_ONE,) * N + (MassTag.MINUS_INV,) * Nt
         config2 = Configuration(case, coupling, tags_def)
         Z = ctx.admissible_X(config2)
-        xs, ts = Z[:N], Z[N:N + Nt]
         # the operators at +beta and -beta, plain and two-species, for every
         # test function
-        plain = (vd_weights(case, g, lam, beta, X), vd_weights(case, g, lam, -beta, X))
-        two = (def_weights(case, g, lam, beta, xs, ts), def_weights(case, g, lam, -beta, xs, ts))
+        plain = tuple(vd_operator(case, g, lam, b, range(n)).weights(X) for b in (beta, -beta))
+        two = tuple(def_operator(case, g, lam, b, range(N), range(N, N + Nt)).weights(Z)
+                    for b in (beta, -beta))
 
         for fi in range(5):
             fn = _exp_fn(ctx.rng.uniform(-0.9, 0.9, size=n))
@@ -1095,8 +1081,9 @@ def _rows_anti_symmetry(ctx: _RunCtx) -> list[SampleResult]:
             else:
                 g_wit = g
             g_neg = tuple(-v for v in g_wit)
-            t_pos = weighted_terms(vd_weights(case, g_wit, lam, beta, X), fn)
-            t_bad = [-t for t in weighted_terms(vd_weights(case, g_neg, lam, -beta, X), fn)]
+            t_pos = weighted_terms(vd_operator(case, g_wit, lam, beta, range(n)).weights(X), fn)
+            t_bad = [-t for t in weighted_terms(
+                vd_operator(case, g_neg, lam, -beta, range(n)).weights(X), fn)]
             rows.append(_row(ctx, "plain/joint-flip", i, *_defect(t_pos, t_bad), control=True))
     return rows
 
@@ -1114,7 +1101,6 @@ def _rows_parameter_swap(ctx: _RunCtx) -> list[SampleResult]:
         tags_def = (MassTag.PLUS_ONE,) * N + (MassTag.MINUS_INV,) * Nt
         config = Configuration(case, coupling, tags_def)
         Z = ctx.admissible_X(config)
-        xs, ts = Z[:N], Z[N:N + Nt]
         g_swap = dual_couplings(g, lam)
         g_bad = tuple((2 * v - lam - 1) / (2 * lam) for v in g)
         lab = f"N{N}Nt{Nt}"
@@ -1123,18 +1109,21 @@ def _rows_parameter_swap(ctx: _RunCtx) -> list[SampleResult]:
         kt = ctx.rng.uniform(-0.9, 0.9, size=Nt)
         fn = _exp_fn2(kx, kt)
 
-        def swapped(point):
-            return fn(point[::-1])
+        def swapped(P):
+            return fn((*P[Nt:], *P[:Nt]))
 
-        t_orig = weighted_terms(def_weights(case, g, lam, beta, xs, ts), fn)
-        t_swap = weighted_terms(def_weights(case, g_swap, 1.0 / lam, -lam * beta, ts, xs), swapped)
-        rows.append(_row(ctx, f"{lab}/swap", i, *_defect(t_orig, t_swap)))
+        def swapped_terms(g_dual):
+            # the swapped operator acts on the deformed coordinates first
+            op = def_operator(case, g_dual, 1.0 / lam, -lam * beta, range(Nt), range(Nt, Nt + N))
+            return weighted_terms(op.weights((*Z[N:], *Z[:N])), swapped)
+
+        t_orig = weighted_terms(
+            def_operator(case, g, lam, beta, range(N), range(N, N + Nt)).weights(Z), fn)
+        rows.append(_row(ctx, f"{lab}/swap", i, *_defect(t_orig, swapped_terms(g_swap))))
 
         if ctx.label != "IV":
-            t_bad = weighted_terms(def_weights(case, g_bad, 1.0 / lam, -lam * beta, ts, xs),
-                                   swapped)
-            rows.append(_row(ctx, f"{lab}/swap-bad-coupling", i, *_defect(t_orig, t_bad),
-                             control=True))
+            rows.append(_row(ctx, f"{lab}/swap-bad-coupling", i,
+                             *_defect(t_orig, swapped_terms(g_bad)), control=True))
     return rows
 
 
@@ -1159,13 +1148,14 @@ def _rows_quasi_invariance(ctx: _RunCtx) -> list[SampleResult]:
             xt0 = complex(ctx.rng.uniform(0.3, 1.0), ctx.rng.uniform(-0.08, 0.08))
             x_pole = xt0 + 0.5j * (lam + 1) * beta
             p_fn = lambda x, xt: deformed_power_sum(r, lam, beta, n_pow, x, xt)
-            weights = def_weights(case, coupling.g, lam, beta, (x_pole + h0,), (xt0,))
-            probe = sum(weighted_terms(weights, lambda Q: p_fn(*Q)), start=0j)
+            op = def_operator(case, coupling.g, lam, beta, (0,), (1,))
+            probe = sum(weighted_terms(op.weights((x_pole + h0, xt0)),
+                                       lambda Q: p_fn(Q[:1], Q[1:])), start=0j)
             if cmath.isfinite(probe) and abs(probe) < 1e10:
-                return coupling, xt0, x_pole, p_fn
+                return coupling, xt0, x_pole, p_fn, op
             return None
 
-        coupling, xt0, x_pole, p_fn = ctx.draw(
+        coupling, xt0, x_pole, p_fn, op = ctx.draw(
             make, 60, (DomainError, ZeroDivisionError, OverflowError),
             "quasi-invariance sampling kept rejecting draws")
         g, lam, beta = coupling.g, coupling.lam, coupling.beta
@@ -1182,10 +1172,10 @@ def _rows_quasi_invariance(ctx: _RunCtx) -> list[SampleResult]:
             return abs(d) / scale, scale
 
         # the probe points, shared by p_fn and p_bad
-        weights_at = cache(lambda zeta: def_weights(case, g, lam, beta, (x_pole + zeta,), (xt0,)))
+        weights_at = cache(lambda zeta: op.weights((x_pole + zeta, xt0)))
 
         def f_at(p, zeta):
-            return sum(weighted_terms(weights_at(zeta), lambda Q: p(*Q)), start=0j)
+            return sum(weighted_terms(weights_at(zeta), lambda Q: p(Q[:1], Q[1:])), start=0j)
 
         def two_sided_residual(p):
             # R extrapolates h * (f(h) - f(-h)) / 2 to h -> 0, which is the

@@ -17,7 +17,6 @@ from vandiejen.eigenfunctions import (
     groundstate_psi,
     phi_pair,
     psi_single,
-    sqrt_operator_weights,
 )
 from vandiejen.operators import MassTag, def_operator, weighted_terms
 from vandiejen.sfun import CaseKind, CaseParams, PoleProximityError
@@ -187,8 +186,7 @@ def test_coefficient_roots_equal_the_reference_walk_bit_for_bit(label, x0, y0, d
     def evaluate(tracker):
         terms = conjugation_terms(case, g, LAM, BETA, tags, (), tracker)
         for Z in (base, (base[0] + dx, base[1] + dy)):
-            sum(weighted_terms(sqrt_operator_weights(case, g, LAM, BETA, tags, Z, terms),
-                               lambda P: 1.0), start=0j)
+            sum(weighted_terms(terms.weights(Z), lambda P: 1.0), start=0j)
 
     _compare(evaluate, base, exact=True)
 
@@ -198,10 +196,10 @@ def _compare_two_species(label, base, dx, dy):
     coordinate, as in the four-block kernel, at ``base`` and at ``base``
     moved by ``(dx, dy)``, against the reference walk bit for bit."""
     case, g = CASES[label], G[label]
-    blocks = def_operator(case, g, LAM, BETA, (0,), (1,)).blocks
+    op = def_operator(case, g, LAM, BETA, (0,), (1,))
 
     def evaluate(tracker):
-        terms = ConjugatedTerms(case, tracker, blocks, lambda P: 1.0, None)
+        terms = ConjugatedTerms(tracker, op, lambda P: 1.0, None)
         for Z in (base, (base[0] + dx, base[1] + dy)):
             for b, j, sign in terms.terms:
                 terms.roots(Z, b, j, sign)

@@ -281,6 +281,28 @@ def test_eval_rejects_a_config_key_its_quantity_does_not_read(tmp_path, capsys):
     assert err == "configuration error: field lambda: eval s does not read it\n"
 
 
+@pytest.mark.parametrize("config", (None, '{"masses": ["1", "-1"]}',
+                                    '{"masses": ["1", "-1"], "particles": [0, 2, 0, 0]}'),
+                         ids=("flags", "key-and-flag", "keys"))
+def test_eval_coefficients_takes_masses_or_particles_not_both(tmp_path, capsys, config):
+    # both given, by flags or by config keys, is an error, not the masses
+    # table with the particle counts dropped
+    argv = ["eval", "coefficients", "--case", "II", "--x", "0.4+0.05i,0.8-0.1i",
+            "--g", "0.3,0.35,0.4,0.45", "--lambda", "1.45", "--beta", "0.3"]
+    if config is None:
+        argv += ["--masses", "1,-1", "--particles", "0,2,0,0"]
+    else:
+        path = tmp_path / "both.json"
+        path.write_text(config)
+        argv += ["--config", str(path)]
+        if "particles" not in config:
+            argv += ["--particles", "0,2,0,0"]
+    code, out, err = run_main(capsys, argv)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == ("configuration error: fields masses, particles: "
+                   "eval coefficients reads one, not both\n")
+
+
 def test_eval_coefficients_table(capsys):
     code, out, _ = run_main(capsys, [
         "eval", "coefficients", "--case", "II",

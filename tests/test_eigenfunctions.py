@@ -32,7 +32,6 @@ from vandiejen.eigenfunctions import (
     psi_single,
     psi_single_sq,
     quasi_invariance_defect,
-    sqrt_operator_weights,
 )
 from vandiejen.operators import (MassTag, coeff_V_shift, operator_terms, source_constant,
                                  weighted_terms)
@@ -326,8 +325,7 @@ def test_sqrt_operator_conjugates_to_plain_form():
     for P in (base, (0.45 + 0.02j, 0.83 - 0.03j)):
         phi_P = eigenfunction_value(specs, tracker, P)
         lhs = sum(weighted_terms(
-            sqrt_operator_weights(case, g, LAM, BETA, tags, P, conj),
-            lambda Q: eigenfunction_value(specs, tracker, Q) * fn(Q),
+            conj.weights(P), lambda Q: eigenfunction_value(specs, tracker, Q) * fn(Q),
         ), start=0j) / phi_P
         terms = operator_terms(case, g, LAM, BETA, masses, tags, P, fn)
         scale = max(max(abs(t) for t in terms), abs(lhs))
@@ -349,8 +347,7 @@ def test_sheet_fault_breaks_conjugation():
     tracker.set_fault(("coeff", 0, 1), lambda target: abs(target[0] - base[0]) > 1e-9)
     phi_P = eigenfunction_value(specs, tracker, P)
     lhs = sum(weighted_terms(
-        sqrt_operator_weights(case, g, LAM, BETA, tags, P, conj),
-        lambda Q: eigenfunction_value(specs, tracker, Q) * fn(Q),
+        conj.weights(P), lambda Q: eigenfunction_value(specs, tracker, Q) * fn(Q),
     ), start=0j) / phi_P
     terms = operator_terms(case, g, LAM, BETA, masses, tags, P, fn)
     scale = max(max(abs(t) for t in terms), abs(lhs))
@@ -371,7 +368,7 @@ def test_gauge_calibration_needs_one_sign_per_factor():
     # directions, so a reference whose sign follows the direction cannot
     # be matched
     conj = _one_coordinate_conjugation()
-    flipped = ConjugatedTerms(conj.case, conj.tracker, conj.blocks, conj.F,
+    flipped = ConjugatedTerms(conj.tracker, conj.op, conj.F,
                               lambda P, b, j, s: s * b.coeff(P, j, s))
     with pytest.raises(BranchError, match="need opposite gauges"):
         flipped.calibrate()
@@ -398,7 +395,7 @@ def test_sheet_fault_breaks_a_kernel_identity():
     base = (0.43 + 0.04j, 0.86 - 0.05j)
     tracker = BranchTracker(base)
     terms = ConjugatedTerms(
-        case, tracker, op.blocks,
+        tracker, op,
         lambda P: kernel_cauchy_value(case, g, LAM, BETA, P, (0,), (1,), tracker),
         lambda P, b, j, s: coeff_V_shift(case, g, LAM, BETA, masses, tags, P, b.slots[j],
                                          b.orient * s))
@@ -406,11 +403,8 @@ def test_sheet_fault_breaks_a_kernel_identity():
     const = source_constant(case, g, LAM, BETA, masses)
 
     def residual(P):
-        parts = []
-        for b, j, sign in terms.terms:
-            here, there, shifted = terms.roots(P, b, j, sign)
-            parts.append(terms.prefactor(b) * here * there * terms.F(shifted))
-        parts.append((op.v0(P) - const) * terms.F(P))
+        *shifts, (v0, _) = terms.weights(P)
+        parts = weighted_terms(shifts, terms.F) + [(v0 - const) * terms.F(P)]
         return abs(sum(parts)) / max(abs(p) for p in parts)
 
     P = (0.47 + 0.02j, 0.83 - 0.03j)

@@ -198,12 +198,12 @@ def test_weight_prefactors_take_s_at_the_argument_rounded_to_complex():
     lam, beta = mp.mpf("1.45"), mp.mpf("0.31")
     x, xt, masses = (0.41 + 0.07j, 0.6 - 0.2j), (0.2 + 0.1j,), (1.0, -lam)
     with mp.workdps(30):
-        got = operators.operator_weights(case, g, lam, beta, masses, None, x)[2][0]
+        got = operators.conjugated_operator(case, g, lam, beta, masses, None).weights(x)[2][0]
         want = operators.coeff_V_shift(case, g, lam, beta, masses, None, x, 1, 1)
         assert got == s(complex(1j * lam * masses[1] * beta)) * want
-        got = operators.vd_weights(case, g, lam, beta, x)[0][0]
+        got = operators.vd_operator(case, g, lam, beta, (0, 1)).weights(x)[0][0]
         assert got == s(complex(1j * lam * beta)) * operators.vd_V_pm(case, g, lam, beta, x, 0, 1)
-        weights = operators.def_weights(case, g, lam, beta, x, xt)
+        weights = operators.def_operator(case, g, lam, beta, (0, 1), (2,)).weights((*x, *xt))
         want = operators.def_V_pm(case, g, lam, beta, x, xt, 0, 1)
         assert weights[0][0] == s(complex(1j * lam * beta)) * want
         want = operators.def_Vt_pm(case, g, lam, beta, x, xt, 0, 1)

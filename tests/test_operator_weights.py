@@ -6,6 +6,7 @@ operator at one point to several functions compute its weights once."""
 
 import cmath
 import contextlib
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,6 @@ from vandiejen.eigenfunctions import (
     BranchTracker,
     conjugation_terms,
     pathwise,
-    sqrt_operator_weights,
 )
 from vandiejen.operators import (
     MassTag,
@@ -27,12 +27,12 @@ from vandiejen.operators import (
     def_V0,
     def_V_pm,
     def_Vt_pm,
-    def_weights,
+    conjugated_operator,
+    def_operator,
     operator_terms,
-    operator_weights,
     vd_V0,
     vd_V_pm,
-    vd_weights,
+    vd_operator,
     weighted_terms,
 )
 from vandiejen.sfun import CaseKind, CaseParams, PoleProximityError, s_eval
@@ -105,7 +105,7 @@ def _ref_apply_sqrt_operator(case, g, lam, beta, tags, Z, h_fn, terms):
     total = 0j
     for b, j, sign in terms.terms:
         root_here, root_there, shifted = terms.roots(Z, b, j, sign)
-        total += terms.prefactor(b) * root_here * root_there * h_fn(shifted)
+        total += b.prefactor(case.s_scalar) * root_here * root_there * h_fn(shifted)
     total += coeff_V0(case, g, lam, beta, masses, Z) * h_fn(Z)
     return total
 
@@ -146,14 +146,14 @@ def test_plain_weights_give_the_old_terms_bit_for_bit(label, g, lam, beta, tags,
     X, fn = tuple(X[:n]), _exp(k[:n])
     masses = tuple(t.value_for(lam) for t in tags)
     ref = _outcome(lambda: _ref_operator_terms(case, g, lam, beta, masses, tags, X, fn))
-    assert _outcome(lambda: [w * fn(Q) for w, Q in operator_weights(
-        case, g, lam, beta, masses, tags, X)]) == ref
+    assert _outcome(lambda: [w * fn(Q) for w, Q in conjugated_operator(
+        case, g, lam, beta, masses, tags).weights(X)]) == ref
     assert _outcome(lambda: operator_terms(case, g, lam, beta, masses, tags, X, fn)) == ref
 
     ref = _outcome(lambda: _ref_vd_terms(case, g, lam, beta, X, fn))
-    assert _outcome(lambda: [w * fn(Q) for w, Q in vd_weights(case, g, lam, beta, X)]) == ref
-    assert _outcome(lambda: sum(weighted_terms(vd_weights(case, g, lam, beta, X), fn),
-                                start=0j)) == _outcome(
+    op = vd_operator(case, g, lam, beta, range(n))
+    assert _outcome(lambda: [w * fn(Q) for w, Q in op.weights(X)]) == ref
+    assert _outcome(lambda: sum(weighted_terms(op.weights(X), fn), start=0j)) == _outcome(
         lambda: sum(_ref_vd_terms(case, g, lam, beta, X, fn), start=0j))
 
 
@@ -170,12 +170,13 @@ def test_two_species_weights_give_the_old_terms_bit_for_bit(label, g, lam, beta,
         return exp_x(a) * exp_t(b)
 
     ref = _outcome(lambda: _ref_def_terms(case, g, lam, beta, x, xt, fn))
-    assert _outcome(lambda: [w * fn(*Q) for w, Q in def_weights(
-        case, g, lam, beta, x, xt)]) == ref
+    n = len(x)
+    op = def_operator(case, g, lam, beta, range(n), range(n, n + len(xt)))
+    assert _outcome(lambda: [w * fn(Q[:n], Q[n:]) for w, Q in op.weights((*x, *xt))]) == ref
     # the old action subtracted the deformed terms; adding their negation
     # is the same to the bit
-    assert _outcome(lambda: sum(weighted_terms(def_weights(case, g, lam, beta, x, xt),
-                                               lambda Q: fn(*Q)), start=0j)) == _outcome(
+    assert _outcome(lambda: sum(weighted_terms(op.weights((*x, *xt)),
+                                               lambda Q: fn(Q[:n], Q[n:])), start=0j)) == _outcome(
         lambda: sum(_ref_def_terms(case, g, lam, beta, x, xt, fn), start=0j))
 
 
@@ -196,10 +197,8 @@ def test_square_root_weights_give_the_old_action_bit_for_bit(label, g, lam, beta
     terms = conjugation_terms(case, g, lam, beta, tags, (), BranchTracker(base))
     for Z in (base, tuple(b + d for b, d in zip(base, dX))):
         ref = _outcome(lambda: _ref_apply_sqrt_operator(case, g, lam, beta, tags, Z, fn, terms))
-        assert _outcome(lambda: sum(weighted_terms(sqrt_operator_weights(
-            case, g, lam, beta, tags, Z, terms), fn), start=0j)) == ref
-        assert _outcome(lambda: sum((w * fn(Q) for w, Q in sqrt_operator_weights(
-            case, g, lam, beta, tags, Z, terms)), start=0j)) == ref
+        assert _outcome(lambda: sum(weighted_terms(terms.weights(Z), fn), start=0j)) == ref
+        assert _outcome(lambda: sum((w * fn(Q) for w, Q in terms.weights(Z)), start=0j)) == ref
 
 
 # ---------------------------------------------------------------------------
@@ -315,3 +314,30 @@ def test_a_conjugation_sample_builds_each_form_once_per_point(label):
     assert len(report.results) == 13
     points = [key[-1] for key in committed if key[0] == "V0"]
     assert len(points) == len(set(points)) == 2
+
+
+def test_a_quasi_invariance_sample_builds_one_operator_per_draw():
+    # the probe of a draw and every probe point of its residuals share the
+    # draw's two-species operator; each draw draws one coupling
+    counts = []
+    with _counting(operators, "def_operator", counts), _counting(verify, "def_operator", counts), \
+            _counting(verify, "_draw_coupling", counts):
+        report = verify.run_identity("quasi-invariance", "II", samples=3, seed=0)
+    assert len(report.results) == 18
+    assert counts.count(("def_operator", None)) == counts.count(("_draw_coupling", None)) >= 3
+
+
+def test_a_direct_kernel_row_evaluates_its_kernel_once_per_point():
+    # calibration, the coherence check and the residual share one kernel
+    # value per point
+    points = []
+    spec = verify._KERNELS["kernel-cauchy"]
+
+    def value(*args):
+        points.append(args[4])
+        return spec.value(*args)
+
+    with mock.patch.dict(verify._KERNELS, {"kernel-cauchy": replace(spec, value=value)}):
+        report = verify.run_identity("kernel-cauchy", "II", samples=6, seed=0)
+    assert any("/direct@p1" in row.label for row in report.results)
+    assert points and len(points) == len(set(points))

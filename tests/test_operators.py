@@ -16,7 +16,7 @@ from vandiejen.operators import (
     coeff_V_shift,
     d_param,
     def_V0,
-    def_weights,
+    def_operator,
     eigen_constant,
     operator_terms,
     summation_lhs,
@@ -25,7 +25,7 @@ from vandiejen.operators import (
     source_constant,
     vd_V0,
     vd_V_pm,
-    vd_weights,
+    vd_operator,
     weighted_terms,
 )
 from vandiejen.sfun import CaseKind, CaseParams, DomainError
@@ -269,7 +269,8 @@ def test_constant_function_is_eigenfunction(label):
     case = make(label)
     g = couplings_for(label)
     n_p = len(X2)
-    value = sum(weighted_terms(vd_weights(case, g, LAM, BETA, X2), lambda x: 1.0 + 0j), start=0j)
+    value = sum(weighted_terms(vd_operator(case, g, LAM, BETA, (0, 1)).weights(X2),
+                               lambda x: 1.0 + 0j), start=0j)
     expected = eigen_constant(case, g, LAM, BETA, (1.0,) * n_p)
     assert value == pytest.approx(expected, rel=1e-11)
 
@@ -277,14 +278,15 @@ def test_constant_function_is_eigenfunction(label):
 def test_constant_function_elliptic_needs_balance():
     case = make("IV")
     g = balance_solve("eigen-plain", LAM, couplings_for("IV"), N=len(X2))
-    value = sum(weighted_terms(vd_weights(case, g, LAM, BETA, X2), lambda x: 1.0 + 0j), start=0j)
+    value = sum(weighted_terms(vd_operator(case, g, LAM, BETA, (0, 1)).weights(X2),
+                               lambda x: 1.0 + 0j), start=0j)
     expected = eigen_constant(case, g, LAM, BETA, (1.0,) * len(X2))
     scale = max(abs(value), abs(expected))
     assert abs(value - expected) / scale < 1e-10
     # off the constraint the identity genuinely fails
     g_bad = (g[0] + 0.1,) + g[1:]
-    bad = sum(weighted_terms(vd_weights(case, g_bad, LAM, BETA, X2), lambda x: 1.0 + 0j),
-              start=0j)
+    bad = sum(weighted_terms(vd_operator(case, g_bad, LAM, BETA, (0, 1)).weights(X2),
+                             lambda x: 1.0 + 0j), start=0j)
     bad_expected = eigen_constant(case, g_bad, LAM, BETA, (1.0,) * len(X2))
     assert abs(bad - bad_expected) / max(abs(bad), abs(bad_expected)) > 1e-3
 
@@ -310,8 +312,8 @@ def test_deformed_apply_constant_eigenvalue():
     g = couplings_for("II")
     x = (0.52 + 0.06j,)
     xt = (0.95 - 0.09j,)
-    value = sum(weighted_terms(def_weights(case, g, LAM, BETA, x, xt), lambda Q: 1.0 + 0j),
-                start=0j)
+    value = sum(weighted_terms(def_operator(case, g, LAM, BETA, (0,), (1,)).weights((*x, *xt)),
+                               lambda Q: 1.0 + 0j), start=0j)
     masses = (1.0, -1 / LAM)
     expected = eigen_constant(case, g, LAM, BETA, masses)
     scale = max(abs(value), abs(expected))
@@ -324,8 +326,8 @@ def test_deformed_apply_constant_eigenvalue_elliptic_balanced():
     xt = (0.95 - 0.09j,)
     g = balance_solve("deformed-constant", LAM, couplings_for("IV"),
                       N=len(x), Nt=len(xt))
-    value = sum(weighted_terms(def_weights(case, g, LAM, BETA, x, xt), lambda Q: 1.0 + 0j),
-                start=0j)
+    value = sum(weighted_terms(def_operator(case, g, LAM, BETA, (0,), (1,)).weights((*x, *xt)),
+                               lambda Q: 1.0 + 0j), start=0j)
     masses = (1.0,) * len(x) + (-1 / LAM,) * len(xt)
     expected = eigen_constant(case, g, LAM, BETA, masses)
     scale = max(abs(value), abs(expected))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vandiejen import verify
+from vandiejen.eigenfunctions import BranchTracker, ConjugatedTerms
 from vandiejen.operators import Configuration, CouplingSet, MassTag
 from vandiejen.sfun import ConvergenceError, DomainError, PoleProximityError
 from vandiejen.verify import (
@@ -399,6 +400,52 @@ def test_four_block_direct_rows_pass(identity, particles, case):
     direct = [row for row in rep.results if "/direct" in row.label]
     assert [row.label.split("/")[1] for row in direct] == ["direct@p0", "direct@p1"] * 2
     assert all(row.passed for row in direct)
+
+
+def _pre_weights_direct_residual(Z0, op, kernel_fn, const, ref_fn):
+    """A direct row's residual at its base ``Z0`` as the rows summed it
+    before the square-root weights: each shift term is
+    ``pref * (here * there * F(shifted))``, the prefactor ``+-s(arg)``."""
+    tracker = BranchTracker(Z0)
+    terms = ConjugatedTerms(tracker, op, lambda P: kernel_fn(tracker, P), ref_fn)
+    terms.calibrate()
+    parts = []
+    for b, j, sign in terms.terms:
+        here, there, shifted = terms.roots(Z0, b, j, sign)
+        value = op.case.s_scalar(complex(b.pref[1]))
+        pref = value if b.pref[0] > 0 else -value
+        parts.append(pref * (here * there * terms.F(shifted)))
+    FP = terms.F(Z0)
+    parts.append(op.v0(Z0) * FP)
+    return verify._defect(parts, [const * FP])[0]
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("identity, particles, case", [
+    *(pytest.param("kernel-deformed", (1, 1, 1, 1), c, id=c) for c in ("I", "II")),
+    *(pytest.param("kernel-cauchy", (1, 0, 1, 0), c, id=f"cauchy-{c}") for c in ("I", "II")),
+    *(pytest.param("kernel-dual", (1, 0, 0, 1), c, id=f"dual-{c}") for c in ("I", "II")),
+])
+def test_direct_rows_agree_with_the_pre_weights_residual(identity, particles, case, seed):
+    # the weights of the square-root form regroup each shift term as
+    # (pref * here * there) * F(shifted): a rounding apart, with the sign
+    # of every prefactor kept
+    calls = []
+    original = verify._direct_kernel_rows
+
+    def recording(ctx, grid_label, index, *args):
+        # the kernel and the reference see the runner's sample: take the
+        # reference now, before the runner draws the next
+        rows = original(ctx, grid_label, index, *args)
+        calls.append((rows[0], _pre_weights_direct_residual(*args)))
+        return rows
+
+    with mock.patch.object(verify, "_direct_kernel_rows", recording):
+        run_identity(identity, case, samples=2, seed=seed, particles=particles)
+    assert len(calls) == 2
+    for row, reference in calls:
+        assert row.label.endswith("/direct@p0")
+        assert abs(row.residual - reference) <= 1e-15
 
 
 def test_source_residual_symmetries():
