@@ -65,9 +65,7 @@ __all__ = [
     "pathwise",
     "ConjugatedTerms",
     "conjugation_terms",
-    "psi_single",
     "psi_single_sq",
-    "phi_pair",
     "groundstate_psi",
     "deformed_groundstate_value",
     "kernel_cauchy_value",
@@ -695,28 +693,8 @@ def conjugation_terms(
 
 
 # ---------------------------------------------------------------------------
-# named evaluators: single blocks, pair blocks, ground states, kernels
+# named evaluators: single blocks, ground states, kernels
 # ---------------------------------------------------------------------------
-
-
-def psi_single(
-    case: CaseParams,
-    g: Sequence[float],
-    lam: float,
-    beta: float,
-    x: complex,
-    tag: MassTag,
-    tracker: BranchTracker,
-) -> complex:
-    """Single-coordinate block: square root of a doubled-argument gamma
-    pair over the coupling gamma products, with the coupling offsets
-    depending on the mass species.  The tracker's base must be a 1-tuple.
-    """
-
-    def w(Z):
-        return psi_single_sq(case, g, lam, beta, Z[0], tag)
-
-    return tracker.sqrt_at(("psi", tag.value), w, (x,))
 
 
 def psi_single_sq(
@@ -727,8 +705,9 @@ def psi_single_sq(
     x: complex,
     tag: MassTag,
 ) -> complex:
-    """The defining product under the square root of :func:`psi_single`,
-    at one point ``x`` or at an array of points."""
+    """Single-coordinate block, squared: a doubled-argument gamma pair over
+    the coupling gamma products, with the coupling offsets depending on the
+    mass species, at one point ``x`` or at an array of points."""
     m = tag.value_for(lam)
     alpha = beta / m
     half = 0.5j * beta / m
@@ -740,26 +719,6 @@ def psi_single_sq(
         den *= gamma_G(case, alpha, x + off)
         den *= gamma_G(case, alpha, -x + off)
     return num / den
-
-
-def phi_pair(
-    case: CaseParams,
-    lam: float,
-    beta: float,
-    x: complex,
-    tag_j: MassTag,
-    tag_k: MassTag,
-    tracker: BranchTracker,
-) -> complex:
-    """Pair block at combined argument ``x``, by species relation (see
-    :func:`_pair_factor`).  The tracker's base must be a 1-tuple for the
-    rooted kinds.
-    """
-    mode, factor = _pair_factor(case, lam, beta, tag_j, tag_k)
-    if mode == "direct":
-        return complex(factor(x))
-    root = tracker.sqrt_at(("phi", tag_j.value, tag_k.value), lambda Z: factor(Z[0]), (x,))
-    return root if mode == "sqrt" else 1.0 / root
 
 
 def groundstate_psi(

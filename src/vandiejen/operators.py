@@ -35,10 +35,8 @@ values are the same, bit for bit, as those of an array
 :func:`~vandiejen.sfun.s_eval` call.  Handed arrays of coordinates (a
 branch-tracker path), a coefficient runs once for all points.
 
-The exact summation identity (:func:`summation_lhs` versus
-:func:`summation_rhs`) is implemented for free complex parameters; the
-parameter choice that turns it into the operator identity is produced by
-:func:`proof_params`.
+The terms of the exact summation identity (:func:`summation_terms`) are
+implemented for free complex parameters.
 
 Unless stated otherwise, functions take raw numeric parameters (coupling
 vector ``g``, scalars ``lam`` and ``beta``, mass values, coordinates) so
@@ -78,7 +76,6 @@ __all__ = [
     "source_constant",
     "c0_constant",
     "eigen_constant",
-    "balance_defect",
     "balance_solve",
     "reflected_couplings",
     "dual_couplings",
@@ -89,10 +86,8 @@ __all__ = [
     "def_V0",
     "summation_shift_term",
     "summation_boundary_term",
-    "summation_lhs",
     "summation_rhs",
     "summation_terms",
-    "proof_params",
 ]
 
 
@@ -180,19 +175,6 @@ class CouplingSet:
                 f"case {case.kind.label} needs {expected} couplings, got {len(self.g)}"
             )
 
-    @property
-    def g_sum(self) -> float:
-        return float(sum(self.g))
-
-    def reflected_dual(self) -> "CouplingSet":
-        """The :func:`reflected_couplings` of the opposite-species block."""
-        return CouplingSet(reflected_couplings(self.g, self.lam), self.lam, self.beta)
-
-    def deformed_dual(self) -> "CouplingSet":
-        """The :func:`dual_couplings` with parameters ``1/lam`` and
-        ``lam * beta`` of the swapped-species description."""
-        return CouplingSet(dual_couplings(self.g, self.lam), 1.0 / self.lam, self.lam * self.beta)
-
 
 def reflected_couplings(g: Sequence[float], lam: float) -> tuple[float, ...]:
     """The reflection ``g_nu -> (lam + 1)/2 - g_nu``: the couplings of the
@@ -230,22 +212,6 @@ class Configuration:
     @property
     def mass_values(self) -> tuple[float, ...]:
         return tuple(t.value_for(self.coupling.lam) for t in self.masses)
-
-    def balance_defect(self) -> float:
-        return balance_defect(self.coupling, self.mass_values)
-
-    def is_balanced(self, tol: float = 1e-12) -> bool:
-        return abs(self.balance_defect()) < tol
-
-
-def balance_defect(coupling: CouplingSet, mass_values: Sequence[float]) -> float:
-    """Elliptic-case constraint value ``2 lam sum(m) + sum(g) - 2(lam+1)``.
-
-    The eigenfunction and kernel identities hold unconditionally in cases
-    I-III and, in case IV, exactly on the zero set of this quantity.
-    """
-    lam = coupling.lam
-    return 2 * lam * float(sum(mass_values)) + coupling.g_sum - 2 * (lam + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +399,7 @@ def _exp_weights(case: CaseParams, g, lam: float, beta: float, mass_part=0) -> l
     """Per half-period ``exp(-r xi_nu e beta)`` (1 where ``xi_nu = 0``) with
     the weight ``e = mass_part + sum(g) - (rho + 1)(lam + 1)/2``."""
     e_weight = mass_part + sum(g) - (case.rho + 1) * (lam + 1) / 2
-    r = case.r if case.kind in (CaseKind.TRIGONOMETRIC, CaseKind.ELLIPTIC) else 0.0
-    return [cmath.exp(-r * xi * e_weight * beta) if xi else 1.0 for xi in case.xi]
+    return [cmath.exp(-case.r * xi * e_weight * beta) if xi else 1.0 for xi in case.xi]
 
 
 # ---------------------------------------------------------------------------
@@ -1002,17 +967,6 @@ def summation_shift_term(
     return _batched(case, formula)
 
 
-def summation_lhs(case: CaseParams, p: SummationParams) -> complex:
-    """Left side: shift-type terms minus the two boundary families."""
-    rho = case.rho
-    if len(p.c) != rho + 1 or len(p.d) != rho + 1 or len(p.n) != 2 * (rho + 1):
-        raise DomainError(
-            f"case {case.kind.label} needs {rho + 1} entries in c and d and "
-            f"{2 * (rho + 1)} in n"
-        )
-    return sum(summation_terms(case, p)[0], start=0j)
-
-
 def summation_terms(case: CaseParams, p: SummationParams) -> tuple[list[complex], complex]:
     """All left-side terms (shift family, then negated boundary family)
     plus the right-side value."""
@@ -1065,37 +1019,3 @@ def summation_boundary_term(
 def summation_rhs(case: CaseParams, p: SummationParams) -> complex:
     """Right side: a single ``s`` value at the parameter sum."""
     return case.s_scalar(complex(2 * p.gamma * sum(p.m) + sum(p.n)))
-
-
-def proof_params(
-    case: CaseParams,
-    g: Sequence[float],
-    lam: float,
-    beta: float,
-    masses: Sequence[complex],
-    X: Sequence[complex],
-    a0: complex = 0j,
-) -> SummationParams:
-    """Parameter choice turning the summation identity into the operator
-    identity: step parameter ``i lam beta``, mass-dependent anchors, and
-    boundary data encoding the couplings and half-periods."""
-    rho = case.rho
-    omega = case.omega
-    if len(g) != 2 * (rho + 1):
-        raise DomainError(f"need {2 * (rho + 1)} couplings, got {len(g)}")
-    gamma = 1j * lam * beta
-    a = tuple(
-        -(1j * lam * beta / 4) * (m + 1 / (lam * m)) + a0 for m in masses
-    )
-    c = tuple(1j * beta * (lam - 1) / 4 for _ in range(rho + 1))
-    d = tuple(-1j * beta * (lam - 1) / 4 for _ in range(rho + 1))
-    n_first = tuple(
-        -0.5j * lam * beta - omega[nu] / 2 + 1j * g[nu] * beta for nu in range(rho + 1)
-    )
-    n_second = tuple(
-        -0.5j * beta - omega[nu] / 2 + 1j * g[nu + rho + 1] * beta
-        for nu in range(rho + 1)
-    )
-    return SummationParams(
-        X=tuple(X), m=tuple(masses), gamma=gamma, a=a, c=c, d=d, n=n_first + n_second
-    )

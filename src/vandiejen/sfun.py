@@ -51,7 +51,7 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import product
 from typing import Callable
 
@@ -748,18 +748,22 @@ def duplication_residual(case: CaseParams, x):
                   / prod_{nu=1}^{rho} s(-omega_nu/2)
 
     Returns ``|lhs - rhs| / max(|lhs|, |rhs|)``.  Points where ``2x`` sits
-    on the zero lattice are rejected since both sides vanish there.
+    on the zero lattice are rejected since both sides vanish there.  A
+    scalar ``x`` stays a Python number: ``s`` from :attr:`CaseParams.s_scalar`
+    and Python's arithmetic, so its value does not depend on numpy's SIMD
+    dispatch.  An array takes the array ``s`` and numpy's arithmetic.
     """
-    xx, scalar = _as_complex_array(x)
-    require_regular(case, 2 * xx, what="duplication argument 2x")
-    lhs = s_eval(case, 2 * xx)
-    num = np.ones_like(np.atleast_1d(lhs))
+    if isinstance(x, _SCALAR_TYPES):
+        x, s, larger = complex(x), case.s_scalar, max
+    else:
+        x, s, larger = np.asarray(x, dtype=np.complex128), partial(_s_array, case), np.maximum
+    require_regular(case, 2 * x, what="duplication argument 2x")
+    lhs = s(2 * x)
+    num = 1.0 + 0j
     for w in case.omega:
-        num = num * np.atleast_1d(s_eval(case, xx - w / 2))
+        num = num * s(x - w / 2)
     den = 1.0 + 0j
     for w in case.omega[1:]:
-        den *= s_eval(case, -w / 2)
+        den *= case.s_scalar(-w / 2)
     rhs = 2.0 * num / den
-    lhs_arr = np.atleast_1d(lhs)
-    resid = np.abs(lhs_arr - rhs) / np.maximum(np.abs(lhs_arr), np.abs(rhs))
-    return _restore(resid.astype(np.complex128), scalar).real if scalar else resid
+    return abs(lhs - rhs) / larger(abs(lhs), abs(rhs))

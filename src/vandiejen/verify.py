@@ -156,14 +156,17 @@ def _row(
     scale: float,
     control: bool = False,
     detail: str = "",
-    tol_override: float | None = None,
+    default_tol: float | None = None,
 ) -> SampleResult:
+    """A positive row's tolerance is the run's given one, else the row's
+    own ``default_tol``, else its identity's default."""
     residual = float(residual)
     if control:
         tol = CONTROL_FLOOR
         passed = math.isfinite(residual) and residual > tol
     else:
-        tol = ctx.tol if tol_override is None else tol_override
+        tol = (ctx.tol if ctx.tol is not None else default_tol if default_tol is not None
+               else default_tolerance(ctx.identity, ctx.label))
         passed = math.isfinite(residual) and residual <= tol
     return SampleResult(
         identity=ctx.identity,
@@ -224,36 +227,31 @@ def _draw_scalar(rng, re=(0.05, 1.3), im=(-0.6, 0.6)) -> complex:
     return complex(rng.uniform(*re), rng.uniform(*im))
 
 
-def _draw_X(rng, n: int, re_window=WINDOW_RE, im_window=WINDOW_IM,
-            min_sep: float = 0.1) -> tuple[complex, ...]:
+def _draw_X(rng, n: int, im_window=WINDOW_IM) -> tuple[complex, ...]:
     """Well-separated coordinates: ``|x_j - x_k|`` and ``|x_j + x_k|``
-    both bounded away from zero, so difference and sum arguments stay
-    clear of the origin."""
+    both at least 0.1, so difference and sum arguments stay clear of the
+    origin."""
     for _ in range(500):
-        re = rng.uniform(*re_window, size=n)
+        re = rng.uniform(*WINDOW_RE, size=n)
         im = rng.uniform(*im_window, size=n)
         X = tuple(complex(u, v) for u, v in zip(re, im))
         ok = True
         for i in range(n):
             for k in range(i + 1, n):
-                if abs(X[i] - X[k]) < min_sep or abs(X[i] + X[k]) < min_sep:
+                if abs(X[i] - X[k]) < 0.1 or abs(X[i] + X[k]) < 0.1:
                     ok = False
         if ok:
             return X
     raise ConvergenceError("could not draw separated coordinates")
 
 
-def _draw_coupling(rng, case: CaseParams, lam: float | None = None,
-                   beta: float | None = None) -> CouplingSet:
+def _draw_coupling(rng, case: CaseParams) -> CouplingSet:
     n_g = 2 * (case.rho + 1)
     g = tuple(float(v) for v in rng.uniform(-0.4, 0.6, size=n_g))
-    if lam is None:
+    lam = float(rng.uniform(0.3, 1.7))
+    while abs(lam - 1.0) < 0.12:
         lam = float(rng.uniform(0.3, 1.7))
-        while abs(lam - 1.0) < 0.12:
-            lam = float(rng.uniform(0.3, 1.7))
-    if beta is None:
-        beta = float(rng.uniform(0.2, 0.4))
-    return CouplingSet(g, lam, beta)
+    return CouplingSet(g, lam, float(rng.uniform(0.2, 0.4)))
 
 
 def _screen_config(config: Configuration, X: Sequence[complex], coeff_cap: float = 1e8) -> bool:
@@ -306,8 +304,8 @@ def sample_admissible(
     if count < 1:
         raise DomainError("count must be at least 1")
     limit = max_attempts if max_attempts is not None else 60 * count
-    ctx = _RunCtx(identity="", case=template.case, label=template.case.kind.label,
-                  samples=count, tol=0.0, rng=_rng_for(seed))  # for its draw loop only
+    # a run context for its draw loop only
+    ctx = _RunCtx(identity="", case=template.case, samples=count, rng=_rng_for(seed))
     points = []
     while len(points) < count:
         X = ctx.draw(lambda: _screened_X(ctx.rng, template, coeff_cap), limit - ctx.attempts)
@@ -329,16 +327,19 @@ def sample_admissible(
 class _RunCtx:
     identity: str
     case: CaseParams
-    label: str
     samples: int
-    tol: float
     rng: np.random.Generator
+    tol: float | None = None  # a given tolerance; None: each row's default (see _row)
     masses: tuple[MassTag, ...] | None = None
     particles: tuple[int, int, int, int] | None = None
     max_n: int = 3
     product_terms: int = PRODUCT_TERMS
     attempts: int = 0
     rejected: int = 0
+
+    @property
+    def label(self) -> str:
+        return self.case.kind.label
 
     def draw(self, make: Callable[[], T | None], tries: int,
              catch: type[Exception] | tuple[type[Exception], ...] = (),
@@ -417,7 +418,7 @@ def _quasi_period_row(ctx: _RunCtx, i: int):
 
 def _duplication_row(ctx: _RunCtx, i: int):
     z = _draw_scalar(ctx.rng)
-    res = float(duplication_residual(ctx.case, z))  # a lattice point raises here
+    res = duplication_residual(ctx.case, z)  # a lattice point raises here
     return "duplication", res, max(abs(ctx.case.s_scalar(2 * z)), _TINY)
 
 
@@ -1206,9 +1207,10 @@ def _rows_quasi_invariance(ctx: _RunCtx) -> list[SampleResult]:
             rows.append(_row(ctx, f"{lab}/display{bad}", i, *display_residual(p), control=bool(bad)))
             # the probe points sit within h of an operator pole, so roundoff in
             # the extrapolated residue is amplified by the pole factor; the
-            # tolerance reflects that while staying five decades under the floor
+            # default tolerance reflects that while staying five decades under
+            # the floor, and a given tol replaces it
             rows.append(_row(ctx, f"{lab}/two-sided{bad}", i, *two_sided_residual(p),
-                             control=bool(bad), tol_override=1e-6))
+                             control=bool(bad), default_tol=1e-6))
             rows.append(_row(ctx, f"{lab}/contour{bad}", i, *contour_residual(p), control=bool(bad)))
     return rows
 
@@ -1318,10 +1320,9 @@ def run_identity(
     ctx = _RunCtx(
         identity=identity,
         case=case,
-        label=case_label,
         samples=int(samples),
-        tol=float(tol) if tol is not None else default_tolerance(identity, case_label),
         rng=rng,
+        tol=None if tol is None else float(tol),
         masses=tuple(MassTag.parse(t) for t in masses) if masses else None,
         particles=tuple(int(v) for v in particles) if particles else None,
         max_n=int(max_n),

@@ -1,0 +1,111 @@
+"""Reference computations that only the tests call.
+
+Unlike :mod:`oracles`, these are float computations built from the
+package's own pieces: the summation identity's left side and the
+parameter choice that turns it into the operator identity, the elliptic
+balancing defect, and the single-coordinate and pair blocks of an
+eigenfunction on their own.  No command of the package runs them, so
+they live here rather than in ``src/vandiejen``.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from vandiejen.eigenfunctions import BranchTracker, _pair_factor, psi_single_sq
+from vandiejen.operators import CouplingSet, MassTag, SummationParams, summation_terms
+from vandiejen.sfun import CaseParams, DomainError
+
+
+def balance_defect(coupling: CouplingSet, mass_values: Sequence[float]) -> float:
+    """Elliptic-case constraint value ``2 lam sum(m) + sum(g) - 2(lam+1)``.
+
+    The eigenfunction and kernel identities hold unconditionally in cases
+    I-III and, in case IV, exactly on the zero set of this quantity.
+    """
+    lam = coupling.lam
+    return 2 * lam * float(sum(mass_values)) + float(sum(coupling.g)) - 2 * (lam + 1)
+
+
+def summation_lhs(case: CaseParams, p: SummationParams) -> complex:
+    """Left side: shift-type terms minus the two boundary families."""
+    rho = case.rho
+    if len(p.c) != rho + 1 or len(p.d) != rho + 1 or len(p.n) != 2 * (rho + 1):
+        raise DomainError(
+            f"case {case.kind.label} needs {rho + 1} entries in c and d and "
+            f"{2 * (rho + 1)} in n"
+        )
+    return sum(summation_terms(case, p)[0], start=0j)
+
+
+def proof_params(
+    case: CaseParams,
+    g: Sequence[float],
+    lam: float,
+    beta: float,
+    masses: Sequence[complex],
+    X: Sequence[complex],
+    a0: complex = 0j,
+) -> SummationParams:
+    """Parameter choice turning the summation identity into the operator
+    identity: step parameter ``i lam beta``, mass-dependent anchors, and
+    boundary data encoding the couplings and half-periods."""
+    rho = case.rho
+    omega = case.omega
+    if len(g) != 2 * (rho + 1):
+        raise DomainError(f"need {2 * (rho + 1)} couplings, got {len(g)}")
+    gamma = 1j * lam * beta
+    a = tuple(
+        -(1j * lam * beta / 4) * (m + 1 / (lam * m)) + a0 for m in masses
+    )
+    c = tuple(1j * beta * (lam - 1) / 4 for _ in range(rho + 1))
+    d = tuple(-1j * beta * (lam - 1) / 4 for _ in range(rho + 1))
+    n_first = tuple(
+        -0.5j * lam * beta - omega[nu] / 2 + 1j * g[nu] * beta for nu in range(rho + 1)
+    )
+    n_second = tuple(
+        -0.5j * beta - omega[nu] / 2 + 1j * g[nu + rho + 1] * beta
+        for nu in range(rho + 1)
+    )
+    return SummationParams(
+        X=tuple(X), m=tuple(masses), gamma=gamma, a=a, c=c, d=d, n=n_first + n_second
+    )
+
+
+def psi_single(
+    case: CaseParams,
+    g: Sequence[float],
+    lam: float,
+    beta: float,
+    x: complex,
+    tag: MassTag,
+    tracker: BranchTracker,
+) -> complex:
+    """Single-coordinate block: the continued square root of
+    :func:`~vandiejen.eigenfunctions.psi_single_sq`.  The tracker's base
+    must be a 1-tuple."""
+
+    def w(Z):
+        return psi_single_sq(case, g, lam, beta, Z[0], tag)
+
+    return tracker.sqrt_at(("psi", tag.value), w, (x,))
+
+
+def phi_pair(
+    case: CaseParams,
+    lam: float,
+    beta: float,
+    x: complex,
+    tag_j: MassTag,
+    tag_k: MassTag,
+    tracker: BranchTracker,
+) -> complex:
+    """Pair block at combined argument ``x``, by species relation (see
+    :func:`~vandiejen.eigenfunctions._pair_factor`).  The tracker's base
+    must be a 1-tuple for the rooted kinds.
+    """
+    mode, factor = _pair_factor(case, lam, beta, tag_j, tag_k)
+    if mode == "direct":
+        return complex(factor(x))
+    root = tracker.sqrt_at(("phi", tag_j.value, tag_k.value), lambda Z: factor(Z[0]), (x,))
+    return root if mode == "sqrt" else 1.0 / root

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from references import phi_pair, psi_single
 from vandiejen.eigenfunctions import (
     BranchError,
     BranchTracker,
@@ -15,8 +16,6 @@ from vandiejen.eigenfunctions import (
     conjugation_terms,
     deformed_groundstate_value,
     groundstate_psi,
-    phi_pair,
-    psi_single,
 )
 from vandiejen.operators import MassTag, def_operator, weighted_terms
 from vandiejen.sfun import CaseKind, CaseParams, PoleProximityError

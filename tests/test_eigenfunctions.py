@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from references import phi_pair, psi_single
 from vandiejen.eigenfunctions import (
     BranchError,
     BranchTracker,
@@ -27,9 +28,7 @@ from vandiejen.eigenfunctions import (
     kernel_dual_cauchy_value,
     pair_kind,
     phi_factor_specs,
-    phi_pair,
     power_sum_weight,
-    psi_single,
     psi_single_sq,
     quasi_invariance_defect,
 )

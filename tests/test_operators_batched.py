@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from references import proof_params
 from vandiejen import gamma, operators, sfun, verify
 from vandiejen.eigenfunctions import factor_ratio, groundstate_sq_factors
 from vandiejen.operators import (
@@ -25,7 +26,6 @@ from vandiejen.operators import (
     def_V0,
     def_V_pm,
     def_Vt_pm,
-    proof_params,
     source_constant,
     summation_boundary_term,
     summation_shift_term,

@@ -4,6 +4,7 @@ path, the mpmath evaluator, and the term-count scan it replaced."""
 import cmath
 import itertools
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -20,6 +21,7 @@ from vandiejen.sfun import (
     DomainError,
     _theta_terms,
     _theta_terms_array,
+    duplication_residual,
     s_eval,
     s_eval_mp,
     theta_eval,
@@ -424,3 +426,23 @@ def test_term_count_errors_reach_both_paths():
         theta_eval(0.3, q=0.99999)
     with pytest.raises(ConvergenceError, match="after 400 terms"):
         theta_eval(np.array([0.3]), q=0.99999)
+
+
+@pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
+def test_a_scalar_duplication_residual_makes_no_array_s_call(label):
+    # a scalar takes s_scalar and Python arithmetic, so its value does not
+    # move with numpy's SIMD dispatch; case IV's s is theta_eval's scalar branch
+    case = CASES[label]
+    theta = sfun.theta_eval
+
+    def scalar_theta(z, **nome):
+        assert type(z) is complex
+        return theta(z, **nome)
+
+    with mock.patch.object(sfun, "_s_array", side_effect=AssertionError), \
+            mock.patch.object(sfun, "theta_eval", scalar_theta):
+        residual = duplication_residual(case, 0.37 + 0.11j)
+    assert type(residual) is float and residual < 1e-11
+    # an array keeps numpy, and agrees to rounding
+    values = duplication_residual(case, np.array([0.37 + 0.11j, 0.52 - 0.12j]))
+    assert values.dtype == np.float64 and values.max() < 1e-11

@@ -275,6 +275,16 @@ def test_a_zero_tolerance_stays_allowed():
     assert run_identity("s-oddness", "I", samples=2, tol=0.0).verdict == "pass"
 
 
+def test_a_given_tolerance_applies_to_every_positive_row():
+    # quasi-invariance's two-sided rows keep their own 1e-6 only without a tol
+    given = run_identity("quasi-invariance", "II", samples=1, tol=1e-30)
+    two_sided = [row for row in given.results if row.label.endswith("/two-sided")]
+    assert two_sided and all(row.tolerance == 1e-30 and not row.passed for row in two_sided)
+    assert all(row.tolerance == 1e-30 for row in given.results if not row.control)
+    default = run_identity("quasi-invariance", "II", samples=1)
+    assert [row.tolerance for row in default.results if row.label.endswith("/two-sided")] == [1e-6]
+
+
 def test_max_n_below_one_is_rejected():
     with pytest.raises(DomainError, match="max_n"):
         run_identity("eigen-plain", "I", max_n=0)
@@ -523,7 +533,7 @@ _BALANCED = [name for name, spec in verify._REGISTRY.items() if spec.balanced]
 
 
 def _ctx(label, identity="s-duplication", samples=3):
-    return verify._RunCtx(identity=identity, case=make_case(label), label=label,
+    return verify._RunCtx(identity=identity, case=make_case(label),
                           samples=samples, tol=1e-10, rng=np.random.default_rng(5))
 
 
