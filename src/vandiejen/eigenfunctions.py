@@ -246,7 +246,6 @@ def cauchy_kernel_factors(
     y_vars: Sequence[int],
     alpha: complex | None = None,
     offset: complex | None = None,
-    power: int = 1,
 ) -> list[Factor]:
     """Gamma cross kernel ``prod G(e x_j + e' y_k + offset; alpha)``.
 
@@ -263,21 +262,20 @@ def cauchy_kernel_factors(
         for k in y_vars:
             for e1 in (1, -1):
                 for e2 in (1, -1):
-                    out.append(GFactor(((j, e1), (k, e2)), offset, alpha, power))
+                    out.append(GFactor(((j, e1), (k, e2)), offset, alpha))
     return out
 
 
 def dual_cauchy_kernel_factors(
     x_vars: Sequence[int],
     y_vars: Sequence[int],
-    power: int = 1,
 ) -> list[Factor]:
     """Building-block cross kernel ``prod s(x_j + delta y_k)``."""
     out: list[Factor] = []
     for j in x_vars:
         for k in y_vars:
             for delta in (1, -1):
-                out.append(SFactor(((j, 1), (k, delta)), 0j, power))
+                out.append(SFactor(((j, 1), (k, delta)), 0j))
     return out
 
 

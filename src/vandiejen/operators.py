@@ -717,21 +717,19 @@ def balance_solve(
     variant: str,
     lam: float,
     g: Sequence[float],
-    solve_index: int = -1,
     N: int = 0,
     Nt: int = 0,
     M: int = 0,
     Mt: int = 0,
     mass_sum: float = 0.0,
 ) -> tuple[float, ...]:
-    """Adjust one coupling so the elliptic constraint of ``variant`` holds.
+    """Adjust the last coupling so the elliptic constraint of ``variant`` holds.
 
     ``variant`` names the identity whose constraint is wanted (``source``
     for a free mass multiset, or one of the specialised identities); the
     particle counts (or ``mass_sum`` for the source form) select the
-    constraint, and the coupling at ``solve_index`` is replaced so that
-    the constraint value ``<offset> + sum(g)`` vanishes.  Returns the new
-    coupling tuple.
+    constraint, and the last coupling is replaced so that the constraint
+    value ``<offset> + sum(g)`` vanishes.  Returns the new coupling tuple.
     """
     if variant not in _BALANCE_VARIANTS:
         raise DomainError(
@@ -739,8 +737,7 @@ def balance_solve(
         )
     offset = _BALANCE_VARIANTS[variant](lam, N=N, Nt=Nt, M=M, Mt=Mt, msum=mass_sum)
     g = [float(v) for v in g]
-    rest = sum(v for i, v in enumerate(g) if i != (solve_index % len(g)))
-    g[solve_index % len(g)] = -offset - rest
+    g[-1] = -offset - sum(g[:-1])
     return tuple(g)
 
 
@@ -999,18 +996,12 @@ def summation_boundary_term(
             gap = (omega[nu] - omega[mu]) / 2
             # block against the c-family
             term *= s(gap + anchor - p.c[mu] - p.n[mu])
-            if use_c:
-                if mu != nu:
-                    term /= s(gap + anchor - p.c[mu])
-            else:
+            if not (use_c and mu == nu):
                 term /= s(gap + anchor - p.c[mu])
             # block against the d-family
             term *= s(gap + anchor - p.d[mu] - p.n[mu + rho + 1])
-            if use_c:
+            if use_c or mu != nu:
                 term /= s(gap + anchor - p.d[mu])
-            else:
-                if mu != nu:
-                    term /= s(gap + anchor - p.d[mu])
         return term
 
     return _batched(case, formula)

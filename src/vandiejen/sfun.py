@@ -21,25 +21,27 @@ distance helper used everywhere to keep evaluation points away from zeros
 of ``s`` that would otherwise poison quotients.
 
 Evaluators accept scalars or numpy arrays and are vectorised over the
-argument.  :func:`s_eval` and :func:`theta_eval` evaluate a Python or
-numpy scalar with ``cmath`` (nearly every call the identities make) and an
-array with numpy; the two paths do the same arithmetic in the same order
-and give each point the theta term count of the same table, so a point's
-value does not depend on the call it comes in.  The scalar ``s`` of a
-case is bound once, with the case's constants, as
+argument.  :func:`s_eval`, :func:`theta_eval` and :func:`theta_product`
+evaluate a Python or numpy scalar with ``cmath`` and Python's arithmetic
+(nearly every call the identities make), with no numpy call, and an array
+with numpy.  The theta series is one term loop (:func:`_theta_series`)
+that the scalar, array and mpmath routes all sum, each point to the term
+count of the same table, so a point's value does not depend on the call
+it comes in; the theta forms take the nome as their one argument ``q``.
+The scalar ``s`` of a case is bound once, with the case's constants, as
 :attr:`CaseParams.s_scalar`, which :func:`s_eval` and the operator
 formulas share; on case IV it calls the scalar branch of
-:func:`theta_eval`, whose series is bound once per nome (see
-:func:`_theta_series`).  The float paths run at one fixed accuracy: the
-series and products stop at the relative error :data:`TARGET_REL_ERR`,
-and only :func:`theta_product` takes a setting, its cap
-``product_terms`` on the factors.  The precision follows the argument's
-type: an mpmath number (and only that) is evaluated in mpmath at the
-working precision ``mpmath.mp.dps``, with term counts taken from that
-precision, and the value comes back as an mpmath number.  That route
-runs the float algorithms (the theta series, the theta product) with
-mpmath's functions; it is no second algorithm to check them against.  The
-independent references, mpmath's ``jtheta`` among them, are in the tests.
+:func:`theta_eval`, whose series is bound once per float nome.  The
+float paths run at one fixed accuracy: the series and products stop at
+the relative error :data:`TARGET_REL_ERR`, and only :func:`theta_product`
+takes a setting, its cap ``product_terms`` on the factors.  The precision
+follows the argument's type: an mpmath number (and only that) is
+evaluated in mpmath at the working precision ``mpmath.mp.dps``, with term
+counts taken from that precision, and the value comes back as an mpmath
+number.  That route runs the float algorithms (the theta series, the
+theta product) with mpmath's functions; it is no second algorithm to
+check them against.  The independent references, mpmath's ``jtheta``
+among them, are in the tests.
 """
 
 from __future__ import annotations
@@ -203,14 +205,9 @@ class CaseParams:
     @cached_property
     def rho(self) -> int:
         """Index of the last independent half-period (0, 1, 1, 3)."""
-        return {
-            CaseKind.RATIONAL: 0,
-            CaseKind.TRIGONOMETRIC: 1,
-            CaseKind.HYPERBOLIC: 1,
-            CaseKind.ELLIPTIC: 3,
-        }[self.kind]
+        return len(self.omega) - 1
 
-    @property
+    @cached_property
     def omega(self) -> tuple[complex, ...]:
         """Half-periods ``omega_0 .. omega_rho`` (omega_0 is always 0)."""
         if self.kind is CaseKind.RATIONAL:
@@ -291,11 +288,7 @@ def _restore(values: np.ndarray, scalar: bool):
 # ---------------------------------------------------------------------------
 
 
-def _nome_from(tau=None, q=None) -> complex:
-    if (tau is None) == (q is None):
-        raise DomainError("pass exactly one of tau or q")
-    if q is None:
-        q = cmath.exp(1j * cmath.pi * tau)
+def _nome_from(q) -> complex:
     q = complex(q)
     if not abs(q) < 1:
         raise DomainError(f"nome must satisfy |q| < 1, got |q|={abs(q):.6g}")
@@ -304,99 +297,74 @@ def _nome_from(tau=None, q=None) -> complex:
     return q
 
 
-def theta_eval(z, tau=None, q=None):
+def theta_eval(z, q):
     """Odd Jacobi theta function via its alternating sine series.
 
     Computes ``2 sum_{n>=0} (-1)^n q^{(n+1/2)^2} sin((2n+1) z)`` with the
     number of terms chosen adaptively from the tail bound
     ``|q|^{n(n+1)} exp(2 n |Im z|) < TARGET_REL_ERR`` (the bound is relative
     to the first term).  Terms are assembled in exponential form so that
-    large ``|Im z|`` cannot overflow before the nome decay kicks in.  An
-    mpmath ``z`` runs the scalar series with mpmath's ``exp``, its count
-    taken at the working epsilon instead of :data:`TARGET_REL_ERR`.
+    large ``|Im z|`` cannot overflow before the nome decay kicks in.
 
-    A scalar takes the bound series of :func:`_theta_series` (a ``complex``
-    as it is, another scalar type as a ``complex``).  The scalar ``s`` of
-    case IV (:attr:`CaseParams.s_scalar`) calls this function, not the
-    bound series, so each float series it sums is a ``theta_eval`` call
-    that a profile or a tracer counts.
+    Every route sums the one term loop of :func:`_theta_series`: a scalar
+    with ``cmath`` (a ``complex`` as it is, another scalar type as a
+    ``complex``), an mpmath ``z`` with mpmath's ``exp`` and the count of the
+    working epsilon, and an array with numpy, once per group of points
+    that share a term count (once in all when every point does).  A point's
+    count comes from the same table on every route, so a scalar's value is
+    its array value, bit for bit.  The scalar ``s`` of case IV
+    (:attr:`CaseParams.s_scalar`) calls this function, not the bound
+    series, so each float series it sums is a ``theta_eval`` call that a
+    profile or a tracer counts.
 
     Parameters
     ----------
     z:
         Scalar, array or mpmath argument.
-    tau, q:
-        Modular parameter or nome; exactly one must be given, with
-        ``q = exp(i pi tau)`` and ``|q| < 1``.
+    q:
+        The nome, with ``0 < |q| < 1``.
     """
     if type(z) is complex or isinstance(z, _SCALAR_TYPES):
-        if tau is None and type(q) is float:
+        if type(q) is float:
             series = _float_nome_series(q)
         else:
-            series = _theta_series(cmath.log(_nome_from(tau=tau, q=q)), _LOG_TARGET, cmath.exp,
+            series = _theta_series(cmath.log(_nome_from(q)), _LOG_TARGET, cmath.exp,
                                    _THETA_OVERFLOW_EXP)
         value = series(z if type(z) is complex else complex(z))
         if value is not None:
             return value
         # the term cap, the overflow guard, or cmath raising where numpy
         # returns inf or nan: the array path raises or returns that value
-    qq = _nome_from(tau=tau, q=q)
+    qq = _nome_from(q)
     if _is_mp(z):
-        return _theta_mp(z, mpmath.log(_nome_mp(tau, q)))
-
+        return _theta_mp(z, mpmath.log(mpmath.mpmathify(q)))
     log_q = cmath.log(qq)  # principal branch fixes q**(1/4)
     zz, scalar = _as_complex_array(z)
     if not zz.size:
         return zz
     im = np.abs(zz.imag)
-    # the count grows with |Im z|: the cap and the overflow guard reject at
-    # the largest, and when the smallest gets the same count, every point does
-    n_stop = _theta_terms(log_q, float(np.max(im)), TARGET_REL_ERR, abs(qq))
-    n_min = _theta_terms(log_q, float(np.min(im)), TARGET_REL_ERR, abs(qq))
-    counts = _theta_terms_array(log_q, im, TARGET_REL_ERR) if n_min < n_stop else None
-    total = np.zeros_like(zz)
-    for n in range(n_stop + 1):
-        exponent = (n + 0.5) ** 2 * log_q
-        # sin in exponential form, sharing the nome exponent
-        term = (
-            np.exp(exponent + 1j * (2 * n + 1) * zz)
-            - np.exp(exponent - 1j * (2 * n + 1) * zz)
-        ) / 2j
-        # each point stops at its own term count, so its value does not
-        # depend on the other points of the call
-        where = True if n <= n_min else counts >= n
-        if n % 2:
-            np.subtract(total, term, out=total, where=where)
-        else:
-            np.add(total, term, out=total, where=where)
-    return _restore(2.0 * total, scalar)
-
-
-def _theta_terms(log_q: complex, im_max: float, tol: float, abs_q: float) -> int:
-    """Last index ``n_stop`` of the theta sine series for ``max|Im z| = im_max``:
-    the least ``n`` in ``1 .. _THETA_TERM_CAP`` whose tail bound lies below
-    ``tol``, from the table of :func:`_count_table`.  ``abs_q`` is only
-    quoted in error messages."""
-    n = bisect_right(_count_table(log_q.real, math.log(tol)), im_max) + 1
-    if n > _THETA_TERM_CAP:
+    im_max = float(np.max(im))
+    table = _count_table(log_q.real, _LOG_TARGET)
+    n_stop = bisect_right(table, im_max) + 1  # the count is monotone in |Im z|
+    if n_stop > _THETA_TERM_CAP:
         raise ConvergenceError(
             "theta series tail still above target after "
-            f"{_THETA_TERM_CAP} terms (|q|={abs_q:.6g}, max|Im z|={im_max:.3g})"
+            f"{_THETA_TERM_CAP} terms (|q|={abs(qq):.6g}, max|Im z|={im_max:.3g})"
         )
-    peak = abs(log_q) / 4 + (2 * n + 1) * im_max
-    if peak > _THETA_OVERFLOW_EXP:
+    if abs(log_q) / 4 + (2 * n_stop + 1) * im_max > _THETA_OVERFLOW_EXP:
         raise DomainError(
             f"theta argument too deep in the strip: |Im z|={im_max:.3g} "
             "would overflow float64"
         )
-    return n
-
-
-def _theta_terms_array(log_q: complex, im: np.ndarray, tol: float) -> np.ndarray:
-    """:func:`_theta_terms` of every entry of ``im``, from the same table, so
-    each count is the one the point gets alone.  Every entry must lie at
-    or below a ``|Im z|`` that :func:`_theta_terms` accepts."""
-    return np.searchsorted(_count_array(log_q.real, math.log(tol)), im, side="right") + 1
+    series = _theta_series(log_q, _LOG_TARGET, np.exp, _THETA_OVERFLOW_EXP)
+    if bisect_right(table, float(np.min(im))) + 1 == n_stop:
+        return _restore(series(zz, n_stop), scalar)
+    counts = np.searchsorted(_count_array(log_q.real, _LOG_TARGET), im, side="right") + 1
+    values = np.empty_like(zz)
+    for n in np.unique(counts).tolist():
+        at = counts == n
+        values[at] = series(zz[at], n)
+    return _restore(values, scalar)
 
 
 def _tail_below(n, decay: float, im, log_tol: float):
@@ -452,26 +420,28 @@ def _float_nome_series(q: float) -> Callable[[complex], complex | None]:
     case's is: bound once per nome.  Only a float keys it: a complex nome
     ``-0.3 - 0j`` equals ``-0.3 + 0j`` but lies across the branch cut of
     ``log q``, so a complex nome is bound at each call."""
-    return _theta_series(cmath.log(_nome_from(q=q)), _LOG_TARGET, cmath.exp, _THETA_OVERFLOW_EXP)
+    return _theta_series(cmath.log(_nome_from(q)), _LOG_TARGET, cmath.exp, _THETA_OVERFLOW_EXP)
 
 
 def _theta_series(log_q, log_tol: float, exp, overflow: float) -> Callable:
-    """The scalar sine series of :func:`theta_eval` at the nome ``exp(log_q)``,
-    with the count table of ``(Re log q, log_tol)`` bound once and the
-    per-term constants ``(n + 1/2)^2 log q`` and ``i (2n + 1)`` built as far
-    as a call needs.  ``log_q`` (on the principal branch, which fixes
-    ``q**(1/4)``) and ``exp`` are of one backend: ``cmath`` with the float64
-    target and overflow bound :data:`_THETA_OVERFLOW_EXP`, or mpmath with
-    the log of the working epsilon and no bound.
+    """The sine series of :func:`theta_eval` at the nome ``exp(log_q)``, the
+    one term loop of every route, with the count table of ``(Re log q,
+    log_tol)`` bound once and the per-term constants ``(n + 1/2)^2 log q``
+    and ``i (2n + 1)`` built as far as a call needs.  ``log_q`` (on the
+    principal branch, which fixes ``q**(1/4)``) and ``exp`` are of one
+    backend: ``cmath`` or numpy with the float64 target and overflow bound
+    :data:`_THETA_OVERFLOW_EXP`, or mpmath with the log of the working
+    epsilon and no bound.
 
-    A call sums the series at one ``z`` of that backend, term for term as
-    the numpy series, to the count :func:`_theta_terms` gives at ``|Im z|``.
-    It returns None where that count meets the term cap or the overflow
-    bound, or where ``cmath`` raises: the array path of :func:`theta_eval`
-    answers those, and the mpmath route raises.  The sign ``(-1)^n`` of a
-    term rides on its frequency ``(-1)^n i (2n + 1)``, which swaps the two
-    exponentials of an odd term; as IEEE rounding is symmetric in sign, the
-    sum is that of subtracting the term, bit for bit.
+    A call ``series(z)`` sums the series at one ``z`` to the count the table
+    gives at ``|Im z|``.  It returns None where that count meets the term
+    cap or the overflow bound, or where ``cmath`` raises: the array path of
+    :func:`theta_eval` answers those, and the mpmath route raises.  A call
+    ``series(z, n_stop)`` sums terms ``0 .. n_stop`` at every point of an
+    array ``z``; the caller has checked the count.  The sign ``(-1)^n`` of
+    a term rides on its frequency ``(-1)^n i (2n + 1)``, which swaps the
+    two exponentials of an odd term; as IEEE rounding is symmetric in
+    sign, the sum is that of subtracting the term, bit for bit.
 
     On the float route the series is odd bit for bit at a ``z`` with both
     parts nonzero: at ``-z`` the two exponentials ``exp(e +- kz)`` of each
@@ -484,12 +454,13 @@ def _theta_series(log_q, log_tol: float, exp, overflow: float) -> Callable:
     table = _count_table(float(log_q.real), log_tol)
     consts: list = []  # (exponent, frequency) of terms 0, 1, ...: replaced, not mutated
 
-    def series(z):
+    def series(z, n_stop=None):
         nonlocal consts
-        im = abs(z.imag)
-        n_stop = bisect_right(table, im) + 1
-        if n_stop > _THETA_TERM_CAP or quarter + (2 * n_stop + 1) * im > overflow:
-            return None
+        if n_stop is None:
+            im = abs(z.imag)
+            n_stop = bisect_right(table, im) + 1
+            if n_stop > _THETA_TERM_CAP or quarter + (2 * n_stop + 1) * im > overflow:
+                return None
         terms = consts
         if len(terms) <= n_stop:
             terms = consts = [((n + 0.5) ** 2 * log_q, complex(0.0, (-1) ** n * (2 * n + 1)))
@@ -506,7 +477,7 @@ def _theta_series(log_q, log_tol: float, exp, overflow: float) -> Callable:
     return series
 
 
-def theta_product(z, tau=None, q=None, product_terms: int = PRODUCT_TERMS):
+def theta_product(z, q, product_terms: int = PRODUCT_TERMS):
     """Same odd theta function via its triple-product representation.
 
     ``2 q^{1/4} sin z prod_{n>=1} (1 - q^{2n}) (1 - 2 q^{2n} cos 2z + q^{4n})``.
@@ -515,15 +486,24 @@ def theta_product(z, tau=None, q=None, product_terms: int = PRODUCT_TERMS):
     validated against it; quotient code elsewhere uses whichever is
     convenient.  ``product_terms`` caps the number of factors: raising it
     helps when the nome is close to 1, and for an mpmath argument at high
-    precision (at q = 0.3, 50 digits need 48 factors).  An mpmath argument
-    runs the same loop with mpmath's functions and stops at the working
-    epsilon instead of :data:`TARGET_REL_ERR`.
+    precision (at q = 0.3, 50 digits need 48 factors).  One loop runs over
+    three backends: a finite Python or numpy scalar with ``cmath`` and
+    Python's arithmetic (no numpy call, so its bits do not depend on
+    numpy's SIMD dispatch), an array with numpy, and an mpmath argument
+    with mpmath's functions, stopping at the working epsilon instead of
+    :data:`TARGET_REL_ERR`.
     """
     if product_terms < 1:
         raise DomainError("product_terms must be at least 1")
-    qq = _nome_from(tau=tau, q=q)
-    if _is_mp(z):
-        qq, zz, scalar, im_max = _nome_mp(tau, q), z, False, abs(z.imag)
+    qq = _nome_from(q)
+    # cmath raises where numpy returns nan: a scalar inf or nan takes numpy
+    if isinstance(z, _SCALAR_TYPES) and cmath.isfinite(z):
+        zz = complex(z)
+        scalar, im_max = False, abs(zz.imag)
+        cos, sin, exp, log, tol = cmath.cos, cmath.sin, cmath.exp, cmath.log, TARGET_REL_ERR
+        real_exp, prod = math.exp, 1.0 + 0j
+    elif _is_mp(z):
+        qq, zz, scalar, im_max = mpmath.mpmathify(q), z, False, abs(z.imag)
         cos, sin, exp, log, tol = mpmath.cos, mpmath.sin, mpmath.exp, mpmath.log, mpmath.eps
         real_exp, prod = mpmath.exp, mpmath.mpc(1)
     else:
@@ -545,11 +525,6 @@ def theta_product(z, tau=None, q=None, product_terms: int = PRODUCT_TERMS):
 
 
 # -- the mpmath routes: one mpmath argument at the working precision -------
-
-
-def _nome_mp(tau, q):
-    """The nome in mpmath, from whichever of ``tau`` and ``q`` is given."""
-    return mpmath.mpmathify(q) if q is not None else mpmath.expjpi(tau)
 
 
 def _theta_mp(z, log_q):

@@ -77,7 +77,10 @@ def compute(seeds=SEEDS) -> dict[str, dict]:
 def host() -> dict:
     import numpy as np
 
-    features = np._core._multiarray_umath.__cpu_features__
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__ as features
     return {"python": platform.python_version(), "numpy": np.__version__,
             "cpu_features": sorted(name for name, on in features.items() if on)}
 

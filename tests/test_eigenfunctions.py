@@ -1,6 +1,7 @@
 """Eigenfunctions: branch tracking, factor lists, ground states, kernels."""
 
 import cmath
+import dataclasses
 import itertools
 
 import numpy as np
@@ -256,6 +257,10 @@ def test_factor_ratio_rejects_incommensurate_shift():
 # --------------------------------------------------------------------------
 
 
+def _squared(factors):
+    return [dataclasses.replace(f, power=2) for f in factors]
+
+
 def test_cauchy_kernel_square_route():
     case = make("II")
     g = couplings_for("II")
@@ -265,7 +270,7 @@ def test_cauchy_kernel_square_route():
     val = kernel_cauchy_value(case, g, LAM, BETA, Z, (0,), (1,), tr)
     factors = groundstate_sq_factors(case, g, LAM, BETA, (0,))
     factors += groundstate_sq_factors(case, g_ref, LAM, BETA, (1,))
-    factors += cauchy_kernel_factors(LAM, BETA, (0,), (1,), power=2)
+    factors += _squared(cauchy_kernel_factors(LAM, BETA, (0,), (1,)))
     prod = factor_value(case, factors, Z)
     assert rel_err(val * val, prod) < 1e-10
 
@@ -279,7 +284,7 @@ def test_dual_cauchy_kernel_square_route():
     val = kernel_dual_cauchy_value(case, g, LAM, BETA, Z, (0,), (1,), tr)
     factors = groundstate_sq_factors(case, g, LAM, BETA, (0,))
     factors += groundstate_sq_factors(case, g_scaled, 1 / LAM, LAM * BETA, (1,))
-    factors += dual_cauchy_kernel_factors((0,), (1,), power=2)
+    factors += _squared(dual_cauchy_kernel_factors((0,), (1,)))
     prod = factor_value(case, factors, Z)
     assert rel_err(val * val, prod) < 1e-10
 
@@ -293,11 +298,11 @@ def test_deformed_kernel_square_route():
     val = kernel_deformed_value(case, g, LAM, BETA, Z, (0,), (1,), (2,), (3,), tr)
     factors = deformed_groundstate_sq_factors(case, g, LAM, BETA, (0,), (1,))
     factors += deformed_groundstate_sq_factors(case, g_ref, LAM, BETA, (2,), (3,))
-    factors += cauchy_kernel_factors(LAM, BETA, (0,), (2,), power=2)
-    factors += cauchy_kernel_factors(LAM, BETA, (1,), (3,), alpha=LAM * BETA,
-                                     offset=-0.5j * BETA, power=2)
-    factors += dual_cauchy_kernel_factors((0,), (3,), power=2)
-    factors += dual_cauchy_kernel_factors((1,), (2,), power=2)
+    factors += _squared(cauchy_kernel_factors(LAM, BETA, (0,), (2,)))
+    factors += _squared(cauchy_kernel_factors(LAM, BETA, (1,), (3,), alpha=LAM * BETA,
+                                              offset=-0.5j * BETA))
+    factors += _squared(dual_cauchy_kernel_factors((0,), (3,)))
+    factors += _squared(dual_cauchy_kernel_factors((1,), (2,)))
     prod = factor_value(case, factors, Z)
     assert rel_err(val * val, prod) < 1e-9
 

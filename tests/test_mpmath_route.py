@@ -99,13 +99,13 @@ def test_s_and_gamma_at_30_digits(label):
         assert _rel(g_val, g_ref) < REL
 
 
-@pytest.mark.parametrize("nome", [dict(q=0.3), dict(q=mp.exp(-1.98)), dict(tau=0.2 + 0.8j)])
+@pytest.mark.parametrize("nome", [dict(q=0.3), dict(q=mp.exp(-1.98)),
+                                  dict(q=mp.expjpi(0.2 + 0.8j))])
 @pytest.mark.parametrize("theta", [theta_eval, theta_product])
 def test_theta_at_30_digits(theta, nome):
     for _, x in POINTS:
         with mp.workdps(40):
-            q = mp.mpmathify(nome["q"]) if "q" in nome else mp.expjpi(nome["tau"])
-            ref = mp.jtheta(1, mp.mpc(x), q)
+            ref = mp.jtheta(1, mp.mpc(x), mp.mpmathify(nome["q"]))
         with mp.workdps(30):
             value = theta(mp.mpc(x), **nome)
         assert _rel(value, ref) < REL
@@ -118,12 +118,14 @@ EVALUATORS = {
     "gamma_G/-alpha": lambda case, alpha, x: gamma_G(case, -alpha, x),
     "gamma_G1": lambda case, alpha, x: gamma_G1(case, abs(alpha.real) + 1j * alpha.imag, x),
 }
-NOMES = [dict(q=0.3), dict(q=mp.exp(-1.98)), dict(tau=0.2 + 0.8j)]
+# the last nome is exp(i pi tau) at the modular parameter tau = 0.2 + 0.8i
+NOMES = [dict(q=0.3), dict(q=mp.exp(-1.98)), dict(q=mp.expjpi(0.2 + 0.8j))]
 NOME_IDS = ["q=0.3", "q=exp(-1.98)", "tau"]
 
 
 def _float_nome(nome):
-    return {k: float(v) if isinstance(v, mp.mpf) else v for k, v in nome.items()}
+    return {k: complex(v) if isinstance(v, mp.mpc) else float(v) if isinstance(v, mp.mpf) else v
+            for k, v in nome.items()}
 
 
 @pytest.mark.parametrize("name", sorted(EVALUATORS))
@@ -173,8 +175,7 @@ def test_theta_follows_the_working_precision(theta, dps):
     for nome in NOMES:
         for _, x in POINTS:
             with mp.workdps(dps + 10):
-                q = mp.mpmathify(nome["q"]) if "q" in nome else mp.expjpi(nome["tau"])
-                ref = mp.jtheta(1, mp.mpc(x), q)
+                ref = mp.jtheta(1, mp.mpc(x), mp.mpmathify(nome["q"]))
             with mp.workdps(dps):
                 got = theta(mp.mpc(x), **cap, **nome)
             with mp.workdps(dps + 10):

@@ -23,14 +23,11 @@ ALLOWLIST = {
     "gamma:_g1_mp": _MPMATH,
     "gamma:_hyperbolic_mp": _MPMATH,
     "operators:_holds": _MPMATH + " (an mpmath key skips the run memo)",
-    "sfun:_nome_mp": _MPMATH,
     "sfun:_s_mp": _MPMATH,
     "sfun:_theta_mp": _MPMATH,
     "gamma:_g1_elliptic": _ARRAYS,
     "gamma:_g1_hyperbolic": _ARRAYS,
     "sfun:_count_array": _ARRAYS,
-    "sfun:_theta_terms": _ARRAYS,
-    "sfun:_theta_terms_array": _ARRAYS,
     "gamma:gamma_ratio_shift": "perfbench's span tracer reports it by this name",
     "verify:payload_lines": "perfbench's sweeps digest report payloads with it",
     "verify:_failure": "the detail of a row that a branch or pole failure stops; "

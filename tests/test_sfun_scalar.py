@@ -4,12 +4,13 @@ path, the mpmath evaluator, and the term-count scan it replaced."""
 import cmath
 import itertools
 import math
+from bisect import bisect_right
 from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from vandiejen import sfun
@@ -19,8 +20,6 @@ from vandiejen.sfun import (
     CaseParams,
     ConvergenceError,
     DomainError,
-    _theta_terms,
-    _theta_terms_array,
     duplication_residual,
     s_eval,
     s_eval_mp,
@@ -67,14 +66,27 @@ def test_scalar_theta_eval_equals_array_path(mod, arg, x, y, sign):
     assert scalar == array
 
 
-@pytest.mark.parametrize("nome", [{"q": 1.5}, {"q": 0.0}, {"q": -0.0}, {"q": math.nan},
-                                  {"q": 0j}, {}, {"q": 0.3, "tau": 1j}],
-                         ids=["q=1.5", "q=0", "q=-0", "q=nan", "q=0j", "none", "both"])
-def test_an_invalid_nome_is_rejected_on_every_path(nome):
+@PROPERTY
+@given(mod=st.floats(0.05, 0.8), arg=st.floats(-math.pi, math.pi),
+       points=st.lists(st.tuples(re_part, st.floats(0.0, 4.0), half_plane), min_size=2,
+                       max_size=12))
+def test_an_array_of_several_term_counts_is_its_scalars_bit_for_bit(mod, arg, points):
+    # the array path sums each group of points that share a count with the
+    # scalar's term loop, so every point keeps its scalar value
+    q = cmath.rect(mod, arg)
+    zs = np.array([complex(x, sign * y) for x, y, sign in points])
+    assume(len(set(_array_counts(cmath.log(q), np.abs(zs.imag), TARGET_REL_ERR))) > 1)
+    array = theta_eval(zs, q=q)
+    assert array.tobytes() == np.array([theta_eval(complex(z), q=q) for z in zs]).tobytes()
+
+
+@pytest.mark.parametrize("q", [1.5, 0.0, -0.0, math.nan, 0j],
+                         ids=["q=1.5", "q=0", "q=-0", "q=nan", "q=0j"])
+def test_an_invalid_nome_is_rejected_on_every_path(q):
     errors = set()
     for z in (0.3, 0.3 + 0j, np.array([0.3]), mpmath.mpf("0.3")):
         with pytest.raises(DomainError) as err:
-            theta_eval(z, **nome)
+            theta_eval(z, q=q)
         errors.add(str(err.value))
     assert len(errors) == 1
 
@@ -136,25 +148,30 @@ def test_an_mpmath_argument_takes_the_mpmath_route():
     assert value == s_eval_mp(case, z, 30)
 
 
-def _reference_terms(log_q, im_max, tol, abs_q):
-    """The term-count scan that the count table replaced."""
-    decay = log_q.real
-    n_stop = None
+def _reference_count(log_q, im_max, tol):
+    """The term-count scan that the count table replaced: the least n in
+    1 .. 400 whose tail bound lies below ``tol``, or 401 (none does)."""
     for n in range(1, 401):
-        if n * (n + 1) * decay + 2 * n * im_max < math.log(tol):
-            n_stop = n
-            break
-    if n_stop is None:
-        raise ConvergenceError(
-            "theta series tail still above target after "
-            f"400 terms (|q|={abs_q:.6g}, max|Im z|={im_max:.3g})"
-        )
+        if n * (n + 1) * log_q.real + 2 * n * im_max < math.log(tol):
+            return n
+    return 401
+
+
+def _reference_error(log_q, im_max, n_stop, abs_q):
+    """The error, as ``_outcome`` gives it, that the scan raised at its count
+    ``n_stop``: the term cap, the overflow guard, or None."""
+    if n_stop > 400:
+        return ("ConvergenceError", "theta series tail still above target after "
+                f"400 terms (|q|={abs_q:.6g}, max|Im z|={im_max:.3g})")
     if abs(log_q) / 4 + (2 * n_stop + 1) * im_max > 650.0:
-        raise DomainError(
-            f"theta argument too deep in the strip: |Im z|={im_max:.3g} "
-            "would overflow float64"
-        )
-    return n_stop
+        return ("DomainError", f"theta argument too deep in the strip: |Im z|={im_max:.3g} "
+                "would overflow float64")
+    return None
+
+
+def _table_count(log_q, im_max, tol=TARGET_REL_ERR):
+    """The count a scalar takes from the count table at ``|Im z| = im_max``."""
+    return bisect_right(sfun._count_table(log_q.real, math.log(tol)), im_max) + 1
 
 
 GRID_Q = (1e-300, 1e-8, 0.05, 0.3, 0.6, 0.9, 0.99, 0.999, 0.99999)
@@ -179,9 +196,14 @@ def test_table_term_count_matches_scan():
     for mod, im_max, tol in grid:
         for q in (complex(mod), cmath.rect(mod, 2.0)):
             log_q = cmath.log(q)
-            got = _outcome(_theta_terms, log_q, im_max, tol, abs(q))
-            assert got == _outcome(_reference_terms, log_q, im_max, tol, abs(q)), (q, im_max, tol)
-            seen.add(got[0] if isinstance(got, tuple) else "n")
+            n_stop = _reference_count(log_q, im_max, tol)
+            assert _table_count(log_q, im_max, tol) == n_stop, (q, im_max, tol)
+            error = _reference_error(log_q, im_max, n_stop, abs(q))
+            if tol == TARGET_REL_ERR:
+                # an array raises the scan's error at its largest |Im z|
+                got = _outcome(theta_eval, np.array([0.3, complex(0.3, im_max)]), q=q)
+                assert (got if isinstance(got, tuple) else None) == error, (q, im_max)
+            seen.add(error[0] if error else "n")
     # the grid reaches the term cap and the overflow guard
     assert seen == {"n", "ConvergenceError", "DomainError"}
 
@@ -353,20 +375,24 @@ def test_elliptic_scalar_s_is_theta_eval_bit_for_bit(a, reached):
     assert seen == reached
 
 
+def _array_counts(log_q, ims, tol):
+    """The counts an array takes, as theta_eval finds them on the count array."""
+    return np.searchsorted(sfun._count_array(log_q.real, math.log(tol)), ims, side="right") + 1
+
+
 def test_vectorised_term_count_matches_the_scalar_count():
     grid = itertools.chain(itertools.product(GRID_Q, GRID_IM, GRID_TOL), _boundary_points())
-    accepted = {}
+    counted = {}
     for mod, im, tol in grid:
         for q in (complex(mod), cmath.rect(mod, 2.0)):
             log_q = cmath.log(q)
-            one = _outcome(_theta_terms, log_q, im, tol, abs(q))
-            if not isinstance(one, tuple):
-                assert _theta_terms_array(log_q, np.array([im]), tol).tolist() == [one]
-                accepted.setdefault((q, tol), []).append((im, one))
-    # the accepted points of one nome and tolerance, together in one call
-    for (q, tol), pairs in accepted.items():
+            one = _table_count(log_q, im, tol)
+            assert _array_counts(log_q, np.array([im]), tol).tolist() == [one]
+            counted.setdefault((q, tol), []).append((im, one))
+    # the points of one nome and tolerance, together in one call
+    for (q, tol), pairs in counted.items():
         ims, want = zip(*pairs)
-        got = _theta_terms_array(cmath.log(q), np.array(ims[::-1] + ims), tol)
+        got = _array_counts(cmath.log(q), np.array(ims[::-1] + ims), tol)
         assert got.tolist() == list(want[::-1] + want), (q, tol)
 
 
@@ -383,12 +409,11 @@ def test_the_largest_imaginary_part_raises_its_error():
 
 def _step_of_the_term_count(case):
     """The count at Im z = 0, and the |Im z| where it steps up by one."""
-    tol = TARGET_REL_ERR
     log_q = cmath.log(case.q)
-    n = _theta_terms(log_q, 0.0, tol, case.q)
-    step = (math.log(tol) - n * (n + 1) * log_q.real) / (2 * n)
-    assert _theta_terms(log_q, 0.99 * step, tol, case.q) == n
-    assert _theta_terms(log_q, 1.01 * step, tol, case.q) == n + 1
+    n = _table_count(log_q, 0.0)
+    step = (math.log(TARGET_REL_ERR) - n * (n + 1) * log_q.real) / (2 * n)
+    assert _table_count(log_q, 0.99 * step) == n
+    assert _table_count(log_q, 1.01 * step) == n + 1
     return step
 
 
@@ -446,3 +471,25 @@ def test_a_scalar_duplication_residual_makes_no_array_s_call(label):
     # an array keeps numpy, and agrees to rounding
     values = duplication_residual(case, np.array([0.37 + 0.11j, 0.52 - 0.12j]))
     assert values.dtype == np.float64 and values.max() < 1e-11
+
+
+class _NoNumpy:
+    """Stands for numpy in ``sfun`` and fails any use of it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used")
+
+
+@pytest.mark.parametrize("z", [0.37 + 0.11j, 0.37, 2, np.float64(0.37),
+                               np.complex128(0.37 + 0.11j)],
+                         ids=["complex", "float", "int", "float64", "complex128"])
+def test_a_scalar_theta_product_makes_no_numpy_call(z):
+    # Python's arithmetic and cmath, so its value does not move with
+    # numpy's SIMD dispatch; it agrees with the series to rounding
+    with mock.patch.object(sfun, "np", _NoNumpy()):
+        value = sfun.theta_product(z, q=0.3)
+    assert type(value) is complex
+    assert value == pytest.approx(theta_eval(complex(z), q=0.3), rel=1e-13)
+    # an array keeps numpy, and agrees to rounding
+    array = sfun.theta_product(np.array([z, z]), q=0.3)
+    assert array.dtype == np.complex128 and array[1] == pytest.approx(value, rel=1e-15)
