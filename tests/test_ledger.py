@@ -22,8 +22,8 @@ def test_a_moved_digest_or_verdict_is_named(monkeypatch, same_host):
     ledger = _ledger()
     host = ledger["host"] if same_host else {**ledger["host"], "numpy": "0"}
     monkeypatch.setattr(make_ledger, "host", lambda: host)
-    stable = next(pair for pair, held in ledger["stable"].items() if held)
-    unstable = next(pair for pair, held in ledger["stable"].items() if not held)
+    stable, unstable = list(ledger["seeds"]["0"]["pairs"])[:2]
+    ledger["stable"] = {**ledger["stable"], stable: True, unstable: False}
     fresh = {"0": copy.deepcopy(ledger["seeds"]["0"])}
     pairs = fresh["0"]["pairs"]
     want = []
