@@ -42,11 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from . import verify
-from .eigenfunctions import (
-    BranchTracker,
-    deformed_groundstate_value,
-    groundstate_psi,
-)
+from .eigenfunctions import BranchTracker, continued_root, deformed_groundstate_sq_factors
 from .gamma import functional_eq_constant, gamma_G
 from .operators import CouplingSet, MassTag, coeff_V0, coeff_V_shift
 from .sfun import (
@@ -460,15 +456,10 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
             if n + nt != len(X):
                 raise DomainError(
                     f"flag --x: expected {n + nt} coordinates, got {len(X)}")
-        tracker = BranchTracker(tuple(X))
-        if nt:
-            value = deformed_groundstate_value(
-                case, coupling.g, coupling.lam, coupling.beta, tuple(X),
-                tuple(range(n)), tuple(range(n, n + nt)), tracker)
-        else:
-            value = groundstate_psi(case, coupling.g, coupling.lam,
-                                    coupling.beta, tuple(X), tuple(range(n)),
-                                    tracker)
+        # with no deformed coordinates this is the plain ground state's list
+        ground = deformed_groundstate_sq_factors(case, coupling.g, coupling.lam, coupling.beta,
+                                                 range(n), range(n, n + nt))
+        value = continued_root(case, ground, X, BranchTracker(X))
         rows.append(("psi", value, _flag_for(value, None)))
     else:
         raise DomainError(f"unknown quantity {quantity!r}")

@@ -19,7 +19,9 @@ square-root form of the operator and its plain form, square roots are
 continued analytically along straight-line paths from a fixed base point
 (:class:`BranchTracker`).  This pins a concrete sheet for every factor
 and makes sign bookkeeping falsifiable: deliberately flipping one sheet
-(`set_fault`) must blow up the residual.  :class:`ConjugatedTerms` holds
+(`set_fault`) must blow up the residual.  :func:`continued_root` takes
+the root of a squared factor list (a ground state, or the two ground
+states of a kernel) block by block.  :class:`ConjugatedTerms` holds
 the shift terms of a square-root-form operator conjugated by a function F,
 for the conjugation identity (F the eigenfunction, see
 :func:`conjugation_terms`) and the direct kernel checks (F the kernel)
@@ -44,7 +46,7 @@ import numpy as np
 
 from .gamma import _step_ratio, functional_eq_constant, gamma_G
 from .operators import (MassTag, Operator, ShiftBlock, _batched, _coefficient_memo, _moved,
-                        conjugated_operator, d_param, dual_couplings, reflected_couplings)
+                        conjugated_operator, d_param, dual_couplings)
 from .sfun import CaseParams, DomainError, PoleProximityError, s_eval
 
 __all__ = [
@@ -62,15 +64,11 @@ __all__ = [
     "pair_kind",
     "phi_factor_specs",
     "eigenfunction_value",
+    "continued_root",
     "pathwise",
     "ConjugatedTerms",
     "conjugation_terms",
     "psi_single_sq",
-    "groundstate_psi",
-    "deformed_groundstate_value",
-    "kernel_cauchy_value",
-    "kernel_dual_cauchy_value",
-    "kernel_deformed_value",
     "power_sum_weight",
     "deformed_power_sum",
     "quasi_invariance_defect",
@@ -119,6 +117,13 @@ class SFactor:
 Factor = GFactor | SFactor
 
 
+def _base(case: CaseParams, f: Factor, Z):
+    """The gamma or building-block value of ``f`` at ``Z``, before its
+    power: at one point, or on the coordinate arrays of a path."""
+    arg = f.argument(Z)
+    return gamma_G(case, f.alpha, arg) if isinstance(f, GFactor) else s_eval(case, arg)
+
+
 def factor_value(
     case: CaseParams,
     factors: Sequence[Factor],
@@ -127,12 +132,7 @@ def factor_value(
     """Evaluate the product of all factors at the point ``Z``."""
     out = 1.0 + 0j
     for f in factors:
-        arg = f.argument(Z)
-        if isinstance(f, GFactor):
-            base = complex(gamma_G(case, f.alpha, arg))
-        else:
-            base = complex(s_eval(case, arg))
-        out *= base**f.power
+        out *= complex(_base(case, f, Z))**f.power
     return out
 
 
@@ -327,17 +327,15 @@ class BranchTracker:
     errors.
     """
 
-    def __init__(
-        self,
-        base_point: Sequence[complex],
-        path_steps: int = 48,
-        max_depth: int = 14,
-        rel_floor: float = 1e-12,
-    ) -> None:
+    #: the points of a path, the bisections of one ambiguous step, and the
+    #: floor of a square's modulus relative to it plus the previous root's
+    #: modulus squared
+    path_steps = 48
+    max_depth = 14
+    rel_floor = 1e-12
+
+    def __init__(self, base_point: Sequence[complex]) -> None:
         self.base = tuple(complex(v) for v in base_point)
-        self.path_steps = path_steps
-        self.max_depth = max_depth
-        self.rel_floor = rel_floor
         self._cache: dict = {}
         self._base_roots: dict = {}
         self._paths: dict = {}
@@ -569,6 +567,47 @@ def eigenfunction_value(
     return out
 
 
+def _side(case: CaseParams, factors: Sequence[Factor], P):
+    """The factors' values to the absolute value of their powers,
+    multiplied in list order."""
+    out = 1.0 + 0j
+    for f in factors:
+        out *= _base(case, f, P) ** abs(f.power)
+    return out
+
+
+def continued_root(
+    case: CaseParams,
+    factors: Sequence[Factor],
+    Z: Sequence[complex],
+    tracker: BranchTracker,
+) -> complex:
+    """Square root of the product of ``factors`` at ``Z``, continued by
+    ``tracker`` one block at a time.
+
+    A block is every factor of one coordinate, or every factor of one
+    linear form in two coordinates: a ground state's single, pair and
+    cross groups.  Its value is its positive-power factors over its
+    negative-power ones; a block with only negative powers divides by the
+    root of its inverse.  The tracker keys a block by its factors, so one
+    tracker continues several lists, and a block they share once.
+    """
+    blocks: dict = {}
+    for f in factors:
+        blocks.setdefault(f.coeffs[0][0] if len(f.coeffs) == 1 else f.coeffs, []).append(f)
+    out = 1.0 + 0j
+    for block in blocks.values():
+        num = [f for f in block if f.power > 0]
+        den = [f for f in block if f.power < 0]
+
+        def value(P, num=num, den=den):
+            return _side(case, num, P) / _side(case, den, P) if num else _side(case, den, P)
+
+        root = tracker.sqrt_at(tuple(block), value, Z)
+        out = out * root if num else out / root
+    return out
+
+
 class ConjugatedTerms:
     """The square-root form of an operator ``op``, conjugated by ``F``.
 
@@ -691,7 +730,7 @@ def conjugation_terms(
 
 
 # ---------------------------------------------------------------------------
-# named evaluators: single blocks, ground states, kernels
+# named evaluators: single blocks
 # ---------------------------------------------------------------------------
 
 
@@ -717,149 +756,6 @@ def psi_single_sq(
         den *= gamma_G(case, alpha, x + off)
         den *= gamma_G(case, alpha, -x + off)
     return num / den
-
-
-def groundstate_psi(
-    case: CaseParams,
-    g: Sequence[float],
-    lam: float,
-    beta: float,
-    Z: Sequence[complex],
-    variables: Sequence[int],
-    tracker: BranchTracker,
-    key_prefix: str = "gs",
-) -> complex:
-    """All-unit-mass ground state on the given coordinate slots of ``Z``.
-
-    Written against the explicit unit-mass display rather than through
-    :func:`phi_factor_specs`, so the two implementations cross-check each
-    other.
-    """
-    b2 = 0.5j * beta
-    out = 1.0 + 0j
-    for i in variables:
-
-        def w_single(P, i=i):
-            v = P[i]
-            num = gamma_G(case, beta, 2 * v + b2)
-            num *= gamma_G(case, beta, -2 * v + b2)
-            den = 1.0 + 0j
-            for g_nu in g:
-                den *= gamma_G(case, beta, v + b2 - 1j * g_nu * beta)
-                den *= gamma_G(case, beta, -v + b2 - 1j * g_nu * beta)
-            return num / den
-
-        out *= tracker.sqrt_at((key_prefix, "single", i), w_single, Z)
-    idx = list(variables)
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            for e1 in (1, -1):
-                for e2 in (1, -1):
-
-                    def w_pair(P, j=idx[a], k=idx[b], e1=e1, e2=e2):
-                        arg = e1 * P[j] + e2 * P[k] + b2
-                        num = gamma_G(case, beta, arg)
-                        den = gamma_G(case, beta, arg - 1j * lam * beta)
-                        return num / den
-
-                    out *= tracker.sqrt_at(
-                        (key_prefix, "pair", idx[a], idx[b], e1, e2), w_pair, Z
-                    )
-    return out
-
-
-def deformed_groundstate_value(
-    case: CaseParams,
-    g: Sequence[float],
-    lam: float,
-    beta: float,
-    Z: Sequence[complex],
-    x_vars: Sequence[int],
-    xt_vars: Sequence[int],
-    tracker: BranchTracker,
-    key_prefix: str = "dgs",
-) -> complex:
-    """Two-species ground state: plain block times dual block over the
-    square-rooted cross product."""
-    g_dual = dual_couplings(g, lam)
-    out = groundstate_psi(case, g, lam, beta, Z, x_vars, tracker, key_prefix=key_prefix + "-x")
-    out *= groundstate_psi(case, g_dual, 1.0 / lam, lam * beta, Z, xt_vars,
-                           tracker, key_prefix=key_prefix + "-t")
-    u = 0.5j * (lam - 1) * beta
-    for i in x_vars:
-        for k in xt_vars:
-            for delta in (1, -1):
-
-                def w_cross(P, i=i, k=k, delta=delta):
-                    arg = P[i] + delta * P[k]
-                    return s_eval(case, arg + u) * s_eval(case, arg - u)
-
-                out /= tracker.sqrt_at(
-                    (key_prefix, "cross", i, k, delta), w_cross, Z
-                )
-    return out
-
-
-def kernel_cauchy_value(
-    case: CaseParams,
-    g: Sequence[float],
-    lam: float,
-    beta: float,
-    Z: Sequence[complex],
-    x_vars: Sequence[int],
-    y_vars: Sequence[int],
-    tracker: BranchTracker,
-) -> complex:
-    """Gamma cross kernel joining a plain block at coupling ``g`` and one
-    at the :func:`~vandiejen.operators.reflected_couplings`."""
-    g_ref = reflected_couplings(g, lam)
-    out = groundstate_psi(case, g, lam, beta, Z, x_vars, tracker, key_prefix="kc-x")
-    out *= groundstate_psi(case, g_ref, lam, beta, Z, y_vars, tracker, key_prefix="kc-y")
-    cross = cauchy_kernel_factors(lam, beta, x_vars, y_vars)
-    return out * factor_value(case, cross, Z)
-
-
-def kernel_dual_cauchy_value(
-    case: CaseParams,
-    g: Sequence[float],
-    lam: float,
-    beta: float,
-    Z: Sequence[complex],
-    x_vars: Sequence[int],
-    yt_vars: Sequence[int],
-    tracker: BranchTracker,
-) -> complex:
-    """Building-block cross kernel joining a plain block and a block with
-    scaled parameters ``(g/lam, 1/lam, lam*beta)``."""
-    g_scaled = tuple(v / lam for v in g)
-    out = groundstate_psi(case, g, lam, beta, Z, x_vars, tracker, key_prefix="kd-x")
-    out *= groundstate_psi(case, g_scaled, 1.0 / lam, lam * beta, Z, yt_vars,
-                           tracker, key_prefix="kd-t")
-    cross = dual_cauchy_kernel_factors(x_vars, yt_vars)
-    return out * factor_value(case, cross, Z)
-
-
-def kernel_deformed_value(
-    case: CaseParams,
-    g: Sequence[float],
-    lam: float,
-    beta: float,
-    Z: Sequence[complex],
-    x_vars: Sequence[int],
-    xt_vars: Sequence[int],
-    y_vars: Sequence[int],
-    yt_vars: Sequence[int],
-    tracker: BranchTracker,
-) -> complex:
-    """Four-block kernel: two two-species ground states joined by two
-    gamma cross kernels and two building-block cross kernels."""
-    g_ref = reflected_couplings(g, lam)
-    out = deformed_groundstate_value(case, g, lam, beta, Z, x_vars, xt_vars,
-                                     tracker, key_prefix="kf-a")
-    out *= deformed_groundstate_value(case, g_ref, lam, beta, Z, y_vars, yt_vars,
-                                      tracker, key_prefix="kf-b")
-    cross = deformed_kernel_cross_factors(lam, beta, x_vars, xt_vars, y_vars, yt_vars)
-    return out * factor_value(case, cross, Z)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,6 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -684,19 +683,15 @@ def lattice_distance(case: CaseParams, x) -> np.ndarray | float:
     """Distance from ``x`` to the zero lattice of ``s``.
 
     The lattice is spanned by the generators in ``zero_lattice_basis``
-    (plus the origin); for case I it is just the origin.  The search window
-    around the rounded coordinates is generous enough for any input.
+    (plus the origin); for case I it is just the origin.  Each generator is
+    real or imaginary, so the lattice is rectangular and rounding each
+    coordinate of ``x`` finds the nearest lattice point.
     """
     xx, scalar = _as_complex_array(x)
-    # each generator is real or imaginary: round that coordinate of x
-    near = [(w, np.round(xx.real / w.real if w.imag == 0 else xx.imag / w.imag))
-            for w in case.zero_lattice_basis]
-    best = np.full(xx.shape, np.inf)
-    for offsets in product((-1, 0, 1), repeat=len(near)):
-        cand = xx
-        for (w, n), d in zip(near, offsets):
-            cand = cand - (n + d) * w
-        best = np.minimum(best, np.abs(cand))
+    near = xx
+    for w in case.zero_lattice_basis:
+        near = near - np.round(xx.real / w.real if w.imag == 0 else xx.imag / w.imag) * w
+    best = np.abs(near)
     return float(best[0]) if scalar else best
 
 

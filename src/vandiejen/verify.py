@@ -37,15 +37,14 @@ from .eigenfunctions import (
     ConjugatedTerms,
     cauchy_kernel_factors,
     conjugation_terms,
+    continued_root,
     deformed_groundstate_sq_factors,
     deformed_kernel_cross_factors,
     deformed_power_sum,
     dual_cauchy_kernel_factors,
     factor_ratio,
+    factor_value,
     groundstate_sq_factors,
-    kernel_cauchy_value,
-    kernel_deformed_value,
-    kernel_dual_cauchy_value,
     phi_factor_specs,
     power_sum_weight,
     quasi_invariance_defect,
@@ -952,15 +951,21 @@ def _rows_display(ctx: _RunCtx) -> list[SampleResult]:
 
 @dataclass(frozen=True)
 class _KernelSpec:
-    """One kernel identity: its species in coordinate order, the kernel
-    value ``value(case, g, lam, beta, P, *slices, tracker)``, and
-    ``build(case, g, lam, beta, *slices)``, which returns the kernel factors
-    ``K`` and the operator the kernel intertwines: the difference or the sum
-    of the operators of its two sides."""
+    """One kernel identity: its species in coordinate order;
+    ``ground(case, g, lam, beta, *slices)``, the squared ground-state
+    factors of its two sides; and ``build(case, g, lam, beta, *slices)``,
+    which returns the kernel factors ``K`` and the operator the kernel
+    intertwines: the difference or the sum of the operators of its two
+    sides.  The kernel is the root of the ground times ``K``."""
 
     species: tuple[_Species, ...]
-    value: Callable
+    ground: Callable[..., list]
     build: Callable[..., tuple[list, Operator]]
+
+
+def _cauchy_ground(case, g, lam, beta, x, y):
+    return (groundstate_sq_factors(case, g, lam, beta, x)
+            + groundstate_sq_factors(case, reflected_couplings(g, lam), lam, beta, y))
 
 
 def _cauchy(case, g, lam, beta, x, y):
@@ -969,10 +974,20 @@ def _cauchy(case, g, lam, beta, x, y):
         - vd_operator(case, reflected_couplings(g, lam), lam, beta, y, "map-y"))
 
 
+def _dual_ground(case, g, lam, beta, x, t):
+    return (groundstate_sq_factors(case, g, lam, beta, x)
+            + groundstate_sq_factors(case, tuple(v / lam for v in g), 1.0 / lam, lam * beta, t))
+
+
 def _dual(case, g, lam, beta, x, t):
     return dual_cauchy_kernel_factors(x, t), (
         vd_operator(case, g, lam, beta, x, "map-x")
         + vd_operator(case, g, lam, beta, t, "map-t", scaled=True))
+
+
+def _deformed_ground(case, g, lam, beta, x, xt, y, yt):
+    return (deformed_groundstate_sq_factors(case, g, lam, beta, x, xt)
+            + deformed_groundstate_sq_factors(case, reflected_couplings(g, lam), lam, beta, y, yt))
 
 
 def _deformed(case, g, lam, beta, x, xt, y, yt):
@@ -982,9 +997,9 @@ def _deformed(case, g, lam, beta, x, xt, y, yt):
 
 
 _KERNELS = {
-    "kernel-cauchy": _KernelSpec((_N, _M), kernel_cauchy_value, _cauchy),
-    "kernel-dual": _KernelSpec((_N, _MT), kernel_dual_cauchy_value, _dual),
-    "kernel-deformed": _KernelSpec((_N, _NT, _M, _MT), kernel_deformed_value, _deformed),
+    "kernel-cauchy": _KernelSpec((_N, _M), _cauchy_ground, _cauchy),
+    "kernel-dual": _KernelSpec((_N, _MT), _dual_ground, _dual),
+    "kernel-deformed": _KernelSpec((_N, _NT, _M, _MT), _deformed_ground, _deformed),
 }
 
 
@@ -1022,9 +1037,10 @@ def _rows_kernel(ctx: _RunCtx) -> list[SampleResult]:
         if ctx.label in ("I", "II") and direct_budget > 0 and 0 < first < len(tags):
             direct_budget -= 1
             const = source_constant(case, g, lam, beta, values)
+            ground = spec.ground(case, g, lam, beta, *slices)
 
             def kernel(tr, P):
-                return spec.value(case, g, lam, beta, P, *slices, tr)
+                return continued_root(case, ground, P, tr) * factor_value(case, K, P)
 
             rows.extend(_direct_kernel_rows(ctx, lab, i, Z, op, kernel, const, ref))
 

@@ -3,9 +3,12 @@
 Unlike :mod:`oracles`, these are float computations built from the
 package's own pieces: the summation identity's left side and the
 parameter choice that turns it into the operator identity, the elliptic
-balancing defect, and the single-coordinate and pair blocks of an
-eigenfunction on their own.  No command of the package runs them, so
-they live here rather than in ``src/vandiejen``.
+balancing defect, the single-coordinate and pair blocks of an
+eigenfunction on their own, and the plain and two-species ground states
+written against their unit-mass displays, which cross-check
+:func:`~vandiejen.eigenfunctions.continued_root` of the squared factor
+lists.  No command of the package runs them, so they live here rather
+than in ``src/vandiejen``.
 """
 
 from __future__ import annotations
@@ -13,8 +16,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from vandiejen.eigenfunctions import BranchTracker, _pair_factor, psi_single_sq
-from vandiejen.operators import CouplingSet, MassTag, SummationParams, summation_terms
-from vandiejen.sfun import CaseParams, DomainError
+from vandiejen.gamma import gamma_G
+from vandiejen.operators import (CouplingSet, MassTag, SummationParams, dual_couplings,
+                                 summation_terms)
+from vandiejen.sfun import CaseParams, DomainError, s_eval
 
 
 def balance_defect(coupling: CouplingSet, mass_values: Sequence[float]) -> float:
@@ -109,3 +114,84 @@ def phi_pair(
         return complex(factor(x))
     root = tracker.sqrt_at(("phi", tag_j.value, tag_k.value), lambda Z: factor(Z[0]), (x,))
     return root if mode == "sqrt" else 1.0 / root
+
+
+def groundstate_psi(
+    case: CaseParams,
+    g: Sequence[float],
+    lam: float,
+    beta: float,
+    Z: Sequence[complex],
+    variables: Sequence[int],
+    tracker: BranchTracker,
+    key_prefix: str = "gs",
+) -> complex:
+    """All-unit-mass ground state on the given coordinate slots of ``Z``.
+
+    Written against the explicit unit-mass display rather than through
+    :func:`phi_factor_specs`, so the two implementations cross-check each
+    other.
+    """
+    b2 = 0.5j * beta
+    out = 1.0 + 0j
+    for i in variables:
+
+        def w_single(P, i=i):
+            v = P[i]
+            num = gamma_G(case, beta, 2 * v + b2)
+            num *= gamma_G(case, beta, -2 * v + b2)
+            den = 1.0 + 0j
+            for g_nu in g:
+                den *= gamma_G(case, beta, v + b2 - 1j * g_nu * beta)
+                den *= gamma_G(case, beta, -v + b2 - 1j * g_nu * beta)
+            return num / den
+
+        out *= tracker.sqrt_at((key_prefix, "single", i), w_single, Z)
+    idx = list(variables)
+    for a in range(len(idx)):
+        for b in range(a + 1, len(idx)):
+            for e1 in (1, -1):
+                for e2 in (1, -1):
+
+                    def w_pair(P, j=idx[a], k=idx[b], e1=e1, e2=e2):
+                        arg = e1 * P[j] + e2 * P[k] + b2
+                        num = gamma_G(case, beta, arg)
+                        den = gamma_G(case, beta, arg - 1j * lam * beta)
+                        return num / den
+
+                    out *= tracker.sqrt_at(
+                        (key_prefix, "pair", idx[a], idx[b], e1, e2), w_pair, Z
+                    )
+    return out
+
+
+def deformed_groundstate_value(
+    case: CaseParams,
+    g: Sequence[float],
+    lam: float,
+    beta: float,
+    Z: Sequence[complex],
+    x_vars: Sequence[int],
+    xt_vars: Sequence[int],
+    tracker: BranchTracker,
+    key_prefix: str = "dgs",
+) -> complex:
+    """Two-species ground state: plain block times dual block over the
+    square-rooted cross product."""
+    g_dual = dual_couplings(g, lam)
+    out = groundstate_psi(case, g, lam, beta, Z, x_vars, tracker, key_prefix=key_prefix + "-x")
+    out *= groundstate_psi(case, g_dual, 1.0 / lam, lam * beta, Z, xt_vars,
+                           tracker, key_prefix=key_prefix + "-t")
+    u = 0.5j * (lam - 1) * beta
+    for i in x_vars:
+        for k in xt_vars:
+            for delta in (1, -1):
+
+                def w_cross(P, i=i, k=k, delta=delta):
+                    arg = P[i] + delta * P[k]
+                    return s_eval(case, arg + u) * s_eval(case, arg - u)
+
+                out /= tracker.sqrt_at(
+                    (key_prefix, "cross", i, k, delta), w_cross, Z
+                )
+    return out

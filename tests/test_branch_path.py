@@ -14,8 +14,9 @@ from vandiejen.eigenfunctions import (
     BranchTracker,
     ConjugatedTerms,
     conjugation_terms,
-    deformed_groundstate_value,
-    groundstate_psi,
+    continued_root,
+    deformed_groundstate_sq_factors,
+    groundstate_sq_factors,
 )
 from vandiejen.operators import MassTag, def_operator, weighted_terms
 from vandiejen.sfun import CaseKind, CaseParams, PoleProximityError
@@ -71,8 +72,8 @@ class CountingTracker(BranchTracker):
     often it called the factor, and how many points its bisections of
     ambiguous steps took."""
 
-    def __init__(self, base, **kwargs):
-        super().__init__(base, **kwargs)
+    def __init__(self, base):
+        super().__init__(base)
         self.calls = []
         self._missed_keys = set()
         self._bisected = 0
@@ -164,11 +165,13 @@ def test_one_coordinate_factors_match_the_reference_walk(label, x0, dx, tag_j, t
 def test_ground_states_match_the_reference_walk(label, x0, y0, dx, dy):
     case, g = CASES[label], G[label]
     base = (x0, y0 + 0.6)
+    plain = groundstate_sq_factors(case, g, LAM, BETA, (0, 1))
+    deformed = deformed_groundstate_sq_factors(case, g, LAM, BETA, (0,), (1,))
 
     def evaluate(tracker):
         for Z in (base, (base[0] + dx, base[1] + dy)):
-            groundstate_psi(case, g, LAM, BETA, Z, (0, 1), tracker)
-            deformed_groundstate_value(case, g, LAM, BETA, Z, (0,), (1,), tracker)
+            continued_root(case, plain, Z, tracker)
+            continued_root(case, deformed, Z, tracker)
 
     _compare(evaluate, base, exact=False)
 
@@ -283,11 +286,11 @@ def _flipped_before(f, x):
     return ReferenceTracker((0j,)).sqrt_at("k", fn, (x + 0j,)) == -cmath.sqrt(f(x))
 
 
-def _continued_alike(fn, target, **kwargs):
+def _continued_alike(fn, target, rel_floor=BranchTracker.rel_floor):
     """Continue ``fn`` from 0 to ``target`` with the counting tracker and
-    the reference tracker; both must give the same root, bit for bit, or
-    fail alike, and bisect the same steps.  Returns the counting tracker
-    and the root or the failure."""
+    the reference tracker, both at ``rel_floor``; both must give the same
+    root, bit for bit, or fail alike, and bisect the same steps.  Returns
+    the counting tracker and the root or the failure."""
     reference_evals = 0
 
     def counted(Z):
@@ -299,9 +302,10 @@ def _continued_alike(fn, target, **kwargs):
         failure = _outcome(lambda tr: tr.sqrt_at("k", f, (target,)), tracker)
         return failure or ("root", tracker._cache["k", (target,)])
 
-    tracker = CountingTracker((0j,), **kwargs)
+    tracker, reference = CountingTracker((0j,)), ReferenceTracker((0j,))
+    tracker.rel_floor = reference.rel_floor = rel_floor
     got = attempt(tracker, fn)
-    assert got == attempt(ReferenceTracker((0j,), **kwargs), counted)
+    assert got == attempt(reference, counted)
     if got[0] == "root":
         # the reference calls the factor at the base, at each path point
         # and at each bisected point

@@ -8,25 +8,21 @@ import numpy as np
 import pytest
 
 import oracles
-from references import phi_pair, psi_single
+from references import deformed_groundstate_value, groundstate_psi, phi_pair, psi_single
 from vandiejen.eigenfunctions import (
     BranchError,
     BranchTracker,
     ConjugatedTerms,
     cauchy_kernel_factors,
     conjugation_terms,
+    continued_root,
     deformed_groundstate_sq_factors,
-    deformed_groundstate_value,
     deformed_power_sum,
     dual_cauchy_kernel_factors,
     eigenfunction_value,
     factor_ratio,
     factor_value,
-    groundstate_psi,
     groundstate_sq_factors,
-    kernel_cauchy_value,
-    kernel_deformed_value,
-    kernel_dual_cauchy_value,
     pair_kind,
     phi_factor_specs,
     power_sum_weight,
@@ -196,8 +192,9 @@ def test_groundstate_matches_general_eigenfunction(label):
     tr1 = BranchTracker(X2)
     tr2 = BranchTracker(X2)
     specs = phi_factor_specs(case, g, LAM, BETA, tags)
+    factors = groundstate_sq_factors(case, g, LAM, BETA, (0, 1))
     for Z in (X2, (0.45 + 0.02j, 0.74 - 0.03j)):
-        a = groundstate_psi(case, g, LAM, BETA, Z, (0, 1), tr1)
+        a = continued_root(case, factors, Z, tr1)
         b = eigenfunction_value(specs, tr2, Z)
         assert rel_err(a, b) < 1e-11
 
@@ -209,7 +206,7 @@ def test_groundstate_square_equals_factor_product(label):
     tr = BranchTracker(X2)
     factors = groundstate_sq_factors(case, g, LAM, BETA, (0, 1))
     for Z in (X2, (0.44 + 0.01j, 0.81 - 0.02j)):
-        psi = groundstate_psi(case, g, LAM, BETA, Z, (0, 1), tr)
+        psi = continued_root(case, factors, Z, tr)
         prod = factor_value(case, factors, Z)
         assert rel_err(psi * psi, prod) < 1e-10
 
@@ -220,9 +217,29 @@ def test_deformed_groundstate_square_equals_factor_product():
     Z = (0.41 + 0.05j, 0.92 - 0.07j)
     tr = BranchTracker(Z)
     factors = deformed_groundstate_sq_factors(case, g, LAM, BETA, (0,), (1,))
-    val = deformed_groundstate_value(case, g, LAM, BETA, Z, (0,), (1,), tr)
+    val = continued_root(case, factors, Z, tr)
     prod = factor_value(case, factors, Z)
     assert rel_err(val * val, prod) < 1e-10
+
+
+@pytest.mark.parametrize("label", ("I", "II", "III"))
+def test_continued_root_matches_the_hand_written_ground_states(label):
+    # the root of the squared lists, block by block, against the ground
+    # states written out as their unit-mass displays, at the square-route
+    # points
+    case = make(label)
+    g = couplings_for(label)
+    plain = groundstate_sq_factors(case, g, LAM, BETA, (0, 1))
+    tr, ref = BranchTracker(X2), BranchTracker(X2)
+    for Z in (X2, (0.44 + 0.01j, 0.81 - 0.02j)):
+        assert rel_err(continued_root(case, plain, Z, tr),
+                       groundstate_psi(case, g, LAM, BETA, Z, (0, 1), ref)) < 1e-12
+    deformed = deformed_groundstate_sq_factors(case, g, LAM, BETA, (0,), (1,))
+    Z = (0.41 + 0.05j, 0.92 - 0.07j)
+    tr, ref = BranchTracker(Z), BranchTracker(Z)
+    for P in (Z, (0.44 + 0.01j, 0.95 - 0.04j)):
+        assert rel_err(continued_root(case, deformed, P, tr),
+                       deformed_groundstate_value(case, g, LAM, BETA, P, (0,), (1,), ref)) < 1e-12
 
 
 # --------------------------------------------------------------------------
@@ -261,13 +278,21 @@ def _squared(factors):
     return [dataclasses.replace(f, power=2) for f in factors]
 
 
+def _kernel_value(identity, case, g, Z, *slices):
+    """The kernel as the direct kernel rows take it: the continued root of
+    both ground states times the cross factors."""
+    spec = _KERNELS[identity]
+    cross, _ = spec.build(case, g, LAM, BETA, *slices)
+    ground = spec.ground(case, g, LAM, BETA, *slices)
+    return continued_root(case, ground, Z, BranchTracker(Z)) * factor_value(case, cross, Z)
+
+
 def test_cauchy_kernel_square_route():
     case = make("II")
     g = couplings_for("II")
     g_ref = tuple((LAM + 1) / 2 - v for v in g)
     Z = (0.41 + 0.05j, 0.92 - 0.07j)
-    tr = BranchTracker(Z)
-    val = kernel_cauchy_value(case, g, LAM, BETA, Z, (0,), (1,), tr)
+    val = _kernel_value("kernel-cauchy", case, g, Z, (0,), (1,))
     factors = groundstate_sq_factors(case, g, LAM, BETA, (0,))
     factors += groundstate_sq_factors(case, g_ref, LAM, BETA, (1,))
     factors += _squared(cauchy_kernel_factors(LAM, BETA, (0,), (1,)))
@@ -280,8 +305,7 @@ def test_dual_cauchy_kernel_square_route():
     g = couplings_for("III")
     g_scaled = tuple(v / LAM for v in g)
     Z = (0.41 + 0.05j, 0.92 - 0.07j)
-    tr = BranchTracker(Z)
-    val = kernel_dual_cauchy_value(case, g, LAM, BETA, Z, (0,), (1,), tr)
+    val = _kernel_value("kernel-dual", case, g, Z, (0,), (1,))
     factors = groundstate_sq_factors(case, g, LAM, BETA, (0,))
     factors += groundstate_sq_factors(case, g_scaled, 1 / LAM, LAM * BETA, (1,))
     factors += _squared(dual_cauchy_kernel_factors((0,), (1,)))
@@ -294,8 +318,7 @@ def test_deformed_kernel_square_route():
     g = couplings_for("II")
     g_ref = tuple((LAM + 1) / 2 - v for v in g)
     Z = (0.38 + 0.04j, 0.71 - 0.05j, 0.55 + 0.06j, 1.02 - 0.03j)
-    tr = BranchTracker(Z)
-    val = kernel_deformed_value(case, g, LAM, BETA, Z, (0,), (1,), (2,), (3,), tr)
+    val = _kernel_value("kernel-deformed", case, g, Z, (0,), (1,), (2,), (3,))
     factors = deformed_groundstate_sq_factors(case, g, LAM, BETA, (0,), (1,))
     factors += deformed_groundstate_sq_factors(case, g_ref, LAM, BETA, (2,), (3,))
     factors += _squared(cauchy_kernel_factors(LAM, BETA, (0,), (2,)))
@@ -395,12 +418,14 @@ def test_sheet_fault_breaks_a_kernel_identity():
     g = couplings_for("II")
     tags = (MassTag.PLUS_ONE, MassTag.MINUS_ONE)
     masses = tuple(t.value_for(LAM) for t in tags)
-    _, op = _KERNELS["kernel-cauchy"].build(case, g, LAM, BETA, (0,), (1,))
+    spec = _KERNELS["kernel-cauchy"]
+    cross, op = spec.build(case, g, LAM, BETA, (0,), (1,))
+    ground = spec.ground(case, g, LAM, BETA, (0,), (1,))
     base = (0.43 + 0.04j, 0.86 - 0.05j)
     tracker = BranchTracker(base)
     terms = ConjugatedTerms(
         tracker, op,
-        lambda P: kernel_cauchy_value(case, g, LAM, BETA, P, (0,), (1,), tracker),
+        lambda P: continued_root(case, ground, P, tracker) * factor_value(case, cross, P),
         lambda P, b, j, s: coeff_V_shift(case, g, LAM, BETA, masses, tags, P, b.slots[j],
                                          b.orient * s))
     terms.calibrate()

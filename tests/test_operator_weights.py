@@ -331,13 +331,31 @@ def test_a_direct_kernel_row_evaluates_its_kernel_once_per_point():
     # calibration, the coherence check and the residual share one kernel
     # value per point
     points = []
-    spec = verify._KERNELS["kernel-cauchy"]
+    continued_root = verify.continued_root
 
-    def value(*args):
-        points.append(args[4])
-        return spec.value(*args)
+    def counted(case, factors, Z, tracker):
+        points.append(Z)
+        return continued_root(case, factors, Z, tracker)
 
-    with mock.patch.dict(verify._KERNELS, {"kernel-cauchy": replace(spec, value=value)}):
+    with mock.patch.object(verify, "continued_root", counted):
         report = verify.run_identity("kernel-cauchy", "II", samples=6, seed=0)
     assert any("/direct@p1" in row.label for row in report.results)
-    assert points and len(points) == len(set(points))
+    assert len(points) == len(set(points)) == 10
+
+
+@pytest.mark.parametrize("label", ("III", "IV"))
+@pytest.mark.parametrize("identity", sorted(verify._KERNELS))
+def test_a_kernel_run_without_direct_rows_builds_no_ground_state(identity, label):
+    # only the direct rows, on cases I and II, take the kernel's root
+    built = []
+    spec = verify._KERNELS[identity]
+
+    def ground(*args):
+        built.append(args)
+        return spec.ground(*args)
+
+    with mock.patch.dict(verify._KERNELS, {identity: replace(spec, ground=ground)}):
+        report = verify.run_identity(identity, label, samples=8, seed=0)
+        assert report.results and built == []
+        verify.run_identity(identity, "II", samples=8, seed=0)
+    assert built

@@ -1,9 +1,11 @@
 """Building-block function: lattice data, oracles, and transformation laws."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from vandiejen.sfun import (
@@ -196,6 +198,29 @@ def test_lattice_distance_is_the_branch_per_generator_count_bit_for_bit(label):
     scalar = np.array([lattice_distance(case, complex(z)) for z in points])
     assert np.array_equal(scalar.view(np.int64), want)
     assert case.zero_lattice_basis == case.omega[1:3]
+
+
+def _nearest_by_search(case, x):
+    """The distance from ``x`` to every lattice point with coordinates
+    within 16 of the origin, at least."""
+    reach = [range(-math.ceil(16 / abs(w)), math.ceil(16 / abs(w)) + 1)
+             for w in case.zero_lattice_basis]
+    return min(abs(x - sum((n * w for n, w in zip(ns, case.zero_lattice_basis)), start=0j))
+               for ns in product(*reach))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(label=st.sampled_from(CASE_LABELS), re=st.floats(-12, 12), im=st.floats(-12, 12),
+       halves=st.tuples(st.integers(-4, 3), st.integers(-4, 3)))
+def test_lattice_distance_is_the_distance_to_the_nearest_lattice_point(label, re, im, halves):
+    # rounding each coordinate against a search over the lattice, at a
+    # point and at a midpoint of the lattice, where two or four lattice
+    # points are nearest and rounding may pick another one
+    case = make(label)
+    mid = sum(((k + 0.5) * w for k, w in zip(halves, case.zero_lattice_basis)), start=0j)
+    for x in (complex(re, im), mid):
+        assert lattice_distance(case, x) == pytest.approx(_nearest_by_search(case, x),
+                                                          rel=1e-14, abs=1e-15)
 
 
 def test_s_eval_mp_agrees_with_float_path():
