@@ -20,18 +20,19 @@ continued analytically along straight-line paths from a fixed base point
 (:class:`BranchTracker`).  This pins a concrete sheet for every factor
 and makes sign bookkeeping falsifiable: deliberately flipping one sheet
 (`set_fault`) must blow up the residual.  :func:`continued_root` takes
-the root of a squared factor list (a ground state, or the two ground
-states of a kernel) block by block.  :class:`ConjugatedTerms` holds
-the shift terms of a square-root-form operator conjugated by a function F,
-for the conjugation identity (F the eigenfunction, see
+the root of a squared factor list block by block.  :class:`ConjugatedTerms`
+holds the shift terms of a square-root-form operator conjugated by a
+function F, for the conjugation identity (F the eigenfunction, see
 :func:`conjugation_terms`) and the direct kernel checks (F the kernel)
 alike: their continued roots, the gauge calibration at the base point and
 the coherence check at other points.
 
-The module also provides the explicit factor builders for the ground
-states and the three kernel types (gamma cross kernel, building-block
-cross kernel, and the four-block deformed kernel), plus the deformed
-trigonometric power sums used by the polynomial-invariance checks.
+One builder, :func:`eigenfunction_factors`, gives the eigenfunction of
+every mass assignment as a squared list and a direct list; the kernel
+functions are the eigenfunctions of their mass assignments.  The ground states of the display identities keep their own
+squared lists (:func:`groundstate_sq_factors`,
+:func:`deformed_groundstate_sq_factors`).  The module also provides the
+deformed trigonometric power sums used by the polynomial-invariance checks.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,17 +60,12 @@ __all__ = [
     "factor_ratio",
     "groundstate_sq_factors",
     "deformed_groundstate_sq_factors",
-    "cauchy_kernel_factors",
-    "dual_cauchy_kernel_factors",
-    "deformed_kernel_cross_factors",
     "pair_kind",
-    "phi_factor_specs",
-    "eigenfunction_value",
+    "eigenfunction_factors",
     "continued_root",
     "pathwise",
     "ConjugatedTerms",
     "conjugation_terms",
-    "psi_single_sq",
     "power_sum_weight",
     "deformed_power_sum",
     "quasi_invariance_defect",
@@ -237,64 +234,6 @@ def deformed_groundstate_sq_factors(
                 factors.append(SFactor(pair, u, -1))
                 factors.append(SFactor(pair, -u, -1))
     return factors
-
-
-def cauchy_kernel_factors(
-    lam: float,
-    beta: float,
-    x_vars: Sequence[int],
-    y_vars: Sequence[int],
-    alpha: complex | None = None,
-    offset: complex | None = None,
-) -> list[Factor]:
-    """Gamma cross kernel ``prod G(e x_j + e' y_k + offset; alpha)``.
-
-    Defaults reproduce the plain-coordinate pairing (offset
-    ``-i lam beta / 2`` at step ``beta``); the deformed-coordinate pairing
-    passes ``offset=-i beta/2, alpha=lam*beta``.
-    """
-    if alpha is None:
-        alpha = beta
-    if offset is None:
-        offset = -0.5j * lam * beta
-    out: list[Factor] = []
-    for j in x_vars:
-        for k in y_vars:
-            for e1 in (1, -1):
-                for e2 in (1, -1):
-                    out.append(GFactor(((j, e1), (k, e2)), offset, alpha))
-    return out
-
-
-def dual_cauchy_kernel_factors(
-    x_vars: Sequence[int],
-    y_vars: Sequence[int],
-) -> list[Factor]:
-    """Building-block cross kernel ``prod s(x_j + delta y_k)``."""
-    out: list[Factor] = []
-    for j in x_vars:
-        for k in y_vars:
-            for delta in (1, -1):
-                out.append(SFactor(((j, 1), (k, delta)), 0j))
-    return out
-
-
-def deformed_kernel_cross_factors(
-    lam: float,
-    beta: float,
-    x_vars: Sequence[int],
-    xt_vars: Sequence[int],
-    y_vars: Sequence[int],
-    yt_vars: Sequence[int],
-) -> list[Factor]:
-    """Cross factors of the four-block kernel: gamma cross kernels on the
-    plain pair ``(x, y)`` and on the deformed pair ``(xt, yt)``, then
-    building-block cross kernels on ``(x, yt)`` and ``(xt, y)``."""
-    out = cauchy_kernel_factors(lam, beta, x_vars, y_vars)
-    out += cauchy_kernel_factors(lam, beta, xt_vars, yt_vars, alpha=lam * beta, offset=-0.5j * beta)
-    out += dual_cauchy_kernel_factors(x_vars, yt_vars)
-    out += dual_cauchy_kernel_factors(xt_vars, y_vars)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -486,85 +425,55 @@ def pair_kind(tag_j: MassTag, tag_k: MassTag) -> str:
     return "antidual"
 
 
-def _pair_factor(case: CaseParams, lam: float, beta: float, tag_j: MassTag,
-                 tag_k: MassTag) -> tuple[str, Callable]:
-    """The pair block of masses ``tag_j`` and ``tag_k``, by their
-    :func:`pair_kind`, as its mode (see :func:`phi_factor_specs`) and its
-    factor, a function of the combined argument ``x``.
-
-    Same species take the square root of a gamma ratio, opposite species a
-    plain gamma value, the dual relation ``sqrt(s(x))`` and the antidual
-    relation a reciprocal square root."""
-    kind = pair_kind(tag_j, tag_k)
-    m = tag_j.value_for(lam)
-    alpha = beta / m
-    if kind == "same":
-
-        def w_same(x):
-            arg = x + 0.5j * beta / m
-            num = gamma_G(case, alpha, arg)
-            den = gamma_G(case, alpha, arg - 1j * lam * m * beta)
-            return num / den
-
-        return "sqrt", w_same
-    if kind == "opposite":
-        return "direct", lambda x: gamma_G(case, alpha, x - 0.5j * lam * m * beta)
-    if kind == "dual":
-        return "sqrt", lambda x: s_eval(case, x)
-    return "invsqrt", lambda x: s_eval(case, x - 0.5j * lam * m * beta + 0.5j * beta / m)
-
-
-def phi_factor_specs(
+def eigenfunction_factors(
     case: CaseParams,
     g: Sequence[float],
     lam: float,
     beta: float,
     tags: Sequence[MassTag],
-) -> list[tuple]:
-    """Factor plan for the eigenfunction of a general mass assignment.
+) -> tuple[list[Factor], list[Factor]]:
+    """The eigenfunction of the mass assignment ``tags`` as two factor
+    lists ``(sq, direct)``: up to a constant factor it is
+    ``continued_root(case, sq, Z, tracker) * factor_value(case, direct, Z)``.
 
-    Returns a list of ``(key, mode, fn)`` entries where ``fn`` maps a
-    coordinate tuple to a complex value and ``mode`` says how the value
-    enters the product: ``sqrt`` (continued square root), ``direct``
-    (as is), or ``invsqrt`` (reciprocal square root).
+    With ``m`` the mass of coordinate ``j``, step ``alpha = beta / m`` and
+    ``half = i beta / (2m)``, coordinate ``j`` squares to a doubled-argument
+    gamma pair over the coupling gammas, whose offsets depend on the mass
+    species.  A pair ``j < k`` enters by its :func:`pair_kind`: same, per
+    sign combination a two-gamma ratio in ``sq``; opposite, per sign
+    combination one gamma in ``direct``; dual, ``s(x_j +- x_k)`` in
+    ``direct``; antidual, per ``+-`` the block
+    ``1 / (s(x_j +- x_k + u) s(x_j +- x_k - u))`` in ``sq``, with
+    ``u = half - i lam m beta / 2``.  The dual and antidual forms are the
+    roots of the four sign combinations, as ``s`` is odd.
     """
-    n = len(tags)
-    specs: list[tuple] = []
-
-    for j in range(n):
-
-        def w_single(Z, j=j):
-            return psi_single_sq(case, g, lam, beta, Z[j], tags[j])
-
-        specs.append((("single", j), "sqrt", w_single))
-
-    for j in range(n):
-        for k in range(j + 1, n):
-            mode, factor = _pair_factor(case, lam, beta, tags[j], tags[k])
-            for e1 in (1, -1):
-                for e2 in (1, -1):
-                    specs.append((("pair", j, k, e1, e2), mode,
-                                  lambda Z, j=j, k=k, e1=e1, e2=e2, f=factor:
-                                  f(e1 * Z[j] + e2 * Z[k])))
-    return specs
-
-
-def eigenfunction_value(
-    specs: Sequence[tuple],
-    tracker: BranchTracker,
-    Z: Sequence[complex],
-) -> complex:
-    """Evaluate the eigenfunction at ``Z`` with all square roots continued
-    from the tracker's base point."""
-    out = 1.0 + 0j
-    for key, mode, fn in specs:
-        if mode == "direct":
-            out *= complex(fn(Z))
-        elif mode == "sqrt":
-            out *= tracker.sqrt_at(key, fn, Z)
+    sq: list[Factor] = []
+    direct: list[Factor] = []
+    for j, tag in enumerate(tags):
+        m = tag.value_for(lam)
+        alpha, half = beta / m, 0.5j * beta / m
+        sq.append(GFactor(((j, 2),), half, alpha))
+        sq.append(GFactor(((j, -2),), half, alpha))
+        for g_nu in g:
+            off = half - 1j * d_param(g_nu, m, lam, tag) * beta
+            sq.append(GFactor(((j, 1),), off, alpha, -1))
+            sq.append(GFactor(((j, -1),), off, alpha, -1))
+    for j, k in combinations(range(len(tags)), 2):
+        kind = pair_kind(tags[j], tags[k])
+        m = tags[j].value_for(lam)
+        alpha, half, shift = beta / m, 0.5j * beta / m, 0.5j * lam * m * beta
+        forms = [((j, e1), (k, e2)) for e1 in (1, -1) for e2 in (1, -1)]
+        if kind == "same":
+            sq += [GFactor(form, off, alpha, power) for form in forms
+                   for off, power in ((half, 1), (half - 1j * lam * m * beta, -1))]
+        elif kind == "opposite":
+            direct += [GFactor(form, -shift, alpha) for form in forms]
+        elif kind == "dual":
+            direct += [SFactor(((j, 1), (k, delta)), 0j) for delta in (1, -1)]
         else:
-            out /= tracker.sqrt_at(key, fn, Z)
-    return out
+            u = half - shift
+            sq += [SFactor(((j, 1), (k, delta)), off, -1) for delta in (1, -1) for off in (u, -u)]
+    return sq, direct
 
 
 def _side(case: CaseParams, factors: Sequence[Factor], P):
@@ -718,44 +627,18 @@ def conjugation_terms(
     lam: float,
     beta: float,
     tags: Sequence[MassTag],
-    specs: Sequence[tuple],
+    factors: tuple[Sequence[Factor], Sequence[Factor]],
     tracker: BranchTracker,
 ) -> ConjugatedTerms:
     """The square-root form of the operator of mass assignment ``tags``,
-    conjugated by its eigenfunction (``specs``): one block per coordinate,
-    with its own plain shift coefficient as the reference."""
+    conjugated by its eigenfunction, given as the ``(sq, direct)`` lists
+    of :func:`eigenfunction_factors`: one block per coordinate, with its
+    own plain shift coefficient as the reference."""
     op = conjugated_operator(case, g, lam, beta, tuple(t.value_for(lam) for t in tags), tags)
-    return ConjugatedTerms(tracker, op, lambda P: eigenfunction_value(specs, tracker, P),
-                           lambda P, b, j, s: b.coeff(P, j, s))
-
-
-# ---------------------------------------------------------------------------
-# named evaluators: single blocks
-# ---------------------------------------------------------------------------
-
-
-def psi_single_sq(
-    case: CaseParams,
-    g: Sequence[float],
-    lam: float,
-    beta: float,
-    x: complex,
-    tag: MassTag,
-) -> complex:
-    """Single-coordinate block, squared: a doubled-argument gamma pair over
-    the coupling gamma products, with the coupling offsets depending on the
-    mass species, at one point ``x`` or at an array of points."""
-    m = tag.value_for(lam)
-    alpha = beta / m
-    half = 0.5j * beta / m
-    num = gamma_G(case, alpha, 2 * x + half)
-    num *= gamma_G(case, alpha, -2 * x + half)
-    den = 1.0 + 0j
-    for g_nu in g:
-        off = half - 1j * d_param(g_nu, m, lam, tag) * beta
-        den *= gamma_G(case, alpha, x + off)
-        den *= gamma_G(case, alpha, -x + off)
-    return num / den
+    sq, direct = factors
+    return ConjugatedTerms(
+        tracker, op, lambda P: continued_root(case, sq, P, tracker) * factor_value(case, direct, P),
+        lambda P, b, j, s: b.coeff(P, j, s))
 
 
 # ---------------------------------------------------------------------------

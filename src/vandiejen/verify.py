@@ -35,17 +35,14 @@ from .eigenfunctions import (
     BranchError,
     BranchTracker,
     ConjugatedTerms,
-    cauchy_kernel_factors,
     conjugation_terms,
     continued_root,
     deformed_groundstate_sq_factors,
-    deformed_kernel_cross_factors,
     deformed_power_sum,
-    dual_cauchy_kernel_factors,
+    eigenfunction_factors,
     factor_ratio,
     factor_value,
     groundstate_sq_factors,
-    phi_factor_specs,
     power_sum_weight,
     quasi_invariance_defect,
 )
@@ -658,9 +655,10 @@ def _rows_conjugation(ctx: _RunCtx) -> list[SampleResult]:
             base = _draw_X(ctx.rng, n, im_window=(-0.12, 0.12))
             if not _screen_config(config, base):
                 return None
-            specs = phi_factor_specs(case, coupling.g, coupling.lam, coupling.beta, tags)
-            terms = conjugation_terms(case, coupling.g, coupling.lam, coupling.beta, tags,
-                                      specs, BranchTracker(base))
+            params = (coupling.g, coupling.lam, coupling.beta)
+            terms = conjugation_terms(case, *params, tags,
+                                      eigenfunction_factors(case, *params, tags),
+                                      BranchTracker(base))
             try:
                 terms.calibrate()
             except (BranchError, PoleProximityError) as exc:
@@ -951,55 +949,35 @@ def _rows_display(ctx: _RunCtx) -> list[SampleResult]:
 
 @dataclass(frozen=True)
 class _KernelSpec:
-    """One kernel identity: its species in coordinate order;
-    ``ground(case, g, lam, beta, *slices)``, the squared ground-state
-    factors of its two sides; and ``build(case, g, lam, beta, *slices)``,
-    which returns the kernel factors ``K`` and the operator the kernel
+    """One kernel identity: its species in coordinate order, and
+    ``build(case, g, lam, beta, *slices)``, the operator the kernel
     intertwines: the difference or the sum of the operators of its two
-    sides.  The kernel is the root of the ground times ``K``."""
+    sides.  The kernel is the eigenfunction of the species' mass
+    assignment (:func:`eigenfunction_factors`)."""
 
     species: tuple[_Species, ...]
-    ground: Callable[..., list]
-    build: Callable[..., tuple[list, Operator]]
-
-
-def _cauchy_ground(case, g, lam, beta, x, y):
-    return (groundstate_sq_factors(case, g, lam, beta, x)
-            + groundstate_sq_factors(case, reflected_couplings(g, lam), lam, beta, y))
+    build: Callable[..., Operator]
 
 
 def _cauchy(case, g, lam, beta, x, y):
-    return cauchy_kernel_factors(lam, beta, x, y), (
-        vd_operator(case, g, lam, beta, x, "map-x")
-        - vd_operator(case, reflected_couplings(g, lam), lam, beta, y, "map-y"))
-
-
-def _dual_ground(case, g, lam, beta, x, t):
-    return (groundstate_sq_factors(case, g, lam, beta, x)
-            + groundstate_sq_factors(case, tuple(v / lam for v in g), 1.0 / lam, lam * beta, t))
+    return (vd_operator(case, g, lam, beta, x, "map-x")
+            - vd_operator(case, reflected_couplings(g, lam), lam, beta, y, "map-y"))
 
 
 def _dual(case, g, lam, beta, x, t):
-    return dual_cauchy_kernel_factors(x, t), (
-        vd_operator(case, g, lam, beta, x, "map-x")
-        + vd_operator(case, g, lam, beta, t, "map-t", scaled=True))
-
-
-def _deformed_ground(case, g, lam, beta, x, xt, y, yt):
-    return (deformed_groundstate_sq_factors(case, g, lam, beta, x, xt)
-            + deformed_groundstate_sq_factors(case, reflected_couplings(g, lam), lam, beta, y, yt))
+    return (vd_operator(case, g, lam, beta, x, "map-x")
+            + vd_operator(case, g, lam, beta, t, "map-t", scaled=True))
 
 
 def _deformed(case, g, lam, beta, x, xt, y, yt):
-    return deformed_kernel_cross_factors(lam, beta, x, xt, y, yt), (
-        def_operator(case, g, lam, beta, x, xt, ("map-x", "map-t"))
-        - def_operator(case, reflected_couplings(g, lam), lam, beta, y, yt, ("map-y", "map-yt")))
+    return (def_operator(case, g, lam, beta, x, xt, ("map-x", "map-t"))
+            - def_operator(case, reflected_couplings(g, lam), lam, beta, y, yt, ("map-y", "map-yt")))
 
 
 _KERNELS = {
-    "kernel-cauchy": _KernelSpec((_N, _M), _cauchy_ground, _cauchy),
-    "kernel-dual": _KernelSpec((_N, _MT), _dual_ground, _dual),
-    "kernel-deformed": _KernelSpec((_N, _NT, _M, _MT), _deformed_ground, _deformed),
+    "kernel-cauchy": _KernelSpec((_N, _M), _cauchy),
+    "kernel-dual": _KernelSpec((_N, _MT), _dual),
+    "kernel-deformed": _KernelSpec((_N, _NT, _M, _MT), _deformed),
 }
 
 
@@ -1012,7 +990,8 @@ def _rows_kernel(ctx: _RunCtx) -> list[SampleResult]:
         slices, lab, config, Z = _block_sample(ctx, spec.species, i)
         coupling, tags, values = config.coupling, config.masses, config.mass_values
         g, lam, beta = coupling.g, coupling.lam, coupling.beta
-        K, op = spec.build(case, g, lam, beta, *slices)
+        sq, K = eigenfunction_factors(case, g, lam, beta, tags)
+        op = spec.build(case, g, lam, beta, *slices)
 
         def ref(P, b, j, sign):
             return coeff_V_shift(case, g, lam, beta, values, tags, P, b.slots[j], b.orient * sign)
@@ -1037,10 +1016,9 @@ def _rows_kernel(ctx: _RunCtx) -> list[SampleResult]:
         if ctx.label in ("I", "II") and direct_budget > 0 and 0 < first < len(tags):
             direct_budget -= 1
             const = source_constant(case, g, lam, beta, values)
-            ground = spec.ground(case, g, lam, beta, *slices)
 
             def kernel(tr, P):
-                return continued_root(case, ground, P, tr) * factor_value(case, K, P)
+                return continued_root(case, sq, P, tr) * factor_value(case, K, P)
 
             rows.extend(_direct_kernel_rows(ctx, lab, i, Z, op, kernel, const, ref))
 

@@ -5,7 +5,7 @@ Run ``python tests/reach.py`` from the repository root to rewrite
 a fresh interpreter, so a cache that an earlier entry filled cannot hide a
 call, and the package's imports count as part of each entry.  A
 ``sys.setprofile`` hook records the code objects entered; a function is
-named ``module:co_qualname`` (``eigenfunctions:_pair_factor.<locals>.w_same``),
+named ``module:co_qualname`` (``eigenfunctions:continued_root.<locals>.value``),
 and lambdas, comprehensions and class bodies are left out.
 
 The entries:
@@ -13,8 +13,6 @@ The entries:
 * ``verify IDENTITY``: ``run_identity`` on every supported case, 8 samples,
   seeds 0-2 (what ``vandiejen verify --identity IDENTITY --samples 8`` runs
   under the command line);
-* ``verify conjugation --masses 1,1``: conjugation's runs with two equal
-  unit masses, the only run that reaches the same-species pair block;
 * ``eval QUANTITY``: ``vandiejen eval`` on I-IV (``theta`` on IV only);
 * ``verify --format``: ``vandiejen verify`` in the three formats, once with
   ``--out``; ``verify --config``: one run from a config file;
@@ -51,10 +49,10 @@ _G = {"I": "0.3,0.35", "II": "0.3,0.35,0.4,0.45", "III": "0.3,0.35,0.4,0.45",
 _CASES = ("I", "II", "III", "IV")
 
 
-def _identity_runs(identity: str, masses=None) -> list[tuple]:
+def _identity_runs(identity: str) -> list[tuple]:
     from vandiejen import verify
 
-    return [("run_identity", identity, case, seed, masses)
+    return [("run_identity", identity, case, seed)
             for case in verify.CASE_SUPPORT[identity] for seed in SEEDS]
 
 
@@ -80,14 +78,13 @@ def _eval_runs(quantity: str) -> list[tuple]:
 
 
 def _entries() -> dict[str, list[tuple]]:
-    """Per entry name, its runs: ``("run_identity", identity, case, seed,
-    masses)`` or ``("main", *argv)``, where ``{dir}`` in an argument is the
-    entry's scratch directory."""
+    """Per entry name, its runs: ``("run_identity", identity, case, seed)``
+    or ``("main", *argv)``, where ``{dir}`` in an argument is the entry's
+    scratch directory."""
     from vandiejen import cli, verify
 
     small = ["verify", "--identity", "s-oddness,source", "--cases", "I,II", "--samples", "2"]
     entries = {f"verify {ident}": _identity_runs(ident) for ident in verify.IDENTITIES}
-    entries["verify conjugation --masses 1,1"] = _identity_runs("conjugation", ("1", "1"))
     for quantity in cli.EVAL_QUANTITIES:
         entries[f"eval {quantity}"] = _eval_runs(quantity)
     entries["verify --format"] = [("main", *small, "--format", fmt) for fmt in ("text", "csv")]
@@ -108,8 +105,8 @@ def _execute(run: tuple, scratch: str) -> None:
 
     kind, *rest = run
     if kind == "run_identity":
-        identity, case, seed, masses = rest
-        verify.run_identity(identity, case, samples=SAMPLES, seed=seed, masses=masses)
+        identity, case, seed = rest
+        verify.run_identity(identity, case, samples=SAMPLES, seed=seed)
     elif kind == "config":
         config = {"identities": ["source", "eigen-plain"], "cases": ["I", "IV"], "samples": 2,
                   "format": "json-lines"}

@@ -186,7 +186,7 @@ def test_coefficient_roots_equal_the_reference_walk_bit_for_bit(label, x0, y0, d
     tags = (tag_j, tag_k)
 
     def evaluate(tracker):
-        terms = conjugation_terms(case, g, LAM, BETA, tags, (), tracker)
+        terms = conjugation_terms(case, g, LAM, BETA, tags, ((), ()), tracker)
         for Z in (base, (base[0] + dx, base[1] + dy)):
             sum(weighted_terms(terms.weights(Z), lambda P: 1.0), start=0j)
 

@@ -8,25 +8,23 @@ import numpy as np
 import pytest
 
 import oracles
-from references import deformed_groundstate_value, groundstate_psi, phi_pair, psi_single
+from references import (cauchy_kernel_factors, deformed_groundstate_value,
+                        deformed_kernel_cross_factors, dual_cauchy_kernel_factors,
+                        groundstate_psi, pair_factor, psi_single, psi_single_sq)
 from vandiejen.eigenfunctions import (
     BranchError,
     BranchTracker,
     ConjugatedTerms,
-    cauchy_kernel_factors,
     conjugation_terms,
     continued_root,
     deformed_groundstate_sq_factors,
     deformed_power_sum,
-    dual_cauchy_kernel_factors,
-    eigenfunction_value,
+    eigenfunction_factors,
     factor_ratio,
     factor_value,
     groundstate_sq_factors,
     pair_kind,
-    phi_factor_specs,
     power_sum_weight,
-    psi_single_sq,
     quasi_invariance_defect,
 )
 from vandiejen.operators import (MassTag, coeff_V_shift, operator_terms, source_constant,
@@ -147,33 +145,62 @@ def _bits(value):
     return np.atleast_1d(np.asarray(value, dtype=complex)).view(np.float64).tolist()
 
 
+def _squared(factors):
+    return [dataclasses.replace(f, power=2) for f in factors]
+
+
+def _rel_errs(a, b):
+    return np.max(np.abs(np.asarray(a) - b) / np.maximum(np.abs(a), np.abs(b)))
+
+
 @pytest.mark.parametrize("label", ("I", "II", "III", "IV"))
-def test_pair_block_equals_its_eigenfunction_factor_bit_for_bit(label):
-    # phi_pair at the combined argument e1 Z[j] + e2 Z[k] and the matching
-    # pair entry of phi_factor_specs give the same value, on one point and,
-    # for the rooted kinds, on the coordinate arrays of a path
+def test_generic_blocks_square_to_the_hand_written_ones(label):
+    # per ordered mass pair, on one point and on the coordinate arrays of a
+    # path: each single block of eigenfunction_factors squares to
+    # psi_single_sq bit for bit, and the pair blocks times the direct pair
+    # factors square to the reference's four sign-combination factors,
+    # a root squared, a direct value squared and an inverse root inverted
     case = make(label)
     g = couplings_for(label)
     Z = (0.41 + 0.05j, 0.78 - 0.06j)
     path = tuple(np.array([z + t * (0.03 - 0.02j) for t in np.linspace(0.0, 1.0, 5)])
                  for z in Z)
     for tag_j, tag_k in itertools.product(MassTag, repeat=2):
-        specs = {key: (mode, fn) for key, mode, fn
-                 in phi_factor_specs(case, g, LAM, BETA, (tag_j, tag_k))}
-        for e1, e2 in itertools.product((1, -1), repeat=2):
-            mode, fn = specs[("pair", 0, 1, e1, e2)]
-            x = e1 * Z[0] + e2 * Z[1]
-            pair = phi_pair(case, LAM, BETA, x, tag_j, tag_k, BranchTracker((x,)))
-            if mode == "direct":
-                assert _bits(pair) == _bits(complex(fn(Z)))
-                continue
-            root = BranchTracker(Z).sqrt_at("k", fn, Z)
-            assert _bits(pair) == _bits(root if mode == "sqrt" else 1.0 / root)
-            # on a path, through a tracker that hands back the factor itself
-            on_path = phi_pair(case, LAM, BETA, x, tag_j, tag_k,
-                               _Radicand((e1 * path[0] + e2 * path[1],)))
-            factor = fn(path)
-            assert _bits(on_path) == _bits(factor if mode == "sqrt" else 1.0 / factor)
+        tags = (tag_j, tag_k)
+        sq, direct = eigenfunction_factors(case, g, LAM, BETA, tags)
+        pair = [f for f in sq if len(f.coeffs) == 2] + _squared(direct)
+        mode, factor = pair_factor(case, LAM, BETA, tag_j, tag_k)
+        for at in (Z, path):
+            square = continued_root(case, pair, Z, _Radicand(at))
+            ref = 1.0 + 0j
+            for e1, e2 in itertools.product((1, -1), repeat=2):
+                value = factor(e1 * at[0] + e2 * at[1])
+                ref = ref * {"sqrt": value, "direct": value**2, "invsqrt": 1.0 / value}[mode]
+            assert _rel_errs(square, ref) < 1e-12, (tag_j, tag_k)
+            for j, tag in enumerate(tags):
+                single = [f for f in sq if f.coeffs[0][0] == j and len(f.coeffs) == 1]
+                assert _bits(continued_root(case, single, Z, _Radicand(at))) == _bits(
+                    psi_single_sq(case, g, LAM, BETA, at[j], tag))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_unit_masses_give_the_ground_state_list(n):
+    case = make("II")
+    g = couplings_for("II")
+    sq, direct = eigenfunction_factors(case, g, LAM, BETA, (MassTag.PLUS_ONE,) * n)
+    assert (sq, direct) == (groundstate_sq_factors(case, g, LAM, BETA, range(n)), [])
+
+
+def test_kernel_assignments_give_the_hand_written_cross_factors():
+    # the direct lists of the kernel-cauchy and kernel-dual assignments, two
+    # plain coordinates before three of the other species
+    case = make("II")
+    g = couplings_for("II")
+    x, y = (0, 1), (2, 3, 4)
+    for other, cross in ((MassTag.MINUS_ONE, cauchy_kernel_factors(LAM, BETA, x, y)),
+                         (MassTag.PLUS_INV, dual_cauchy_kernel_factors(x, y))):
+        tags = (MassTag.PLUS_ONE,) * len(x) + (other,) * len(y)
+        assert eigenfunction_factors(case, g, LAM, BETA, tags)[1] == cross
 
 
 # --------------------------------------------------------------------------
@@ -181,22 +208,6 @@ def test_pair_block_equals_its_eigenfunction_factor_bit_for_bit(label):
 # --------------------------------------------------------------------------
 
 X2 = (0.41 + 0.05j, 0.78 - 0.06j)
-
-
-@pytest.mark.parametrize("label", ("I", "II", "III"))
-def test_groundstate_matches_general_eigenfunction(label):
-    # the unit-mass display and the general-mass machinery must agree
-    case = make(label)
-    g = couplings_for(label)
-    tags = (MassTag.PLUS_ONE, MassTag.PLUS_ONE)
-    tr1 = BranchTracker(X2)
-    tr2 = BranchTracker(X2)
-    specs = phi_factor_specs(case, g, LAM, BETA, tags)
-    factors = groundstate_sq_factors(case, g, LAM, BETA, (0, 1))
-    for Z in (X2, (0.45 + 0.02j, 0.74 - 0.03j)):
-        a = continued_root(case, factors, Z, tr1)
-        b = eigenfunction_value(specs, tr2, Z)
-        assert rel_err(a, b) < 1e-11
 
 
 @pytest.mark.parametrize("label", ("II", "III"))
@@ -274,17 +285,12 @@ def test_factor_ratio_rejects_incommensurate_shift():
 # --------------------------------------------------------------------------
 
 
-def _squared(factors):
-    return [dataclasses.replace(f, power=2) for f in factors]
-
-
-def _kernel_value(identity, case, g, Z, *slices):
-    """The kernel as the direct kernel rows take it: the continued root of
-    both ground states times the cross factors."""
-    spec = _KERNELS[identity]
-    cross, _ = spec.build(case, g, LAM, BETA, *slices)
-    ground = spec.ground(case, g, LAM, BETA, *slices)
-    return continued_root(case, ground, Z, BranchTracker(Z)) * factor_value(case, cross, Z)
+def _kernel_value(identity, case, g, Z):
+    """The kernel as the direct kernel rows take it: the eigenfunction of
+    the identity's mass assignment, one coordinate per species."""
+    tags = tuple(sp.tag for sp in _KERNELS[identity].species)
+    sq, cross = eigenfunction_factors(case, g, LAM, BETA, tags)
+    return continued_root(case, sq, Z, BranchTracker(Z)) * factor_value(case, cross, Z)
 
 
 def test_cauchy_kernel_square_route():
@@ -292,7 +298,7 @@ def test_cauchy_kernel_square_route():
     g = couplings_for("II")
     g_ref = tuple((LAM + 1) / 2 - v for v in g)
     Z = (0.41 + 0.05j, 0.92 - 0.07j)
-    val = _kernel_value("kernel-cauchy", case, g, Z, (0,), (1,))
+    val = _kernel_value("kernel-cauchy", case, g, Z)
     factors = groundstate_sq_factors(case, g, LAM, BETA, (0,))
     factors += groundstate_sq_factors(case, g_ref, LAM, BETA, (1,))
     factors += _squared(cauchy_kernel_factors(LAM, BETA, (0,), (1,)))
@@ -305,7 +311,7 @@ def test_dual_cauchy_kernel_square_route():
     g = couplings_for("III")
     g_scaled = tuple(v / LAM for v in g)
     Z = (0.41 + 0.05j, 0.92 - 0.07j)
-    val = _kernel_value("kernel-dual", case, g, Z, (0,), (1,))
+    val = _kernel_value("kernel-dual", case, g, Z)
     factors = groundstate_sq_factors(case, g, LAM, BETA, (0,))
     factors += groundstate_sq_factors(case, g_scaled, 1 / LAM, LAM * BETA, (1,))
     factors += _squared(dual_cauchy_kernel_factors((0,), (1,)))
@@ -318,14 +324,10 @@ def test_deformed_kernel_square_route():
     g = couplings_for("II")
     g_ref = tuple((LAM + 1) / 2 - v for v in g)
     Z = (0.38 + 0.04j, 0.71 - 0.05j, 0.55 + 0.06j, 1.02 - 0.03j)
-    val = _kernel_value("kernel-deformed", case, g, Z, (0,), (1,), (2,), (3,))
+    val = _kernel_value("kernel-deformed", case, g, Z)
     factors = deformed_groundstate_sq_factors(case, g, LAM, BETA, (0,), (1,))
     factors += deformed_groundstate_sq_factors(case, g_ref, LAM, BETA, (2,), (3,))
-    factors += _squared(cauchy_kernel_factors(LAM, BETA, (0,), (2,)))
-    factors += _squared(cauchy_kernel_factors(LAM, BETA, (1,), (3,), alpha=LAM * BETA,
-                                              offset=-0.5j * BETA))
-    factors += _squared(dual_cauchy_kernel_factors((0,), (3,)))
-    factors += _squared(dual_cauchy_kernel_factors((1,), (2,)))
+    factors += _squared(deformed_kernel_cross_factors(LAM, BETA, (0,), (1,), (2,), (3,)))
     prod = factor_value(case, factors, Z)
     assert rel_err(val * val, prod) < 1e-9
 
@@ -341,8 +343,8 @@ def test_sqrt_operator_conjugates_to_plain_form():
     tags = (MassTag.PLUS_ONE, MassTag.MINUS_ONE)
     base = (0.43 + 0.04j, 0.86 - 0.05j)
     tracker = BranchTracker(base)
-    specs = phi_factor_specs(case, g, LAM, BETA, tags)
-    conj = conjugation_terms(case, g, LAM, BETA, tags, specs, tracker)
+    conj = conjugation_terms(case, g, LAM, BETA, tags,
+                             eigenfunction_factors(case, g, LAM, BETA, tags), tracker)
     conj.calibrate()
     masses = tuple(t.value_for(LAM) for t in tags)
 
@@ -350,10 +352,8 @@ def test_sqrt_operator_conjugates_to_plain_form():
         return cmath.exp(0.3j * Z[0] - 0.42j * Z[1])
 
     for P in (base, (0.45 + 0.02j, 0.83 - 0.03j)):
-        phi_P = eigenfunction_value(specs, tracker, P)
-        lhs = sum(weighted_terms(
-            conj.weights(P), lambda Q: eigenfunction_value(specs, tracker, Q) * fn(Q),
-        ), start=0j) / phi_P
+        lhs = sum(weighted_terms(conj.weights(P), lambda Q: conj.F(Q) * fn(Q)),
+                  start=0j) / conj.F(P)
         terms = operator_terms(case, g, LAM, BETA, masses, tags, P, fn)
         scale = max(max(abs(t) for t in terms), abs(lhs))
         assert abs(lhs - sum(terms)) / scale < 1e-9
@@ -365,17 +365,15 @@ def test_sheet_fault_breaks_conjugation():
     tags = (MassTag.PLUS_ONE,)
     base = (0.43 + 0.04j,)
     tracker = BranchTracker(base)
-    specs = phi_factor_specs(case, g, LAM, BETA, tags)
-    conj = conjugation_terms(case, g, LAM, BETA, tags, specs, tracker)
+    conj = conjugation_terms(case, g, LAM, BETA, tags,
+                             eigenfunction_factors(case, g, LAM, BETA, tags), tracker)
     conj.calibrate()
     masses = (1.0,)
     fn = lambda Z: cmath.exp(0.3j * Z[0])
     P = (0.47 + 0.02j,)
     tracker.set_fault(("coeff", 0, 1), lambda target: abs(target[0] - base[0]) > 1e-9)
-    phi_P = eigenfunction_value(specs, tracker, P)
-    lhs = sum(weighted_terms(
-        conj.weights(P), lambda Q: eigenfunction_value(specs, tracker, Q) * fn(Q),
-    ), start=0j) / phi_P
+    lhs = sum(weighted_terms(conj.weights(P), lambda Q: conj.F(Q) * fn(Q)),
+              start=0j) / conj.F(P)
     terms = operator_terms(case, g, LAM, BETA, masses, tags, P, fn)
     scale = max(max(abs(t) for t in terms), abs(lhs))
     assert abs(lhs - sum(terms)) / scale > 1e-3
@@ -386,8 +384,8 @@ def _one_coordinate_conjugation():
     g = couplings_for("II")
     tags = (MassTag.PLUS_ONE,)
     tracker = BranchTracker((0.43 + 0.04j,))
-    specs = phi_factor_specs(case, g, LAM, BETA, tags)
-    return conjugation_terms(case, g, LAM, BETA, tags, specs, tracker)
+    return conjugation_terms(case, g, LAM, BETA, tags,
+                             eigenfunction_factors(case, g, LAM, BETA, tags), tracker)
 
 
 def test_gauge_calibration_needs_one_sign_per_factor():
@@ -418,14 +416,13 @@ def test_sheet_fault_breaks_a_kernel_identity():
     g = couplings_for("II")
     tags = (MassTag.PLUS_ONE, MassTag.MINUS_ONE)
     masses = tuple(t.value_for(LAM) for t in tags)
-    spec = _KERNELS["kernel-cauchy"]
-    cross, op = spec.build(case, g, LAM, BETA, (0,), (1,))
-    ground = spec.ground(case, g, LAM, BETA, (0,), (1,))
+    op = _KERNELS["kernel-cauchy"].build(case, g, LAM, BETA, (0,), (1,))
+    sq, cross = eigenfunction_factors(case, g, LAM, BETA, tags)
     base = (0.43 + 0.04j, 0.86 - 0.05j)
     tracker = BranchTracker(base)
     terms = ConjugatedTerms(
         tracker, op,
-        lambda P: continued_root(case, ground, P, tracker) * factor_value(case, cross, P),
+        lambda P: continued_root(case, sq, P, tracker) * factor_value(case, cross, P),
         lambda P, b, j, s: coeff_V_shift(case, g, LAM, BETA, masses, tags, P, b.slots[j],
                                          b.orient * s))
     terms.calibrate()

@@ -6,7 +6,6 @@ operator at one point to several functions compute its weights once."""
 
 import cmath
 import contextlib
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -194,7 +193,7 @@ def test_square_root_weights_give_the_old_action_bit_for_bit(label, g, lam, beta
     n = len(tags)
     base = (X[0], X[1] + 0.6)[:n]
     fn = _exp(k[:n])
-    terms = conjugation_terms(case, g, lam, beta, tags, (), BranchTracker(base))
+    terms = conjugation_terms(case, g, lam, beta, tags, ((), ()), BranchTracker(base))
     for Z in (base, tuple(b + d for b, d in zip(base, dX))):
         ref = _outcome(lambda: _ref_apply_sqrt_operator(case, g, lam, beta, tags, Z, fn, terms))
         assert _outcome(lambda: sum(weighted_terms(terms.weights(Z), fn), start=0j)) == ref
@@ -345,17 +344,17 @@ def test_a_direct_kernel_row_evaluates_its_kernel_once_per_point():
 
 @pytest.mark.parametrize("label", ("III", "IV"))
 @pytest.mark.parametrize("identity", sorted(verify._KERNELS))
-def test_a_kernel_run_without_direct_rows_builds_no_ground_state(identity, label):
+def test_a_kernel_run_without_direct_rows_takes_no_continued_root(identity, label):
     # only the direct rows, on cases I and II, take the kernel's root
-    built = []
-    spec = verify._KERNELS[identity]
+    calls = []
+    continued_root = verify.continued_root
 
-    def ground(*args):
-        built.append(args)
-        return spec.ground(*args)
+    def counted(*args):
+        calls.append(args)
+        return continued_root(*args)
 
-    with mock.patch.dict(verify._KERNELS, {identity: replace(spec, ground=ground)}):
+    with mock.patch.object(verify, "continued_root", counted):
         report = verify.run_identity(identity, label, samples=8, seed=0)
-        assert report.results and built == []
+        assert report.results and calls == []
         verify.run_identity(identity, "II", samples=8, seed=0)
-    assert built
+    assert calls

@@ -7,6 +7,10 @@ import inspect
 import json
 from pathlib import Path
 
+import pytest
+
+from vandiejen import verify
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "vandiejen"
 REACH = Path(__file__).resolve().parent / "reach.json"
 
@@ -84,13 +88,14 @@ def test_every_function_is_reached_or_allowlisted():
     assert audit(_sources(), _reach(), ALLOWLIST) == []
 
 
-def test_the_same_species_pair_block_is_reached():
-    # only equal masses reach it, and the conjugation tag cycle has none
-    w_same = "eigenfunctions:_pair_factor.<locals>.w_same"
-    reach = _reach()
-    assert w_same in reach["verify conjugation --masses 1,1"]
-    assert w_same not in reach["verify conjugation"]
-    assert w_same not in ALLOWLIST
+@pytest.mark.parametrize("label", ("I", "II"))
+def test_the_same_species_pair_block_passes_conjugation(label):
+    # the same-species pair is a branch of eigenfunction_factors, which every
+    # conjugation run enters, so no entry of the map tells it apart; the
+    # conjugation tag cycle holds no pair of equal masses, so a pinned run
+    # checks it
+    report = verify.run_identity("conjugation", label, samples=4, seed=0, masses=("1", "1"))
+    assert report.results and report.passed
 
 
 def test_an_unreached_unlisted_function_fails_and_is_named():
