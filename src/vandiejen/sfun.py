@@ -80,9 +80,9 @@ __all__ = [
 class _DeferredModule:
     """Stands for the module ``name`` and imports it at the first access to
     one of its attributes, which it then keeps, so that later accesses cost
-    what a module attribute costs.  mpmath (the routes of mpmath arguments)
-    and scipy.special (the rational gamma function) were about half of the
-    package's import time, and most runs need neither.  Testing whether a
+    what a module attribute costs.  mpmath, which only the routes of mpmath
+    arguments use, takes about a quarter as long to import as the package
+    itself (numpy loaded), and most runs never need it.  Testing whether a
     value is an mpmath number must not touch this stand-in: see
     :func:`_is_mp`."""
 

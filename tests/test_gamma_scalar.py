@@ -101,7 +101,8 @@ def test_an_mpmath_argument_takes_the_mpmath_route(label, monkeypatch):
         z = mpmath.mpc(0.37 + 0.11j)
         mp_value = gamma_G1(case, 0.8, z)
         monkeypatch.setattr(gamma_mod, "_trig_table", float_path)
-        monkeypatch.setattr(gamma_mod.scipy_special, "gamma", float_path)
+        monkeypatch.setattr(gamma_mod, "_euler_gamma", float_path)
+        monkeypatch.setattr(gamma_mod, "_euler_gamma_array", float_path)
         assert isinstance(mp_value, mpmath.mpc)
         assert gamma_G(case, 0.8, z) == mp_value
         assert gamma_G(case, -0.8, -z) == mp_value

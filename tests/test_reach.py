@@ -29,6 +29,7 @@ ALLOWLIST = {
     "operators:_holds": _MPMATH + " (an mpmath key skips the run memo)",
     "sfun:_s_mp": _MPMATH,
     "sfun:_theta_mp": _MPMATH,
+    "sfun:_DeferredModule.__getattr__": _MPMATH + " (the first access imports mpmath)",
     "gamma:_g1_elliptic": _ARRAYS,
     "gamma:_g1_hyperbolic": _ARRAYS,
     "sfun:_count_array": _ARRAYS,
