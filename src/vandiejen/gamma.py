@@ -101,12 +101,6 @@ _HYPERBOLIC_CUTOFF = 40.0
 _LOG_EPS = math.log(sys.float_info.epsilon)
 
 
-# bound once: a CaseKind member lookup costs about 0.1 us in CPython 3.11,
-# and a scalar gamma_G made up to three
-_RATIONAL, _TRIGONOMETRIC = CaseKind.RATIONAL, CaseKind.TRIGONOMETRIC
-_HYPERBOLIC = CaseKind.HYPERBOLIC
-
-
 def _require_alpha(alpha: complex, positive: bool = True) -> complex:
     alpha = complex(alpha)
     if not cmath.isfinite(alpha):
@@ -151,9 +145,10 @@ _LANCZOS = tuple(math.sqrt(2 * math.pi) * c for c in (
     0.46523628927048575665e-4, -0.98374475304879564677e-4, 0.15808870322491248884e-3,
     -0.21026444172410488319e-3, 0.21743961811521264320e-3, -0.16431810653676389022e-3,
     0.84418223983852743293e-4, -0.26190838401581408670e-4, 0.36899182659531622704e-5))
-_LANCZOS_TERMS = tuple((float(k), c) for k, c in enumerate(_LANCZOS[1:], 1))
-_LANCZOS_K = np.arange(1.0, len(_LANCZOS))[:, None]
-_LANCZOS_C = np.array(_LANCZOS[1:])[:, None]
+_LANCZOS_TERMS = tuple(enumerate(_LANCZOS[1:], 1))
+# the terms as two (term, 1) columns, which broadcast against the points
+_LANCZOS_K, _LANCZOS_C = np.array(_LANCZOS_TERMS).T[:, :, None]
+_LOG_PI = math.log(math.pi)
 
 
 def _euler_gamma(z: complex) -> complex:
@@ -164,49 +159,65 @@ def _euler_gamma(z: complex) -> complex:
     a pole is an exact zero.  The approximation errs by about 1e-15
     relative; the power ``t^(w + 1/2)`` adds Gamma's own condition number,
     about ``|z log z|`` epsilons, a few 1e-14 at ``|z|`` near 40 (a rational
-    tracker path at ``|alpha|`` near 0.06).  At a pole, and where the value
-    or, below ``Re z = 1/2``, ``sin(pi z)`` or ``Gamma(1 - z)`` overflows
-    (``|Im z|`` beyond about 225, ``Re z`` below about -170), ``cmath``
-    raises; :func:`_euler_gamma_array` returns inf or nan there."""
+    tracker path at ``|alpha|`` near 0.06).  At a pole, where the value
+    overflows, and below ``Re z = 1/2`` where ``sin(pi z) Gamma(1 - z)``
+    overflows (``|Im z|`` beyond about 225, ``Re z`` below about -170),
+    this raises; :func:`_euler_gamma_array` returns inf or nan at a pole
+    or an overflowing value, and takes the reflection in logs at the
+    rest."""
     if z.real < 0.5:
         n = round(z.real)
         s = cmath.sin(math.pi * (z - n))
-        return math.pi / ((-s if n % 2 else s) * _lanczos(-z))
+        d = (-s if n % 2 else s) * _lanczos(-z)
+        if not cmath.isfinite(d):
+            raise OverflowError("sin(pi z) Gamma(1 - z) overflows")
+        return math.pi / d
     return _lanczos(z - 1)
 
 
 def _lanczos(w: complex) -> complex:
-    """``Gamma(w + 1)`` for ``Re w >= -1/2``.  Each ``c_k / (w + k)`` enters
-    the sum as the real ``q_k = c_k / |w + k|^2`` times ``conj(w + k)``, in
-    the order of ``k``: float operations that the array path repeats."""
-    a, b = w.real, w.imag
-    re = im = 0.0
+    """``Gamma(w + 1)`` for ``Re w >= -1/2``."""
+    series = _LANCZOS[0]
     for k, c in _LANCZOS_TERMS:
-        ak = a + k
-        q = c / (ak * ak + b * b)
-        re += q * ak
-        im += q * b
+        series += c / (w + k)
     t = w + _LANCZOS_T
-    return complex(_LANCZOS[0] + re, -im) * cmath.exp((w + 0.5) * cmath.log(t) - t)
+    return series * cmath.exp((w + 0.5) * cmath.log(t) - t)
 
 
 def _euler_gamma_array(z: np.ndarray) -> np.ndarray:
-    """:func:`_euler_gamma` at every point of a complex array, with numpy,
-    and inf or nan without a warning where the scalar raises.  The sum runs
-    over the rows of a (term, point) array and gives the scalar's bits;
-    numpy's complex products and quotients may round otherwise."""
+    """:func:`_euler_gamma` at every point of a complex array of any shape,
+    with numpy, and inf or nan without a warning at a pole or an
+    overflowing value.  Where the scalar's ``sin(pi z) Gamma(1 - z)``
+    overflows although Gamma is a float, the reflection is one ``exp`` of
+    a sum of logs, with ``u = z - n`` and, for ``Im u >= 0``, ``log sin(pi
+    u) = -i pi u + log((1 - exp(2 i pi u)) / (-2i))`` (mirrored below the
+    axis), in which only the first term grows with ``|Im u|``.  numpy's
+    complex arithmetic rounds otherwise than Python's, so a point may
+    differ from its scalar by a rounding."""
+    shape, z = z.shape, z.ravel()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         reflect = z.real < 0.5
-        w = z - 1
-        np.negative(z, out=w, where=reflect)
-        wk = _LANCZOS_K + w.conj()
-        q = _LANCZOS_C / (wk.real * wk.real + w.imag * w.imag)
+        w = np.where(reflect, -z, z - 1)
+        series = _LANCZOS[0] + np.add.reduce(_LANCZOS_C / (w + _LANCZOS_K))
         t = w + _LANCZOS_T
-        value = (_LANCZOS[0] + np.add.reduce(q * wk)) * np.exp((w + 0.5) * np.log(t) - t)
-        n = np.round(z.real)
+        power = (w + 0.5) * np.log(t) - t
+        value = series * np.exp(power)
+        n = np.rint(z.real)
+        odd = (n.astype(np.int64) & 1).astype(bool)
         s = np.sin(np.pi * (z - n))
-        np.negative(s, out=s, where=(n.astype(np.int64) & 1).astype(bool))
-        return np.divide(np.pi, s * value, out=value, where=reflect)
+        np.negative(s, out=s, where=odd)
+        d = s * value
+        np.divide(np.pi, d, out=value, where=reflect)
+        # d is 0 only at a pole: Gamma(1 - z) underflows only where sin(pi z)
+        # overflows
+        lost = reflect & ~np.isfinite(d)
+        if lost.any():
+            u = z[lost] - n[lost]
+            sign = np.where(u.imag < 0, -1.0, 1.0)
+            log_sin = -1j * np.pi * sign * u + np.log(np.expm1(2j * np.pi * sign * u) / (2j * sign))
+            g = np.exp(_LOG_PI - log_sin - np.log(series[lost]) - power[lost])
+            value[lost] = np.where(odd[lost], -g, g)
+    return value.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -604,11 +615,11 @@ def _g1_array(case: CaseParams, alpha: complex, x):
     :func:`gamma_G` pass on."""
     xx, scalar = _as_complex_array(x)
     kind = case.kind
-    if kind is _RATIONAL:
+    if kind is CaseKind.RATIONAL:
         vals = _euler_gamma_array(0.5 + xx / (1j * alpha))
-    elif kind is _TRIGONOMETRIC:
+    elif kind is CaseKind.TRIGONOMETRIC:
         vals = _g1_trigonometric(case, alpha, xx)
-    elif kind is _HYPERBOLIC:
+    elif kind is CaseKind.HYPERBOLIC:
         vals = _g1_hyperbolic(case, alpha, xx)
     else:
         vals = _g1_elliptic(case, alpha, xx)
@@ -623,12 +634,12 @@ def gamma_G(case: CaseParams, alpha, x):
     A rational, trigonometric or elliptic scalar is evaluated with ``cmath``
     (the rational one by :func:`_euler_gamma`) and a hyperbolic one as a
     group of one row; everything else, and a scalar where ``cmath`` raises
-    (a pole of Euler's gamma, an overflow), goes through the array path of
-    each case.  An mpmath ``x`` is evaluated in mpmath at the
-    working precision by the same algorithms (see :func:`_g1_mp`) and gives
-    an mpmath value; its term counts, cutoff, trapezoidal step and
-    hyperbolic limits follow that precision, not
-    :data:`~vandiejen.sfun.TARGET_REL_ERR`.  The independent references for
+    (a pole of Euler's gamma, an overflow of the value or of the
+    reflection's factors), goes through the array path of each case.  An
+    mpmath ``x`` is evaluated in mpmath at the working precision by the
+    same algorithms (see :func:`_g1_mp`) and gives an mpmath value; its
+    term counts, cutoff, trapezoidal step and hyperbolic limits follow that
+    precision, not :data:`~vandiejen.sfun.TARGET_REL_ERR`.  The independent references for
     both routes are in the tests.
     """
     # the checks of _require_alpha inline for a float or complex alpha; a
@@ -650,19 +661,19 @@ def gamma_G(case: CaseParams, alpha, x):
     if alpha.real < 0:
         alpha, z = -alpha, -z
     kind = case.kind
-    if kind is _RATIONAL:
+    if kind is CaseKind.RATIONAL:
         try:
             return _euler_gamma(0.5 + z / (1j * alpha))
         except (ArithmeticError, ValueError):
             pass  # a pole, or cmath raising where numpy returns inf or nan
-    elif kind is _TRIGONOMETRIC:
+    elif kind is CaseKind.TRIGONOMETRIC:
         r = case.r
         count = _geometric_terms(r * alpha.real, 0.0, 2 * r * abs(z.imag), _LOG_TARGET)
         try:
             return _g1_trigonometric_scalar(r, alpha, z, _trig_table(r, alpha, count), cmath.exp)
         except (ArithmeticError, ValueError):
             pass
-    elif kind is _HYPERBOLIC:
+    elif kind is CaseKind.HYPERBOLIC:
         return _hyperbolic_GR(case.a, alpha, [z - 0.5j * case.a])[0]
     else:
         tables = _elliptic_tables(case.r, case.a, alpha)

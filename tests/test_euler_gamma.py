@@ -1,9 +1,11 @@
 """Euler's gamma in the package (the Lanczos approximation behind the rational
 gamma_G) against the 40-digit oracle of tests/oracles.py, on the scalar and
 the array path, and at its edges: both sides of Re z = 1/2, where the
-reflection takes over, a pole and an overflowing point."""
+reflection takes over, points where the reflection's factors overflow, a
+pole, an overflowing point, and arrays of any shape."""
 
 import cmath
+import sys
 
 import numpy as np
 import pytest
@@ -42,7 +44,7 @@ def _worst(grid) -> tuple[float, float]:
 
 def test_the_gamma_fe_window_is_within_1e_14():
     # gamma-fe's draws: alpha in +-[0.3, 0.6], x in the verify window
-    # (measured: 3.1e-15 on both paths)
+    # (measured: 2.5e-15 on both paths; seeds 0-5 reach 3.0e-15)
     scalar, array = _worst(_grid(0, (0.3, 0.6), WINDOW_RE, WINDOW_IM))
     assert scalar <= 1e-14
     assert array <= 1e-14
@@ -52,7 +54,7 @@ def test_the_tracker_pair_arguments_are_within_5e_14():
     # the gamma factors of a rational tracker path: |alpha| down to 0.06, so
     # |z| = |1/2 + x / (i alpha)| up to about 40, where Gamma's own condition
     # number |z log z| eps, not the approximation, sets the error (measured
-    # on this grid: 1.7e-14 on both paths; other seeds reach 4.2e-14)
+    # on this grid: 1.7e-14 on both paths; seeds 0-5 reach 4.4e-14)
     scalar, array = _worst(_grid(1, (0.06, 0.68), (-2.4, 2.4), (-0.9, 0.9)))
     assert scalar <= 5e-14
     assert array <= 5e-14
@@ -69,6 +71,48 @@ def test_both_sides_of_the_reflection_line(re, im):
     ref = oracles.g1_rational_oracle(1.0, x)
     assert abs(gamma_G(RATIONAL, 1.0, x) - ref) <= 1e-14 * abs(ref)
     assert abs(gamma_G(RATIONAL, 1.0, np.array([x]))[0] - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("z", [-9.5 - 300j, -0.3 + 230j, -3.7 - 234.2j, -171.5 + 0.1j,
+                               -170.2 + 3j])
+def test_the_reflection_where_its_factors_overflow(z):
+    # sin(pi z) overflows past |Im z| of about 225 and Gamma(1 - z) below
+    # Re z of about -170, though Gamma(z) is a float: cmath raises, the
+    # scalar falls back to the array path, and that takes the reflection in
+    # logs.  Gamma's condition number, about |z log z| eps, sets the error
+    # (measured: at most 1.5 of it on 200 seeded points with |Im z| in
+    # [226, 320], 0.85 on these)
+    x = 1j * (z - 0.5)
+    ref = oracles.g1_rational_oracle(1.0, x)
+    bound = 2 * abs(z * cmath.log(z)) * sys.float_info.epsilon
+    with pytest.raises(OverflowError):
+        _euler_gamma(z)
+    assert abs(_euler_gamma_array(np.array([z]))[0] - ref) <= bound * abs(ref)
+    assert abs(gamma_G(RATIONAL, 1.0, x) - ref) <= bound * abs(ref)
+
+
+def test_a_command_argument_past_the_overflow_of_sin():
+    # `vandiejen eval gamma --case I --alpha 0.01 --x 3-0.1j`: z = -9.5 - 300i
+    # and |Gamma(z)| is about 1e-229
+    x = 3 - 0.1j
+    z = 0.5 + x / 0.01j
+    ref = oracles.g1_rational_oracle(0.01, x)
+    bound = 2 * abs(z * cmath.log(z)) * sys.float_info.epsilon
+    for value in (gamma_G(RATIONAL, 0.01, x), gamma_G(RATIONAL, 0.01, np.array([x]))[0]):
+        assert abs(value - ref) <= bound * abs(ref)
+
+
+@pytest.mark.parametrize("shape", [(), (2, 3), (0, 3), (14, 5), (14, 1), (3, 14)])
+def test_an_array_of_any_shape_gives_its_points_values(shape):
+    # a (14, n) array has as many rows as the sum has terms, so a sum that
+    # broadcast against the input's own shape would pair rows with terms
+    rng = np.random.default_rng(4)
+    z = rng.uniform(-3.0, 3.0, shape) + 1j * rng.uniform(-4.0, 4.0, shape)
+    values = _euler_gamma_array(z)
+    assert values.shape == z.shape
+    assert np.array_equal(values.ravel(), _euler_gamma_array(z.ravel()))
+    for point, value in zip(z.ravel().tolist(), values.ravel().tolist()):
+        assert abs(value - _euler_gamma(point)) <= 1e-14 * abs(value)
 
 
 @pytest.mark.parametrize("n", [0, 1, 4])

@@ -235,16 +235,28 @@ def test_hyperbolic_points_past_the_node_cap_fail():
             call()
 
 
-@pytest.mark.parametrize("label", sorted(CASES))
+@pytest.mark.parametrize("label", ["I", "II", "III", "IV"])
 def test_zero_dimensional_two_dimensional_and_empty_inputs(label):
-    case = CASES[label]
-    pts = np.array([[0.3 + 0.1j, 0.8 - 0.2j, 1.2 + 0.6j], [-0.5 + 0.4j, 0.1 + 0.0j, 2.0 - 0.1j]])
-    values = gamma_G(case, 0.8, pts)
-    assert values.shape == pts.shape
-    assert _bits(values.ravel()) == _bits(gamma_G(case, 0.8, pts.ravel()))
+    # every case, the two of this module and the rational and trigonometric
+    # ones; a (14, 5) array has as many rows as the rational sum has terms
+    case = CaseParams(CaseKind.from_label(label), r=R, a=A)
+    rng = np.random.default_rng(3)
+    tall = rng.uniform(-2.0, 2.0, (14, 5)) + 1j * rng.uniform(-0.6, 0.6, (14, 5))
+    for pts in (np.array([[0.3 + 0.1j, 0.8 - 0.2j, 1.2 + 0.6j],
+                          [-0.5 + 0.4j, 0.1 + 0.0j, 2.0 - 0.1j]]), tall):
+        values = gamma_G(case, 0.8, pts)
+        assert values.shape == pts.shape
+        assert _bits(values.ravel()) == _bits(gamma_G(case, 0.8, pts.ravel()))
+        scalars = np.array(_scalars(case, 0.8, pts.ravel()))
+        assert np.max(np.abs(values.ravel() - scalars) / np.abs(scalars)) < 1e-13
     zero_d = gamma_G(case, 0.8, np.asarray(0.3 + 0.1j))
     assert type(zero_d) is complex
-    assert _bits([zero_d]) == _bits([gamma_G(case, 0.8, 0.3 + 0.1j)])
+    scalar = gamma_G(case, 0.8, 0.3 + 0.1j)
+    if label in CASES:
+        assert _bits([zero_d]) == _bits([scalar])
+    else:
+        # a rational or trigonometric array rounds otherwise than its scalar
+        assert abs(zero_d - scalar) < 1e-15 * abs(scalar)
     for empty in (np.array([], dtype=complex), np.zeros((0, 3))):
         out = gamma_G(case, 0.8, empty)
         assert out.shape == empty.shape and out.dtype == np.complex128
