@@ -328,12 +328,14 @@ def _fmt_real(v: float) -> str:
 
 
 def format_complex(z: complex) -> str:
-    """Minimal human form: ``2``, ``-2i``, ``0.5+0.1i``."""
+    """Minimal human form: ``2``, ``-2i``, ``0.5+0.1i``.  A part is left
+    out when it is zero or below ``1e-13`` of the larger part, at any
+    size."""
     re_, im = z.real, z.imag
-    scale = max(abs(re_), abs(im), 1.0)
-    if abs(im) < 1e-13 * scale:
+    scale = max(abs(re_), abs(im))
+    if im == 0 or abs(im) < 1e-13 * scale:
         return _fmt_real(re_)
-    if abs(re_) < 1e-13 * scale:
+    if re_ == 0 or abs(re_) < 1e-13 * scale:
         body = _fmt_real(im)
         if body == "1":
             return "i"

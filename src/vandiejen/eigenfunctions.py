@@ -40,7 +40,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -251,9 +251,11 @@ class BranchTracker:
     requested target, choosing at each step the root closest to the
     previous value and bisecting the step whenever the choice is
     ambiguous.  The squares along a path come from one array call of the
-    factor, and one walk, :meth:`_walk`, decides every step.  Results are
-    cached per (key, target), and the coordinate arrays of each target's
-    path are built once and shared by every key.
+    factor, and one walk, :meth:`_walk`, decides every step: the leading
+    steps that pass its tests by a margin on arrays, the rest one at a
+    time, with the same roots and bisections as a walk that takes every
+    step alone.  Results are cached per (key, target), and the coordinate
+    arrays of each target's path are built once and shared by every key.
 
     Continuation pins each root only up to one global sign per factor.
     ``set_gauge`` flips that sign coherently (at every point at once);
@@ -328,8 +330,8 @@ class BranchTracker:
             values = self._point_values(fn, target, ts)
         return self._walk(fn, target, 0.0, prev, ts, values, 0)
 
-    def _path_values(self, fn, target: tuple, ts: list) -> list[complex] | None:
-        """``fn`` on all points ``ts`` in one call, as the list of squares
+    def _path_values(self, fn, target: tuple, ts: list) -> np.ndarray | None:
+        """``fn`` on all points ``ts`` in one call, as the array of squares
         for :meth:`_walk`.  Each coordinate is one array built element by
         element (the floats of :meth:`_point_values`), once per target and
         read-only, so every key continued to ``target`` shares it.  None
@@ -351,7 +353,7 @@ class BranchTracker:
             return None
         if values.shape != (len(ts),) or not np.isfinite(values).all():
             return None
-        return values.tolist()
+        return values
 
     def _point_values(self, fn, target: tuple, ts: list):
         """``fn`` at each point of ``ts``, called only when the walk reaches
@@ -364,7 +366,16 @@ class BranchTracker:
         """Continue the root ``prev`` at ``t_prev`` through the squares
         ``values`` at ``ts``, taking at each step the root nearest the
         previous one.  An ambiguous step is bisected with scalar calls of
-        ``fn``, at most ``max_depth`` times."""
+        ``fn``, at most ``max_depth`` times.  When ``values`` is the array
+        of a path call, :meth:`_clear_steps` decides its leading clear steps
+        on arrays, and the steps from the first other one on are taken one
+        by one."""
+        if isinstance(values, np.ndarray):
+            clear, prev = self._clear_steps(prev, values)
+            if clear == len(ts):
+                return prev
+            t_prev = ts[clear - 1] if clear else t_prev
+            ts, values = ts[clear:], values[clear:].tolist()
         rel_floor = self.rel_floor
         for t, w_sq in zip(ts, values):
             abs_prev = abs(prev)
@@ -385,6 +396,35 @@ class BranchTracker:
                 prev = root if d_plus <= d_minus else -root
             t_prev = t
         return prev
+
+    def _clear_steps(self, prev: complex, values: np.ndarray) -> tuple[int, complex]:
+        """The number of leading steps of the path squares ``values``, from
+        the root ``prev``, that pass the floor and ambiguity tests of
+        :meth:`_walk` by a margin, and the root after them.  The margin, twice
+        the floor and 0.49 for 0.5, absorbs the last bits in which numpy's
+        ``abs`` and ``sqrt`` differ from ``cmath``'s, so those steps take the
+        roots the step-by-step walk takes.  At such a step the nearest root
+        is the principal one times the sign of ``Re(root_k conj(root_{k-1}))``
+        (between principal roots), and the root after them is that sign's
+        product times ``cmath.sqrt`` of the last one's square.  A value whose
+        modulus, squared or summed is not finite fails the tests."""
+        roots = np.empty(len(values) + 1, dtype=np.complex128)
+        roots[0] = prev
+        with np.errstate(all="ignore"):
+            np.sqrt(values, out=roots[1:])
+            mod2 = np.abs(roots)
+            mod2 *= mod2
+            dot = (roots[1:] * roots[:-1].conj()).real
+            here, before = mod2[1:], mod2[:-1]
+            scale = here + before
+            # |w| against the floor, and min(|root -+ prev|)^2 = scale - 2 |dot|
+            clear = (here > 2 * self.rel_floor * scale) & (
+                scale - 2 * np.abs(dot) <= 0.49 ** 2 * np.maximum(here, before))
+        steps = len(values) if clear.all() else int(clear.argmin())
+        if steps == 0:
+            return 0, prev
+        root = cmath.sqrt(values[steps - 1])
+        return steps, -root if np.count_nonzero(dot[:steps] < 0) % 2 else root
 
 
 def pathwise(coeff: Callable[[Sequence[complex]], complex]) -> Callable:
@@ -476,13 +516,57 @@ def eigenfunction_factors(
     return sq, direct
 
 
-def _side(case: CaseParams, factors: Sequence[Factor], P):
-    """The factors' values to the absolute value of their powers,
-    multiplied in list order."""
+def _side(values, powers):
+    """``values`` to ``powers``, multiplied in list order."""
     out = 1.0 + 0j
-    for f in factors:
-        out *= _base(case, f, P) ** abs(f.power)
+    for v, p in zip(values, powers):
+        out *= v ** p
     return out
+
+
+@lru_cache(maxsize=512)
+def _block_value(case: CaseParams, block: tuple[Factor, ...]):
+    """The value of one block of :func:`continued_root`, a function of a
+    point or of the coordinate arrays of a path: its positive-power factors
+    over its negative-power ones, or the negative-power ones alone.  A point
+    takes one call per factor.  A path stacks every factor's arguments into
+    one (factors, points) array, the block's integer coefficient matrix
+    over the coordinates it reads times those coordinates stacked, plus the
+    offsets, and calls ``gamma_G`` once per ``alpha`` and ``s_eval`` once
+    for the ``SFactor`` rows; the rows then multiply as a point's values
+    do."""
+    num = [f for f in block if f.power > 0]
+    factors, split = num + [f for f in block if f.power < 0], len(num)
+    powers = [abs(f.power) for f in factors]
+    slots = sorted({i for f in factors for i, _ in f.coeffs})
+    matrix = np.zeros((len(factors), len(slots)), dtype=np.complex128)
+    calls: dict = {}
+    for row, f in enumerate(factors):
+        for i, c in f.coeffs:
+            matrix[row, slots.index(i)] = c
+        calls.setdefault(f.alpha if isinstance(f, GFactor) else None, []).append(row)
+    offsets = np.array([[f.offset] for f in factors], dtype=np.complex128)
+    # a power of 1 leaves a row as it is
+    exponents = np.array(powers)[:, None] if any(p != 1 for p in powers) else None
+
+    def value(P):
+        if isinstance(P[0], np.ndarray):
+            args = matrix @ np.array([P[i] for i in slots]) + offsets
+            values = np.empty_like(args)
+            for alpha, rows in calls.items():
+                values[rows] = (s_eval(case, args[rows]) if alpha is None
+                                else gamma_G(case, alpha, args[rows]))
+            if exponents is not None:
+                values **= exponents
+            num = np.multiply.reduce(values[:split])
+            den = np.multiply.reduce(values[split:])
+        else:
+            values = [_base(case, f, P) for f in factors]
+            num = _side(values[:split], powers[:split])
+            den = _side(values[split:], powers[split:])
+        return num / den if split else den
+
+    return value
 
 
 def continued_root(
@@ -498,22 +582,19 @@ def continued_root(
     linear form in two coordinates: a ground state's single, pair and
     cross groups.  Its value is its positive-power factors over its
     negative-power ones; a block with only negative powers divides by the
-    root of its inverse.  The tracker keys a block by its factors, so one
-    tracker continues several lists, and a block they share once.
+    root of its inverse.  On a path the block is one array call per
+    ``alpha`` over all its factors (see :func:`_block_value`).  The tracker
+    keys a block by its factors, so one tracker continues several lists,
+    and a block they share once.
     """
     blocks: dict = {}
     for f in factors:
         blocks.setdefault(f.coeffs[0][0] if len(f.coeffs) == 1 else f.coeffs, []).append(f)
     out = 1.0 + 0j
     for block in blocks.values():
-        num = [f for f in block if f.power > 0]
-        den = [f for f in block if f.power < 0]
-
-        def value(P, num=num, den=den):
-            return _side(case, num, P) / _side(case, den, P) if num else _side(case, den, P)
-
-        root = tracker.sqrt_at(tuple(block), value, Z)
-        out = out * root if num else out / root
+        block = tuple(block)
+        root = tracker.sqrt_at(block, _block_value(case, block), Z)
+        out = out * root if any(f.power > 0 for f in block) else out / root
     return out
 
 

@@ -120,14 +120,19 @@ def _geometric_terms(step: float, start: float, growth: float, log_tol: float) -
     """
     if step <= 0:
         raise DomainError("non-decaying product; check parameter signs")
-    needed = (growth + start - log_tol) / step
-    count = max(2, int(math.ceil((needed + 1) / 2)) + 1)
+    count = _geometric_count(step, start, growth, log_tol)
     if count > _PRODUCT_HARD_CAP:
         raise ConvergenceError(
             f"product needs {count} factors to reach tol={math.exp(log_tol):g}; "
             "parameters are too close to a degenerate limit"
         )
     return count
+
+
+def _geometric_count(step: float, start: float, growth: float, log_tol: float) -> int:
+    """The count of :func:`_geometric_terms` without its checks."""
+    needed = (growth + start - log_tol) / step
+    return max(2, int(math.ceil((needed + 1) / 2)) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -226,16 +231,51 @@ def _euler_gamma_array(z: np.ndarray) -> np.ndarray:
 
 
 def _g1_trigonometric(case: CaseParams, alpha: complex, x: np.ndarray) -> np.ndarray:
-    r = case.r
-    im_max = float(np.max(np.abs(x.imag), initial=0.0))
-    count = _geometric_terms(r * alpha.real, 0.0, 2 * r * im_max, _LOG_TARGET)
-    # factors 1 - u_n exp(2 i r x), broadcast (terms, points) into one
-    # temporary
-    e = np.exp(2j * r * x.ravel())
+    """The trigonometric primitive ``exp(-r x^2 / (2 alpha)) / prod_n (1 -
+    u_n exp(2 i r x))`` over the nome powers of :func:`_trig_table`.  Each
+    point takes the factor count of its own ``|Im x|``, the scalar's, and
+    multiplies its factors in the order of ``n``, so its value does not
+    depend on the other points of the call.  The factors of all points are
+    one (terms, points) temporary up to the call's largest count; from the
+    smallest count on, a point's factors beyond its own count (below its
+    :func:`_trig_threshold`) are set to 1, which multiplies exactly."""
+    r, step = case.r, case.r * alpha.real
+    flat = x.ravel()
+    im = np.abs(flat.imag)
+    # the call's largest and smallest counts, as the scalar takes them:
+    # its cap and its errors
+    im_max = float(np.maximum.reduce(im, initial=0.0))
+    count = _geometric_terms(step, 0.0, 2 * r * im_max, _LOG_TARGET)
+    low = _geometric_terms(step, 0.0, 2 * r * float(np.minimum.reduce(im, initial=im_max)),
+                           _LOG_TARGET)
+    e = np.exp(2j * r * flat)
     factors = _trig_array(r, alpha, count)[:, None] * e[None, :]
-    prod = np.prod(np.subtract(1.0, factors, out=factors), axis=0)
-    pref = np.exp(-r * x.ravel() ** 2 / (2 * alpha))
+    np.subtract(1.0, factors, out=factors)
+    for n in range(low, count):
+        factors[n][im < _trig_threshold(r, step, n)] = 1.0
+    prod = np.prod(factors, axis=0)
+    pref = np.exp(-r * flat ** 2 / (2 * alpha))
     return (pref / prod).reshape(x.shape)
+
+
+@lru_cache(maxsize=256)
+def _trig_threshold(r: float, step: float, n: int) -> float:
+    """The least ``|Im x|`` at which the trigonometric scalar takes more than
+    ``n`` factors.  Its count, :func:`_geometric_count` of ``step`` and
+    ``2 r |Im x|``, never falls as ``|Im x|`` grows, so a point takes
+    factor ``n + 1`` exactly when its ``|Im x|`` is at least this float,
+    found by bisection over the floats."""
+    def more(im: float) -> bool:
+        return _geometric_count(step, 0.0, 2 * r * im, _LOG_TARGET) > n
+
+    lo, hi = 0.0, 1.0
+    if more(lo):
+        return lo
+    while not more(hi):
+        lo, hi = hi, 2 * hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (lo, mid) if more(mid) else (mid, hi)
+    return hi
 
 
 @lru_cache(maxsize=64)

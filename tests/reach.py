@@ -5,7 +5,7 @@ Run ``python tests/reach.py`` from the repository root to rewrite
 a fresh interpreter, so a cache that an earlier entry filled cannot hide a
 call, and the package's imports count as part of each entry.  A
 ``sys.setprofile`` hook records the code objects entered; a function is
-named ``module:co_qualname`` (``eigenfunctions:continued_root.<locals>.value``),
+named ``module:co_qualname`` (``eigenfunctions:_block_value.<locals>.value``),
 and lambdas, comprehensions and class bodies are left out.
 
 The entries:

@@ -1,5 +1,6 @@
 """The branch tracker's path walk: one call of a factor on the whole path
-against a reference walk that calls it once per path point."""
+against a reference walk that calls it once per path point, and the steps
+decided on arrays against the same path's values walked step by step."""
 
 import cmath
 import math
@@ -16,6 +17,7 @@ from vandiejen.eigenfunctions import (
     conjugation_terms,
     continued_root,
     deformed_groundstate_sq_factors,
+    eigenfunction_factors,
     groundstate_sq_factors,
 )
 from vandiejen.operators import MassTag, def_operator, weighted_terms
@@ -408,3 +410,82 @@ def test_a_modulus_beyond_float64_fails_like_the_reference_walk():
             tracker.sqrt_at("k", _pointwise(f), (1.0 + 0j,))
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+
+
+class SequentialCountingTracker(CountingTracker):
+    """The counting tracker with a path call's values handed to the walk as
+    a list, so that the walk takes every step one by one."""
+
+    def _path_values(self, fn, target, ts):
+        values = super()._path_values(fn, target, ts)
+        return None if values is None else values.tolist()
+
+
+class ArrayStepsTracker(CountingTracker):
+    """The counting tracker, counting the steps decided on arrays and the
+    steps a walk took one by one after them."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.array_steps = self.steps = 0
+
+    def _clear_steps(self, prev, values):
+        clear, root = super()._clear_steps(prev, values)
+        self.array_steps += clear
+        self.steps += len(values)
+        return clear, root
+
+
+def _walked_alike(evaluate, base):
+    """Run ``evaluate`` with steps decided on arrays and with every step
+    taken one by one: the same roots bit for bit, the same factor calls and
+    bisected points per ``sqrt_at`` call.  Returns the array tracker."""
+    tracker, sequential = ArrayStepsTracker(base), SequentialCountingTracker(base)
+    got = _outcome(evaluate, tracker)
+    assert got == _outcome(evaluate, sequential)
+    assert tracker._cache.keys() == sequential._cache.keys()
+    for cache_key, value in sequential._cache.items():
+        assert _bits(tracker._cache[cache_key]) == _bits(value), cache_key
+    assert tracker.calls == sequential.calls
+    return tracker
+
+
+def _bits(value):
+    return np.array([value], dtype=complex).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+@pytest.mark.parametrize("seed", range(3))
+def test_blocks_walked_on_arrays_equal_the_sequential_walk_bit_for_bit(label, seed):
+    # single blocks and a same pair (two unit masses), and an antidual pair
+    # (a unit mass with -1/lam), on seeded paths
+    case, g = CASES[label], G[label]
+    rng = np.random.default_rng(seed)
+    base = (complex(rng.uniform(0.3, 0.9), rng.uniform(-0.1, 0.1)),
+            complex(rng.uniform(0.9, 1.5), rng.uniform(-0.1, 0.1)))
+    targets = [tuple(b + complex(*rng.uniform(-0.15, 0.15, 2)) for b in base) for _ in range(4)]
+    lists = [eigenfunction_factors(case, g, LAM, BETA, tags)[0]
+             for tags in ((MassTag.PLUS_ONE, MassTag.PLUS_ONE),
+                          (MassTag.PLUS_ONE, MassTag.MINUS_INV))]
+
+    def evaluate(tracker):
+        for Z in targets:
+            for sq in lists:
+                continued_root(case, sq, Z, tracker)
+
+    tracker = _walked_alike(evaluate, base)
+    # every step of these paths is clear, so the arrays decide them all
+    assert tracker.array_steps == tracker.steps > 0
+
+
+def test_an_ambiguous_step_keeps_its_bisections_after_steps_decided_on_arrays():
+    # the phase jumps by 3 within one path step near x = 1.4: the steps
+    # before it are decided on arrays, then the walk bisects that step and
+    # goes on one step at a time
+    def f(x):
+        return _winding(x) * cmath.exp(1.5j * (1 + math.tanh((x - 1.4) / 0.004)))
+
+    tracker = _walked_alike(lambda tr: tr.sqrt_at("k", _pointwise(f), (2.0 + 0j,)), (0j,))
+    (_, _, _, evals, bisected), = tracker.calls
+    assert bisected > 0 and evals == 2 + bisected
+    assert 0 < tracker.array_steps < tracker.steps

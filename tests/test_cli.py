@@ -60,6 +60,24 @@ def test_format_complex_forms():
     assert format_complex(0.5 - 0.1j) == "0.5-0.1i"
     assert format_complex(complex(3.0, 1e-16)) == "3"
     assert format_complex(complex(float("inf"), 0.0)) == "inf"
+    assert format_complex(0j) == "0"
+    assert format_complex(complex(float("inf"), float("inf"))) == "inf+infi"
+
+
+def test_format_complex_keeps_both_parts_of_a_small_value():
+    # a part is dropped relative to the larger part, not to 1
+    assert format_complex(complex(8.6e-230, -3.6e-230)) == "8.6e-230-3.6e-230i"
+    assert format_complex(complex(2e-20, 1e-34)) == "2e-20"
+    assert format_complex(complex(1e-40, 3e-20)) == "3e-20i"
+
+
+def test_eval_prints_both_parts_of_a_tiny_gamma_value(capsys):
+    # the value is about 8.63e-230 - 3.58e-230 i (json-lines); the text
+    # format once dropped the imaginary part as below 1e-13
+    code, out, _ = run_main(capsys, ["eval", "gamma", "--case", "I", "--alpha", "0.01",
+                                     "--x", "3-0.1j"])
+    assert code == EXIT_PASS
+    assert re.search(r"8\.63\d*e-230-3\.58\d*e-230i", out), out
 
 
 def test_roundtrip_parse_format():

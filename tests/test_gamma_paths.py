@@ -14,8 +14,16 @@ series length of the call and agree with their scalars to rounding.  The
 tests put points on both sides of every step-count change and compare
 them with the mpmath route.  That route runs the same walk and series in
 mpmath, so the checks independent of the package are the oracles here and
-the qp references and functional equations of test_mpmath_route."""
+the qp references and functional equations of test_mpmath_route.
 
+A tracked block evaluates all its factors on a path in one (factors,
+points) call.  On cases I-III each row of such a call has the bits of its
+own call: the rational and hyperbolic points are evaluated one by one, and
+a trigonometric point takes the factor count of its own ``|Im x|``.  Case
+IV is left out: its series length and theta factor count are the call's,
+and no tracker runs on it."""
+
+import math
 from functools import lru_cache
 
 import mpmath
@@ -26,7 +34,7 @@ import oracles
 from vandiejen import gamma as gamma_mod
 from vandiejen import verify
 from vandiejen.gamma import functional_eq_constant, gamma_G, gamma_G1
-from vandiejen.sfun import CaseKind, CaseParams, ConvergenceError, s_eval
+from vandiejen.sfun import _LOG_TARGET, CaseKind, CaseParams, ConvergenceError, s_eval
 
 R, A = 1.1, 1.8
 CASES = {label: CaseParams(CaseKind.from_label(label), r=R, a=A) for label in ("III", "IV")}
@@ -408,3 +416,44 @@ def test_one_point_beyond_the_cutoff_fails_the_whole_array():
 def test_gamma_reflection_rows_stay_exactly_zero(label):
     report = verify.run_identity("gamma-reflection", label, samples=12, seed=5)
     assert report.results and all(row.residual == 0.0 for row in report.results)
+
+
+def _stacked_paths(rng, factors=9):
+    """A (factors, 48) argument as a tracked block stacks it: per row the 48
+    points of a straight path from its own start."""
+    start = rng.uniform(-1.2, 1.2, factors) + 1j * rng.uniform(-0.6, 0.6, factors)
+    step = rng.uniform(-0.4, 0.4, factors) + 1j * rng.uniform(-0.3, 0.3, factors)
+    return start[:, None] + np.arange(1, 49) / 48 * step[:, None]
+
+
+@pytest.mark.parametrize("label", ["I", "II", "III"])
+@pytest.mark.parametrize("alpha", (0.31, -0.45, 0.9 + 0.3j))
+def test_each_row_of_a_stacked_argument_has_the_bits_of_its_own_call(label, alpha):
+    # not IV, whose counts are the call's (see the module docstring)
+    case = CaseParams(CaseKind.from_label(label), r=R, a=A)
+    x = _stacked_paths(np.random.default_rng(5))
+    stacked = gamma_G(case, alpha, x)
+    assert stacked.shape == x.shape
+    for row, values in zip(x, stacked):
+        assert _bits(values) == _bits(gamma_G(case, alpha, row.copy()))
+
+
+@pytest.mark.parametrize("alpha", (0.31, 0.8, 0.9 + 0.3j))
+def test_a_trigonometric_point_takes_the_factor_count_of_its_scalar(alpha):
+    # a point takes factor n + 1 exactly where its |Im x| reaches the
+    # threshold of n, as its scalar's count exceeds n there; the points
+    # include each threshold and the float below it
+    step = R * complex(alpha).real
+    im = np.abs(_stacked_paths(np.random.default_rng(6)).imag).ravel().tolist()
+
+    def count(v):
+        return gamma_mod._geometric_terms(step, 0.0, 2 * R * v, _LOG_TARGET)
+
+    ns = range(count(min(im)) - 1, count(max(im)) + 1)
+    for n in ns:
+        threshold = gamma_mod._trig_threshold(R, step, n)
+        im += [threshold, math.nextafter(threshold, 0.0)]
+    assert len(ns) > 2
+    for n in ns:
+        threshold = gamma_mod._trig_threshold(R, step, n)
+        assert [v >= threshold for v in im] == [count(v) > n for v in im]

@@ -136,25 +136,30 @@ def test_trigonometric_array_path_shares_the_factor_table():
     rng = np.random.default_rng(7)
     pts = rng.uniform(-2, 2, 32) + 1j * rng.uniform(-1, 1, 32)
     for z, b in zip(pts, gamma_G(case, 0.8, pts)):
-        # a batch takes the term count of its largest |Im x|
+        # each point of a batch takes its own term count
         assert gamma_G(case, 0.8, complex(z)) == pytest.approx(b, rel=1e-13)
 
 
 def test_trigonometric_array_path_reads_a_cached_read_only_table():
-    # the array path takes the u_n as one cached array, and builds its
-    # factors 1 - u_n e in a single (terms, points) temporary: the same
-    # bits as the two-temporary product
+    # the array path takes the u_n as one cached array, and each point
+    # multiplies its own scalar count of factors 1 - u_n e in the order of
+    # n: the same bits as a product of the full (terms, points) table of
+    # factors, each point stopping at its own count
     u = gamma_mod._trig_array(R, 0.8, 7)
     assert u is gamma_mod._trig_array(R, 0.8, 7)
     assert not u.flags.writeable
     assert u.tolist() == list(gamma_mod._trig_table(R, 0.8, 7))
     rng = np.random.default_rng(11)
     x = rng.uniform(-2, 2, 48) + 1j * rng.uniform(-0.4, 0.4, 48)
-    count = gamma_mod._geometric_terms(R * 0.8, 0.0, 2 * R * np.max(np.abs(x.imag)),
-                                       math.log(TARGET_REL_ERR))
-    table = np.array(gamma_mod._trig_table(R, 0.8, count))
-    e = np.exp(2j * R * x)
-    expected = np.exp(-R * x ** 2 / (2 * 0.8)) / np.prod(1.0 - table[:, None] * e[None, :], axis=0)
+    counts = np.array([gamma_mod._geometric_terms(R * 0.8, 0.0, 2 * R * abs(z.imag),
+                                                  math.log(TARGET_REL_ERR)) for z in x])
+    assert counts.min() < counts.max()
+    table = np.array(gamma_mod._trig_table(R, 0.8, counts.max()))
+    factors = 1.0 - table[:, None] * np.exp(2j * R * x)[None, :]
+    prod = factors[0]
+    for n in range(1, counts.max()):
+        prod = np.where(counts > n, prod * factors[n], prod)
+    expected = np.exp(-R * x ** 2 / (2 * 0.8)) / prod
     got = gamma_G(CASES["II"], 0.8, x)
     assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
