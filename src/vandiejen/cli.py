@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from . import verify
-from .eigenfunctions import BranchTracker, continued_root, deformed_groundstate_sq_factors
+from .eigenfunctions import BranchTracker, continued_root, eigenfunction_factors
 from .gamma import functional_eq_constant, gamma_G
 from .operators import CouplingSet, MassTag, coeff_V0, coeff_V_shift
 from .sfun import (
@@ -458,9 +458,9 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
             if n + nt != len(X):
                 raise DomainError(
                     f"flag --x: expected {n + nt} coordinates, got {len(X)}")
-        # with no deformed coordinates this is the plain ground state's list
-        ground = deformed_groundstate_sq_factors(case, coupling.g, coupling.lam, coupling.beta,
-                                                 range(n), range(n, n + nt))
+        # masses 1 and -1/lam pair as same and antidual: no direct factors
+        tags = (MassTag.PLUS_ONE,) * n + (MassTag.MINUS_INV,) * nt
+        ground, _ = eigenfunction_factors(case, coupling.g, coupling.lam, coupling.beta, tags)
         value = continued_root(case, ground, X, BranchTracker(X))
         rows.append(("psi", value, _flag_for(value, None)))
     else:

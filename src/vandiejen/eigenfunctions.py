@@ -28,10 +28,9 @@ alike: their continued roots, the gauge calibration at the base point and
 the coherence check at other points.
 
 One builder, :func:`eigenfunction_factors`, gives the eigenfunction of
-every mass assignment as a squared list and a direct list; the kernel
-functions are the eigenfunctions of their mass assignments.  The ground states of the display identities keep their own
-squared lists (:func:`groundstate_sq_factors`,
-:func:`deformed_groundstate_sq_factors`).  The module also provides the
+every mass assignment as a squared list and a direct list; the ground
+states of the display identities and the kernel functions are the
+eigenfunctions of their mass assignments.  The module also provides the
 deformed trigonometric power sums used by the polynomial-invariance checks.
 """
 
@@ -48,7 +47,7 @@ import numpy as np
 
 from .gamma import _step_ratio, functional_eq_constant, gamma_G
 from .operators import (MassTag, Operator, ShiftBlock, _batched, _coefficient_memo, _moved,
-                        conjugated_operator, d_param, dual_couplings)
+                        conjugated_operator, d_param)
 from .sfun import CaseParams, DomainError, PoleProximityError, s_eval
 
 __all__ = [
@@ -58,8 +57,6 @@ __all__ = [
     "SFactor",
     "factor_value",
     "factor_ratio",
-    "groundstate_sq_factors",
-    "deformed_groundstate_sq_factors",
     "pair_kind",
     "eigenfunction_factors",
     "continued_root",
@@ -179,61 +176,6 @@ def factor_ratio(
         return out
 
     return _batched(case, formula)
-
-
-def groundstate_sq_factors(
-    case: CaseParams,
-    g: Sequence[float],
-    lam: float,
-    beta: float,
-    variables: Sequence[int],
-) -> list[Factor]:
-    """Squared ground state of the all-unit-mass operator on the given
-    coordinate slots: per coordinate a doubled-argument block over the
-    coupling blocks, per pair four sign combinations of a two-gamma ratio.
-    """
-    factors: list[Factor] = []
-    b2 = 0.5j * beta
-    for i in variables:
-        factors.append(GFactor(((i, 2),), b2, beta, 1))
-        factors.append(GFactor(((i, -2),), b2, beta, 1))
-        for g_nu in g:
-            factors.append(GFactor(((i, 1),), b2 - 1j * g_nu * beta, beta, -1))
-            factors.append(GFactor(((i, -1),), b2 - 1j * g_nu * beta, beta, -1))
-    idx = list(variables)
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            for e1 in (1, -1):
-                for e2 in (1, -1):
-                    pair = ((idx[a], e1), (idx[b], e2))
-                    factors.append(GFactor(pair, b2, beta, 1))
-                    factors.append(GFactor(pair, b2 - 1j * lam * beta, beta, -1))
-    return factors
-
-
-def deformed_groundstate_sq_factors(
-    case: CaseParams,
-    g: Sequence[float],
-    lam: float,
-    beta: float,
-    x_vars: Sequence[int],
-    xt_vars: Sequence[int],
-) -> list[Factor]:
-    """Squared two-species ground state: an all-unit block on the plain
-    coordinates, the dual block (:func:`~vandiejen.operators.dual_couplings`,
-    swapped parameters) on the deformed coordinates, divided by the paired
-    cross denominators."""
-    g_dual = dual_couplings(g, lam)
-    factors = groundstate_sq_factors(case, g, lam, beta, x_vars)
-    factors += groundstate_sq_factors(case, g_dual, 1.0 / lam, lam * beta, xt_vars)
-    u = 0.5j * (lam - 1) * beta
-    for i in x_vars:
-        for k in xt_vars:
-            for delta in (1, -1):
-                pair = ((i, 1), (k, delta))
-                factors.append(SFactor(pair, u, -1))
-                factors.append(SFactor(pair, -u, -1))
-    return factors
 
 
 # ---------------------------------------------------------------------------

@@ -702,40 +702,18 @@ def eigen_constant(
     return c0_constant(case, g, lam, beta) + source_constant(case, g, lam, beta, mass_values)
 
 
-_BALANCE_VARIANTS = {
-    "source": lambda lam, N=0, Nt=0, M=0, Mt=0, msum=0.0: 2 * lam * msum - 2 * (lam + 1),
-    "eigen-plain": lambda lam, N=0, Nt=0, M=0, Mt=0, msum=0.0: 2 * lam * (N - 1) - 2,
-    "kernel-cauchy": lambda lam, N=0, Nt=0, M=0, Mt=0, msum=0.0: 2 * lam * (N - M - 1) - 2,
-    "kernel-dual": lambda lam, N=0, Nt=0, M=0, Mt=0, msum=0.0: 2 * lam * (N - 1) + 2 * (Mt - 1),
-    "deformed-groundstate": lambda lam, N=0, Nt=0, M=0, Mt=0, msum=0.0: 2 * lam * (N - 1) - 2 * (Nt + 1),
-    "deformed-constant": lambda lam, N=0, Nt=0, M=0, Mt=0, msum=0.0: 2 * lam * (N - 1) - 2 * (Nt + 1),
-    "kernel-deformed": lambda lam, N=0, Nt=0, M=0, Mt=0, msum=0.0: 2 * lam * (N - M - 1) - 2 * (Nt - Mt + 1),
-}
+def balance_solve(lam: float, g: Sequence[float], tags: Sequence[MassTag]) -> tuple[float, ...]:
+    """Adjust the last coupling so the elliptic balancing condition
+    ``2 lam sum(m) + sum(g) = 2 (lam + 1)`` holds for the masses ``tags``.
 
-
-def balance_solve(
-    variant: str,
-    lam: float,
-    g: Sequence[float],
-    N: int = 0,
-    Nt: int = 0,
-    M: int = 0,
-    Mt: int = 0,
-    mass_sum: float = 0.0,
-) -> tuple[float, ...]:
-    """Adjust the last coupling so the elliptic constraint of ``variant`` holds.
-
-    ``variant`` names the identity whose constraint is wanted (``source``
-    for a free mass multiset, or one of the specialised identities); the
-    particle counts (or ``mass_sum`` for the source form) select the
-    constraint, and the last coupling is replaced so that the constraint
-    value ``<offset> + sum(g)`` vanishes.  Returns the new coupling tuple.
+    With ``a = #(1) - #(-1)`` and ``b = #(1/lam) - #(-1/lam)`` the mass sum
+    is ``a + b / lam``, so the condition reads ``offset + sum(g) = 0`` with
+    ``offset = 2 lam (a - 1) + 2 (b - 1)``; the last coupling is replaced
+    to make it hold.  Returns the new coupling tuple.
     """
-    if variant not in _BALANCE_VARIANTS:
-        raise DomainError(
-            f"unknown balancing variant {variant!r}; choose from {sorted(_BALANCE_VARIANTS)}"
-        )
-    offset = _BALANCE_VARIANTS[variant](lam, N=N, Nt=Nt, M=M, Mt=Mt, msum=mass_sum)
+    a = tags.count(MassTag.PLUS_ONE) - tags.count(MassTag.MINUS_ONE)
+    b = tags.count(MassTag.PLUS_INV) - tags.count(MassTag.MINUS_INV)
+    offset = 2 * lam * (a - 1) + 2 * (b - 1)
     g = [float(v) for v in g]
     g[-1] = -offset - sum(g[:-1])
     return tuple(g)

@@ -37,12 +37,10 @@ from .eigenfunctions import (
     ConjugatedTerms,
     conjugation_terms,
     continued_root,
-    deformed_groundstate_sq_factors,
     deformed_power_sum,
     eigenfunction_factors,
     factor_ratio,
     factor_value,
-    groundstate_sq_factors,
     power_sum_weight,
     quasi_invariance_defect,
 )
@@ -565,23 +563,18 @@ def _mass_multiset(ctx: _RunCtx, i: int) -> tuple[MassTag, ...]:
 _BALANCED_G_CAP = 9.0
 
 
-def _balanced_coupling(ctx: _RunCtx, coupling: CouplingSet, variant: str,
-                       N: int = 0, Nt: int = 0, M: int = 0, Mt: int = 0,
-                       tags: tuple[MassTag, ...] = ()) -> CouplingSet:
+def _balanced_coupling(ctx: _RunCtx, coupling: CouplingSet,
+                       tags: tuple[MassTag, ...]) -> CouplingSet:
     def make():
         nonlocal coupling
-        # The mass sum depends on lam for 1/lam species, so it has to be
-        # recomputed for every redrawn coupling, not fixed at the first one.
-        mass_sum = sum(t.value_for(coupling.lam) for t in tags)
-        g = balance_solve(variant, coupling.lam, coupling.g, N=N, Nt=Nt, M=M,
-                          Mt=Mt, mass_sum=mass_sum)
+        g = balance_solve(coupling.lam, coupling.g, tags)
         if abs(g[-1]) <= _BALANCED_G_CAP:
             return CouplingSet(g, coupling.lam, coupling.beta)
         coupling = _draw_coupling(ctx.rng, ctx.case)  # also after the last rejection
         return None
 
-    return ctx.draw(make, 40,
-                    fail=f"no balanced coupling within |g| <= {_BALANCED_G_CAP} for {variant}")
+    return ctx.draw(make, 40, fail=f"no balanced coupling within |g| <= {_BALANCED_G_CAP} "
+                                   f"for {ctx.identity}")
 
 
 def _detuned(coupling: CouplingSet, delta: float) -> CouplingSet:
@@ -611,7 +604,7 @@ def _rows_source(ctx: _RunCtx) -> list[SampleResult]:
         tags = _mass_multiset(ctx, i)
         coupling = _draw_coupling(ctx.rng, ctx.case)
         if ctx.label == "IV":
-            coupling = _balanced_coupling(ctx, coupling, "source", tags=tags)
+            coupling = _balanced_coupling(ctx, coupling, tags)
         config = Configuration(ctx.case, coupling, tags)
         X = ctx.admissible_X(config)
         name = ",".join(t.value for t in tags)
@@ -828,8 +821,7 @@ def _direct_kernel_rows(
 @dataclass(frozen=True)
 class _Species:
     """One particle species of a block-structured identity: the name of
-    its count (also the :func:`balance_solve` keyword), its mass, and its
-    index in the pinned ``(N, Nt, M, Mt)``."""
+    its count, its mass, and its index in the pinned ``(N, Nt, M, Mt)``."""
 
     name: str
     tag: MassTag
@@ -856,8 +848,7 @@ def _block_sample(ctx: _RunCtx, species: Sequence[_Species], i: int):
         raise DomainError("at least one coordinate is required")
     coupling = _draw_coupling(ctx.rng, ctx.case)
     if ctx.label == "IV":
-        counts = {sp.name: n for sp, n in zip(species, sizes)}
-        coupling = _balanced_coupling(ctx, coupling, ctx.identity, **counts)
+        coupling = _balanced_coupling(ctx, coupling, tags)
     config = Configuration(ctx.case, coupling, tags)
     Z = ctx.admissible_X(config)
     lab = "".join(f"{sp.name}{n}" for sp, n in zip(species, sizes))
@@ -869,21 +860,18 @@ def _block_sample(ctx: _RunCtx, species: Sequence[_Species], i: int):
 class _DisplaySpec:
     """One specialised display of the operator: its species in coordinate
     order; ``operator(case, g, lam, beta, *slices)``, whose blocks give the
-    chain-shift and closure rows; ``ground(case, g, lam, beta, *slices)``,
-    the squared ground-state factors; and whether the chain and closure
-    rows run before the eigen row."""
+    chain-shift and closure rows; and whether the chain and closure rows
+    run before the eigen row.  The ground state is the eigenfunction of
+    the species' mass assignment (:func:`eigenfunction_factors`)."""
 
     species: tuple[_Species, ...]
     operator: Callable[..., Operator]
-    ground: Callable
     display: bool = True
 
 
-_TWO_SPECIES = ((_N, _NT), partial(def_operator, labels=("closure-x", "closure-t")),
-                deformed_groundstate_sq_factors)
+_TWO_SPECIES = ((_N, _NT), partial(def_operator, labels=("closure-x", "closure-t")))
 _DISPLAYS = {
-    "eigen-plain": _DisplaySpec((_N,), partial(vd_operator, label="closure"),
-                                groundstate_sq_factors),
+    "eigen-plain": _DisplaySpec((_N,), partial(vd_operator, label="closure")),
     "deformed-groundstate": _DisplaySpec(*_TWO_SPECIES),
     "deformed-constant": _DisplaySpec(*_TWO_SPECIES, display=False),
 }
@@ -912,8 +900,9 @@ def _rows_display(ctx: _RunCtx) -> list[SampleResult]:
                                        op.v0(Z) - c0_constant(case, g, lam, beta))))
 
             # square-root closure: coefficient ratio under one step
-            # equals the squared ground-state ratio
-            gs_sq = spec.ground(case, g, lam, beta, *slices)
+            # equals the squared ground-state ratio; the display species'
+            # pairs are same and antidual, so the direct list is empty
+            gs_sq, _ = eigenfunction_factors(case, g, lam, beta, tags)
 
             def closure(coeff, slot, j, sign, delta):
                 shifted = _moved(Z, slot, Z[slot] + delta)

@@ -4,9 +4,10 @@ Unlike :mod:`oracles`, these are float computations built from the
 package's own pieces: the summation identity's left side and the
 parameter choice that turns it into the operator identity, the elliptic
 balancing defect, the single-coordinate and pair blocks of an
-eigenfunction on their own, the cross factors of the three kernels, and
-the plain and two-species ground states written against their unit-mass
-displays.  The blocks and the cross factors cross-check
+eigenfunction on their own, the cross factors of the three kernels, the
+plain and two-species ground states written against their unit-mass
+displays, and the squared factor lists of those two ground states.  The
+blocks, the cross factors and the squared lists cross-check
 :func:`~vandiejen.eigenfunctions.eigenfunction_factors`, the ground states
 :func:`~vandiejen.eigenfunctions.continued_root` of the squared factor
 lists.  No command of the package runs them, so they live here rather
@@ -308,3 +309,58 @@ def deformed_groundstate_value(
                     (key_prefix, "cross", i, k, delta), w_cross, Z
                 )
     return out
+
+
+def groundstate_sq_factors(
+    case: CaseParams,
+    g: Sequence[float],
+    lam: float,
+    beta: float,
+    variables: Sequence[int],
+) -> list[Factor]:
+    """Squared ground state of the all-unit-mass operator on the given
+    coordinate slots: per coordinate a doubled-argument block over the
+    coupling blocks, per pair four sign combinations of a two-gamma ratio.
+    """
+    factors: list[Factor] = []
+    b2 = 0.5j * beta
+    for i in variables:
+        factors.append(GFactor(((i, 2),), b2, beta, 1))
+        factors.append(GFactor(((i, -2),), b2, beta, 1))
+        for g_nu in g:
+            factors.append(GFactor(((i, 1),), b2 - 1j * g_nu * beta, beta, -1))
+            factors.append(GFactor(((i, -1),), b2 - 1j * g_nu * beta, beta, -1))
+    idx = list(variables)
+    for a in range(len(idx)):
+        for b in range(a + 1, len(idx)):
+            for e1 in (1, -1):
+                for e2 in (1, -1):
+                    pair = ((idx[a], e1), (idx[b], e2))
+                    factors.append(GFactor(pair, b2, beta, 1))
+                    factors.append(GFactor(pair, b2 - 1j * lam * beta, beta, -1))
+    return factors
+
+
+def deformed_groundstate_sq_factors(
+    case: CaseParams,
+    g: Sequence[float],
+    lam: float,
+    beta: float,
+    x_vars: Sequence[int],
+    xt_vars: Sequence[int],
+) -> list[Factor]:
+    """Squared two-species ground state: an all-unit block on the plain
+    coordinates, the dual block (:func:`~vandiejen.operators.dual_couplings`,
+    swapped parameters) on the deformed coordinates, divided by the paired
+    cross denominators."""
+    g_dual = dual_couplings(g, lam)
+    factors = groundstate_sq_factors(case, g, lam, beta, x_vars)
+    factors += groundstate_sq_factors(case, g_dual, 1.0 / lam, lam * beta, xt_vars)
+    u = 0.5j * (lam - 1) * beta
+    for i in x_vars:
+        for k in xt_vars:
+            for delta in (1, -1):
+                pair = ((i, 1), (k, delta))
+                factors.append(SFactor(pair, u, -1))
+                factors.append(SFactor(pair, -u, -1))
+    return factors

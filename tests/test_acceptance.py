@@ -187,8 +187,7 @@ def test_criterion_04_source_identity_mass_vectors(announce):
     for vi, tags in enumerate(_mass_vectors()):
         for _ in range(40):
             coupling = _coupling_draw(rng, case)
-            masses = tuple(t.value_for(coupling.lam) for t in tags)
-            g = balance_solve("source", coupling.lam, coupling.g, mass_sum=sum(masses))
+            g = balance_solve(coupling.lam, coupling.g, tags)
             if abs(g[-1]) <= 9.0:
                 break
         balanced = CouplingSet(g, coupling.lam, coupling.beta)

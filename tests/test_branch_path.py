@@ -9,16 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from references import phi_pair, psi_single
+from references import (deformed_groundstate_sq_factors, groundstate_sq_factors, phi_pair,
+                        psi_single)
 from vandiejen.eigenfunctions import (
     BranchError,
     BranchTracker,
     ConjugatedTerms,
     conjugation_terms,
     continued_root,
-    deformed_groundstate_sq_factors,
     eigenfunction_factors,
-    groundstate_sq_factors,
 )
 from vandiejen.operators import MassTag, def_operator, weighted_terms
 from vandiejen.sfun import CaseKind, CaseParams, PoleProximityError

@@ -340,14 +340,22 @@ def test_eval_coefficients_missing_coupling(capsys):
     assert "configuration error" in err
 
 
-def test_eval_eigenfunction_two_species(capsys):
+@pytest.mark.parametrize("particles, pin", [
+    ("2,0,0,0", complex(0.14910817207877805, -0.17413326817917002)),
+    ("1,1,0,0", complex(0.16987594788543336, 0.009818628319000279)),
+])
+def test_eval_eigenfunction_two_species(capsys, particles, pin):
+    # two plain coordinates, and one plain and one deformed coordinate: the
+    # ground state within 1e-13 of its pinned value, as the CI step pins it
     code, out, _ = run_main(capsys, [
         "eval", "eigenfunction", "--case", "II",
         "--x", "0.4+0.05i,0.9-0.1i",
         "--g", "0.3,0.35,0.4,0.45", "--lambda", "1.45", "--beta", "0.3",
-        "--particles", "1,1,0,0"])
+        "--particles", particles, "--format", "json-lines"])
     assert code == EXIT_PASS
-    assert out.strip()  # one psi value printed
+    (record,) = [json.loads(line) for line in out.strip().splitlines()]
+    assert record["point"] == "psi"
+    assert abs(complex(*record["value"]) - pin) <= 1e-13 * abs(pin)
 
 
 def test_eval_theta_needs_elliptic(capsys):

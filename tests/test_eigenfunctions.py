@@ -8,21 +8,20 @@ import numpy as np
 import pytest
 
 import oracles
-from references import (cauchy_kernel_factors, deformed_groundstate_value,
-                        deformed_kernel_cross_factors, dual_cauchy_kernel_factors,
-                        groundstate_psi, pair_factor, psi_single, psi_single_sq)
+from references import (cauchy_kernel_factors, deformed_groundstate_sq_factors,
+                        deformed_groundstate_value, deformed_kernel_cross_factors,
+                        dual_cauchy_kernel_factors, groundstate_psi, groundstate_sq_factors,
+                        pair_factor, psi_single, psi_single_sq)
 from vandiejen.eigenfunctions import (
     BranchError,
     BranchTracker,
     ConjugatedTerms,
     conjugation_terms,
     continued_root,
-    deformed_groundstate_sq_factors,
     deformed_power_sum,
     eigenfunction_factors,
     factor_ratio,
     factor_value,
-    groundstate_sq_factors,
     pair_kind,
     power_sum_weight,
     quasi_invariance_defect,
@@ -189,6 +188,32 @@ def test_unit_masses_give_the_ground_state_list(n):
     g = couplings_for("II")
     sq, direct = eigenfunction_factors(case, g, LAM, BETA, (MassTag.PLUS_ONE,) * n)
     assert (sq, direct) == (groundstate_sq_factors(case, g, LAM, BETA, range(n)), [])
+
+
+@pytest.mark.parametrize("label", ("I", "II", "III"))
+@pytest.mark.parametrize("n, nt", ((1, 1), (2, 1), (1, 2), (0, 2)))
+def test_two_species_masses_give_the_deformed_ground_state(label, n, nt):
+    # masses 1 and -1/lam pair as same and antidual: no direct factors, and
+    # the squared list is the deformed ground state's, its -1/lam gammas at
+    # step -lam beta (G(x; -alpha) = G(-x; alpha)), so its product and its
+    # shift ratios are those of the hand-written list
+    case = make(label)
+    g = couplings_for(label)
+    tags = (MassTag.PLUS_ONE,) * n + (MassTag.MINUS_INV,) * nt
+    sq, direct = eigenfunction_factors(case, g, LAM, BETA, tags)
+    assert direct == []
+    ref = deformed_groundstate_sq_factors(case, g, LAM, BETA, range(n), range(n, n + nt))
+    assert len(sq) == len(ref)
+    Z = (0.41 + 0.05j, 0.92 - 0.07j, 0.63 + 0.03j)[:n + nt]
+    assert rel_err(factor_value(case, sq, Z), factor_value(case, ref, Z)) < 1e-12
+    for slot in range(n + nt):
+        step = 1j * BETA if slot < n else 1j * LAM * BETA
+        for delta in (step, -step):
+            assert rel_err(factor_ratio(case, sq, Z, slot, delta),
+                           factor_ratio(case, ref, Z, slot, delta)) < 1e-12
+    P = tuple(z + 0.02 - 0.01j for z in Z)
+    assert rel_err(continued_root(case, sq, P, BranchTracker(Z)),
+                   continued_root(case, ref, P, BranchTracker(Z))) < 1e-12
 
 
 def test_kernel_assignments_give_the_hand_written_cross_factors():

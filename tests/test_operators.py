@@ -29,6 +29,9 @@ from vandiejen.operators import (
     weighted_terms,
 )
 from vandiejen.sfun import CaseKind, CaseParams, DomainError
+from vandiejen.verify import _DISPLAYS, _KERNELS, _M, _MT, _N, _NT
+
+_SPECIES = (_N, _NT, _M, _MT)
 
 R, A = 1.1, 1.8
 
@@ -147,32 +150,46 @@ def test_configuration_basics():
 # --------------------------------------------------------------------------
 
 
-def test_balance_solve_zeroes_each_variant():
+_P1, _M1, _PI, _MI = (MassTag.PLUS_ONE, MassTag.MINUS_ONE, MassTag.PLUS_INV,
+                      MassTag.MINUS_INV)
+
+
+def test_balance_solve_zeroes_the_balance_defect():
     lam = 1.35
-    counts = dict(N=2, Nt=1, M=1, Mt=2)
-    probes = {
-        "source": lambda g: 2 * lam * 1.7 + sum(g) - 2 * (lam + 1),
-        "eigen-plain": lambda g: 2 * lam * (2 - 1) + sum(g) - 2,
-        "kernel-cauchy": lambda g: 2 * lam * (2 - 1 - 1) + sum(g) - 2,
-        "kernel-dual": lambda g: 2 * lam * (2 - 1) + sum(g) + 2 * (2 - 1),
-        "deformed-groundstate": lambda g: 2 * lam * (2 - 1) + sum(g) - 2 * (1 + 1),
-        "kernel-deformed": lambda g: 2 * lam * (2 - 1 - 1) + sum(g) - 2 * (1 - 2 + 1),
-    }
     g0 = couplings_for("IV")
-    for variant, probe in probes.items():
-        g = balance_solve(variant, lam, g0, mass_sum=1.7, **counts)
-        assert probe(g) == pytest.approx(0.0, abs=1e-12)
+    for tags in [(_P1,), (_M1,), (_PI,), (_MI,), (_P1, _M1), (_PI, _MI, _MI),
+                 (_P1, _P1, _MI, _M1, _PI, _PI), (_M1, _M1, _M1)]:
+        g = balance_solve(lam, g0, tags)
+        masses = [t.value_for(lam) for t in tags]
+        assert balance_defect(CouplingSet(g, lam, 0.3), masses) == pytest.approx(0.0, abs=1e-12)
         # only the solved entry moved
         assert g[:-1] == g0[:-1]
 
 
-def test_balance_solve_index_and_variants():
-    # the two deformation constants share one constraint
-    ga = balance_solve("deformed-groundstate", 1.2, (0.1,) * 8, N=2, Nt=1)
-    gb = balance_solve("deformed-constant", 1.2, (0.1,) * 8, N=2, Nt=1)
-    assert ga == gb
-    with pytest.raises(DomainError):
-        balance_solve("no-such-variant", 1.2, (0.1, 0.2))
+# each block identity's former closed form of the balancing offset, by its
+# pinned counts (N, Nt, M, Mt) of the masses 1, -1/lam, -1 and 1/lam
+_BLOCK_OFFSETS = {
+    "eigen-plain": lambda lam, N, Nt, M, Mt: 2 * lam * (N - 1) - 2,
+    "kernel-cauchy": lambda lam, N, Nt, M, Mt: 2 * lam * (N - M - 1) - 2,
+    "kernel-dual": lambda lam, N, Nt, M, Mt: 2 * lam * (N - 1) + 2 * (Mt - 1),
+    "deformed-groundstate": lambda lam, N, Nt, M, Mt: 2 * lam * (N - 1) - 2 * (Nt + 1),
+    "deformed-constant": lambda lam, N, Nt, M, Mt: 2 * lam * (N - 1) - 2 * (Nt + 1),
+    "kernel-deformed": lambda lam, N, Nt, M, Mt: 2 * lam * (N - M - 1) - 2 * (Nt - Mt + 1),
+}
+
+
+@pytest.mark.parametrize("identity", sorted(_BLOCK_OFFSETS))
+def test_balance_solve_keeps_each_block_identity_bit_for_bit(identity):
+    # the counts of the masses give each block identity's closed form in
+    # the same float operations, so its balanced coupling keeps its bits
+    species = {**_DISPLAYS, **_KERNELS}[identity].species
+    g0 = couplings_for("IV", fill=0.2935)
+    for lam in (0.7, 1.2, 1.45, 2.3):
+        for pinned in [(1, 0, 0, 0), (0, 1, 1, 0), (2, 1, 0, 3), (3, 2, 1, 1), (0, 3, 2, 2)]:
+            counts = [pinned[sp.particles] if sp in species else 0 for sp in _SPECIES]
+            tags = tuple(sp.tag for sp in species for _ in range(pinned[sp.particles]))
+            offset = _BLOCK_OFFSETS[identity](lam, *counts)
+            assert balance_solve(lam, g0, tags) == (*g0[:-1], -offset - sum(g0[:-1]))
 
 
 # --------------------------------------------------------------------------
@@ -197,7 +214,8 @@ def test_source_constant_vanishes_when_balanced():
     # on the balance constraint, so the constant vanishes there
     case = make("IV")
     masses = (1.0, -1.0, 1 / LAM)
-    g = balance_solve("source", LAM, couplings_for("IV"), mass_sum=sum(masses))
+    g = balance_solve(LAM, couplings_for("IV"), (MassTag.PLUS_ONE, MassTag.MINUS_ONE,
+                                                   MassTag.PLUS_INV))
     val = source_constant(case, g, LAM, BETA, masses)
     assert abs(val) < 1e-12
     # a detuned coupling moves it off zero
@@ -274,7 +292,7 @@ def test_constant_function_is_eigenfunction(label):
 
 def test_constant_function_elliptic_needs_balance():
     case = make("IV")
-    g = balance_solve("eigen-plain", LAM, couplings_for("IV"), N=len(X2))
+    g = balance_solve(LAM, couplings_for("IV"), (MassTag.PLUS_ONE,) * len(X2))
     value = sum(weighted_terms(vd_operator(case, g, LAM, BETA, (0, 1)).weights(X2),
                                lambda x: 1.0 + 0j), start=0j)
     expected = eigen_constant(case, g, LAM, BETA, (1.0,) * len(X2))
@@ -321,8 +339,8 @@ def test_deformed_apply_constant_eigenvalue_elliptic_balanced():
     case = make("IV")
     x = (0.52 + 0.06j,)
     xt = (0.95 - 0.09j,)
-    g = balance_solve("deformed-constant", LAM, couplings_for("IV"),
-                      N=len(x), Nt=len(xt))
+    g = balance_solve(LAM, couplings_for("IV"),
+                      (MassTag.PLUS_ONE,) * len(x) + (MassTag.MINUS_INV,) * len(xt))
     value = sum(weighted_terms(def_operator(case, g, LAM, BETA, (0,), (1,)).weights((*x, *xt)),
                                lambda Q: 1.0 + 0j), start=0j)
     masses = (1.0,) * len(x) + (-1 / LAM,) * len(xt)

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from references import proof_params
+from references import groundstate_sq_factors, proof_params
 from vandiejen import gamma, operators, sfun, verify
-from vandiejen.eigenfunctions import factor_ratio, groundstate_sq_factors
+from vandiejen.eigenfunctions import factor_ratio
 from vandiejen.operators import (
     Configuration,
     CouplingSet,

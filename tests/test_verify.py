@@ -570,7 +570,7 @@ def test_the_balanced_coupling_cap_gives_up_after_40_attempts(monkeypatch):
     ctx = _ctx("IV", identity="source")
     first = verify._draw_coupling(ctx.rng, ctx.case)
     with pytest.raises(ConvergenceError, match="no balanced coupling within"):
-        verify._balanced_coupling(ctx, first, "source", tags=(MassTag.PLUS_ONE,))
+        verify._balanced_coupling(ctx, first, (MassTag.PLUS_ONE,))
     assert ctx.attempts == ctx.rejected == 40
     # every rejected call drew the next coupling, the last one too
     rng = np.random.default_rng(5)
